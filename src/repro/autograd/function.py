@@ -3,8 +3,9 @@
 Every primitive op is a :class:`Function` subclass implementing
 ``forward`` (on raw numpy arrays) and ``backward`` (returning one gradient
 array — or ``None`` — per tensor input, in positional order).
-:meth:`Function.apply` handles unwrapping tensors, running the forward,
-and linking the result into the autograd graph when recording is enabled.
+:meth:`Function.apply` handles unwrapping tensors, recording which inputs
+need a gradient, running the forward, and linking the result into the
+autograd graph when recording is enabled.
 """
 
 from __future__ import annotations
@@ -54,11 +55,21 @@ class Function:
       :meth:`save_for_backward` or as attributes on ``self``.
     - ``backward(grad_out) -> tuple[np.ndarray | None, ...]`` returning one
       entry per *tensor* input, in the positional order they were passed.
+
+    ``needs_input_grad`` holds one bool per tensor input, set by
+    :meth:`apply` *before* ``forward`` runs: True when gradients are
+    being recorded and that input requires grad.  ``backward`` may (and
+    the built-in ops do) return ``None`` where ``needs_input_grad`` is
+    False, and ``forward`` may skip saving what only those gradients
+    would read — a frozen weight's convolution then keeps no column
+    matrix.  Returning every gradient stays correct: entries for inputs
+    that need none are discarded.
     """
 
     def __init__(self) -> None:
         self.parents: tuple["Tensor", ...] = ()
         self.saved: tuple[np.ndarray, ...] = ()
+        self.needs_input_grad: tuple[bool, ...] = ()
 
     def save_for_backward(self, *arrays: np.ndarray) -> None:
         self.saved = arrays
@@ -77,8 +88,12 @@ class Function:
         fn = cls()
         tensor_inputs = [a for a in args if isinstance(a, Tensor)]
         raw_args = [a.data if isinstance(a, Tensor) else a for a in args]
+        recording = is_grad_enabled()
+        fn.needs_input_grad = tuple(
+            recording and t.requires_grad for t in tensor_inputs
+        )
         out_data = fn.forward(*raw_args, **kwargs)
-        needs_grad = is_grad_enabled() and any(t.requires_grad for t in tensor_inputs)
+        needs_grad = any(fn.needs_input_grad)
         out = Tensor(out_data, requires_grad=needs_grad)
         if needs_grad:
             fn.parents = tuple(tensor_inputs)

@@ -34,8 +34,12 @@ class _Add(Function):
         self.a_shape, self.b_shape = a.shape, b.shape
         return a + b
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return unbroadcast(grad_out, self.a_shape), unbroadcast(grad_out, self.b_shape)
+    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        need_a, need_b = self.needs_input_grad
+        return (
+            unbroadcast(grad_out, self.a_shape) if need_a else None,
+            unbroadcast(grad_out, self.b_shape) if need_b else None,
+        )
 
 
 class _Sub(Function):
@@ -43,8 +47,12 @@ class _Sub(Function):
         self.a_shape, self.b_shape = a.shape, b.shape
         return a - b
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return unbroadcast(grad_out, self.a_shape), unbroadcast(-grad_out, self.b_shape)
+    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        need_a, need_b = self.needs_input_grad
+        return (
+            unbroadcast(grad_out, self.a_shape) if need_a else None,
+            unbroadcast(-grad_out, self.b_shape) if need_b else None,
+        )
 
 
 class _Mul(Function):
@@ -52,9 +60,13 @@ class _Mul(Function):
         self.save_for_backward(a, b)
         return a * b
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray | None, ...]:
         a, b = self.saved
-        return unbroadcast(grad_out * b, a.shape), unbroadcast(grad_out * a, b.shape)
+        need_a, need_b = self.needs_input_grad
+        return (
+            unbroadcast(grad_out * b, a.shape) if need_a else None,
+            unbroadcast(grad_out * a, b.shape) if need_b else None,
+        )
 
 
 class _Div(Function):
@@ -62,10 +74,11 @@ class _Div(Function):
         self.save_for_backward(a, b)
         return a / b
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray | None, ...]:
         a, b = self.saved
-        grad_a = unbroadcast(grad_out / b, a.shape)
-        grad_b = unbroadcast(-grad_out * a / (b * b), b.shape)
+        need_a, need_b = self.needs_input_grad
+        grad_a = unbroadcast(grad_out / b, a.shape) if need_a else None
+        grad_b = unbroadcast(-grad_out * a / (b * b), b.shape) if need_b else None
         return grad_a, grad_b
 
 
@@ -189,13 +202,16 @@ class _MatMul(Function):
         self.save_for_backward(a, b)
         return a @ b
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray | None, ...]:
         a, b = self.saved
-        grad_a = grad_out @ np.swapaxes(b, -1, -2)
-        grad_b = np.swapaxes(a, -1, -2) @ grad_out
+        need_a, need_b = self.needs_input_grad
         # Batched matmul broadcasts leading dims; fold them back.
-        grad_a = unbroadcast(grad_a, a.shape)
-        grad_b = unbroadcast(grad_b, b.shape)
+        grad_a = (
+            unbroadcast(grad_out @ np.swapaxes(b, -1, -2), a.shape) if need_a else None
+        )
+        grad_b = (
+            unbroadcast(np.swapaxes(a, -1, -2) @ grad_out, b.shape) if need_b else None
+        )
         return grad_a, grad_b
 
 

@@ -9,7 +9,15 @@ import numpy as np
 from repro.autograd.function import Function
 from repro.autograd.tensor import Tensor, as_tensor
 
-__all__ = ["leaky_relu", "log_softmax", "relu", "sigmoid", "softmax", "tanh"]
+__all__ = [
+    "leaky_relu",
+    "log_softmax",
+    "relu",
+    "sigmoid",
+    "sigmoid_into",
+    "softmax",
+    "tanh",
+]
 
 
 class _ReLU(Function):
@@ -35,14 +43,43 @@ class _LeakyReLU(Function):
         return (np.where(mask, grad_out, self.slope * grad_out),)
 
 
+def sigmoid_into(
+    a: np.ndarray,
+    out: np.ndarray,
+    e: np.ndarray | None = None,
+    d: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Numerically stable logistic sigmoid of ``a``, written into ``out``.
+
+    With ``e = exp(-|a|)`` and ``d = 1 + e``, the result is ``1/d`` where
+    ``a >= 0`` and ``e/d`` elsewhere: ``exp`` never sees a positive
+    argument, so it cannot overflow.  Both branches are evaluated over
+    the whole array and merged with a ufunc ``where=``, never with
+    boolean fancy indexing.  ``-|a|`` is taken as ``minimum(a, -a)``,
+    which keeps a NaN input's own bits, so every element (NaN included)
+    equals the two-branch piecewise formula bit for bit.
+
+    ``out`` may alias ``a``: ``a`` is read in full before ``out`` is
+    written.  ``e`` and ``d`` (same shape and dtype as ``a``) and the
+    boolean ``mask`` are optional scratch arrays; missing ones are
+    allocated.  When ``out`` does not alias ``a``, ``e`` may be ``out``
+    and ``d`` may be ``a`` (which is then overwritten), so a caller
+    with a disposable input needs no float scratch at all.
+    """
+    mask = np.greater_equal(a, 0, out=mask)
+    e = np.negative(a, out=e)
+    np.minimum(a, e, out=e)
+    np.exp(e, out=e)
+    d = np.add(e, 1.0, out=d)
+    np.divide(e, d, out=out)
+    np.divide(1.0, d, out=out, where=mask)
+    return out
+
+
 class _Sigmoid(Function):
     def forward(self, a: np.ndarray) -> np.ndarray:
-        # Numerically stable piecewise evaluation avoids overflow in exp.
-        out = np.empty_like(a)
-        positive = a >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-a[positive]))
-        exp_a = np.exp(a[~positive])
-        out[~positive] = exp_a / (1.0 + exp_a)
+        out = sigmoid_into(a, np.empty_like(a))
         self.save_for_backward(out)
         return out
 

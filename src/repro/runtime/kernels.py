@@ -40,7 +40,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.autograd.grad_mode import no_grad
-from repro.autograd.ops_conv import _out_size, as_pair
+from repro.autograd.ops_conv import (
+    KMAJOR_MIN_AREA,
+    _out_size,
+    as_pair,
+    gather_block,
+    im2col,
+    im2col_blocks,
+)
+from repro.autograd.ops_nn import sigmoid_into
 from repro.autograd.tensor import Tensor
 from repro.core.bounded_relu import BoundedReLU
 from repro.core.bounded_tanh import BoundedTanh
@@ -74,18 +82,9 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# GEMM execution knobs
+# GEMM execution knobs (the blocked im2col gather's own knobs,
+# GEMM_BLOCK_BYTES and KMAJOR_MIN_AREA, live in repro.autograd.ops_conv)
 # ----------------------------------------------------------------------
-#: Byte budget for one batch-block's staging buffer in the blocked
-#: im2col gather — sized so a block transposes L2/L3-resident instead
-#: of round-tripping main memory.
-GEMM_BLOCK_BYTES = 1 << 20
-
-#: Minimum spatial positions per image for the blocked K-major gather;
-#: below this the position-major copy is already cheap (short planes,
-#: python loop overhead dominates) and the kernel uses it directly.
-KMAJOR_MIN_AREA = 64
-
 #: Column matrices smaller than this many cells keep the serial gather
 #: even when a kernel's ``gemm_workers`` allows threading: partitioning
 #: overhead would exceed the work.
@@ -197,15 +196,6 @@ class _Buffers:
         return buf
 
 
-def _sigmoid_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The numerically stable sigmoid of ``ops_nn._Sigmoid``, verbatim."""
-    positive = a >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-a[positive]))
-    exp_a = np.exp(a[~positive])
-    out[~positive] = exp_a / (1.0 + exp_a)
-    return out
-
-
 def apply_activation(
     module: Module, src: np.ndarray, out: np.ndarray, bufs: _Buffers
 ) -> np.ndarray:
@@ -254,9 +244,11 @@ def apply_activation(
         np.subtract(bound, src, out=z)
         np.multiply(z, scale, out=z)
         gate = bufs.get("act_gate", src.shape)
-        _sigmoid_into(z, gate)
-        np.multiply(src, gate, out=out)
         mask = bufs.get("act_mask", src.shape, dtype=np.bool_)
+        # z is disposable and gate is fresh: the sigmoid runs in the
+        # buffers the branch already owns.
+        sigmoid_into(z, gate, e=gate, d=z, mask=mask)
+        np.multiply(src, gate, out=out)
         np.greater(out, 0, out=mask)
         return np.multiply(out, mask, out=out)
     if isinstance(module, LeakyReLU):
@@ -264,7 +256,14 @@ def apply_activation(
         out[...] = np.where(mask, src, module.negative_slope * src)
         return out
     if isinstance(module, Sigmoid):
-        return _sigmoid_into(src, out)
+        # out may alias src, so the scratch arrays must be separate.
+        return sigmoid_into(
+            src,
+            out,
+            e=bufs.get("act_z", src.shape),
+            d=bufs.get("act_gate", src.shape),
+            mask=bufs.get("act_mask", src.shape, dtype=np.bool_),
+        )
     if isinstance(module, Tanh):
         return np.tanh(src, out=out)
     if isinstance(module, Softmax):
@@ -359,18 +358,18 @@ class ConvKernel(Kernel):
         skip im2col entirely: the strided input view is copied to a
         channels-last buffer once and multiplied in a single GEMM.
     ``im2col``
-        General convolutions build the patch matrix blockwise: each
-        cache-sized batch block (``GEMM_BLOCK_BYTES``) is gathered in
-        **K-major** staging layout — one contiguous destination plane
-        per (channel, ki, kj) column, near-memcpy strided copies
-        instead of the cache-hostile position-major transpose — then
-        transposed, still cache-resident, into the standard
-        position-major column matrix.  Small feature maps
-        (``KMAJOR_MIN_AREA``) skip the staging and copy position-major
+        General convolutions build the patch matrix with the autograd
+        op's own gather (:func:`repro.autograd.ops_conv.im2col`): each
+        cache-sized batch block is gathered in **K-major** staging
+        layout — one contiguous destination plane per (channel, ki, kj)
+        column, near-memcpy strided copies instead of the cache-hostile
+        position-major transpose — then transposed, still
+        cache-resident, into the standard position-major column matrix.
+        Small feature maps skip the staging and copy position-major
         directly.
     ``grouped``
-        Grouped/depthwise convolutions keep the batched-einsum
-        formulation of the autograd op.
+        Grouped/depthwise convolutions gather the same column matrix
+        and keep the batched-einsum formulation of the autograd op.
 
     Every tier hands BLAS the *identical* GEMM the module forward
     performs — the same column-matrix values in the same memory layout
@@ -465,86 +464,45 @@ class ConvKernel(Kernel):
         if prof is not None:
             prof.phase(self, "gemm", started, prof.now())
 
-    def _gather_block(
-        self,
-        colsT: np.ndarray,
-        padded: np.ndarray,
-        b0: int,
-        b1: int,
-        oh: int,
-        ow: int,
-    ) -> None:
-        """Fill one batch block's K-major staging planes.
-
-        ``colsT[c, i, j]`` holds column ``(c, i, j)`` of the im2col
-        matrix for images ``b0:b1`` — the same values, in the same
-        K order ``(channel, ki, kj)``, as the module's position-major
-        patch matrix, just transposed in memory.  Each copy writes one
-        contiguous destination plane, which is what makes this gather
-        several times faster than the position-major transpose.
-        """
-        kh, kw = self.conv.kernel_size
-        sh, sw = self.conv.stride
-        block = padded[b0:b1]
-        for i in range(kh):
-            for j in range(kw):
-                np.copyto(
-                    colsT[:, i, j],
-                    block[
-                        :, :, i : i + sh * oh : sh, j : j + sw * ow : sw
-                    ].transpose(1, 0, 2, 3),
-                )
-
     def _fill_cols(
         self,
-        cols6: np.ndarray,
+        cols: np.ndarray,
         padded: np.ndarray,
-        n: int,
-        c: int,
         oh: int,
         ow: int,
         workers: int,
     ) -> None:
         """Build the position-major column matrix the module GEMM reads.
 
-        Large feature maps go through the blocked K-major staging buffer
-        (gather with contiguous writes, then an L2-resident transpose
-        into ``cols6``); small ones copy position-major directly.  Both
-        produce byte-identical column matrices.
+        The gather is the autograd op's own :func:`im2col` (blocked
+        K-major staging for large feature maps, a direct position-major
+        copy for small ones), so the column bytes match the module's.
+        ``workers > 1`` deals the batch blocks round-robin onto the
+        shared pool; blocks own disjoint rows, so the bytes do not
+        change.
         """
         conv = self.conv
+        n, c = padded.shape[:2]
         kh, kw = conv.kernel_size
         per_image = oh * ow
-        if per_image < KMAJOR_MIN_AREA:
-            sh, sw = conv.stride
-            windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[
-                :, :, ::sh, ::sw
-            ]
-            np.copyto(cols6, windows.transpose(0, 2, 3, 1, 4, 5))
-            return
-        k = c * kh * kw
-        block = max(1, min(n, GEMM_BLOCK_BYTES // max(1, k * per_image * 4)))
-        ranges = [(b0, min(b0 + block, n)) for b0 in range(0, n, block)]
-        flat = cols6.reshape(n * per_image, k)
-
-        def do_range(b0: int, b1: int, colsT: np.ndarray) -> None:
-            self._gather_block(colsT, padded, b0, b1, oh, ow)
-            np.copyto(
-                flat[b0 * per_image : b1 * per_image],
-                colsT.reshape(k, (b1 - b0) * per_image).T,
-            )
-
+        ranges = im2col_blocks(n, c * kh * kw, per_image, padded.dtype.itemsize)
         workers = min(workers, len(ranges))
-        if workers <= 1:
-            for b0, b1 in ranges:
-                # The ragged tail gets its own (smaller) staging buffer;
-                # _Buffers keys by shape, so at most two exist.
-                colsT = self.bufs.get("colsT", (c, kh, kw, b1 - b0, oh, ow))
-                do_range(b0, b1, colsT)
+        if workers <= 1 or per_image < KMAJOR_MIN_AREA:
+            # The ragged tail gets its own (smaller) staging buffer;
+            # _Buffers keys by shape, so at most two exist.
+            im2col(
+                padded,
+                (kh, kw),
+                conv.stride,
+                oh,
+                ow,
+                out=cols,
+                staging=lambda shape: self.bufs.get("colsT", shape),
+            )
             return
-        # Deal blocks round-robin onto worker slots; buffers are
-        # allocated here (the _Buffers dict is not thread-safe) and each
-        # slot reuses its own, so concurrent gathers never collide.
+        # Buffers are allocated here (the _Buffers dict is not
+        # thread-safe) and each slot reuses its own, so concurrent
+        # gathers never collide.
         slots: list[list] = [[] for _ in range(workers)]
         for index, (b0, b1) in enumerate(ranges):
             slot = index % workers
@@ -553,66 +511,43 @@ class ConvKernel(Kernel):
 
         def run_slot(assigned: list) -> None:
             for b0, b1, colsT in assigned:
-                do_range(b0, b1, colsT)
+                gather_block(cols, colsT, padded, b0, b1, conv.stride)
 
         _run_partitioned(
             [lambda a=assigned: run_slot(a) for assigned in slots if assigned]
         )
 
     def _run_im2col(
-        self,
-        padded: np.ndarray,
-        gemm: np.ndarray,
-        n: int,
-        c: int,
-        oh: int,
-        ow: int,
+        self, padded: np.ndarray, gemm: np.ndarray, oh: int, ow: int
     ) -> None:
         conv = self.conv
         prof = self.prof
+        n, c = padded.shape[:2]
         kh, kw = conv.kernel_size
         k = c * kh * kw
         positions = n * oh * ow
-        cols6 = self.bufs.get("cols", (n, oh, ow, c, kh, kw))
+        cols = self.bufs.get("cols", (positions, k))
         workers = self._workers_for(positions, k, conv.out_channels)
         started = prof.now() if prof is not None else 0.0
-        self._fill_cols(cols6, padded, n, c, oh, ow, workers)
+        self._fill_cols(cols, padded, oh, ow, workers)
         if prof is not None:
             prof.phase(self, "gather", started, prof.now())
             started = prof.now()
         # One full-shape GEMM, exactly the module's call (BLAS threads
         # it natively on multi-core machines; see module-level note).
-        np.matmul(
-            cols6.reshape(positions, k),
-            conv.weight.data.reshape(conv.out_channels, -1).T,
-            out=gemm,
-        )
+        if self.tier == "im2col":
+            np.matmul(cols, conv.weight.data.reshape(conv.out_channels, -1).T, out=gemm)
+        else:
+            groups = conv.groups
+            og = conv.out_channels // groups
+            np.einsum(
+                "pgk,gok->pgo",
+                cols.reshape(positions, groups, k // groups),
+                conv.weight.data.reshape(groups, og, k // groups),
+                out=gemm.reshape(positions, groups, og),
+            )
         if prof is not None:
             prof.phase(self, "gemm", started, prof.now())
-
-    def _run_grouped(
-        self, windows: np.ndarray, gemm: np.ndarray, n: int, c: int, oh: int, ow: int
-    ) -> np.ndarray:
-        conv = self.conv
-        prof = self.prof
-        kh, kw = conv.kernel_size
-        groups = conv.groups
-        positions = n * oh * ow
-        cols6 = self.bufs.get("cols", (n, oh, ow, c, kh, kw))
-        started = prof.now() if prof is not None else 0.0
-        np.copyto(cols6, windows.transpose(0, 2, 3, 1, 4, 5))
-        if prof is not None:
-            prof.phase(self, "gather", started, prof.now())
-            started = prof.now()
-        cg = c // groups
-        og = conv.out_channels // groups
-        cols = cols6.reshape(positions, groups, cg * kh * kw)
-        w_mat = conv.weight.data.reshape(groups, og, cg * kh * kw)
-        gemm3 = gemm.reshape(positions, groups, og)
-        np.einsum("pgk,gok->pgo", cols, w_mat, out=gemm3)
-        if prof is not None:
-            prof.phase(self, "gemm", started, prof.now())
-        return gemm
 
     # ------------------------------------------------------------------
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -642,13 +577,7 @@ class ConvKernel(Kernel):
                     prof.phase(self, "gather", started, prof.now())
             else:
                 padded = x
-            if self.tier == "im2col":
-                self._run_im2col(padded, gemm, n, c, oh, ow)
-            else:
-                windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[
-                    :, :, ::sh, ::sw
-                ]
-                self._run_grouped(windows, gemm, n, c, oh, ow)
+            self._run_im2col(padded, gemm, oh, ow)
         if conv.bias is not None:
             gemm += conv.bias.data
         if self.bn is not None:
