@@ -47,7 +47,6 @@ def _campaign(replicas):
     )
     evaluator = Evaluator(
         DataLoader(dataset, batch_size=128, transform=Normalize(SYNTH_MEAN, SYNTH_STD)),
-        runtime=True,
     )
     return FaultCampaign(
         FaultInjector(model),

@@ -38,7 +38,6 @@ import pytest
 from repro.core.checkpoint import save_protected
 from repro.eval.reporting import format_table
 from repro.models.registry import build_model
-from repro.runtime import RuntimeConfig
 from repro.serve import (
     AsyncReproServer,
     ModelRegistry,
@@ -81,7 +80,7 @@ def _serve_and_load(
     server_cls, checkpoint: Path, **config_overrides
 ) -> dict[str, float]:
     """Serve one configuration, drive the load, return rate + p99."""
-    registry = ModelRegistry(capacity=1, config=RuntimeConfig(enabled=True))
+    registry = ModelRegistry(capacity=1)
     registry.register("m", checkpoint)
     config = ServeConfig(
         max_batch=64,

@@ -90,27 +90,10 @@ def _add_preset_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _runtime_config(
-    runtime: bool = False, runtime_threads: "int | None" = None
-):
-    """The CLI's single :class:`RuntimeConfig` construction path.
-
-    Every command that touches the compiled runtime funnels its flags
-    through here, so the flag-to-config mapping (``--runtime-threads 0``
-    meaning "auto") lives in exactly one place.
-    """
-    from repro.runtime import RuntimeConfig
-
-    workers: "int | str | None" = runtime_threads
-    if workers == 0:
-        workers = "auto"  # 0 = one thread per usable core
-    return RuntimeConfig(enabled=bool(runtime), gemm_workers=workers)
-
-
 def _evaluator_for(
     dataset_name: str,
     preset,
-    config=None,
+    gemm_workers: "int | str | None" = None,
 ):
     """Build the test-set evaluator the experiment contexts use."""
     from repro.data.loader import DataLoader
@@ -133,7 +116,9 @@ def _evaluator_for(
         batch_size=max(preset.batch_size, 128),
         transform=Normalize(SYNTH_MEAN, SYNTH_STD),
     )
-    return Evaluator(loader, max_batches=preset.eval_batches, config=config)
+    return Evaluator(
+        loader, max_batches=preset.eval_batches, gemm_workers=gemm_workers
+    )
 
 
 # ----------------------------------------------------------------------
@@ -258,26 +243,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.fault.campaign import FaultCampaign
     from repro.fault.injector import FaultInjector
 
-    from repro.errors import ConfigurationError
-
-    if args.runtime_threads is not None and not args.runtime:
-        raise ConfigurationError(
-            "--runtime-threads threads the compiled runtime's kernels; "
-            "pass --runtime as well"
-        )
     preset = _preset_from_args(args)
     model, meta = load_protected_auto(args.checkpoint)
     preset = preset.with_overrides(image_size=int(meta["image_size"]))
-    evaluator = _evaluator_for(
-        str(meta["dataset"]),
-        preset,
-        config=_runtime_config(args.runtime, args.runtime_threads),
-    )
+    gemm_workers: "int | str | None" = args.runtime_threads
+    if gemm_workers == 0:
+        gemm_workers = "auto"  # 0 = one thread per usable core
+    evaluator = _evaluator_for(str(meta["dataset"]), preset, gemm_workers)
     clean = evaluator.accuracy(model)
-    runtime_note = " [compiled runtime]" if args.runtime else ""
     print(
         f"checkpoint {args.checkpoint}: {meta['model']}/{meta['dataset']} "
-        f"({meta['method']}){runtime_note}"
+        f"({meta['method']})"
     )
     print(f"clean accuracy: {clean:.2%}")
     if not args.rates:
@@ -314,9 +290,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServeConfig,
     )
 
-    registry = ModelRegistry(
-        capacity=args.registry_capacity, config=_runtime_config(args.runtime)
-    )
+    registry = ModelRegistry(capacity=args.registry_capacity)
     for spec in args.checkpoint:
         if "=" in spec:
             name, path = spec.split("=", 1)
@@ -356,7 +330,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = server_cls(app, host=args.host, port=args.port)
     server.start()
     chaos_note = f", chaos ber {chaos.ber:g}" if chaos else ""
-    runtime_note = ", compiled runtime" if args.runtime else ""
     front_note = ", async front" if args.front == "async" else ""
     workers_note = (
         f", {args.workers} worker process{'es' if args.workers != 1 else ''} "
@@ -370,7 +343,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"serving {', '.join(registry.names())} on {server.url} "
         f"(max batch {args.max_batch}, max latency {args.max_latency_ms:g}ms"
-        f"{chaos_note}{runtime_note}{front_note}{workers_note}{slo_note}"
+        f"{chaos_note}{front_note}{workers_note}{slo_note}"
         f"{preload_note})",
         flush=True,
     )
@@ -431,11 +404,7 @@ def _campaign_for_meta(
         test_samples=int(run_meta["test_samples"]),
         image_size=int(meta["image_size"]),
     )
-    evaluator = _evaluator_for(
-        str(meta["dataset"]),
-        preset,
-        config=_runtime_config(bool(run_meta.get("runtime", False))),
-    )
+    evaluator = _evaluator_for(str(meta["dataset"]), preset)
     injector = FaultInjector(model, fmt=_checkpoint_format(meta))
     campaign = FaultCampaign(
         injector,
@@ -518,7 +487,6 @@ def _requested_run_meta(args: argparse.Namespace) -> dict[str, object]:
         "seed": preset.seed,
         "test_samples": preset.test_samples,
         "workers": preset.workers,
-        "runtime": bool(args.runtime),
         "replicas": args.replicas if args.replicas is not None else "auto",
     }
 
@@ -548,7 +516,6 @@ def _verify_run_recipe(
             "trials",
             "seed",
             "test_samples",
-            "runtime",
         )
         if run_meta[field] != stored.get(field)
     ]
@@ -1216,14 +1183,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault rates for an under-fault campaign (e.g. 1e-6 3e-6)",
     )
     p.add_argument(
-        "--runtime",
-        action="store_true",
-        help=(
-            "evaluate through the compiled inference runtime "
-            "(repro.runtime; bit-identical results, faster trials)"
-        ),
-    )
-    p.add_argument(
         "--runtime-threads",
         type=_nonnegative_int,
         default=None,
@@ -1231,7 +1190,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "thread the runtime's conv GEMM pipelines across N workers "
             "(0 = one per usable core; default: serial — results are "
-            "bit-identical either way); requires --runtime"
+            "bit-identical either way)"
         ),
     )
     _add_preset_arguments(p)
@@ -1296,15 +1255,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="base seed for the deterministic chaos fault stream",
-    )
-    p.add_argument(
-        "--runtime",
-        action="store_true",
-        help=(
-            "compile each resident checkpoint into the inference "
-            "runtime's fast path (bit-identical predictions, lower "
-            "batch latency; chaos-compatible)"
-        ),
     )
     p.add_argument(
         "--preload",
@@ -1427,11 +1377,6 @@ def build_parser() -> argparse.ArgumentParser:
             "journal at most N new trials this invocation, then stop "
             "cleanly (time-boxed incremental runs; resume to continue)"
         ),
-    )
-    c.add_argument(
-        "--runtime",
-        action="store_true",
-        help="evaluate trials through the compiled inference runtime",
     )
     c.add_argument(
         "--replicas",
@@ -1596,11 +1541,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="journal at most N fresh trials, then hand back the rest",
-    )
-    c.add_argument(
-        "--runtime",
-        action="store_true",
-        help="evaluate trials through the compiled inference runtime",
     )
     c.add_argument(
         "--replicas",

@@ -20,7 +20,7 @@ from repro.core import post_training as _post_training
 
 
 def _compiled_clean_accuracy(model, eval_loader):
-    return Evaluator(eval_loader, runtime=True).bind(model)
+    return Evaluator(eval_loader).bind(model)
 
 
 # Dependency inversion across the layer DAG: core's bound post-training

@@ -5,18 +5,13 @@ Fault campaigns evaluate the same test set dozens-to-hundreds of times
 each evaluation is pure forward compute, and exposes the zero-argument
 closure interface :class:`repro.fault.FaultCampaign` expects.
 
-Two execution paths share identical results:
-
-- the **module path** runs the model's own forward under the
-  thread-local eval override (:func:`repro.nn.eval_mode`) — inference
-  never mutates the shared ``training`` flag, so concurrent serving
-  threads and in-process campaigns cannot race each other into a
-  train-mode BatchNorm forward;
-- the **runtime path** (``runtime=True``) compiles the model once into
-  a :class:`repro.runtime.InferencePlan` and reuses it for every later
-  evaluation of the same model instance.  Plans are bit-exact with the
-  module forward and track fault injection automatically, so campaign
-  results are identical either way — just faster.
+Every evaluation runs through a compiled
+:class:`repro.runtime.InferencePlan`, compiled on first use of a model
+instance and reused while that model keeps being evaluated.  Plans are
+bit-exact with the eval-mode module forward and track fault injection
+automatically, so accuracies are exactly those of the module path.
+:func:`forward_logits` remains the module-forward building block for
+callers that hold no plan.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from repro.errors import ConfigurationError
 from repro.nn.module import Module, eval_mode
 
 if TYPE_CHECKING:
-    from repro.runtime import RuntimeConfig
+    from repro.runtime import InferencePlan, ReplicaPlan
 
 __all__ = ["BoundAccuracy", "Evaluator", "forward_logits"]
 
@@ -44,8 +39,8 @@ def forward_logits(model: Module, inputs: np.ndarray | Tensor) -> np.ndarray:
     model's shared ``training`` flag is never written, so concurrent
     callers (batcher workers, the chaos engine, an in-process campaign)
     can share one model without racing BatchNorm into training mode.
-    The single-batch building block shared by :class:`Evaluator` and the
-    serving stack (:mod:`repro.serve`).
+    The module-forward reference compiled plans are checked against;
+    :class:`Evaluator` and the serving stack run plans instead.
     """
     with eval_mode(), no_grad():
         return model(Tensor(inputs)).data
@@ -89,38 +84,25 @@ class Evaluator:
         Source of evaluation batches (consumed once, at construction).
     max_batches:
         Optional cap for quicker campaigns.
-    runtime:
-        Deprecated alias for ``config=RuntimeConfig(enabled=True)``:
-        evaluate through a compiled :class:`repro.runtime.InferencePlan`
-        (one per model instance, cached) instead of the module forward.
-        Bit-identical results, measurably faster per trial; plans stay
-        coherent under fault injection via the runtime's refresh
-        contract.
     gemm_workers:
-        Deprecated alias for ``config=RuntimeConfig(gemm_workers=...)``:
-        threading knob forwarded to :func:`repro.runtime.compile_model`
+        Threading knob forwarded to :func:`repro.runtime.compile_model`
         for the plans this evaluator compiles: ``None`` (default) keeps
         the serial schedule — campaigns preserve the 1-core determinism
         contract without depending on threading — ``"auto"`` engages
         one thread per usable core, ``N >= 2`` forces a width.  Threaded
         plans are bit-identical to serial ones, so this is purely a
-        wall-clock knob.  Ignored unless the runtime is enabled.
-    config:
-        One :class:`repro.runtime.RuntimeConfig` carrying every
-        compiled-runtime knob (``enabled``, ``gemm_workers``, ...).
-        Mutually exclusive with the deprecated aliases above.
+        wall-clock knob.
     """
 
     def __init__(
         self,
         loader: DataLoader,
         max_batches: int | None = None,
-        runtime: bool = False,
         gemm_workers: int | str | None = None,
-        config: "RuntimeConfig | None" = None,
     ) -> None:
-        from repro.runtime import resolve_runtime_config
+        from repro.runtime import resolve_gemm_workers
 
+        resolve_gemm_workers(gemm_workers)  # reject bad values up front
         self._batches: list[tuple[Tensor, np.ndarray]] = []
         for index, (inputs, targets) in enumerate(loader):
             if max_batches is not None and index >= max_batches:
@@ -129,17 +111,14 @@ class Evaluator:
         if not self._batches:
             raise ConfigurationError("evaluation loader produced no batches")
         self.total_samples = sum(len(t) for _, t in self._batches)
-        self.config = resolve_runtime_config(
-            config, "Evaluator", enabled=runtime, gemm_workers=gemm_workers
-        )
-        self.runtime = self.config.enabled
-        self.gemm_workers = self.config.gemm_workers
-        # id(model) -> (model, plan).  The model reference pins the id
-        # against reuse; entries live as long as the evaluator (one or
-        # two models in practice).
-        self._plans: dict[int, tuple[Module, object]] = {}
-        # id(model) -> (model, ReplicaPlan) for replica-batched lanes.
-        self._replicas: dict[int, tuple[Module, object]] = {}
+        self.gemm_workers = gemm_workers
+        # (model, plan) and (model, replica) for the model evaluated
+        # last.  One entry bounds what a long-lived evaluator pins:
+        # callers evaluate one model at a time, and a per-model cache
+        # would keep every model it ever saw, plans and buffers
+        # included, alive for the evaluator's whole life.
+        self._plan: "tuple[Module, InferencePlan] | None" = None
+        self._replica: "tuple[Module, ReplicaPlan] | None" = None
 
     # ------------------------------------------------------------------
     # Pickling (worker-pool transport)
@@ -149,36 +128,35 @@ class Evaluator:
         workers recompile lazily on first use instead of unpickling them
         (which would silently duplicate the campaign's model)."""
         state = self.__dict__.copy()
-        state["_plans"] = {}
-        state["_replicas"] = {}
+        state["_plan"] = None
+        state["_replica"] = None
         return state
 
-    def _plan_for(self, model: Module):
-        entry = self._plans.get(id(model))
-        if entry is not None:
-            return entry[1]
-        from repro.runtime import compile_model
+    def _plan_for(self, model: Module) -> "InferencePlan":
+        entry = self._plan
+        if entry is None or entry[0] is not model:
+            from repro.runtime import compile_model
 
-        # Internal call sites use the per-knob parameters directly;
-        # ``replicas`` is deliberately dropped (replica wrapping is
-        # _replica_for's job) so a replica-carrying config still yields
-        # a plain InferencePlan here.
-        plan = compile_model(
-            model,
-            self._batches[0][0].shape,
-            gemm_workers=self.gemm_workers,
-            profile=self.config.profile,
-        )
-        self._plans[id(model)] = (model, plan)
-        return plan
+            # Release the previous model before the new plan's warm-up
+            # allocates its buffers.
+            self._plan = self._replica = None
+            # No warm-up pass: the first evaluation allocates the plan's
+            # buffers itself, and a warm-up would cost one more full
+            # forward per evaluated model.
+            plan = compile_model(
+                model,
+                self._batches[0][0].shape,
+                warm=False,
+                gemm_workers=self.gemm_workers,
+            )
+            entry = self._plan = (model, plan)
+        return entry[1]
 
-    def _replica_for(self, model: Module):
-        entry = self._replicas.get(id(model))
-        if entry is not None:
-            return entry[1]
-        replica = self._plan_for(model).replicate(1)
-        self._replicas[id(model)] = (model, replica)
-        return replica
+    def _replica_for(self, model: Module) -> "ReplicaPlan":
+        entry = self._replica
+        if entry is None or entry[0] is not model:
+            entry = self._replica = (model, self._plan_for(model).replicate(1))
+        return entry[1]
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -186,21 +164,15 @@ class Evaluator:
     def accuracy(self, model: Module) -> float:
         """Top-1 accuracy of ``model`` on the materialised set.
 
-        Inference-mode semantics without mutating shared module state:
-        the eval override is thread-local, so campaigns and serving
-        threads can evaluate one model concurrently.
+        Plans run eval-mode semantics without touching the model's
+        ``training`` flag, so evaluation never mutates shared module
+        state.
         """
+        plan = self._plan_for(model)
         correct = 0
-        if self.runtime:
-            plan = self._plan_for(model)
-            for inputs, targets in self._batches:
-                logits = plan(inputs)
-                correct += int((logits.argmax(axis=1) == targets).sum())
-        else:
-            with eval_mode(), no_grad():
-                for inputs, targets in self._batches:
-                    logits = model(inputs)
-                    correct += int((logits.data.argmax(axis=1) == targets).sum())
+        for inputs, targets in self._batches:
+            logits = plan(inputs)
+            correct += int((logits.argmax(axis=1) == targets).sum())
         return correct / self.total_samples
 
     def lane_accuracies(
@@ -214,19 +186,17 @@ class Evaluator:
 
             [injector.inject(sites) ∘ accuracy(model) for sites in site_sets]
 
-        On the runtime path with a replay-safe plan and an injector
-        whose live state matches its canonical clean values
+        With a replay-safe plan and an injector whose live state matches its canonical clean values
         (:meth:`repro.fault.FaultInjector.canonical_clean`), lanes share
         one cached clean forward per batch and re-run only the plan
         suffix below each fault's divergence step
         (:class:`repro.runtime.ReplicaPlan`); zero-flip lanes replay the
         shared pass outright.  Every condition that could perturb
-        bit-exactness (module-path evaluation, fallback kernels, armed
-        activation faults, unquantisable parameters, injectors without
+        bit-exactness (fallback kernels, armed activation faults, unquantisable parameters, injectors without
         the metadata hooks) degrades to the literal per-trial loop.
         """
         site_sets = list(site_sets)
-        if self.runtime and self._lanes_exact(injector):
+        if self._lanes_exact(injector):
             replica = self._replica_for(model)
             if replica.replay_safe():
                 return self._replica_lanes(replica, injector, site_sets)

@@ -19,13 +19,14 @@ live view and folded constants refresh automatically when the fault
 injector, a checkpoint load, or quantisation touches the model (see
 :mod:`repro.runtime.plan` for the exact contract).
 
-Consumers: ``Evaluator(loader, runtime=True)`` for campaigns,
-``ModelRegistry(runtime=True)`` for serving, and the CLI's
-``repro evaluate --runtime`` / ``repro serve --runtime``.
+The plan is the only inference path: :class:`repro.eval.Evaluator`
+(campaign trials, clean-accuracy passes, experiments) and
+:class:`repro.serve.ModelRegistry` (one plan per resident checkpoint)
+always compile.  The module forward remains for training and as the
+bit-exactness oracle.
 """
 
 from repro.runtime.compiler import compile_module, register_block_compiler
-from repro.runtime.config import RuntimeConfig, resolve_runtime_config
 from repro.runtime.kernels import Kernel
 from repro.runtime.plan import InferencePlan, compile_model, resolve_gemm_workers
 from repro.runtime.replica import ReplicaPlan, fault_parameters
@@ -34,11 +35,9 @@ __all__ = [
     "InferencePlan",
     "Kernel",
     "ReplicaPlan",
-    "RuntimeConfig",
     "compile_model",
     "compile_module",
     "fault_parameters",
     "register_block_compiler",
     "resolve_gemm_workers",
-    "resolve_runtime_config",
 ]

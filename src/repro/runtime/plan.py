@@ -3,10 +3,9 @@
 ``compile_model(model, input_shape)`` flattens the module tree into an
 :class:`InferencePlan` — a list of pure-numpy kernels with reused
 intermediate buffers and zero autograd objects on the hot path.  The
-plan is the fast path for every inference-only consumer: fault-campaign
-trials (:class:`repro.eval.Evaluator` with ``runtime=True``), the
-serving stack (one plan per resident checkpoint), and the CLI's
-``--runtime`` flags.
+plan is the only inference path: fault-campaign trials and clean
+accuracy (:class:`repro.eval.Evaluator`) and the serving stack (one
+plan per resident checkpoint) always compile.
 
 Fault-visibility contract
 -------------------------
@@ -49,7 +48,6 @@ from repro.nn.module import Module, register_runtime_plan, warmup_mode
 from repro.obs.profile import KernelProfiler, PlanProfile
 from repro.obs.trace import span
 from repro.runtime.compiler import compile_module
-from repro.runtime.config import RuntimeConfig
 from repro.runtime.kernels import Kernel, ResidualKernel
 
 if TYPE_CHECKING:
@@ -66,12 +64,17 @@ def resolve_gemm_workers(workers: int | str | None) -> int:
     bit-exact threading).  ``"auto"`` → :func:`available_workers`, so
     threading only engages where more than one core is actually usable.
     An explicit ``N >= 2`` is honoured as given (tests force threading
-    on single-core machines to prove bit-exactness).
+    on single-core machines to prove bit-exactness).  Anything else
+    raises :class:`~repro.errors.ConfigurationError`.
     """
     if workers is None:
         return 1
     if workers == "auto":
         return available_workers()
+    if isinstance(workers, str):
+        raise ConfigurationError(
+            f'gemm_workers must be an int, None, or "auto", got {workers!r}'
+        )
     count = int(workers)
     if count < 0:
         raise ConfigurationError(f"gemm_workers must be >= 0, got {count}")
@@ -395,7 +398,6 @@ def compile_model(
     gemm_workers: int | str | None = None,
     profile: bool = False,
     replicas: int | None = None,
-    config: "RuntimeConfig | None" = None,
 ) -> "InferencePlan | ReplicaPlan":
     """Compile ``model`` into an :class:`InferencePlan`.
 
@@ -419,36 +421,18 @@ def compile_model(
         Row-partitioned GEMM threading: ``None``/``0``/``1`` serial
         (default — fault campaigns keep the 1-core determinism
         contract), ``"auto"`` to use every available core, ``N >= 2``
-        for an explicit width.  Bit-identical either way.  Deprecated
-        alias for ``config=RuntimeConfig(gemm_workers=...)``.
+        for an explicit width.  Bit-identical either way.
     profile:
         Attach a persistent :class:`~repro.obs.KernelProfiler` (after
         the warm pass, so only real forwards accumulate).  Read the
         report via ``plan._profiler.result()`` or use the one-shot
-        :meth:`InferencePlan.profile` instead.  Deprecated alias for
-        ``config=RuntimeConfig(profile=True)``.
+        :meth:`InferencePlan.profile` instead.
     replicas:
         When set (``>= 1``), wrap the compiled plan in a
         :class:`~repro.runtime.replica.ReplicaPlan` sized for that many
         fault lanes and return it instead (equivalent to
-        ``plan.replicate(replicas)``).  Deprecated alias for
-        ``config=RuntimeConfig(replicas=...)``.
-    config:
-        One :class:`~repro.runtime.config.RuntimeConfig` carrying the
-        three knobs above (``enabled`` is ignored here — calling the
-        compiler *is* enabling the runtime).  Mutually exclusive with
-        the per-knob aliases.
+        ``plan.replicate(replicas)``).
     """
-    if config is not None:
-        if gemm_workers is not None or profile or replicas is not None:
-            raise ConfigurationError(
-                "compile_model got both config= and the deprecated "
-                "gemm_workers/profile/replicas alias(es); pass the values "
-                "inside RuntimeConfig instead"
-            )
-        gemm_workers = config.gemm_workers
-        profile = config.profile
-        replicas = config.replicas
     shape = tuple(int(dim) for dim in input_shape)
     if len(shape) == 3:
         shape = (1, *shape)

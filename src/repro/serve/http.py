@@ -89,10 +89,8 @@ class _Lane:
         )
 
         def run_batch(stacked: np.ndarray) -> np.ndarray:
-            # entry.forward routes through the compiled runtime plan
-            # when the registry was built with runtime=True, else the
-            # module path; both run under the thread-local eval
-            # override, so shared training-flag state is never touched.
+            # entry.forward runs the compiled plan, which never touches
+            # the model's shared training flag.
             with span("serve.batch", model=entry.name, size=len(stacked)):
                 with entry.infer_lock:
                     if self.chaos is None:
@@ -207,7 +205,6 @@ class ServeApp:
                 self._pool = WorkerPool(
                     workers=self.config.workers,
                     mp_start=self.config.mp_start,
-                    runtime_config=self.registry.config,
                     chaos=self.config.chaos,
                     registry_capacity=self.registry.capacity,
                     request_timeout=self.config.request_timeout,
@@ -283,12 +280,11 @@ class ServeApp:
     def preload(self) -> list[str]:
         """Warm every registered model before serving the first request.
 
-        In-process mode loads checkpoints, compiles their runtime plans
-        (when the registry runs with ``runtime=True``), and builds
-        serving lanes — the work that otherwise happens inside the first
-        unlucky request.  Fleets larger than the registry capacity are
-        warmed in a capacity-aware rotation rather than silently
-        skipped: every checkpoint is loaded, compiled and laned once (so
+        In-process mode loads checkpoints, compiles their runtime plans,
+        and builds serving lanes — the work that otherwise happens inside
+        the first unlucky request.  Fleets larger than the registry
+        capacity are warmed in a capacity-aware rotation rather than
+        silently skipped: every checkpoint is loaded, compiled and laned once (so
         a missing or corrupt file fails at startup, not mid-traffic, and
         its manifest metadata is cached for ``GET /v1/models``), with
         LRU eviction retiring the earliest entries as the rotation
@@ -484,7 +480,6 @@ class ServeApp:
             if self.process_mode
             else [name for name in self._preloaded if name not in resident],
             "chaos_ber": self.config.chaos.ber if self.config.chaos else None,
-            "runtime": self.registry.runtime,
             "admission": self.admission.report(),
             "workers": self._workers_report(),
             "slo": self.slo.report() if self.slo is not None else None,

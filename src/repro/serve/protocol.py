@@ -176,9 +176,10 @@ class PredictResponse:
 class ModelInfo:
     """One hosted checkpoint as ``GET /v1/models`` reports it.
 
-    ``format``/``clean_accuracy``/``runtime`` are ``None`` for models
-    that are registered but not resident (the server answers from a
-    manifest peek without loading them).
+    ``format``/``clean_accuracy`` are ``None`` for models that are
+    registered but not resident (the server answers from a manifest
+    peek without loading them).  Every resident model serves through a
+    compiled plan; the ``runtime`` key older servers sent is ignored.
     """
 
     name: str
@@ -191,7 +192,6 @@ class ModelInfo:
     clean_accuracy: float | None
     resident: bool
     format: str | None = None
-    runtime: bool | None = None
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "ModelInfo":
@@ -207,7 +207,6 @@ class ModelInfo:
             clean_accuracy=payload.get("clean_accuracy"),
             resident=bool(payload.get("resident", False)),
             format=payload.get("format"),
-            runtime=payload.get("runtime"),
         )
 
     def to_payload(self) -> dict[str, Any]:
@@ -222,7 +221,6 @@ class ModelInfo:
             "clean_accuracy": self.clean_accuracy,
             "resident": self.resident,
             "format": self.format,
-            "runtime": self.runtime,
         }
 
 
@@ -266,6 +264,7 @@ class HealthReport:
     Extends the PR-2 liveness shape with the PR-9 production surface:
     admission-queue state, worker-lane state (multi-process mode), and
     the latency-SLO report when the server runs with a p99 target.
+    The ``runtime`` key older servers sent is ignored.
     """
 
     status: str
@@ -275,7 +274,6 @@ class HealthReport:
     preloaded: tuple[str, ...]
     preload_rotated: tuple[str, ...]
     chaos_ber: float | None
-    runtime: bool
     admission: dict[str, Any] | None = None
     workers: dict[str, Any] | None = None
     slo: dict[str, Any] | None = None
@@ -290,7 +288,6 @@ class HealthReport:
             preloaded=tuple(payload.get("preloaded", ())),
             preload_rotated=tuple(payload.get("preload_rotated", ())),
             chaos_ber=payload.get("chaos_ber"),
-            runtime=bool(payload.get("runtime", False)),
             admission=payload.get("admission"),
             workers=payload.get("workers"),
             slo=payload.get("slo"),
@@ -305,7 +302,6 @@ class HealthReport:
             "preloaded": list(self.preloaded),
             "preload_rotated": list(self.preload_rotated),
             "chaos_ber": self.chaos_ber,
-            "runtime": self.runtime,
             "admission": self.admission,
             "workers": self.workers,
             "slo": self.slo,

@@ -7,10 +7,12 @@ load would exceed it.  Loading the same name concurrently is
 single-flighted through a per-name load lock, so a burst of first
 requests costs one checkpoint read, not N.
 
-Every resident model carries an ``infer_lock`` — the micro-batcher (and
-chaos engine, which mutates parameters in place) hold it around forward
-passes, so eviction and reload never interleave with inference on the
-same instance.
+Every resident model is compiled once, at load, into a
+:class:`repro.runtime.InferencePlan`, and every batch forwards through
+it (bit-exact with the module forward).  Each resident model also
+carries an ``infer_lock`` — the micro-batcher (and chaos engine, which
+mutates parameters in place) hold it around forward passes, so eviction
+and reload never interleave with inference on the same instance.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from repro.core.checkpoint import (
     read_checkpoint_meta,
 )
 from repro.errors import ConfigurationError
-from repro.eval.evaluator import forward_logits
 from repro.nn.module import Module
 from repro.quant.fixed_point import FixedPointFormat
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:
-    from repro.runtime import RuntimeConfig
+    from repro.runtime import InferencePlan
 
 __all__ = ["ModelRegistry", "ModelSpec", "ServedModel"]
 
@@ -60,12 +61,12 @@ class ModelSpec:
 class ServedModel:
     """One resident model plus everything serving needs alongside it.
 
-    ``plan`` is the checkpoint's compiled inference fast path
-    (:class:`repro.runtime.InferencePlan`), present when the registry
-    was built with ``runtime=True``; batches forward through it instead
-    of the module path.  Chaos-mode bit flips stay visible: the plan
-    reads parameters live and refreshes its folded constants whenever
-    the fault injector touches the model.
+    ``plan`` is the model's compiled inference plan
+    (:class:`repro.runtime.InferencePlan`), built at construction for
+    :attr:`input_shape`; every batch forwards through it.  Chaos-mode
+    bit flips stay visible: the plan reads parameters live and
+    refreshes its folded constants whenever the fault injector touches
+    the model.
     """
 
     name: str
@@ -73,8 +74,13 @@ class ServedModel:
     model: Module
     meta: dict[str, object]
     fmt: FixedPointFormat
-    plan: object | None = None
+    plan: "InferencePlan" = field(init=False)
     infer_lock: threading.RLock = field(default_factory=threading.RLock)
+
+    def __post_init__(self) -> None:
+        from repro.runtime import compile_model
+
+        self.plan = compile_model(self.model, self.input_shape)
 
     @property
     def input_shape(self) -> tuple[int, int, int]:
@@ -93,14 +99,12 @@ class ServedModel:
         return (int(channels) if channels else 3, size, size)
 
     def forward(self, inputs):
-        """One inference pass — compiled plan if present, module path else.
+        """One inference pass through the compiled plan.
 
         Callers must hold :attr:`infer_lock` (the chaos engine mutates
         parameters around forwards).
         """
-        if self.plan is not None:
-            return self.plan(inputs)
-        return forward_logits(self.model, inputs)
+        return self.plan(inputs)
 
     def describe(self) -> dict[str, object]:
         """JSON-ready summary for ``GET /models``."""
@@ -114,7 +118,6 @@ class ServedModel:
             "input_shape": list(self.input_shape),
             "format": str(self.fmt),
             "clean_accuracy": self.meta.get("clean_accuracy"),
-            "runtime": self.plan is not None,
         }
 
     def __getstate__(self) -> dict[str, object]:
@@ -136,32 +139,12 @@ class ModelRegistry:
         entries are simply dropped from the cache; in-flight batches on
         an evicted instance finish normally because they hold their own
         reference.
-    runtime:
-        Deprecated alias for ``config=RuntimeConfig(enabled=True)``:
-        compile every loaded checkpoint into a
-        :class:`repro.runtime.InferencePlan` once at load time; lanes
-        then serve batches through the compiled fast path (bit-exact
-        with the module forward, chaos-compatible).
-    config:
-        One :class:`repro.runtime.RuntimeConfig` carrying every
-        compiled-runtime knob.  Mutually exclusive with ``runtime=``.
     """
 
-    def __init__(
-        self,
-        capacity: int = 4,
-        runtime: bool = False,
-        config: "RuntimeConfig | None" = None,
-    ) -> None:
-        from repro.runtime import resolve_runtime_config
-
+    def __init__(self, capacity: int = 4) -> None:
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self.config = resolve_runtime_config(
-            config, "ModelRegistry", enabled=runtime
-        )
-        self.runtime = self.config.enabled
         self._specs: dict[str, str] = {}
         self._spec_meta: dict[str, dict[str, object]] = {}
         self._resident: OrderedDict[str, ServedModel] = OrderedDict()
@@ -315,16 +298,7 @@ class ModelRegistry:
             meta, warn=lambda message: _logger.warning("%s: %s", path, message)
         )
         entry = ServedModel(name=name, path=path, model=model, meta=meta, fmt=fmt)
-        if self.runtime:
-            from repro.runtime import compile_model
-
-            entry.plan = compile_model(
-                model,
-                entry.input_shape,
-                gemm_workers=self.config.gemm_workers,
-                profile=self.config.profile,
-            )
-            _logger.info(
-                "compiled runtime plan for %s (%d kernels)", name, len(entry.plan)
-            )
+        _logger.info(
+            "compiled runtime plan for %s (%d kernels)", name, len(entry.plan)
+        )
         return entry

@@ -45,7 +45,6 @@ from repro.errors import (
     ServerOverloadedError,
     ShapeError,
 )
-from repro.runtime.config import RuntimeConfig
 from repro.serve.chaos import ChaosConfig
 from repro.serve.metrics import ChaosBatchReport
 from repro.utils.logging import get_logger
@@ -68,7 +67,6 @@ def _worker_main(
     conn: Connection,
     index: int,
     capacity: int,
-    runtime_config: RuntimeConfig,
     chaos_config: ChaosConfig | None,
 ) -> None:
     """Worker-process entry point: serve pipe requests until shutdown.
@@ -81,7 +79,7 @@ def _worker_main(
     from repro.serve.chaos import ChaosEngine
     from repro.serve.registry import ModelRegistry
 
-    registry = ModelRegistry(capacity=capacity, config=runtime_config)
+    registry = ModelRegistry(capacity=capacity)
     engines: dict[str, ChaosEngine] = {}
 
     def entry_for(name: str, path: str):
@@ -136,7 +134,6 @@ class WorkerLane:
         index: int,
         context: multiprocessing.context.BaseContext,
         capacity: int,
-        runtime_config: RuntimeConfig,
         chaos_config: ChaosConfig | None,
     ) -> None:
         self.index = index
@@ -144,7 +141,7 @@ class WorkerLane:
         self.conn = parent_conn
         self.process = context.Process(
             target=_worker_main,
-            args=(child_conn, index, capacity, runtime_config, chaos_config),
+            args=(child_conn, index, capacity, chaos_config),
             name=f"repro-serve-worker-{index}",
             daemon=True,
         )
@@ -192,9 +189,6 @@ class WorkerPool:
         Lane count (>= 1).  Up to this many batches run concurrently.
     mp_start:
         Multiprocessing start method (``"spawn"`` or ``"fork"``).
-    runtime_config:
-        Forwarded to each worker's private registry — ``enabled=True``
-        makes every lane serve through compiled plans.
     chaos:
         Optional chaos config; each lane re-seeds it per its index.
     registry_capacity:
@@ -210,7 +204,6 @@ class WorkerPool:
         self,
         workers: int,
         mp_start: str = "spawn",
-        runtime_config: RuntimeConfig | None = None,
         chaos: ChaosConfig | None = None,
         registry_capacity: int = 4,
         request_timeout: float = 60.0,
@@ -227,7 +220,6 @@ class WorkerPool:
         self.workers = int(workers)
         self.registry_capacity = int(registry_capacity)
         self.request_timeout = float(request_timeout)
-        self.runtime_config = runtime_config or RuntimeConfig()
         self._chaos = chaos
         self._context = multiprocessing.get_context(mp_start)
         self._on_restart = on_restart
@@ -265,7 +257,6 @@ class WorkerPool:
             index=index,
             context=self._context,
             capacity=self.registry_capacity,
-            runtime_config=self.runtime_config,
             chaos_config=self._lane_chaos(index),
         )
 

@@ -270,3 +270,50 @@ class TestReplicasCLI:
     def test_garbage_replicas_spelling_is_an_argparse_error(self, checkpoint):
         with pytest.raises(SystemExit):
             _run(checkpoint, "ignored", "--replicas", "many")
+
+
+class TestPlanIsTheOnlyPath:
+    def test_default_flags_evaluate_through_replica_lanes(
+        self, checkpoint, tmp_path, monkeypatch, capsys
+    ):
+        """No flag selects the compiled path: a default ``campaign run``
+        groups trials into ReplicaPlan lanes (``--replicas auto``)."""
+        from repro.runtime import ReplicaPlan
+
+        calls = {"prepare": 0, "lane_forward": 0}
+        for name in calls:
+            original = getattr(ReplicaPlan, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ReplicaPlan, name, counted)
+        assert _run(checkpoint, tmp_path / "store") == 0
+        assert "store complete" in capsys.readouterr().out
+        assert calls["prepare"] > 0
+        assert calls["lane_forward"] > 0
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_store_recording_runtime_key_resumes_byte_identical(
+        self, checkpoint, tmp_path, capsys, recorded
+    ):
+        """Stores whose recipe records the retired ``runtime`` key still
+        resume through ``campaign run``; the key is ignored."""
+        fresh = tmp_path / "fresh"
+        assert _run(checkpoint, fresh) == 0
+        assert main(["campaign", "report", "--store", str(fresh)]) == 0
+
+        old = tmp_path / "old"
+        assert _run(checkpoint, old, "--limit", "2") == 0
+        manifest_path = old / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["meta"]["runtime"] = recorded
+        manifest_path.write_text(json.dumps(manifest, indent=2))
+        assert _run(checkpoint, old) == 0
+        assert main(["campaign", "report", "--store", str(old)]) == 0
+        out = capsys.readouterr().out
+        assert "store complete" in out
+
+        for artifact in ("report.md", "atlas.json"):
+            assert (old / artifact).read_bytes() == (fresh / artifact).read_bytes()

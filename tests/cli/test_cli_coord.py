@@ -138,6 +138,30 @@ class TestServeStore:
         out = capsys.readouterr().out
         assert "store complete" in out
 
+    def test_store_recording_runtime_key_admits_a_joining_worker(
+        self, checkpoint, tmp_path, capsys
+    ):
+        """The retired ``runtime`` recipe key is ignored on join."""
+        straight = tmp_path / "straight"
+        assert _serve(checkpoint, straight, "--worker-id", "solo") == 0
+
+        store = tmp_path / "store"
+        assert _serve(checkpoint, store, "--worker-id", "a", "--limit", "2") == 0
+        manifest_path = store / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["meta"]["runtime"] = True
+        manifest_path.write_text(json.dumps(manifest, indent=2))
+        assert _serve(checkpoint, store, "--worker-id", "b") == 0
+        assert "store complete" in capsys.readouterr().out
+
+        for path in (straight, store):
+            assert main(["campaign", "report", "--store", str(path)]) == 0
+        capsys.readouterr()
+        for artifact in ("report.md", "atlas.json"):
+            assert (store / artifact).read_bytes() == (
+                straight / artifact
+            ).read_bytes()
+
     def test_mismatched_recipe_is_refused_admission(
         self, checkpoint, tmp_path, capsys
     ):

@@ -171,9 +171,8 @@ class TestParallelDeterminism:
                     batch_size=64,
                     transform=Normalize(SYNTH_MEAN, SYNTH_STD),
                 ),
-                runtime=True,
             )
-            # A clean-accuracy pass first, as `repro evaluate --runtime`
+            # A clean-accuracy pass first, as `repro evaluate`
             # does: compiles (and registers) a plan on the model in the
             # parent *before* the pool pickles the campaign state.
             evaluator.accuracy(model)

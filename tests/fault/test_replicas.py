@@ -37,7 +37,6 @@ def _campaign(name, replicas, trials=6, quantize=True, scale=None):
     )
     evaluator = Evaluator(
         DataLoader(dataset, batch_size=64, transform=Normalize(SYNTH_MEAN, SYNTH_STD)),
-        runtime=True,
     )
     return FaultCampaign(
         FaultInjector(model),
@@ -127,7 +126,6 @@ def test_lane_accuracies_matches_inject_loop_directly():
     )
     evaluator = Evaluator(
         DataLoader(dataset, batch_size=32, transform=Normalize(SYNTH_MEAN, SYNTH_STD)),
-        runtime=True,
     )
     injector = FaultInjector(model)
     site_sets = [injector.sample(BitFlipFaultModel.exact(2), rng=lane) for lane in range(3)]

@@ -3,12 +3,15 @@
 The runtime's core contract is *exact* float32 equality — same bits,
 not just allclose — between ``InferencePlan`` logits and the module
 path, for every registry architecture and every bounded-activation
-class, clean and under injected faults.  Exactness is what makes
-``runtime=True`` a pure speed knob for campaigns: accuracies, SDC
-counts, and every downstream statistic are unchanged.
+class, clean and under injected faults.  Exactness is what lets the
+plan be the only inference path of campaigns and serving: accuracies,
+SDC counts, and every downstream statistic are those of the module
+forward, which stays here as the oracle.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from repro.core.bounded_relu import BoundedReLU, FitReLUNaive, GBReLU
 from repro.core.bounded_tanh import BoundedTanh
 from repro.core.fitrelu import FitReLU
 from repro.core.surgery import find_activation_sites
+from repro.core.training import evaluate_accuracy
 from repro.data.loader import DataLoader
 from repro.data.synthetic import SYNTH_MEAN, SYNTH_STD, SyntheticImageDataset
 from repro.data.transforms import Normalize
@@ -187,28 +191,28 @@ def test_flipped_bit_changes_runtime_identically():
 
 
 def test_campaign_sdc_counts_identical_with_runtime():
-    """Accuracy/flip streams match exactly with and without runtime=True."""
+    """Accuracy/flip streams match exactly: Evaluator vs module forward."""
 
-    def run(runtime: bool):
+    def run(module_oracle: bool):
         model = quantize_module(
             build_model("lenet", num_classes=10, scale=0.5, image_size=16, seed=0)
         )
         dataset = SyntheticImageDataset(
             num_classes=10, num_samples=256, image_size=16, seed=0, split="test"
         )
-        evaluator = Evaluator(
-            DataLoader(
-                dataset, batch_size=100, transform=Normalize(SYNTH_MEAN, SYNTH_STD)
-            ),
-            runtime=runtime,
+        loader = DataLoader(
+            dataset, batch_size=100, transform=Normalize(SYNTH_MEAN, SYNTH_STD)
         )
-        campaign = FaultCampaign(
-            FaultInjector(model), evaluator.bind(model), trials=4, seed=0
+        evaluate = (
+            partial(evaluate_accuracy, model, loader)
+            if module_oracle
+            else Evaluator(loader).bind(model)
         )
+        campaign = FaultCampaign(FaultInjector(model), evaluate, trials=4, seed=0)
         return campaign.run(BitFlipFaultModel.at_rate(1e-4))
 
-    module_result = run(runtime=False)
-    runtime_result = run(runtime=True)
+    module_result = run(module_oracle=True)
+    runtime_result = run(module_oracle=False)
     np.testing.assert_array_equal(
         module_result.accuracies, runtime_result.accuracies
     )

@@ -13,9 +13,12 @@ outright: the structural block compiler handed the wrapper to
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.core.training import evaluate_accuracy
 from repro.data.loader import DataLoader
 from repro.data.synthetic import SYNTH_MEAN, SYNTH_STD, SyntheticImageDataset
 from repro.data.transforms import Normalize
@@ -116,10 +119,9 @@ def test_plan_compiled_before_instrumentation_tracks_surgery():
 def test_warmup_does_not_consume_fault_streams():
     """Compiling while armed must not advance the layers' RNG streams.
 
-    This is exactly what happens in a campaign with ``runtime=True``:
-    the evaluator compiles its plan lazily inside the first armed
-    trial.  The warm-up forward must leave streams and counters
-    untouched or plan and module trials diverge.
+    A plan compiled inside an armed trial runs its warm-up forward
+    there.  That pass must leave streams and counters untouched or
+    plan and module trials diverge.
     """
     model = _build("lenet")
     x = _batch()
@@ -137,25 +139,25 @@ def test_activation_campaign_identical_with_runtime():
     """End to end: the activation-fault campaign's accuracy stream is
     bit-identical through the module path and the compiled runtime."""
 
-    def run(runtime: bool):
+    def run(module_oracle: bool):
         model = _build("lenet")
         dataset = SyntheticImageDataset(
             num_classes=10, num_samples=192, image_size=16, seed=0, split="test"
         )
-        evaluator = Evaluator(
-            DataLoader(
-                dataset, batch_size=64, transform=Normalize(SYNTH_MEAN, SYNTH_STD)
-            ),
-            runtime=runtime,
+        loader = DataLoader(
+            dataset, batch_size=64, transform=Normalize(SYNTH_MEAN, SYNTH_STD)
+        )
+        evaluate = (
+            partial(evaluate_accuracy, model, loader)
+            if module_oracle
+            else Evaluator(loader).bind(model)
         )
         injector = ActivationFaultInjector(model)
-        campaign = ActivationFaultCampaign(
-            injector, evaluator.bind(model), trials=3, seed=0
-        )
+        campaign = ActivationFaultCampaign(injector, evaluate, trials=3, seed=0)
         return campaign.run(ActivationFaultModel.at_rate(1e-6))
 
-    module_result = run(runtime=False)
-    runtime_result = run(runtime=True)
+    module_result = run(module_oracle=True)
+    runtime_result = run(module_oracle=False)
     np.testing.assert_array_equal(
         module_result.accuracies, runtime_result.accuracies
     )

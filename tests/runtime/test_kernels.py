@@ -8,12 +8,15 @@ produce float32 logits bit-identical to the eval-mode module forward.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.autograd.grad_mode import no_grad
 from repro.autograd.tensor import Tensor
+from repro.core.training import evaluate_accuracy
 from repro.data.loader import DataLoader
 from repro.data.synthetic import SYNTH_MEAN, SYNTH_STD, SyntheticImageDataset
 from repro.data.transforms import Normalize
@@ -148,8 +151,20 @@ def test_resolve_gemm_workers_semantics():
     assert resolve_gemm_workers(1) == 1
     assert resolve_gemm_workers(4) == 4
     assert resolve_gemm_workers("auto") == available_workers()
-    with pytest.raises(ConfigurationError):
-        resolve_gemm_workers(-2)
+
+
+@pytest.mark.parametrize("bad", ["fastest", "4", -1, -2])
+def test_resolve_gemm_workers_rejects_bad_values(bad):
+    with pytest.raises(ConfigurationError, match="gemm_workers"):
+        resolve_gemm_workers(bad)
+
+
+def test_evaluator_rejects_bad_gemm_workers_at_construction():
+    dataset = SyntheticImageDataset(
+        num_classes=10, num_samples=32, image_size=16, seed=0, split="test"
+    )
+    with pytest.raises(ConfigurationError, match="gemm_workers"):
+        Evaluator(DataLoader(dataset, batch_size=32), gemm_workers="fastest")
 
 
 def test_threaded_gemm_bit_exact_vs_serial(monkeypatch):
@@ -206,23 +221,22 @@ def test_compile_model_accepts_gemm_workers():
 # ----------------------------------------------------------------------
 # Campaign SDC streams: threading is invisible to results
 # ----------------------------------------------------------------------
-def _campaign_result(runtime: bool, gemm_workers=None):
+def _campaign_result(module_oracle: bool = False, gemm_workers=None):
     model = quantize_module(
         build_model("lenet", num_classes=10, scale=0.5, image_size=16, seed=0)
     )
     dataset = SyntheticImageDataset(
         num_classes=10, num_samples=192, image_size=16, seed=0, split="test"
     )
-    evaluator = Evaluator(
-        DataLoader(
-            dataset, batch_size=64, transform=Normalize(SYNTH_MEAN, SYNTH_STD)
-        ),
-        runtime=runtime,
-        gemm_workers=gemm_workers,
+    loader = DataLoader(
+        dataset, batch_size=64, transform=Normalize(SYNTH_MEAN, SYNTH_STD)
     )
-    campaign = FaultCampaign(
-        FaultInjector(model), evaluator.bind(model), trials=3, seed=0
+    evaluate = (
+        partial(evaluate_accuracy, model, loader)
+        if module_oracle
+        else Evaluator(loader, gemm_workers=gemm_workers).bind(model)
     )
+    campaign = FaultCampaign(FaultInjector(model), evaluate, trials=3, seed=0)
     return campaign.run(BitFlipFaultModel.at_rate(1e-4))
 
 
@@ -231,9 +245,9 @@ def test_campaign_sdc_stream_identical_with_threading_forced(monkeypatch):
     runtime, and force-threaded runtime (the 1-core determinism
     contract holds with the knob both off and on)."""
     monkeypatch.setattr(kernels_module, "GEMM_THREAD_MIN_WORK", 0)
-    module_result = _campaign_result(runtime=False)
-    serial_result = _campaign_result(runtime=True)
-    threaded_result = _campaign_result(runtime=True, gemm_workers=4)
+    module_result = _campaign_result(module_oracle=True)
+    serial_result = _campaign_result()
+    threaded_result = _campaign_result(gemm_workers=4)
     for other in (serial_result, threaded_result):
         np.testing.assert_array_equal(module_result.accuracies, other.accuracies)
         np.testing.assert_array_equal(module_result.flip_counts, other.flip_counts)
@@ -245,9 +259,7 @@ def test_evaluator_gemm_workers_survives_pickle():
     dataset = SyntheticImageDataset(
         num_classes=10, num_samples=64, image_size=16, seed=0, split="test"
     )
-    evaluator = Evaluator(
-        DataLoader(dataset, batch_size=32), runtime=True, gemm_workers=3
-    )
+    evaluator = Evaluator(DataLoader(dataset, batch_size=32), gemm_workers=3)
     clone = pickle.loads(pickle.dumps(evaluator))
     assert clone.gemm_workers == 3
-    assert clone._plans == {}
+    assert clone._plan is None

@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.autograd.tensor import Tensor
+from repro.core.training import evaluate_accuracy
 from repro.data.loader import DataLoader
 from repro.data.synthetic import SYNTH_MEAN, SYNTH_STD, SyntheticImageDataset
 from repro.data.transforms import Normalize
 from repro.errors import ConfigurationError
 from repro.eval.evaluator import Evaluator, forward_logits
+from repro.fault.fault_model import BitFlipFaultModel
+from repro.fault.injector import FaultInjector
 from repro.models.registry import build_model
 from repro.optim import SGD
 from repro.optim.adam import Adam
+from repro.quant import quantize_module
 from repro.runtime import compile_model, register_block_compiler
 from repro.runtime.kernels import FallbackKernel
 
@@ -254,29 +260,48 @@ def test_concurrent_plan_calls_are_serialised_and_correct():
 # ----------------------------------------------------------------------
 # Evaluator integration
 # ----------------------------------------------------------------------
-def _evaluator(runtime: bool) -> Evaluator:
+def _loader() -> DataLoader:
     dataset = SyntheticImageDataset(
         num_classes=10, num_samples=128, image_size=16, seed=0, split="test"
     )
-    loader = DataLoader(
+    return DataLoader(
         dataset, batch_size=50, transform=Normalize(SYNTH_MEAN, SYNTH_STD)
     )
-    return Evaluator(loader, runtime=runtime)
 
 
 def test_evaluator_runtime_accuracy_matches_module_path():
     model = _lenet()
-    assert _evaluator(True).accuracy(model) == _evaluator(False).accuracy(model)
+    loader = _loader()
+    assert Evaluator(loader).accuracy(model) == evaluate_accuracy(model, loader)
 
 
 def test_evaluator_pickles_without_plans():
     model = _lenet()
-    evaluator = _evaluator(True)
+    evaluator = Evaluator(_loader())
     before = evaluator.accuracy(model)  # compiles and caches a plan
     clone = pickle.loads(pickle.dumps(evaluator))
-    assert clone._plans == {}
-    assert clone.runtime is True
+    assert clone._plan is None and clone._replica is None
     assert clone.accuracy(_lenet()) == before
+
+
+def test_evaluator_does_not_pin_dropped_models():
+    """A long-lived evaluator (one per experiment context) keeps no
+    model its caller has dropped, and with it no plan or buffers."""
+    evaluator = Evaluator(_loader())
+    refs = []
+    accuracies = []
+    for _ in range(3):
+        model = quantize_module(_lenet())
+        injector = FaultInjector(model)
+        sites = injector.sample(BitFlipFaultModel.exact(1), rng=0)
+        accuracies.append(evaluator.accuracy(model))
+        # The replica-lane path caches a second wrapper per model.
+        evaluator.bind(model).lane_accuracies(injector, [sites])
+        refs.append(weakref.ref(model))
+        del model, injector, sites
+    gc.collect()
+    assert [ref() is None for ref in refs[:-1]] == [True, True]
+    assert len(set(accuracies)) == 1  # same weights, same accuracy
 
 
 def test_model_with_compiled_plan_still_pickles():

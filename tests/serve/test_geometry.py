@@ -15,7 +15,6 @@ from repro import nn
 from repro.core.checkpoint import load_protected_auto, save_protected
 from repro.eval.evaluator import forward_logits
 from repro.models.lenet import build_lenet
-from repro.runtime import RuntimeConfig
 from repro.serve import ModelRegistry, ServeApp, ServeConfig
 
 IMAGE_SIZE = 16
@@ -73,7 +72,7 @@ class TestGrayscaleGeometry:
 
     def test_grayscale_checkpoint_serves_end_to_end(self, grayscale_checkpoint):
         path, _ = grayscale_checkpoint
-        registry = ModelRegistry(config=RuntimeConfig(enabled=True))
+        registry = ModelRegistry()
         registry.register("gray", path)
         app = ServeApp(registry, ServeConfig(max_batch=4, max_latency_ms=1.0))
         try:
@@ -121,7 +120,7 @@ class TestGrayscaleGeometry:
 class TestPreload:
     def test_preload_warms_models_and_lanes(self, grayscale_checkpoint):
         path, _ = grayscale_checkpoint
-        registry = ModelRegistry(config=RuntimeConfig(enabled=True))
+        registry = ModelRegistry()
         registry.register("gray", path)
         app = ServeApp(registry, ServeConfig(max_batch=4, max_latency_ms=1.0))
         try:

@@ -1,12 +1,13 @@
 """End-to-end HTTP serving: real checkpoints, real sockets, chaos mode."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core import ProtectionConfig, protect_model, save_protected
 from repro.errors import ConfigurationError
 from repro.eval.evaluator import forward_logits
-from repro.runtime import RuntimeConfig
 from repro.serve import (
     ChaosConfig,
     ModelRegistry,
@@ -237,28 +238,32 @@ class TestEvictionOverHTTP:
 
 
 class TestRuntimeServing:
-    """The compiled-runtime fast path: same predictions, chaos-compatible."""
+    """Serving runs compiled plans: module-path predictions, chaos-compatible.
 
-    def _app(self, checkpoints, runtime, chaos=None):
-        registry = ModelRegistry(
-            capacity=2, config=RuntimeConfig(enabled=runtime)
-        )
+    The module-forward oracle is the same app with the resident entry's
+    ``forward`` swapped for :func:`forward_logits`.
+    """
+
+    def _app(self, checkpoints, module_oracle=False, chaos=None):
+        registry = ModelRegistry(capacity=2)
         registry.register("protected", checkpoints["clipact"])
+        if module_oracle:
+            entry = registry.get("protected")
+            entry.forward = partial(forward_logits, entry.model)
         config = ServeConfig(max_batch=8, max_latency_ms=0.0, chaos=chaos)
         return ServeApp(registry, config)
 
     def test_registry_compiles_plan_once(self, checkpoints):
-        registry = ModelRegistry(capacity=2, config=RuntimeConfig(enabled=True))
+        registry = ModelRegistry(capacity=2)
         registry.register("protected", checkpoints["clipact"])
         entry = registry.get("protected")
         assert entry.plan is not None
         assert registry.get("protected").plan is entry.plan  # cached, not rebuilt
-        assert entry.describe()["runtime"] is True
 
     def test_runtime_predictions_bit_match_module_path(
         self, checkpoints, sample_batch
     ):
-        apps = [self._app(checkpoints, runtime) for runtime in (False, True)]
+        apps = [self._app(checkpoints, oracle) for oracle in (True, False)]
         try:
             logits = [
                 np.asarray(
@@ -268,6 +273,8 @@ class TestRuntimeServing:
                 )
                 for app in apps
             ]
+            # The oracle app really served through the module forward.
+            assert isinstance(apps[0].registry.get("protected").forward, partial)
         finally:
             for app in apps:
                 app.close()
@@ -277,9 +284,9 @@ class TestRuntimeServing:
         self, checkpoints, sample_batch
     ):
         snapshots = []
-        for runtime in (False, True):
+        for oracle in (True, False):
             app = self._app(
-                checkpoints, runtime, chaos=ChaosConfig(ber=3e-4, seed=9)
+                checkpoints, oracle, chaos=ChaosConfig(ber=3e-4, seed=9)
             )
             try:
                 for _ in range(4):
@@ -290,9 +297,12 @@ class TestRuntimeServing:
         assert snapshots[0] == snapshots[1]
         assert snapshots[0]["injected_batches"] >= 1
 
-    def test_health_reports_runtime(self, checkpoints):
-        app = self._app(checkpoints, runtime=True)
+    def test_health_and_models_drop_the_runtime_field(self, checkpoints):
+        """Every model serves through a plan, so /v1 no longer reports it."""
+        app = self._app(checkpoints)
         try:
-            assert app.health()["runtime"] is True
+            assert "runtime" not in app.health()
+            entry = app.registry.get("protected")
+            assert "runtime" not in entry.describe()
         finally:
             app.close()

@@ -90,7 +90,6 @@ class TestModelAndHealthMessages:
             clean_accuracy=0.93,
             resident=True,
             format="Q15.16",
-            runtime=True,
         )
         listing = ModelList(
             models=(info,), capacity=2, loads=1, evictions=0, chaos=False
@@ -106,12 +105,18 @@ class TestModelAndHealthMessages:
             preloaded=(),
             preload_rotated=(),
             chaos_ber=1e-5,
-            runtime=True,
             admission={"pending": 0},
             workers={"mode": "thread", "count": 1},
             slo=None,
         )
         assert HealthReport.from_payload(report.to_payload()) == report
+
+    def test_runtime_key_from_older_servers_is_ignored(self):
+        """Older servers sent ``runtime``; every server now runs plans."""
+        health = {"status": "ok", "runtime": True}
+        assert HealthReport.from_payload(health).status == "ok"
+        info = {"name": "a", "runtime": False}
+        assert ModelInfo.from_payload(info).name == "a"
 
     def test_error_body_carries_retry_hint_only_when_set(self):
         assert ErrorBody("boom").to_payload() == {"error": "boom"}

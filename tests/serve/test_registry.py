@@ -1,8 +1,9 @@
 """ModelRegistry: LRU residency, single-flight loads, concurrent races.
 
-Checkpoint IO is stubbed out (monkeypatched ``load_protected_auto``) so
-these tests exercise the caching/locking machinery in microseconds; the
-HTTP tests cover real checkpoint loads end to end.
+Checkpoint IO is stubbed out (monkeypatched ``load_protected_auto``
+returning a one-layer model that compiles in microseconds) so these
+tests exercise the caching/locking machinery; the HTTP tests cover real
+checkpoint loads end to end.
 """
 
 import threading
@@ -10,6 +11,7 @@ import time
 
 import pytest
 
+from repro import nn
 from repro.errors import ConfigurationError
 from repro.serve import ModelRegistry
 from repro.serve import registry as registry_module
@@ -28,7 +30,8 @@ class _FakeLoader:
             time.sleep(self.delay)
         with self._lock:
             self.calls.append(str(path))
-        return object(), {"model": "lenet", "image_size": 16}
+        model = nn.Sequential(nn.Flatten(), nn.Linear(3 * 16 * 16, 2, rng=0))
+        return model, {"model": "lenet", "image_size": 16}
 
 
 @pytest.fixture

@@ -20,7 +20,6 @@ import pytest
 from repro.core.checkpoint import load_protected_auto, save_protected
 from repro.errors import ConfigurationError
 from repro.eval.evaluator import forward_logits
-from repro.runtime import RuntimeConfig
 from repro.serve import (
     ChaosConfig,
     ModelRegistry,
@@ -174,9 +173,7 @@ class TestWorkerChaos:
 class TestProcessModeServing:
     @pytest.mark.parametrize("mp_start", ["fork", "spawn"])
     def test_end_to_end_over_http(self, checkpoint, batch, mp_start):
-        registry = ModelRegistry(
-            capacity=2, config=RuntimeConfig(enabled=True)
-        )
+        registry = ModelRegistry(capacity=2)
         registry.register("m", checkpoint)
         app = ServeApp(
             registry,

@@ -37,7 +37,6 @@ def make_campaign(replicas="off", workers=0, trials=8, shard=None):
     )
     evaluator = Evaluator(
         DataLoader(dataset, batch_size=64, transform=Normalize(SYNTH_MEAN, SYNTH_STD)),
-        runtime=True,
     )
     return FaultCampaign(
         FaultInjector(model),
