@@ -2,14 +2,14 @@
 ``coord/``).
 
 The byte-identical resume contract (PR 5): a campaign interrupted and
-resumed — or sharded and merged — must reproduce the straight run's
-journal and report byte for byte.  PR 10 extends the contract to the
-coordination layer: a multi-worker, steal-heavy, crash-interrupted
-drain must journal the same records a serial run would, so ``coord/``
-is held to the same bar (its lease staleness clock is the *filesystem's*
-— ``fs_now`` — precisely so no local wall-clock read decides protocol
-state).  That only holds if nothing on the journaled path consults
-ambient state:
+resumed — or drained by several writers whose segments are folded —
+must reproduce the straight run's journal and report byte for byte.
+The contract covers the coordination layer too: a multi-worker,
+steal-heavy, crash-interrupted drain must journal the same records a
+serial run would, so ``coord/`` is held to the same bar (its lease
+staleness clock is the *filesystem's* — ``fs_now`` — precisely so no
+local wall-clock read decides protocol state).  That only holds if
+nothing on the journaled path consults ambient state:
 
 - ``time.time()``/``time.time_ns()`` — wall clock.  Durations belong in
   ``time.perf_counter()`` feeding non-identity fields

@@ -361,37 +361,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Campaign commands (durable stores: run / resume / status / merge / report)
+# Campaign commands (durable stores: run / status / report / serve-store
+# / watch)
 # ----------------------------------------------------------------------
-def _parse_shard_spec(text: str | None) -> "tuple[int, int] | None":
-    """CLI ``i/n`` (1-based, like pytest --shard) → internal (i-1, n)."""
+#: The run recipe a store's meta records.  A rerun or a joining worker
+#: is checked against it: evaluator sizes shape the accuracy stream too.
+_RECIPE_FIELDS = ("checkpoint", "rates", "preset", "trials", "seed", "test_samples")
+
+
+def _check_limit(limit: int | None) -> None:
+    """Reject a non-positive ``--limit`` before any side effect."""
     from repro.errors import ConfigurationError
 
-    if text is None:
-        return None
-    try:
-        index_text, count_text = text.split("/", 1)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise ConfigurationError(f"--shard expects i/n (e.g. 1/4), got {text!r}")
-    if count < 1 or not 1 <= index <= count:
-        raise ConfigurationError(f"--shard {text!r} out of range")
-    return (index - 1, count)
+    if limit is not None and limit < 1:
+        raise ConfigurationError(f"--limit must be >= 1, got {limit}")
 
 
-def _campaign_for_meta(
-    run_meta: dict[str, object],
-    shard: "tuple[int, int] | None",
-    workers: int | None = None,
-    replicas: "int | str | None" = None,
-):
+def _campaign_for_meta(run_meta: dict[str, object]):
     """Rebuild the (campaign, evaluator) pair a store's meta describes.
 
-    The deterministic reconstruction both ``campaign run`` and
-    ``campaign resume`` share: checkpoint → model (``load_protected_auto``),
+    The deterministic reconstruction ``campaign run`` and
+    ``serve-store`` share: checkpoint → model (``load_protected_auto``),
     preset sizes → evaluator test set, manifest format → injector.
     ``workers`` and ``replicas`` only change scheduling, never results,
-    so resume may override either.
+    so a rerun may override either.
     """
     from repro.core.checkpoint import load_protected_auto
     from repro.eval.experiments import get_preset
@@ -411,11 +404,8 @@ def _campaign_for_meta(
         evaluator.bind(model),
         trials=preset.trials,
         seed=int(run_meta["seed"]),
-        workers=workers if workers is not None else int(run_meta.get("workers", 0)),
-        shard=shard,
-        replicas=(
-            replicas if replicas is not None else run_meta.get("replicas", "auto")
-        ),
+        workers=int(run_meta.get("workers", 0)),
+        replicas=run_meta.get("replicas", "auto"),
     )
     return campaign, evaluator, model, meta
 
@@ -424,17 +414,7 @@ def _drive_campaign_store(campaign, store, rates, limit: int | None) -> int:
     """Run the sweep against its store, handling budget interruption."""
     from repro.store import CampaignInterrupted
 
-    if limit is not None:
-        if limit < 1:
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(f"--limit must be >= 1, got {limit}")
-        store.max_new_records = limit
-    shard_note = (
-        f" [shard {campaign.shard[0] + 1}/{campaign.shard[1]}]"
-        if campaign.shard is not None
-        else ""
-    )
+    store.max_new_records = limit
     try:
         sweep = campaign.run_sweep(rates, store=store)
     except CampaignInterrupted:
@@ -442,9 +422,8 @@ def _drive_campaign_store(campaign, store, rates, limit: int | None) -> int:
         print(
             f"interrupted after {store.appended} new trials "
             f"({status['journaled']}/{status['expected']} journaled)"
-            f"{shard_note}"
         )
-        print(f"resume with: repro campaign resume --store {store.path}")
+        print(f"resume with: repro campaign run --store {store.path}")
         return 0
     for rate in rates:
         result = sweep[rate]
@@ -452,7 +431,6 @@ def _drive_campaign_store(campaign, store, rates, limit: int | None) -> int:
             f"rate {rate:.1e}: mean {result.mean:.2%}  median "
             f"{result.median:.2%}  min {result.min:.2%}  "
             f"({result.trials} trials, mean {result.flip_counts.mean():.1f} flips)"
-            f"{shard_note}"
         )
     print(f"store complete: {store.path} ({store.appended} new trials journaled)")
     return 0
@@ -462,8 +440,7 @@ def _require_run_recipe(store_path: str, run_meta: dict[str, object]) -> None:
     """Fail with a pointer when a store lacks the CLI's run recipe."""
     from repro.errors import ConfigurationError
 
-    required = ("checkpoint", "rates", "preset", "trials", "seed", "test_samples")
-    missing = [field for field in required if field not in run_meta]
+    missing = [field for field in _RECIPE_FIELDS if field not in run_meta]
     if missing:
         raise ConfigurationError(
             f"store {store_path!r} records no run recipe (meta is missing "
@@ -472,36 +449,58 @@ def _require_run_recipe(store_path: str, run_meta: dict[str, object]) -> None:
         )
 
 
+def _flagged_run_meta(args: argparse.Namespace) -> dict[str, object]:
+    """The run-recipe fields the command line sets.
+
+    A ``--preset`` stands for its whole recipe (seed and sizes, with any
+    ``--trials``/``--test-samples`` override).  Without one — only
+    ``campaign run`` on an existing store — just the flags given are
+    included, and the rest are read back from the store.
+    """
+    flagged: dict[str, object] = {}
+    if args.checkpoint is not None:
+        flagged["checkpoint"] = args.checkpoint
+    if args.rates is not None:
+        flagged["rates"] = [float(rate) for rate in args.rates]
+    if args.preset is not None:
+        preset = _preset_from_args(args)
+        flagged.update(
+            preset=args.preset,
+            trials=preset.trials,
+            seed=preset.seed,
+            test_samples=preset.test_samples,
+        )
+    else:
+        if args.trials is not None:
+            flagged["trials"] = args.trials
+        if args.test_samples is not None:
+            flagged["test_samples"] = args.test_samples
+    return flagged
+
+
 def _requested_run_meta(args: argparse.Namespace) -> dict[str, object]:
-    """The run recipe a ``campaign run``/``serve-store`` request implies."""
+    """The full run recipe a ``campaign run``/``serve-store`` request
+    implies, scheduling included (all recipe flags set)."""
     from repro.errors import ConfigurationError
 
     if not args.rates:
         raise ConfigurationError("--rates needs at least one fault rate")
-    preset = _preset_from_args(args)
     return {
-        "checkpoint": args.checkpoint,
-        "rates": [float(rate) for rate in args.rates],
-        "preset": args.preset,
-        "trials": preset.trials,
-        "seed": preset.seed,
-        "test_samples": preset.test_samples,
-        "workers": preset.workers,
+        **_flagged_run_meta(args),
+        "workers": _preset_from_args(args).workers,
         "replicas": args.replicas if args.replicas is not None else "auto",
     }
 
 
-def _verify_run_recipe(
-    store, run_meta: dict[str, object], shard: "tuple[int, int] | None"
-) -> dict[str, object]:
+def _verify_run_recipe(store, requested: dict[str, object]) -> dict[str, object]:
     """Match a request against an existing store's recorded recipe.
 
     Re-running against an existing store is a resume (and joining one as
-    a coordinated worker is an admission): the store's recipe (evaluator
-    sizes included — they shape the accuracy stream) must match the
-    request, or the journal would silently mix trials from two different
-    campaigns.  Returns the stored meta (which keeps the recorded
-    clean_accuracy baseline); the caller closes the store on error.
+    a coordinated worker is an admission): every recipe field the
+    request names must equal the store's, or the journal would silently
+    mix trials from two different campaigns.  Returns the stored meta
+    (which keeps the recorded clean_accuracy baseline); the caller
+    closes the store on error.
     """
     from repro.errors import ConfigurationError
 
@@ -509,51 +508,58 @@ def _verify_run_recipe(
     _require_run_recipe(store.path, stored)
     mismatched = [
         field
-        for field in (
-            "checkpoint",
-            "rates",
-            "preset",
-            "trials",
-            "seed",
-            "test_samples",
-        )
-        if run_meta[field] != stored.get(field)
+        for field in _RECIPE_FIELDS
+        if field in requested and requested[field] != stored.get(field)
     ]
-    if shard != store.shard:
-        mismatched.append("shard")
     if mismatched:
         raise ConfigurationError(
             f"store {store.path!r} was created with different settings "
             f"(mismatched: {', '.join(mismatched)}); resume it with "
-            "'repro campaign resume', or pass matching arguments, or "
-            "pick a fresh --store"
+            f"'repro campaign run --store {store.path}' alone, pass "
+            "matching arguments, or pick a fresh --store"
         )
     return dict(stored)
+
+
+def _apply_scheduling_flags(run_meta: dict[str, object], args) -> None:
+    """``--workers``/``--replicas`` override a stored recipe: they only
+    change scheduling, never results."""
+    for field in ("workers", "replicas"):
+        value = getattr(args, field)
+        if value is not None:
+            run_meta[field] = value
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
     from repro.store import CampaignStore
 
-    shard = _parse_shard_spec(args.shard)
-    run_meta = _requested_run_meta(args)
+    _check_limit(args.limit)
     if CampaignStore.exists(args.store):
         store = CampaignStore.open(args.store)
         try:
-            run_meta = _verify_run_recipe(store, run_meta, shard)
+            run_meta = _verify_run_recipe(store, _flagged_run_meta(args))
         except ConfigurationError:
             store.close()
             raise
-        if args.workers is not None:
-            run_meta["workers"] = args.workers  # scheduling only
-        if args.replicas is not None:
-            run_meta["replicas"] = args.replicas  # scheduling only
-        campaign, _, _, _ = _campaign_for_meta(run_meta, shard)
-    else:
-        store = None
-        campaign, evaluator, model, checkpoint_meta = _campaign_for_meta(
-            run_meta, shard
+        _apply_scheduling_flags(run_meta, args)
+        status = store.status()
+        print(
+            f"resuming {store.path}: {status['journaled']}/"
+            f"{status['expected']} trials journaled"
         )
+        campaign, _, _, _ = _campaign_for_meta(run_meta)
+    else:
+        if args.checkpoint is None or args.rates is None:
+            raise ConfigurationError(
+                f"{args.store!r} holds no campaign store yet; creating one "
+                "needs --checkpoint and --rates"
+            )
+        if args.preset is None:
+            args.preset = "quick"
+        store = None
+        run_meta = _requested_run_meta(args)
+        campaign, evaluator, model, checkpoint_meta = _campaign_for_meta(run_meta)
         for field in ("model", "dataset", "method"):
             if field in checkpoint_meta:
                 run_meta[field] = checkpoint_meta[field]
@@ -578,27 +584,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             )
 
 
-def _cmd_campaign_resume(args: argparse.Namespace) -> int:
-    from repro.store import CampaignStore
-
-    store = CampaignStore.open(args.store)
-    run_meta = store.meta
-    _require_run_recipe(args.store, run_meta)
-    campaign, _, _, _ = _campaign_for_meta(
-        run_meta, store.shard, workers=args.workers, replicas=args.replicas
-    )
-    with campaign:
-        with store.attach(campaign):
-            status = store.status()
-            print(
-                f"resuming {store.path}: {status['journaled']}/"
-                f"{status['expected']} trials journaled"
-            )
-            return _drive_campaign_store(
-                campaign, store, [float(r) for r in run_meta["rates"]], args.limit
-            )
-
-
 def _print_campaign_status(status: dict) -> None:
     from repro.eval.reporting import format_table
 
@@ -615,15 +600,13 @@ def _print_campaign_status(status: dict) -> None:
                 f"{mean:.2%}" if mean is not None else "-",
             ]
         )
-    shard = status["shard"]
-    shard_note = f", shard {shard[0] + 1}/{shard[1]}" if shard else ""
     print(
         format_table(
             ["config", "trials", "converged", "mean accuracy"],
             rows,
             title=(
                 f"{status['path']} (seed {status['seed']}, "
-                f"{status['trials']} trials/config{shard_note})"
+                f"{status['trials']} trials/config)"
             ),
         )
     )
@@ -641,67 +624,9 @@ def _print_campaign_status(status: dict) -> None:
         print(f"{status['journaled']}/{status['expected']} trials")
 
 
-def _follow_campaign_status(args: argparse.Namespace) -> int:
-    """Poll the store's journal; one progress line per poll until complete.
-
-    The live view is built from the same observability registry the
-    campaign process feeds: each poll updates gauges in the process
-    default registry (so an embedded scraper sees identical numbers)
-    and derives the trial rate from the journaled-count delta.
-    """
-    import time
-
-    from repro.obs.metrics import default_registry
-    from repro.store import CampaignStore
-
-    registry = default_registry()
-    journaled_gauge = registry.gauge(
-        "repro_campaign_status_journaled",
-        "Journaled trials seen by the status follower, per store.",
-        labelnames=("store",),
-    )
-    expected_gauge = registry.gauge(
-        "repro_campaign_status_expected",
-        "Expected trials seen by the status follower, per store.",
-        labelnames=("store",),
-    )
-    previous_journaled: int | None = None
-    previous_at = 0.0
-    while True:
-        # Wall-clock poll pacing only — nothing journaled depends on it.
-        now = time.monotonic()  # repro-lint: disable=RPL009
-        with CampaignStore.open(args.store) as store:
-            status = store.status()
-        journaled = int(status["journaled"])
-        expected = int(status["expected"])
-        journaled_gauge.set(journaled, store=str(status["path"]))
-        expected_gauge.set(expected, store=str(status["path"]))
-        converged = sum(
-            1
-            for config in status["configs"]
-            if config["converged_at"] is not None
-        )
-        note = f"converged {converged}/{len(status['configs'])} configs"
-        if previous_journaled is not None and now > previous_at:
-            rate = (journaled - previous_journaled) / (now - previous_at)
-            note += f", {rate:.2f} trials/s"
-        mean_seconds = status["mean_trial_seconds"]
-        if not status["complete"] and mean_seconds:
-            eta = (expected - journaled) * mean_seconds
-            note += f", ~{eta:.0f}s remaining"
-        print(f"{journaled}/{expected} trials ({note})", flush=True)
-        if status["complete"]:
-            print(f"complete: {status['path']}")
-            return 0
-        previous_journaled, previous_at = journaled, now
-        time.sleep(args.interval)
-
-
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.store import CampaignStore
 
-    if args.follow:
-        return _follow_campaign_status(args)
     with CampaignStore.open(args.store) as store:
         status = store.status()
     if args.format == "json":
@@ -712,23 +637,6 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
         print(exact_json_dumps(status, indent=2, sort_keys=True))
         return 0
     _print_campaign_status(status)
-    return 0
-
-
-def _cmd_campaign_merge(args: argparse.Namespace) -> int:
-    from repro.store import CampaignStore
-
-    merged = CampaignStore.merge(args.out, args.stores)
-    try:
-        status = merged.status()
-    finally:
-        merged.close()
-    print(
-        f"merged {len(args.stores)} stores into {args.out}: "
-        f"{status['journaled']}/{status['expected']} trials across "
-        f"{len(status['configs'])} configs"
-        + ("" if status["complete"] else " (still incomplete)")
-    )
     return 0
 
 
@@ -765,11 +673,6 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
             f"- baseline accuracy: {baseline:.2%}"
             f" (SDC tolerance {float(args.tolerance):.2%})",
         ]
-        if store.shard is not None:
-            lines.append(
-                f"- shard: {store.shard[0] + 1}/{store.shard[1]} "
-                "(merge the other shards for the full campaign)"
-            )
         lines.extend(["", "## Results", ""])
         rows = []
         incomplete = []
@@ -842,12 +745,11 @@ def _cmd_campaign_serve_store(args: argparse.Namespace) -> int:
     from repro.fault.fault_model import BitFlipFaultModel
     from repro.store import CampaignStore, StoreError
 
+    _check_limit(args.limit)
     run_meta = _requested_run_meta(args)
     campaign = None
     if not CampaignStore.exists(args.store):
-        campaign, evaluator, model, checkpoint_meta = _campaign_for_meta(
-            run_meta, None
-        )
+        campaign, evaluator, model, checkpoint_meta = _campaign_for_meta(run_meta)
         for field in ("model", "dataset", "method"):
             if field in checkpoint_meta:
                 run_meta[field] = checkpoint_meta[field]
@@ -875,16 +777,13 @@ def _cmd_campaign_serve_store(args: argparse.Namespace) -> int:
     if campaign is None:
         store = CampaignStore.open(args.store)
         try:
-            run_meta = _verify_run_recipe(store, run_meta, None)
+            run_meta = _verify_run_recipe(store, run_meta)
         except ConfigurationError:
             store.close()
             raise
         store.close()
-        if args.workers is not None:
-            run_meta["workers"] = args.workers  # scheduling only
-        if args.replicas is not None:
-            run_meta["replicas"] = args.replicas  # scheduling only
-        campaign, _, _, _ = _campaign_for_meta(run_meta, None)
+        _apply_scheduling_flags(run_meta, args)
+        campaign, _, _, _ = _campaign_for_meta(run_meta)
     fault_models = [
         BitFlipFaultModel.at_rate(float(r)) for r in run_meta["rates"]
     ]
@@ -934,8 +833,11 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
 
     from repro.coord import WatchApp, coord_status, render_watch, update_gauges
     from repro.coord.watch import RateMeter
+    from repro.errors import ConfigurationError
     from repro.store.encoding import exact_json_dumps
 
+    if not args.interval > 0:
+        raise ConfigurationError(f"--interval must be > 0, got {args.interval}")
     server = None
     if args.http is not None:
         from repro.serve.http import ReproServer
@@ -1344,28 +1246,32 @@ def build_parser() -> argparse.ArgumentParser:
             "run a fault-rate sweep, journaling every trial to a store "
             "(pointing at an existing store resumes it)"
         ),
+        description=(
+            "Run a fault-rate sweep as the store's single writer.  On an "
+            "existing store this resumes: the recipe is read from the "
+            "store, so --checkpoint and --rates may be omitted; recipe "
+            "flags that are passed must match it, and --workers, "
+            "--replicas and --limit only change scheduling."
+        ),
     )
-    c.add_argument("--checkpoint", required=True, help="protected checkpoint (.npz)")
+    c.add_argument(
+        "--checkpoint",
+        default=None,
+        help="protected checkpoint (.npz); required to create a store",
+    )
     c.add_argument(
         "--store",
         required=True,
-        help="campaign store directory (created if absent)",
+        help="campaign store directory (created if absent, else resumed)",
     )
     c.add_argument(
         "--rates",
         type=float,
         nargs="+",
-        required=True,
-        help="fault rates of the sweep (e.g. 1e-6 3e-6 1e-5)",
-    )
-    c.add_argument(
-        "--shard",
-        metavar="i/n",
         default=None,
         help=(
-            "run only the i-th of n disjoint trial slices (1-based) — "
-            "each shard journals its own store; fold them with "
-            "'campaign merge'"
+            "fault rates of the sweep (e.g. 1e-6 3e-6 1e-5); required to "
+            "create a store"
         ),
     )
     c.add_argument(
@@ -1375,7 +1281,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "journal at most N new trials this invocation, then stop "
-            "cleanly (time-boxed incremental runs; resume to continue)"
+            "cleanly (time-boxed incremental runs; rerun to continue)"
         ),
     )
     c.add_argument(
@@ -1391,28 +1297,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_preset_arguments(c)
-    c.set_defaults(func=_cmd_campaign_run)
-
-    c = campaign_sub.add_parser(
-        "resume",
-        help="continue an interrupted campaign from its store's journal",
-    )
-    c.add_argument("--store", required=True)
-    c.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=None,
-        help="override the stored worker count (results are identical)",
-    )
-    c.add_argument(
-        "--replicas",
-        type=_replicas_spec,
-        default=None,
-        metavar="N|auto|off",
-        help="override the stored replica group width (results are identical)",
-    )
-    c.add_argument("--limit", type=int, default=None, metavar="N")
-    c.set_defaults(func=_cmd_campaign_resume)
+    # No preset default: a fresh store gets "quick", an existing one
+    # keeps the preset it recorded.
+    c.set_defaults(func=_cmd_campaign_run, preset=None)
 
     c = campaign_sub.add_parser(
         "status", help="journal progress of a campaign store"
@@ -1427,29 +1314,7 @@ def build_parser() -> argparse.ArgumentParser:
             "exact-float encoder, for scripts)"
         ),
     )
-    c.add_argument(
-        "--follow",
-        action="store_true",
-        help=(
-            "poll the journal and print a progress line (trial rate, "
-            "ETA, per-config convergence) until the campaign completes"
-        ),
-    )
-    c.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="polling interval for --follow (default: 2)",
-    )
     c.set_defaults(func=_cmd_campaign_status)
-
-    c = campaign_sub.add_parser(
-        "merge", help="fold shard stores into one campaign store"
-    )
-    c.add_argument("--out", required=True, help="merged store directory (created)")
-    c.add_argument("stores", nargs="+", help="shard store directories")
-    c.set_defaults(func=_cmd_campaign_merge)
 
     c = campaign_sub.add_parser(
         "report",

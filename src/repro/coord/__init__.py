@@ -7,7 +7,7 @@ into a *service* a fleet can drain together:
   filesystem-clock staleness, so peers can tell a live worker's claims
   from a corpse's (SIGKILL included);
 - :mod:`~repro.coord.scheduler` — work-stealing dynamic trial ranges
-  with fencing tokens, replacing the static ``shard=(i, n)`` split;
+  with fencing tokens;
 - :mod:`~repro.coord.worker` — the join/claim/evaluate/journal loop
   behind ``repro campaign serve-store``;
 - :mod:`~repro.coord.watch` — live status views (terminal, JSON,

@@ -1,9 +1,8 @@
 """Work-stealing range claims: dynamic trial partitioning with fencing.
 
-The static ``shard=(i, n)`` split (PR 5) assigns trial slices up front;
-a straggler or crashed host strands its slice until a human intervenes.
-This module replaces that with **dynamic range claims** over one shared
-store:
+A split fixed up front strands a straggler's or a crashed host's slice
+until a human intervenes.  This module partitions the trial space with
+**dynamic range claims** over one shared store instead:
 
 - the trial space of every configuration is cut into chunk-aligned
   ranges ``[k*chunk, (k+1)*chunk)``;

@@ -13,8 +13,9 @@ The payload feeds three fronts, all read-only and artifact-neutral:
 - ``GET /v1/campaign`` — :class:`WatchApp` mounts the PR 9
   :class:`~repro.serve.routes.Router`, so the watch view rides the same
   transport (and ``/v1/metrics``, ``/v1/healthz``) as the serving tier;
-- the ``repro_campaign_worker_*`` gauges in the process-wide metrics
-  registry (:func:`update_gauges`), for Prometheus scrapes.
+- the ``repro_campaign_status_*`` and ``repro_campaign_worker_*``
+  gauges in the process-wide metrics registry (:func:`update_gauges`),
+  for Prometheus scrapes.
 """
 
 from __future__ import annotations
@@ -37,6 +38,17 @@ __all__ = [
     "update_gauges",
 ]
 
+#: Store-level progress gauges, labelled (store).
+_STATUS_JOURNALED = default_registry().gauge(
+    "repro_campaign_status_journaled",
+    "Journaled trials of the store at the last watch poll.",
+    labelnames=("store",),
+)
+_STATUS_EXPECTED = default_registry().gauge(
+    "repro_campaign_status_expected",
+    "Expected trials of the store at the last watch poll.",
+    labelnames=("store",),
+)
 #: Per-worker progress gauges, labelled (store, worker).  `live` is
 #: 0/1; `trials` counts the worker's journaled records (segment line
 #: count — ground truth, not the lease's self-reported tally); `steals`
@@ -104,8 +116,10 @@ def coord_status(store_path: str | os.PathLike[str]) -> dict[str, Any]:
 
 
 def update_gauges(status: dict[str, Any]) -> None:
-    """Feed one status payload into the worker gauges."""
+    """Feed one status payload into the store and worker gauges."""
     store = str(status.get("path", ""))
+    _STATUS_JOURNALED.set(float(status["journaled"]), store=store)
+    _STATUS_EXPECTED.set(float(status["expected"]), store=store)
     for row in status.get("workers", []):
         worker = str(row["worker"])
         _WORKER_LIVE.set(1.0 if row["live"] else 0.0, store=store, worker=worker)
@@ -136,11 +150,18 @@ def render_watch(status: dict[str, Any], rate: float | None = None) -> str:
     done = int(status["journaled"])
     expected = int(status["expected"])
     state = "complete" if status["complete"] else "running"
-    head = f"{status['path']}: {done}/{expected} trials ({state})"
+    configs = status["configs"]
+    converged = sum(1 for entry in configs if entry["converged_at"] is not None)
+    head = (
+        f"{status['path']}: {done}/{expected} trials ({state}), "
+        f"converged {converged}/{len(configs)} configs"
+    )
     if rate is not None:
         head += f", {rate:.1f} trials/s"
+        if rate > 0 and not status["complete"]:
+            head += f", ~{(expected - done) / rate:.0f}s remaining"
     lines.append(head)
-    for entry in status["configs"]:
+    for entry in configs:
         mean = entry.get("mean_accuracy")
         shown = f"mean={mean:.4f}" if mean is not None else "mean=-"
         lines.append(

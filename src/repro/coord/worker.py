@@ -78,8 +78,8 @@ class CampaignWorker:
     ----------
     campaign:
         The locally-built :class:`~repro.fault.campaign.FaultCampaign`
-        (model, injector, evaluator, executor).  Must be unsharded —
-        partitioning is the scheduler's job now.
+        (model, injector, evaluator, executor); the scheduler decides
+        which trials it evaluates.
     store_path:
         The shared store directory (already created, all configurations
         registered — see :meth:`CampaignStore.register_configs`).
@@ -114,11 +114,6 @@ class CampaignWorker:
         poll_s: float = 0.5,
         max_trials: int | None = None,
     ) -> None:
-        if campaign.shard is not None:
-            raise CoordError(
-                "coordinated workers take unsharded campaigns: dynamic "
-                "range claims replace the static shard=(i, n) split"
-            )
         self.campaign = campaign
         self.store_path = os.fspath(store_path)
         self.fault_models = list(fault_models)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -256,14 +256,6 @@ class FaultCampaign:
         :class:`~repro.fault.parallel.TrialExecutor` is also accepted.
     start_method:
         Multiprocessing start method override (``fork``/``spawn``/…).
-    shard:
-        ``(i, n)`` restricts this campaign instance to trial indices
-        ``t % n == i`` — the deterministic partition that lets N hosts
-        run disjoint slices of one campaign (each into its own
-        :class:`~repro.store.CampaignStore`) and merge the stores into a
-        result bit-identical to the unsharded run.  Trial seeds depend
-        only on the trial index, never on the shard, so slices compose
-        exactly.
     replicas:
         Replica-batched evaluation: ``R >= 2`` schedules trials in
         groups of R lanes whose clean forward work is shared
@@ -286,7 +278,6 @@ class FaultCampaign:
         seed: int = 0,
         workers: int | TrialExecutor | None = 0,
         start_method: str | None = None,
-        shard: tuple[int, int] | None = None,
         replicas: int | str | None = None,
     ) -> None:
         if trials < 1:
@@ -295,7 +286,6 @@ class FaultCampaign:
         self.evaluate = evaluate
         self.trials = int(trials)
         self.seed = int(seed)
-        self.shard = self._validated_shard(shard)
         self.replicas = self._resolved_replicas(replicas, evaluate)
         self.executor = make_executor(workers, start_method=start_method)
         # One runner for the campaign's lifetime: process pools key their
@@ -335,26 +325,6 @@ class FaultCampaign:
             )
         return width
 
-    @staticmethod
-    def _validated_shard(
-        shard: tuple[int, int] | None,
-    ) -> tuple[int, int] | None:
-        if shard is None:
-            return None
-        try:
-            index, count = shard
-            index, count = int(index), int(count)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"shard must be an (index, count) pair, got {shard!r}"
-            )
-        if count < 1 or not 0 <= index < count:
-            raise ConfigurationError(
-                f"shard index must satisfy 0 <= index < count, "
-                f"got ({index}, {count})"
-            )
-        return (index, count)
-
     @property
     def workers(self) -> int:
         """Worker processes behind this campaign (0 = serial)."""
@@ -369,17 +339,6 @@ class FaultCampaign:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def trial_plan(self) -> list[int]:
-        """Trial indices this campaign instance runs, in consumption order.
-
-        The full range without ``shard``; the shard's deterministic
-        slice (``t % n == i``) with it.
-        """
-        if self.shard is None:
-            return list(range(self.trials))
-        index, count = self.shard
-        return list(range(index, self.trials, count))
 
     def trial_seeds(self, fault_model: FaultModel, tag: str = "") -> list[int]:
         """Derive every trial's seed up front (the determinism contract).
@@ -455,8 +414,8 @@ class FaultCampaign:
         order — ``sites`` being the journal-ready applied-site metadata
         :meth:`run` records — with duplicates collapsed.  Trial seeds
         depend only on the trial index, never on scheduling, so any
-        partition of the trial space (static shards, stolen ranges, a
-        serial run) produces bit-identical per-trial results.
+        partition of the trial space (claimed or stolen ranges, a serial
+        run) produces bit-identical per-trial results.
 
         Closing the generator early (a lost fence check, a worker
         shutting down) closes the executor stream, which terminates any
@@ -506,7 +465,7 @@ class FaultCampaign:
         With ``store``, every fresh outcome is journaled to disk as it
         completes (both executors stream through this loop), and trials
         the store already holds are *replayed* from the journal instead
-        of re-evaluated — an interrupted campaign resumed against its
+        of re-evaluated — an interrupted run resumed against its
         store is bit-identical to an uninterrupted run, because trial
         seeds are schedule-independent and journaled floats round-trip
         exactly.  A configuration the store marks as EarlyStop-converged
@@ -523,13 +482,7 @@ class FaultCampaign:
         early_stop: EarlyStop | None,
         store: "CampaignStore | None",
     ) -> CampaignResult:
-        if early_stop is not None and self.shard is not None:
-            raise ConfigurationError(
-                "early_stop cannot be combined with shard: CI convergence "
-                "consumes the full in-order trial stream, which no single "
-                "shard sees"
-            )
-        plan = self.trial_plan()
+        plan = list(range(self.trials))
         key: str | None = None
         journal: dict[int, TrialOutcome] = {}
         if store is not None:
@@ -562,7 +515,7 @@ class FaultCampaign:
         stopped_early = False
         try:
             fresh = 0
-            for position, trial in enumerate(plan):
+            for trial in plan:
                 outcome = journal.get(trial)
                 if outcome is None:
                     if budget is not None and fresh >= budget:
@@ -581,10 +534,6 @@ class FaultCampaign:
                         store.record(
                             key, outcome, self._site_metadata(works[trial].sites)
                         )
-                if outcome.index != position:
-                    # Sharded plans skip indices; the aggregator consumes
-                    # a dense stream, so renumber to the slice position.
-                    outcome = replace(outcome, index=position)
                 aggregator.add(outcome)
                 if early_stop is not None and aggregator.converged(early_stop):
                     if store is not None and key is not None:

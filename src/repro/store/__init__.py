@@ -1,8 +1,9 @@
-"""Durable, resumable, shardable campaign storage (+ vulnerability atlas).
+"""Durable, resumable, multi-writer campaign storage (+ vulnerability atlas).
 
 ``CampaignStore`` journals every fault-injection trial to disk as it
-completes, so campaigns survive crashes, resume bit-identically, split
-across hosts with ``shard=(i, n)``, and merge back into one result.
+completes, so campaigns survive crashes, resume bit-identically, and
+can be drained by many coordinated workers whose per-worker journal
+segments fold back into one result.
 ``build_atlas`` aggregates the journaled fault sites into per-layer and
 per-bit sensitivity maps.  See :mod:`repro.store.store` for the format.
 """

@@ -2,7 +2,7 @@
 
 Every byte the store writes must round-trip: a resumed campaign replays
 journaled accuracies and must reproduce the original float64s bit for
-bit, and the shard-merge / resume CI checks compare store files with
+bit, and the resume / steal CI checks compare store artefacts with
 ``cmp``.  Python's :mod:`json` already serialises floats via ``repr``
 (shortest string that round-trips), so the *encoding* is exact — what
 these wrappers add is the contract around it:

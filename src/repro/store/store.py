@@ -1,11 +1,11 @@
-"""Durable, resumable, shardable campaign storage.
+"""Durable, resumable, multi-writer campaign storage.
 
 A :class:`CampaignStore` is a directory holding one campaign's entire
 fault-injection record:
 
-- ``manifest.json`` — the campaign's *identity* (seed, trial count,
-  shard slice, a fingerprint of the injector's fault space, the
-  parameter-name table) plus one entry per fault configuration and
+- ``manifest.json`` — the campaign's *identity* (seed, trial count, a
+  fingerprint of the injector's fault space, the parameter-name table)
+  plus one entry per fault configuration and
   free-form run metadata.  Rewritten atomically (temp file + rename) on
   every update.
 - ``trials.jsonl`` — the append-only trial journal: one JSON line per
@@ -23,16 +23,16 @@ Because campaign trial seeds are schedule-independent (see
   replays journaled trials and evaluates only the missing ones, so an
   interrupted-then-resumed campaign is bit-identical to an
   uninterrupted run;
-- **shardable** — campaigns created with ``shard=(i, n)`` journal
-  disjoint trial slices into separate stores that :meth:`merge` folds
-  back into one, equal to the unsharded run.
+- **multi-writer** — coordinated workers each journal to their own
+  segment of one store, and loading folds the segments back into the
+  single-writer run's records.
 
 Floats round-trip exactly through JSON (``repr`` shortest-round-trip),
 so replayed accuracies are the bit-identical float64s the evaluator
 produced.
 
 Each journal *file* has one writer.  ``trials.jsonl`` belongs to the
-classic single-writer path (``campaign run``/``resume``); coordinated
+classic single-writer path (``campaign run``); coordinated
 workers (:mod:`repro.coord`) open the store with a ``segment`` name and
 append to their own ``trials.<segment>.jsonl`` instead, so N workers
 share one store directory without ever sharing a file descriptor.
@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, BinaryIO, Protocol
 
@@ -77,8 +77,8 @@ __all__ = [
 
 _logger = get_logger("store")
 
-#: Trials journaled by this process, across all stores — the live
-#: progress counter `repro campaign status --follow` reads.
+#: Trials journaled by this process, across all stores — a side-band
+#: progress counter for scrapes of the process registry.
 _TRIALS_JOURNALED = default_registry().counter(
     "repro_campaign_trials_journaled_total",
     "Trial outcomes appended to campaign journals by this process.",
@@ -138,7 +138,8 @@ class TrialRecord:
     ``seconds`` is wall-clock, not identity (mirrors
     :class:`~repro.fault.parallel.TrialOutcome`): two hosts that
     deterministically re-ran the same trial journal equal records, so
-    ``merge`` deduplicates them instead of reporting a bogus conflict.
+    the segment fold deduplicates them instead of reporting a bogus
+    conflict.
     """
 
     index: int
@@ -246,6 +247,10 @@ class CampaignStore:
         densities.  They are derived from the same planned fault space
         the fingerprint hashes, so including them adds no new ways for
         resume to mismatch.
+
+        ``shard`` is always ``None``.  The key stays so existing
+        manifests keep their config hash and older workers can still
+        join new stores; :meth:`open` refuses a non-null one.
         """
         injector = campaign.injector
         fingerprint = getattr(injector, "fingerprint", None)
@@ -255,7 +260,7 @@ class CampaignStore:
         return {
             "seed": int(campaign.seed),
             "trials": int(campaign.trials),
-            "shard": list(campaign.shard) if campaign.shard is not None else None,
+            "shard": None,
             "fingerprint": fingerprint() if callable(fingerprint) else "unknown",
             "layers": list(getattr(injector, "parameter_names", [])),
             "layer_words": [int(w) for w in words] if words is not None else None,
@@ -344,6 +349,13 @@ class CampaignStore:
                 f"{path!r}: manifest config hash does not match its "
                 "identity block (the manifest was edited or corrupted)"
             )
+        if manifest.get("identity", {}).get("shard") is not None:
+            raise StoreError(
+                f"{path!r} holds one shard of a statically sharded campaign, "
+                "which this build no longer reads; re-run the campaign into "
+                "a fresh store with 'repro campaign run' or 'repro campaign "
+                "serve-store'"
+            )
         store = cls(path, manifest, {}, journal_end=0, segment=segment)
         store._load_journal()
         return store
@@ -358,9 +370,9 @@ class CampaignStore:
         """Create the campaign's store, or reopen and verify an existing one.
 
         An existing store must have been written by a campaign with the
-        same seed, trial count, shard slice, and fault-space fingerprint
-        — resuming against the wrong model or settings is an error, not
-        a silently wrong merge of incompatible trials.  ``meta`` is only
+        same seed, trial count, and fault-space fingerprint — resuming
+        against the wrong model or settings is an error, not a silent
+        mix of incompatible trials.  ``meta`` is only
         applied on creation; an existing store keeps its own.
         """
         if cls.exists(path):
@@ -424,11 +436,6 @@ class CampaignStore:
     @property
     def trials(self) -> int:
         return int(self._manifest["identity"]["trials"])
-
-    @property
-    def shard(self) -> tuple[int, int] | None:
-        shard = self._manifest["identity"].get("shard")
-        return None if shard is None else (int(shard[0]), int(shard[1]))
 
     @property
     def layers(self) -> list[str]:
@@ -699,7 +706,7 @@ class CampaignStore:
         """Full journal records (with sites) of one config.
 
         Always in trial-index order, regardless of journal append order
-        — a merged shard store and a straight run therefore feed
+        — a folded multi-writer store and a straight run therefore feed
         downstream aggregation (the atlas's order-sensitive float
         reductions included) identical streams.
         """
@@ -756,8 +763,8 @@ class CampaignStore:
         self._append(key, record)
         per_config[record.index] = record
         self.appended += 1
-        # Side-band progress signal for `repro campaign status --follow`
-        # and the process registry; never touches the journal bytes.
+        # Side-band progress signal for the process registry; never
+        # touches the journal bytes.
         _TRIALS_JOURNALED.inc(1)
 
     # ------------------------------------------------------------------
@@ -768,9 +775,6 @@ class CampaignStore:
         converged = self.converged_at(key)
         if converged is not None:
             return list(range(converged))
-        if self.shard is not None:
-            index, count = self.shard
-            return list(range(index, self.trials, count))
         return list(range(self.trials))
 
     def missing_indices(self, key: str) -> list[int]:
@@ -793,7 +797,7 @@ class CampaignStore:
             raise StoreError(
                 f"config {key!r} is incomplete: {len(missing)} of "
                 f"{len(self.expected_indices(key))} trials missing "
-                "(resume the campaign, or merge the other shards, first)"
+                "(resume the campaign first)"
             )
         records = self._records.get(key, {})
         order = self.expected_indices(key)
@@ -841,7 +845,6 @@ class CampaignStore:
             "path": self.path,
             "seed": self.seed,
             "trials": self.trials,
-            "shard": list(self.shard) if self.shard else None,
             "configs": configs,
             "journaled": total_done,
             "expected": total_expected,
@@ -851,88 +854,3 @@ class CampaignStore:
                 seconds / journaled_total if journaled_total else None
             ),
         }
-
-    # ------------------------------------------------------------------
-    # Merging shard stores
-    # ------------------------------------------------------------------
-    @classmethod
-    def merge(
-        cls,
-        path: str | os.PathLike[str],
-        sources: Sequence["CampaignStore | str | os.PathLike[str]"],
-    ) -> "CampaignStore":
-        """Fold shard stores into one unsharded store at ``path``.
-
-        Sources must share seed, trial count, fingerprint, and layer
-        table (their shard slices may — should — differ).  Records are
-        unioned; a (config, trial) pair journaled by two sources must
-        agree exactly, so double-running a slice is caught rather than
-        silently double-counted.
-        """
-        if not sources:
-            raise ConfigurationError("merge needs at least one source store")
-        stores = [
-            source if isinstance(source, cls) else cls.open(source)
-            for source in sources
-        ]
-        base = stores[0].identity
-        base.pop("shard")
-        for store in stores[1:]:
-            theirs = store.identity
-            theirs.pop("shard")
-            if theirs != base:
-                raise StoreError(
-                    f"cannot merge {store.path!r}: campaign identity "
-                    f"differs from {stores[0].path!r} "
-                    f"(mismatched: {', '.join(_mismatched_fields(base, theirs))})"
-                )
-        identity = {**base, "shard": None}
-        merged = cls.create(path, identity, meta=stores[0].meta)
-        for store in stores:
-            for entry in store._configs:
-                key = str(entry["key"])
-                try:
-                    existing = merged.config_entry(key)
-                except StoreError:
-                    merged._configs.append(
-                        {
-                            "key": key,
-                            "tag": entry["tag"],
-                            "spec": entry["spec"],
-                            "converged_at": entry.get("converged_at"),
-                        }
-                    )
-                    continue
-                theirs = entry.get("converged_at")
-                if theirs is not None:
-                    if (
-                        existing["converged_at"] is not None
-                        and existing["converged_at"] != theirs
-                    ):
-                        raise StoreError(
-                            f"config {key!r}: sources disagree on the "
-                            f"EarlyStop convergence point "
-                            f"({existing['converged_at']} vs {theirs})"
-                        )
-                    existing["converged_at"] = theirs
-        # Persist the unioned config table before journaling any record:
-        # a crash mid-merge then leaves a valid (incomplete) store, never
-        # a journal referencing configs the manifest doesn't know — the
-        # same write ordering the run path's open_config guarantees.
-        merged._write_manifest()
-        for store in stores:
-            for key, records in store._records.items():
-                merged_records = merged._records.setdefault(key, {})
-                for index, record in sorted(records.items()):
-                    prior = merged_records.get(index)
-                    if prior is not None:
-                        if prior != record:
-                            raise StoreError(
-                                f"config {key!r} trial {index}: sources "
-                                "journaled conflicting outcomes "
-                                f"({prior.accuracy!r} vs {record.accuracy!r})"
-                            )
-                        continue
-                    merged._append(key, record)
-                    merged_records[index] = record
-        return merged

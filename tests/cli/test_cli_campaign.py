@@ -1,4 +1,4 @@
-"""The ``repro campaign`` command group: run / resume / status / merge / report."""
+"""The ``repro campaign`` command group: run (and resume) / status / report."""
 
 import json
 import os
@@ -107,11 +107,13 @@ class TestRoundTrip:
         assert _run(checkpoint, resumed, "--limit", "2") == 0
         out = capsys.readouterr().out
         assert "interrupted after 2 new trials" in out
-        assert "campaign resume" in out
+        assert f"repro campaign run --store {resumed}" in out
 
-        assert main(["campaign", "resume", "--store", str(resumed)]) == 0
+        # The store holds the recipe: no other flag is needed.
+        assert main(["campaign", "run", "--store", str(resumed)]) == 0
         out = capsys.readouterr().out
         assert "resuming" in out
+        assert "2/6 trials journaled" in out
         assert "store complete" in out
 
         assert main(["campaign", "report", "--store", str(resumed)]) == 0
@@ -135,35 +137,72 @@ class TestRoundTrip:
         assert "0 new trials journaled" in out
 
 
-class TestShardMerge:
-    def test_sharded_stores_merge_to_the_straight_report(
+class TestSegmentFold:
+    def test_run_then_serve_store_folds_to_the_straight_report(
         self, checkpoint, tmp_path, capsys
     ):
+        """A store started by ``campaign run`` and finished by a
+        ``serve-store`` worker's segment reports like a straight run."""
         straight = tmp_path / "straight"
         assert _run(checkpoint, straight) == 0
         assert main(["campaign", "report", "--store", str(straight)]) == 0
 
-        shards = []
-        for index in (1, 2):
-            shard_store = tmp_path / f"shard{index}"
-            assert _run(checkpoint, shard_store, "--shard", f"{index}/2") == 0
-            shards.append(str(shard_store))
-        out = capsys.readouterr().out
-        assert "[shard 1/2]" in out
+        mixed = tmp_path / "mixed"
+        assert _run(checkpoint, mixed, "--limit", "2") == 0
+        code = main(
+            [
+                "campaign",
+                "serve-store",
+                "--checkpoint",
+                checkpoint,
+                "--store",
+                str(mixed),
+                "--rates",
+                "1e-5",
+                "3e-5",
+                *TINY,
+                "--trials",
+                "3",
+                "--worker-id",
+                "peer",
+            ]
+        )
+        assert code == 0
+        assert "store complete" in capsys.readouterr().out
+        assert (mixed / "trials.peer.jsonl").read_text().count("\n") == 4
 
-        merged = tmp_path / "merged"
-        assert main(["campaign", "merge", "--out", str(merged), *shards]) == 0
-        out = capsys.readouterr().out
-        assert "merged 2 stores" in out
-
-        assert main(["campaign", "report", "--store", str(merged)]) == 0
+        assert main(["campaign", "report", "--store", str(mixed)]) == 0
         capsys.readouterr()
-        assert (merged / "report.md").read_text() == (
-            straight / "report.md"
-        ).read_text()
-        assert (merged / "atlas.json").read_text() == (
-            straight / "atlas.json"
-        ).read_text()
+        for artifact in ("report.md", "atlas.json"):
+            assert (mixed / artifact).read_bytes() == (
+                straight / artifact
+            ).read_bytes()
+
+
+class TestOldStores:
+    def test_parent_format_store_finishes_with_bare_run(
+        self, checkpoint, tmp_path, capsys
+    ):
+        """A partial store in the format written before ``campaign
+        resume`` was folded into ``campaign run`` (identity ``"shard":
+        null``, run recipe in meta) finishes with ``--store`` alone."""
+        straight = tmp_path / "straight"
+        assert _run(checkpoint, straight) == 0
+        assert main(["campaign", "report", "--store", str(straight)]) == 0
+
+        old = tmp_path / "old"
+        assert _run(checkpoint, old, "--limit", "2") == 0
+        manifest = json.loads((old / "manifest.json").read_text())
+        assert manifest["identity"]["shard"] is None
+        for field in ("checkpoint", "rates", "preset", "trials", "seed"):
+            assert field in manifest["meta"]
+        assert main(["campaign", "run", "--store", str(old)]) == 0
+        assert main(["campaign", "report", "--store", str(old)]) == 0
+        assert "store complete" in capsys.readouterr().out
+        for artifact in ("report.md", "atlas.json"):
+            assert (old / artifact).read_bytes() == (
+                straight / artifact
+            ).read_bytes()
 
 
 class TestErrors:
@@ -172,8 +211,10 @@ class TestErrors:
         assert "not a campaign store" in capsys.readouterr().err
 
     def test_resume_on_missing_store(self, tmp_path, capsys):
-        assert main(["campaign", "resume", "--store", str(tmp_path / "no")]) == 1
-        assert "error" in capsys.readouterr().err
+        """Without a store to resume, ``run`` needs the recipe flags."""
+        assert main(["campaign", "run", "--store", str(tmp_path / "no")]) == 1
+        assert "needs --checkpoint and --rates" in capsys.readouterr().err
+        assert not (tmp_path / "no").exists()
 
     def test_run_rejects_mismatched_store(self, checkpoint, tmp_path, capsys):
         store = tmp_path / "store"
@@ -205,13 +246,58 @@ class TestErrors:
         assert "rates" in err
         assert "trials" in err
 
-    def test_bad_shard_spec(self, checkpoint, tmp_path, capsys):
-        assert _run(checkpoint, tmp_path / "s", "--shard", "3/2") == 1
-        assert "out of range" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--trials", "5"], "trials"),
+            (["--rates", "1e-4"], "rates"),
+            (["--preset", "quick"], "preset"),
+            (["--checkpoint", "other.npz"], "checkpoint"),
+        ],
+    )
+    def test_passed_recipe_flag_is_verified_alone(
+        self, checkpoint, tmp_path, capsys, flags, field
+    ):
+        """Recipe flags given to a resume are checked, never ignored."""
+        store = tmp_path / "store"
+        assert _run(checkpoint, store, "--limit", "1") == 0
+        capsys.readouterr()
+        assert main(["campaign", "run", "--store", str(store), *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"(mismatched: {field}" in err
 
     def test_bad_limit(self, checkpoint, tmp_path, capsys):
+        """Rejected before the model loads or the store is created."""
         assert _run(checkpoint, tmp_path / "s", "--limit", "0") == 1
         assert "--limit" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_bad_serve_store_limit(self, checkpoint, tmp_path, capsys, limit):
+        code = main(
+            [
+                "campaign",
+                "serve-store",
+                "--checkpoint",
+                checkpoint,
+                "--store",
+                str(tmp_path / "s"),
+                "--rates",
+                "1e-5",
+                *TINY,
+                "--limit",
+                limit,
+            ]
+        )
+        assert code == 1
+        assert "--limit" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("interval", ["0", "-2"])
+    def test_bad_watch_interval(self, tmp_path, capsys, interval):
+        argv = ["campaign", "watch", "--store", str(tmp_path), "--interval", interval]
+        assert main(argv) == 1
+        assert "--interval" in capsys.readouterr().err
 
 
 class TestReplicasCLI:
@@ -252,16 +338,7 @@ class TestReplicasCLI:
         store = tmp_path / "store"
         assert _run(checkpoint, store, "--limit", "2", "--replicas", "off") == 0
         assert (
-            main(
-                [
-                    "campaign",
-                    "resume",
-                    "--store",
-                    str(store),
-                    "--replicas",
-                    "4",
-                ]
-            )
+            main(["campaign", "run", "--store", str(store), "--replicas", "4"])
             == 0
         )
         out = capsys.readouterr().out

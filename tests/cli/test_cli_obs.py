@@ -156,33 +156,24 @@ class TestStatusViews:
         (config,) = status["configs"]
         assert config["journaled"] == 2
 
-    def test_follow_exits_when_complete(self, store, capsys):
-        code = main(
-            [
-                "campaign",
-                "status",
-                "--store",
-                store,
-                "--follow",
-                "--interval",
-                "0.01",
-            ]
-        )
+    def test_watch_exits_when_complete(self, store, capsys):
+        code = main(["campaign", "watch", "--store", store, "--interval", "0.01"])
         assert code == 0
         out = capsys.readouterr().out
         assert "2/2 trials" in out
+        assert "converged 0/1 configs" in out
         assert "complete:" in out
 
-    def test_follow_updates_default_registry_gauges(self, store):
+    def test_watch_updates_default_registry_gauges(self, store):
         from repro.obs import default_registry
 
-        main(["campaign", "status", "--store", store, "--follow"])
-        gauge = default_registry().gauge(
-            "repro_campaign_status_journaled",
-            "Journaled trials seen by the status follower, per store.",
-            labelnames=("store",),
-        )
-        assert gauge.value(store=store) == 2
+        assert main(["campaign", "watch", "--store", store, "--once"]) == 0
+        registry = default_registry()
+        for name, value in (("journaled", 2), ("expected", 2)):
+            gauge = registry.gauge(
+                f"repro_campaign_status_{name}", "", labelnames=("store",)
+            )
+            assert gauge.value(store=store) == value
 
 
 class TestProfileReplicas:

@@ -39,7 +39,7 @@ class _ParamHealth:
         return 1.0 - bad / total
 
 
-def make_campaign(workers=0, trials=TRIALS, seed=SEED, shard=None):
+def make_campaign(workers=0, trials=TRIALS, seed=SEED):
     model = _model()
     return FaultCampaign(
         FaultInjector(model),
@@ -47,7 +47,6 @@ def make_campaign(workers=0, trials=TRIALS, seed=SEED, shard=None):
         trials=trials,
         seed=seed,
         workers=workers,
-        shard=shard,
     )
 
 

@@ -77,6 +77,15 @@ class TestGauges:
         live = snapshot["repro_campaign_worker_live"]["series"]
         assert live[0]["value"] == 0.0  # released
 
+    def test_update_gauges_feeds_store_series(self, store_path):
+        run_worker(store_path, "alpha")
+        update_gauges(coord_status(store_path))
+        snapshot = default_registry().snapshot()
+        for name in ("journaled", "expected"):
+            (series,) = snapshot[f"repro_campaign_status_{name}"]["series"]
+            assert series["labels"]["store"] == str(store_path)
+            assert series["value"] == float(len(RATES) * TRIALS)
+
 
 class TestRendering:
     def test_render_covers_configs_workers_claims(self, store_path):
@@ -86,6 +95,15 @@ class TestRendering:
         assert "2.5 trials/s" in text
         assert "config ::rate=0.001" in text
         assert "worker alpha: released" in text
+
+    def test_render_head_shows_convergence_and_eta(self, store_path):
+        status = coord_status(store_path)
+        head = render_watch(status, rate=4.0).splitlines()[0]
+        assert f"0/{len(RATES) * TRIALS} trials (running)" in head
+        assert f"converged 0/{len(RATES)} configs" in head
+        assert f"~{len(RATES) * TRIALS / 4.0:.0f}s remaining" in head
+        assert "remaining" not in render_watch(status, rate=0.0)
+        assert "remaining" not in render_watch(status)
 
     def test_render_notes_single_writer_stores(self, store_path):
         text = render_watch(coord_status(store_path))

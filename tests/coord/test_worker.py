@@ -102,11 +102,6 @@ class TestTwoWorkers:
 
 
 class TestAdmission:
-    def test_sharded_campaign_rejected(self, store_path):
-        with make_campaign(shard=(0, 2)) as campaign:
-            with pytest.raises(CoordError, match="unsharded"):
-                CampaignWorker(campaign, store_path, fault_models())
-
     def test_unregistered_config_rejected(self, tmp_path):
         store_dir = tmp_path / "store"
         make_store(store_dir, rates=RATES[:1])  # sweep half-registered

@@ -141,15 +141,16 @@ class TestOrderIndependence:
     def test_atlas_is_identical_regardless_of_journal_append_order(
         self, tmp_path
     ):
-        """A merged shard store journals trials source-major (0,2,1,3…)
-        while a straight run journals 0,1,2,3; float reductions are
-        order-sensitive, so the atlas must re-sort by trial index before
-        aggregating or the byte-identity contract flakes by one ulp."""
+        """A store folded from several writers' segments can hold trials
+        in any order (0,2,1,3…) while a straight run journals 0,1,2,3;
+        float reductions are order-sensitive, so the atlas must re-sort
+        by trial index before aggregating or the byte-identity contract
+        flakes by one ulp."""
         # Accuracies chosen so naive left-to-right summation differs
         # across orders in the last bit.
         values = {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.30000000000000004}
         stores = {}
-        for name, order in (("straight", [0, 1, 2, 3]), ("merged", [0, 2, 1, 3])):
+        for name, order in (("straight", [0, 1, 2, 3]), ("shuffled", [0, 2, 1, 3])):
             store = CampaignStore.for_campaign(tmp_path / name, make_campaign())
             key = store.open_config(SPEC)
             for trial in order:
@@ -157,10 +158,10 @@ class TestOrderIndependence:
                     key, TrialOutcome(trial, values[trial], 1), [(0, 5)]
                 )
             stores[name] = store
-        assert list(stores["merged"].records(key)) == [0, 1, 2, 3]
+        assert list(stores["shuffled"].records(key)) == [0, 1, 2, 3]
         straight = json.dumps(build_atlas(stores["straight"], baseline=1.0))
-        merged = json.dumps(build_atlas(stores["merged"], baseline=1.0))
-        assert straight == merged
+        shuffled = json.dumps(build_atlas(stores["shuffled"], baseline=1.0))
+        assert straight == shuffled
         for store in stores.values():
             store.close()
 

@@ -3,8 +3,9 @@
 ``replicas`` is scheduling, not identity — a journal written by a
 replica-batched campaign must match the per-trial journal record for
 record (the trailing ``"sec"`` wall-time field is the one sanctioned
-difference), resumes may switch the knob freely mid-campaign, shard
-merges are width-agnostic, and the rendered atlas is byte-identical.
+difference), resumes may switch the knob freely mid-campaign, segment
+writers at different widths fold to the straight journal, and the
+rendered atlas is byte-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ RATES = (1e-6, 5e-6)
 SPEC = BitFlipFaultModel.at_rate(5e-6)
 
 
-def make_campaign(replicas="off", workers=0, trials=8, shard=None):
+def make_campaign(replicas="off", workers=0, trials=8):
     model = quantize_module(
         build_model("lenet", num_classes=10, scale=0.5, image_size=16, seed=0)
     )
@@ -44,7 +45,6 @@ def make_campaign(replicas="off", workers=0, trials=8, shard=None):
         trials=trials,
         seed=11,
         workers=workers,
-        shard=shard,
         replicas=replicas,
     )
 
@@ -112,30 +112,36 @@ class TestReplicaStoreIdentity:
                 reference[rate].accuracies, resumed[rate].accuracies
             )
 
-    def test_shard_merge_is_width_agnostic(self, tmp_path):
-        with make_campaign(replicas="off") as campaign:
-            reference = campaign.run_sweep(RATES, tag="s")
+    def test_segment_fold_is_width_agnostic(self, tmp_path):
+        """Two segment writers at different replica widths, each taking
+        interleaved trials, fold to the straight per-trial journal."""
+        straight = _run_store(tmp_path, "straight", "off")
+        folded = tmp_path / "folded"
+        models = [BitFlipFaultModel.at_rate(rate) for rate in RATES]
+        with make_campaign() as campaign:
+            with CampaignStore.for_campaign(folded, campaign) as store:
+                keys = store.register_configs(models, tag="r")
+        for index, (segment, width) in enumerate((("alpha", 3), ("beta", 4))):
+            with make_campaign(replicas=width) as campaign:
+                with CampaignStore.open(folded, segment=segment) as store:
+                    store.attach(campaign)
+                    for key, model in zip(keys, models):
+                        trials = range(index, campaign.trials, 2)
+                        for outcome, sites in campaign.iter_range(
+                            model, trials, tag="r"
+                        ):
+                            store.record(key, outcome, sites)
 
-        shard_dirs = []
-        for index in range(2):
-            shard_dir = tmp_path / f"shard{index}"
-            with make_campaign(replicas=3, shard=(index, 2)) as campaign:
-                with CampaignStore.for_campaign(shard_dir, campaign) as store:
-                    campaign.run_sweep(RATES, tag="s", store=store)
-            shard_dirs.append(shard_dir)
-
-        merged = CampaignStore.merge(tmp_path / "merged", shard_dirs)
+        reference = CampaignStore.open(straight)
         try:
-            for rate, key in zip(RATES, merged.config_keys()):
-                result = merged.result(key)
-                np.testing.assert_array_equal(
-                    reference[rate].accuracies, result.accuracies
-                )
-                np.testing.assert_array_equal(
-                    reference[rate].flip_counts, result.flip_counts
-                )
+            with CampaignStore.open(folded) as store:
+                assert store.config_keys() == reference.config_keys()
+                for key in keys:
+                    assert store.complete(key)
+                    assert store.records(key) == reference.records(key)
         finally:
-            merged.close()
+            reference.close()
+        assert _atlas_bytes(folded) == _atlas_bytes(straight)
 
     def test_replica_groups_respect_the_journal_budget(self, tmp_path):
         """A group wider than the remaining budget must not evaluate

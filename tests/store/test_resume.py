@@ -4,14 +4,14 @@ Trial seeds are schedule-independent and journaled floats round-trip
 exactly, so a campaign resumed from its store must reproduce the
 uninterrupted run bit for bit — per-trial accuracies, flip counts, and
 the EarlyStop decision stream — on the serial and the pooled executor
-alike; likewise a merge of shard stores must equal the unsharded run.
+alike; likewise trials journaled by several segment writers must fold
+to the straight run.
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.errors import ConfigurationError
 from repro.fault import (
     BitFlipFaultModel,
     EarlyStop,
@@ -55,7 +55,7 @@ class _CountingHealth(_ParamHealth):
         return super().__call__()
 
 
-def make_campaign(workers=0, trials=8, seed=11, shard=None, counting=False):
+def make_campaign(workers=0, trials=8, seed=11, counting=False):
     model = _model()
     evaluate = _CountingHealth(model) if counting else _ParamHealth(model)
     return FaultCampaign(
@@ -64,7 +64,6 @@ def make_campaign(workers=0, trials=8, seed=11, shard=None, counting=False):
         trials=trials,
         seed=seed,
         workers=workers,
-        shard=shard,
     )
 
 
@@ -144,30 +143,34 @@ class TestResumeDeterminism:
 
 
 @pytest.mark.parametrize("workers", [0, 2])
-def test_two_way_shard_merge_equals_unsharded(tmp_path, workers):
+def test_two_segment_fold_equals_straight_run(tmp_path, workers):
+    """Two writers journal interleaved trial slices into their own
+    segments of one store; the fold equals the straight run."""
     with make_campaign(workers=0) as campaign:
         reference = campaign.run_sweep(RATES, tag="s")
 
-    shard_dirs = []
-    for index in range(2):
-        shard_dir = tmp_path / f"shard{index}"
-        with make_campaign(workers=workers, shard=(index, 2)) as campaign:
-            with CampaignStore.for_campaign(shard_dir, campaign) as store:
-                campaign.run_sweep(RATES, tag="s", store=store)
-        shard_dirs.append(shard_dir)
+    models = [BitFlipFaultModel.at_rate(rate) for rate in RATES]
+    with make_campaign() as campaign:
+        with CampaignStore.for_campaign(tmp_path, campaign) as store:
+            keys = store.register_configs(models, tag="s")
+    for index, segment in enumerate(("alpha", "beta")):
+        with make_campaign(workers=workers) as campaign:
+            with CampaignStore.open(tmp_path, segment=segment) as store:
+                store.attach(campaign)
+                for key, model in zip(keys, models):
+                    trials = range(index, campaign.trials, 2)
+                    for outcome, sites in campaign.iter_range(model, trials, tag="s"):
+                        store.record(key, outcome, sites)
 
-    merged = CampaignStore.merge(tmp_path / "merged", shard_dirs)
-    try:
-        for rate, key in zip(RATES, merged.config_keys()):
-            result = merged.result(key)
+    with CampaignStore.open(tmp_path) as folded:
+        for rate, key in zip(RATES, keys):
+            result = folded.result(key)
             np.testing.assert_array_equal(
                 reference[rate].accuracies, result.accuracies
             )
             np.testing.assert_array_equal(
                 reference[rate].flip_counts, result.flip_counts
             )
-    finally:
-        merged.close()
 
 
 class TestBudget:
@@ -248,8 +251,3 @@ class TestEarlyStopConvergence:
                 )
                 assert store.converged_at(store.config_keys()[0]) == reference.trials
         np.testing.assert_array_equal(reference.accuracies, resumed.accuracies)
-
-    def test_early_stop_refuses_sharded_campaigns(self, tmp_path):
-        with make_campaign(shard=(0, 2)) as campaign:
-            with pytest.raises(ConfigurationError, match="shard"):
-                campaign.run(SPEC, early_stop=self.STOP)

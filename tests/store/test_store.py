@@ -1,4 +1,4 @@
-"""The campaign store: format, durability, identity, budget, merge."""
+"""The campaign store: format, durability, identity, budget, old stores."""
 
 import json
 import os
@@ -38,7 +38,7 @@ class _ParamHealth:
         return 1.0 - bad / total
 
 
-def make_campaign(workers=0, trials=6, seed=0, shard=None):
+def make_campaign(workers=0, trials=6, seed=0):
     model = _model()
     injector = FaultInjector(model)
     return FaultCampaign(
@@ -47,7 +47,6 @@ def make_campaign(workers=0, trials=6, seed=0, shard=None):
         trials=trials,
         seed=seed,
         workers=workers,
-        shard=shard,
     )
 
 
@@ -63,7 +62,7 @@ class TestCreateOpen:
         assert (tmp_path / "s" / "trials.jsonl").exists()
         assert store.trials == 6
         assert store.seed == 0
-        assert store.shard is None
+        assert store.identity["shard"] is None  # fixed; see TestOldStores
         assert store.meta == {"note": "hi"}
         assert store.layers  # the injector's parameter names
         assert store.identity["fingerprint"].startswith("sha256:")
@@ -93,10 +92,6 @@ class TestCreateOpen:
             CampaignStore.for_campaign(tmp_path / "s", make_campaign(seed=1))
         with pytest.raises(StoreError, match="trials"):
             CampaignStore.for_campaign(tmp_path / "s", make_campaign(trials=9))
-        with pytest.raises(StoreError, match="shard"):
-            CampaignStore.for_campaign(
-                tmp_path / "s", make_campaign(shard=(0, 2))
-            )
 
     def test_edited_manifest_fails_config_hash(self, tmp_path):
         CampaignStore.for_campaign(tmp_path / "s", make_campaign()).close()
@@ -182,13 +177,6 @@ class TestCompleteness:
         assert isinstance(result.fault_model, StoredFaultModel)
         assert result.fault_model.describe() == SPEC.describe()
 
-    def test_shard_store_expects_only_its_slice(self, tmp_path):
-        store = CampaignStore.for_campaign(
-            tmp_path / "s", make_campaign(trials=5, shard=(1, 2))
-        )
-        key = store.open_config(SPEC)
-        assert store.expected_indices(key) == [1, 3]
-
     def test_status_counts(self, tmp_path):
         store = CampaignStore.for_campaign(tmp_path / "s", make_campaign(trials=2))
         key = store.open_config(SPEC, tag="x")
@@ -203,107 +191,40 @@ class TestCompleteness:
         assert config["journaled"] == 1
 
 
-class TestMerge:
-    def test_merge_rejects_foreign_stores(self, tmp_path):
-        CampaignStore.for_campaign(tmp_path / "a", make_campaign(seed=0)).close()
-        CampaignStore.for_campaign(tmp_path / "b", make_campaign(seed=1)).close()
-        with pytest.raises(StoreError, match="identity"):
-            CampaignStore.merge(tmp_path / "m", [tmp_path / "a", tmp_path / "b"])
+class TestOldStores:
+    """Manifests written before static shards were removed."""
 
-    def test_merge_detects_conflicting_duplicates(self, tmp_path):
-        for name, accuracy in (("a", 0.5), ("b", 0.75)):
-            store = CampaignStore.for_campaign(tmp_path / name, make_campaign())
-            key = store.open_config(SPEC)
-            store.record(key, TrialOutcome(0, accuracy, 1), [])
-            store.close()
-        with pytest.raises(StoreError, match="conflicting"):
-            CampaignStore.merge(tmp_path / "m", [tmp_path / "a", tmp_path / "b"])
+    def _rewrite_identity(self, path, **changes):
+        from repro.store.store import _identity_hash
 
-    def test_merge_deduplicates_identical_records(self, tmp_path):
-        # seconds differ (wall-clock always does between hosts); the
-        # record identity is accuracy/flips/sites, so this deduplicates
-        # rather than reporting a bogus conflict.
-        for name, seconds in (("a", 1.0), ("b", 2.5)):
-            store = CampaignStore.for_campaign(tmp_path / name, make_campaign())
-            key = store.open_config(SPEC)
-            store.record(key, TrialOutcome(0, 0.5, 1, seconds=seconds), [(0, 2)])
-            store.close()
-        merged = CampaignStore.merge(tmp_path / "m", [tmp_path / "a", tmp_path / "b"])
-        assert sorted(merged.journaled(key)) == [0]
-        merged.close()
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["identity"].update(changes)
+        manifest["config_hash"] = _identity_hash(manifest["identity"])
+        manifest_path.write_text(json.dumps(manifest))
 
-    def test_merged_store_is_unsharded(self, tmp_path):
-        stores = []
-        for index in range(2):
-            campaign = make_campaign(trials=4, shard=(index, 2))
-            store = CampaignStore.for_campaign(tmp_path / f"s{index}", campaign)
-            key = store.open_config(SPEC)
-            for trial in campaign.trial_plan():
-                store.record(key, TrialOutcome(trial, trial / 10, trial), [])
-            store.close()
-            stores.append(tmp_path / f"s{index}")
-        merged = CampaignStore.merge(tmp_path / "m", stores)
-        assert merged.shard is None
-        assert merged.complete(key)
-        np.testing.assert_array_equal(
-            merged.result(key).accuracies, [0.0, 0.1, 0.2, 0.3]
-        )
-        merged.close()
+    def test_unsharded_identity_keeps_its_config_hash(self, tmp_path):
+        """``"shard": null`` stays in the identity, so stores written
+        with it reopen, attach and resume with no migration."""
+        store = CampaignStore.for_campaign(tmp_path / "s", make_campaign())
+        key = store.open_config(SPEC)
+        store.record(key, TrialOutcome(0, 0.5, 1), [])
+        config_hash = store.config_hash
+        store.close()
+        assert json.loads((tmp_path / "s" / "manifest.json").read_text())[
+            "identity"
+        ]["shard"] is None
+        with CampaignStore.for_campaign(tmp_path / "s", make_campaign()) as store:
+            assert store.config_hash == config_hash
+            assert sorted(store.journaled(key)) == [0]
 
-    def test_merge_needs_sources(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            CampaignStore.merge(tmp_path / "m", [])
-
-    def test_merge_killed_mid_records_leaves_an_openable_store(
-        self, tmp_path, monkeypatch
-    ):
-        """The config table is persisted before any record is journaled,
-        so a crash mid-merge leaves a valid (incomplete) store — never a
-        journal referencing configs the manifest doesn't know."""
-        sources = []
-        for index in range(2):
-            campaign = make_campaign(trials=4, shard=(index, 2))
-            store = CampaignStore.for_campaign(tmp_path / f"s{index}", campaign)
-            key = store.open_config(SPEC)
-            for trial in campaign.trial_plan():
-                store.record(key, TrialOutcome(trial, trial / 10, 1), [])
-            store.close()
-            sources.append(tmp_path / f"s{index}")
-
-        original = CampaignStore._append
-        appended = []
-
-        def exploding(self, append_key, record):
-            if appended:
-                raise RuntimeError("simulated crash mid-merge")
-            appended.append(record)
-            original(self, append_key, record)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(CampaignStore, "_append", exploding)
-            with pytest.raises(RuntimeError, match="mid-merge"):
-                CampaignStore.merge(tmp_path / "m", sources)
-
-        survivor = CampaignStore.open(tmp_path / "m")
-        assert survivor.config_keys() == [key]
-        assert not survivor.complete(key)
-        assert len(survivor.missing_indices(key)) == 3
-        survivor.close()
-
-
-class TestShardValidation:
-    def test_bad_shards_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_campaign(shard=(2, 2))
-        with pytest.raises(ConfigurationError):
-            make_campaign(shard=(-1, 2))
-        with pytest.raises(ConfigurationError):
-            make_campaign(shard=(0, 0))
-        with pytest.raises(ConfigurationError):
-            make_campaign(shard="1/2")
-
-    def test_trial_plan_partitions_exactly(self):
-        plans = [make_campaign(trials=7, shard=(i, 3)).trial_plan() for i in range(3)]
-        combined = sorted(t for plan in plans for t in plan)
-        assert combined == list(range(7))
-        assert make_campaign(trials=7).trial_plan() == list(range(7))
+    def test_sharded_store_is_refused_on_open(self, tmp_path):
+        CampaignStore.for_campaign(tmp_path / "s", make_campaign()).close()
+        self._rewrite_identity(tmp_path / "s", shard=[1, 2])
+        with pytest.raises(StoreError, match="shard") as raised:
+            CampaignStore.open(tmp_path / "s")
+        assert "fresh store" in str(raised.value)
+        assert "campaign run" in str(raised.value)
+        assert "serve-store" in str(raised.value)
+        with pytest.raises(StoreError, match="shard"):
+            CampaignStore.for_campaign(tmp_path / "s", make_campaign())
