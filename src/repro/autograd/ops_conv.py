@@ -19,7 +19,7 @@ scatter their window gradients with :func:`_scatter_windows`.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,6 +41,11 @@ GEMM_BLOCK_BYTES = 1 << 20
 #: below this the position-major copy is already cheap (short planes,
 #: python loop overhead dominates) and :func:`im2col` uses it directly.
 KMAJOR_MIN_AREA = 64
+
+#: Floats of padding after each K-major staging row (see
+#: :func:`staging_shape`): 64 bytes, one cache line, so consecutive rows
+#: start in different cache sets.
+STAGING_ROW_PAD = 16
 
 
 def as_pair(value: IntPair, name: str) -> tuple[int, int]:
@@ -89,40 +94,61 @@ def im2col_blocks(
     return [(b0, min(b0 + block, n)) for b0 in range(0, n, block)]
 
 
+def staging_shape(
+    n: int, k: int, per_image: int, itemsize: int
+) -> tuple[int, int]:
+    """Shape of the K-major staging buffer one blocked gather needs.
+
+    One row per column-matrix column, as long as the largest batch block
+    plus ``STAGING_ROW_PAD`` floats.  Unpadded, a row of ``B * OH * OW``
+    floats is a multiple of 4 KiB on every 32x32 map and on many 16x16
+    and 8x8 blocks, so the staging-to-column transpose, which reads all
+    K rows at one offset, would hit a single cache set K times over.
+    """
+    b0, b1 = im2col_blocks(n, k, per_image, itemsize)[0]
+    return (k, (b1 - b0) * per_image + STAGING_ROW_PAD)
+
+
 def gather_block(
     cols: np.ndarray,
     staging: np.ndarray,
     padded: np.ndarray,
     b0: int,
     b1: int,
+    kernel: tuple[int, int],
     stride: tuple[int, int],
 ) -> None:
     """Fill the column-matrix rows of images ``b0:b1`` via K-major staging.
 
-    ``staging`` has shape (C, kh, kw, b1 - b0, OH, OW): ``staging[c, i,
-    j]`` receives column ``(c, i, j)`` of the im2col matrix for the
+    ``staging`` is a (C * kh * kw, R) buffer with ``R`` at least
+    ``(b1 - b0) * OH * OW`` (see :func:`staging_shape`): row ``(c, i,
+    j)`` receives column ``(c, i, j)`` of the im2col matrix for the
     block — one contiguous destination plane per copy, which is what
     makes this gather several times faster than the position-major
     transpose.  The block is then transposed, still cache-resident, into
     rows ``b0 * OH * OW : b1 * OH * OW`` of the position-major ``cols``
-    (shape (N * OH * OW, C * kh * kw)).
+    (shape (N * OH * OW, C * kh * kw)).  Only the leading
+    ``(b1 - b0) * OH * OW`` entries of each row are written or read, so a
+    ragged tail block reuses the full block's buffer.
     """
-    c, kh, kw, _, oh, ow = staging.shape
+    c = padded.shape[1]
+    kh, kw = kernel
     sh, sw = stride
+    oh = (padded.shape[2] - kh) // sh + 1
+    ow = (padded.shape[3] - kw) // sw + 1
+    per_image = oh * ow
+    rows = (b1 - b0) * per_image
+    planes = staging[:, :rows].reshape(c, kh, kw, b1 - b0, oh, ow)
     block = padded[b0:b1]
     for i in range(kh):
         for j in range(kw):
             np.copyto(
-                staging[:, i, j],
+                planes[:, i, j],
                 block[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw].transpose(
                     1, 0, 2, 3
                 ),
             )
-    per_image = oh * ow
-    np.copyto(
-        cols[b0 * per_image : b1 * per_image],
-        staging.reshape(c * kh * kw, (b1 - b0) * per_image).T,
-    )
+    np.copyto(cols[b0 * per_image : b1 * per_image], staging[:, :rows].T)
 
 
 def im2col(
@@ -132,7 +158,7 @@ def im2col(
     oh: int,
     ow: int,
     out: np.ndarray | None = None,
-    staging: Callable[[tuple[int, ...]], np.ndarray] | None = None,
+    staging: np.ndarray | None = None,
 ) -> np.ndarray:
     """Position-major column matrix (N * OH * OW, C * kh * kw) of ``padded``.
 
@@ -141,8 +167,9 @@ def im2col(
     least ``KMAJOR_MIN_AREA`` positions per image go through
     :func:`gather_block`; smaller ones copy the window view directly.
     Both are pure copies, so the bytes never depend on the route.
-    ``staging(shape)`` supplies the staging buffers (one per distinct
-    block shape, reused across blocks); the default allocates them.
+    ``staging`` is the K-major buffer of :func:`staging_shape` (the
+    compiled runtime passes a view of its plan's scratch arena); by
+    default one is allocated.  It is reused across blocks.
     """
     n, c = padded.shape[:2]
     kh, kw = kernel
@@ -156,14 +183,11 @@ def im2col(
             out.reshape(n, oh, ow, c, kh, kw), windows.transpose(0, 2, 3, 1, 4, 5)
         )
         return out
-    buffers: dict[tuple[int, ...], np.ndarray] = {}
-    for b0, b1 in im2col_blocks(n, k, per_image, padded.dtype.itemsize):
-        shape = (c, kh, kw, b1 - b0, oh, ow)
-        buf = buffers.get(shape)
-        if buf is None:
-            buf = np.empty(shape, dtype=padded.dtype) if staging is None else staging(shape)
-            buffers[shape] = buf
-        gather_block(out, buf, padded, b0, b1, stride)
+    itemsize = padded.dtype.itemsize
+    if staging is None:
+        staging = np.empty(staging_shape(n, k, per_image, itemsize), padded.dtype)
+    for b0, b1 in im2col_blocks(n, k, per_image, itemsize):
+        gather_block(out, staging, padded, b0, b1, kernel, stride)
     return out
 
 

@@ -886,6 +886,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         f"{args.repeats} forwards after {args.warmup} warmup"
     )
     print(profile.table())
+    print(_plan_memory_line(plan))
     if args.trace_out:
         count = profile.write_chrome_trace(args.trace_out)
         print(
@@ -893,6 +894,24 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "(open at https://ui.perfetto.dev)"
         )
     return 0
+
+
+def _plan_memory_line(plan) -> str:
+    """One line of the plan's buffer footprint, after the kernel table."""
+    memory = plan.memory()
+    scratch, kernels = memory["scratch"], memory["kernels"]
+
+    def size(nbytes: int) -> str:
+        if nbytes < 2**20:
+            return f"{nbytes / 2**10:.1f} KB"
+        return f"{nbytes / 2**20:.1f} MB"
+
+    names = ", ".join(f"{name} {size(nbytes)}" for name, nbytes in sorted(scratch.items()))
+    return (
+        f"memory: scratch arena {size(sum(scratch.values()))} ({names}); "
+        f"per-kernel out {size(kernels.get('out', 0))}, "
+        f"padded {size(kernels.get('padded', 0))}"
+    )
 
 
 def _profile_replicas(args, plan, model, meta: dict, shape) -> int:

@@ -5,6 +5,13 @@ implements the per-bit-position vulnerability study (which bit of a
 Q15.16 word, when flipped, hurts accuracy most) — the mechanism behind
 the paper's observation that high-magnitude corruptions dominate, and the
 basis of the ABL-B ablation bench.
+
+``scipy.stats`` is imported inside the two interval helpers, not at
+module level.  Every ``repro`` command reaches this module through
+``repro.fault``, and importing scipy.stats costs about 1.0 s and 60 MB
+per process, while only ``campaign report`` and early stopping ever ask
+for a Student-t or normal quantile.  The quantiles themselves are
+unchanged, so reports keep their bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 from repro.fault.campaign import CampaignResult, FaultCampaign
@@ -194,6 +200,8 @@ def mean_confidence_interval(
     sem = float(values.std(ddof=1) / np.sqrt(values.size))
     if sem == 0.0:
         return (mean, mean)
+    from scipy import stats
+
     half = float(stats.t.ppf(0.5 + confidence / 2.0, df=values.size - 1) * sem)
     return (mean - half, mean + half)
 
@@ -215,6 +223,8 @@ def wilson_interval(
         )
     if not 0.0 < confidence < 1.0:
         raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
+    from scipy import stats
+
     z = float(stats.norm.ppf(0.5 + confidence / 2.0))
     p = successes / trials
     denom = 1.0 + z * z / trials

@@ -22,17 +22,30 @@ Two rules keep fault-injection semantics intact:
   owning :class:`~repro.runtime.plan.InferencePlan` calls it whenever a
   parameter mutation is signalled or detected.
 
-Intermediate buffers are allocated lazily per ``(name, shape)`` and
-reused across calls — the im2col column matrix, the GEMM output, and
-the NCHW output of every layer are written in place on each forward,
+Intermediate buffers are allocated lazily and reused across calls,
 which removes the per-pass allocation churn that dominates the module
-path.  Kernels never write into their *input* array: plan inputs (e.g.
-an :class:`~repro.eval.Evaluator`'s materialised batches) are read-only.
+path.  They come in two lifetimes:
+
+- **Scratch is per plan.**  The im2col column matrix, the K-major
+  staging blocks, the GEMM output and the activation masks die when the
+  step that wrote them returns.  Steps run one at a time under the plan
+  lock, so every kernel of a plan draws them from one
+  :class:`ScratchArena`: one grow-only buffer per name, as large as the
+  largest single need, not one copy per kernel and batch size.
+- **``out`` and ``padded`` are per kernel** (:class:`_Buffers`, keyed by
+  shape).  A step's ``out`` is the next step's input (a residual
+  shortcut's lives across a whole branch), and ``padded`` relies on
+  fill borders that are written once and never again.
+
+Kernels never write into their *input* array: plan inputs (e.g. an
+:class:`~repro.eval.Evaluator`'s materialised batches) are read-only.
 """
 
 from __future__ import annotations
 
+import math
 import threading
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
@@ -47,6 +60,7 @@ from repro.autograd.ops_conv import (
     gather_block,
     im2col,
     im2col_blocks,
+    staging_shape,
 )
 from repro.autograd.ops_nn import sigmoid_into
 from repro.autograd.tensor import Tensor
@@ -78,7 +92,9 @@ __all__ = [
     "LinearKernel",
     "MaxPoolKernel",
     "ResidualKernel",
+    "ScratchArena",
     "apply_activation",
+    "walk_kernels",
 ]
 
 # ----------------------------------------------------------------------
@@ -164,18 +180,64 @@ ACTIVATION_TYPES = (
 )
 
 
-class _Buffers:
-    """Lazily-allocated scratch arrays, reused by ``(name, shape)``.
+class ScratchArena:
+    """Grow-only scratch memory shared by every kernel of one plan.
 
-    Distinct batch sizes (a serve lane's variable micro-batches, an
-    evaluator's ragged final batch) keep distinct buffers, so switching
-    between them never reallocates.
+    Holds one flat buffer per ``(name, dtype)``; :meth:`get` returns a
+    contiguous view of the requested shape at the buffer's start,
+    growing the buffer when the request is larger.  A plan's steps run
+    one at a time under its lock and none keeps scratch past its own
+    ``run``, so the arena ends up as large as the largest single need
+    per name, whatever the number of kernels and batch sizes.  Names a
+    step needs at the same time must differ (the threaded gather's
+    staging blocks are ``("colsT", slot)``).
+
+    Arenas are per plan, never per process: plans of different models
+    run concurrently (one per resident checkpoint in ``serve``).
     """
 
     __slots__ = ("_store",)
 
     def __init__(self) -> None:
+        self._store: dict[tuple[object, np.dtype], np.ndarray] = {}
+
+    def get(
+        self, name: object, shape: tuple[int, ...], dtype: type = np.float32
+    ) -> np.ndarray:
+        key = (name, np.dtype(dtype))
+        size = math.prod(shape)
+        buf = self._store.get(key)
+        if buf is None or buf.size < size:
+            buf = np.empty(size, dtype=dtype)
+            self._store[key] = buf
+        return buf[:size].reshape(shape)
+
+    def sizes(self) -> dict[str, int]:
+        """Bytes held per scratch name (slots of one name summed)."""
+        sizes: dict[str, int] = {}
+        for (name, _dtype), buf in self._store.items():
+            label = name[0] if isinstance(name, tuple) else str(name)
+            sizes[label] = sizes.get(label, 0) + buf.nbytes
+        return sizes
+
+
+class _Buffers:
+    """A kernel's own arrays, reused by ``(name, shape)``, plus its scratch.
+
+    Only ``out`` and ``padded`` live here, per kernel: the output feeds
+    later steps, and ``padded`` keeps fill borders that are never
+    rewritten.  Distinct batch sizes (a serve lane's variable
+    micro-batches, an evaluator's ragged final batch) keep distinct
+    arrays, so switching between them never reallocates.  Everything
+    else is scratch, drawn from the plan's :class:`ScratchArena`
+    (``scratch``; a kernel outside a plan gets a private one).
+    """
+
+    __slots__ = ("_store", "scratch")
+
+    def __init__(self) -> None:
         self._store: dict[tuple, np.ndarray] = {}
+        self.scratch = ScratchArena()
 
     def get(
         self,
@@ -195,9 +257,16 @@ class _Buffers:
             self._store[key] = buf
         return buf
 
+    def sizes(self) -> dict[str, int]:
+        """Bytes held per buffer name (all shapes summed)."""
+        sizes: dict[str, int] = {}
+        for (name, _shape, _dtype), buf in self._store.items():
+            sizes[name] = sizes.get(name, 0) + buf.nbytes
+        return sizes
+
 
 def apply_activation(
-    module: Module, src: np.ndarray, out: np.ndarray, bufs: _Buffers
+    module: Module, src: np.ndarray, out: np.ndarray, scratch: ScratchArena
 ) -> np.ndarray:
     """Evaluate ``module``'s activation on ``src``, writing into ``out``.
 
@@ -210,17 +279,17 @@ def apply_activation(
     if isinstance(module, Identity):
         return src
     if isinstance(module, ReLU):
-        mask = bufs.get("act_mask", src.shape, dtype=np.bool_)
+        mask = scratch.get("act_mask", src.shape, dtype=np.bool_)
         np.greater(src, 0, out=mask)
         return np.multiply(src, mask, out=out)
     if isinstance(module, BoundedReLU):
         bound = module.bound.data
-        mask = bufs.get("act_mask", src.shape, dtype=np.bool_)
+        mask = scratch.get("act_mask", src.shape, dtype=np.bool_)
         if module.mode == "saturate":
             np.greater(src, 0, out=mask)
             np.multiply(src, mask, out=out)
             return np.minimum(out, bound, out=out)
-        over = bufs.get("act_over", src.shape, dtype=np.bool_)
+        over = scratch.get("act_over", src.shape, dtype=np.bool_)
         np.greater(src, bound, out=over)
         np.greater(src, 0, out=mask)
         np.multiply(src, mask, out=out)
@@ -228,7 +297,7 @@ def apply_activation(
         return out
     if isinstance(module, BoundedTanh):
         bound = module.bound.data
-        mask = bufs.get("act_mask", src.shape, dtype=np.bool_)
+        mask = scratch.get("act_mask", src.shape, dtype=np.bool_)
         np.greater(src, 0, out=mask)
         np.multiply(src, mask, out=out)
         np.divide(out, bound, out=out)
@@ -240,11 +309,11 @@ def apply_activation(
             scale = (module.k / np.maximum(np.abs(bound), 1e-6)).astype(np.float32)
         else:
             scale = np.float32(module.k)
-        z = bufs.get("act_z", src.shape)
+        z = scratch.get("act_z", src.shape)
         np.subtract(bound, src, out=z)
         np.multiply(z, scale, out=z)
-        gate = bufs.get("act_gate", src.shape)
-        mask = bufs.get("act_mask", src.shape, dtype=np.bool_)
+        gate = scratch.get("act_gate", src.shape)
+        mask = scratch.get("act_mask", src.shape, dtype=np.bool_)
         # z is disposable and gate is fresh: the sigmoid runs in the
         # buffers the branch already owns.
         sigmoid_into(z, gate, e=gate, d=z, mask=mask)
@@ -260,9 +329,9 @@ def apply_activation(
         return sigmoid_into(
             src,
             out,
-            e=bufs.get("act_z", src.shape),
-            d=bufs.get("act_gate", src.shape),
-            mask=bufs.get("act_mask", src.shape, dtype=np.bool_),
+            e=scratch.get("act_z", src.shape),
+            d=scratch.get("act_gate", src.shape),
+            mask=scratch.get("act_mask", src.shape, dtype=np.bool_),
         )
     if isinstance(module, Tanh):
         return np.tanh(src, out=out)
@@ -309,6 +378,19 @@ class Kernel:
 
     def describe(self) -> str:
         return type(self).__name__
+
+
+def walk_kernels(steps: Iterable[Kernel]) -> Iterator[Kernel]:
+    """Every kernel of ``steps``, depth first, nested branches included.
+
+    Steps from ``register_block_compiler`` need not subclass
+    :class:`Kernel`; one without ``child_kernels`` has no nested steps.
+    """
+    for step in steps:
+        yield step
+        children = getattr(step, "child_kernels", None)
+        for _branch, sub_steps in children() if children is not None else ():
+            yield from walk_kernels(sub_steps)
 
 
 class _BNFold:
@@ -440,7 +522,7 @@ class ConvKernel(Kernel):
         n, c = x.shape[:2]
         sh, sw = conv.stride
         view = x if (sh, sw) == (1, 1) else x[:, :, ::sh, ::sw]
-        cols = self.bufs.get("cols1x1", (n, oh, ow, c))
+        cols = self.bufs.scratch.get("cols1x1", (n, oh, ow, c))
         nhwc = view.transpose(0, 2, 3, 1)
         workers = self._workers_for(n * oh * ow, c, conv.out_channels)
         started = prof.now() if prof is not None else 0.0
@@ -482,14 +564,19 @@ class ConvKernel(Kernel):
         change.
         """
         conv = self.conv
+        scratch = self.bufs.scratch
         n, c = padded.shape[:2]
         kh, kw = conv.kernel_size
+        k = c * kh * kw
         per_image = oh * ow
-        ranges = im2col_blocks(n, c * kh * kw, per_image, padded.dtype.itemsize)
+        itemsize = padded.dtype.itemsize
+        ranges = im2col_blocks(n, k, per_image, itemsize)
         workers = min(workers, len(ranges))
-        if workers <= 1 or per_image < KMAJOR_MIN_AREA:
-            # The ragged tail gets its own (smaller) staging buffer;
-            # _Buffers keys by shape, so at most two exist.
+        if per_image < KMAJOR_MIN_AREA:
+            im2col(padded, (kh, kw), conv.stride, oh, ow, out=cols)
+            return
+        shape = staging_shape(n, k, per_image, itemsize)
+        if workers <= 1:
             im2col(
                 padded,
                 (kh, kw),
@@ -497,24 +584,22 @@ class ConvKernel(Kernel):
                 oh,
                 ow,
                 out=cols,
-                staging=lambda shape: self.bufs.get("colsT", shape),
+                staging=scratch.get("colsT", shape),
             )
             return
-        # Buffers are allocated here (the _Buffers dict is not
-        # thread-safe) and each slot reuses its own, so concurrent
-        # gathers never collide.
-        slots: list[list] = [[] for _ in range(workers)]
-        for index, (b0, b1) in enumerate(ranges):
-            slot = index % workers
-            colsT = self.bufs.get(("colsT", slot), (c, kh, kw, b1 - b0, oh, ow))
-            slots[slot].append((b0, b1, colsT))
+        # Staging views are taken here (the arena is not thread-safe)
+        # and each slot reuses its own, so concurrent gathers never
+        # collide.
+        staging = [scratch.get(("colsT", slot), shape) for slot in range(workers)]
 
-        def run_slot(assigned: list) -> None:
-            for b0, b1, colsT in assigned:
-                gather_block(cols, colsT, padded, b0, b1, conv.stride)
+        def run_slot(slot: int) -> None:
+            for b0, b1 in ranges[slot::workers]:
+                gather_block(
+                    cols, staging[slot], padded, b0, b1, (kh, kw), conv.stride
+                )
 
         _run_partitioned(
-            [lambda a=assigned: run_slot(a) for assigned in slots if assigned]
+            [lambda slot=slot: run_slot(slot) for slot in range(workers)]
         )
 
     def _run_im2col(
@@ -526,7 +611,7 @@ class ConvKernel(Kernel):
         kh, kw = conv.kernel_size
         k = c * kh * kw
         positions = n * oh * ow
-        cols = self.bufs.get("cols", (positions, k))
+        cols = self.bufs.scratch.get("cols", (positions, k))
         workers = self._workers_for(positions, k, conv.out_channels)
         started = prof.now() if prof is not None else 0.0
         self._fill_cols(cols, padded, oh, ow, workers)
@@ -560,7 +645,7 @@ class ConvKernel(Kernel):
         oh = _out_size(h, kh, sh, ph)
         ow = _out_size(w, kw, sw, pw)
         positions = n * oh * ow
-        gemm = self.bufs.get("gemm", (positions, out_channels))
+        gemm = self.bufs.scratch.get("gemm", (positions, out_channels))
 
         if self.tier == "direct1x1":
             self._run_direct1x1(x, gemm, oh, ow)
@@ -585,7 +670,7 @@ class ConvKernel(Kernel):
         out = self.bufs.get("out", (n, out_channels, oh, ow))
         np.copyto(out, gemm.reshape(n, oh, ow, out_channels).transpose(0, 3, 1, 2))
         if self.act is not None:
-            apply_activation(self.act, out, out, self.bufs)
+            apply_activation(self.act, out, out, self.bufs.scratch)
         return out
 
     def describe(self) -> str:
@@ -641,7 +726,7 @@ class LinearKernel(Kernel):
         if self.bn is not None:
             self.bn.apply_vectors(out)
         if self.act is not None:
-            apply_activation(self.act, out, out, self.bufs)
+            apply_activation(self.act, out, out, self.bufs.scratch)
         return out
 
     def describe(self) -> str:
@@ -795,7 +880,7 @@ class ActivationKernel(Kernel):
         if isinstance(self.module, Identity):
             return x
         out = self.bufs.get("out", x.shape)
-        return apply_activation(self.module, x, out, self.bufs)
+        return apply_activation(self.module, x, out, self.bufs.scratch)
 
     def describe(self) -> str:
         return type(self.module).__name__
@@ -855,7 +940,7 @@ class ResidualKernel(Kernel):
         out = self.bufs.get("out", h.shape)
         np.add(h, identity, out=out)
         if self.act is not None:
-            apply_activation(self.act, out, out, self.bufs)
+            apply_activation(self.act, out, out, self.bufs.scratch)
         return out
 
     def describe(self) -> str:

@@ -31,7 +31,9 @@ this codebase does that.
 
 Concurrency: a plan serialises its forwards behind an internal lock
 (buffers are shared state) and returns a fresh output array per call,
-so serve-lane worker threads can share one plan safely.
+so serve-lane worker threads can share one plan safely.  That lock is
+also what lets every kernel of the plan share one
+:class:`~repro.runtime.kernels.ScratchArena`: steps never overlap.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.nn.module import Module, register_runtime_plan, warmup_mode
 from repro.obs.profile import KernelProfiler, PlanProfile
 from repro.obs.trace import span
 from repro.runtime.compiler import compile_module
-from repro.runtime.kernels import Kernel, ResidualKernel
+from repro.runtime.kernels import Kernel, ScratchArena, walk_kernels
 
 if TYPE_CHECKING:
     from repro.runtime.replica import ReplicaPlan
@@ -86,8 +88,9 @@ class InferencePlan:
 
     Call the plan with a float32 input batch to get the logits array
     (always a fresh copy — safe to keep across later forwards).  Any
-    batch size works; intermediate buffers are allocated per batch size
-    on first use and reused afterwards.
+    batch size works; each kernel's output buffers are allocated per
+    batch size on first use and reused afterwards, and all kernels draw
+    their scratch from the plan's one grow-only ``scratch`` arena.
     """
 
     def __init__(
@@ -105,6 +108,8 @@ class InferencePlan:
         self._structure: tuple[int, ...] = self._structure_signature()
         self._gemm_workers = 1
         self._profiler: KernelProfiler | None = None
+        self.scratch = ScratchArena()
+        self._wire_kernels()
         register_runtime_plan(model, self)
 
     def __getstate__(self) -> dict[str, object]:
@@ -148,7 +153,7 @@ class InferencePlan:
                     )
                 self.steps = steps
                 self._structure = structure
-                self._apply_gemm_workers()
+                self._wire_kernels()
                 if self._profiler is not None:
                     # Fresh kernels: re-register them (accumulation
                     # restarts — rows for retired kernels would lie).
@@ -205,19 +210,33 @@ class InferencePlan:
         resolved = resolve_gemm_workers(workers)
         with self._lock:
             self._gemm_workers = resolved
-            self._apply_gemm_workers()
+            self._wire_kernels()
         return resolved
 
-    def _apply_gemm_workers(self) -> None:
-        def walk(steps: list[Kernel]) -> None:
-            for step in steps:
-                if hasattr(step, "gemm_workers"):
-                    step.gemm_workers = self._gemm_workers
-                if isinstance(step, ResidualKernel):
-                    walk(step.main)
-                    walk(step.down or [])
+    def _wire_kernels(self) -> None:
+        """Give every kernel, nested ones included, the plan's threading
+        width and scratch arena (again after each recompile)."""
+        for step in walk_kernels(self.steps):
+            if hasattr(step, "gemm_workers"):
+                step.gemm_workers = self._gemm_workers
+            bufs = getattr(step, "bufs", None)
+            if bufs is not None:
+                bufs.scratch = self.scratch
 
-        walk(self.steps)
+    def memory(self) -> dict[str, dict[str, int]]:
+        """Bytes the plan's buffers hold, by lifetime and name.
+
+        ``scratch`` is the shared arena, per scratch name; ``kernels``
+        sums the kernels' own ``out`` and ``padded`` arrays.
+        """
+        kernels: dict[str, int] = {}
+        with self._lock:
+            for step in walk_kernels(self.steps):
+                bufs = getattr(step, "bufs", None)
+                if bufs is not None:
+                    for name, nbytes in bufs.sizes().items():
+                        kernels[name] = kernels.get(name, 0) + nbytes
+            return {"scratch": self.scratch.sizes(), "kernels": kernels}
 
     # ------------------------------------------------------------------
     # Profiling
@@ -247,13 +266,8 @@ class InferencePlan:
             self._profiler = None
 
     def _set_kernel_profiler(self, profiler: KernelProfiler | None) -> None:
-        def walk(steps: list[Kernel]) -> None:
-            for step in steps:
-                step.prof = profiler
-                for _branch, sub_steps in step.child_kernels():
-                    walk(sub_steps)
-
-        walk(self.steps)
+        for step in walk_kernels(self.steps):
+            step.prof = profiler
 
     def profile(
         self,

@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.profile import KernelProfiler, PlanProfile
-from repro.runtime.kernels import FallbackKernel, FaultStepKernel, Kernel
+from repro.runtime.kernels import FallbackKernel, FaultStepKernel, walk_kernels
 
 if TYPE_CHECKING:
     from repro.nn.parameter import Parameter
@@ -86,13 +86,6 @@ def fault_parameters(
         return None
     indices = sorted({index for index, _bit in metadata(sites)})
     return tuple(parameters[index] for index in indices)
-
-
-def _walk_steps(steps: Iterable[Kernel]) -> Iterable[Kernel]:
-    for step in steps:
-        yield step
-        for _branch, sub_steps in step.child_kernels():
-            yield from _walk_steps(sub_steps)
 
 
 class ReplicaPlan:
@@ -179,7 +172,7 @@ class ReplicaPlan:
         module code) or an *armed* :class:`FaultStepKernel` (replaying
         it would double-draw the layer's random stream).
         """
-        for step in _walk_steps(self.plan.steps):
+        for step in walk_kernels(self.plan.steps):
             if isinstance(step, FallbackKernel):
                 return False
             if isinstance(step, FaultStepKernel):

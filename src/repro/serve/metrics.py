@@ -13,12 +13,16 @@ from copies, and the same families render the Prometheus text
 exposition behind ``GET /metrics?format=prometheus``.  The JSON
 :meth:`ServerMetrics.snapshot` shape is a stable contract — dashboards
 and the serve tests consume it — and is reconstructed from the registry
-series byte-for-byte as before the registry refactor.
+series byte-for-byte as before the registry refactor.  The Prometheus
+exposition also carries ``repro_process_peak_rss_bytes``, the serving
+process's peak resident set, read at scrape time.
 """
 
 from __future__ import annotations
 
 import math
+import resource
+import sys
 from dataclasses import dataclass
 
 from repro.obs.metrics import Histogram, MetricsRegistry, bucket_label
@@ -51,6 +55,13 @@ _CHAOS_FIELDS = (
     "samples",
     "sdc_events",
 )
+
+
+def _peak_rss_bytes() -> int:
+    """This process's peak resident set size (``ru_maxrss``) in bytes."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports kilobytes, macOS bytes.
+    return int(peak) if sys.platform == "darwin" else int(peak) * 1024
 
 
 @dataclass(frozen=True)
@@ -112,6 +123,11 @@ class ServerMetrics:
         self._samples = registry.counter(
             "repro_serve_samples_total",
             "Samples served through executed micro-batches.",
+        )
+        self._peak_rss = registry.gauge(
+            "repro_process_peak_rss_bytes",
+            "Peak resident set size of the serving process (bytes), "
+            "read at scrape time; worker-lane processes not included.",
         )
         self._chaos = {
             field: registry.counter(
@@ -239,4 +255,5 @@ class ServerMetrics:
 
     def render_prometheus(self) -> str:
         """The Prometheus text exposition of every serving metric."""
+        self._peak_rss.set(_peak_rss_bytes())
         return self.registry.render_prometheus()

@@ -116,6 +116,26 @@ def test_im2col_blocks_span_ragged_batches(monkeypatch):
     assert cols.tobytes() == _reference_cols(x, (3, 3), (1, 1)).tobytes()
 
 
+@pytest.mark.parametrize("channels,size", [(4, 32), (4, 16), (2, 8)])
+def test_staging_rows_are_padded_off_the_page_stride(channels, size):
+    """Unpadded, a staging row of B * OH * OW floats is a multiple of
+    4 KiB in these geometries, so the transpose would read all K rows
+    from one cache set.  The padded buffer must gather the same bytes."""
+    from repro.autograd import ops_conv
+
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((128, channels, size + 2, size + 2)).astype(np.float32)
+    k, per_image = channels * 9, size * size
+    shape = ops_conv.staging_shape(128, k, per_image, 4)
+    b0, b1 = ops_conv.im2col_blocks(128, k, per_image, 4)[0]
+    assert (b1 - b0) * per_image * 4 % 4096 == 0
+    assert shape == (k, (b1 - b0) * per_image + ops_conv.STAGING_ROW_PAD)
+    assert (shape[1] * 4) % 4096 != 0
+    staging = np.full(shape, np.nan, np.float32)
+    cols = im2col(x, (3, 3), (1, 1), size, size, staging=staging)
+    assert cols.tobytes() == _reference_cols(x, (3, 3), (1, 1)).tobytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_runtime_fill_cols_matches_reference(geometry, workers):

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 
 import pytest
 
@@ -83,6 +84,14 @@ class TestProfileCommand:
         assert "gather" in out and "gemm" in out and "epilogue" in out
         assert "conv" in out  # lenet has instrumented conv kernels
         assert "ms/forward" in out
+        memory = re.search(
+            r"^memory: scratch arena [0-9.]+ [KM]B \((.*)\); "
+            r"per-kernel out [0-9.]+ [KM]B, padded [0-9.]+ [KM]B$",
+            out,
+            re.MULTILINE,
+        )
+        assert memory is not None, out
+        assert "cols " in memory.group(1) and "gemm " in memory.group(1)
 
     def test_writes_chrome_trace(self, checkpoint, tmp_path, capsys):
         trace = tmp_path / "kernels.json"

@@ -1,5 +1,10 @@
 """Outcome classification, confidence intervals, group vulnerability."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +109,52 @@ class TestMeanConfidenceInterval:
             mean_confidence_interval([])
         with pytest.raises(ConfigurationError):
             mean_confidence_interval([0.5, 0.6], confidence=1.0)
+
+
+# scipy costs ~1.0 s and ~60 MB per process, and only the CI helpers
+# above use it: no command's import path may load it.
+_COLD_IMPORTS = (
+    "repro.cli.main",
+    "repro.fault",
+    "repro.store",
+    "repro.serve",
+    "repro.coord",
+    "repro.eval.experiments",
+)
+
+
+@pytest.mark.parametrize("module", _COLD_IMPORTS)
+def test_import_does_not_load_scipy(module):
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    probe = (
+        f"import sys, {module}\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]", result.stdout
+
+
+def test_interval_values_are_pinned_bit_for_bit():
+    """The lazy scipy import must not move a quantile: report.md and
+    atlas.json render these exact floats."""
+    assert wilson_interval(3, 50) == (
+        float.fromhex("0x1.51c173dd3d140p-6"),
+        float.fromhex("0x1.4c2044032ef7dp-3"),
+    )
+    assert wilson_interval(0, 7) == (0.0, float.fromhex("0x1.6ad598fa5b01dp-2"))
+    assert mean_confidence_interval([0.91, 0.87, 0.9, 0.62, 0.88]) == (
+        float.fromhex("0x1.5e9d0fd1da19ep-1"),
+        float.fromhex("0x1.f973527bf8d7ep-1"),
+    )
 
 
 class TestWilsonInterval:

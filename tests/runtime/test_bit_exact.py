@@ -34,6 +34,7 @@ from repro.fault.injector import FaultInjector
 from repro.models.registry import MODEL_NAMES, build_model
 from repro.quant import quantize_module
 from repro.runtime import compile_model
+from repro.runtime.kernels import walk_kernels
 
 
 def _random_batch(rng, n, size):
@@ -46,6 +47,32 @@ def _module_logits(model, x):
         return model(Tensor(x)).data
 
 
+def _run_checking_scratch_aliasing(plan, x):
+    """Run ``plan(x)`` asserting no step returns a view of the arena.
+
+    Scratch is reused by the next step, so a returned view would be
+    overwritten under the consumer of that step's output.
+    """
+    returned = []
+    for step in walk_kernels(plan.steps):
+        def run(inputs, _run=step.run):
+            out = _run(inputs)
+            returned.append(out)
+            return out
+
+        step.run = run
+    try:
+        logits = plan(x)
+    finally:
+        for step in walk_kernels(plan.steps):
+            del step.run
+    arena = list(plan.scratch._store.values())
+    assert returned and arena
+    for out in returned:
+        assert not any(np.shares_memory(out, buf) for buf in arena)
+    return logits
+
+
 # ----------------------------------------------------------------------
 # Every registry architecture
 # ----------------------------------------------------------------------
@@ -56,7 +83,7 @@ def test_registry_model_bit_exact(name):
     x = _random_batch(rng, 3, 32)
     reference = _module_logits(model, x)
     plan = compile_model(model, x.shape)
-    np.testing.assert_array_equal(plan(x), reference)
+    np.testing.assert_array_equal(_run_checking_scratch_aliasing(plan, x), reference)
 
 
 def test_quantized_model_bit_exact():
@@ -126,7 +153,7 @@ def test_activation_class_bit_exact(case):
     x = _random_batch(rng, 4, 16)
     reference = _module_logits(model, x)
     plan = compile_model(model, x.shape)
-    np.testing.assert_array_equal(plan(x), reference)
+    np.testing.assert_array_equal(_run_checking_scratch_aliasing(plan, x), reference)
 
 
 def test_batchnorm_fusion_bit_exact():

@@ -172,19 +172,23 @@ def test_threaded_gemm_bit_exact_vs_serial(monkeypatch):
 
     The work threshold is forced to zero so even small layers take the
     partitioned path, and several widths are exercised (uneven row
-    splits included).
+    splits included).  Batch 37 splits the large maps into several
+    gather blocks with a ragged tail, so slots reuse their arena staging
+    views across blocks of different sizes.
     """
     monkeypatch.setattr(kernels_module, "GEMM_THREAD_MIN_WORK", 0)
     rng = np.random.default_rng(20)
     model = build_model("resnet18", num_classes=10, scale=0.125, image_size=32, seed=0)
-    x = rng.standard_normal((7, 3, 32, 32)).astype(np.float32)
-    reference = _module_logits(model, x)
-    plan = compile_model(model, x.shape)
-    np.testing.assert_array_equal(plan(x), reference)
-    for workers in (2, 3, 5):
-        plan.set_gemm_workers(workers)
-        assert f"@{workers}" in plan.describe()
+    plan = compile_model(model, (7, 3, 32, 32))
+    for batch in (7, 37):
+        x = rng.standard_normal((batch, 3, 32, 32)).astype(np.float32)
+        reference = _module_logits(model, x)
+        plan.set_gemm_workers(None)
         np.testing.assert_array_equal(plan(x), reference)
+        for workers in (2, 3, 5):
+            plan.set_gemm_workers(workers)
+            assert f"@{workers}" in plan.describe()
+            np.testing.assert_array_equal(plan(x), reference)
     plan.set_gemm_workers(None)  # back to serial
     np.testing.assert_array_equal(plan(x), reference)
 

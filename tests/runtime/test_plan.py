@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import pickle
 import threading
 import weakref
@@ -25,7 +26,7 @@ from repro.optim import SGD
 from repro.optim.adam import Adam
 from repro.quant import quantize_module
 from repro.runtime import compile_model, register_block_compiler
-from repro.runtime.kernels import FallbackKernel
+from repro.runtime.kernels import FallbackKernel, ScratchArena, walk_kernels
 
 
 def _lenet():
@@ -229,8 +230,100 @@ def test_register_block_compiler_overrides_fallback():
 
 
 # ----------------------------------------------------------------------
+# Scratch arena
+# ----------------------------------------------------------------------
+def test_plan_scratch_is_the_largest_single_need_per_name(monkeypatch):
+    """One arena per plan, sized by its largest request per name.
+
+    Per-kernel scratch would hold the sum over kernels and batch sizes;
+    the shared arena holds only the largest single request, whichever
+    kernel (nested residual ones included) made it.
+    """
+    needs: dict[str, list[int]] = {}
+    get = ScratchArena.get
+
+    def recording_get(self, name, shape, dtype=np.float32):
+        needs.setdefault(name, []).append(
+            math.prod(shape) * np.dtype(dtype).itemsize
+        )
+        return get(self, name, shape, dtype)
+
+    monkeypatch.setattr(ScratchArena, "get", recording_get)
+    rng = np.random.default_rng(10)
+    model = build_model("resnet18", num_classes=10, scale=0.125, image_size=32, seed=0)
+    plan = compile_model(model, (1, 3, 32, 32), warm=False)
+    x = rng.standard_normal((128, 3, 32, 32)).astype(np.float32)
+    for batch in (1, 7, 16, 128):
+        np.testing.assert_array_equal(
+            plan(x[:batch]), forward_logits(model, x[:batch])
+        )
+    sizes = plan.scratch.sizes()
+    assert sizes == {name: max(requests) for name, requests in needs.items()}
+    assert {"cols", "cols1x1", "colsT", "gemm", "act_mask"} <= set(sizes)
+    assert sizes["cols"] < sum(set(needs["cols"]))
+    # Kernels keep only their own out/padded arrays; the plan reports both.
+    memory = plan.memory()
+    assert memory["scratch"] == sizes
+    assert set(memory["kernels"]) == {"out", "padded"}
+
+
+def test_recompiled_kernels_share_the_plan_arena():
+    from repro.fault.activation import ActivationFaultInjector
+
+    model = build_model("resnet18", num_classes=10, scale=0.125, image_size=16, seed=0)
+    plan = compile_model(model, (2, 3, 16, 16))
+    arena = plan.scratch
+    before = list(plan.steps)
+    injector = ActivationFaultInjector(model)  # surgery: the plan recompiles
+    try:
+        x = _batch(np.random.default_rng(3), 2)
+        np.testing.assert_array_equal(plan(x), forward_logits(model, x))
+        assert plan.steps != before and plan.scratch is arena
+        wired = [getattr(step, "bufs", None) for step in walk_kernels(plan.steps)]
+        assert all(bufs.scratch is arena for bufs in wired if bufs is not None)
+        assert any(bufs is not None for bufs in wired)
+    finally:
+        injector.remove()
+
+
+# ----------------------------------------------------------------------
 # Concurrency
 # ----------------------------------------------------------------------
+def test_plans_of_two_models_run_concurrently_with_private_arenas():
+    """Arenas are per plan: two models' plans driven from two threads at
+    once return exactly their serial logits."""
+    rng = np.random.default_rng(12)
+    models = [
+        _lenet(),
+        build_model("resnet18", num_classes=10, scale=0.125, image_size=16, seed=1),
+    ]
+    plans = [compile_model(model, (8, 3, 16, 16)) for model in models]
+    assert plans[0].scratch is not plans[1].scratch
+    batches = [_batch(rng, n) for n in (8, 5, 8, 3)]
+    expected = [[forward_logits(model, b) for b in batches] for model in models]
+    results: dict[int, list[np.ndarray]] = {0: [], 1: []}
+    errors: list[BaseException] = []
+    start = threading.Barrier(2)
+
+    def worker(index: int) -> None:
+        try:
+            start.wait()
+            for _ in range(3):
+                results[index] = [plans[index](b) for b in batches]
+        except BaseException as error:  # noqa: BLE001 - surface in main thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors
+    for index in range(2):
+        for got, want in zip(results[index], expected[index]):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_concurrent_plan_calls_are_serialised_and_correct():
     rng = np.random.default_rng(9)
     model = _lenet()

@@ -144,6 +144,14 @@ class TestEndpoints:
         assert 'repro_http_requests_total{endpoint="/v1/predict",status="200"}' in text
         assert "# TYPE repro_http_request_latency_ms histogram" in text
         assert "repro_http_request_latency_ms_count" in text
+        # Peak RSS is read at scrape time: a live, positive byte count.
+        assert "# TYPE repro_process_peak_rss_bytes gauge" in text
+        (rss_line,) = [
+            line
+            for line in text.splitlines()
+            if line.startswith("repro_process_peak_rss_bytes ")
+        ]
+        assert float(rss_line.split()[1]) > 1 << 20
         # Unknown/absent format values fall back to the JSON snapshot.
         with urlopen(f"{server.url}/metrics?format=unknown") as response:
             assert response.headers["Content-Type"].startswith("application/json")
