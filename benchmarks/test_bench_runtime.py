@@ -10,11 +10,11 @@ CI ``bench-regression`` job compares it against
 
 The container frequently has a single usable core, so no parallelism
 multiplier is assumed: the runtime's win comes from removing autograd
-object churn, python dispatch, per-pass allocation, and — since the
-tiered conv kernels — the cache-hostile position-major im2col gather
-(blocked K-major staging), the needless gather for 1x1 convolutions
-(direct tier), and the unfused fallback at activation-fault sites
-(native fault-site kernels).  All of that holds on one core; the bench
+object churn, python dispatch, per-pass allocation, the fused
+epilogues, and the unfused fallback at activation-fault sites (native
+fault-site kernels).  Both paths share the conv layouts (a per-image
+K-major GEMM writing NCHW, channels-last on small maps), so their
+speed no longer separates them.  All of that holds on one core; the bench
 asserts the deep-model bound the tiered kernels were built for
 (resnet18 at batch 128 >= 1.15x) while recording measured ratios and
 the core count in the artifacts.
@@ -132,9 +132,10 @@ def test_runtime_speedup(benchmark, save_output):
                 ["model", "batch", "module ms", "runtime ms", "speedup"], rows
             ),
             "speedup source: no autograd Tensor/Function churn, fused "
-            "conv/linear+BN+activation epilogues, reused buffers, tiered "
-            "conv kernels (blocked K-major im2col gather, direct 1x1), "
-            "native activation-fault-site kernels",
+            "conv/linear+BN+activation epilogues, reused buffers and "
+            "padding copies, native activation-fault-site kernels (the "
+            "conv layouts, per-image K-major GEMM and channels-last, are "
+            "shared with the module forward)",
         ]
     )
     save_output("runtime_speedup", text)

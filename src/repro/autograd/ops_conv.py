@@ -1,20 +1,31 @@
 """Convolution and pooling primitives (im2col based).
 
-The forward lowers each convolution to one large matrix multiply — the
-standard im2col trick — which is the only way to get competitive
-throughput from numpy.  :func:`im2col` builds the position-major column
-matrix through cache-sized K-major staging blocks; the compiled runtime's
-convolution kernel calls the same gather, so both paths hand BLAS the
-same column bytes.
+The forward lowers each convolution to GEMMs over a column matrix laid
+out one of two ways, picked from the output map's size
+(:func:`use_kmajor`):
+
+- **K-major, per image** (maps of at least ``KMAJOR_MIN_AREA``
+  positions, and every grouped conv).  :func:`im2col` copies ``kh * kw``
+  planes into ``(N, C * kh * kw, OH * OW)``; a 1x1 stride-1 unpadded
+  conv reads its input as is.  :func:`conv_gemm` then runs one stacked
+  ``matmul`` of the weight against it, with batch dims ``(N, G)``, which
+  writes NCHW directly.  Every image and group multiplies a GEMM of the
+  same fixed shape, so an image's output does not depend on its batch.
+- **Channels-last** (smaller maps).  The input is copied into a padded
+  NHWC buffer, slabs are gathered in ``(kh, kw, c)`` column order into
+  ``(N * OH * OW, kh * kw * C)``, and one position-major GEMM multiplies
+  them against the weight permuted to match.
+
+The compiled runtime's convolution kernel calls the same two functions,
+so both paths hand BLAS the same operands.
 
 The backward computes only the gradients its inputs need
 (``Function.needs_input_grad``): the weight gradient reads the saved
-column matrix, which a frozen weight's forward never keeps.  The input
-gradient multiplies the output gradient by the weight with its columns
-reordered to (ki, kj, channel), so each kernel offset's gradient is a
-channels-last slab; :func:`_col2im_nhwc` scatter-adds those slabs into a
-padded NHWC buffer and transposes once to NCHW.  Pooling backwards
-scatter their window gradients with :func:`_scatter_windows`.
+column matrix, which a frozen weight's forward never keeps.  The K-major
+input gradient is ``Wᵀ @ grad`` per image, scattered back plane by plane
+by :func:`_scatter_windows`, which the pooling backwards share.  The
+channels-last one comes out as one NHWC slab per kernel offset, which
+:func:`_col2im_nhwc` scatter-adds into a padded NHWC buffer.
 """
 
 from __future__ import annotations
@@ -28,24 +39,29 @@ from repro.autograd.function import Function
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.errors import ShapeError
 
-__all__ = ["as_pair", "avg_pool2d", "conv2d", "im2col", "max_pool2d"]
+__all__ = [
+    "as_pair",
+    "avg_pool2d",
+    "conv2d",
+    "conv_gemm",
+    "im2col",
+    "max_pool2d",
+    "use_kmajor",
+]
 
 IntPair = int | tuple[int, int]
 
-#: Byte budget for one batch block's K-major staging buffer in the
-#: blocked im2col gather — sized so a block transposes L2/L3-resident
-#: instead of round-tripping main memory.
-GEMM_BLOCK_BYTES = 1 << 20
-
-#: Minimum spatial positions per image for the blocked K-major gather;
-#: below this the position-major copy is already cheap (short planes,
-#: python loop overhead dominates) and :func:`im2col` uses it directly.
+#: Minimum output positions per image (``OH * OW``) for the K-major
+#: layout.  On smaller maps the planes are too short to amortise the
+#: per-image GEMMs, and the channels-last layout runs instead.
 KMAJOR_MIN_AREA = 64
 
-#: Floats of padding after each K-major staging row (see
-#: :func:`staging_shape`): 64 bytes, one cache line, so consecutive rows
-#: start in different cache sets.
-STAGING_ROW_PAD = 16
+#: Names the convolution arithmetic: the two layouts, their GEMM shapes
+#: and the threshold between them.  Campaign stores record it in their
+#: identity and refuse to resume under another value, so one journal
+#: never mixes trials computed two ways.  Change it with any change that
+#: moves a conv's output bits.
+NUMERICS = f"conv-kmajor-nhwc/area-{KMAJOR_MIN_AREA}"
 
 
 def as_pair(value: IntPair, name: str) -> tuple[int, int]:
@@ -86,109 +102,98 @@ def _strided_windows(
     return windows[:, :, ::sh, ::sw]
 
 
-def im2col_blocks(
-    n: int, k: int, per_image: int, itemsize: int
-) -> list[tuple[int, int]]:
-    """Batch ranges of the blocked gather, each within ``GEMM_BLOCK_BYTES``."""
-    block = max(1, min(n, GEMM_BLOCK_BYTES // max(1, k * per_image * itemsize)))
-    return [(b0, min(b0 + block, n)) for b0 in range(0, n, block)]
+def use_kmajor(area: int, groups: int) -> bool:
+    """Whether a conv with ``area`` output positions per image runs K-major."""
+    return groups != 1 or area >= KMAJOR_MIN_AREA
 
 
-def staging_shape(
-    n: int, k: int, per_image: int, itemsize: int
-) -> tuple[int, int]:
-    """Shape of the K-major staging buffer one blocked gather needs.
-
-    One row per column-matrix column, as long as the largest batch block
-    plus ``STAGING_ROW_PAD`` floats.  Unpadded, a row of ``B * OH * OW``
-    floats is a multiple of 4 KiB on every 32x32 map and on many 16x16
-    and 8x8 blocks, so the staging-to-column transpose, which reads all
-    K rows at one offset, would hit a single cache set K times over.
-    """
-    b0, b1 = im2col_blocks(n, k, per_image, itemsize)[0]
-    return (k, (b1 - b0) * per_image + STAGING_ROW_PAD)
-
-
-def gather_block(
-    cols: np.ndarray,
-    staging: np.ndarray,
-    padded: np.ndarray,
-    b0: int,
-    b1: int,
-    kernel: tuple[int, int],
-    stride: tuple[int, int],
-) -> None:
-    """Fill the column-matrix rows of images ``b0:b1`` via K-major staging.
-
-    ``staging`` is a (C * kh * kw, R) buffer with ``R`` at least
-    ``(b1 - b0) * OH * OW`` (see :func:`staging_shape`): row ``(c, i,
-    j)`` receives column ``(c, i, j)`` of the im2col matrix for the
-    block — one contiguous destination plane per copy, which is what
-    makes this gather several times faster than the position-major
-    transpose.  The block is then transposed, still cache-resident, into
-    rows ``b0 * OH * OW : b1 * OH * OW`` of the position-major ``cols``
-    (shape (N * OH * OW, C * kh * kw)).  Only the leading
-    ``(b1 - b0) * OH * OW`` entries of each row are written or read, so a
-    ragged tail block reuses the full block's buffer.
-    """
-    c = padded.shape[1]
-    kh, kw = kernel
-    sh, sw = stride
-    oh = (padded.shape[2] - kh) // sh + 1
-    ow = (padded.shape[3] - kw) // sw + 1
-    per_image = oh * ow
-    rows = (b1 - b0) * per_image
-    planes = staging[:, :rows].reshape(c, kh, kw, b1 - b0, oh, ow)
-    block = padded[b0:b1]
-    for i in range(kh):
-        for j in range(kw):
-            np.copyto(
-                planes[:, i, j],
-                block[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw].transpose(
-                    1, 0, 2, 3
-                ),
-            )
-    np.copyto(cols[b0 * per_image : b1 * per_image], staging[:, :rows].T)
+def is_pointwise(
+    kernel: tuple[int, int], stride: tuple[int, int], padding: tuple[int, int]
+) -> bool:
+    """A 1x1, stride-1, unpadded conv: its K-major columns are its input."""
+    return kernel == (1, 1) and stride == (1, 1) and padding == (0, 0)
 
 
 def im2col(
-    padded: np.ndarray,
+    x: np.ndarray,
     kernel: tuple[int, int],
     stride: tuple[int, int],
-    oh: int,
-    ow: int,
+    padding: tuple[int, int],
+    kmajor: bool,
     out: np.ndarray | None = None,
-    staging: np.ndarray | None = None,
+    padded: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Position-major column matrix (N * OH * OW, C * kh * kw) of ``padded``.
+    """Column matrix of the NCHW input ``x``, in the layout ``kmajor`` picks.
 
-    Column ``(c, ki, kj)`` of row ``(n, oy, ox)`` holds
-    ``padded[n, c, oy * sh + ki, ox * sw + kj]``.  Feature maps of at
-    least ``KMAJOR_MIN_AREA`` positions per image go through
-    :func:`gather_block`; smaller ones copy the window view directly.
-    Both are pure copies, so the bytes never depend on the route.
-    ``staging`` is the K-major buffer of :func:`staging_shape` (the
-    compiled runtime passes a view of its plan's scratch arena); by
-    default one is allocated.  It is reused across blocks.
+    K-major, ``(N, C * kh * kw, OH * OW)``: row ``(c, ki, kj)`` of image
+    ``n`` holds ``x_pad[n, c, oy * sh + ki, ox * sw + kj]`` at column
+    ``oy * OW + ox``.  Channels-last, ``(N * OH * OW, kh * kw * C)``: the
+    same values, one row per output position, columns in ``(ki, kj, c)``
+    order.  A pointwise conv's K-major columns are ``x`` itself.
+
+    A padded conv reads a zero-bordered copy of ``x`` (NCHW for K-major,
+    NHWC for channels-last); ``padded`` supplies that buffer with zero
+    borders (only the interior is written), by default one is allocated.
+    Each kernel offset is one strided copy, so the bytes are exact.
     """
-    n, c = padded.shape[:2]
+    n, c, h, w = x.shape
     kh, kw = kernel
-    k = c * kh * kw
-    per_image = oh * ow
+    sh, sw = stride
+    ph, pw = padding
+    oh = _out_size(h, kh, sh, ph)
+    ow = _out_size(w, kw, sw, pw)
+    if kmajor and is_pointwise(kernel, stride, padding):
+        return x.reshape(n, c, h * w)
+    if kmajor:
+        shape, pad_shape = (n, c * kh * kw, oh * ow), (n, c, h + 2 * ph, w + 2 * pw)
+    else:
+        shape, pad_shape = (n * oh * ow, kh * kw * c), (n, h + 2 * ph, w + 2 * pw, c)
     if out is None:
-        out = np.empty((n * per_image, k), dtype=padded.dtype)
-    if per_image < KMAJOR_MIN_AREA:
-        windows = _strided_windows(padded, kh, kw, *stride)
-        np.copyto(
-            out.reshape(n, oh, ow, c, kh, kw), windows.transpose(0, 2, 3, 1, 4, 5)
-        )
-        return out
-    itemsize = padded.dtype.itemsize
-    if staging is None:
-        staging = np.empty(staging_shape(n, k, per_image, itemsize), padded.dtype)
-    for b0, b1 in im2col_blocks(n, k, per_image, itemsize):
-        gather_block(out, staging, padded, b0, b1, kernel, stride)
+        out = np.empty(shape, dtype=x.dtype)
+    # Both layouts seen as (N, C, kh, kw, OH, OW) and both sources as
+    # NCHW: the copies below then serve either one.
+    if kmajor:
+        planes = out.reshape(n, c, kh, kw, oh, ow)
+    else:
+        planes = out.reshape(n, oh, ow, kh, kw, c).transpose(0, 5, 3, 4, 1, 2)
+    src = x
+    if ph or pw:
+        if padded is None:
+            padded = np.zeros(pad_shape, dtype=x.dtype)
+        src = padded if kmajor else padded.transpose(0, 3, 1, 2)
+        src[:, :, ph : ph + h, pw : pw + w] = x
+    for i in range(kh):
+        for j in range(kw):
+            np.copyto(
+                planes[:, :, i, j],
+                src[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw],
+            )
     return out
+
+
+def conv_gemm(
+    weight: np.ndarray, cols: np.ndarray, groups: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The convolution GEMM over :func:`im2col`'s columns.
+
+    K-major columns run one stacked ``matmul`` with batch dims ``(N, G)``:
+    the same ``(O/G, K/G) @ (K/G, OH * OW)`` product for every image and
+    group.  It returns NCHW as ``(N, O, OH * OW)``.  Channels-last
+    columns run one ``(N * OH * OW, K) @ (K, O)`` GEMM against the weight
+    permuted to ``(kh, kw, c)`` column order, returning ``(N * OH * OW,
+    O)``.  ``out``, when given, has the returned shape.
+    """
+    o = weight.shape[0]
+    if cols.ndim == 3:
+        n, k, p = cols.shape
+        product = np.matmul(
+            weight.reshape(groups, o // groups, k // groups),
+            cols.reshape(n, groups, k // groups, p),
+            out=None if out is None else out.reshape(n, groups, o // groups, p),
+        )
+        return product.reshape(n, o, p)
+    w_perm = weight.transpose(0, 2, 3, 1).reshape(o, -1)
+    return np.matmul(cols, w_perm.T, out=out)
 
 
 def _col2im_nhwc(
@@ -230,7 +235,7 @@ def _scatter_windows(
     ph: int,
     pw: int,
 ) -> np.ndarray:
-    """col2im for pooling: scatter-add window gradients into NCHW.
+    """col2im in NCHW: scatter-add window gradients plane by plane.
 
     ``grad_windows`` has shape (N, C, kh, kw, OH, OW).  Overlapping windows
     (stride < kernel) accumulate correctly because each kernel offset is
@@ -255,8 +260,8 @@ class _Conv2d(Function):
     Supports grouped convolution: with G groups the input channels split
     into G blocks of C/G, the O filters into G blocks of O/G, and block g
     of the output sees only block g of the input (``groups == C`` is the
-    depthwise convolution of the MobileNet family).  ``groups == 1`` runs
-    the plain single-GEMM path; grouped shapes use one batched einsum.
+    depthwise convolution of the MobileNet family).  Grouped convs always
+    run K-major, where the groups are a batch dim of the stacked GEMM.
     """
 
     def forward(
@@ -283,88 +288,103 @@ class _Conv2d(Function):
             raise ShapeError(
                 f"out-channels {weight.shape[0]} not divisible by groups {groups}"
             )
-        n, c, h, w = x.shape
+        n = x.shape[0]
         out_channels, _, kh, kw = weight.shape
-        sh, sw = stride
-        ph, pw = padding
-        oh = _out_size(h, kh, sh, ph)
-        ow = _out_size(w, kw, sw, pw)
+        oh = _out_size(x.shape[2], kh, stride[0], padding[0])
+        ow = _out_size(x.shape[3], kw, stride[1], padding[1])
+        kmajor = use_kmajor(oh * ow, groups)
 
-        cols = im2col(_pad_spatial(x, ph, pw), (kh, kw), stride, oh, ow)
-        if groups == 1:
-            out = cols @ weight.reshape(out_channels, -1).T
+        cols = im2col(x, (kh, kw), stride, padding, kmajor)
+        out = conv_gemm(weight, cols, groups)
+        if kmajor:
+            if bias is not None:
+                out += bias.reshape(-1, 1)
+            out = out.reshape(n, out_channels, oh, ow)
         else:
-            cg = c // groups
-            og = out_channels // groups
-            # Channel blocks stay contiguous in the (P, G, Cg*kh*kw) view
-            # because C = G*Cg in group order.
-            out = np.einsum(
-                "pgk,gok->pgo",
-                cols.reshape(n * oh * ow, groups, cg * kh * kw),
-                weight.reshape(groups, og, cg * kh * kw),
-            ).reshape(n * oh * ow, out_channels)
-        if bias is not None:
-            out += bias
-        out = out.reshape(n, oh, ow, out_channels).transpose(0, 3, 1, 2)
+            if bias is not None:
+                out += bias
+            out = np.ascontiguousarray(
+                out.reshape(n, oh, ow, out_channels).transpose(0, 3, 1, 2)
+            )
 
         need_x, need_weight = self.needs_input_grad[:2]
         self.has_bias = bias is not None
         self.stride, self.padding = stride, padding
-        self.groups = groups
+        self.groups, self.kmajor = groups, kmajor
         self.in_shape = x.shape
         self.weight_shape = weight.shape
         # The column matrix only feeds the weight gradient and the
         # weight only the input gradient: keep neither unless needed.
         self.cols = cols if need_weight else None
         self.weight = weight if need_x else None
-        return np.ascontiguousarray(out)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        cols, weight = self.cols, self.weight
-        need_x, need_weight = self.needs_input_grad[:2]
-        n, _, oh, ow = grad_out.shape
-        out_channels, cg, kh, kw = self.weight_shape
-        c = self.in_shape[1]
-        groups = self.groups
+        if self.kmajor:
+            grad_x, grad_weight, grad_bias = self._backward_kmajor(grad_out)
+        else:
+            grad_x, grad_weight, grad_bias = self._backward_nhwc(grad_out)
+        if self.has_bias:
+            return grad_x, grad_weight, grad_bias
+        return grad_x, grad_weight
 
+    def _backward_kmajor(self, grad_out: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        need_x, need_weight = self.needs_input_grad[:2]
+        n, out_channels, oh, ow = grad_out.shape
+        _, cg, kh, kw = self.weight_shape
+        groups = self.groups
+        og, kg = out_channels // groups, cg * kh * kw
+        grad = np.ascontiguousarray(grad_out).reshape(n, groups, og, oh * ow)
+        grad_x = grad_weight = grad_bias = None
+        if need_weight:
+            # One GEMM per group, reducing over every image and position:
+            # (G, O/G, N * P) @ (G, N * P, K/G).
+            cols = self.cols.reshape(n, groups, kg, oh * ow)
+            grad_weight = np.matmul(
+                grad.transpose(1, 2, 0, 3).reshape(groups, og, -1),
+                cols.transpose(1, 2, 0, 3).reshape(groups, kg, -1).transpose(0, 2, 1),
+            ).reshape(self.weight_shape)
+        if need_x:
+            # Wᵀ @ grad per image, then back plane by plane.
+            weight = self.weight.reshape(groups, og, kg)
+            grad_cols = np.matmul(weight.transpose(0, 2, 1), grad)
+            grad_x = np.ascontiguousarray(
+                _scatter_windows(
+                    grad_cols.reshape(n, -1, kh, kw, oh, ow),
+                    self.in_shape,
+                    kh,
+                    kw,
+                    *self.stride,
+                    *self.padding,
+                )
+            )
+        if self.has_bias and self.needs_input_grad[2]:
+            grad_bias = grad_out.sum(axis=(0, 2, 3))
+        return grad_x, grad_weight, grad_bias
+
+    def _backward_nhwc(self, grad_out: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        need_x, need_weight = self.needs_input_grad[:2]
+        n, out_channels, oh, ow = grad_out.shape
+        _, c, kh, kw = self.weight_shape
         grad_mat = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1)).reshape(
             n * oh * ow, out_channels
         )
         grad_x = grad_weight = grad_bias = None
-        if groups == 1:
-            if need_weight:
-                grad_weight = grad_mat.T @ cols
-            if need_x:
-                # Weight columns reordered to (ki, kj, c): the same GEMM
-                # shape and reduction as grad_mat @ w_mat, but each
-                # offset's gradient comes out as a channels-last slab.
-                w_perm = np.ascontiguousarray(weight.transpose(0, 2, 3, 1)).reshape(
-                    out_channels, -1
-                )
-                windows = (grad_mat @ w_perm).reshape(n, oh, ow, kh, kw, c)
-        else:
-            og = out_channels // groups
-            grad3 = grad_mat.reshape(n * oh * ow, groups, og)
-            if need_weight:
-                grad_weight = np.einsum(
-                    "pgo,pgk->gok", grad3, cols.reshape(n * oh * ow, groups, -1)
-                )
-            if need_x:
-                grad_cols = np.einsum(
-                    "pgo,gok->pgk", grad3, weight.reshape(groups, og, cg * kh * kw)
-                )
-                windows = grad_cols.reshape(n, oh, ow, c, kh, kw).transpose(
-                    0, 1, 2, 4, 5, 3
-                )
+        if need_weight:
+            grad_weight = np.ascontiguousarray(
+                (grad_mat.T @ self.cols)
+                .reshape(out_channels, kh, kw, c)
+                .transpose(0, 3, 1, 2)
+            )
         if need_x:
+            # The forward's permuted weight: each kernel offset's
+            # gradient comes out as a channels-last slab.
+            w_perm = self.weight.transpose(0, 2, 3, 1).reshape(out_channels, -1)
+            windows = (grad_mat @ w_perm).reshape(n, oh, ow, kh, kw, c)
             grad_x = _col2im_nhwc(windows, self.in_shape, self.stride, self.padding)
-        if grad_weight is not None:
-            grad_weight = grad_weight.reshape(self.weight_shape)
-        if self.has_bias:
-            if self.needs_input_grad[2]:
-                grad_bias = grad_mat.sum(axis=0)
-            return grad_x, grad_weight, grad_bias
-        return grad_x, grad_weight
+        if self.has_bias and self.needs_input_grad[2]:
+            grad_bias = grad_mat.sum(axis=0)
+        return grad_x, grad_weight, grad_bias
 
 
 class _MaxPool2d(Function):

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.autograd.ops_conv import NUMERICS
 from repro.errors import CampaignInterrupted, ConfigurationError
 from repro.fault.fault_model import BitFlipFaultModel, FaultModel
 from repro.fault.injector import FaultInjector
@@ -269,6 +270,10 @@ class FaultCampaign:
         Either way results are bit-identical — grouping is purely a
         scheduling decision.
     """
+
+    #: The convolution arithmetic the trials' forwards run
+    #: (:data:`repro.autograd.ops_conv.NUMERICS`); stores record it.
+    numerics = NUMERICS
 
     def __init__(
         self,

@@ -1,16 +1,18 @@
 """Per-kernel plan profiling: wall time split into gather/GEMM/epilogue.
 
-The compiled runtime (PR 4) picks a convolution execution tier per
-layer at plan build time; until now the only way to judge those
-decisions was whole-model wall clock.  A :class:`KernelProfiler`
+The compiled runtime picks a convolution layout (tier) per layer from
+the output map's size; without a profile the only way to judge those
+decisions would be whole-model wall clock.  A :class:`KernelProfiler`
 attached to an :class:`~repro.runtime.plan.InferencePlan` records, for
 every kernel step (including the kernels nested inside residual
 blocks):
 
 - ``total``   — the step's full ``run()`` wall time;
-- ``gather``  — column-matrix assembly: the im2col fill, the 1x1
-  strided copy, the grouped window copy, and padding copies;
-- ``gemm``    — the BLAS call (or grouped einsum) itself;
+- ``gather``  — column-matrix assembly: the padding copy and the
+  plane (K-major) or slab (channels-last) copies of the im2col fill;
+  a pointwise K-major conv has none;
+- ``gemm``    — the BLAS call itself (the stacked per-image GEMM of
+  the K-major layout, one position-major GEMM of the channels-last);
 - ``epilogue``— everything else, *derived* as
   ``total - gather - gemm - children``: bias add, BatchNorm vectors,
   the channels-last→NCHW transpose, and the fused activation (for a

@@ -26,9 +26,9 @@ Intermediate buffers are allocated lazily and reused across calls,
 which removes the per-pass allocation churn that dominates the module
 path.  They come in two lifetimes:
 
-- **Scratch is per plan.**  The im2col column matrix, the K-major
-  staging blocks, the GEMM output and the activation masks die when the
-  step that wrote them returns.  Steps run one at a time under the plan
+- **Scratch is per plan.**  The column matrix, the channels-last GEMM
+  output and the activation masks die when the step that wrote them
+  returns.  Steps run one at a time under the plan
   lock, so every kernel of a plan draws them from one
   :class:`ScratchArena`: one grow-only buffer per name, as large as the
   largest single need, not one copy per kernel and batch size.
@@ -47,6 +47,7 @@ import math
 import threading
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,13 +55,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.autograd.grad_mode import no_grad
 from repro.autograd.ops_conv import (
-    KMAJOR_MIN_AREA,
     _out_size,
     as_pair,
-    gather_block,
+    conv_gemm,
     im2col,
-    im2col_blocks,
-    staging_shape,
+    is_pointwise,
+    use_kmajor,
 )
 from repro.autograd.ops_nn import sigmoid_into
 from repro.autograd.tensor import Tensor
@@ -98,8 +98,8 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# GEMM execution knobs (the blocked im2col gather's own knobs,
-# GEMM_BLOCK_BYTES and KMAJOR_MIN_AREA, live in repro.autograd.ops_conv)
+# GEMM execution knobs (the gather's layout threshold, KMAJOR_MIN_AREA,
+# lives in repro.autograd.ops_conv)
 # ----------------------------------------------------------------------
 #: Column matrices smaller than this many cells keep the serial gather
 #: even when a kernel's ``gemm_workers`` allows threading: partitioning
@@ -189,8 +189,7 @@ class ScratchArena:
     one at a time under its lock and none keeps scratch past its own
     ``run``, so the arena ends up as large as the largest single need
     per name, whatever the number of kernels and batch sizes.  Names a
-    step needs at the same time must differ (the threaded gather's
-    staging blocks are ``("colsT", slot)``).
+    step needs at the same time must differ.
 
     Arenas are per plan, never per process: plans of different models
     run concurrently (one per resident checkpoint in ``serve``).
@@ -199,10 +198,10 @@ class ScratchArena:
     __slots__ = ("_store",)
 
     def __init__(self) -> None:
-        self._store: dict[tuple[object, np.dtype], np.ndarray] = {}
+        self._store: dict[tuple[str, np.dtype], np.ndarray] = {}
 
     def get(
-        self, name: object, shape: tuple[int, ...], dtype: type = np.float32
+        self, name: str, shape: tuple[int, ...], dtype: type = np.float32
     ) -> np.ndarray:
         key = (name, np.dtype(dtype))
         size = math.prod(shape)
@@ -213,11 +212,10 @@ class ScratchArena:
         return buf[:size].reshape(shape)
 
     def sizes(self) -> dict[str, int]:
-        """Bytes held per scratch name (slots of one name summed)."""
+        """Bytes held per scratch name (dtypes of one name summed)."""
         sizes: dict[str, int] = {}
         for (name, _dtype), buf in self._store.items():
-            label = name[0] if isinstance(name, tuple) else str(name)
-            sizes[label] = sizes.get(label, 0) + buf.nbytes
+            sizes[name] = sizes.get(name, 0) + buf.nbytes
         return sizes
 
 
@@ -419,59 +417,50 @@ class _BNFold:
             + np.float32(bn.eps)
         ) ** -0.5
 
-    def apply_vectors(self, flat: np.ndarray) -> None:
-        """Normalise a channels-last 2-D view in place (GEMM epilogue)."""
-        np.subtract(flat, self.mean, out=flat)
-        np.multiply(flat, self.inv_std, out=flat)
+    def apply(self, rows: np.ndarray, shape: tuple[int, ...]) -> None:
+        """Normalise a GEMM output in place (the epilogue).
+
+        ``shape`` reshapes the per-channel vectors to broadcast over
+        ``rows``: ``(-1,)`` for channels-last ``(positions, channels)``
+        rows, ``(-1, 1)`` for NCHW ``(N, channels, positions)``.
+        """
+        np.subtract(rows, self.mean.reshape(shape), out=rows)
+        np.multiply(rows, self.inv_std.reshape(shape), out=rows)
         if self.bn.affine:
-            np.multiply(flat, self.bn.weight.data.reshape(-1), out=flat)
-            np.add(flat, self.bn.bias.data.reshape(-1), out=flat)
+            np.multiply(rows, self.bn.weight.data.reshape(shape), out=rows)
+            np.add(rows, self.bn.bias.data.reshape(shape), out=rows)
 
 
 class ConvKernel(Kernel):
-    """Tiered im2col convolution with optional fused BatchNorm + activation.
+    """Convolution with optional fused BatchNorm + activation.
 
-    The execution tier is picked from the convolution's static geometry
-    at construction time (the compiler builds one kernel per layer, so
-    this is the "per-layer dispatch at plan build time"):
+    Runs the autograd op's own two layouts, picked per call from the
+    output map's size (:func:`repro.autograd.ops_conv.use_kmajor`), with
+    the same :func:`~repro.autograd.ops_conv.im2col` gather and
+    :func:`~repro.autograd.ops_conv.conv_gemm` call, so results are
+    bit-exact with the module forward on any BLAS backend (enforced per
+    layout by ``tests/runtime``).  ``tier`` names the layout of the
+    latest call:
 
-    ``direct1x1``
-        Pointwise convolutions (1x1 kernel, no padding, any stride)
-        skip im2col entirely: the strided input view is copied to a
-        channels-last buffer once and multiplied in a single GEMM.
     ``im2col``
-        General convolutions build the patch matrix with the autograd
-        op's own gather (:func:`repro.autograd.ops_conv.im2col`): each
-        cache-sized batch block is gathered in **K-major** staging
-        layout — one contiguous destination plane per (channel, ki, kj)
-        column, near-memcpy strided copies instead of the cache-hostile
-        position-major transpose — then transposed, still
-        cache-resident, into the standard position-major column matrix.
-        Small feature maps skip the staging and copy position-major
-        directly.
-    ``grouped``
-        Grouped/depthwise convolutions gather the same column matrix
-        and keep the batched-einsum formulation of the autograd op.
-
-    Every tier hands BLAS the *identical* GEMM the module forward
-    performs — the same column-matrix values in the same memory layout
-    with the same shapes — so results are bit-exact by construction on
-    any BLAS backend, not merely on the one this machine happens to
-    link (enforced per tier by ``tests/runtime``).
-
-    The BatchNorm epilogue runs on the GEMM output while it is still in
-    channels-last ``(positions, channels)`` layout — per-channel
-    vectors broadcast along rows for free — and the activation runs on
-    the final NCHW buffer (bound arrays of any granularity broadcast
-    there).  Elementwise ops are layout-independent, so both fusions
-    stay bit-exact with the unfused module chain.
+        K-major, per image (maps of at least ``KMAJOR_MIN_AREA``
+        positions, and every grouped conv): ``kh * kw`` plane copies
+        into ``(N, C * kh * kw, OH * OW)``, none for a pointwise conv,
+        then one stacked GEMM that writes the NCHW output buffer
+        directly.  Bias, BatchNorm and the activation run over rows
+        ``OH * OW`` long.
+    ``nhwc``
+        Channels-last (smaller maps): a padded NHWC copy, slabs gathered
+        in ``(kh, kw, c)`` order, one position-major GEMM into scratch;
+        bias and BatchNorm run on its channel vectors before the
+        transpose to NCHW.  A 1x1 unpadded conv gathers one strided
+        NHWC copy.
 
     ``gemm_workers > 1`` (set via ``InferencePlan.set_gemm_workers``)
-    partitions the column-matrix assembly feeding each GEMM over the
-    shared thread pool; workers fill disjoint slices, so the GEMM input
-    — and therefore the output — is byte-identical to the serial
-    schedule (see the module-level note on why the BLAS call itself is
-    never split).
+    splits the gather over the shared thread pool by disjoint batch
+    blocks, so the GEMM input — and therefore the output — is
+    byte-identical to the serial schedule (see the module-level note on
+    why the BLAS call itself is never split).
     """
 
     def __init__(
@@ -485,12 +474,7 @@ class ConvKernel(Kernel):
         self.act = act
         self.bufs = _Buffers()
         self.gemm_workers = 1
-        if conv.groups != 1:
-            self.tier = "grouped"
-        elif conv.kernel_size == (1, 1) and conv.padding == (0, 0):
-            self.tier = "direct1x1"
-        else:
-            self.tier = "im2col"
+        self.tier: str | None = None
 
     def refresh(self) -> None:
         if self.bn is not None:
@@ -504,171 +488,86 @@ class ConvKernel(Kernel):
             modules += (self.act,)
         return modules
 
-    # ------------------------------------------------------------------
-    # GEMM tiers (all write the channels-last (positions, out) buffer)
-    # ------------------------------------------------------------------
-    def _workers_for(self, positions: int, k: int, out_channels: int) -> int:
-        if self.gemm_workers <= 1:
-            return 1
-        if positions * k < GEMM_THREAD_MIN_WORK:
-            return 1
-        return self.gemm_workers
-
-    def _run_direct1x1(
-        self, x: np.ndarray, gemm: np.ndarray, oh: int, ow: int
-    ) -> None:
-        conv = self.conv
-        prof = self.prof
-        n, c = x.shape[:2]
-        sh, sw = conv.stride
-        view = x if (sh, sw) == (1, 1) else x[:, :, ::sh, ::sw]
-        cols = self.bufs.scratch.get("cols1x1", (n, oh, ow, c))
-        nhwc = view.transpose(0, 2, 3, 1)
-        workers = self._workers_for(n * oh * ow, c, conv.out_channels)
-        started = prof.now() if prof is not None else 0.0
-        if workers <= 1 or n < 2:
-            np.copyto(cols, nhwc)
-        else:
-            _run_partitioned(
-                [
-                    (lambda r0=r0, r1=r1: np.copyto(
-                        cols[r0:r1], nhwc[r0:r1]
-                    ))
-                    for r0, r1 in _row_ranges(n, workers)
-                ]
-            )
-        if prof is not None:
-            prof.phase(self, "gather", started, prof.now())
-            started = prof.now()
-        np.matmul(cols.reshape(n * oh * ow, c), conv.weight.data.reshape(
-            conv.out_channels, c
-        ).T, out=gemm)
-        if prof is not None:
-            prof.phase(self, "gemm", started, prof.now())
-
-    def _fill_cols(
-        self,
-        cols: np.ndarray,
-        padded: np.ndarray,
-        oh: int,
-        ow: int,
-        workers: int,
-    ) -> None:
-        """Build the position-major column matrix the module GEMM reads.
-
-        The gather is the autograd op's own :func:`im2col` (blocked
-        K-major staging for large feature maps, a direct position-major
-        copy for small ones), so the column bytes match the module's.
-        ``workers > 1`` deals the batch blocks round-robin onto the
-        shared pool; blocks own disjoint rows, so the bytes do not
-        change.
-        """
-        conv = self.conv
-        scratch = self.bufs.scratch
-        n, c = padded.shape[:2]
-        kh, kw = conv.kernel_size
-        k = c * kh * kw
-        per_image = oh * ow
-        itemsize = padded.dtype.itemsize
-        ranges = im2col_blocks(n, k, per_image, itemsize)
-        workers = min(workers, len(ranges))
-        if per_image < KMAJOR_MIN_AREA:
-            im2col(padded, (kh, kw), conv.stride, oh, ow, out=cols)
-            return
-        shape = staging_shape(n, k, per_image, itemsize)
-        if workers <= 1:
-            im2col(
-                padded,
-                (kh, kw),
-                conv.stride,
-                oh,
-                ow,
-                out=cols,
-                staging=scratch.get("colsT", shape),
-            )
-            return
-        # Staging views are taken here (the arena is not thread-safe)
-        # and each slot reuses its own, so concurrent gathers never
-        # collide.
-        staging = [scratch.get(("colsT", slot), shape) for slot in range(workers)]
-
-        def run_slot(slot: int) -> None:
-            for b0, b1 in ranges[slot::workers]:
-                gather_block(
-                    cols, staging[slot], padded, b0, b1, (kh, kw), conv.stride
-                )
-
-        _run_partitioned(
-            [lambda slot=slot: run_slot(slot) for slot in range(workers)]
-        )
-
-    def _run_im2col(
-        self, padded: np.ndarray, gemm: np.ndarray, oh: int, ow: int
-    ) -> None:
-        conv = self.conv
-        prof = self.prof
-        n, c = padded.shape[:2]
-        kh, kw = conv.kernel_size
-        k = c * kh * kw
-        positions = n * oh * ow
-        cols = self.bufs.scratch.get("cols", (positions, k))
-        workers = self._workers_for(positions, k, conv.out_channels)
-        started = prof.now() if prof is not None else 0.0
-        self._fill_cols(cols, padded, oh, ow, workers)
-        if prof is not None:
-            prof.phase(self, "gather", started, prof.now())
-            started = prof.now()
-        # One full-shape GEMM, exactly the module's call (BLAS threads
-        # it natively on multi-core machines; see module-level note).
-        if self.tier == "im2col":
-            np.matmul(cols, conv.weight.data.reshape(conv.out_channels, -1).T, out=gemm)
-        else:
-            groups = conv.groups
-            og = conv.out_channels // groups
-            np.einsum(
-                "pgk,gok->pgo",
-                cols.reshape(positions, groups, k // groups),
-                conv.weight.data.reshape(groups, og, k // groups),
-                out=gemm.reshape(positions, groups, og),
-            )
-        if prof is not None:
-            prof.phase(self, "gemm", started, prof.now())
-
-    # ------------------------------------------------------------------
-    def run(self, x: np.ndarray) -> np.ndarray:
+    def _fill_cols(self, x: np.ndarray, oh: int, ow: int, kmajor: bool) -> np.ndarray:
+        """The GEMM's column matrix (plus the padding copy it reads)."""
         conv = self.conv
         n, c, h, w = x.shape
+        kh, kw = conv.kernel_size
+        ph, pw = conv.padding
+        gather = partial(
+            im2col,
+            kernel=conv.kernel_size,
+            stride=conv.stride,
+            padding=conv.padding,
+            kmajor=kmajor,
+        )
+        if kmajor and is_pointwise(conv.kernel_size, conv.stride, conv.padding):
+            return gather(x)
+        k = c * kh * kw
+        cols = self.bufs.scratch.get(
+            "cols", (n, k, oh * ow) if kmajor else (n * oh * ow, k)
+        )
+        padded = None
+        if ph or pw:
+            pad_hw = (h + 2 * ph, w + 2 * pw)
+            pad_shape = (n, c, *pad_hw) if kmajor else (n, *pad_hw, c)
+            padded = self.bufs.get("padded", pad_shape, fill=0.0)
+        workers = self.gemm_workers if n * oh * ow * k >= GEMM_THREAD_MIN_WORK else 1
+        if workers <= 1 or n < 2:
+            return gather(x, out=cols, padded=padded)
+        # Batch blocks own disjoint rows of cols (and of padded).
+        per_image = 1 if kmajor else oh * ow
+        _run_partitioned(
+            [
+                (lambda b0=b0, b1=b1: gather(
+                    x[b0:b1],
+                    out=cols[b0 * per_image : b1 * per_image],
+                    padded=None if padded is None else padded[b0:b1],
+                ))
+                for b0, b1 in _row_ranges(n, workers)
+            ]
+        )
+        return cols
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        conv = self.conv
+        prof = self.prof
+        n, _, h, w = x.shape
         kh, kw = conv.kernel_size
         sh, sw = conv.stride
         ph, pw = conv.padding
         out_channels = conv.out_channels
         oh = _out_size(h, kh, sh, ph)
         ow = _out_size(w, kw, sw, pw)
-        positions = n * oh * ow
-        gemm = self.bufs.scratch.get("gemm", (positions, out_channels))
-
-        if self.tier == "direct1x1":
-            self._run_direct1x1(x, gemm, oh, ow)
-        else:
-            if ph or pw:
-                prof = self.prof
-                started = prof.now() if prof is not None else 0.0
-                padded = self.bufs.get(
-                    "padded", (n, c, h + 2 * ph, w + 2 * pw), fill=0.0
-                )
-                padded[:, :, ph : ph + h, pw : pw + w] = x
-                if prof is not None:
-                    # The border copy assembles GEMM input: gather time.
-                    prof.phase(self, "gather", started, prof.now())
-            else:
-                padded = x
-            self._run_im2col(padded, gemm, oh, ow)
-        if conv.bias is not None:
-            gemm += conv.bias.data
-        if self.bn is not None:
-            self.bn.apply_vectors(gemm)
+        kmajor = use_kmajor(oh * ow, conv.groups)
+        self.tier = "im2col" if kmajor else "nhwc"
         out = self.bufs.get("out", (n, out_channels, oh, ow))
-        np.copyto(out, gemm.reshape(n, oh, ow, out_channels).transpose(0, 3, 1, 2))
+
+        started = prof.now() if prof is not None else 0.0
+        cols = self._fill_cols(x, oh, ow, kmajor)
+        if prof is not None:
+            prof.phase(self, "gather", started, prof.now())
+            started = prof.now()
+        # One whole GEMM, exactly the module's call (BLAS threads it
+        # natively on multi-core machines; see module-level note).
+        if kmajor:
+            rows = conv_gemm(conv.weight.data, cols, conv.groups, out=out.reshape(
+                n, out_channels, oh * ow
+            ))
+            vector_shape: tuple[int, ...] = (-1, 1)
+        else:
+            rows = conv_gemm(conv.weight.data, cols, 1, out=self.bufs.scratch.get(
+                "gemm", (n * oh * ow, out_channels)
+            ))
+            vector_shape = (-1,)
+        if prof is not None:
+            prof.phase(self, "gemm", started, prof.now())
+        if conv.bias is not None:
+            np.add(rows, conv.bias.data.reshape(vector_shape), out=rows)
+        if self.bn is not None:
+            self.bn.apply(rows, vector_shape)
+        if not kmajor:
+            np.copyto(out, rows.reshape(n, oh, ow, out_channels).transpose(0, 3, 1, 2))
         if self.act is not None:
             apply_activation(self.act, out, out, self.bufs.scratch)
         return out
@@ -679,7 +578,7 @@ class ConvKernel(Kernel):
             parts.append("bn")
         if self.act is not None:
             parts.append(type(self.act).__name__)
-        tag = self.tier
+        tag = self.tier or "unrun"
         if self.gemm_workers > 1:
             tag += f"@{self.gemm_workers}"
         return "+".join(parts) + f"[{tag}]"
@@ -724,7 +623,7 @@ class LinearKernel(Kernel):
         if linear.bias is not None:
             np.add(out, linear.bias.data, out=out)
         if self.bn is not None:
-            self.bn.apply_vectors(out)
+            self.bn.apply(out, (-1,))
         if self.act is not None:
             apply_activation(self.act, out, out, self.bufs.scratch)
         return out

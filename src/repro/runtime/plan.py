@@ -199,7 +199,8 @@ class InferencePlan:
         """Set the GEMM-pipeline parallelism for this plan.
 
         Workers partition the column-matrix assembly (the im2col
-        gather) feeding each convolution GEMM; the BLAS call itself
+        gather) feeding each convolution GEMM by disjoint batch
+        blocks; the BLAS call itself
         stays whole — splitting it is not float32-bit-exact — and is
         threaded natively by BLAS where cores allow.  Threaded and
         serial schedules produce byte-identical column matrices, so

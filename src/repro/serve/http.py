@@ -517,6 +517,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "_HTTPServer"
     protocol_version = "HTTP/1.1"
+    # The head and the body go out in two writes; with Nagle's algorithm
+    # on, a kept-alive response's body waits ~40 ms for the client's
+    # delayed ACK of the head.
+    disable_nagle_algorithm = True
 
     def _send(self, result: RouteResult) -> None:
         self.send_response(result.status)

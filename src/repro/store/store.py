@@ -4,7 +4,8 @@ A :class:`CampaignStore` is a directory holding one campaign's entire
 fault-injection record:
 
 - ``manifest.json`` — the campaign's *identity* (seed, trial count, a
-  fingerprint of the injector's fault space, the parameter-name table)
+  fingerprint of the injector's fault space, the parameter-name table,
+  the convolution numerics)
   plus one entry per fault configuration and
   free-form run metadata.  Rewritten atomically (temp file + rename) on
   every update.
@@ -50,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, BinaryIO, Protocol
@@ -251,6 +253,10 @@ class CampaignStore:
         ``shard`` is always ``None``.  The key stays so existing
         manifests keep their config hash and older workers can still
         join new stores; :meth:`open` refuses a non-null one.
+
+        ``numerics`` names the convolution arithmetic the trials ran
+        under (``FaultCampaign.numerics``); :meth:`attach` refuses a
+        store that records another value or none.
         """
         injector = campaign.injector
         fingerprint = getattr(injector, "fingerprint", None)
@@ -265,6 +271,7 @@ class CampaignStore:
             "layers": list(getattr(injector, "parameter_names", [])),
             "layer_words": [int(w) for w in words] if words is not None else None,
             "word_bits": int(bits) if bits is not None else None,
+            "numerics": str(campaign.numerics),
         }
 
     @classmethod
@@ -388,6 +395,18 @@ class CampaignStore:
         """
         identity = self.campaign_identity(campaign)
         theirs = self.identity
+        if theirs.get("numerics") != identity["numerics"]:
+            recorded = (
+                "no 'numerics' identity field"
+                if "numerics" not in theirs
+                else f"'numerics' = {theirs['numerics']!r}"
+            )
+            raise StoreError(
+                f"store {self.path!r} has {recorded}, but this build's "
+                f"convolutions compute {identity['numerics']!r}: its trials "
+                "came from other arithmetic and must not mix with new ones. "
+                "Start a fresh store (a new --store directory)"
+            )
         if theirs != identity:
             raise StoreError(
                 f"store {self.path!r} belongs to a different campaign "
@@ -460,8 +479,13 @@ class CampaignStore:
     # Persistence
     # ------------------------------------------------------------------
     def _write_manifest(self) -> None:
-        """Atomic rewrite: temp file in the same directory, then rename."""
-        tmp = self._manifest_path + ".tmp"
+        """Atomic rewrite: temp file in the same directory, then rename.
+
+        The temp name is per process and thread: writers that create one
+        store at the same moment (``serve-store`` workers starting
+        together) must not rename each other's file away.
+        """
+        tmp = f"{self._manifest_path}.{os.getpid()}.{threading.get_ident()}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
             exact_json_dump(self._manifest, handle, indent=2)
             handle.write("\n")

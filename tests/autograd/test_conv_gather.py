@@ -1,10 +1,11 @@
-"""The shared im2col gather and the NHWC col2im are byte-identical to
-the formulations they replaced.
+"""The shared im2col gather and both col2im scatters are byte-identical
+to direct reference formulations.
 
-Each reference below is the previous implementation, kept verbatim:
-the position-major ``ascontiguousarray(windows.transpose(...))`` column
-matrix and the NCHW window-gradient scatter.  Comparisons use
-``tobytes()``, so a single differently-rounded element fails.
+The column reference is the position-major
+``ascontiguousarray(windows.transpose(...))`` matrix; each layout is a
+fixed permutation of it.  The input-gradient reference is the NCHW
+window-gradient scatter.  Comparisons use ``tobytes()``, so a single
+differently-rounded element fails.
 """
 
 from __future__ import annotations
@@ -19,18 +20,21 @@ from repro.autograd.ops_conv import (
     _scatter_windows,
     _strided_windows,
     conv2d,
+    conv_gemm,
     im2col,
+    use_kmajor,
 )
 from repro.autograd.tensor import Tensor
 from repro.nn import Conv2d
+from repro.runtime import kernels as kernels_module
 from repro.runtime.kernels import ConvKernel
 
 # (in_channels, h, w, kernel, stride, padding); per-image output areas
 # fall on both sides of KMAJOR_MIN_AREA.
 GEOMETRIES = [
-    (3, 10, 10, (3, 3), (1, 1), (0, 0)),  # 64 positions: blocked gather
-    (4, 9, 9, (3, 3), (1, 1), (0, 0)),  # 49: direct copy
-    (5, 16, 16, (3, 3), (1, 1), (1, 1)),  # 256: blocked
+    (3, 10, 10, (3, 3), (1, 1), (0, 0)),  # 64 positions: K-major
+    (4, 9, 9, (3, 3), (1, 1), (0, 0)),  # 49: channels-last
+    (5, 16, 16, (3, 3), (1, 1), (1, 1)),  # 256: K-major
     (6, 15, 17, (2, 3), (1, 1), (2, 2)),  # 2x3 kernel, padding 2
     (3, 16, 16, (3, 3), (2, 2), (1, 1)),  # stride 2: 64 positions
     (4, 12, 12, (2, 3), (2, 2), (0, 1)),  # stride 2, mixed padding: 36
@@ -39,33 +43,38 @@ GEOMETRIES = [
 DTYPES = [np.float32, np.float64]
 
 
-def _reference_cols(padded, kernel, stride):
+def _reference_cols(padded, kernel, stride, kmajor):
+    """Position-major windows, permuted into the layout ``kmajor`` picks."""
     kh, kw = kernel
     windows = _strided_windows(padded, kh, kw, *stride)
     n, c, oh, ow = windows.shape[:4]
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * oh * ow, c * kh * kw
+    if kmajor:  # (N, C, kh, kw, OH, OW)
+        return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
+            n, c * kh * kw, oh * ow
+        )
+    return np.ascontiguousarray(windows.transpose(0, 2, 3, 4, 5, 1)).reshape(
+        n * oh * ow, kh * kw * c
     )
 
 
 def _reference_input_grad(grad_out, weight, in_shape, stride, padding, groups=1):
-    """The NCHW ``_scatter_windows`` input gradient of the conv op."""
-    n, _, oh, ow = grad_out.shape
-    out_channels, cg, kh, kw = weight.shape
+    """The NCHW ``_scatter_windows`` input gradient, from the op's GEMM."""
+    n, out_channels, oh, ow = grad_out.shape
+    _, cg, kh, kw = weight.shape
     c = in_shape[1]
-    grad_mat = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1)).reshape(
-        n * oh * ow, out_channels
-    )
-    if groups == 1:
-        grad_cols = grad_mat @ weight.reshape(out_channels, -1)
-    else:
+    if use_kmajor(oh * ow, groups):
         og = out_channels // groups
-        grad_cols = np.einsum(
-            "pgo,gok->pgk",
-            grad_mat.reshape(n * oh * ow, groups, og),
-            weight.reshape(groups, og, cg * kh * kw),
-        ).reshape(n * oh * ow, c * kh * kw)
-    grad_windows = grad_cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+        grad = np.ascontiguousarray(grad_out).reshape(n, groups, og, oh * ow)
+        w_t = weight.reshape(groups, og, cg * kh * kw).transpose(0, 2, 1)
+        grad_windows = np.matmul(w_t, grad).reshape(n, c, kh, kw, oh, ow)
+    else:
+        grad_mat = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1)).reshape(
+            n * oh * ow, out_channels
+        )
+        w_perm = weight.transpose(0, 2, 3, 1).reshape(out_channels, -1)
+        grad_windows = (grad_mat @ w_perm).reshape(n, oh, ow, kh, kw, c).transpose(
+            0, 5, 3, 4, 1, 2
+        )
     return _scatter_windows(
         np.ascontiguousarray(grad_windows), in_shape, kh, kw, *stride, *padding
     )
@@ -92,62 +101,54 @@ def test_geometries_cover_both_gather_routes():
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_im2col_matches_position_major_transpose(geometry, dtype):
+    """Both layouts, on every geometry, whichever one the op would pick."""
     rng = np.random.default_rng(0)
     x, oh, ow = _geometry_input(rng, geometry, dtype)
     _, _, _, kernel, stride, padding = geometry
     padded = _pad_spatial(x, *padding)
-    cols = im2col(padded, kernel, stride, oh, ow)
-    expected = _reference_cols(padded, kernel, stride)
-    assert cols.dtype == expected.dtype
-    assert cols.shape == expected.shape
-    assert cols.tobytes() == expected.tobytes()
+    for kmajor in (True, False):
+        cols = im2col(x, kernel, stride, padding, kmajor)
+        expected = _reference_cols(padded, kernel, stride, kmajor)
+        assert cols.dtype == expected.dtype
+        assert cols.shape == expected.shape
+        assert cols.tobytes() == expected.tobytes()
+
+
+def test_pointwise_kmajor_columns_are_the_input():
+    x = np.random.default_rng(6).standard_normal((2, 5, 9, 9)).astype(np.float32)
+    cols = im2col(x, (1, 1), (1, 1), (0, 0), kmajor=True)
+    assert np.shares_memory(cols, x)
+    assert cols.tobytes() == _reference_cols(x, (1, 1), (1, 1), True).tobytes()
 
 
 def test_im2col_blocks_span_ragged_batches(monkeypatch):
-    """Many small blocks plus a ragged tail still fill every row."""
-    from repro.autograd import ops_conv
-
+    """Threaded batch blocks of 3, 2 and 2 images fill every row."""
+    monkeypatch.setattr(kernels_module, "GEMM_THREAD_MIN_WORK", 0)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((7, 3, 12, 12)).astype(np.float32)
-    # Budget of ~2 images per block: blocks of 2, 2, 2 and a tail of 1.
-    monkeypatch.setattr(ops_conv, "GEMM_BLOCK_BYTES", 2 * 27 * 100 * 4)
-    assert ops_conv.im2col_blocks(7, 27, 100, 4)[-1] == (6, 7)
-    cols = im2col(x, (3, 3), (1, 1), 10, 10)
-    assert cols.tobytes() == _reference_cols(x, (3, 3), (1, 1)).tobytes()
-
-
-@pytest.mark.parametrize("channels,size", [(4, 32), (4, 16), (2, 8)])
-def test_staging_rows_are_padded_off_the_page_stride(channels, size):
-    """Unpadded, a staging row of B * OH * OW floats is a multiple of
-    4 KiB in these geometries, so the transpose would read all K rows
-    from one cache set.  The padded buffer must gather the same bytes."""
-    from repro.autograd import ops_conv
-
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((128, channels, size + 2, size + 2)).astype(np.float32)
-    k, per_image = channels * 9, size * size
-    shape = ops_conv.staging_shape(128, k, per_image, 4)
-    b0, b1 = ops_conv.im2col_blocks(128, k, per_image, 4)[0]
-    assert (b1 - b0) * per_image * 4 % 4096 == 0
-    assert shape == (k, (b1 - b0) * per_image + ops_conv.STAGING_ROW_PAD)
-    assert (shape[1] * 4) % 4096 != 0
-    staging = np.full(shape, np.nan, np.float32)
-    cols = im2col(x, (3, 3), (1, 1), size, size, staging=staging)
-    assert cols.tobytes() == _reference_cols(x, (3, 3), (1, 1)).tobytes()
+    step = ConvKernel(Conv2d(3, 4, 3, padding=1, rng=0))
+    step.gemm_workers = 3
+    for kmajor in (True, False):
+        cols = step._fill_cols(x, 12, 12, kmajor)
+        expected = _reference_cols(_pad_spatial(x, 1, 1), (3, 3), (1, 1), kmajor)
+        assert cols.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("geometry", GEOMETRIES)
-def test_runtime_fill_cols_matches_reference(geometry, workers):
+def test_runtime_fill_cols_matches_reference(monkeypatch, geometry, workers):
+    monkeypatch.setattr(kernels_module, "GEMM_THREAD_MIN_WORK", 0)
     c, h, w, kernel, stride, padding = geometry
     rng = np.random.default_rng(2)
     x, oh, ow = _geometry_input(rng, geometry, np.float32, batch=5)
     conv = Conv2d(c, 4, kernel, stride=stride, padding=padding, rng=0)
-    kernel_step = ConvKernel(conv)
+    step = ConvKernel(conv)
+    step.gemm_workers = workers
     padded = _pad_spatial(x, *padding)
-    cols = np.full((5 * oh * ow, c * kernel[0] * kernel[1]), np.nan, np.float32)
-    kernel_step._fill_cols(cols, padded, oh, ow, workers)
-    assert cols.tobytes() == _reference_cols(padded, kernel, stride).tobytes()
+    for kmajor in (True, False):
+        cols = step._fill_cols(x, oh, ow, kmajor)
+        expected = _reference_cols(padded, kernel, stride, kmajor)
+        assert cols.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -179,30 +180,38 @@ def test_grouped_nhwc_input_grad_matches_nchw_scatter(groups):
 
 @pytest.mark.parametrize("groups", [1, 2])
 def test_conv_forward_and_weight_grad_match_transpose_im2col(groups):
-    """The forward GEMM and weight gradient read the same column bytes."""
+    """The forward GEMM and weight gradient read the reference columns.
+
+    7x7 outputs are channels-last at ``groups=1`` and K-major (as
+    every grouped conv) at ``groups=2``.
+    """
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 4, 11, 11)).astype(np.float32)
+    x = rng.standard_normal((3, 4, 7, 7)).astype(np.float32)
     weight = rng.standard_normal((6, 4 // groups, 3, 3)).astype(np.float32)
     wt = Tensor(weight, requires_grad=True)
     out = conv2d(Tensor(x), wt, padding=1, groups=groups)
     grad_out = rng.standard_normal(out.shape).astype(np.float32)
     out.backward(grad_out)
 
-    cols = _reference_cols(_pad_spatial(x, 1, 1), (3, 3), (1, 1))
-    grad_mat = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1)).reshape(-1, 6)
-    if groups == 1:
-        expected_out = cols @ weight.reshape(6, -1).T
-        expected_grad = (grad_mat.T @ cols).reshape(weight.shape)
-    else:
-        cols3 = cols.reshape(-1, groups, 2 * 9)
-        expected_out = np.einsum(
-            "pgk,gok->pgo", cols3, weight.reshape(groups, 3, 2 * 9)
-        ).reshape(-1, 6)
-        expected_grad = np.einsum(
-            "pgo,pgk->gok", grad_mat.reshape(-1, groups, 3), cols3
+    kmajor = use_kmajor(7 * 7, groups)
+    assert kmajor == (groups != 1)
+    cols = _reference_cols(_pad_spatial(x, 1, 1), (3, 3), (1, 1), kmajor)
+    expected_out = conv_gemm(weight, cols, groups)
+    if kmajor:
+        expected_out = expected_out.reshape(3, 6, 7, 7)
+        grad = grad_out.reshape(3, groups, 6 // groups, 49)
+        cols4 = cols.reshape(3, groups, -1, 49)
+        expected_grad = np.matmul(
+            grad.transpose(1, 2, 0, 3).reshape(groups, 6 // groups, -1),
+            cols4.transpose(1, 2, 0, 3).reshape(groups, cols4.shape[2], -1).transpose(
+                0, 2, 1
+            ),
         ).reshape(weight.shape)
-    expected_out = np.ascontiguousarray(
-        expected_out.reshape(3, 11, 11, 6).transpose(0, 3, 1, 2)
-    )
+    else:
+        expected_out = np.ascontiguousarray(
+            expected_out.reshape(3, 7, 7, 6).transpose(0, 3, 1, 2)
+        )
+        grad_mat = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1)).reshape(-1, 6)
+        expected_grad = (grad_mat.T @ cols).reshape(6, 3, 3, 4).transpose(0, 3, 1, 2)
     assert out.data.tobytes() == expected_out.tobytes()
-    assert wt.grad.tobytes() == expected_grad.tobytes()
+    assert wt.grad.tobytes() == np.ascontiguousarray(expected_grad).tobytes()

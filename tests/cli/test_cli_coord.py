@@ -188,6 +188,64 @@ class TestServeStore:
         assert "different settings" in err
         assert "rates" in err
 
+    def test_two_workers_create_one_fresh_store_at_once(
+        self, checkpoint, tmp_path, monkeypatch, capsys
+    ):
+        """Both workers find no store and create it together.  Each
+        worker's first manifest rename waits until both have written
+        their temp file, so the race happens every run: one writer's
+        rename must not take the other's temp file away."""
+        import signal
+        import threading
+
+        # serve-store sets a SIGTERM handler, which only the main
+        # thread may do; these workers are threads.
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        store = tmp_path / "store"
+        manifest = os.fspath(store / "manifest.json")
+        barrier = threading.Barrier(2, timeout=120)
+        replace = os.replace
+        waited = set()
+
+        def racing_replace(src, dst, *args, **kwargs):
+            if os.fspath(dst) == manifest and threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                barrier.wait()
+            return replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        results = {}
+
+        def work(worker_id):
+            try:
+                results[worker_id] = _serve(
+                    checkpoint, store, "--worker-id", worker_id
+                )
+            except BaseException as error:  # reported by the assert below
+                results[worker_id] = repr(error)
+
+        threads = [
+            threading.Thread(target=work, args=(worker_id,))
+            for worker_id in ("alpha", "beta")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == {"alpha": 0, "beta": 0}
+        assert capsys.readouterr().out.count("created campaign store") == 2
+        assert not list(store.glob("*.tmp"))
+
+        monkeypatch.setattr(os, "replace", replace)
+        straight = tmp_path / "straight"
+        assert _serve(checkpoint, straight, "--worker-id", "solo") == 0
+        for path in (straight, store):
+            assert main(["campaign", "report", "--store", str(path)]) == 0
+        for artifact in ("report.md", "atlas.json"):
+            assert (store / artifact).read_bytes() == (
+                straight / artifact
+            ).read_bytes()
+
 
 class TestWatch:
     def test_once_renders_workers_and_configs(self, checkpoint, tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Tiered conv kernels: dispatch, per-tier bit-exactness, threaded GEMM.
 
-The compiler picks one execution tier per conv layer from its static
-geometry (direct 1x1, blocked K-major im2col, grouped einsum); every
-tier — and the optional row-partitioned threaded GEMM on top — must
-produce float32 logits bit-identical to the eval-mode module forward.
+Each conv kernel picks its execution tier per call from the output
+map's area (K-major ``im2col`` per image, every grouped conv
+included, or channels-last ``nhwc``); every tier — and the optional
+batch-partitioned threaded gather on top — must produce float32 logits
+bit-identical to the eval-mode module forward.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from repro import nn
 from repro.autograd.grad_mode import no_grad
+from repro.autograd.ops_conv import KMAJOR_MIN_AREA, conv_gemm, im2col
 from repro.autograd.tensor import Tensor
 from repro.core.training import evaluate_accuracy
 from repro.data.loader import DataLoader
@@ -55,34 +57,117 @@ def _conv_kernels(plan):
 
 
 # ----------------------------------------------------------------------
-# Tier dispatch (decided per layer at plan build time)
+# Tier dispatch (decided per call from the output map's area)
 # ----------------------------------------------------------------------
-def test_resnet_downsamples_use_direct_1x1_tier():
+def _out_area(kernel):
+    ((_, _, oh, ow),) = [shape for name, shape, _ in kernel.bufs._store if name == "out"]
+    return oh * ow
+
+
+def test_resnet_tiers_follow_the_output_area():
     model = build_model("resnet18", num_classes=10, scale=0.125, image_size=32, seed=0)
     plan = compile_model(model, (2, 3, 32, 32))
-    tiers = {kernel.tier for kernel in _conv_kernels(plan)}
-    assert tiers == {"direct1x1", "im2col"}
-    assert "direct1x1" in plan.describe()
+    kernels = _conv_kernels(plan)
+    for kernel in kernels:
+        kmajor = _out_area(kernel) >= KMAJOR_MIN_AREA
+        assert kernel.tier == ("im2col" if kmajor else "nhwc")
+    # The 1x1 stride-2 downsamples land on both sides of the threshold.
+    pointwise = {k.tier for k in kernels if k.conv.kernel_size == (1, 1)}
+    assert pointwise == {"im2col", "nhwc"}
+    assert "[nhwc]" in plan.describe() and "[im2col]" in plan.describe()
 
 
-def test_mobilenet_depthwise_uses_grouped_tier_and_pointwise_direct():
+def test_mobilenet_depthwise_runs_kmajor_at_every_map_size():
     model = build_model(
         "mobilenet", num_classes=10, scale=0.125, image_size=32, seed=0
     )
     plan = compile_model(model, (2, 3, 32, 32))
-    tiers = {kernel.tier for kernel in _conv_kernels(plan)}
-    assert "grouped" in tiers  # depthwise stages
-    assert "direct1x1" in tiers  # pointwise stages skip im2col entirely
+    kernels = _conv_kernels(plan)
+    grouped = [k for k in kernels if k.conv.groups != 1]
+    assert {_out_area(k) for k in grouped} == {256, 64, 16, 4, 1}
+    assert {k.tier for k in grouped} == {"im2col"}
+    pointwise = {k.tier for k in kernels if k.conv.kernel_size == (1, 1)}
+    assert pointwise == {"im2col", "nhwc"}
 
 
 def test_padded_1x1_conv_stays_on_im2col_tier():
-    """Padding makes a 1x1 conv read positions the direct tier skips."""
+    """Padding makes a 1x1 conv read positions the pointwise path skips."""
     model = nn.Sequential(nn.Conv2d(3, 4, 1, padding=1, rng=0))
-    plan = compile_model(model, (2, 3, 8, 8))
+    plan = compile_model(model, (2, 3, 8, 8))  # 10x10 output: K-major
     (kernel,) = _conv_kernels(plan)
     assert kernel.tier == "im2col"
     x = np.random.default_rng(0).standard_normal((2, 3, 8, 8)).astype(np.float32)
     np.testing.assert_array_equal(plan(x), _module_logits(model, x))
+
+
+def test_describe_marks_a_kernel_that_has_not_run():
+    kernel = ConvKernel(nn.Conv2d(3, 4, 3, rng=0))
+    assert kernel.tier is None
+    assert kernel.describe() == "conv(3, 3)[unrun]"
+
+
+# ----------------------------------------------------------------------
+# The K-major GEMM: one fixed shape per image
+# ----------------------------------------------------------------------
+# (out_channels, in_channels, kernel, groups, map side): VGG16 quick's
+# K-major layers, a ResNet 1x1 downsample, a grouped and a depthwise conv.
+_KMAJOR_SHAPES = [
+    (8, 3, 3, 1, 32),
+    (8, 8, 3, 1, 32),
+    (16, 16, 3, 1, 16),
+    (16, 8, 1, 1, 16),
+    (16, 16, 3, 2, 16),
+    (16, 16, 3, 16, 8),
+]
+
+
+@pytest.mark.parametrize("shape", _KMAJOR_SHAPES, ids=str)
+def test_stacked_kmajor_gemm_equals_per_image_loop(shape):
+    """numpy's stacked matmul must hand each image to BLAS as one 2-D
+    GEMM: its non-BLAS fallback would round differently."""
+    out_channels, in_channels, k, groups, side = shape
+    rng = np.random.default_rng(23)
+    weight = rng.standard_normal(
+        (out_channels, in_channels // groups, k, k)
+    ).astype(np.float32)
+    x = rng.standard_normal((5, in_channels, side, side)).astype(np.float32)
+    cols = im2col(x, (k, k), (1, 1), (k // 2, k // 2), kmajor=True)
+    stacked = conv_gemm(weight, cols, groups)
+    og, kg = out_channels // groups, cols.shape[1] // groups
+    w_groups = weight.reshape(groups, og, kg)
+    for image in range(x.shape[0]):
+        for group in range(groups):
+            expected = w_groups[group] @ cols[image, group * kg : (group + 1) * kg]
+            got = stacked[image, group * og : (group + 1) * og]
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_nhwc_gemm_is_one_position_major_gemm():
+    rng = np.random.default_rng(24)
+    weight = rng.standard_normal((32, 16, 3, 3)).astype(np.float32)
+    x = rng.standard_normal((5, 16, 4, 4)).astype(np.float32)
+    cols = im2col(x, (3, 3), (1, 1), (1, 1), kmajor=False)
+    w_perm = np.ascontiguousarray(weight.transpose(0, 2, 3, 1)).reshape(32, -1)
+    assert conv_gemm(weight, cols, 1).tobytes() == (cols @ w_perm.T).tobytes()
+
+
+@pytest.mark.parametrize("groups", [1, 4])
+def test_kmajor_output_of_an_image_does_not_depend_on_its_batch(groups):
+    rng = np.random.default_rng(25)
+    model = nn.Sequential(
+        nn.Conv2d(8, 16, 3, padding=1, groups=groups, rng=0),
+        nn.BatchNorm2d(16),
+        nn.ReLU(),
+    )
+    x = rng.standard_normal((128, 8, 16, 16)).astype(np.float32)
+    plan = compile_model(model, (1, 8, 16, 16))
+    full = plan(x).copy()
+    assert {k.tier for k in _conv_kernels(plan)} == {"im2col"}
+    module_full = _module_logits(model, x)
+    for batch in (1, 7):
+        np.testing.assert_array_equal(plan(x[:batch]), full[:batch])
+        np.testing.assert_array_equal(_module_logits(model, x[:batch]), full[:batch])
+    np.testing.assert_array_equal(module_full, full)
 
 
 # ----------------------------------------------------------------------
@@ -127,15 +212,15 @@ def test_grouped_conv_bit_exact():
 
 
 def test_large_batch_blocked_gather_bit_exact():
-    """Batches large enough to split into several K-major blocks."""
+    """A large batch, then another batch size on the same plan."""
     rng = np.random.default_rng(19)
     model = build_model("resnet18", num_classes=10, scale=0.125, image_size=32, seed=0)
     x = rng.standard_normal((64, 3, 32, 32)).astype(np.float32)
     reference = _module_logits(model, x)
     plan = compile_model(model, x.shape)
     np.testing.assert_array_equal(plan(x), reference)
-    # Ragged re-use: a different batch size on the same plan (fresh
-    # block partitioning, including a ragged tail block).
+    # Re-use at another batch size: fresh out/padded buffers, the
+    # same scratch arena.
     y = rng.standard_normal((37, 3, 32, 32)).astype(np.float32)
     np.testing.assert_array_equal(plan(y), _module_logits(model, y))
 
@@ -197,7 +282,7 @@ def test_threaded_direct1x1_and_grouped_bit_exact(monkeypatch):
     monkeypatch.setattr(kernels_module, "GEMM_THREAD_MIN_WORK", 0)
     rng = np.random.default_rng(21)
     model = nn.Sequential(
-        nn.Conv2d(8, 16, 1, stride=2, rng=0),      # direct1x1, strided
+        nn.Conv2d(8, 16, 1, stride=2, rng=0),      # nhwc 1x1: a direct copy
         nn.Conv2d(16, 16, 3, padding=1, groups=4, rng=1),  # grouped
         nn.ReLU(),
         nn.Flatten(),

@@ -259,7 +259,7 @@ def test_plan_scratch_is_the_largest_single_need_per_name(monkeypatch):
         )
     sizes = plan.scratch.sizes()
     assert sizes == {name: max(requests) for name, requests in needs.items()}
-    assert {"cols", "cols1x1", "colsT", "gemm", "act_mask"} <= set(sizes)
+    assert {"cols", "gemm", "act_mask"} <= set(sizes)
     assert sizes["cols"] < sum(set(needs["cols"]))
     # Kernels keep only their own out/padded arrays; the plan reports both.
     memory = plan.memory()

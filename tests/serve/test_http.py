@@ -156,6 +156,25 @@ class TestEndpoints:
         with urlopen(f"{server.url}/metrics?format=unknown") as response:
             assert response.headers["Content-Type"].startswith("application/json")
 
+    def test_accepted_sockets_disable_nagle(self, client, monkeypatch):
+        """Kept-alive responses must not wait on the delayed ACK."""
+        import socket
+
+        from repro.serve.http import _Handler
+
+        nodelay = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        client.healthz()
+        assert nodelay and all(nodelay)
+
     def test_request_and_batch_spans_recorded(self, client, sample_batch):
         from repro.obs import configure_tracing, reset_tracing, trace_events
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.autograd.ops_conv import NUMERICS
 from repro.errors import ConfigurationError
 from repro.fault import BitFlipFaultModel, FaultCampaign, FaultInjector, TrialOutcome
 from repro.quant import quantize_module
@@ -194,12 +195,14 @@ class TestCompleteness:
 class TestOldStores:
     """Manifests written before static shards were removed."""
 
-    def _rewrite_identity(self, path, **changes):
+    def _rewrite_identity(self, path, drop=(), **changes):
         from repro.store.store import _identity_hash
 
         manifest_path = path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["identity"].update(changes)
+        for key in drop:
+            del manifest["identity"][key]
         manifest["config_hash"] = _identity_hash(manifest["identity"])
         manifest_path.write_text(json.dumps(manifest))
 
@@ -228,3 +231,34 @@ class TestOldStores:
         assert "serve-store" in str(raised.value)
         with pytest.raises(StoreError, match="shard"):
             CampaignStore.for_campaign(tmp_path / "s", make_campaign())
+
+    def test_store_without_numerics_is_refused(self, tmp_path):
+        """Stores written before conv numerics were recorded ran the
+        older arithmetic: refuse them instead of mixing trials."""
+        CampaignStore.for_campaign(tmp_path / "s", make_campaign()).close()
+        self._rewrite_identity(tmp_path / "s", drop=("numerics",))
+        with pytest.raises(StoreError, match="no 'numerics' identity field") as raised:
+            CampaignStore.for_campaign(tmp_path / "s", make_campaign())
+        assert "fresh store" in str(raised.value)
+        with CampaignStore.open(tmp_path / "s") as store:  # still readable
+            with pytest.raises(StoreError, match="numerics"):
+                store.attach(make_campaign())
+
+    def test_store_with_other_numerics_is_refused(self, tmp_path):
+        CampaignStore.for_campaign(tmp_path / "s", make_campaign()).close()
+        self._rewrite_identity(tmp_path / "s", numerics="conv-position-major")
+        with pytest.raises(
+            StoreError, match="'numerics' = 'conv-position-major'"
+        ) as raised:
+            CampaignStore.for_campaign(tmp_path / "s", make_campaign())
+        assert NUMERICS in str(raised.value)
+        assert "fresh store" in str(raised.value)
+
+    def test_fresh_store_records_numerics_and_resumes(self, tmp_path):
+        store = CampaignStore.for_campaign(tmp_path / "s", make_campaign())
+        assert store.identity["numerics"] == NUMERICS
+        key = store.open_config(SPEC)
+        store.record(key, TrialOutcome(0, 0.5, 1), [])
+        store.close()
+        with CampaignStore.for_campaign(tmp_path / "s", make_campaign()) as store:
+            assert sorted(store.journaled(key)) == [0]
