@@ -28,9 +28,9 @@ from repro.data.transforms import Normalize
 from repro.eval.evaluator import Evaluator
 from repro.eval.reporting import format_table
 from repro.fault import BitFlipFaultModel, FaultCampaign, FaultInjector
-from repro.fault.parallel import available_workers
 from repro.models.registry import build_model
 from repro.quant import quantize_module
+from repro.runtime.plan import available_workers
 
 TRIALS = 32
 REPLICAS = 8

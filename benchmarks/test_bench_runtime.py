@@ -35,9 +35,9 @@ from repro.core.fitrelu import FitReLU
 from repro.core.surgery import find_activation_sites
 from repro.eval.reporting import format_table
 from repro.fault.activation import ActivationFaultInjector
-from repro.fault.parallel import available_workers
 from repro.models.registry import build_model
 from repro.runtime import compile_model
+from repro.runtime.plan import available_workers
 
 #: (label, registry name, scale, image size, batch, mode)
 #: mode: "plain" | "fitact" (FitReLU surgery) | "sites" (FitReLU surgery

@@ -16,13 +16,6 @@ from repro.eval.experiments import EXPERIMENTS, get_preset
 from repro.utils import set_verbosity
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -31,15 +24,6 @@ def main() -> int:
         help=f"artefact id: {', '.join(sorted(EXPERIMENTS))}",
     )
     parser.add_argument("--preset", default="quick", choices=["smoke", "quick", "full"])
-    parser.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=0,
-        help=(
-            "fault-campaign worker processes (0 = serial; N >= 2 fans "
-            "trials out over a process pool with bit-identical results)"
-        ),
-    )
     parser.add_argument("--list", action="store_true", help="list experiment ids")
     parser.add_argument("--output", help="also write the result text to this file")
     parser.add_argument("--json", help="write the result data as JSON to this file")
@@ -62,8 +46,6 @@ def main() -> int:
 
     runner = EXPERIMENTS[args.experiment]
     preset = get_preset(args.preset)
-    if args.workers:
-        preset = preset.with_overrides(workers=args.workers)
     start = time.perf_counter()
     if args.experiment == "fig3":
         result = runner()  # fig3 is preset-independent (pure function plot)

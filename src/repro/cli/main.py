@@ -39,8 +39,6 @@ def _preset_from_args(args: argparse.Namespace):
         overrides["trials"] = args.trials
     if getattr(args, "image_size", None) is not None:
         overrides["image_size"] = args.image_size
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
     if overrides:
         preset = preset.with_overrides(**overrides)
     return preset
@@ -80,14 +78,6 @@ def _add_preset_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--post-epochs", type=int, help="override post-training epochs")
     parser.add_argument("--trials", type=int, help="override fault-campaign trials")
     parser.add_argument("--image-size", type=int, help="override input resolution")
-    parser.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        help=(
-            "fault-campaign worker processes (0 = serial; N >= 2 runs "
-            "trials on a process pool with bit-identical results)"
-        ),
-    )
 
 
 def _evaluator_for(
@@ -260,20 +250,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return 0
     from repro.fault.fault_model import BitFlipFaultModel
 
-    with FaultCampaign(
+    campaign = FaultCampaign(
         FaultInjector(model, fmt=_checkpoint_format(meta)),
         evaluator.bind(model),
         trials=preset.trials,
         seed=preset.seed,
-        workers=preset.workers,
-    ) as campaign:
-        for rate in args.rates:
-            result = campaign.run(BitFlipFaultModel.at_rate(rate))
-            print(
-                f"rate {rate:.1e}: mean {result.mean:.2%}  median "
-                f"{result.median:.2%}  min {result.min:.2%}  "
-                f"({result.trials} trials, mean {result.flip_counts.mean():.1f} flips)"
-            )
+    )
+    for rate in args.rates:
+        result = campaign.run(BitFlipFaultModel.at_rate(rate))
+        print(
+            f"rate {rate:.1e}: mean {result.mean:.2%}  median "
+            f"{result.median:.2%}  min {result.min:.2%}  "
+            f"({result.trials} trials, mean {result.flip_counts.mean():.1f} flips)"
+        )
     return 0
 
 
@@ -383,8 +372,9 @@ def _campaign_for_meta(run_meta: dict[str, object]):
     The deterministic reconstruction ``campaign run`` and
     ``serve-store`` share: checkpoint → model (``load_protected_auto``),
     preset sizes → evaluator test set, manifest format → injector.
-    ``workers`` and ``replicas`` only change scheduling, never results,
-    so a rerun may override either.
+    ``replicas`` only changes scheduling, never results, so a rerun may
+    override it.  Stores from older builds may also record ``workers``
+    (a retired process-pool knob) or ``runtime``; both are ignored.
     """
     from repro.core.checkpoint import load_protected_auto
     from repro.eval.experiments import get_preset
@@ -404,7 +394,6 @@ def _campaign_for_meta(run_meta: dict[str, object]):
         evaluator.bind(model),
         trials=preset.trials,
         seed=int(run_meta["seed"]),
-        workers=int(run_meta.get("workers", 0)),
         replicas=run_meta.get("replicas", "auto"),
     )
     return campaign, evaluator, model, meta
@@ -487,7 +476,6 @@ def _requested_run_meta(args: argparse.Namespace) -> dict[str, object]:
         raise ConfigurationError("--rates needs at least one fault rate")
     return {
         **_flagged_run_meta(args),
-        "workers": _preset_from_args(args).workers,
         "replicas": args.replicas if args.replicas is not None else "auto",
     }
 
@@ -522,12 +510,10 @@ def _verify_run_recipe(store, requested: dict[str, object]) -> dict[str, object]
 
 
 def _apply_scheduling_flags(run_meta: dict[str, object], args) -> None:
-    """``--workers``/``--replicas`` override a stored recipe: they only
-    change scheduling, never results."""
-    for field in ("workers", "replicas"):
-        value = getattr(args, field)
-        if value is not None:
-            run_meta[field] = value
+    """``--replicas`` overrides a stored recipe: it only changes
+    scheduling, never results."""
+    if args.replicas is not None:
+        run_meta["replicas"] = args.replicas
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -567,21 +553,20 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         # resumed runs read it back from the store instead of
         # re-measuring.
         run_meta["clean_accuracy"] = evaluator.accuracy(model)
-    with campaign:
-        if store is None:
-            store = CampaignStore.for_campaign(args.store, campaign, meta=run_meta)
-        else:
-            store.attach(campaign)  # identity check, no second journal parse
-        with store:
-            meta = store.meta
-            print(
-                f"campaign store {store.path}: "
-                f"{meta.get('checkpoint')} ({store.trials} trials/config, "
-                f"seed {store.seed}, clean {float(meta['clean_accuracy']):.2%})"
-            )
-            return _drive_campaign_store(
-                campaign, store, [float(r) for r in meta["rates"]], args.limit
-            )
+    if store is None:
+        store = CampaignStore.for_campaign(args.store, campaign, meta=run_meta)
+    else:
+        store.attach(campaign)  # identity check, no second journal parse
+    with store:
+        meta = store.meta
+        print(
+            f"campaign store {store.path}: "
+            f"{meta.get('checkpoint')} ({store.trials} trials/config, "
+            f"seed {store.seed}, clean {float(meta['clean_accuracy']):.2%})"
+        )
+        return _drive_campaign_store(
+            campaign, store, [float(r) for r in meta["rates"]], args.limit
+        )
 
 
 def _print_campaign_status(status: dict) -> None:
@@ -761,7 +746,6 @@ def _cmd_campaign_serve_store(args: argparse.Namespace) -> int:
         except StoreError:
             # Lost the create race to a peer worker with (necessarily,
             # per the recipe check below) the same recipe: join instead.
-            campaign.close()
             campaign = None
         else:
             with store:
@@ -787,32 +771,31 @@ def _cmd_campaign_serve_store(args: argparse.Namespace) -> int:
     fault_models = [
         BitFlipFaultModel.at_rate(float(r)) for r in run_meta["rates"]
     ]
-    with campaign:
-        worker = CampaignWorker(
-            campaign,
-            args.store,
-            fault_models,
-            worker_id=args.worker_id,
-            chunk=args.chunk if args.chunk is not None else DEFAULT_CHUNK,
-            expiry_s=args.expiry if args.expiry is not None else DEFAULT_EXPIRY_S,
-            poll_s=args.poll,
-            max_trials=args.limit,
+    worker = CampaignWorker(
+        campaign,
+        args.store,
+        fault_models,
+        worker_id=args.worker_id,
+        chunk=args.chunk if args.chunk is not None else DEFAULT_CHUNK,
+        expiry_s=args.expiry if args.expiry is not None else DEFAULT_EXPIRY_S,
+        poll_s=args.poll,
+        max_trials=args.limit,
+    )
+    # SIGTERM drains gracefully: finish the in-flight trial, hand
+    # the rest of the range back, release the lease.  (SIGKILL is
+    # the crash path the lease protocol itself covers.)
+    previous = signal.signal(
+        signal.SIGTERM, lambda signum, frame: worker.request_stop()
+    )
+    try:
+        print(
+            f"worker {worker.worker_id} joining {args.store} "
+            f"(chunk {worker.chunk}, lease expiry {worker.expiry_s:g}s)",
+            flush=True,
         )
-        # SIGTERM drains gracefully: finish the in-flight trial, hand
-        # the rest of the range back, release the lease.  (SIGKILL is
-        # the crash path the lease protocol itself covers.)
-        previous = signal.signal(
-            signal.SIGTERM, lambda signum, frame: worker.request_stop()
-        )
-        try:
-            print(
-                f"worker {worker.worker_id} joining {args.store} "
-                f"(chunk {worker.chunk}, lease expiry {worker.expiry_s:g}s)",
-                flush=True,
-            )
-            report = worker.run()
-        finally:
-            signal.signal(signal.SIGTERM, previous)
+        report = worker.run()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     summary = (
         f"worker {report['worker']}: {report['trials']} trials across "
         f"{report['claims']} claims, {report['steals']} steals"
@@ -1269,8 +1252,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Run a fault-rate sweep as the store's single writer.  On an "
             "existing store this resumes: the recipe is read from the "
             "store, so --checkpoint and --rates may be omitted; recipe "
-            "flags that are passed must match it, and --workers, "
-            "--replicas and --limit only change scheduling."
+            "flags that are passed must match it, and --replicas and "
+            "--limit only change scheduling."
         ),
     )
     c.add_argument(

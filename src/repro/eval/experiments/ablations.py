@@ -59,14 +59,13 @@ def _resilience(
     from repro.fault.fault_model import BitFlipFaultModel
 
     injector = FaultInjector(model)
-    with FaultCampaign(
+    campaign = FaultCampaign(
         injector,
         context.evaluator.bind(model),
         trials=trials,
         seed=derive_seed(context.preset.seed, "ablation", method, repr(overrides)),
-        workers=context.preset.workers,
-    ) as campaign:
-        result = campaign.run(BitFlipFaultModel.at_rate(rate))
+    )
+    result = campaign.run(BitFlipFaultModel.at_rate(rate))
     return info["clean_accuracy"], result.mean, bound_parameter_count(model)
 
 
@@ -212,16 +211,15 @@ def run_bit_position_ablation(
     per_method: dict[str, dict[int, float]] = {}
     for method in methods:
         model, _ = context.protected_model(method)
-        with FaultCampaign(
+        campaign = FaultCampaign(
             FaultInjector(model),
             context.evaluator.bind(model),
             trials=preset.trials,
             seed=derive_seed(preset.seed, "bitpos", method),
-            workers=preset.workers,
-        ) as campaign:
-            vulnerability = bit_position_vulnerability(
-                campaign, list(bits), flips_per_trial=flips_per_trial
-            )
+        )
+        vulnerability = bit_position_vulnerability(
+            campaign, list(bits), flips_per_trial=flips_per_trial
+        )
         per_method[method] = {bit: res.mean for bit, res in vulnerability.items()}
     for bit in bits:
         result.rows.append(

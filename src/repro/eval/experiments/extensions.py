@@ -149,19 +149,18 @@ def run_ecc_comparison(
                 "memory_mb": memory_mb,
             }
             cells = [label, f"{memory_mb:.2f}", percent(info["clean_accuracy"])]
-            with FaultCampaign(
+            campaign = FaultCampaign(
                 injector,
                 context.evaluator.bind(model),
                 trials=trials,
                 seed=derive_seed(preset.seed, "ext-e", model_name, method),
-                workers=preset.workers,
-            ) as campaign:
-                for rate in rates:
-                    mean = campaign.run(
-                        BitFlipFaultModel.at_rate(rate), tag=label
-                    ).mean
-                    row[f"{rate:.1e}"] = mean
-                    cells.append(percent(mean))
+            )
+            for rate in rates:
+                mean = campaign.run(
+                    BitFlipFaultModel.at_rate(rate), tag=label
+                ).mean
+                row[f"{rate:.1e}"] = mean
+                cells.append(percent(mean))
             if use_ecc:
                 outcome = injector.lifetime_outcome
                 row["corrected_words"] = float(outcome.corrected_words)
@@ -216,17 +215,16 @@ def run_fault_model_comparison(
     mean_flips: dict[str, float] = {}
     for method in methods:
         model, _ = context.protected_model(method)
-        with FaultCampaign(
+        campaign = FaultCampaign(
             FaultInjector(model),
             context.evaluator.bind(model),
             trials=trials,
             seed=derive_seed(preset.seed, "ext-f", model_name, method),
-            workers=preset.workers,
-        ) as campaign:
-            for label, fault_model in fault_models.items():
-                run = campaign.run(fault_model, tag=f"{method}:{label}")
-                per_method[method][label] = run.mean
-                mean_flips[label] = float(run.flip_counts.mean())
+        )
+        for label, fault_model in fault_models.items():
+            run = campaign.run(fault_model, tag=f"{method}:{label}")
+            per_method[method][label] = run.mean
+            mean_flips[label] = float(run.flip_counts.mean())
     for label in fault_models:
         result.rows.append(
             [
@@ -287,19 +285,18 @@ def run_mobilenet_panel(
         injector = FaultInjector(model)
         if not expected:
             expected = {rate: rate * injector.total_bits for rate in rates}
-        with FaultCampaign(
+        campaign = FaultCampaign(
             injector,
             context.evaluator.bind(model),
             trials=trials,
             seed=derive_seed(preset.seed, "ext-m", dataset_name),
-            workers=preset.workers,
-        ) as campaign:
-            sweeps[label] = [
-                campaign.run(
-                    BitFlipFaultModel.at_rate(rate), tag=f"ext-m:{label}"
-                ).mean
-                for rate in rates
-            ]
+        )
+        sweeps[label] = [
+            campaign.run(
+                BitFlipFaultModel.at_rate(rate), tag=f"ext-m:{label}"
+            ).mean
+            for rate in rates
+        ]
     result = AblationResult(
         title=(
             f"EXT-M  MobileNetV1 method sweep — {dataset_name}, clean per "
@@ -363,16 +360,15 @@ def run_layer_vulnerability(
     per_method: dict[str, dict[str, float]] = {}
     for method in methods:
         model, _ = context.protected_model(method)
-        with FaultCampaign(
+        campaign = FaultCampaign(
             FaultInjector(model),
             context.evaluator.bind(model),
             trials=trials,
             seed=derive_seed(preset.seed, "ext-l", model_name, method),
-            workers=preset.workers,
-        ) as campaign:
-            vulnerability = parameter_group_vulnerability(
-                campaign, owners, flips_per_trial=flips_per_trial
-            )
+        )
+        vulnerability = parameter_group_vulnerability(
+            campaign, owners, flips_per_trial=flips_per_trial
+        )
         per_method[method] = {
             prefix: run.mean for prefix, run in vulnerability.items()
         }
@@ -452,17 +448,16 @@ def run_hard_deploy_ablation(
             "runtime_overhead": seconds / plain_seconds - 1.0,
         }
         cells = [label, percent(clean)]
-        with FaultCampaign(
+        campaign = FaultCampaign(
             FaultInjector(model),
             context.evaluator.bind(model),
             trials=trials,
             seed=derive_seed(preset.seed, "abl-h", model_name),
-            workers=preset.workers,
-        ) as campaign:
-            for rate in rates:
-                mean = campaign.run(BitFlipFaultModel.at_rate(rate), tag=label).mean
-                row[f"{rate:.1e}"] = mean
-                cells.append(percent(mean))
+        )
+        for rate in rates:
+            mean = campaign.run(BitFlipFaultModel.at_rate(rate), tag=label).mean
+            row[f"{rate:.1e}"] = mean
+            cells.append(percent(mean))
         cells.append(f"{seconds * 1e3:.2f}")
         result.rows.append(cells)
         result.data[label] = row
@@ -516,18 +511,17 @@ def run_format_ablation(
             clean = context.evaluator.accuracy(model)
             injector = FaultInjector(model, fmt=fmt)
             expected = rate * injector.total_bits
-            with FaultCampaign(
+            campaign = FaultCampaign(
                 injector,
                 context.evaluator.bind(model),
                 trials=trials,
                 seed=derive_seed(
                     preset.seed, "abl-w", model_name, method, str(fmt)
                 ),
-                workers=preset.workers,
-            ) as campaign:
-                faulty = campaign.run(
-                    BitFlipFaultModel.at_rate(rate), tag=f"{fmt}:{method}"
-                ).mean
+            )
+            faulty = campaign.run(
+                BitFlipFaultModel.at_rate(rate), tag=f"{fmt}:{method}"
+            ).mean
             result.rows.append(
                 [str(fmt), method, percent(clean), percent(faulty), f"{expected:.1f}"]
             )

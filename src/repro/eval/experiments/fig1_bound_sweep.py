@@ -130,12 +130,11 @@ def run_fig1(
         quantize_module(model)
         result.bounds.append(bound)
         result.clean_accuracy.append(context.evaluator.accuracy(model))
-        with FaultCampaign(
+        campaign = FaultCampaign(
             FaultInjector(model),
             context.evaluator.bind(model),
             trials=trials,
             seed=derive_seed(preset.seed, "fig1", context.model_name),
-            workers=preset.workers,
-        ) as campaign:
-            result.fault_accuracy.append(campaign.run(fault_model, tag="fig1").mean)
+        )
+        result.fault_accuracy.append(campaign.run(fault_model, tag="fig1").mean)
     return result

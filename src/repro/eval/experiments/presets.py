@@ -51,8 +51,6 @@ class Preset:
     delta: float = 0.01
     eval_batches: int | None = None
     scale_overrides: tuple[tuple[str, float], ...] = ()
-    workers: int = 0
-    """Fault-campaign worker processes (0 = serial; results identical)."""
 
     @property
     def rates(self) -> tuple[float, ...]:

@@ -72,15 +72,14 @@ def run_method_sweep(
         if not result.expected_flips:
             for rate in rates:
                 result.expected_flips[rate] = rate * injector.total_bits
-        with FaultCampaign(
+        campaign = FaultCampaign(
             injector,
             context.evaluator.bind(model),
             trials=trials,
             seed=derive_seed(preset.seed, "campaign", tag, context.model_name,
                              context.dataset_name),
-            workers=preset.workers,
-        ) as campaign:
-            result.sweeps[method] = campaign.run_sweep(rates, tag=f"{tag}:{method}")
+        )
+        result.sweeps[method] = campaign.run_sweep(rates, tag=f"{tag}:{method}")
         _logger.info(
             "%s/%s %s: clean %.1f%%, means %s",
             context.model_name,

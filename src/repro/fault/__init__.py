@@ -32,15 +32,10 @@ from repro.fault.fault_model import PAPER_FAULT_RATES, BitFlipFaultModel, FaultM
 from repro.fault.injector import FaultInjector
 from repro.fault.parallel import (
     GroupTrialRunner,
-    ProcessExecutor,
-    SerialExecutor,
-    TrialExecutor,
     TrialGroup,
     TrialOutcome,
     TrialRunner,
     TrialWork,
-    available_workers,
-    make_executor,
 )
 from repro.fault.sites import FaultSites, sample_distinct, sample_sites
 from repro.fault.statistics import (
@@ -77,12 +72,9 @@ __all__ = [
     "FaultSites",
     "GroupTrialRunner",
     "OutcomeBreakdown",
-    "ProcessExecutor",
     "SECDEDCode",
-    "SerialExecutor",
     "StuckAtFaultModel",
     "SweepResult",
-    "TrialExecutor",
     "TrialGroup",
     "TrialOutcome",
     "TrialRunner",
@@ -90,13 +82,11 @@ __all__ = [
     "WordFaultModel",
     "accuracy_drop",
     "active_stuck_sites",
-    "available_workers",
     "bit_position_vulnerability",
     "classify_outcomes",
     "critical_bit_threshold",
     "ecc_memory_bytes",
     "expand_bursts",
-    "make_executor",
     "mean_confidence_interval",
     "parameter_group_vulnerability",
     "replacement_flips",

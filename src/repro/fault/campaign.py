@@ -5,10 +5,13 @@ configuration runs K independent trials (fresh fault sites each time),
 recording the accuracy under fault.  The resulting distributions are the
 raw material of the paper's Fig. 5 (distribution) and Fig. 6 (means).
 
-Trials are scheduled through an executor (:mod:`repro.fault.parallel`):
-``workers=0`` runs them serially in-process, ``workers=N`` fans them out
-over a process pool.  Per-trial seeds are derived up front from the
-campaign seed, so both backends produce bit-identical results.
+Trials run in-process, one at a time or as replica groups
+(:mod:`repro.fault.parallel`).  A campaign scales out across processes
+only as N ``repro campaign serve-store`` workers sharing one durable
+store (:mod:`repro.coord`), each evaluating the trial ranges it claims
+through :meth:`FaultCampaign.iter_range`.  Per-trial seeds are derived
+from the campaign seed and the trial index alone, so every schedule
+produces bit-identical results.
 """
 
 from __future__ import annotations
@@ -26,12 +29,10 @@ from repro.fault.fault_model import BitFlipFaultModel, FaultModel
 from repro.fault.injector import FaultInjector
 from repro.fault.parallel import (
     GroupTrialRunner,
-    TrialExecutor,
     TrialOutcome,
     TrialRunner,
     TrialWork,
     group_works,
-    make_executor,
 )
 from repro.obs.trace import span
 from repro.utils.logging import get_logger
@@ -52,8 +53,8 @@ __all__ = [
 _logger = get_logger("fault.campaign")
 
 #: Replica-group width used by ``replicas="auto"``.  Wide enough to
-#: amortise the shared clean-prefix forward, small enough that a pooled
-#: executor still has groups to balance across workers.
+#: amortise the shared clean-prefix forward; a ``serve-store`` worker's
+#: default claim (:data:`repro.coord.DEFAULT_CHUNK`) is one such group.
 AUTO_REPLICAS = 8
 
 
@@ -152,7 +153,7 @@ class EarlyStop:
     """Stop a campaign once its mean-accuracy CI is tight enough.
 
     After each trial (in trial-index order — identical on every
-    backend), the Student-t confidence interval of the running mean is
+    schedule), the Student-t confidence interval of the running mean is
     checked; the campaign stops when its half-width drops to
     ``ci_halfwidth`` or below, but never before ``min_trials``.
     """
@@ -241,22 +242,13 @@ class FaultCampaign:
         A :class:`FaultInjector` wrapping the (quantised) model.
     evaluate:
         Zero-argument closure returning accuracy in [0, 1] of the model in
-        its *current* (possibly faulty) state.  For ``workers > 1`` under
-        a ``spawn`` start method it must be picklable
-        (:meth:`repro.eval.Evaluator.bind` is).
+        its *current* (possibly faulty) state.
     trials:
         Number of independent trials per fault configuration.
     seed:
         Base seed; trial t of configuration c derives its own stream, so
         two campaigns with the same seed see identical fault patterns —
         the paper's protection schemes are compared on equal footing.
-    workers:
-        Trial-execution backend: ``0``/``1`` runs serially in-process,
-        ``N >= 2`` fans trials out over an N-process pool
-        (bit-identical results either way).  A ready-made
-        :class:`~repro.fault.parallel.TrialExecutor` is also accepted.
-    start_method:
-        Multiprocessing start method override (``fork``/``spawn``/…).
     replicas:
         Replica-batched evaluation: ``R >= 2`` schedules trials in
         groups of R lanes whose clean forward work is shared
@@ -281,20 +273,15 @@ class FaultCampaign:
         evaluate: Callable[[], float],
         trials: int = 20,
         seed: int = 0,
-        workers: int | TrialExecutor | None = 0,
-        start_method: str | None = None,
         replicas: int | str | None = None,
     ) -> None:
         if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
+            raise ConfigurationError(f"trials must be >= 1, got {trials}")
         self.injector = injector
         self.evaluate = evaluate
         self.trials = int(trials)
         self.seed = int(seed)
         self.replicas = self._resolved_replicas(replicas, evaluate)
-        self.executor = make_executor(workers, start_method=start_method)
-        # One runner for the campaign's lifetime: process pools key their
-        # worker state on it, so a sweep reuses one pool across rates.
         self._runner = TrialRunner(injector, evaluate)
         self._group_runner = (
             GroupTrialRunner(injector, evaluate) if self.replicas else None
@@ -330,27 +317,12 @@ class FaultCampaign:
             )
         return width
 
-    @property
-    def workers(self) -> int:
-        """Worker processes behind this campaign (0 = serial)."""
-        return self.executor.workers
-
-    def close(self) -> None:
-        """Release pooled workers (serial campaigns: no-op)."""
-        self.executor.shutdown()
-
-    def __enter__(self) -> "FaultCampaign":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def trial_seeds(self, fault_model: FaultModel, tag: str = "") -> list[int]:
         """Derive every trial's seed up front (the determinism contract).
 
         Seeds depend only on ``(seed, tag, fault_model.describe(), t)``
-        — never on scheduling — so any executor reproduces the serial
-        fault patterns exactly.
+        — never on scheduling — so any partition of the trial space
+        reproduces the serial fault patterns exactly.
         """
         return [
             derive_seed(self.seed, "trial", tag, fault_model.describe(), trial)
@@ -372,14 +344,11 @@ class FaultCampaign:
     def _sampled_works(
         self, fault_model: FaultModel, tag: str, indices: Sequence[int]
     ) -> list[TrialWork]:
-        """Sample fault sites for exactly ``indices``, in the parent.
+        """Sample fault sites for exactly ``indices``.
 
         Each trial's seed is independent, so any subset — a resume's
         missing tail, a coord worker's claimed range — skips the
-        fault-space-sized sampling of every other trial, and workers
-        only ever see concrete site arrays: fault models (with their
-        possibly unpicklable ``param_filter``s) never cross a process
-        boundary.
+        fault-space-sized sampling of every other trial.
         """
         seeds = self.trial_seeds(fault_model, tag)
         return [
@@ -391,19 +360,19 @@ class FaultCampaign:
         ]
 
     def _dispatch(self, pending: Sequence[TrialWork]) -> Iterator[TrialOutcome]:
-        """Hand works to the executor, streaming outcomes in index order.
+        """Evaluate works lazily, streaming outcomes in index order.
 
         The replica-batched path groups consecutive works into lanes of
         one shared-forward evaluation; the flattened stream keeps trial
         order, so consumers (journal, early stop, aggregation) are
         oblivious — and bit-identical to the per-trial stream.
         """
-        if not pending:
-            return iter(())
-        if self._group_runner is not None:
-            groups = group_works(pending, self.replicas)
-            return self.executor.run_groups(self._group_runner, groups)
-        return self.executor.run_trials(self._runner, pending)
+        if self._group_runner is None:
+            for work in pending:
+                yield self._runner(work)
+            return
+        for group in group_works(pending, self.replicas):
+            yield from self._group_runner(group)
 
     def iter_range(
         self,
@@ -420,11 +389,9 @@ class FaultCampaign:
         :meth:`run` records — with duplicates collapsed.  Trial seeds
         depend only on the trial index, never on scheduling, so any
         partition of the trial space (claimed or stolen ranges, a serial
-        run) produces bit-identical per-trial results.
-
-        Closing the generator early (a lost fence check, a worker
-        shutting down) closes the executor stream, which terminates any
-        speculative pooled work.
+        run) produces bit-identical per-trial results.  Evaluation is
+        lazy: a caller that stops iterating (a lost fence check, a worker
+        shutting down) evaluates nothing further.
         """
         plan = sorted({int(trial) for trial in indices})
         if plan and not 0 <= plan[0] <= plan[-1] < self.trials:
@@ -433,25 +400,8 @@ class FaultCampaign:
                 f"got {plan[0]}..{plan[-1]}"
             )
         pending = self._sampled_works(fault_model, tag, plan)
-        outcomes = self._dispatch(pending)
-        try:
-            for work in pending:
-                outcome = next(outcomes)
-                if outcome.index != work.index:
-                    raise ConfigurationError(
-                        f"executor yielded trial {outcome.index} where "
-                        f"{work.index} was scheduled"
-                    )
-                yield outcome, self._site_metadata(work.sites)
-            sentinel = object()
-            if next(outcomes, sentinel) is not sentinel:
-                raise ConfigurationError(
-                    "executor yielded more outcomes than scheduled works"
-                )
-        finally:
-            close = getattr(outcomes, "close", None)
-            if close is not None:
-                close()
+        for work, outcome in zip(pending, self._dispatch(pending)):
+            yield outcome, self._site_metadata(work.sites)
 
     def run(
         self,
@@ -464,11 +414,12 @@ class FaultCampaign:
 
         With ``early_stop``, trials are consumed in index order and the
         campaign stops as soon as the accuracy CI converges; because the
-        decision stream is order-deterministic, serial and parallel runs
-        stop after the same trial with identical results.
+        decision stream is order-deterministic, per-trial and
+        replica-grouped runs stop after the same trial with identical
+        results.
 
         With ``store``, every fresh outcome is journaled to disk as it
-        completes (both executors stream through this loop), and trials
+        completes, and trials
         the store already holds are *replayed* from the journal instead
         of re-evaluated — an interrupted run resumed against its
         store is bit-identical to an uninterrupted run, because trial
@@ -507,9 +458,9 @@ class FaultCampaign:
         budget: int | None = None
         if store is not None:
             # Don't evaluate what the budget forbids journaling: cap the
-            # dispatched works so a pooled executor never burns cores on
-            # over-budget speculative trials, and raise *before* the
-            # first un-journalable evaluation instead of after it.
+            # sampled works so no replica group evaluates over-budget
+            # lanes, and raise *before* the first un-journalable
+            # evaluation instead of after it.
             budget = store.remaining_budget()
             if budget is not None:
                 missing = missing[:budget]
@@ -517,55 +468,34 @@ class FaultCampaign:
         works = {work.index: work for work in pending}
         aggregator = CampaignAggregator()
         outcomes = self._dispatch(pending)
-        stopped_early = False
-        try:
-            fresh = 0
-            for trial in plan:
-                outcome = journal.get(trial)
-                if outcome is None:
-                    if budget is not None and fresh >= budget:
-                        raise CampaignInterrupted(
-                            f"store reached its new-trial budget before "
-                            f"trial {trial}; resume to continue"
-                        )
-                    outcome = next(outcomes)
-                    fresh += 1
-                    if outcome.index != trial:
-                        raise ConfigurationError(
-                            f"executor yielded trial {outcome.index} where "
-                            f"{trial} was scheduled"
-                        )
-                    if store is not None and key is not None:
-                        store.record(
-                            key, outcome, self._site_metadata(works[trial].sites)
-                        )
-                aggregator.add(outcome)
-                if early_stop is not None and aggregator.converged(early_stop):
-                    if store is not None and key is not None:
-                        store.mark_converged(key, aggregator.trials)
-                    _logger.info(
-                        "campaign %s converged after %d/%d trials "
-                        "(CI half-width <= %g)",
-                        tag,
-                        aggregator.trials,
-                        self.trials,
-                        early_stop.ci_halfwidth,
+        fresh = 0
+        for trial in plan:
+            outcome = journal.get(trial)
+            if outcome is None:
+                if budget is not None and fresh >= budget:
+                    raise CampaignInterrupted(
+                        f"store reached its new-trial budget before "
+                        f"trial {trial}; resume to continue"
                     )
-                    stopped_early = True
-                    break
-            if not stopped_early and pending:
-                # Step the stream past its last yield so the executor
-                # observes normal completion (a pooled executor would
-                # otherwise terminate its still-warm worker pool).
-                sentinel = object()
-                if next(outcomes, sentinel) is not sentinel:
-                    raise ConfigurationError(
-                        "executor yielded more outcomes than scheduled works"
+                outcome = next(outcomes)
+                fresh += 1
+                if store is not None and key is not None:
+                    store.record(
+                        key, outcome, self._site_metadata(works[trial].sites)
                     )
-        finally:
-            close = getattr(outcomes, "close", None)
-            if close is not None:
-                close()
+            aggregator.add(outcome)
+            if early_stop is not None and aggregator.converged(early_stop):
+                if store is not None and key is not None:
+                    store.mark_converged(key, aggregator.trials)
+                _logger.info(
+                    "campaign %s converged after %d/%d trials "
+                    "(CI half-width <= %g)",
+                    tag,
+                    aggregator.trials,
+                    self.trials,
+                    early_stop.ci_halfwidth,
+                )
+                break
         result = aggregator.result(fault_model)
         _logger.info("campaign %s %s", tag, result.summary())
         return result

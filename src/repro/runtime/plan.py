@@ -38,6 +38,7 @@ also what lets every kernel of the plan share one
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import TYPE_CHECKING
 
@@ -45,7 +46,6 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.errors import ConfigurationError
-from repro.fault.parallel import available_workers
 from repro.nn.module import Module, register_runtime_plan, warmup_mode
 from repro.obs.profile import KernelProfiler, PlanProfile
 from repro.obs.trace import span
@@ -55,7 +55,20 @@ from repro.runtime.kernels import Kernel, ScratchArena, walk_kernels
 if TYPE_CHECKING:
     from repro.runtime.replica import ReplicaPlan
 
-__all__ = ["InferencePlan", "compile_model", "resolve_gemm_workers"]
+__all__ = [
+    "InferencePlan",
+    "available_workers",
+    "compile_model",
+    "resolve_gemm_workers",
+]
+
+
+def available_workers() -> int:
+    """Usable CPU count (CPU affinity aware), minimum 1."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # platforms without sched_getaffinity
+        return max(1, os.cpu_count() or 1)
 
 
 def resolve_gemm_workers(workers: int | str | None) -> int:

@@ -207,45 +207,6 @@ class TestPipeline:
         assert _checkpoint_format({"format": "Q3.4"}) == Q3_4
         assert capsys.readouterr().err == ""
 
-    def test_evaluate_parallel_workers(self, isolated_cache, tmp_path, capsys):
-        """The --workers flag drives the process-pool campaign backend."""
-        checkpoint = tmp_path / "par.npz"
-        assert (
-            main(
-                [
-                    "protect",
-                    "--model",
-                    "lenet",
-                    "--method",
-                    "none",
-                    "--out",
-                    str(checkpoint),
-                    *TINY,
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        argv = [
-            "evaluate",
-            "--checkpoint",
-            str(checkpoint),
-            "--rates",
-            "1e-4",
-            *TINY,
-            "--trials",
-            "2",
-        ]
-        assert main(argv) == 0
-        serial_out = capsys.readouterr().out
-        assert main([*argv, "--workers", "2"]) == 0
-        parallel_out = capsys.readouterr().out
-        # Same seed, same campaign — the parallel backend reports the
-        # exact same accuracy lines as the serial one.
-        assert (
-            serial_out.splitlines()[-1] == parallel_out.splitlines()[-1]
-        )
-
     def test_evaluate_rejects_non_checkpoint(self, tmp_path, capsys):
         from repro.utils.serialization import save_state
 

@@ -266,6 +266,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"(mismatched: {field}" in err
 
+    def test_zero_trials_is_a_clean_error(self, checkpoint, tmp_path, capsys):
+        """``--trials 0`` ends in an ``error:`` line, not a traceback,
+        and leaves no store behind."""
+        assert _run(checkpoint, tmp_path / "s", "--trials", "0") == 1
+        assert "error: trials must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+        argv = ["evaluate", "--checkpoint", checkpoint, "--rates", "1e-5"]
+        assert main([*argv, *TINY, "--trials", "0"]) == 1
+        assert "error: trials must be >= 1" in capsys.readouterr().err
+
     def test_bad_limit(self, checkpoint, tmp_path, capsys):
         """Rejected before the model loads or the store is created."""
         assert _run(checkpoint, tmp_path / "s", "--limit", "0") == 1
@@ -371,12 +381,17 @@ class TestPlanIsTheOnlyPath:
         assert calls["prepare"] > 0
         assert calls["lane_forward"] > 0
 
-    @pytest.mark.parametrize("recorded", [False, True])
+    @pytest.mark.parametrize(
+        "retired",
+        [{"runtime": False}, {"runtime": True}, {"workers": 2}],
+        ids=["runtime-false", "runtime-true", "workers-2"],
+    )
     def test_store_recording_runtime_key_resumes_byte_identical(
-        self, checkpoint, tmp_path, capsys, recorded
+        self, checkpoint, tmp_path, capsys, retired
     ):
-        """Stores whose recipe records the retired ``runtime`` key still
-        resume through ``campaign run``; the key is ignored."""
+        """Stores whose recipe records a retired key (``runtime``, or the
+        process-pool ``workers``) still resume through ``campaign run``;
+        the key is ignored."""
         fresh = tmp_path / "fresh"
         assert _run(checkpoint, fresh) == 0
         assert main(["campaign", "report", "--store", str(fresh)]) == 0
@@ -385,7 +400,7 @@ class TestPlanIsTheOnlyPath:
         assert _run(checkpoint, old, "--limit", "2") == 0
         manifest_path = old / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["meta"]["runtime"] = recorded
+        manifest["meta"].update(retired)
         manifest_path.write_text(json.dumps(manifest, indent=2))
         assert _run(checkpoint, old) == 0
         assert main(["campaign", "report", "--store", str(old)]) == 0

@@ -39,14 +39,13 @@ class _ParamHealth:
         return 1.0 - bad / total
 
 
-def make_campaign(workers=0, trials=TRIALS, seed=SEED):
+def make_campaign(trials=TRIALS, seed=SEED):
     model = _model()
     return FaultCampaign(
         FaultInjector(model),
         _ParamHealth(model),
         trials=trials,
         seed=seed,
-        workers=workers,
     )
 
 
@@ -56,16 +55,8 @@ def fault_models(rates=RATES):
 
 def make_store(path, campaign=None, rates=RATES):
     """Create a coordinated store: manifest + the full sweep registered."""
-    own = campaign is None
-    if own:
-        campaign = make_campaign()
-    try:
-        with CampaignStore.for_campaign(path, campaign) as store:
-            keys = store.register_configs(fault_models(rates))
-    finally:
-        if own:
-            campaign.close()
-    return keys
+    with CampaignStore.for_campaign(path, campaign or make_campaign()) as store:
+        return store.register_configs(fault_models(rates))
 
 
 @pytest.fixture

@@ -47,16 +47,15 @@ def main() -> int:
         trials=8,
         seed=11,
     )
-    with campaign:
-        worker = CampaignWorker(
-            campaign,
-            store,
-            [BitFlipFaultModel.at_rate(rate) for rate in RATES],
-            worker_id=worker_id,
-            chunk=3,
-            expiry_s=5.0,
-        )
-        worker.run()
+    worker = CampaignWorker(
+        campaign,
+        store,
+        [BitFlipFaultModel.at_rate(rate) for rate in RATES],
+        worker_id=worker_id,
+        chunk=3,
+        expiry_s=5.0,
+    )
+    worker.run()
     return 0
 
 

@@ -119,17 +119,16 @@ def test_sigkilled_worker_is_taken_over_bit_identically(tmp_path, capsys):
     _backdate_lease(store_dir, "victim")
     assert not list_leases(store_dir)["victim"].live
 
-    with make_campaign() as campaign:
-        rescuer = CampaignWorker(
-            campaign,
-            store_dir,
-            fault_models(),
-            worker_id="rescuer",
-            chunk=3,
-            expiry_s=5.0,
-            poll_s=0.05,
-        )
-        report = rescuer.run()
+    rescuer = CampaignWorker(
+        make_campaign(),
+        store_dir,
+        fault_models(),
+        worker_id="rescuer",
+        chunk=3,
+        expiry_s=5.0,
+        poll_s=0.05,
+    )
+    report = rescuer.run()
     assert report["complete"]
     assert report["steals"] >= 1  # the victim's claimed range was stolen
 
@@ -145,10 +144,10 @@ def test_sigkilled_worker_is_taken_over_bit_identically(tmp_path, capsys):
 
     # Byte-identity vs a serial run that never crashed.
     serial_dir = tmp_path / "serial"
-    with make_campaign() as campaign:
-        with CampaignStore.for_campaign(serial_dir, campaign) as store:
-            for fault_model in fault_models(RATES):
-                campaign.run(fault_model, store=store)
+    campaign = make_campaign()
+    with CampaignStore.for_campaign(serial_dir, campaign) as store:
+        for fault_model in fault_models(RATES):
+            campaign.run(fault_model, store=store)
     coord_report = _report_bytes(store_dir, tmp_path / "coord-out")
     serial_report = _report_bytes(serial_dir, tmp_path / "serial-out")
     capsys.readouterr()  # swallow the CLI report dumps

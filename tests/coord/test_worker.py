@@ -18,25 +18,24 @@ from tests.coord.conftest import (
 
 
 def run_worker(store_path, worker_id, **kwargs):
-    with make_campaign() as campaign:
-        worker = CampaignWorker(
-            campaign,
-            store_path,
-            fault_models(),
-            worker_id=worker_id,
-            chunk=kwargs.pop("chunk", 3),
-            **kwargs,
-        )
-        return worker.run()
+    worker = CampaignWorker(
+        make_campaign(),
+        store_path,
+        fault_models(),
+        worker_id=worker_id,
+        chunk=kwargs.pop("chunk", 3),
+        **kwargs,
+    )
+    return worker.run()
 
 
 def reference_records(tmp_path):
     """The serial ground truth: one plain campaign.run per config."""
     ref_dir = tmp_path / "reference"
-    with make_campaign() as campaign:
-        with CampaignStore.for_campaign(ref_dir, campaign) as store:
-            for fault_model in fault_models():
-                campaign.run(fault_model, store=store)
+    campaign = make_campaign()
+    with CampaignStore.for_campaign(ref_dir, campaign) as store:
+        for fault_model in fault_models():
+            campaign.run(fault_model, store=store)
     return open_records(ref_dir)
 
 
@@ -105,39 +104,35 @@ class TestAdmission:
     def test_unregistered_config_rejected(self, tmp_path):
         store_dir = tmp_path / "store"
         make_store(store_dir, rates=RATES[:1])  # sweep half-registered
-        with make_campaign() as campaign:
-            worker = CampaignWorker(campaign, store_dir, fault_models())
-            with pytest.raises(CoordError, match="not registered"):
-                worker.run()
+        worker = CampaignWorker(make_campaign(), store_dir, fault_models())
+        with pytest.raises(CoordError, match="not registered"):
+            worker.run()
 
     def test_wrong_identity_rejected(self, tmp_path):
         store_dir = tmp_path / "store"
         make_store(store_dir)
-        with make_campaign(seed=99) as campaign:
-            worker = CampaignWorker(campaign, store_dir, fault_models())
-            with pytest.raises(StoreError):
-                worker.run()
+        worker = CampaignWorker(make_campaign(seed=99), store_dir, fault_models())
+        with pytest.raises(StoreError):
+            worker.run()
 
     def test_bad_worker_id_rejected_up_front(self, store_path):
-        with make_campaign() as campaign:
-            with pytest.raises(CoordError, match="invalid worker id"):
-                CampaignWorker(
-                    campaign, store_path, fault_models(), worker_id="a/b"
-                )
+        with pytest.raises(CoordError, match="invalid worker id"):
+            CampaignWorker(
+                make_campaign(), store_path, fault_models(), worker_id="a/b"
+            )
 
 
 class TestStopRequest:
     def test_stop_hands_back_cleanly(self, store_path):
-        with make_campaign() as campaign:
-            worker = CampaignWorker(
-                campaign,
-                store_path,
-                fault_models(),
-                worker_id="alpha",
-                chunk=2,
-            )
-            worker.request_stop()  # before run(): loop exits immediately
-            report = worker.run()
+        worker = CampaignWorker(
+            make_campaign(),
+            store_path,
+            fault_models(),
+            worker_id="alpha",
+            chunk=2,
+        )
+        worker.request_stop()  # before run(): loop exits immediately
+        report = worker.run()
         assert report["stopped"] and not report["complete"]
         assert report["trials"] == 0
         assert list_claims(store_path) == []
@@ -153,7 +148,6 @@ class TestStopRequest:
 
 
 def test_worker_is_not_picklable(store_path):
-    with make_campaign() as campaign:
-        worker = CampaignWorker(campaign, store_path, fault_models())
-        with pytest.raises(TypeError, match="not picklable"):
-            pickle.dumps(worker)
+    worker = CampaignWorker(make_campaign(), store_path, fault_models())
+    with pytest.raises(TypeError, match="not picklable"):
+        pickle.dumps(worker)

@@ -156,7 +156,7 @@ def _journal_bytes(tmp_path, name):
         FaultInjector(model), _ParamHealth(model), trials=4, seed=7
     )
     store_dir = str(tmp_path / name)
-    with campaign, CampaignStore.for_campaign(store_dir, campaign) as store:
+    with CampaignStore.for_campaign(store_dir, campaign) as store:
         campaign.run(BitFlipFaultModel.at_rate(5e-3), store=store)
     journal = (tmp_path / name / "trials.jsonl").read_bytes()
     # ``sec`` is wall-clock noise by design (TrialOutcome.seconds is a

@@ -229,7 +229,7 @@ def test_large_batch_blocked_gather_bit_exact():
 # Threaded GEMM
 # ----------------------------------------------------------------------
 def test_resolve_gemm_workers_semantics():
-    from repro.fault.parallel import available_workers
+    from repro.runtime.plan import available_workers
 
     assert resolve_gemm_workers(None) == 1
     assert resolve_gemm_workers(0) == 1

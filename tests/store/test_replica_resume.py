@@ -29,7 +29,7 @@ RATES = (1e-6, 5e-6)
 SPEC = BitFlipFaultModel.at_rate(5e-6)
 
 
-def make_campaign(replicas="off", workers=0, trials=8):
+def make_campaign(replicas="off", trials=8):
     model = quantize_module(
         build_model("lenet", num_classes=10, scale=0.5, image_size=16, seed=0)
     )
@@ -44,7 +44,6 @@ def make_campaign(replicas="off", workers=0, trials=8):
         evaluator.bind(model),
         trials=trials,
         seed=11,
-        workers=workers,
         replicas=replicas,
     )
 
@@ -68,14 +67,14 @@ def _atlas_bytes(path):
 
 def _run_store(tmp_path, name, replicas, interrupt_at=None):
     store_dir = tmp_path / name
-    with make_campaign(replicas=replicas) as campaign:
-        with CampaignStore.for_campaign(store_dir, campaign) as store:
-            if interrupt_at is not None:
-                store.max_new_records = interrupt_at
-                with pytest.raises(CampaignInterrupted):
-                    campaign.run_sweep(RATES, tag="r", store=store)
-                return store_dir
-            campaign.run_sweep(RATES, tag="r", store=store)
+    campaign = make_campaign(replicas=replicas)
+    with CampaignStore.for_campaign(store_dir, campaign) as store:
+        if interrupt_at is not None:
+            store.max_new_records = interrupt_at
+            with pytest.raises(CampaignInterrupted):
+                campaign.run_sweep(RATES, tag="r", store=store)
+            return store_dir
+        campaign.run_sweep(RATES, tag="r", store=store)
     return store_dir
 
 
@@ -91,22 +90,20 @@ class TestReplicaStoreIdentity:
         resumed_dir = _run_store(tmp_path, "resumed", 4, interrupt_at=5)
         # Resume with the opposite knob: off-written prefix + replica
         # completion must still byte-match (scheduling never journals).
-        with make_campaign(replicas=4) as campaign:
-            with CampaignStore.for_campaign(resumed_dir, campaign) as store:
-                campaign.run_sweep(RATES, tag="r", store=store)
-                assert store.appended == len(RATES) * 8 - 5
+        campaign = make_campaign(replicas=4)
+        with CampaignStore.for_campaign(resumed_dir, campaign) as store:
+            campaign.run_sweep(RATES, tag="r", store=store)
+            assert store.appended == len(RATES) * 8 - 5
         assert _journal(reference) == _journal(resumed_dir)
         assert _atlas_bytes(reference) == _atlas_bytes(resumed_dir)
 
     def test_cross_width_resume_is_not_an_identity_mismatch(self, tmp_path):
         """A store written with replicas off re-opens under auto."""
         store_dir = _run_store(tmp_path, "cross", "off", interrupt_at=3)
-        with make_campaign(replicas="auto") as campaign:
-            with CampaignStore.for_campaign(store_dir, campaign) as store:
-                resumed = campaign.run_sweep(RATES, tag="r", store=store)
-        straight = make_campaign(replicas="off")
-        with straight:
-            reference = straight.run_sweep(RATES, tag="r")
+        campaign = make_campaign(replicas="auto")
+        with CampaignStore.for_campaign(store_dir, campaign) as store:
+            resumed = campaign.run_sweep(RATES, tag="r", store=store)
+        reference = make_campaign(replicas="off").run_sweep(RATES, tag="r")
         for rate in RATES:
             np.testing.assert_array_equal(
                 reference[rate].accuracies, resumed[rate].accuracies
@@ -118,19 +115,19 @@ class TestReplicaStoreIdentity:
         straight = _run_store(tmp_path, "straight", "off")
         folded = tmp_path / "folded"
         models = [BitFlipFaultModel.at_rate(rate) for rate in RATES]
-        with make_campaign() as campaign:
-            with CampaignStore.for_campaign(folded, campaign) as store:
-                keys = store.register_configs(models, tag="r")
+        campaign = make_campaign()
+        with CampaignStore.for_campaign(folded, campaign) as store:
+            keys = store.register_configs(models, tag="r")
         for index, (segment, width) in enumerate((("alpha", 3), ("beta", 4))):
-            with make_campaign(replicas=width) as campaign:
-                with CampaignStore.open(folded, segment=segment) as store:
-                    store.attach(campaign)
-                    for key, model in zip(keys, models):
-                        trials = range(index, campaign.trials, 2)
-                        for outcome, sites in campaign.iter_range(
-                            model, trials, tag="r"
-                        ):
-                            store.record(key, outcome, sites)
+            campaign = make_campaign(replicas=width)
+            with CampaignStore.open(folded, segment=segment) as store:
+                store.attach(campaign)
+                for key, model in zip(keys, models):
+                    trials = range(index, campaign.trials, 2)
+                    for outcome, sites in campaign.iter_range(
+                        model, trials, tag="r"
+                    ):
+                        store.record(key, outcome, sites)
 
         reference = CampaignStore.open(straight)
         try:
@@ -147,9 +144,9 @@ class TestReplicaStoreIdentity:
         """A group wider than the remaining budget must not evaluate
         (or journal) past it: pending work is truncated before grouping."""
         store_dir = tmp_path / "budget"
-        with make_campaign(replicas=8) as campaign:
-            with CampaignStore.for_campaign(store_dir, campaign) as store:
-                store.max_new_records = 3
-                with pytest.raises(CampaignInterrupted):
-                    campaign.run(SPEC, tag="b", store=store)
-                assert store.appended == 3
+        campaign = make_campaign(replicas=8)
+        with CampaignStore.for_campaign(store_dir, campaign) as store:
+            store.max_new_records = 3
+            with pytest.raises(CampaignInterrupted):
+                campaign.run(SPEC, tag="b", store=store)
+            assert store.appended == 3

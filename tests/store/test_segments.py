@@ -38,23 +38,21 @@ def _journal_into(path, campaign, segment, indices, key, seed_campaign=None):
 
 class TestSegmentWriters:
     def test_segment_writer_appends_to_its_own_file(self, tmp_path):
-        with make_campaign() as campaign:
-            key = _make_store(tmp_path, campaign)
-            _journal_into(tmp_path, campaign, "alpha", range(3), key)
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(3), key)
         assert len((tmp_path / "trials.alpha.jsonl").read_text().splitlines()) == 3
         # The creation-time main journal stays untouched.
         assert (tmp_path / "trials.jsonl").read_bytes() == b""
 
     def test_invalid_segment_name_rejected(self, tmp_path):
-        with make_campaign() as campaign:
-            _make_store(tmp_path, campaign)
+        _make_store(tmp_path, make_campaign())
         for segment in ("", "a/b", "a.b", "a b"):
             with pytest.raises(StoreError, match="invalid segment name"):
                 CampaignStore.open(tmp_path, segment=segment)
 
     def test_segment_property_exposed(self, tmp_path):
-        with make_campaign() as campaign:
-            _make_store(tmp_path, campaign)
+        _make_store(tmp_path, make_campaign())
         with CampaignStore.open(tmp_path, segment="alpha") as store:
             assert store.segment == "alpha"
         with CampaignStore.open(tmp_path) as store:
@@ -64,30 +62,30 @@ class TestSegmentWriters:
 class TestFolding:
     def test_fold_equals_single_writer_run(self, tmp_path):
         straight_dir = tmp_path / "straight"
-        with make_campaign() as campaign:
-            with CampaignStore.for_campaign(straight_dir, campaign) as store:
-                campaign.run(_fault_model(), store=store)
-            reference = CampaignStore.open(straight_dir)
-            try:
-                key = reference.config_keys()[0]
-                expected = reference.records(key)
-            finally:
-                reference.close()
+        campaign = make_campaign()
+        with CampaignStore.for_campaign(straight_dir, campaign) as store:
+            campaign.run(_fault_model(), store=store)
+        reference = CampaignStore.open(straight_dir)
+        try:
+            key = reference.config_keys()[0]
+            expected = reference.records(key)
+        finally:
+            reference.close()
 
         split_dir = tmp_path / "split"
-        with make_campaign() as campaign:
-            key = _make_store(split_dir, campaign)
-            _journal_into(split_dir, campaign, "alpha", range(0, 5), key)
-            _journal_into(split_dir, campaign, "beta", range(5, 8), key)
+        campaign = make_campaign()
+        key = _make_store(split_dir, campaign)
+        _journal_into(split_dir, campaign, "alpha", range(0, 5), key)
+        _journal_into(split_dir, campaign, "beta", range(5, 8), key)
         with CampaignStore.open(split_dir) as folded:
             assert folded.records(key) == expected
             assert folded.complete(key)
 
     def test_equal_cross_file_duplicates_dedup(self, tmp_path):
-        with make_campaign() as campaign:
-            key = _make_store(tmp_path, campaign)
-            _journal_into(tmp_path, campaign, "alpha", range(0, 4), key)
-            _journal_into(tmp_path, campaign, "beta", range(4, 8), key)
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(0, 4), key)
+        _journal_into(tmp_path, campaign, "beta", range(4, 8), key)
         # The benign steal race: beta's file also carries alpha's trial
         # 3, byte for byte (determinism makes re-evaluations equal).
         line = (tmp_path / "trials.alpha.jsonl").read_text().splitlines()[3]
@@ -97,9 +95,9 @@ class TestFolding:
             assert sorted(store.records(key)) == list(range(8))
 
     def test_conflicting_cross_file_duplicate_refuses_to_load(self, tmp_path):
-        with make_campaign() as campaign:
-            key = _make_store(tmp_path, campaign)
-            _journal_into(tmp_path, campaign, "alpha", range(0, 2), key)
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(0, 2), key)
         raw = json.loads(
             (tmp_path / "trials.alpha.jsonl").read_text().splitlines()[1]
         )
@@ -111,9 +109,9 @@ class TestFolding:
 
     def test_wall_clock_field_never_makes_a_conflict(self, tmp_path):
         """``sec`` is non-identity: re-evaluated trials differ only there."""
-        with make_campaign() as campaign:
-            key = _make_store(tmp_path, campaign)
-            _journal_into(tmp_path, campaign, "alpha", range(0, 2), key)
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(0, 2), key)
         raw = json.loads(
             (tmp_path / "trials.alpha.jsonl").read_text().splitlines()[1]
         )
@@ -124,9 +122,9 @@ class TestFolding:
             assert sorted(store.records(key)) == [0, 1]
 
     def test_same_file_duplicate_is_still_corruption(self, tmp_path):
-        with make_campaign() as campaign:
-            key = _make_store(tmp_path, campaign)
-            _journal_into(tmp_path, campaign, "alpha", [0], key)
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", [0], key)
         segment = tmp_path / "trials.alpha.jsonl"
         line = segment.read_text().splitlines()[0]
         with open(segment, "a", encoding="utf-8") as f:
@@ -136,9 +134,9 @@ class TestFolding:
 
     def test_foreign_torn_tail_is_tolerated(self, tmp_path):
         """A peer killed mid-append must not block other readers."""
-        with make_campaign() as campaign:
-            key = _make_store(tmp_path, campaign)
-            _journal_into(tmp_path, campaign, "alpha", range(0, 3), key)
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(0, 3), key)
         with open(tmp_path / "trials.beta.jsonl", "w", encoding="utf-8") as f:
             f.write('{"c": "' + key + '", "t": 5, "a"')  # torn mid-record
         with CampaignStore.open(tmp_path) as store:
@@ -147,26 +145,26 @@ class TestFolding:
 
 class TestScanProgress:
     def test_counts_indices_and_attributes_writers(self, tmp_path):
-        with make_campaign() as campaign:
-            key = _make_store(tmp_path, campaign)
-            _journal_into(tmp_path, campaign, "alpha", range(0, 5), key)
-            _journal_into(tmp_path, campaign, "beta", range(5, 7), key)
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(0, 5), key)
+        _journal_into(tmp_path, campaign, "beta", range(5, 7), key)
         progress = CampaignStore.scan_progress(tmp_path)
         assert progress.journaled(key) == set(range(7))
         assert progress.segments == {"": 0, "alpha": 5, "beta": 2}
         assert progress.journaled("no-such-config") == set()
 
     def test_main_journal_counts_under_empty_writer_name(self, tmp_path):
-        with make_campaign() as campaign:
-            with CampaignStore.for_campaign(tmp_path, campaign) as store:
-                campaign.run(_fault_model(), store=store)
+        campaign = make_campaign()
+        with CampaignStore.for_campaign(tmp_path, campaign) as store:
+            campaign.run(_fault_model(), store=store)
         progress = CampaignStore.scan_progress(tmp_path)
         assert progress.segments[""] == 8
 
     def test_skips_unparseable_lines_without_failing(self, tmp_path):
-        with make_campaign() as campaign:
-            key = _make_store(tmp_path, campaign)
-            _journal_into(tmp_path, campaign, "alpha", range(0, 2), key)
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(0, 2), key)
         with open(tmp_path / "trials.beta.jsonl", "w", encoding="utf-8") as f:
             f.write("garbage\n")
         progress = CampaignStore.scan_progress(tmp_path)
@@ -185,11 +183,11 @@ class TestRegisterConfigs:
         from repro.fault import BitFlipFaultModel
 
         models = [BitFlipFaultModel.at_rate(rate) for rate in RATES]
-        with make_campaign() as campaign:
-            with CampaignStore.for_campaign(tmp_path, campaign) as store:
-                keys = store.register_configs(models)
-                assert keys == store.config_keys()
-                assert store.register_configs(models) == keys  # idempotent
-        with make_campaign() as campaign:
-            with CampaignStore.for_campaign(tmp_path, campaign) as store:
-                assert store.config_keys() == keys  # persisted
+        campaign = make_campaign()
+        with CampaignStore.for_campaign(tmp_path, campaign) as store:
+            keys = store.register_configs(models)
+            assert keys == store.config_keys()
+            assert store.register_configs(models) == keys  # idempotent
+        campaign = make_campaign()
+        with CampaignStore.for_campaign(tmp_path, campaign) as store:
+            assert store.config_keys() == keys  # persisted

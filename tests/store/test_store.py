@@ -39,7 +39,7 @@ class _ParamHealth:
         return 1.0 - bad / total
 
 
-def make_campaign(workers=0, trials=6, seed=0):
+def make_campaign(trials=6, seed=0):
     model = _model()
     injector = FaultInjector(model)
     return FaultCampaign(
@@ -47,7 +47,6 @@ def make_campaign(workers=0, trials=6, seed=0):
         _ParamHealth(model),
         trials=trials,
         seed=seed,
-        workers=workers,
     )
 
 
