@@ -5,10 +5,8 @@ The CI ``bench-regression`` job runs the quick-mode ratio benchmarks —
 ``benchmarks/test_bench_runtime.py`` (compiled-vs-module forward,
 ``outputs/runtime_speedup.json``) and
 ``benchmarks/test_bench_campaign_replicas.py`` (replica-batched vs
-per-trial campaign throughput, ``outputs/campaign_replicas.json``), and
-``benchmarks/test_bench_serve_async.py`` (async front + multi-process
-plan lanes vs the threaded serving front, ``outputs/serve_async.json``)
-— and then this script, which fails the build when any case's speedup
+per-trial campaign throughput, ``outputs/campaign_replicas.json``) —
+and then this script, which fails the build when any case's speedup
 ratio dropped more than that suite's ``tolerance`` (default 25%) below
 its committed baseline under ``benchmarks/baselines/``.
 
@@ -49,11 +47,6 @@ SUITES = (
         "campaign-replicas",
         BENCH_DIR / "outputs" / "campaign_replicas.json",
         BENCH_DIR / "baselines" / "campaign_replicas.json",
-    ),
-    (
-        "serve-async",
-        BENCH_DIR / "outputs" / "serve_async.json",
-        BENCH_DIR / "baselines" / "serve_async.json",
     ),
 )
 

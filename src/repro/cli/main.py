@@ -274,7 +274,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         AsyncReproServer,
         ChaosConfig,
         ModelRegistry,
-        ReproServer,
         ServeApp,
         ServeConfig,
     )
@@ -302,8 +301,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             chaos=chaos,
             max_pending=args.max_pending,
             model_pending=args.model_pending,
-            workers=args.workers,
-            mp_start=args.mp_start,
             slo_p99_ms=args.slo_p99_ms,
             drain_timeout_s=args.drain_timeout_s,
         ),
@@ -315,24 +312,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         preload_note = f", preloaded {len(warmed)} model{'s' if len(warmed) != 1 else ''}"
         if rotated:
             preload_note += f" ({rotated} rotated beyond capacity)"
-    server_cls = AsyncReproServer if args.front == "async" else ReproServer
-    server = server_cls(app, host=args.host, port=args.port)
+    server = AsyncReproServer(app, host=args.host, port=args.port)
     server.start()
     chaos_note = f", chaos ber {chaos.ber:g}" if chaos else ""
-    front_note = ", async front" if args.front == "async" else ""
-    workers_note = (
-        f", {args.workers} worker process{'es' if args.workers != 1 else ''} "
-        f"({args.mp_start})"
-        if args.workers
-        else ""
-    )
     slo_note = (
         f", SLO p99 {args.slo_p99_ms:g}ms" if args.slo_p99_ms is not None else ""
     )
     print(
         f"serving {', '.join(registry.names())} on {server.url} "
         f"(max batch {args.max_batch}, max latency {args.max_latency_ms:g}ms"
-        f"{chaos_note}{front_note}{workers_note}{slo_note}"
+        f"{chaos_note}{slo_note}"
         f"{preload_note})",
         flush=True,
     )
@@ -342,7 +331,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         signal.signal(signum, lambda *_: stop.set())
     stop.wait()
     # SIGTERM drain: stop accepting, finish in-flight batches across
-    # every lane (and worker process), then exit.
+    # every lane, then exit.
     print("shutting down...", flush=True)
     server.stop()
     print("shutdown complete", flush=True)
@@ -823,9 +812,9 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--interval must be > 0, got {args.interval}")
     server = None
     if args.http is not None:
-        from repro.serve.http import ReproServer
+        from repro.serve.aio import AsyncReproServer
 
-        server = ReproServer(
+        server = AsyncReproServer(
             WatchApp(args.store), host=args.host, port=args.http
         )
         server.start()
@@ -1151,7 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "enable chaos mode: per-bit fault rate injected into the live "
             "model around every batch (e.g. 1e-5); SDC counters appear "
-            "in /metrics"
+            "in /v1/metrics"
         ),
     )
     p.add_argument(
@@ -1166,35 +1155,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "load checkpoints, compile runtime plans, and build serving "
             "lanes at startup (up to the registry capacity) instead of "
-            "inside the first request; reported in /healthz"
+            "inside the first request; reported in /v1/healthz"
         ),
-    )
-    p.add_argument(
-        "--front",
-        choices=("threaded", "async"),
-        default="threaded",
-        help=(
-            "HTTP front: 'threaded' (thread per connection) or 'async' "
-            "(one asyncio event loop; in-flight requests cost no thread) "
-            "— identical /v1 responses either way (default: threaded)"
-        ),
-    )
-    p.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=0,
-        metavar="N",
-        help=(
-            "worker processes holding the models and compiled plans; "
-            "micro-batches fan out to idle workers and dead workers "
-            "restart in place (0 = serve in-process; default: 0)"
-        ),
-    )
-    p.add_argument(
-        "--mp-start",
-        choices=("spawn", "fork", "forkserver"),
-        default="spawn",
-        help="multiprocessing start method for --workers (default: spawn)",
     )
     p.add_argument(
         "--max-pending",
@@ -1230,8 +1192,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         help=(
-            "seconds SIGTERM shutdown waits for in-flight batches to "
-            "drain across lanes and worker processes (default: 10)"
+            "seconds SIGTERM shutdown waits for in-flight requests and "
+            "batches to drain (default: 10)"
         ),
     )
     p.set_defaults(func=_cmd_serve)

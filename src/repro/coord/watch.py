@@ -193,13 +193,14 @@ def render_watch(status: dict[str, Any], rate: float | None = None) -> str:
 @dataclass
 class _WatchConfig:
     request_timeout: float = 10.0
+    drain_timeout_s: float = 10.0
 
 
 class WatchApp:
     """A minimal Router host for the HTTP watch view.
 
     Exposes the surface :class:`~repro.serve.routes.Router` and
-    :class:`~repro.serve.http.ReproServer` need — ``router``,
+    :class:`~repro.serve.aio.AsyncReproServer` need — ``router``,
     ``config``, ``metrics``, ``health()``, ``observe_request()``,
     ``close()`` — plus the ``campaign_status()`` hook behind
     ``GET /v1/campaign``.  Predict/models routes 404 here: this app
@@ -235,4 +236,4 @@ class WatchApp:
         """No SLO tracker on the watch front; latency is uninteresting."""
 
     def close(self) -> None:
-        """Nothing to release; present for ReproServer's shutdown path."""
+        """Nothing to release; present for the server's shutdown path."""

@@ -6,27 +6,22 @@ behind the versioned ``/v1`` HTTP API, and chaos mode injects the
 paper's bit-flip faults into the *live* model so resilience is
 observable under traffic.
 
-Architecture (stdlib-only — ``asyncio`` / ``ThreadingHTTPServer``,
-``multiprocessing``, ``queue``, ``threading``, ``urllib``):
+Architecture (stdlib-only — ``asyncio``, ``queue``, ``threading``,
+``urllib``):
 
 - :mod:`repro.serve.protocol` (``protocol.py``) defines the typed
   ``/v1`` messages (:class:`PredictRequest`, :class:`PredictResponse`,
   :class:`ModelInfo`, :class:`HealthReport`, ...) serialised with the
-  store's exact-float JSON encoder; the PR-2 unversioned paths remain
-  as deprecated aliases with byte-identical bodies.
+  store's exact-float JSON encoder.
 - :class:`ModelRegistry` (``registry.py``) maps serving names to
   ``save_protected`` checkpoints, loads them on demand, keeps at most
   ``capacity`` resident with LRU eviction, and gives each model an
-  ``infer_lock``; :class:`ModelSpec` is the picklable manifest-peek
-  view the multi-process path ships to workers.
+  ``infer_lock``.
 - :class:`MicroBatcher` (``batcher.py``) coalesces concurrent predict
   requests into one forward pass.
 - :class:`AdmissionController` (``admission.py``) bounds pending
   requests globally and per model; the overflow is shed as HTTP 429
   with ``Retry-After`` (:class:`repro.errors.ServerOverloadedError`).
-- :class:`WorkerPool` (``workers.py``) fans micro-batches out to worker
-  processes, each holding its own compiled plans and chaos engine;
-  dead lanes restart in place without dropping queued requests.
 - :class:`SloTracker` (``slo.py``) turns a ``--slo-p99-ms`` target into
   p50/p99 estimates and an error-budget burn rate in ``/v1/healthz``.
 - :class:`ChaosEngine` (``chaos.py``) reuses
@@ -34,28 +29,28 @@ Architecture (stdlib-only — ``asyncio`` / ``ThreadingHTTPServer``,
   configured BER around each batch — exact restore guaranteed — and
   counts silent data corruptions against a fault-free forward pass.
 - :class:`ServerMetrics` (``metrics.py``) aggregates request counts,
-  per-endpoint latency histograms, batch-size distribution, shed and
-  worker-restart counters, and per-model chaos/SDC counters for
-  ``GET /v1/metrics``.
+  per-endpoint latency histograms, batch-size distribution, shed
+  counters, and per-model chaos/SDC counters for ``GET /v1/metrics``.
 - :class:`Router` (``routes.py``) is the one transport-neutral code
-  path from (method, path, body) to response bytes; :class:`ServeApp` /
-  :class:`ReproServer` (``http.py``) and :class:`AsyncReproServer`
-  (``aio.py``) are the threaded and asyncio fronts over it;
+  path from (method, path, body) to response bytes; :class:`ServeApp`
+  (``http.py``) owns the in-process lanes behind it, and
+  :class:`AsyncReproServer` (``aio.py``) is the asyncio HTTP front;
   :class:`ServeClient` / :func:`run_load` (``client.py``) are the
   matching typed client and load generator.
 
 Quick start (library)::
 
-    from repro.serve import ModelRegistry, ReproServer, ServeApp, ServeConfig
+    from repro.serve import AsyncReproServer, ModelRegistry, ServeApp, ServeConfig
 
     registry = ModelRegistry(capacity=2)
     registry.register("lenet-fitact", "lenet-fitact.npz")
-    with ReproServer(ServeApp(registry, ServeConfig(max_batch=32))) as server:
+    app = ServeApp(registry, ServeConfig(max_batch=32))
+    with AsyncReproServer(app) as server:
         print(server.url)  # ephemeral port
         ...
 
 or from the CLI: ``repro serve --checkpoint lenet-fitact.npz --port 8080
---front async --workers 2 --slo-p99-ms 50 --chaos-ber 1e-5``.
+--preload --slo-p99-ms 50 --chaos-ber 1e-5``.
 """
 
 from repro.serve.admission import AdmissionController, Ticket
@@ -63,7 +58,7 @@ from repro.serve.aio import AsyncReproServer
 from repro.serve.batcher import MicroBatcher
 from repro.serve.chaos import ChaosConfig, ChaosEngine
 from repro.serve.client import LoadReport, ServeClient, run_load
-from repro.serve.http import ReproServer, ServeApp, ServeConfig
+from repro.serve.http import ServeApp, ServeConfig
 from repro.serve.metrics import ChaosBatchReport, Histogram, ServerMetrics
 from repro.serve.protocol import (
     HealthReport,
@@ -72,10 +67,9 @@ from repro.serve.protocol import (
     PredictRequest,
     PredictResponse,
 )
-from repro.serve.registry import ModelRegistry, ModelSpec, ServedModel
+from repro.serve.registry import ModelRegistry, ServedModel
 from repro.serve.routes import Router
 from repro.serve.slo import SloTracker
-from repro.serve.workers import WorkerPool
 
 __all__ = [
     "AdmissionController",
@@ -90,10 +84,8 @@ __all__ = [
     "ModelInfo",
     "ModelList",
     "ModelRegistry",
-    "ModelSpec",
     "PredictRequest",
     "PredictResponse",
-    "ReproServer",
     "Router",
     "ServeApp",
     "ServeClient",
@@ -102,6 +94,5 @@ __all__ = [
     "ServerMetrics",
     "SloTracker",
     "Ticket",
-    "WorkerPool",
     "run_load",
 ]

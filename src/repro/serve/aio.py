@@ -1,32 +1,31 @@
-"""The asyncio front door: selector-loop HTTP over the shared router.
+"""The asyncio HTTP front: selector-loop HTTP over the shared router.
 
-The threaded :class:`~repro.serve.http.ReproServer` spends one OS thread
-per connection, almost all of it blocked on a batcher future.  This
-front replaces that with a single selector event loop
-(``asyncio.start_server`` on a background thread): connections are
-coroutines, request parsing is non-blocking, and the inference wait is
+One selector event loop (``asyncio.start_server`` on a background
+thread) serves every connection: connections are coroutines, request
+parsing is non-blocking, and the inference wait is
 ``await asyncio.wrap_future(...)`` on the batcher's
 ``concurrent.futures.Future`` — no thread is parked per in-flight
 request, so thousands of slow clients cost file descriptors, not stacks.
 
-Everything above the transport is shared with the threaded front:
-:class:`repro.serve.routes.Router` does routing, legacy-alias
-canonicalisation, admission (429 + ``Retry-After``), error mapping and
-latency observation, so the two fronts return byte-identical bodies for
-identical requests.  The router's synchronous half (``begin``: parse,
-admit, submit — plus a possible first-request checkpoint load) runs in
-the loop's default executor to keep the loop responsive; only the
-cheap completion half runs on the loop.
+Everything above the transport lives in
+:class:`repro.serve.routes.Router`: routing, admission (429 +
+``Retry-After``), error mapping and latency observation.  The router's
+synchronous half (``begin``: parse, admit, submit — plus a possible
+first-request checkpoint load) runs in the loop's default executor to
+keep the loop responsive; only the cheap completion half runs on the
+loop.
 
 The transport is deliberately minimal HTTP/1.1: request line, headers,
 ``Content-Length`` bodies, keep-alive.  That is exactly what
 :class:`~repro.serve.client.ServeClient`, curl, and load generators
-speak; it is not a general-purpose web server.
+speak; it is not a general-purpose web server.  A request it cannot
+parse (a malformed request line, a non-integer ``Content-Length``, a
+line over the stream limit, too many header lines) gets a 400 with an
+``{"error": ...}`` body, and the connection closes.
 
-Lifecycle mirrors :class:`~repro.serve.http.ReproServer` (``start`` /
-``stop`` / context manager / ``url``); ``stop()`` closes the listener,
-lets in-flight requests finish (bounded by the app's drain timeout),
-then drains the app's lanes and worker pool.
+``start`` / ``stop`` / context manager / ``url``: ``stop()`` closes the
+listener, lets in-flight requests finish (bounded by the app's drain
+timeout), then drains the app's lanes.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from http import HTTPStatus
 
 from repro.errors import ConfigurationError
 from repro.serve.http import ServeApp
+from repro.serve.protocol import ErrorBody, dump_payload
 from repro.serve.routes import RouteResult
 from repro.utils.logging import get_logger
 
@@ -45,7 +45,10 @@ __all__ = ["AsyncReproServer"]
 _logger = get_logger("serve.aio")
 
 _MAX_HEADER_LINES = 100
-_MAX_LINE = 65536
+
+
+class _BadRequest(Exception):
+    """A request the transport cannot parse; answered with a 400."""
 
 
 def _reason(status: int) -> str:
@@ -58,9 +61,11 @@ def _reason(status: int) -> str:
 class AsyncReproServer:
     """Asyncio event-loop HTTP server over a :class:`ServeApp`.
 
-    Same surface as the threaded server: ``port=0`` binds an ephemeral
-    port (readable from :attr:`port` / :attr:`url` once started),
-    ``stop()`` drains gracefully, and it works as a context manager.
+    ``port=0`` binds an ephemeral port (readable from :attr:`port` /
+    :attr:`url` once started), ``stop()`` drains gracefully, and it
+    works as a context manager.  Any app with a ``router``, a
+    ``config`` carrying ``request_timeout`` and ``drain_timeout_s``, and
+    a ``close()`` can be served (the coord watch view is one).
     """
 
     def __init__(
@@ -121,7 +126,7 @@ class AsyncReproServer:
             self._thread.join(timeout=5.0)
             self._thread = None
             raise self._startup_error
-        _logger.info("serving on %s (asyncio front)", self.url)
+        _logger.info("serving on %s", self.url)
         return self
 
     def stop(self) -> None:
@@ -211,7 +216,18 @@ class AsyncReproServer:
             task.add_done_callback(self._conn_tasks.discard)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as error:
+                    self._write_response(
+                        writer,
+                        RouteResult(
+                            400, dump_payload(ErrorBody(str(error)).to_payload())
+                        ),
+                        keep_alive=False,
+                    )
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, version, headers, body = request
@@ -224,11 +240,7 @@ class AsyncReproServer:
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-        ):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:
             writer.close()
@@ -237,28 +249,43 @@ class AsyncReproServer:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
+    @staticmethod
+    async def _readline(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError as error:  # the line outgrew the stream limit
+            raise _BadRequest("line longer than the stream limit") from error
+
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, str, dict[str, str], bytes] | None:
-        request_line = await reader.readline()
+        """One parsed request, or ``None`` once the client hung up.
+
+        Raises :class:`_BadRequest` for input that is not HTTP/1.1.
+        """
+        request_line = await self._readline(reader)
         if not request_line:
             return None
         parts = request_line.decode("latin-1").strip().split(" ")
         if len(parts) != 3:
-            return None
+            raise _BadRequest("malformed request line")
         method, target, version = parts
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADER_LINES):
-            line = await reader.readline()
+            line = await self._readline(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
-            if len(line) > _MAX_LINE:
-                return None
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         else:
-            return None  # header flood
-        length = int(headers.get("content-length", "0") or "0")
+            raise _BadRequest(f"more than {_MAX_HEADER_LINES} header lines")
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _BadRequest(f"invalid Content-Length {raw_length!r}")
         body = await reader.readexactly(length) if length > 0 else b""
         return method, target, version, headers, body
 

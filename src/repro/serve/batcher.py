@@ -58,7 +58,8 @@ class MicroBatcher:
         Worker threads running batches (>= 1).  More than one only helps
         when ``run_batch`` releases the GIL or serves multiple models.
     on_batch:
-        Optional ``(size, seconds)`` observer (metrics hook).
+        Optional ``(size, seconds)`` observer (metrics hook), called
+        before the batch's futures resolve.
     """
 
     def __init__(
@@ -182,13 +183,15 @@ class MicroBatcher:
                     item.future.set_exception(error)
             return
         elapsed = time.monotonic() - started
+        # Observe before resolving: a caller that reads the metrics after
+        # its response must already see the batch that served it.
+        if self._on_batch is not None:
+            self._on_batch(total, elapsed)
         offset = 0
         for item, size in zip(batch, sizes):
             if not item.future.cancelled():
                 item.future.set_result(outputs[offset : offset + size])
             offset += size
-        if self._on_batch is not None:
-            self._on_batch(total, elapsed)
 
     def _worker(self) -> None:
         while True:

@@ -1,10 +1,9 @@
-"""The serving application and its threaded HTTP front.
+"""The serving application: registry, admission, lanes, SLO, metrics.
 
 :class:`ServeApp` glues the production serving tier together — registry,
-admission control, micro-batch lanes (in-process threads or
-:class:`~repro.serve.workers.WorkerPool` processes), optional chaos
-engine, latency-SLO tracking, shared metrics — behind the versioned
-``/v1`` API (see :mod:`repro.serve.protocol`):
+admission control, in-process micro-batch lanes, optional chaos engine,
+latency-SLO tracking, shared metrics — behind the versioned ``/v1`` API
+(see :mod:`repro.serve.protocol`):
 
 - ``POST /v1/predict``  — typed predict (admitted, micro-batched).
 - ``GET  /v1/models``   — registered checkpoints with metadata.
@@ -12,12 +11,9 @@ engine, latency-SLO tracking, shared metrics — behind the versioned
 - ``GET  /v1/metrics``  — metrics snapshot (JSON or
   ``?format=prometheus`` text exposition).
 
-The PR-2 unversioned paths still work as deprecated aliases (same
-bytes, plus a ``Deprecation`` header).  All routing, error mapping and
-per-request observability live in :class:`repro.serve.routes.Router`,
-shared with the asyncio front (:mod:`repro.serve.aio`);
-:class:`ReproServer` here is the classic thread-per-connection
-transport.
+All routing, error mapping and per-request observability live in
+:class:`repro.serve.routes.Router`; the HTTP transport is the asyncio
+front in :mod:`repro.serve.aio`.
 
 Overload does not queue unboundedly: :class:`~repro.serve.admission`
 bounds pending requests globally and per model, and sheds the excess as
@@ -30,7 +26,6 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -42,12 +37,11 @@ from repro.serve.chaos import ChaosConfig, ChaosEngine
 from repro.serve.metrics import LATENCY_BUCKETS_MS, ServerMetrics
 from repro.serve.protocol import PredictResponse
 from repro.serve.registry import ModelRegistry, ServedModel
-from repro.serve.routes import RouteResult, Router
+from repro.serve.routes import Router
 from repro.serve.slo import SloTracker
-from repro.serve.workers import WorkerPool
 from repro.utils.logging import get_logger
 
-__all__ = ["ReproServer", "ServeApp", "ServeConfig"]
+__all__ = ["ServeApp", "ServeConfig"]
 
 _logger = get_logger("serve.http")
 
@@ -56,12 +50,10 @@ _logger = get_logger("serve.http")
 class ServeConfig:
     """Server-wide serving knobs (see ``repro serve --help``).
 
-    ``workers=0`` serves in-process (threaded lanes); ``workers >= 1``
-    fans micro-batches out to that many worker processes, each holding
-    its own compiled plans (``mp_start`` picks the start method).
-    ``max_pending``/``model_pending`` bound the admission queue;
-    ``slo_p99_ms`` arms the latency-SLO tracker surfaced in
-    ``/v1/healthz``.
+    ``batch_workers`` is the number of batch-execution threads per
+    model lane.  ``max_pending``/``model_pending`` bound the admission
+    queue; ``slo_p99_ms`` arms the latency-SLO tracker surfaced in
+    ``/v1/healthz``; ``drain_timeout_s`` bounds the shutdown drain.
     """
 
     max_batch: int = 32
@@ -71,8 +63,6 @@ class ServeConfig:
     chaos: ChaosConfig | None = None
     max_pending: int = 256
     model_pending: int | None = None
-    workers: int = 0
-    mp_start: str = "spawn"
     slo_p99_ms: float | None = None
     drain_timeout_s: float = 10.0
 
@@ -110,59 +100,18 @@ class _Lane:
         )
 
 
-class _ProcessLane:
-    """One model's multi-process lane: batcher fanning out to the pool.
-
-    The parent holds no model — the batcher's ``run_batch`` ships the
-    coalesced array to an idle worker process, which loads/compiles the
-    checkpoint on first sight and runs chaos (if configured) inside its
-    own address space with exact flip/restore semantics.  ``workers``
-    batcher threads keep up to ``workers`` batches in flight, one per
-    worker process.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        path: str,
-        pool: WorkerPool,
-        config: ServeConfig,
-        metrics: ServerMetrics,
-    ) -> None:
-        self.name = name
-
-        def run_batch(stacked: np.ndarray) -> np.ndarray:
-            with span("serve.batch", model=name, size=len(stacked)):
-                outputs, report = pool.run_batch(name, path, stacked)
-            if report is not None:
-                metrics.observe_chaos(name, report)
-            return outputs
-
-        self.batcher = MicroBatcher(
-            run_batch,
-            max_batch=config.max_batch,
-            max_latency=config.max_latency_ms / 1000.0,
-            workers=pool.workers,
-            on_batch=lambda size, _seconds: metrics.observe_batch(size),
-        )
-
-
 class ServeApp:
-    """Transport-independent serving logic (the HTTP fronts are shims).
+    """Transport-independent serving logic (the HTTP front is a shim).
 
     Tests and benchmarks drive :meth:`predict` (blocking) or
     :meth:`submit_predict` (future-returning, what the asyncio front
-    awaits) directly; the transports parse bytes and write
+    awaits) directly; the transport parses bytes and writes
     :class:`~repro.serve.routes.RouteResult`\\ s.
     """
 
     def __init__(self, registry: ModelRegistry, config: ServeConfig | None = None) -> None:
         self.registry = registry
         self.config = config or ServeConfig()
-        if self.config.workers < 0:
-            raise ConfigurationError(
-                f"workers must be >= 0, got {self.config.workers}"
-            )
         self.metrics = ServerMetrics()
         self.admission = AdmissionController(
             max_pending=self.config.max_pending,
@@ -178,12 +127,9 @@ class ServeApp:
         self.router = Router(self)
         self.started_at = time.monotonic()  # repro-lint: disable=RPL009 — uptime epoch read once at construction
         self._lanes: dict[str, _Lane] = {}
-        self._process_lanes: dict[str, _ProcessLane] = {}
         self._lanes_lock = threading.Lock()
         self._lane_builds: dict[str, threading.Lock] = {}
         self._preloaded: list[str] = []
-        self._pool: WorkerPool | None = None
-        self._pool_lock = threading.Lock()
 
     def __getstate__(self) -> dict[str, object]:
         """Apps hold locks and live batcher lanes; refuse to pickle (RPL007)."""
@@ -192,26 +138,9 @@ class ServeApp:
             "pickled; build a fresh app per process"
         )
 
-    @property
-    def process_mode(self) -> bool:
-        return self.config.workers > 0
-
     # ------------------------------------------------------------------
     # Lanes
     # ------------------------------------------------------------------
-    def _pool_handle(self) -> WorkerPool:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = WorkerPool(
-                    workers=self.config.workers,
-                    mp_start=self.config.mp_start,
-                    chaos=self.config.chaos,
-                    registry_capacity=self.registry.capacity,
-                    request_timeout=self.config.request_timeout,
-                    on_restart=self.metrics.observe_worker_restart,
-                )
-            return self._pool
-
     def _prune_stale_lanes(self, current: str) -> None:
         """Retire lanes whose models the registry has evicted.
 
@@ -258,60 +187,22 @@ class ServeApp:
                 self._lanes[entry.name] = lane
             return lane
 
-    def _process_lane(self, name: str) -> _ProcessLane:
-        with self._lanes_lock:
-            lane = self._process_lanes.get(name)
-            if lane is not None:
-                return lane
-            build_lock = self._lane_builds.setdefault(name, threading.Lock())
-        with build_lock:
-            with self._lanes_lock:
-                lane = self._process_lanes.get(name)
-                if lane is not None:
-                    return lane
-            spec = self.registry.spec(name)
-            lane = _ProcessLane(
-                name, spec.path, self._pool_handle(), self.config, self.metrics
-            )
-            with self._lanes_lock:
-                self._process_lanes[name] = lane
-            return lane
-
     def preload(self) -> list[str]:
         """Warm every registered model before serving the first request.
 
-        In-process mode loads checkpoints, compiles their runtime plans,
-        and builds serving lanes — the work that otherwise happens inside
-        the first unlucky request.  Fleets larger than the registry
+        Loads checkpoints, compiles their runtime plans, and builds
+        serving lanes — the work that otherwise happens inside the first
+        unlucky request.  Fleets larger than the registry
         capacity are warmed in a capacity-aware rotation rather than
         silently skipped: every checkpoint is loaded, compiled and laned once (so
         a missing or corrupt file fails at startup, not mid-traffic, and
         its manifest metadata is cached for ``GET /v1/models``), with
         LRU eviction retiring the earliest entries as the rotation
-        proceeds — the last ``capacity`` models stay resident.
-
-        In process mode the parent loads nothing; instead every worker
-        lane is told to load and compile each checkpoint, so the fleet
-        starts hot.  Returns all warmed names; ``GET /v1/healthz``
-        reports them as ``preloaded`` and the since-evicted subset as
-        ``preload_rotated``.
+        proceeds — the last ``capacity`` models stay resident.  Returns
+        all warmed names; ``GET /v1/healthz`` reports them as
+        ``preloaded`` and the since-evicted subset as ``preload_rotated``.
         """
         warmed: list[str] = []
-        if self.process_mode:
-            pool = self._pool_handle()
-            for name in self.registry.names():
-                spec = self.registry.spec(name)
-                pool.warm(name, spec.path)
-                self._process_lane(name)
-                warmed.append(name)
-                _logger.info(
-                    "preloaded %s on %d worker lane(s) from %s",
-                    name,
-                    pool.workers,
-                    spec.path,
-                )
-            self._preloaded = warmed
-            return list(warmed)
         for name in self.registry.names():
             entry = self.registry.get(name)
             self._lane(entry)
@@ -345,27 +236,16 @@ class ServeApp:
             f"{len(names)}; pass \"model\" (one of: {', '.join(names)})"
         )
 
+    @staticmethod
     def _validate_inputs(
-        self, array: np.ndarray, shape: tuple[int, int, int] | None
+        array: np.ndarray, shape: tuple[int, int, int]
     ) -> np.ndarray:
-        if shape is not None:
-            if array.shape == shape:
-                array = array[np.newaxis]
-            if array.ndim != 4 or array.shape[1:] != shape:
-                raise ConfigurationError(
-                    f"inputs must be one sample or a batch of shape "
-                    f"{shape}, got array of shape {array.shape}"
-                )
-            return array
-        # No manifest geometry (old checkpoint, process mode): accept
-        # any 3-d sample / 4-d batch; the worker's forward rejects
-        # mismatches at run time.
-        if array.ndim == 3:
+        if array.shape == shape:
             array = array[np.newaxis]
-        if array.ndim != 4:
+        if array.ndim != 4 or array.shape[1:] != shape:
             raise ConfigurationError(
-                "inputs must be one (C, H, W) sample or a batch of them, "
-                f"got array of shape {array.shape}"
+                f"inputs must be one sample or a batch of shape "
+                f"{shape}, got array of shape {array.shape}"
             )
         return array
 
@@ -381,12 +261,10 @@ class ServeApp:
         actually inside the server.
         """
         name = self.resolve_model_name(model)
-        array = np.asarray(inputs, dtype=np.float32)
-        if self.process_mode:
-            shape = self.registry.spec(name).input_shape
-        else:
-            shape = self.registry.get(name).input_shape
-        array = self._validate_inputs(array, shape)
+        array = self._validate_inputs(
+            np.asarray(inputs, dtype=np.float32),
+            self.registry.get(name).input_shape,
+        )
         ticket = self.admission.admit(name)
         try:
             future = self._submit(name, array)
@@ -397,8 +275,6 @@ class ServeApp:
         return name, future
 
     def _submit(self, name: str, array: np.ndarray):
-        if self.process_mode:
-            return self._process_lane(name).batcher.submit(array)
         entry = self.registry.get(name)
         try:
             return self._lane(entry).batcher.submit(array)
@@ -448,21 +324,6 @@ class ServeApp:
             "chaos": self.config.chaos is not None,
         }
 
-    def _workers_report(self) -> dict[str, object]:
-        if not self.process_mode:
-            return {"mode": "thread", "count": self.config.batch_workers}
-        with self._pool_lock:
-            pool = self._pool
-        if pool is None:
-            return {
-                "mode": "process",
-                "count": self.config.workers,
-                "mp_start": self.config.mp_start,
-                "alive": 0,
-                "restarts": 0,
-            }
-        return pool.report()
-
     def health(self) -> dict[str, object]:
         resident = set(self.registry.resident_names())
         return {
@@ -473,15 +334,13 @@ class ServeApp:
             "preloaded": list(self._preloaded),
             # Warmed at startup but since rotated out by LRU pressure
             # (fleet larger than capacity): validated, reloadable on
-            # first request, just not resident right now.  In process
-            # mode residency lives in the workers (the parent registry
-            # is empty by design), so nothing is ever "rotated" here.
-            "preload_rotated": []
-            if self.process_mode
-            else [name for name in self._preloaded if name not in resident],
+            # first request, just not resident right now.
+            "preload_rotated": [
+                name for name in self._preloaded if name not in resident
+            ],
             "chaos_ber": self.config.chaos.ber if self.config.chaos else None,
             "admission": self.admission.report(),
-            "workers": self._workers_report(),
+            "workers": {"mode": "thread", "count": self.config.batch_workers},
             "slo": self.slo.report() if self.slo is not None else None,
         }
 
@@ -492,120 +351,13 @@ class ServeApp:
             self.slo.observe(seconds * 1000.0)
 
     def close(self) -> None:
-        """Drain and retire every lane, then the worker pool.
+        """Drain and retire every lane.
 
-        Ordering matters for the SIGTERM drain: batchers close first
-        (each finishes its queued batches — the FIFO drain the batcher
-        guarantees), and only then is the pool drained and shut down, so
-        no in-flight batch loses its worker.
+        Each batcher finishes its queued batches before it closes (the
+        FIFO drain the batcher guarantees), bounded by the drain timeout.
         """
         with self._lanes_lock:
-            lanes: list[_Lane | _ProcessLane] = list(self._lanes.values())
-            lanes.extend(self._process_lanes.values())
+            lanes = list(self._lanes.values())
             self._lanes = {}
-            self._process_lanes = {}
         for lane in lanes:
             lane.batcher.close(timeout=self.config.drain_timeout_s)
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close(drain=True, timeout=self.config.drain_timeout_s)
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Byte shim: read the request, let the router do everything else."""
-
-    server: "_HTTPServer"
-    protocol_version = "HTTP/1.1"
-    # The head and the body go out in two writes; with Nagle's algorithm
-    # on, a kept-alive response's body waits ~40 ms for the client's
-    # delayed ACK of the head.
-    disable_nagle_algorithm = True
-
-    def _send(self, result: RouteResult) -> None:
-        self.send_response(result.status)
-        self.send_header("Content-Type", result.content_type)
-        self.send_header("Content-Length", str(len(result.body)))
-        for name, value in result.headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(result.body)
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        self._send(self.server.app.router.handle("GET", self.path, None))
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        length = int(self.headers.get("Content-Length", 0))
-        body = self.rfile.read(length) if length > 0 else b""
-        self._send(self.server.app.router.handle("POST", self.path, body))
-
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        _logger.debug("%s - %s", self.address_string(), format % args)
-
-
-class _HTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    app: ServeApp
-
-
-class ReproServer:
-    """Own the listening socket and background accept thread.
-
-    ``port=0`` binds an ephemeral port; read the resolved one from
-    :attr:`port` / :attr:`url`.  ``stop()`` is graceful: it stops
-    accepting, finishes in-flight requests, and drains the batchers
-    (and, in process mode, the worker pool).
-    """
-
-    def __init__(self, app: ServeApp, host: str = "127.0.0.1", port: int = 0) -> None:
-        self.app = app
-        self._httpd = _HTTPServer((host, port), _Handler)
-        self._httpd.app = app
-        self._thread: threading.Thread | None = None
-
-    def __getstate__(self) -> dict[str, object]:
-        """Servers own a socket and accept thread; refuse to pickle (RPL007)."""
-        raise TypeError(
-            "ReproServer owns a listening socket and accept thread and "
-            "cannot be pickled; start a fresh server per process"
-        )
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return int(self._httpd.server_address[1])
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ReproServer":
-        if self._thread is not None:
-            raise ConfigurationError("server is already running")
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-serve-accept",
-            daemon=True,
-        )
-        self._thread.start()
-        _logger.info("serving on %s", self.url)
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._httpd.shutdown()
-        self._thread.join(timeout=10.0)
-        self._thread = None
-        self._httpd.server_close()
-        self.app.close()
-
-    def __enter__(self) -> "ReproServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -1,7 +1,7 @@
 """Thread-safe serving metrics, built on the ``repro.obs`` registry.
 
 One :class:`ServerMetrics` instance aggregates everything ``GET
-/metrics`` reports: per-endpoint request counts and status codes, a
+/v1/metrics`` reports: per-endpoint request counts and status codes, a
 log-scale request-latency histogram, the batch-size distribution the
 micro-batcher actually achieved, and — when chaos mode is on — per-model
 fault-injection counters (batches injected, bits flipped, SDC events).
@@ -10,7 +10,7 @@ The state lives in a private :class:`~repro.obs.MetricsRegistry`
 (private so concurrent apps in one process never share counts): every
 observer takes the registry lock per observation, snapshots are built
 from copies, and the same families render the Prometheus text
-exposition behind ``GET /metrics?format=prometheus``.  The JSON
+exposition behind ``GET /v1/metrics?format=prometheus``.  The JSON
 :meth:`ServerMetrics.snapshot` shape is a stable contract — dashboards
 and the serve tests consume it — and is reconstructed from the registry
 series byte-for-byte as before the registry refactor.  The Prometheus
@@ -80,7 +80,7 @@ class ChaosBatchReport:
 
 
 class ServerMetrics:
-    """Aggregated observability state behind ``GET /metrics``."""
+    """Aggregated observability state behind ``GET /v1/metrics``."""
 
     def __init__(self) -> None:
         registry = MetricsRegistry()
@@ -111,10 +111,6 @@ class ServerMetrics:
             "Requests currently pending per model (admission view).",
             labelnames=("model",),
         )
-        self._worker_restarts = registry.counter(
-            "repro_serve_worker_restarts_total",
-            "Worker-lane processes restarted after dying mid-service.",
-        )
         self._batch_sizes = registry.histogram(
             "repro_serve_batch_size",
             "Coalesced micro-batch sizes the batcher actually executed.",
@@ -127,7 +123,7 @@ class ServerMetrics:
         self._peak_rss = registry.gauge(
             "repro_process_peak_rss_bytes",
             "Peak resident set size of the serving process (bytes), "
-            "read at scrape time; worker-lane processes not included.",
+            "read at scrape time.",
         )
         self._chaos = {
             field: registry.counter(
@@ -155,13 +151,6 @@ class ServerMetrics:
 
     def observe_queue_depth(self, model: str, depth: int) -> None:
         self._queue_depth.set(int(depth), model=model)
-
-    def observe_worker_restart(self) -> None:
-        self._worker_restarts.inc()
-
-    def latency_quantile(self, q: float, endpoint: str) -> float:
-        """Bucket-interpolated latency quantile for one endpoint (ms)."""
-        return self._serve_latency.quantile(q, endpoint=endpoint)
 
     def observe_batch(self, size: int) -> None:
         self._batch_sizes.observe(size)
@@ -241,10 +230,7 @@ class ServerMetrics:
                 model: self._chaos_entry(self._chaos_counts(model))
                 for model in chaos_models
             },
-            "admission": {
-                "shed": self._shed_snapshot(),
-                "worker_restarts": int(self._worker_restarts.value()),
-            },
+            "admission": {"shed": self._shed_snapshot()},
         }
 
     def _shed_snapshot(self) -> dict[str, dict[str, int]]:

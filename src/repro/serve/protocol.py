@@ -11,13 +11,8 @@ for bit, and served under versioned paths:
 - ``GET  /v1/healthz``  — :class:`HealthReport`
 - ``GET  /v1/metrics``  — metrics snapshot (JSON or Prometheus text)
 
-The PR-2 unversioned paths (``/predict``, ``/models``, ``/healthz``,
-``/metrics``) remain as **deprecated aliases**: :data:`LEGACY_ALIASES`
-maps each onto its ``/v1`` successor, the response body bytes are
-identical by construction (one shared code path in
-:mod:`repro.serve.routes`), and alias responses carry ``Deprecation:
-true`` plus a ``Link: </v1/...>; rel="successor-version"`` header so
-clients can migrate mechanically.
+Only these ``/v1`` paths route; any other path, unversioned ones such
+as ``/predict`` included, answers 404.
 
 Error bodies are ``{"error": "<message>"}`` everywhere
 (:class:`ErrorBody`); overload sheds add ``retry_after_s`` and the
@@ -36,10 +31,8 @@ from repro.store.encoding import exact_json_dumps
 
 __all__ = [
     "API_VERSION",
-    "DEPRECATION_HEADERS",
     "ErrorBody",
     "HealthReport",
-    "LEGACY_ALIASES",
     "ModelInfo",
     "ModelList",
     "PredictRequest",
@@ -48,22 +41,6 @@ __all__ = [
 ]
 
 API_VERSION = "v1"
-
-#: Deprecated unversioned path → canonical ``/v1`` successor.
-LEGACY_ALIASES: dict[str, str] = {
-    "/predict": "/v1/predict",
-    "/models": "/v1/models",
-    "/healthz": "/v1/healthz",
-    "/metrics": "/v1/metrics",
-}
-
-
-def DEPRECATION_HEADERS(canonical: str) -> list[tuple[str, str]]:
-    """Headers an unversioned alias response carries (RFC 8594 style)."""
-    return [
-        ("Deprecation", "true"),
-        ("Link", f'<{canonical}>; rel="successor-version"'),
-    ]
 
 
 def dump_payload(payload: Mapping[str, Any]) -> bytes:
@@ -262,8 +239,8 @@ class HealthReport:
     """``GET /v1/healthz`` response.
 
     Extends the PR-2 liveness shape with the PR-9 production surface:
-    admission-queue state, worker-lane state (multi-process mode), and
-    the latency-SLO report when the server runs with a p99 target.
+    admission-queue state, the batch-thread count per lane, and the
+    latency-SLO report when the server runs with a p99 target.
     The ``runtime`` key older servers sent is ignored.
     """
 

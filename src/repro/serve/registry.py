@@ -36,25 +36,9 @@ from repro.utils.logging import get_logger
 if TYPE_CHECKING:
     from repro.runtime import InferencePlan
 
-__all__ = ["ModelRegistry", "ModelSpec", "ServedModel"]
+__all__ = ["ModelRegistry", "ServedModel"]
 
 _logger = get_logger("serve.registry")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """A registered checkpoint without a loaded model behind it.
-
-    The multi-process serving path keeps models (and compiled plans)
-    inside worker processes; the parent only needs the name, the path to
-    ship to workers, and the input geometry from a manifest peek to
-    validate requests.  Specs are picklable by construction — they carry
-    no locks, modules, or plans.
-    """
-
-    name: str
-    path: str
-    input_shape: tuple[int, int, int] | None
 
 
 @dataclass
@@ -107,7 +91,7 @@ class ServedModel:
         return self.plan(inputs)
 
     def describe(self) -> dict[str, object]:
-        """JSON-ready summary for ``GET /models``."""
+        """JSON-ready summary for ``GET /v1/models``."""
         return {
             "name": self.name,
             "path": self.path,
@@ -191,7 +175,7 @@ class ModelRegistry:
         """Checkpoint metadata for ``name`` without loading the model.
 
         Peeks at the manifest on first call (cached afterwards), so
-        ``GET /models`` can report input geometry for models that are
+        ``GET /v1/models`` can report input geometry for models that are
         registered but not resident — and never perturbs LRU order or
         triggers a full load.
         """
@@ -222,23 +206,6 @@ class ModelRegistry:
             "input_shape": [channels, int(size), int(size)] if size else None,
             "clean_accuracy": meta.get("clean_accuracy"),
         }
-
-    def spec(self, name: str) -> ModelSpec:
-        """Picklable spec for ``name`` without loading the model.
-
-        The process-lane serving path validates request geometry from
-        this (manifest-peeked) view and ships only the checkpoint path
-        to worker processes.  ``input_shape`` is ``None`` when the
-        manifest records no geometry; workers still reject malformed
-        inputs at forward time.
-        """
-        described = self.describe_spec(name)
-        shape = described.get("input_shape")
-        return ModelSpec(
-            name=name,
-            path=str(described["path"]),
-            input_shape=tuple(int(dim) for dim in shape) if shape else None,
-        )
 
     def __contains__(self, name: str) -> bool:
         with self._gate:

@@ -1,25 +1,19 @@
 """Transport-neutral routing for the ``/v1`` serving API.
 
-Both HTTP fronts — the threaded :class:`~repro.serve.http.ReproServer`
-and the asyncio :class:`~repro.serve.aio.AsyncReproServer` — delegate
-here, so there is exactly one code path from (method, path, body) to
-response bytes.  That is what makes the legacy-alias guarantee hold *by
-construction*: ``/predict`` is canonicalised to ``/v1/predict`` before
-routing, runs the identical handler, and serialises through the same
-exact-float encoder — the body bytes cannot differ, only the
-``Deprecation``/``Link`` headers the alias adds.
+The HTTP front (:class:`~repro.serve.aio.AsyncReproServer`) and the
+in-process tests delegate here, so there is exactly one code path from
+(method, path, body) to response bytes.  Only the versioned paths route;
+any other path answers 404.
 
 The router also owns the error→status mapping (including the 429 +
 ``Retry-After`` shed path) and the per-request observability: one
 ``serve.request`` span, the per-endpoint latency histogram, and the SLO
-tracker feed — all labelled with the *canonical* path, so dashboards see
-one series per endpoint regardless of which alias clients still use.
+tracker feed.
 
 Predicts split into a non-blocking half and a completion half
 (:meth:`Router.begin` → :class:`PendingPredict`) so the asyncio front
-can await the batcher future without holding a thread; the threaded
-front just calls :meth:`Router.handle`, which blocks through both
-halves.
+can await the batcher future without holding a thread;
+:meth:`Router.handle` blocks through both halves for in-process callers.
 """
 
 from __future__ import annotations
@@ -36,8 +30,6 @@ import numpy as np
 from repro.errors import ConfigurationError, ReproError, ServerOverloadedError
 from repro.obs.trace import span
 from repro.serve.protocol import (
-    DEPRECATION_HEADERS,
-    LEGACY_ALIASES,
     ErrorBody,
     PredictRequest,
     PredictResponse,
@@ -86,16 +78,15 @@ class _NoRoute(Exception):
 class PendingPredict:
     """A predict admitted and queued, awaiting its batcher future.
 
-    The transport resolves :attr:`future` its own way — blocking
-    ``result()`` on the threaded front, ``asyncio.wrap_future`` on the
-    asyncio one — then calls :meth:`finish` or :meth:`fail` to render
+    The caller resolves :attr:`future` its own way — blocking
+    ``result()`` in :meth:`Router.handle`, ``asyncio.wrap_future`` on the
+    asyncio front — then calls :meth:`finish` or :meth:`fail` to render
     the response (which also closes out the request's latency
     observation, so queue wait counts toward the SLO).
     """
 
     router: "Router"
     endpoint: str
-    alias_headers: tuple[tuple[str, str], ...]
     started: float
     model: str
     return_logits: bool
@@ -106,22 +97,15 @@ class PendingPredict:
             self.model, logits, self.return_logits
         )
         return self.router._complete(
-            200,
-            response.to_payload(),
-            JSON_CONTENT,
-            self.alias_headers,
-            self.endpoint,
-            self.started,
+            200, response.to_payload(), JSON_CONTENT, (), self.endpoint, self.started
         )
 
     def fail(self, error: BaseException) -> RouteResult:
-        return self.router._error_result(
-            error, self.endpoint, self.alias_headers, self.started
-        )
+        return self.router._error_result(error, self.endpoint, self.started)
 
 
 class Router:
-    """Route, execute, observe, and render — once, for every front."""
+    """Route, execute, observe, and render — once, for every caller."""
 
     def __init__(self, app: "ServeApp") -> None:
         self.app = app
@@ -152,11 +136,7 @@ class Router:
         :class:`PendingPredict` for the transport to await.
         """
         path, _, query = raw_path.partition("?")
-        stripped = path.rstrip("/") or "/"
-        endpoint = LEGACY_ALIASES.get(stripped, stripped)
-        alias = (
-            tuple(DEPRECATION_HEADERS(endpoint)) if endpoint != stripped else ()
-        )
+        endpoint = path.rstrip("/") or "/"
         # Request latency spans an await boundary on the asyncio front,
         # which the accumulating Timer cannot bridge; these paired
         # monotonic reads are the serving tier's one latency measurement.
@@ -164,18 +144,18 @@ class Router:
         with span("serve.request", endpoint=endpoint):
             try:
                 if method == "POST" and endpoint == _PREDICT:
-                    return self._begin_predict(body, endpoint, alias, started)
+                    return self._begin_predict(body, endpoint, started)
                 if method == "GET":
                     payload = self._route_get(endpoint, query)
                 else:
-                    raise _NoRoute(stripped)
+                    raise _NoRoute(endpoint)
             except BaseException as error:  # noqa: BLE001 — rendered as a response
-                return self._error_result(error, endpoint, alias, started)
+                return self._error_result(error, endpoint, started)
         if isinstance(payload, str):
             return self._complete_text(
-                200, payload, PROMETHEUS_CONTENT, alias, endpoint, started
+                200, payload, PROMETHEUS_CONTENT, endpoint, started
             )
-        return self._complete(200, payload, JSON_CONTENT, alias, endpoint, started)
+        return self._complete(200, payload, JSON_CONTENT, (), endpoint, started)
 
     # ------------------------------------------------------------------
     # Handlers
@@ -207,11 +187,7 @@ class Router:
         raise _NoRoute(endpoint)
 
     def _begin_predict(
-        self,
-        body: bytes | None,
-        endpoint: str,
-        alias: tuple[tuple[str, str], ...],
-        started: float,
+        self, body: bytes | None, endpoint: str, started: float
     ) -> PendingPredict:
         submit = getattr(self.app, "submit_predict", None)
         if submit is None:  # status-only hosts (WatchApp) take no predicts
@@ -221,7 +197,6 @@ class Router:
         return PendingPredict(
             router=self,
             endpoint=endpoint,
-            alias_headers=alias,
             started=started,
             model=name,
             return_logits=request.return_logits,
@@ -263,29 +238,21 @@ class Router:
         status: int,
         text: str,
         content_type: str,
-        headers: tuple[tuple[str, str], ...],
         endpoint: str,
         started: float,
     ) -> RouteResult:
         elapsed = time.monotonic() - started  # repro-lint: disable=RPL009 — closes the request-latency measurement opened in begin()
         self.app.observe_request(endpoint, status, elapsed)
         return RouteResult(
-            status=status,
-            body=text.encode("utf-8"),
-            content_type=content_type,
-            headers=headers,
+            status=status, body=text.encode("utf-8"), content_type=content_type
         )
 
     def _error_result(
-        self,
-        error: BaseException,
-        endpoint: str,
-        alias: tuple[tuple[str, str], ...],
-        started: float,
+        self, error: BaseException, endpoint: str, started: float
     ) -> RouteResult:
-        status, payload, extra = self._map_error(error, endpoint)
+        status, payload, headers = self._map_error(error, endpoint)
         return self._complete(
-            status, payload, JSON_CONTENT, alias + extra, endpoint, started
+            status, payload, JSON_CONTENT, headers, endpoint, started
         )
 
     def _map_error(

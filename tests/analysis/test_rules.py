@@ -326,7 +326,7 @@ class TestRPL006:
     def test_cli_may_import_anything(self):
         src = """
             from repro.store import CampaignStore
-            from repro.serve.http import ReproServer
+            from repro.serve.aio import AsyncReproServer
         """
         assert rules_in(src, "src/repro/cli/foo.py") == []
 

@@ -117,10 +117,10 @@ class TestRendering:
 
 class TestHttpFront:
     def test_watch_app_serves_campaign_status(self, store_path):
-        from repro.serve.http import ReproServer
+        from repro.serve.aio import AsyncReproServer
 
         run_worker(store_path, "alpha")
-        server = ReproServer(WatchApp(store_path))
+        server = AsyncReproServer(WatchApp(store_path))
         server.start()
         try:
             status = json.load(
@@ -145,9 +145,9 @@ class TestHttpFront:
             server.stop()
 
     def test_inference_routes_404_on_the_watch_front(self, store_path):
-        from repro.serve.http import ReproServer
+        from repro.serve.aio import AsyncReproServer
 
-        server = ReproServer(WatchApp(store_path))
+        server = AsyncReproServer(WatchApp(store_path))
         server.start()
         try:
             for path, method, body in (

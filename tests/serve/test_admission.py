@@ -18,8 +18,8 @@ from repro.errors import ConfigurationError, ServerOverloadedError
 from repro.models.lenet import build_lenet
 from repro.serve import (
     AdmissionController,
+    AsyncReproServer,
     ModelRegistry,
-    ReproServer,
     ServeApp,
     ServeClient,
     ServeConfig,
@@ -164,7 +164,7 @@ class TestShedOverHttp:
         )
         defaults.update(overrides)
         app = ServeApp(registry, ServeConfig(**defaults))
-        return ReproServer(app)
+        return AsyncReproServer(app)
 
     def test_queue_full_returns_429_with_retry_after(self, checkpoint, sample):
         with self._server(checkpoint) as server:

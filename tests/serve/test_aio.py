@@ -1,17 +1,18 @@
-"""The asyncio front door: same protocol, same bytes, no parked threads.
+"""The asyncio HTTP front: the /v1 protocol with no parked threads.
 
-:class:`AsyncReproServer` shares :class:`~repro.serve.routes.Router`
-with the threaded front, so these tests focus on what the transport owns:
-HTTP/1.1 keep-alive, concurrent in-flight requests on one event loop,
-graceful lifecycle, and byte-identity with the threaded server's
-responses for the same requests.
+:class:`AsyncReproServer` renders every response through
+:class:`~repro.serve.routes.Router`, so these tests focus on what the
+transport owns: HTTP/1.1 keep-alive, concurrent in-flight requests on
+one event loop, graceful lifecycle, and a 400 for requests it cannot
+parse.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import urllib.request
+import logging
+import socket
 
 import numpy as np
 import pytest
@@ -23,13 +24,11 @@ from repro.models.lenet import build_lenet
 from repro.serve import (
     AsyncReproServer,
     ModelRegistry,
-    ReproServer,
     ServeApp,
     ServeClient,
     ServeConfig,
     run_load,
 )
-from repro.serve.protocol import PredictRequest, dump_payload
 
 IMAGE_SIZE = 16
 
@@ -139,14 +138,6 @@ class TestAsyncFront:
         with pytest.raises(ConfigurationError, match="HTTP 404"):
             client._request("/nothing-here")
 
-    def test_legacy_alias_serves_with_deprecation_header(self, server):
-        with urllib.request.urlopen(
-            f"{server.url}/healthz", timeout=30.0
-        ) as response:
-            assert response.status == 200
-            assert response.headers["Deprecation"] == "true"
-            assert "successor-version" in response.headers["Link"]
-
     def test_concurrent_load_on_one_event_loop(self, server, batch):
         client = ServeClient(server.url, timeout=60.0)
         client.wait_ready()
@@ -154,58 +145,42 @@ class TestAsyncFront:
         assert report.errors == 0
         assert report.sheds == 0
         assert report.requests == 24
-        # Every sample makes it through the micro-batcher; the batch
-        # observation trails the future resolution slightly, so poll.
-        import time
-
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            snapshot = server.app.metrics.snapshot()
-            if snapshot["batches"]["samples_served"] >= 24 * len(batch):
-                break
-            time.sleep(0.05)
+        # Every sample makes it through the micro-batcher, and the batch
+        # is observed before its futures resolve.
+        snapshot = server.app.metrics.snapshot()
         assert snapshot["batches"]["samples_served"] >= 24 * len(batch)
 
 
-class TestFrontEquivalence:
-    """Both fronts render through one router: same requests, same bytes."""
+class TestMalformedRequests:
+    """Input the transport cannot parse gets a 400, never a silent close."""
 
-    def test_predict_bytes_identical_across_fronts(self, checkpoint, batch):
-        body = dump_payload(
-            PredictRequest(
-                inputs=batch, model="m", return_logits=True
-            ).to_payload()
-        )
-
-        def fetch(url):
-            request = urllib.request.Request(
-                f"{url}/v1/predict",
-                data=body,
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request, timeout=30.0) as response:
-                return response.read()
-
-        with ReproServer(_app(checkpoint)) as threaded:
-            ServeClient(threaded.url).wait_ready()
-            threaded_bytes = fetch(threaded.url)
-        with AsyncReproServer(_app(checkpoint)) as asyncio_front:
-            ServeClient(asyncio_front.url).wait_ready()
-            async_bytes = fetch(asyncio_front.url)
-        assert threaded_bytes == async_bytes
-
-    def test_models_bytes_identical_across_fronts(self, checkpoint):
-        def fetch(url):
-            with urllib.request.urlopen(f"{url}/v1/models", timeout=30.0) as r:
-                return r.read()
-
-        with ReproServer(_app(checkpoint)) as threaded:
-            ServeClient(threaded.url).wait_ready()
-            threaded_bytes = fetch(threaded.url)
-        with AsyncReproServer(_app(checkpoint)) as asyncio_front:
-            ServeClient(asyncio_front.url).wait_ready()
-            async_bytes = fetch(asyncio_front.url)
-        assert threaded_bytes == async_bytes
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GARBAGE\r\n\r\n",
+            b"POST /v1/predict HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"GET /v1/healthz HTTP/1.1\r\nX-Long: "
+            + b"a" * (1 << 16)
+            + b"\r\n\r\n",
+        ],
+        ids=["request-line", "content-length", "header-over-limit"],
+    )
+    def test_answered_with_400(self, server, request_bytes, caplog):
+        caplog.set_level(logging.ERROR)
+        with socket.create_connection(
+            (server.host, server.port), timeout=30.0
+        ) as conn:
+            conn.sendall(request_bytes)
+            response = b""
+            while chunk := conn.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"Connection: close" in head
+        assert "error" in json.loads(body.decode("utf-8"))
+        # The loop is still serving, and nothing escaped to the log.
+        assert ServeClient(server.url, timeout=30.0).healthz().status == "ok"
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 class TestSloOverAsyncFront:

@@ -9,9 +9,9 @@ from repro.core import ProtectionConfig, protect_model, save_protected
 from repro.errors import ConfigurationError
 from repro.eval.evaluator import forward_logits
 from repro.serve import (
+    AsyncReproServer,
     ChaosConfig,
     ModelRegistry,
-    ReproServer,
     ServeApp,
     ServeClient,
     ServeConfig,
@@ -58,13 +58,16 @@ def checkpoints(tmp_path_factory, trained_state, train_loader):
     return paths
 
 
-@pytest.fixture()
-def server(checkpoints):
+def _two_model_app(checkpoints):
     registry = ModelRegistry(capacity=2)
     registry.register("protected", checkpoints["clipact"])
     registry.register("plain", checkpoints["none"])
-    app = ServeApp(registry, ServeConfig(max_batch=8, max_latency_ms=2.0))
-    with ReproServer(app) as running:
+    return ServeApp(registry, ServeConfig(max_batch=8, max_latency_ms=2.0))
+
+
+@pytest.fixture()
+def server(checkpoints):
+    with AsyncReproServer(_two_model_app(checkpoints)) as running:
         yield running
 
 
@@ -135,7 +138,7 @@ class TestEndpoints:
         from urllib.request import urlopen
 
         client.predict(sample_batch, model="plain")
-        with urlopen(f"{server.url}/metrics?format=prometheus") as response:
+        with urlopen(f"{server.url}/v1/metrics?format=prometheus") as response:
             assert response.status == 200
             content_type = response.headers["Content-Type"]
             text = response.read().decode("utf-8")
@@ -153,26 +156,28 @@ class TestEndpoints:
         ]
         assert float(rss_line.split()[1]) > 1 << 20
         # Unknown/absent format values fall back to the JSON snapshot.
-        with urlopen(f"{server.url}/metrics?format=unknown") as response:
+        with urlopen(f"{server.url}/v1/metrics?format=unknown") as response:
             assert response.headers["Content-Type"].startswith("application/json")
 
-    def test_accepted_sockets_disable_nagle(self, client, monkeypatch):
+    def test_accepted_sockets_disable_nagle(self, checkpoints, monkeypatch):
         """Kept-alive responses must not wait on the delayed ACK."""
         import socket
 
-        from repro.serve.http import _Handler
-
         nodelay = []
-        setup = _Handler.setup
+        handle = AsyncReproServer._handle_connection
 
-        def recording_setup(handler):
-            setup(handler)
+        async def recording_handle(server, reader, writer):
+            accepted = writer.get_extra_info("socket")
             nodelay.append(
-                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             )
+            await handle(server, reader, writer)
 
-        monkeypatch.setattr(_Handler, "setup", recording_setup)
-        client.healthz()
+        monkeypatch.setattr(
+            AsyncReproServer, "_handle_connection", recording_handle
+        )
+        with AsyncReproServer(_two_model_app(checkpoints)) as running:
+            ServeClient(running.url, timeout=30.0).wait_ready()
         assert nodelay and all(nodelay)
 
     def test_request_and_batch_spans_recorded(self, client, sample_batch):
@@ -214,7 +219,7 @@ class TestChaosServing:
                 chaos=ChaosConfig(ber=5e-5, seed=7),
             ),
         )
-        with ReproServer(app) as running:
+        with AsyncReproServer(app) as running:
             yield running
 
     def test_chaos_counters_surface_in_metrics(self, chaos_server, sample_batch):
@@ -251,7 +256,7 @@ class TestEvictionOverHTTP:
         registry.register("protected", checkpoints["clipact"])
         registry.register("plain", checkpoints["none"])
         app = ServeApp(registry, ServeConfig(max_batch=8, max_latency_ms=1.0))
-        with ReproServer(app) as running:
+        with AsyncReproServer(app) as running:
             client = ServeClient(running.url, timeout=30.0)
             client.wait_ready()
             for _ in range(2):

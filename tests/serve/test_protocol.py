@@ -1,11 +1,9 @@
-"""The /v1 protocol: typed round-trips and the legacy-alias guarantee.
+"""The /v1 protocol: typed round-trips and versioned-only routing.
 
 Two contracts under test.  First, every protocol dataclass survives
 ``to_payload`` → ``from_payload`` unchanged, and ``dump_payload`` emits
-deterministic, exact-float JSON.  Second — the PR's acceptance bar —
-the deprecated unversioned paths return **byte-identical** payload
-bodies to their ``/v1`` successors, distinguished only by the
-``Deprecation``/``Link`` headers.
+deterministic, exact-float JSON.  Second, only ``/v1`` paths route:
+the retired unversioned paths answer 404 like any unknown path.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from repro.errors import ConfigurationError
 from repro.models.lenet import build_lenet
 from repro.serve import ModelRegistry, ServeApp, ServeConfig
 from repro.serve.protocol import (
-    DEPRECATION_HEADERS,
-    LEGACY_ALIASES,
     ErrorBody,
     HealthReport,
     ModelInfo,
@@ -168,63 +164,18 @@ def app(tmp_path_factory):
 
 
 class TestLegacyAliases:
-    """/predict etc. must be byte-identical shims over /v1."""
+    """The unversioned PR-2 paths are gone: they route like any unknown path."""
 
-    def test_every_legacy_path_has_a_v1_successor(self):
-        for legacy, canonical in LEGACY_ALIASES.items():
-            assert canonical == f"/v1{legacy}"
-
-    def test_get_aliases_return_identical_bytes(self, app):
-        old = app.router.handle("GET", "/models", None)
-        new = app.router.handle("GET", "/v1/models", None)
-        assert old.status == new.status == 200
-        assert old.body == new.body
-
-    def test_volatile_get_aliases_return_identical_shapes(self, app):
-        # /healthz (uptime ticks) and /metrics (the first call increments
-        # the counters the second reports) can't be byte-compared across
-        # sequential requests; assert the stable structure instead.
-        for legacy in ("/healthz", "/metrics"):
-            old = app.router.handle("GET", legacy, None)
-            new = app.router.handle("GET", LEGACY_ALIASES[legacy], None)
-            assert old.status == new.status == 200
-            old_body = json.loads(old.body.decode("utf-8"))
-            new_body = json.loads(new.body.decode("utf-8"))
-            assert old_body.keys() == new_body.keys()
-            if legacy == "/healthz":
-                old_body.pop("uptime_seconds"), new_body.pop("uptime_seconds")
-                assert old_body == new_body
-
-    def test_predict_alias_returns_identical_bytes(self, app):
-        inputs = np.zeros((2, 3, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
-        body = dump_payload(
-            PredictRequest(
-                inputs=inputs, model="m", return_logits=True
-            ).to_payload()
-        )
-        old = app.router.handle("POST", "/predict", body)
-        new = app.router.handle("POST", "/v1/predict", body)
-        assert old.status == new.status == 200
-        assert old.body == new.body
-
-    def test_alias_carries_deprecation_headers_canonical_does_not(self, app):
-        old = app.router.handle("GET", "/models", None)
-        new = app.router.handle("GET", "/v1/models", None)
-        assert old.headers == tuple(DEPRECATION_HEADERS("/v1/models"))
-        assert ("Deprecation", "true") in old.headers
-        assert any(
-            name == "Link" and 'rel="successor-version"' in value
-            for name, value in old.headers
-        )
-        assert new.headers == ()
-
-    def test_alias_metrics_count_under_the_canonical_endpoint(self, app):
-        app.router.handle("GET", "/models", None)
-        by_endpoint = app.metrics.snapshot()["requests"]["by_endpoint"]
-        assert "/v1/models" in by_endpoint
-        assert "/models" not in by_endpoint
-
-    def test_unknown_path_is_404(self, app):
-        result = app.router.handle("GET", "/v2/predict", None)
+    @pytest.mark.parametrize(
+        "path", ["/predict", "/models", "/healthz", "/metrics", "/v2/predict"]
+    )
+    def test_unknown_path_is_404(self, app, path):
+        if path.endswith("/predict"):
+            inputs = np.zeros((1, 3, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
+            body = dump_payload(PredictRequest(inputs, model="m").to_payload())
+            result = app.router.handle("POST", path, body)
+        else:
+            result = app.router.handle("GET", path, None)
         assert result.status == 404
-        assert b"no route" in result.body
+        assert result.body == dump_payload({"error": f"no route {path}"})
+        assert result.headers == ()
