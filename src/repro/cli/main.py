@@ -80,11 +80,7 @@ def _add_preset_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--image-size", type=int, help="override input resolution")
 
 
-def _evaluator_for(
-    dataset_name: str,
-    preset,
-    gemm_workers: "int | str | None" = None,
-):
+def _evaluator_for(dataset_name: str, preset):
     """Build the test-set evaluator the experiment contexts use."""
     from repro.data.loader import DataLoader
     from repro.data.synthetic import SYNTH_MEAN, SYNTH_STD, SyntheticImageDataset
@@ -106,9 +102,7 @@ def _evaluator_for(
         batch_size=max(preset.batch_size, 128),
         transform=Normalize(SYNTH_MEAN, SYNTH_STD),
     )
-    return Evaluator(
-        loader, max_batches=preset.eval_batches, gemm_workers=gemm_workers
-    )
+    return Evaluator(loader, max_batches=preset.eval_batches)
 
 
 # ----------------------------------------------------------------------
@@ -236,10 +230,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     preset = _preset_from_args(args)
     model, meta = load_protected_auto(args.checkpoint)
     preset = preset.with_overrides(image_size=int(meta["image_size"]))
-    gemm_workers: "int | str | None" = args.runtime_threads
-    if gemm_workers == 0:
-        gemm_workers = "auto"  # 0 = one thread per usable core
-    evaluator = _evaluator_for(str(meta["dataset"]), preset, gemm_workers)
+    evaluator = _evaluator_for(str(meta["dataset"]), preset)
     clean = evaluator.accuracy(model)
     print(
         f"checkpoint {args.checkpoint}: {meta['model']}/{meta['dataset']} "
@@ -835,6 +826,8 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
                 print(f"complete: {status['path']}", flush=True)
                 return 0
             time.sleep(args.interval)
+    except KeyboardInterrupt:
+        return 130  # the shell's status for SIGINT, without a traceback
     finally:
         if server is not None:
             server.stop()
@@ -1074,17 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=(),
         help="fault rates for an under-fault campaign (e.g. 1e-6 3e-6)",
-    )
-    p.add_argument(
-        "--runtime-threads",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help=(
-            "thread the runtime's conv GEMM pipelines across N workers "
-            "(0 = one per usable core; default: serial — results are "
-            "bit-identical either way)"
-        ),
     )
     _add_preset_arguments(p)
     p.set_defaults(func=_cmd_evaluate)

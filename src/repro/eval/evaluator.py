@@ -84,25 +84,13 @@ class Evaluator:
         Source of evaluation batches (consumed once, at construction).
     max_batches:
         Optional cap for quicker campaigns.
-    gemm_workers:
-        Threading knob forwarded to :func:`repro.runtime.compile_model`
-        for the plans this evaluator compiles: ``None`` (default) keeps
-        the serial schedule — campaigns preserve the 1-core determinism
-        contract without depending on threading — ``"auto"`` engages
-        one thread per usable core, ``N >= 2`` forces a width.  Threaded
-        plans are bit-identical to serial ones, so this is purely a
-        wall-clock knob.
     """
 
     def __init__(
         self,
         loader: DataLoader,
         max_batches: int | None = None,
-        gemm_workers: int | str | None = None,
     ) -> None:
-        from repro.runtime import resolve_gemm_workers
-
-        resolve_gemm_workers(gemm_workers)  # reject bad values up front
         self._batches: list[tuple[Tensor, np.ndarray]] = []
         for index, (inputs, targets) in enumerate(loader):
             if max_batches is not None and index >= max_batches:
@@ -111,7 +99,6 @@ class Evaluator:
         if not self._batches:
             raise ConfigurationError("evaluation loader produced no batches")
         self.total_samples = sum(len(t) for _, t in self._batches)
-        self.gemm_workers = gemm_workers
         # (model, plan) and (model, replica) for the model evaluated
         # last.  One entry bounds what a long-lived evaluator pins:
         # callers evaluate one model at a time, and a per-model cache
@@ -143,12 +130,7 @@ class Evaluator:
             # No warm-up pass: the first evaluation allocates the plan's
             # buffers itself, and a warm-up would cost one more full
             # forward per evaluated model.
-            plan = compile_model(
-                model,
-                self._batches[0][0].shape,
-                warm=False,
-                gemm_workers=self.gemm_workers,
-            )
+            plan = compile_model(model, self._batches[0][0].shape, warm=False)
             entry = self._plan = (model, plan)
         return entry[1]
 

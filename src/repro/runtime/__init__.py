@@ -28,7 +28,7 @@ bit-exactness oracle.
 
 from repro.runtime.compiler import compile_module, register_block_compiler
 from repro.runtime.kernels import Kernel
-from repro.runtime.plan import InferencePlan, compile_model, resolve_gemm_workers
+from repro.runtime.plan import InferencePlan, compile_model
 from repro.runtime.replica import ReplicaPlan, fault_parameters
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "compile_module",
     "fault_parameters",
     "register_block_compiler",
-    "resolve_gemm_workers",
 ]

@@ -44,10 +44,7 @@ Kernels never write into their *input* array: plan inputs (e.g. an
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -80,6 +77,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ACTIVATION_TYPES",
+    "CONV_BLOCK_BYTES",
     "ActivationKernel",
     "AvgPoolKernel",
     "BatchNormKernel",
@@ -97,72 +95,18 @@ __all__ = [
     "walk_kernels",
 ]
 
-# ----------------------------------------------------------------------
-# GEMM execution knobs (the gather's layout threshold, KMAJOR_MIN_AREA,
-# lives in repro.autograd.ops_conv)
-# ----------------------------------------------------------------------
-#: Column matrices smaller than this many cells keep the serial gather
-#: even when a kernel's ``gemm_workers`` allows threading: partitioning
-#: overhead would exceed the work.
-GEMM_THREAD_MIN_WORK = 1 << 21
+#: Bytes one block of images may touch in a K-major conv: its column
+#: block plus its output block and the activation scratch the epilogue
+#: runs over it.  ``ConvKernel`` runs gather, GEMM and epilogue one block
+#: at a time, so all three stay in cache and the column scratch no
+#: longer grows with the batch.  Forward speed against one whole-batch
+#: block, VGG16 perfbench fixture at batch 128 on a 2-core host: 256 KiB
+#: 0.85x, 512 KiB 1.05x, 1 MiB 1.17x, 2 MiB 1.28x, 4-8 MiB 1.22x.
+CONV_BLOCK_BYTES = 2 << 20
 
-# Why the threads drive the *gather*, not the GEMM itself: splitting
-# one BLAS GEMM into row-partitioned calls is NOT float32-bit-exact —
-# BLAS backends select micro-kernels by matrix shape (OpenBLAS's
-# small-matrix paths accumulate K in a different order), so a sliced
-# call can round differently from the full one.  Copies, by contrast,
-# commute: parallel workers assembling disjoint column-matrix slices
-# produce byte-identical input for the one full-shape GEMM the module
-# path also performs.  The GEMM still parallelises — BLAS threads it
-# natively wherever more than one core is usable.
-
-_gemm_pool: ThreadPoolExecutor | None = None
-_gemm_pool_size = 0
-_gemm_pool_lock = threading.Lock()
-
-
-def _run_partitioned(jobs: list) -> None:
-    """Run thunks on the shared GEMM pool, propagating the first error.
-
-    The pool grows to the widest parallelism ever requested and is
-    shared by every kernel in the process; jobs from concurrently
-    executing plans simply interleave.  Correctness never depends on
-    the pool's actual width — each job owns a disjoint output slice —
-    so over-subscription (more jobs than cores) only costs scheduling.
-    """
-    global _gemm_pool, _gemm_pool_size
-    width = len(jobs)
-    with _gemm_pool_lock:
-        if _gemm_pool is None or _gemm_pool_size < width:
-            old = _gemm_pool
-            _gemm_pool = ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="repro-gemm"
-            )
-            _gemm_pool_size = width
-            if old is not None:
-                # Queued jobs on the retired pool still complete;
-                # wait=False only refuses new submissions.
-                old.shutdown(wait=False)
-        # Submit while still holding the lock: a concurrent wider
-        # request may retire this pool, and submitting to a shut-down
-        # executor raises.  Execution is unaffected — only the (cheap)
-        # enqueue is serialised.
-        futures = [_gemm_pool.submit(job) for job in jobs]
-    for future in futures:
-        future.result()
-
-
-def _row_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split ``range(total)`` into ``parts`` contiguous, near-even runs."""
-    parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)
-    ranges = []
-    start = 0
-    for index in range(parts):
-        stop = start + base + (1 if index < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
+#: Epilogue bytes per output element: the float32 output plus the
+#: widest activation scratch (FitReLU's two float planes and a mask).
+_EPILOGUE_BYTES = 4 + 4 + 4 + 1
 
 #: Activation modules the kernels can evaluate inline (as fused
 #: epilogues or standalone steps) with bit-exact module semantics.
@@ -443,24 +387,23 @@ class ConvKernel(Kernel):
     latest call:
 
     ``im2col``
-        K-major, per image (maps of at least ``KMAJOR_MIN_AREA``
-        positions, and every grouped conv): ``kh * kw`` plane copies
-        into ``(N, C * kh * kw, OH * OW)``, none for a pointwise conv,
-        then one stacked GEMM that writes the NCHW output buffer
-        directly.  Bias, BatchNorm and the activation run over rows
-        ``OH * OW`` long.
+        K-major (maps of at least ``KMAJOR_MIN_AREA`` positions, and
+        every grouped conv), one block of ``block`` images at a time
+        (:data:`CONV_BLOCK_BYTES`): ``kh * kw`` plane copies into the
+        block's ``(B, C * kh * kw, OH * OW)`` columns, none for a
+        pointwise conv, then one stacked GEMM straight into the block's
+        rows of the NCHW output, then bias, BatchNorm and the activation
+        over those rows while they are still in cache.  The GEMM has one
+        fixed shape per image, so an image's output does not depend on
+        its block, and the epilogue is elementwise: the blocks are
+        bit-exact with one whole-batch pass.
     ``nhwc``
-        Channels-last (smaller maps): a padded NHWC copy, slabs gathered
-        in ``(kh, kw, c)`` order, one position-major GEMM into scratch;
-        bias and BatchNorm run on its channel vectors before the
-        transpose to NCHW.  A 1x1 unpadded conv gathers one strided
-        NHWC copy.
-
-    ``gemm_workers > 1`` (set via ``InferencePlan.set_gemm_workers``)
-    splits the gather over the shared thread pool by disjoint batch
-    blocks, so the GEMM input — and therefore the output — is
-    byte-identical to the serial schedule (see the module-level note on
-    why the BLAS call itself is never split).
+        Channels-last (smaller maps), over the whole batch (splitting
+        its position-major GEMM would change its rounding): a padded
+        NHWC copy, slabs gathered in ``(kh, kw, c)`` order, one GEMM
+        into scratch; bias and BatchNorm run on its channel vectors
+        before the transpose to NCHW.  A 1x1 unpadded conv gathers one
+        strided NHWC copy.
     """
 
     def __init__(
@@ -473,8 +416,8 @@ class ConvKernel(Kernel):
         self.bn = _BNFold(bn) if bn is not None else None
         self.act = act
         self.bufs = _Buffers()
-        self.gemm_workers = 1
         self.tier: str | None = None
+        self.block: int | None = None
 
     def refresh(self) -> None:
         if self.bn is not None:
@@ -488,89 +431,118 @@ class ConvKernel(Kernel):
             modules += (self.act,)
         return modules
 
-    def _fill_cols(self, x: np.ndarray, oh: int, ow: int, kmajor: bool) -> np.ndarray:
-        """The GEMM's column matrix (plus the padding copy it reads)."""
+    def block_images(self, channels: int, area: int) -> int:
+        """Images per K-major block for ``channels`` inputs and ``area``
+        output positions: as many as fit :data:`CONV_BLOCK_BYTES`, at
+        least one."""
         conv = self.conv
-        n, c, h, w = x.shape
-        kh, kw = conv.kernel_size
-        ph, pw = conv.padding
-        gather = partial(
-            im2col,
-            kernel=conv.kernel_size,
-            stride=conv.stride,
-            padding=conv.padding,
-            kmajor=kmajor,
-        )
-        if kmajor and is_pointwise(conv.kernel_size, conv.stride, conv.padding):
-            return gather(x)
-        k = c * kh * kw
-        cols = self.bufs.scratch.get(
-            "cols", (n, k, oh * ow) if kmajor else (n * oh * ow, k)
-        )
-        padded = None
-        if ph or pw:
-            pad_hw = (h + 2 * ph, w + 2 * pw)
-            pad_shape = (n, c, *pad_hw) if kmajor else (n, *pad_hw, c)
-            padded = self.bufs.get("padded", pad_shape, fill=0.0)
-        workers = self.gemm_workers if n * oh * ow * k >= GEMM_THREAD_MIN_WORK else 1
-        if workers <= 1 or n < 2:
-            return gather(x, out=cols, padded=padded)
-        # Batch blocks own disjoint rows of cols (and of padded).
-        per_image = 1 if kmajor else oh * ow
-        _run_partitioned(
-            [
-                (lambda b0=b0, b1=b1: gather(
-                    x[b0:b1],
-                    out=cols[b0 * per_image : b1 * per_image],
-                    padded=None if padded is None else padded[b0:b1],
-                ))
-                for b0, b1 in _row_ranges(n, workers)
-            ]
-        )
-        return cols
+        rows = 0
+        if not is_pointwise(conv.kernel_size, conv.stride, conv.padding):
+            rows = channels * conv.kernel_size[0] * conv.kernel_size[1]
+        per_image = area * (4 * rows + _EPILOGUE_BYTES * conv.out_channels)
+        return max(1, CONV_BLOCK_BYTES // per_image)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         conv = self.conv
-        prof = self.prof
-        n, _, h, w = x.shape
+        n, c, h, w = x.shape
         kh, kw = conv.kernel_size
         sh, sw = conv.stride
         ph, pw = conv.padding
-        out_channels = conv.out_channels
         oh = _out_size(h, kh, sh, ph)
         ow = _out_size(w, kw, sw, pw)
-        kmajor = use_kmajor(oh * ow, conv.groups)
-        self.tier = "im2col" if kmajor else "nhwc"
-        out = self.bufs.get("out", (n, out_channels, oh, ow))
+        out = self.bufs.get("out", (n, conv.out_channels, oh, ow))
+        if not use_kmajor(oh * ow, conv.groups):
+            self.tier, self.block = "nhwc", None
+            self._run_nhwc(x, out)
+            return out
+        block = min(n, self.block_images(c, oh * ow))
+        if isinstance(self.act, Softmax) and self.act.axis % x.ndim == 0:
+            block = n  # a softmax across the batch needs every image at once
+        self.tier, self.block = "im2col", block
+        padded = None
+        if ph or pw:
+            # Borders are zero-filled once; each block writes only the
+            # interior of its first images.
+            padded = self.bufs.get(
+                "padded", (block, c, h + 2 * ph, w + 2 * pw), fill=0.0
+            )
+        for b0 in range(0, n, block):
+            b1 = min(n, b0 + block)
+            self._run_kmajor(
+                x[b0:b1], out[b0:b1], None if padded is None else padded[: b1 - b0]
+            )
+        return out
 
+    def _run_kmajor(
+        self, x: np.ndarray, out: np.ndarray, padded: np.ndarray | None
+    ) -> None:
+        """Gather, GEMM and epilogue of one block of images into ``out``."""
+        conv = self.conv
+        prof = self.prof
+        m, c = x.shape[:2]
+        _, out_channels, oh, ow = out.shape
+        kh, kw = conv.kernel_size
         started = prof.now() if prof is not None else 0.0
-        cols = self._fill_cols(x, oh, ow, kmajor)
+        cols = None
+        if not is_pointwise(conv.kernel_size, conv.stride, conv.padding):
+            cols = self.bufs.scratch.get("cols", (m, c * kh * kw, oh * ow))
+        cols = im2col(
+            x, conv.kernel_size, conv.stride, conv.padding, kmajor=True,
+            out=cols, padded=padded,
+        )
         if prof is not None:
             prof.phase(self, "gather", started, prof.now())
             started = prof.now()
-        # One whole GEMM, exactly the module's call (BLAS threads it
-        # natively on multi-core machines; see module-level note).
-        if kmajor:
-            rows = conv_gemm(conv.weight.data, cols, conv.groups, out=out.reshape(
-                n, out_channels, oh * ow
-            ))
-            vector_shape: tuple[int, ...] = (-1, 1)
-        else:
-            rows = conv_gemm(conv.weight.data, cols, 1, out=self.bufs.scratch.get(
-                "gemm", (n * oh * ow, out_channels)
-            ))
-            vector_shape = (-1,)
+        rows = conv_gemm(
+            conv.weight.data, cols, conv.groups,
+            out=out.reshape(m, out_channels, oh * ow),
+        )
         if prof is not None:
             prof.phase(self, "gemm", started, prof.now())
-        if conv.bias is not None:
-            np.add(rows, conv.bias.data.reshape(vector_shape), out=rows)
-        if self.bn is not None:
-            self.bn.apply(rows, vector_shape)
-        if not kmajor:
-            np.copyto(out, rows.reshape(n, oh, ow, out_channels).transpose(0, 3, 1, 2))
+        self._epilogue(rows, (-1, 1))
         if self.act is not None:
             apply_activation(self.act, out, out, self.bufs.scratch)
-        return out
+
+    def _run_nhwc(self, x: np.ndarray, out: np.ndarray) -> None:
+        """The channels-last layout over the whole batch into ``out``."""
+        conv = self.conv
+        prof = self.prof
+        n, c, h, w = x.shape
+        _, out_channels, oh, ow = out.shape
+        kh, kw = conv.kernel_size
+        ph, pw = conv.padding
+        started = prof.now() if prof is not None else 0.0
+        padded = None
+        if ph or pw:
+            padded = self.bufs.get(
+                "padded", (n, h + 2 * ph, w + 2 * pw, c), fill=0.0
+            )
+        cols = im2col(
+            x, conv.kernel_size, conv.stride, conv.padding, kmajor=False,
+            out=self.bufs.scratch.get("cols", (n * oh * ow, c * kh * kw)),
+            padded=padded,
+        )
+        if prof is not None:
+            prof.phase(self, "gather", started, prof.now())
+            started = prof.now()
+        rows = conv_gemm(
+            conv.weight.data, cols, 1,
+            out=self.bufs.scratch.get("gemm", (n * oh * ow, out_channels)),
+        )
+        if prof is not None:
+            prof.phase(self, "gemm", started, prof.now())
+        self._epilogue(rows, (-1,))
+        np.copyto(out, rows.reshape(n, oh, ow, out_channels).transpose(0, 3, 1, 2))
+        if self.act is not None:
+            apply_activation(self.act, out, out, self.bufs.scratch)
+
+    def _epilogue(self, rows: np.ndarray, vector_shape: tuple[int, ...]) -> None:
+        """Bias and BatchNorm over GEMM rows, per-channel vectors shaped
+        ``vector_shape``."""
+        if self.conv.bias is not None:
+            np.add(rows, self.conv.bias.data.reshape(vector_shape), out=rows)
+        if self.bn is not None:
+            self.bn.apply(rows, vector_shape)
 
     def describe(self) -> str:
         parts = [f"conv{self.conv.kernel_size}"]
@@ -579,8 +551,8 @@ class ConvKernel(Kernel):
         if self.act is not None:
             parts.append(type(self.act).__name__)
         tag = self.tier or "unrun"
-        if self.gemm_workers > 1:
-            tag += f"@{self.gemm_workers}"
+        if self.block is not None:
+            tag += f", block {self.block}"
         return "+".join(parts) + f"[{tag}]"
 
 
@@ -611,8 +583,8 @@ class LinearKernel(Kernel):
         return modules
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        # No gather stage to thread here: the input already is the GEMM
-        # operand, and the BLAS call must stay whole for bit-exactness.
+        # The input already is the GEMM operand, and the BLAS call must
+        # stay whole for bit-exactness.
         linear = self.linear
         prof = self.prof
         out = self.bufs.get("out", (x.shape[0], linear.out_features))

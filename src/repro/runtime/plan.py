@@ -59,7 +59,6 @@ __all__ = [
     "InferencePlan",
     "available_workers",
     "compile_model",
-    "resolve_gemm_workers",
 ]
 
 
@@ -69,31 +68,6 @@ def available_workers() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # platforms without sched_getaffinity
         return max(1, os.cpu_count() or 1)
-
-
-def resolve_gemm_workers(workers: int | str | None) -> int:
-    """Resolve a threading knob value to a concrete worker count.
-
-    ``None``/``0``/``1`` → serial (the default: campaigns keep the
-    1-core determinism contract without relying on the kernels'
-    bit-exact threading).  ``"auto"`` → :func:`available_workers`, so
-    threading only engages where more than one core is actually usable.
-    An explicit ``N >= 2`` is honoured as given (tests force threading
-    on single-core machines to prove bit-exactness).  Anything else
-    raises :class:`~repro.errors.ConfigurationError`.
-    """
-    if workers is None:
-        return 1
-    if workers == "auto":
-        return available_workers()
-    if isinstance(workers, str):
-        raise ConfigurationError(
-            f'gemm_workers must be an int, None, or "auto", got {workers!r}'
-        )
-    count = int(workers)
-    if count < 0:
-        raise ConfigurationError(f"gemm_workers must be >= 0, got {count}")
-    return max(1, count)
 
 
 class InferencePlan:
@@ -119,7 +93,6 @@ class InferencePlan:
         self._dirty = True
         self._signature: tuple[int, ...] = ()
         self._structure: tuple[int, ...] = self._structure_signature()
-        self._gemm_workers = 1
         self._profiler: KernelProfiler | None = None
         self.scratch = ScratchArena()
         self._wire_kernels()
@@ -205,34 +178,10 @@ class InferencePlan:
                 state.append(id(buffer))
         return tuple(structure), tuple(state)
 
-    # ------------------------------------------------------------------
-    # Threading
-    # ------------------------------------------------------------------
-    def set_gemm_workers(self, workers: int | str | None) -> int:
-        """Set the GEMM-pipeline parallelism for this plan.
-
-        Workers partition the column-matrix assembly (the im2col
-        gather) feeding each convolution GEMM by disjoint batch
-        blocks; the BLAS call itself
-        stays whole — splitting it is not float32-bit-exact — and is
-        threaded natively by BLAS where cores allow.  Threaded and
-        serial schedules produce byte-identical column matrices, so
-        this is purely a wall-clock knob.  See
-        :func:`resolve_gemm_workers` for accepted values; returns the
-        resolved worker count.
-        """
-        resolved = resolve_gemm_workers(workers)
-        with self._lock:
-            self._gemm_workers = resolved
-            self._wire_kernels()
-        return resolved
-
     def _wire_kernels(self) -> None:
-        """Give every kernel, nested ones included, the plan's threading
-        width and scratch arena (again after each recompile)."""
+        """Give every kernel, nested ones included, the plan's scratch
+        arena (again after each recompile)."""
         for step in walk_kernels(self.steps):
-            if hasattr(step, "gemm_workers"):
-                step.gemm_workers = self._gemm_workers
             bufs = getattr(step, "bufs", None)
             if bufs is not None:
                 bufs.scratch = self.scratch
@@ -423,7 +372,6 @@ def compile_model(
     model: Module,
     input_shape: tuple[int, ...],
     warm: bool = True,
-    gemm_workers: int | str | None = None,
     profile: bool = False,
     replicas: int | None = None,
 ) -> "InferencePlan | ReplicaPlan":
@@ -445,11 +393,6 @@ def compile_model(
         and validate the kernel shapes end-to-end (default True).  The
         pass runs under :func:`repro.nn.warmup_mode`, so per-forward
         side effects (transient activation faults) are suppressed.
-    gemm_workers:
-        Row-partitioned GEMM threading: ``None``/``0``/``1`` serial
-        (default — fault campaigns keep the 1-core determinism
-        contract), ``"auto"`` to use every available core, ``N >= 2``
-        for an explicit width.  Bit-identical either way.
     profile:
         Attach a persistent :class:`~repro.obs.KernelProfiler` (after
         the warm pass, so only real forwards accumulate).  Read the
@@ -475,7 +418,6 @@ def compile_model(
                 f"{type(model).__name__} compiled to an empty plan"
             )
         plan = InferencePlan(model, steps, shape)
-        plan.set_gemm_workers(gemm_workers)
         if warm:
             with warmup_mode():
                 plan(np.zeros(shape, dtype=np.float32))

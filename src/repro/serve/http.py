@@ -34,7 +34,7 @@ from repro.obs.trace import span
 from repro.serve.admission import AdmissionController
 from repro.serve.batcher import MicroBatcher
 from repro.serve.chaos import ChaosConfig, ChaosEngine
-from repro.serve.metrics import LATENCY_BUCKETS_MS, ServerMetrics
+from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import PredictResponse
 from repro.serve.registry import ModelRegistry, ServedModel
 from repro.serve.routes import Router
@@ -120,7 +120,7 @@ class ServeApp:
             on_depth=self.metrics.observe_queue_depth,
         )
         self.slo = (
-            SloTracker(self.config.slo_p99_ms, LATENCY_BUCKETS_MS)
+            SloTracker(self.config.slo_p99_ms, self.metrics.serve_latency)
             if self.config.slo_p99_ms is not None
             else None
         )

@@ -95,7 +95,7 @@ class ServerMetrics:
             "End-to-end request handling latency (milliseconds).",
             buckets=LATENCY_BUCKETS_MS,
         )
-        self._serve_latency = registry.histogram(
+        self.serve_latency = registry.histogram(
             "repro_serve_latency_ms",
             "Per-endpoint request handling latency (milliseconds).",
             buckets=LATENCY_BUCKETS_MS,
@@ -144,7 +144,7 @@ class ServerMetrics:
     def observe_request(self, endpoint: str, status: int, seconds: float) -> None:
         self._requests.inc(endpoint=endpoint, status=int(status))
         self._latency.observe(seconds * 1000.0)
-        self._serve_latency.observe(seconds * 1000.0, endpoint=endpoint)
+        self.serve_latency.observe(seconds * 1000.0, endpoint=endpoint)
 
     def observe_shed(self, model: str, reason: str) -> None:
         self._shed.inc(model=model, reason=reason)

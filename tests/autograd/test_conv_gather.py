@@ -26,7 +26,6 @@ from repro.autograd.ops_conv import (
 )
 from repro.autograd.tensor import Tensor
 from repro.nn import Conv2d
-from repro.runtime import kernels as kernels_module
 from repro.runtime.kernels import ConvKernel
 
 # (in_channels, h, w, kernel, stride, padding); per-image output areas
@@ -121,34 +120,55 @@ def test_pointwise_kmajor_columns_are_the_input():
     assert cols.tobytes() == _reference_cols(x, (1, 1), (1, 1), True).tobytes()
 
 
+def _reference_conv(x, weight, kernel, stride, padding):
+    """The conv output from the reference columns and the op's GEMM."""
+    n = x.shape[0]
+    oh = _out_size(x.shape[2], kernel[0], stride[0], padding[0])
+    ow = _out_size(x.shape[3], kernel[1], stride[1], padding[1])
+    kmajor = use_kmajor(oh * ow, 1)
+    cols = _reference_cols(_pad_spatial(x, *padding), kernel, stride, kmajor)
+    out = conv_gemm(weight, cols, 1)
+    if kmajor:
+        return out.reshape(n, -1, oh, ow)
+    return np.ascontiguousarray(out.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2))
+
+
+def _force_block(monkeypatch, images):
+    monkeypatch.setattr(ConvKernel, "block_images", lambda self, c, area: images)
+
+
 def test_im2col_blocks_span_ragged_batches(monkeypatch):
-    """Threaded batch blocks of 3, 2 and 2 images fill every row."""
-    monkeypatch.setattr(kernels_module, "GEMM_THREAD_MIN_WORK", 0)
+    """K-major blocks of 3, 3 and 1 images fill every output row, and
+    the padding copy holds one block."""
+    _force_block(monkeypatch, 3)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((7, 3, 12, 12)).astype(np.float32)
-    step = ConvKernel(Conv2d(3, 4, 3, padding=1, rng=0))
-    step.gemm_workers = 3
-    for kmajor in (True, False):
-        cols = step._fill_cols(x, 12, 12, kmajor)
-        expected = _reference_cols(_pad_spatial(x, 1, 1), (3, 3), (1, 1), kmajor)
-        assert cols.tobytes() == expected.tobytes()
+    conv = Conv2d(3, 4, 3, padding=1, bias=False, rng=0)
+    step = ConvKernel(conv)
+    out = step.run(x)
+    assert (step.tier, step.block) == ("im2col", 3)
+    assert step.bufs.sizes()["padded"] == 3 * 3 * 14 * 14 * 4
+    expected = _reference_conv(x, conv.weight.data, (3, 3), (1, 1), (1, 1))
+    assert out.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("images", [1, 2])
 @pytest.mark.parametrize("geometry", GEOMETRIES)
-def test_runtime_fill_cols_matches_reference(monkeypatch, geometry, workers):
-    monkeypatch.setattr(kernels_module, "GEMM_THREAD_MIN_WORK", 0)
+def test_runtime_fill_cols_matches_reference(monkeypatch, geometry, images):
+    """The kernel's columns, fed to the op's GEMM, give the reference
+    conv, with K-major blocks of ``images`` images (batch 5: a ragged
+    last block at 2)."""
+    _force_block(monkeypatch, images)
     c, h, w, kernel, stride, padding = geometry
     rng = np.random.default_rng(2)
     x, oh, ow = _geometry_input(rng, geometry, np.float32, batch=5)
-    conv = Conv2d(c, 4, kernel, stride=stride, padding=padding, rng=0)
+    conv = Conv2d(c, 4, kernel, stride=stride, padding=padding, bias=False, rng=0)
     step = ConvKernel(conv)
-    step.gemm_workers = workers
-    padded = _pad_spatial(x, *padding)
-    for kmajor in (True, False):
-        cols = step._fill_cols(x, oh, ow, kmajor)
-        expected = _reference_cols(padded, kernel, stride, kmajor)
-        assert cols.tobytes() == expected.tobytes()
+    out = step.run(x)
+    if use_kmajor(oh * ow, 1):
+        assert (step.tier, step.block) == ("im2col", images)
+    expected = _reference_conv(x, conv.weight.data, kernel, stride, padding)
+    assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -8,9 +8,14 @@ completion, and the watch views — with one worker end to end.
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import repro
 from repro.cli import main
 
 TINY = [
@@ -278,6 +283,48 @@ class TestWatch:
         assert status["complete"] is True
         assert status["workers"][0]["worker"] == "alpha"
         assert status["claims"] == []
+
+    def test_sigint_stops_watch_without_a_traceback(self, checkpoint, tmp_path):
+        """Ctrl-C ends a watch (HTTP endpoint included) with status 130
+        and no Python traceback."""
+        store = tmp_path / "store"
+        code = main(
+            [
+                "campaign", "run", "--checkpoint", checkpoint, "--store", str(store),
+                "--rates", "1e-5", "3e-5", *TINY, "--trials", "3", "--limit", "1",
+            ]
+        )
+        assert code == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__))]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        child = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "campaign", "watch",
+                "--store", str(store), "--http", "0", "--interval", "0.1",
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        # Bounds the blocking reads below: a hung child is killed, its
+        # pipes close and the reads return.
+        watchdog = threading.Timer(60.0, child.kill)
+        watchdog.start()
+        try:
+            assert child.stdout.readline().startswith("watch endpoint: http://")
+            assert child.stdout.readline()  # the first status render
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=30)
+        finally:
+            watchdog.cancel()
+            child.kill()
+            child.wait(timeout=30)
+        assert child.returncode == 130, err
+        assert "Traceback" not in err and "KeyboardInterrupt" not in err
 
     def test_watch_on_missing_store_errors(self, tmp_path, capsys):
         assert main(["campaign", "watch", "--store", str(tmp_path / "no")]) == 1

@@ -84,8 +84,8 @@ class TestProfileCommand:
         assert "gather" in out and "gemm" in out and "epilogue" in out
         assert "conv" in out  # lenet has instrumented conv kernels
         # Each conv row names its layout; lenet's maps are all large
-        # enough for the K-major one.
-        assert "[im2col]" in out and "[nhwc]" not in out
+        # enough for the K-major one, and a batch of one is one block.
+        assert "[im2col, block 1]" in out and "[nhwc]" not in out
         assert "ms/forward" in out
         memory = re.search(
             r"^memory: scratch arena [0-9.]+ [KM]B \((.*)\); "

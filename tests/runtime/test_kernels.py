@@ -1,10 +1,10 @@
-"""Tiered conv kernels: dispatch, per-tier bit-exactness, threaded GEMM.
+"""Tiered conv kernels: dispatch, per-tier bit-exactness, image blocks.
 
 Each conv kernel picks its execution tier per call from the output
 map's area (K-major ``im2col`` per image, every grouped conv
-included, or channels-last ``nhwc``); every tier — and the optional
-batch-partitioned threaded gather on top — must produce float32 logits
-bit-identical to the eval-mode module forward.
+included, or channels-last ``nhwc``); every tier — and the K-major
+tier's blocks of images, whatever their size — must produce float32
+logits bit-identical to the eval-mode module forward.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from repro.core.training import evaluate_accuracy
 from repro.data.loader import DataLoader
 from repro.data.synthetic import SYNTH_MEAN, SYNTH_STD, SyntheticImageDataset
 from repro.data.transforms import Normalize
-from repro.errors import ConfigurationError
 from repro.eval.evaluator import Evaluator
 from repro.fault.campaign import FaultCampaign
 from repro.fault.fault_model import BitFlipFaultModel
 from repro.fault.injector import FaultInjector
 from repro.models.registry import build_model
 from repro.quant import quantize_module
-from repro.runtime import compile_model, resolve_gemm_workers
+from repro.runtime import compile_model
 from repro.runtime import kernels as kernels_module
 from repro.runtime.kernels import ConvKernel
 
@@ -74,7 +73,8 @@ def test_resnet_tiers_follow_the_output_area():
     # The 1x1 stride-2 downsamples land on both sides of the threshold.
     pointwise = {k.tier for k in kernels if k.conv.kernel_size == (1, 1)}
     assert pointwise == {"im2col", "nhwc"}
-    assert "[nhwc]" in plan.describe() and "[im2col]" in plan.describe()
+    # Batch 2 fits one K-major block; channels-last runs unblocked.
+    assert "[nhwc]" in plan.describe() and "[im2col, block 2]" in plan.describe()
 
 
 def test_mobilenet_depthwise_runs_kmajor_at_every_map_size():
@@ -226,91 +226,150 @@ def test_large_batch_blocked_gather_bit_exact():
 
 
 # ----------------------------------------------------------------------
-# Threaded GEMM
+# K-major convs run one cache-sized block of images at a time
 # ----------------------------------------------------------------------
-def test_resolve_gemm_workers_semantics():
-    from repro.runtime.plan import available_workers
+# A 256 KiB budget splits every K-major case below (16x16 input maps,
+# 8 channels) into blocks of 2-7 images.
+_SMALL_BLOCK_BYTES = 256 << 10
 
-    assert resolve_gemm_workers(None) == 1
-    assert resolve_gemm_workers(0) == 1
-    assert resolve_gemm_workers(1) == 1
-    assert resolve_gemm_workers(4) == 4
-    assert resolve_gemm_workers("auto") == available_workers()
-
-
-@pytest.mark.parametrize("bad", ["fastest", "4", -1, -2])
-def test_resolve_gemm_workers_rejects_bad_values(bad):
-    with pytest.raises(ConfigurationError, match="gemm_workers"):
-        resolve_gemm_workers(bad)
+_KMAJOR_CASES = {
+    "padded": dict(out_channels=16, kernel_size=3, padding=1),
+    "unpadded": dict(out_channels=16, kernel_size=3),
+    "stride2": dict(out_channels=16, kernel_size=3, stride=2, padding=1),
+    "pointwise": dict(out_channels=16, kernel_size=1),
+    "grouped": dict(out_channels=16, kernel_size=3, padding=1, groups=4),
+    "depthwise": dict(out_channels=8, kernel_size=3, padding=1, groups=8),
+}
 
 
-def test_evaluator_rejects_bad_gemm_workers_at_construction():
-    dataset = SyntheticImageDataset(
-        num_classes=10, num_samples=32, image_size=16, seed=0, split="test"
-    )
-    with pytest.raises(ConfigurationError, match="gemm_workers"):
-        Evaluator(DataLoader(dataset, batch_size=32), gemm_workers="fastest")
+def _fitrelu_conv_model(case):
+    """Conv -> BN (random running stats) -> neuron-wise FitReLU."""
+    from repro.core.fitrelu import FitReLU
+
+    spec = dict(_KMAJOR_CASES[case])
+    out_channels = spec.pop("out_channels")
+    conv = nn.Conv2d(8, out_channels, rng=0, **spec)
+    bn = nn.BatchNorm2d(out_channels)
+    rng = np.random.default_rng(30)
+    bn.running_mean[...] = rng.standard_normal(out_channels).astype(np.float32)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, out_channels).astype(np.float32)
+    oh = (16 + 2 * conv.padding[0] - conv.kernel_size[0]) // conv.stride[0] + 1
+    bounds = rng.uniform(0.2, 1.5, (out_channels, oh, oh)).astype(np.float32)
+    return quantize_module(nn.Sequential(conv, bn, FitReLU(bounds), nn.Flatten()))
 
 
-def test_threaded_gemm_bit_exact_vs_serial(monkeypatch):
-    """Every threaded kernel path must match the serial schedule bitwise.
+@pytest.mark.parametrize("case", sorted(_KMAJOR_CASES))
+def test_blocked_conv_bit_exact_at_block_boundaries(monkeypatch, case):
+    """Batches of 1, block-1, block, block+1 and 2*block+3 images match
+    the module forward byte for byte, clean and under injected faults."""
+    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", _SMALL_BLOCK_BYTES)
+    model = _fitrelu_conv_model(case)
+    x = np.random.default_rng(31).standard_normal((64, 8, 16, 16)).astype(np.float32)
+    plan = compile_model(model, (1, 8, 16, 16))
+    (kernel,) = _conv_kernels(plan)
+    plan(x[:64])
+    block = kernel.block
+    assert kernel.tier == "im2col" and 2 <= block < 32
+    assert kernel.describe().endswith(f"[im2col, block {block}]")
+    injector = FaultInjector(model)
+    sites = injector.sample(BitFlipFaultModel(n_flips=64), rng=5)
+    perturbed = False
+    for batch in (1, block - 1, block, block + 1, 2 * block + 3):
+        images = x[:batch]
+        clean = plan(images)
+        assert clean.tobytes() == _module_logits(model, images).tobytes()
+        with injector.inject(sites):
+            faulty = plan(images)
+            assert faulty.tobytes() == _module_logits(model, images).tobytes()
+        assert kernel.block == min(batch, block)
+        perturbed |= faulty.tobytes() != clean.tobytes()
+    assert perturbed, "the flips must reach the output"
 
-    The work threshold is forced to zero so even small layers take the
-    partitioned path, and several widths are exercised (uneven row
-    splits included).  Batch 37 splits the large maps into several
-    gather blocks with a ragged tail, so slots reuse their arena staging
-    views across blocks of different sizes.
-    """
-    monkeypatch.setattr(kernels_module, "GEMM_THREAD_MIN_WORK", 0)
+
+def test_blocked_resnet18_bit_exact_across_batches(monkeypatch):
+    """ResNet-18 at batches 7 and 37 with its K-major convs split into
+    blocks (a ragged last block included) equals the module forward."""
+    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", _SMALL_BLOCK_BYTES)
     rng = np.random.default_rng(20)
     model = build_model("resnet18", num_classes=10, scale=0.125, image_size=32, seed=0)
     plan = compile_model(model, (7, 3, 32, 32))
     for batch in (7, 37):
         x = rng.standard_normal((batch, 3, 32, 32)).astype(np.float32)
-        reference = _module_logits(model, x)
-        plan.set_gemm_workers(None)
-        np.testing.assert_array_equal(plan(x), reference)
-        for workers in (2, 3, 5):
-            plan.set_gemm_workers(workers)
-            assert f"@{workers}" in plan.describe()
-            np.testing.assert_array_equal(plan(x), reference)
-    plan.set_gemm_workers(None)  # back to serial
-    np.testing.assert_array_equal(plan(x), reference)
+        np.testing.assert_array_equal(plan(x), _module_logits(model, x))
+        blocks = {k.block for k in _conv_kernels(plan) if k.tier == "im2col"}
+        assert min(blocks) < 7 and any(batch % b for b in blocks), blocks
+    assert ", block " in plan.describe() and "[nhwc]" in plan.describe()
 
 
-def test_threaded_direct1x1_and_grouped_bit_exact(monkeypatch):
-    monkeypatch.setattr(kernels_module, "GEMM_THREAD_MIN_WORK", 0)
+def test_blocked_pointwise_and_grouped_bit_exact(monkeypatch):
+    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", 0)  # one image each
     rng = np.random.default_rng(21)
     model = nn.Sequential(
-        nn.Conv2d(8, 16, 1, stride=2, rng=0),      # nhwc 1x1: a direct copy
-        nn.Conv2d(16, 16, 3, padding=1, groups=4, rng=1),  # grouped
+        nn.Conv2d(8, 16, 1, rng=0),                # pointwise K-major
+        nn.Conv2d(16, 16, 1, stride=2, rng=1),     # 6x6 map: channels-last
+        nn.Conv2d(16, 16, 3, padding=1, groups=4, rng=2),  # grouped
         nn.ReLU(),
         nn.Flatten(),
-        nn.Linear(16 * 6 * 6, 10, rng=2),
+        nn.Linear(16 * 6 * 6, 10, rng=3),
     )
     x = rng.standard_normal((9, 8, 12, 12)).astype(np.float32)
-    reference = _module_logits(model, x)
-    plan = compile_model(model, x.shape, gemm_workers=4)
-    np.testing.assert_array_equal(plan(x), reference)
+    plan = compile_model(model, x.shape)
+    np.testing.assert_array_equal(plan(x), _module_logits(model, x))
+    assert [(k.tier, k.block) for k in _conv_kernels(plan)] == [
+        ("im2col", 1), ("nhwc", None), ("im2col", 1)
+    ]
 
 
-def test_compile_model_accepts_gemm_workers():
-    rng = np.random.default_rng(22)
-    model = build_model("lenet", num_classes=10, scale=0.5, image_size=16, seed=0)
-    x = rng.standard_normal((32, 3, 16, 16)).astype(np.float32)
-    reference = _module_logits(model, x)
-    serial = compile_model(model, x.shape)
-    threaded = compile_model(model, x.shape, gemm_workers=4)
-    auto = compile_model(model, x.shape, gemm_workers="auto")
-    np.testing.assert_array_equal(serial(x), reference)
-    np.testing.assert_array_equal(threaded(x), reference)
-    np.testing.assert_array_equal(auto(x), reference)
+@pytest.mark.parametrize("axis", [0, 1])
+def test_softmax_epilogue_across_the_batch_is_one_block(monkeypatch, axis):
+    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", 0)  # one image each
+    model = nn.Sequential(nn.Conv2d(3, 4, 3, padding=1, rng=0), nn.Softmax(axis=axis))
+    x = np.random.default_rng(33).standard_normal((5, 3, 8, 8)).astype(np.float32)
+    plan = compile_model(model, x.shape)
+    assert plan(x).tobytes() == _module_logits(model, x).tobytes()
+    (kernel,) = _conv_kernels(plan)
+    assert kernel.block == (5 if axis == 0 else 1)
+
+
+def test_kmajor_cols_scratch_does_not_grow_with_the_batch():
+    """The column scratch holds one block, whatever the batch."""
+    model = nn.Sequential(
+        nn.Conv2d(16, 16, 3, padding=1, rng=0), nn.ReLU(), nn.Flatten()
+    )
+    plan = compile_model(model, (8, 16, 32, 32))
+    (kernel,) = _conv_kernels(plan)
+    assert kernel.tier == "im2col" and kernel.block < 8
+    at_8 = plan.memory()["scratch"]["cols"]
+    assert at_8 == kernel.block * 16 * 9 * 32 * 32 * 4
+    plan(np.zeros((128, 16, 32, 32), dtype=np.float32))
+    assert plan.memory()["scratch"]["cols"] == at_8
+    assert plan.memory()["kernels"]["padded"] == kernel.block * 16 * 34 * 34 * 4
+
+
+def test_profiled_forward_takes_the_blocked_path(monkeypatch):
+    """Profiling times every block (gather and GEMM accumulate across
+    them) without changing a byte of the output."""
+    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", _SMALL_BLOCK_BYTES)
+    model = _fitrelu_conv_model("padded")
+    x = np.random.default_rng(32).standard_normal((11, 8, 16, 16)).astype(np.float32)
+    plan = compile_model(model, x.shape)
+    plain = plan(x)
+    (kernel,) = _conv_kernels(plan)
+    profiler = plan.attach_profiler()
+    assert plan(x).tobytes() == plain.tobytes()
+    blocks = -(-11 // kernel.block)
+    assert blocks >= 2
+    for phase in ("gather", "gemm"):
+        events = [e for e in profiler.events if e.name.startswith(f"plan.{phase}.")]
+        assert len(events) == blocks
+    (row,) = [r for r in profiler.rows() if r["kernel"].startswith("conv")]
+    assert row["gather_ms"] > 0 and row["gemm_ms"] > 0 and row["epilogue_ms"] >= 0
 
 
 # ----------------------------------------------------------------------
-# Campaign SDC streams: threading is invisible to results
+# Campaign SDC streams: blocking is invisible to results
 # ----------------------------------------------------------------------
-def _campaign_result(module_oracle: bool = False, gemm_workers=None):
+def _campaign_result(module_oracle: bool = False):
     model = quantize_module(
         build_model("lenet", num_classes=10, scale=0.5, image_size=16, seed=0)
     )
@@ -323,32 +382,30 @@ def _campaign_result(module_oracle: bool = False, gemm_workers=None):
     evaluate = (
         partial(evaluate_accuracy, model, loader)
         if module_oracle
-        else Evaluator(loader, gemm_workers=gemm_workers).bind(model)
+        else Evaluator(loader).bind(model)
     )
     campaign = FaultCampaign(FaultInjector(model), evaluate, trials=3, seed=0)
     return campaign.run(BitFlipFaultModel.at_rate(1e-4))
 
 
-def test_campaign_sdc_stream_identical_with_threading_forced(monkeypatch):
-    """Accuracy/flip streams are bit-identical: module path, serial
-    runtime, and force-threaded runtime (the 1-core determinism
-    contract holds with the knob both off and on)."""
-    monkeypatch.setattr(kernels_module, "GEMM_THREAD_MIN_WORK", 0)
+def test_campaign_sdc_stream_identical_with_small_blocks(monkeypatch):
+    """Accuracy/flip streams are bit-identical between the module path
+    and plans whose K-major convs run in blocks of a few images."""
+    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", 64 << 10)
     module_result = _campaign_result(module_oracle=True)
-    serial_result = _campaign_result()
-    threaded_result = _campaign_result(gemm_workers=4)
-    for other in (serial_result, threaded_result):
-        np.testing.assert_array_equal(module_result.accuracies, other.accuracies)
-        np.testing.assert_array_equal(module_result.flip_counts, other.flip_counts)
+    blocked_result = _campaign_result()
+    np.testing.assert_array_equal(module_result.accuracies, blocked_result.accuracies)
+    np.testing.assert_array_equal(module_result.flip_counts, blocked_result.flip_counts)
 
 
-def test_evaluator_gemm_workers_survives_pickle():
+def test_evaluator_survives_pickle():
     import pickle
 
     dataset = SyntheticImageDataset(
         num_classes=10, num_samples=64, image_size=16, seed=0, split="test"
     )
-    evaluator = Evaluator(DataLoader(dataset, batch_size=32), gemm_workers=3)
+    evaluator = Evaluator(DataLoader(dataset, batch_size=32))
+    evaluator.accuracy(build_model("lenet", num_classes=10, scale=0.5, image_size=16))
     clone = pickle.loads(pickle.dumps(evaluator))
-    assert clone.gemm_workers == 3
+    assert clone.total_samples == 64
     assert clone._plan is None

@@ -200,6 +200,22 @@ class TestSloOverAsyncFront:
             assert slo["healthy"] is True
             assert slo["p99_ms"] > 0.0
 
+    def test_slo_quantiles_are_the_serve_latency_series(self, checkpoint, batch):
+        """healthz's SLO numbers are read from ``repro_serve_latency_ms``
+        (the predict endpoint's series), not from a second histogram."""
+        app = _app(checkpoint, slo_p99_ms=10_000.0)
+        family = app.metrics.serve_latency
+        with AsyncReproServer(app) as server:
+            client = ServeClient(server.url, timeout=30.0)
+            client.wait_ready()
+            for _ in range(6):
+                client.predict(batch, model="m")
+            slo = client.healthz().slo
+        predict = {"endpoint": "/v1/predict"}
+        assert slo["requests"] == family.snapshot_series(**predict)["count"] == 6
+        assert slo["p50_ms"] == round(family.quantile(0.5, **predict), 3)
+        assert slo["p99_ms"] == round(family.quantile(0.99, **predict), 3)
+
     def test_violations_burn_the_error_budget(self, checkpoint, batch):
         # An absurdly tight target: every request violates, burn rate
         # saturates at 100x the 1% budget.
