@@ -51,21 +51,6 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _replicas_spec(text: str) -> "int | str":
-    """``--replicas`` values: a lane count, ``auto``, or ``off``."""
-    if text in ("auto", "off"):
-        return text
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, 'auto', or 'off', got {text!r}"
-        )
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def _add_preset_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--preset",
@@ -352,9 +337,9 @@ def _campaign_for_meta(run_meta: dict[str, object]):
     The deterministic reconstruction ``campaign run`` and
     ``serve-store`` share: checkpoint → model (``load_protected_auto``),
     preset sizes → evaluator test set, manifest format → injector.
-    ``replicas`` only changes scheduling, never results, so a rerun may
-    override it.  Stores from older builds may also record ``workers``
-    (a retired process-pool knob) or ``runtime``; both are ignored.
+    Stores from older builds may also record ``replicas`` (a retired
+    lane-group width), ``workers`` (a retired process-pool knob) or
+    ``runtime``; all three are ignored.
     """
     from repro.core.checkpoint import load_protected_auto
     from repro.eval.experiments import get_preset
@@ -374,7 +359,6 @@ def _campaign_for_meta(run_meta: dict[str, object]):
         evaluator.bind(model),
         trials=preset.trials,
         seed=int(run_meta["seed"]),
-        replicas=run_meta.get("replicas", "auto"),
     )
     return campaign, evaluator, model, meta
 
@@ -449,15 +433,12 @@ def _flagged_run_meta(args: argparse.Namespace) -> dict[str, object]:
 
 def _requested_run_meta(args: argparse.Namespace) -> dict[str, object]:
     """The full run recipe a ``campaign run``/``serve-store`` request
-    implies, scheduling included (all recipe flags set)."""
+    implies (all recipe flags set)."""
     from repro.errors import ConfigurationError
 
     if not args.rates:
         raise ConfigurationError("--rates needs at least one fault rate")
-    return {
-        **_flagged_run_meta(args),
-        "replicas": args.replicas if args.replicas is not None else "auto",
-    }
+    return _flagged_run_meta(args)
 
 
 def _verify_run_recipe(store, requested: dict[str, object]) -> dict[str, object]:
@@ -489,13 +470,6 @@ def _verify_run_recipe(store, requested: dict[str, object]) -> dict[str, object]
     return dict(stored)
 
 
-def _apply_scheduling_flags(run_meta: dict[str, object], args) -> None:
-    """``--replicas`` overrides a stored recipe: it only changes
-    scheduling, never results."""
-    if args.replicas is not None:
-        run_meta["replicas"] = args.replicas
-
-
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
     from repro.store import CampaignStore
@@ -508,7 +482,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         except ConfigurationError:
             store.close()
             raise
-        _apply_scheduling_flags(run_meta, args)
         status = store.status()
         print(
             f"resuming {store.path}: {status['journaled']}/"
@@ -746,7 +719,6 @@ def _cmd_campaign_serve_store(args: argparse.Namespace) -> int:
             store.close()
             raise
         store.close()
-        _apply_scheduling_flags(run_meta, args)
         campaign, _, _, _ = _campaign_for_meta(run_meta)
     fault_models = [
         BitFlipFaultModel.at_rate(float(r)) for r in run_meta["rates"]
@@ -896,7 +868,7 @@ def _profile_replicas(args, plan, model, meta: dict, shape) -> int:
     site_sets = [
         injector.sample(fault_model, rng=lane) for lane in range(args.replicas)
     ]
-    replica = plan.replicate(args.replicas)
+    replica = plan.replicate()
     shared, lanes = replica.profile_lanes(injector, site_sets)
     # Profile rows are per-forward means: the shared table is the one
     # clean pass, the lanes table the mean suffix re-run per lane.
@@ -1196,8 +1168,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Run a fault-rate sweep as the store's single writer.  On an "
             "existing store this resumes: the recipe is read from the "
             "store, so --checkpoint and --rates may be omitted; recipe "
-            "flags that are passed must match it, and --replicas and "
-            "--limit only change scheduling."
+            "flags that are passed must match it, and --limit only "
+            "changes how much of it this invocation runs."
         ),
     )
     c.add_argument(
@@ -1228,18 +1200,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "journal at most N new trials this invocation, then stop "
             "cleanly (time-boxed incremental runs; rerun to continue)"
-        ),
-    )
-    c.add_argument(
-        "--replicas",
-        type=_replicas_spec,
-        default=None,
-        metavar="N|auto|off",
-        help=(
-            "replica-batched evaluation: schedule trials in N-lane groups "
-            "that share each batch's clean forward (bit-identical results; "
-            "default auto picks a group width when the evaluator supports "
-            "it; 'off' forces the per-trial path)"
         ),
     )
     _add_preset_arguments(c)
@@ -1352,13 +1312,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="journal at most N fresh trials, then hand back the rest",
-    )
-    c.add_argument(
-        "--replicas",
-        type=_replicas_spec,
-        default=None,
-        metavar="N|auto|off",
-        help="replica-batched evaluation (scheduling only; see 'run')",
     )
     _add_preset_arguments(c)
     c.set_defaults(func=_cmd_campaign_serve_store)

@@ -59,8 +59,8 @@ __all__ = ["CampaignWorker", "DEFAULT_CHUNK"]
 _logger = get_logger("coord.worker")
 
 #: Default trials per claim.  Small enough that work-stealing has
-#: granularity to rebalance, large enough to amortise claim-file I/O
-#: over replica-batched evaluation (AUTO_REPLICAS lanes per group).
+#: granularity to rebalance, large enough to amortise the claim-file
+#: I/O over several trials.
 DEFAULT_CHUNK = 8
 
 _WORKER_SEQ = itertools.count()

@@ -66,11 +66,12 @@ class BoundAccuracy:
         return self.evaluator.accuracy(self.model)
 
     def lane_accuracies(self, injector: object, site_sets: list) -> list[float]:
-        """Replicated-evaluation hook for replica-batched campaigns.
+        """Replica-lane hook campaigns evaluate their trials through.
 
         One accuracy per site set, bit-identical to injecting and
         calling this closure once per set.  The presence of this method
-        is what lets ``FaultCampaign(replicas=...)`` group trials.
+        is what makes :class:`repro.fault.FaultCampaign` run each trial
+        as a replica lane.
         """
         return self.evaluator.lane_accuracies(self.model, injector, site_sets)
 
@@ -137,7 +138,7 @@ class Evaluator:
     def _replica_for(self, model: Module) -> "ReplicaPlan":
         entry = self._replica
         if entry is None or entry[0] is not model:
-            entry = self._replica = (model, self._plan_for(model).replicate(1))
+            entry = self._replica = (model, self._plan_for(model).replicate())
         return entry[1]
 
     # ------------------------------------------------------------------
@@ -162,9 +163,10 @@ class Evaluator:
     ) -> list[float]:
         """Accuracy of ``model`` under each site set, sharing clean work.
 
-        The replicated-evaluation entry point behind
-        ``FaultCampaign(replicas=...)``: semantically equivalent to —
-        and bit-identical with — the per-trial loop ::
+        The replica-lane entry point every
+        :class:`repro.fault.FaultCampaign` trial over :meth:`bind` runs
+        through: semantically equivalent to — and bit-identical with —
+        the per-trial loop ::
 
             [injector.inject(sites) ∘ accuracy(model) for sites in site_sets]
 

@@ -15,7 +15,6 @@ from repro.fault.activation import (
 )
 from repro.fault.burst import BurstFaultModel, expand_bursts
 from repro.fault.campaign import (
-    AUTO_REPLICAS,
     CampaignAggregator,
     CampaignResult,
     EarlyStop,
@@ -31,8 +30,6 @@ from repro.fault.ecc import (
 from repro.fault.fault_model import PAPER_FAULT_RATES, BitFlipFaultModel, FaultModel
 from repro.fault.injector import FaultInjector
 from repro.fault.parallel import (
-    GroupTrialRunner,
-    TrialGroup,
     TrialOutcome,
     TrialRunner,
     TrialWork,
@@ -53,7 +50,6 @@ from repro.fault.stuck_at import StuckAtFaultModel, active_stuck_sites
 from repro.fault.word import WordFaultModel, replacement_flips
 
 __all__ = [
-    "AUTO_REPLICAS",
     "PAPER_FAULT_RATES",
     "ActivationFaultCampaign",
     "ActivationFaultInjector",
@@ -70,12 +66,10 @@ __all__ = [
     "FaultInjector",
     "FaultModel",
     "FaultSites",
-    "GroupTrialRunner",
     "OutcomeBreakdown",
     "SECDEDCode",
     "StuckAtFaultModel",
     "SweepResult",
-    "TrialGroup",
     "TrialOutcome",
     "TrialRunner",
     "TrialWork",

@@ -5,8 +5,9 @@ configuration runs K independent trials (fresh fault sites each time),
 recording the accuracy under fault.  The resulting distributions are the
 raw material of the paper's Fig. 5 (distribution) and Fig. 6 (means).
 
-Trials run in-process, one at a time or as replica groups
-(:mod:`repro.fault.parallel`).  A campaign scales out across processes
+Trials run in-process, one at a time (:mod:`repro.fault.parallel`);
+over an evaluator's lane hook each trial is one replica lane sharing
+the model's cached clean forward.  A campaign scales out across processes
 only as N ``repro campaign serve-store`` workers sharing one durable
 store (:mod:`repro.coord`), each evaluating the trial ranges it claims
 through :meth:`FaultCampaign.iter_range`.  Per-trial seeds are derived
@@ -27,13 +28,7 @@ from repro.autograd.ops_conv import NUMERICS
 from repro.errors import CampaignInterrupted, ConfigurationError
 from repro.fault.fault_model import BitFlipFaultModel, FaultModel
 from repro.fault.injector import FaultInjector
-from repro.fault.parallel import (
-    GroupTrialRunner,
-    TrialOutcome,
-    TrialRunner,
-    TrialWork,
-    group_works,
-)
+from repro.fault.parallel import TrialOutcome, TrialRunner, TrialWork
 from repro.obs.trace import span
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
@@ -42,7 +37,6 @@ if TYPE_CHECKING:
     from repro.store import CampaignStore
 
 __all__ = [
-    "AUTO_REPLICAS",
     "CampaignAggregator",
     "CampaignResult",
     "EarlyStop",
@@ -51,11 +45,6 @@ __all__ = [
 ]
 
 _logger = get_logger("fault.campaign")
-
-#: Replica-group width used by ``replicas="auto"``.  Wide enough to
-#: amortise the shared clean-prefix forward; a ``serve-store`` worker's
-#: default claim (:data:`repro.coord.DEFAULT_CHUNK`) is one such group.
-AUTO_REPLICAS = 8
 
 
 @dataclass
@@ -242,25 +231,17 @@ class FaultCampaign:
         A :class:`FaultInjector` wrapping the (quantised) model.
     evaluate:
         Zero-argument closure returning accuracy in [0, 1] of the model in
-        its *current* (possibly faulty) state.
+        its *current* (possibly faulty) state.  A closure that also
+        exposes ``lane_accuracies(injector, site_sets)``
+        (:meth:`repro.eval.Evaluator.bind`) evaluates each trial as a
+        replica lane instead (:class:`~repro.fault.parallel.TrialRunner`),
+        bit-identical to injecting and calling it.
     trials:
         Number of independent trials per fault configuration.
     seed:
         Base seed; trial t of configuration c derives its own stream, so
         two campaigns with the same seed see identical fault patterns —
         the paper's protection schemes are compared on equal footing.
-    replicas:
-        Replica-batched evaluation: ``R >= 2`` schedules trials in
-        groups of R lanes whose clean forward work is shared
-        (:meth:`ReplicaPlan <repro.runtime.ReplicaPlan>` share-until-
-        diverge), requiring ``evaluate`` to expose the
-        ``lane_accuracies(injector, site_sets)`` hook
-        (:meth:`repro.eval.BoundAccuracy.lane_accuracies`).  ``"auto"``
-        picks a default group width when the hook is present and falls
-        back to per-trial execution when it is not;
-        ``None``/``"off"``/``0``/``1`` forces the per-trial path.
-        Either way results are bit-identical — grouping is purely a
-        scheduling decision.
     """
 
     #: The convolution arithmetic the trials' forwards run
@@ -273,7 +254,6 @@ class FaultCampaign:
         evaluate: Callable[[], float],
         trials: int = 20,
         seed: int = 0,
-        replicas: int | str | None = None,
     ) -> None:
         if trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {trials}")
@@ -281,41 +261,7 @@ class FaultCampaign:
         self.evaluate = evaluate
         self.trials = int(trials)
         self.seed = int(seed)
-        self.replicas = self._resolved_replicas(replicas, evaluate)
         self._runner = TrialRunner(injector, evaluate)
-        self._group_runner = (
-            GroupTrialRunner(injector, evaluate) if self.replicas else None
-        )
-
-    @staticmethod
-    def _resolved_replicas(
-        replicas: int | str | None, evaluate: Callable[[], float]
-    ) -> int:
-        """Resolve the ``replicas`` knob to a group width (0 = per-trial)."""
-        if replicas is None or replicas == "off":
-            return 0
-        has_hook = callable(getattr(evaluate, "lane_accuracies", None))
-        if replicas == "auto":
-            return AUTO_REPLICAS if has_hook else 0
-        try:
-            width = int(replicas)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"replicas must be an integer, 'auto', or 'off', "
-                f"got {replicas!r}"
-            )
-        if width < 0:
-            raise ConfigurationError(f"replicas must be >= 0, got {width}")
-        if width <= 1:
-            return 0
-        if not has_hook:
-            raise ConfigurationError(
-                f"replicas={width} requires an evaluation callable with a "
-                "lane_accuracies(injector, site_sets) hook "
-                "(Evaluator.bind provides one); got "
-                f"{type(evaluate).__name__}"
-            )
-        return width
 
     def trial_seeds(self, fault_model: FaultModel, tag: str = "") -> list[int]:
         """Derive every trial's seed up front (the determinism contract).
@@ -341,38 +287,18 @@ class FaultCampaign:
             return []
         return metadata(sites)
 
-    def _sampled_works(
-        self, fault_model: FaultModel, tag: str, indices: Sequence[int]
-    ) -> list[TrialWork]:
-        """Sample fault sites for exactly ``indices``.
+    def _work(
+        self, fault_model: FaultModel, seeds: Sequence[int], trial: int
+    ) -> TrialWork:
+        """Sample trial ``trial``'s fault sites, just before it runs.
 
-        Each trial's seed is independent, so any subset — a resume's
-        missing tail, a coord worker's claimed range — skips the
-        fault-space-sized sampling of every other trial.
+        Each trial's seed is independent, so a resume's missing tail, a
+        coord worker's claimed range or an EarlyStop-converged
+        configuration samples only the trials it evaluates.
         """
-        seeds = self.trial_seeds(fault_model, tag)
-        return [
-            TrialWork(
-                index=trial,
-                sites=self.injector.sample(fault_model, rng=seeds[trial]),
-            )
-            for trial in indices
-        ]
-
-    def _dispatch(self, pending: Sequence[TrialWork]) -> Iterator[TrialOutcome]:
-        """Evaluate works lazily, streaming outcomes in index order.
-
-        The replica-batched path groups consecutive works into lanes of
-        one shared-forward evaluation; the flattened stream keeps trial
-        order, so consumers (journal, early stop, aggregation) are
-        oblivious — and bit-identical to the per-trial stream.
-        """
-        if self._group_runner is None:
-            for work in pending:
-                yield self._runner(work)
-            return
-        for group in group_works(pending, self.replicas):
-            yield from self._group_runner(group)
+        return TrialWork(
+            index=trial, sites=self.injector.sample(fault_model, rng=seeds[trial])
+        )
 
     def iter_range(
         self,
@@ -399,9 +325,10 @@ class FaultCampaign:
                 f"trial indices must lie in [0, {self.trials}), "
                 f"got {plan[0]}..{plan[-1]}"
             )
-        pending = self._sampled_works(fault_model, tag, plan)
-        for work, outcome in zip(pending, self._dispatch(pending)):
-            yield outcome, self._site_metadata(work.sites)
+        seeds = self.trial_seeds(fault_model, tag)
+        for trial in plan:
+            work = self._work(fault_model, seeds, trial)
+            yield self._runner(work), self._site_metadata(work.sites)
 
     def run(
         self,
@@ -413,10 +340,10 @@ class FaultCampaign:
         """Run all trials for one fault configuration.
 
         With ``early_stop``, trials are consumed in index order and the
-        campaign stops as soon as the accuracy CI converges; because the
-        decision stream is order-deterministic, per-trial and
-        replica-grouped runs stop after the same trial with identical
-        results.
+        campaign stops as soon as the accuracy CI converges, sampling and
+        evaluating no trial past that point; the decision stream is
+        order-deterministic, so every run stops after the same trial
+        with identical results.
 
         With ``store``, every fresh outcome is journaled to disk as it
         completes, and trials
@@ -454,20 +381,11 @@ class FaultCampaign:
                         f"{converged_at} trials but its journal is missing "
                         f"{len(absent)} of them"
                     )
-        missing = [trial for trial in plan if trial not in journal]
-        budget: int | None = None
-        if store is not None:
-            # Don't evaluate what the budget forbids journaling: cap the
-            # sampled works so no replica group evaluates over-budget
-            # lanes, and raise *before* the first un-journalable
-            # evaluation instead of after it.
-            budget = store.remaining_budget()
-            if budget is not None:
-                missing = missing[:budget]
-        pending = self._sampled_works(fault_model, tag, missing)
-        works = {work.index: work for work in pending}
+        # Don't evaluate what the budget forbids journaling: raise
+        # *before* the first un-journalable evaluation, not after it.
+        budget = store.remaining_budget() if store is not None else None
+        seeds = self.trial_seeds(fault_model, tag)
         aggregator = CampaignAggregator()
-        outcomes = self._dispatch(pending)
         fresh = 0
         for trial in plan:
             outcome = journal.get(trial)
@@ -477,12 +395,11 @@ class FaultCampaign:
                         f"store reached its new-trial budget before "
                         f"trial {trial}; resume to continue"
                     )
-                outcome = next(outcomes)
+                work = self._work(fault_model, seeds, trial)
+                outcome = self._runner(work)
                 fresh += 1
                 if store is not None and key is not None:
-                    store.record(
-                        key, outcome, self._site_metadata(works[trial].sites)
-                    )
+                    store.record(key, outcome, self._site_metadata(work.sites))
             aggregator.add(outcome)
             if early_stop is not None and aggregator.converged(early_stop):
                 if store is not None and key is not None:

@@ -338,16 +338,16 @@ class InferencePlan:
             # caller an owned copy (logits are small).
             return np.array(x, dtype=np.float32, copy=True), snapshots
 
-    def replicate(self, replicas: int) -> "ReplicaPlan":
-        """Wrap this plan for replica-batched fault evaluation.
+    def replicate(self) -> "ReplicaPlan":
+        """Wrap this plan for replica-lane fault evaluation.
 
-        See :class:`repro.runtime.replica.ReplicaPlan`: ``replicas``
-        faulted variants of the model share the clean prefix of each
-        forward and re-run only the steps a fault can affect.
+        See :class:`repro.runtime.replica.ReplicaPlan`: faulted variants
+        of the model share the clean prefix of each forward and re-run
+        only the steps a fault can affect.
         """
         from repro.runtime.replica import ReplicaPlan
 
-        return ReplicaPlan(self, replicas)
+        return ReplicaPlan(self)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -373,8 +373,7 @@ def compile_model(
     input_shape: tuple[int, ...],
     warm: bool = True,
     profile: bool = False,
-    replicas: int | None = None,
-) -> "InferencePlan | ReplicaPlan":
+) -> InferencePlan:
     """Compile ``model`` into an :class:`InferencePlan`.
 
     Parameters
@@ -398,11 +397,6 @@ def compile_model(
         the warm pass, so only real forwards accumulate).  Read the
         report via ``plan._profiler.result()`` or use the one-shot
         :meth:`InferencePlan.profile` instead.
-    replicas:
-        When set (``>= 1``), wrap the compiled plan in a
-        :class:`~repro.runtime.replica.ReplicaPlan` sized for that many
-        fault lanes and return it instead (equivalent to
-        ``plan.replicate(replicas)``).
     """
     shape = tuple(int(dim) for dim in input_shape)
     if len(shape) == 3:
@@ -423,6 +417,4 @@ def compile_model(
                 plan(np.zeros(shape, dtype=np.float32))
     if profile:
         plan.attach_profiler()
-    if replicas is not None:
-        return plan.replicate(replicas)
     return plan

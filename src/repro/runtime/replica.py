@@ -54,7 +54,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.obs.profile import KernelProfiler, PlanProfile
 from repro.runtime.kernels import FallbackKernel, FaultStepKernel, walk_kernels
 
@@ -89,11 +88,12 @@ def fault_parameters(
 
 
 class ReplicaPlan:
-    """R-lane fault evaluation over one :class:`InferencePlan`.
+    """Lane-wise fault evaluation over one :class:`InferencePlan`.
 
-    ``replicas`` is the lane-group width campaign schedulers size their
-    trial groups by; the evaluation itself is width-independent (any
-    number of lanes may share one prepared clean pass).
+    Any number of lanes share one prepared clean pass per batch.  The
+    cache is keyed by the clean model's identity signatures, not by a
+    lane group, so lanes evaluated one at a time share it exactly as a
+    group would.
 
     Usage, per evaluation batch (model **clean**)::
 
@@ -115,13 +115,9 @@ class ReplicaPlan:
     def __init__(
         self,
         plan: "InferencePlan",
-        replicas: int,
         snapshot_budget: int = DEFAULT_SNAPSHOT_BUDGET,
     ) -> None:
-        if replicas < 1:
-            raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
         self.plan = plan
-        self.replicas = int(replicas)
         self.snapshot_budget = int(snapshot_budget)
         self._lock = threading.RLock()
         #: (structure, state) signatures of the clean model the cache
@@ -137,7 +133,7 @@ class ReplicaPlan:
         """Process-local (lock + plan + id()-keyed caches); see RPL007."""
         raise TypeError(
             "ReplicaPlan is process-local and cannot be pickled; pickle "
-            "the model and rebuild with compile_model(replicas=...)"
+            "the model and rebuild with compile_model(...).replicate()"
         )
 
     # ------------------------------------------------------------------
@@ -324,4 +320,4 @@ class ReplicaPlan:
     # Introspection
     # ------------------------------------------------------------------
     def __repr__(self) -> str:
-        return f"ReplicaPlan({self.plan!r}, replicas={self.replicas})"
+        return f"ReplicaPlan({self.plan!r})"

@@ -1,8 +1,8 @@
 """Thread-safe serving metrics, built on the ``repro.obs`` registry.
 
 One :class:`ServerMetrics` instance aggregates everything ``GET
-/v1/metrics`` reports: per-endpoint request counts and status codes, a
-log-scale request-latency histogram, the batch-size distribution the
+/v1/metrics`` reports: per-endpoint request counts, status codes and
+log-scale request-latency histograms, the batch-size distribution the
 micro-batcher actually achieved, and — when chaos mode is on — per-model
 fault-injection counters (batches injected, bits flipped, SDC events).
 
@@ -90,11 +90,6 @@ class ServerMetrics:
             "HTTP requests served, by endpoint and status code.",
             labelnames=("endpoint", "status"),
         )
-        self._latency = registry.histogram(
-            "repro_http_request_latency_ms",
-            "End-to-end request handling latency (milliseconds).",
-            buckets=LATENCY_BUCKETS_MS,
-        )
         self.serve_latency = registry.histogram(
             "repro_serve_latency_ms",
             "Per-endpoint request handling latency (milliseconds).",
@@ -143,7 +138,6 @@ class ServerMetrics:
 
     def observe_request(self, endpoint: str, status: int, seconds: float) -> None:
         self._requests.inc(endpoint=endpoint, status=int(status))
-        self._latency.observe(seconds * 1000.0)
         self.serve_latency.observe(seconds * 1000.0, endpoint=endpoint)
 
     def observe_shed(self, model: str, reason: str) -> None:
@@ -221,7 +215,7 @@ class ServerMetrics:
                     for endpoint, statuses in sorted(by_endpoint.items())
                 },
             },
-            "latency_ms": self._latency.snapshot_series(),
+            "latency_ms": self._latency_snapshot(),
             "batches": {
                 "samples_served": int(self._samples.value()),
                 "sizes": self._batch_sizes.snapshot_series(),
@@ -232,6 +226,15 @@ class ServerMetrics:
             },
             "admission": {"shed": self._shed_snapshot()},
         }
+
+    def _latency_snapshot(self) -> dict[str, object]:
+        """Every endpoint's latency series merged into one histogram."""
+        merged = Histogram(LATENCY_BUCKETS_MS)
+        for series in self.serve_latency.series().values():
+            merged.counts = [a + b for a, b in zip(merged.counts, series.counts)]
+            merged.total += series.total
+            merged.sum += series.sum
+        return merged.snapshot()
 
     def _shed_snapshot(self) -> dict[str, dict[str, int]]:
         out: dict[str, dict[str, int]] = {}

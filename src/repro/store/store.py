@@ -752,8 +752,8 @@ class CampaignStore:
     def remaining_budget(self) -> int | None:
         """New records this session may still journal (None = no limit).
 
-        Campaigns consult this before sampling work, so no trial (or
-        replica-group lane) the budget forbids journaling is evaluated.
+        Campaigns consult this before sampling work, so no trial the
+        budget forbids journaling is sampled or evaluated.
         """
         if self.max_new_records is None:
             return None

@@ -312,27 +312,34 @@ class TestErrors:
 
 class TestReplicasCLI:
     def test_replica_batched_artifacts_byte_identical_to_off(
-        self, checkpoint, tmp_path, capsys
+        self, checkpoint, tmp_path, capsys, monkeypatch
     ):
-        """The PR acceptance, end to end through the CLI: journal,
-        report.md, and atlas.json unchanged by the scheduling knob."""
-        off = tmp_path / "off"
-        assert _run(checkpoint, off, "--replicas", "off") == 0
-        assert main(["campaign", "report", "--store", str(off)]) == 0
+        """End to end through the CLI: journal, report.md and atlas.json
+        of the lane path equal those of a per-trial evaluation (what
+        the retired ``--replicas off`` ran)."""
+        from repro.eval.evaluator import BoundAccuracy
 
-        batched = tmp_path / "batched"
-        assert _run(checkpoint, batched, "--replicas", "3") == 0
-        assert main(["campaign", "report", "--store", str(batched)]) == 0
+        lanes = tmp_path / "lanes"
+        assert _run(checkpoint, lanes) == 0
+        assert main(["campaign", "report", "--store", str(lanes)]) == 0
+
+        # Without the hook the campaign injects and calls the closure.
+        monkeypatch.delattr(BoundAccuracy, "lane_accuracies")
+        per_trial = tmp_path / "per-trial"
+        assert _run(checkpoint, per_trial) == 0
+        assert main(["campaign", "report", "--store", str(per_trial)]) == 0
         capsys.readouterr()
 
         strip = lambda line: {  # noqa: E731 — "sec" is wall-clock, not identity
             k: v for k, v in json.loads(line).items() if k != "sec"
         }
-        off_journal = (off / "trials.jsonl").read_text().splitlines()
-        batched_journal = (batched / "trials.jsonl").read_text().splitlines()
-        assert [strip(l) for l in off_journal] == [strip(l) for l in batched_journal]
-        assert (batched / "report.md").read_bytes() == (off / "report.md").read_bytes()
-        assert (batched / "atlas.json").read_bytes() == (off / "atlas.json").read_bytes()
+        lane_journal = (lanes / "trials.jsonl").read_text().splitlines()
+        trial_journal = (per_trial / "trials.jsonl").read_text().splitlines()
+        assert [strip(l) for l in lane_journal] == [strip(l) for l in trial_journal]
+        for artifact in ("report.md", "atlas.json"):
+            assert (lanes / artifact).read_bytes() == (
+                per_trial / artifact
+            ).read_bytes()
 
     def test_report_renders_density_column(self, checkpoint, tmp_path, capsys):
         store = tmp_path / "store"
@@ -344,27 +351,24 @@ class TestReplicasCLI:
         hit = [row for row in atlas["layers"] if row["trials"]]
         assert all("sdc_density" in row for row in hit)
 
-    def test_resume_accepts_replicas_override(self, checkpoint, tmp_path, capsys):
-        store = tmp_path / "store"
-        assert _run(checkpoint, store, "--limit", "2", "--replicas", "off") == 0
-        assert (
-            main(["campaign", "run", "--store", str(store), "--replicas", "4"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "store complete" in out
-
     def test_garbage_replicas_spelling_is_an_argparse_error(self, checkpoint):
+        """``--replicas`` is gone: any spelling of it is refused."""
         with pytest.raises(SystemExit):
             _run(checkpoint, "ignored", "--replicas", "many")
+
+    @pytest.mark.parametrize("command", ["run", "serve-store"])
+    def test_campaign_commands_take_no_replicas_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main(["campaign", command, "--help"])
+        assert "--replicas" not in capsys.readouterr().out
 
 
 class TestPlanIsTheOnlyPath:
     def test_default_flags_evaluate_through_replica_lanes(
         self, checkpoint, tmp_path, monkeypatch, capsys
     ):
-        """No flag selects the compiled path: a default ``campaign run``
-        groups trials into ReplicaPlan lanes (``--replicas auto``)."""
+        """No flag selects the compiled path: every ``campaign run``
+        trial is a ReplicaPlan lane."""
         from repro.runtime import ReplicaPlan
 
         calls = {"prepare": 0, "lane_forward": 0}
@@ -383,15 +387,29 @@ class TestPlanIsTheOnlyPath:
 
     @pytest.mark.parametrize(
         "retired",
-        [{"runtime": False}, {"runtime": True}, {"workers": 2}],
-        ids=["runtime-false", "runtime-true", "workers-2"],
+        [
+            {"runtime": False},
+            {"runtime": True},
+            {"workers": 2},
+            {"replicas": "auto"},
+            {"replicas": "off"},
+            {"replicas": 3},
+        ],
+        ids=[
+            "runtime-false",
+            "runtime-true",
+            "workers-2",
+            "replicas-auto",
+            "replicas-off",
+            "replicas-3",
+        ],
     )
     def test_store_recording_runtime_key_resumes_byte_identical(
         self, checkpoint, tmp_path, capsys, retired
     ):
-        """Stores whose recipe records a retired key (``runtime``, or the
-        process-pool ``workers``) still resume through ``campaign run``;
-        the key is ignored."""
+        """Stores whose recipe records a retired key (``runtime``, the
+        process-pool ``workers`` or the lane-group ``replicas``) still
+        resume through ``campaign run``; the key is ignored."""
         fresh = tmp_path / "fresh"
         assert _run(checkpoint, fresh) == 0
         assert main(["campaign", "report", "--store", str(fresh)]) == 0

@@ -146,8 +146,8 @@ class TestServeStore:
     def test_store_recording_runtime_key_admits_a_joining_worker(
         self, checkpoint, tmp_path, capsys
     ):
-        """The retired ``runtime`` and ``workers`` recipe keys are
-        ignored on join."""
+        """The retired ``runtime``, ``workers`` and ``replicas`` recipe
+        keys are ignored on join."""
         straight = tmp_path / "straight"
         assert _serve(checkpoint, straight, "--worker-id", "solo") == 0
 
@@ -155,7 +155,7 @@ class TestServeStore:
         assert _serve(checkpoint, store, "--worker-id", "a", "--limit", "2") == 0
         manifest_path = store / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["meta"].update(runtime=True, workers=2)
+        manifest["meta"].update(runtime=True, workers=2, replicas="auto")
         manifest_path.write_text(json.dumps(manifest, indent=2))
         assert _serve(checkpoint, store, "--worker-id", "b") == 0
         assert "store complete" in capsys.readouterr().out

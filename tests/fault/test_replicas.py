@@ -1,11 +1,15 @@
-"""Replica-batched campaigns: bit-identity with the per-trial path.
+"""Replica lanes: bit-identity with the per-trial reference.
 
-``FaultCampaign(replicas=R)`` is a pure scheduling knob: trials are
-evaluated in lane groups that share one compiled clean-prefix forward,
-but the accuracy/SDC stream must be *bit-identical* — same float32
-accuracies, same flip counts, same order — to ``replicas="off"``.  The
-suite pins that across registry architectures, the auto default, the
-unquantised first-group fallback, and the knob's validation surface.
+A :class:`FaultCampaign` over ``Evaluator.bind`` evaluates every trial
+through the evaluator's lane hook (``lane_accuracies``), which shares
+one cached clean-prefix forward per batch across the whole campaign.
+Its accuracy/flip stream must be *bit-identical* — same float32
+accuracies, same flip counts, same order — to a campaign over a closure
+without the hook (``lambda: evaluator.accuracy(model)``), which injects
+and runs the full forward per trial.  The suite pins that across
+registry architectures, every fault model and injector the experiments
+bind, the unquantised first-trial fallback, and the sampling laziness
+the lane path keeps.
 """
 
 from __future__ import annotations
@@ -16,17 +20,33 @@ import pytest
 from repro.data.loader import DataLoader
 from repro.data.synthetic import SYNTH_MEAN, SYNTH_STD, SyntheticImageDataset
 from repro.data.transforms import Normalize
-from repro.errors import ConfigurationError
 from repro.eval.evaluator import Evaluator
-from repro.fault import AUTO_REPLICAS, BitFlipFaultModel, FaultCampaign, FaultInjector
+from repro.fault import (
+    BitFlipFaultModel,
+    BurstFaultModel,
+    ECCProtectedInjector,
+    EarlyStop,
+    FaultCampaign,
+    FaultInjector,
+    StuckAtFaultModel,
+    WordFaultModel,
+)
 from repro.models.registry import build_model
 from repro.quant import quantize_module
 
 ARCHS = ["lenet", "alexnet", "resnet18", "resnet50"]
 SPEC = BitFlipFaultModel.at_rate(3e-6)
+SPECS = (SPEC, BitFlipFaultModel.exact(1))
 
 
-def _campaign(name, replicas, trials=6, quantize=True, scale=None):
+def _campaign(
+    name, lanes=True, trials=6, quantize=True, scale=None, injector=FaultInjector
+):
+    """A campaign over a fresh model, through the lane hook or around it.
+
+    ``lanes=False`` binds a plain closure, the per-trial reference: the
+    campaign then injects and calls it once per trial.
+    """
     if scale is None:
         scale = 0.5 if name == "lenet" else 0.125
     model = build_model(name, num_classes=10, scale=scale, image_size=16, seed=0)
@@ -38,82 +58,112 @@ def _campaign(name, replicas, trials=6, quantize=True, scale=None):
     evaluator = Evaluator(
         DataLoader(dataset, batch_size=64, transform=Normalize(SYNTH_MEAN, SYNTH_STD)),
     )
-    return FaultCampaign(
-        FaultInjector(model),
-        evaluator.bind(model),
-        trials=trials,
-        seed=0,
-        replicas=replicas,
-    )
+    evaluate = evaluator.bind(model) if lanes else lambda: evaluator.accuracy(model)
+    return FaultCampaign(injector(model), evaluate, trials=trials, seed=0)
+
+
+def _assert_same_stream(lanes, reference):
+    assert lanes.accuracies.tobytes() == reference.accuracies.tobytes()
+    assert lanes.flip_counts.tobytes() == reference.flip_counts.tobytes()
 
 
 @pytest.mark.parametrize("name", ARCHS)
 def test_replica_batched_stream_bit_identical(name):
-    """The tentpole acceptance, per architecture: same bytes, any width."""
-    serial = _campaign(name, replicas="off").run(SPEC)
-    batched = _campaign(name, replicas=3).run(SPEC)
-    assert serial.accuracies.tobytes() == batched.accuracies.tobytes()
-    assert serial.flip_counts.tobytes() == batched.flip_counts.tobytes()
+    """The lane acceptance, per architecture: same bytes as per-trial."""
+    for spec in SPECS:
+        _assert_same_stream(
+            _campaign(name).run(spec), _campaign(name, lanes=False).run(spec)
+        )
 
 
-def test_auto_matches_serial_and_group_width_is_default():
-    campaign = _campaign("lenet", replicas="auto")
-    assert campaign.replicas == AUTO_REPLICAS
-    serial = _campaign("lenet", replicas="off").run(SPEC)
-    batched = campaign.run(SPEC)
-    assert serial.accuracies.tobytes() == batched.accuracies.tobytes()
-    assert serial.flip_counts.tobytes() == batched.flip_counts.tobytes()
+def _ecc(model):
+    return ECCProtectedInjector(FaultInjector(model))
+
+
+@pytest.mark.parametrize(
+    ("spec", "injector"),
+    [
+        (BitFlipFaultModel.at_rate(3e-6), FaultInjector),
+        (BitFlipFaultModel.exact(1), FaultInjector),
+        (StuckAtFaultModel.exact(0, 8), FaultInjector),
+        (StuckAtFaultModel.exact(1, 8), FaultInjector),
+        (BurstFaultModel.exact(4, 2), FaultInjector),
+        (WordFaultModel.exact("random", 1), FaultInjector),
+        (BitFlipFaultModel.at_rate(3e-5), _ecc),
+    ],
+    ids=[
+        "bitflip-rate",
+        "bitflip-exact1",
+        "stuck-at-0",
+        "stuck-at-1",
+        "burst",
+        "word",
+        "ecc",
+    ],
+)
+def test_every_fault_model_and_injector_matches_the_closure(spec, injector):
+    """What the experiments bind (figs 5/6, EXT-E's ECC, EXT-F's fault
+    models) runs the lane path and keeps the per-trial stream."""
+    lanes = _campaign("lenet", trials=5, injector=injector).run(spec)
+    reference = _campaign("lenet", lanes=False, trials=5, injector=injector).run(spec)
+    _assert_same_stream(lanes, reference)
 
 
 def test_unquantised_model_first_group_fallback_is_identical():
     """Before the first restore an unquantised model's live params are
-    not canonically clean (decode∘encode is lossy), so the first group
-    must take the exact per-trial loop — and still match serially."""
-    serial = _campaign("lenet", replicas="off", quantize=False).run(SPEC)
-    batched = _campaign("lenet", replicas=4, quantize=False).run(SPEC)
-    assert serial.accuracies.tobytes() == batched.accuracies.tobytes()
-    assert serial.flip_counts.tobytes() == batched.flip_counts.tobytes()
+    not canonically clean (decode∘encode is lossy), so the first trial
+    must take the exact per-trial loop — and still match the closure."""
+    _assert_same_stream(
+        _campaign("lenet", quantize=False).run(SPEC),
+        _campaign("lenet", lanes=False, quantize=False).run(SPEC),
+    )
 
 
 def test_zero_flip_trials_replay_clean_accuracy():
-    """at_rate draws zero flips for some trials; the replica path must
-    serve those lanes from the shared clean pass, not skip them."""
-    result = _campaign("lenet", replicas=4, trials=8).run(SPEC)
+    """at_rate draws zero flips for some trials; the lane path must
+    serve those from the shared clean pass, not skip them."""
+    result = _campaign("lenet", trials=8).run(SPEC)
     assert (result.flip_counts == 0).any()
-    clean = _campaign("lenet", replicas="off", trials=8).run(SPEC)
+    clean = _campaign("lenet", lanes=False, trials=8).run(SPEC)
     assert result.accuracies.tobytes() == clean.accuracies.tobytes()
 
 
-class TestReplicasKnob:
-    def _lambda_campaign(self, replicas):
-        from repro import nn
+class TestLazySampling:
+    """Fault sites are sampled just before their trial runs."""
 
-        model = quantize_module(
-            nn.Sequential(nn.Linear(4, 8, rng=0), nn.ReLU(), nn.Linear(8, 2, rng=1))
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        counts = {"sample": 0, "lanes": 0}
+        sample = FaultInjector.sample
+        lane_accuracies = Evaluator.lane_accuracies
+
+        def counted_sample(self, *args, **kwargs):
+            counts["sample"] += 1
+            return sample(self, *args, **kwargs)
+
+        def counted_lanes(self, model, injector, site_sets):
+            counts["lanes"] += len(site_sets)
+            return lane_accuracies(self, model, injector, site_sets)
+
+        monkeypatch.setattr(FaultInjector, "sample", counted_sample)
+        monkeypatch.setattr(Evaluator, "lane_accuracies", counted_lanes)
+        return counts
+
+    def test_early_stop_samples_and_evaluates_only_what_it_needs(self, counted):
+        campaign = _campaign("lenet", trials=64)
+        result = campaign.run(
+            SPEC, early_stop=EarlyStop(ci_halfwidth=1.0, min_trials=9)
         )
-        return FaultCampaign(
-            FaultInjector(model), lambda: 1.0, trials=2, seed=0, replicas=replicas
-        )
+        assert result.trials == 9
+        assert counted == {"sample": 9, "lanes": 9}
 
-    def test_auto_without_lane_hook_falls_back_to_per_trial(self):
-        campaign = self._lambda_campaign("auto")
-        assert campaign.replicas == 0
-        assert campaign.run(SPEC).trials == 2
-
-    def test_explicit_width_without_lane_hook_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="lane_accuracies"):
-            self._lambda_campaign(4)
-
-    def test_width_one_means_off(self):
-        assert _campaign("lenet", replicas=1).replicas == 0
-
-    def test_negative_width_rejected(self):
-        with pytest.raises(ConfigurationError, match=">= 0"):
-            self._lambda_campaign(-2)
-
-    def test_garbage_spelling_rejected(self):
-        with pytest.raises(ConfigurationError, match="integer"):
-            self._lambda_campaign("many")
+    def test_iter_range_samples_only_what_the_caller_consumes(self, counted):
+        campaign = _campaign("lenet", trials=8)
+        stream = campaign.iter_range(SPEC, range(8))
+        for _ in range(2):
+            next(stream)
+        stream.close()
+        assert counted == {"sample": 2, "lanes": 2}
 
 
 def test_lane_accuracies_matches_inject_loop_directly():

@@ -18,7 +18,6 @@ import pytest
 
 from repro import nn
 from repro.autograd.tensor import Tensor
-from repro.errors import ConfigurationError
 from repro.fault.fault_model import BitFlipFaultModel
 from repro.fault.injector import FaultInjector
 from repro.fault.sites import FaultSites
@@ -54,7 +53,7 @@ class TestLaneForward:
         injector = FaultInjector(model)
         x = _batch()
         plan = compile_model(model, x.shape)
-        replica = plan.replicate(4)
+        replica = plan.replicate()
         clean = replica.prepare(0, x).copy()
 
         last = len(injector.parameter_words) - 1
@@ -73,7 +72,7 @@ class TestLaneForward:
         model = _lenet()
         injector = FaultInjector(model)
         x = _batch(seed=5)
-        replica = compile_model(model, x.shape, replicas=2)
+        replica = compile_model(model, x.shape).replicate()
         replica.prepare(0, x)
         for layer in range(len(injector.parameter_words)):
             sites = _sites_in_layer(injector, layer)
@@ -86,7 +85,7 @@ class TestLaneForward:
     def test_first_layer_fault_starts_at_zero(self):
         model = _lenet()
         injector = FaultInjector(model)
-        replica = compile_model(model, (2, 3, 16, 16), replicas=2)
+        replica = compile_model(model, (2, 3, 16, 16)).replicate()
         replica.prepare(0, _batch(n=2))
         params = fault_parameters(injector, _sites_in_layer(injector, 0))
         assert replica.lane_start(params) == 0
@@ -96,7 +95,7 @@ class TestLaneForward:
         model = _lenet()
         injector = FaultInjector(model)
         x = _batch(seed=7)
-        replica = ReplicaPlan(compile_model(model, x.shape), 4, snapshot_budget=0)
+        replica = ReplicaPlan(compile_model(model, x.shape), snapshot_budget=0)
         replica.prepare(0, x)
         sites = _sites_in_layer(injector, len(injector.parameter_words) - 1)
         params = fault_parameters(injector, sites)
@@ -108,7 +107,7 @@ class TestLaneForward:
     def test_prepare_caches_per_batch_key(self):
         model = _lenet()
         x = _batch(seed=9)
-        replica = compile_model(model, x.shape, replicas=2)
+        replica = compile_model(model, x.shape).replicate()
         first = replica.prepare(0, x)
         assert replica.prepare(0, x) is first  # cache hit, no recompute
         replica.invalidate()
@@ -119,7 +118,7 @@ class TestLaneForward:
 
 class TestReplaySafety:
     def test_plain_model_is_replay_safe(self):
-        replica = compile_model(_lenet(), (2, 3, 16, 16), replicas=2)
+        replica = compile_model(_lenet(), (2, 3, 16, 16)).replicate()
         assert replica.replay_safe()
 
     def test_fallback_kernel_disables_replay(self):
@@ -128,7 +127,7 @@ class TestReplaySafety:
                 return x
 
         model = nn.Sequential(nn.Linear(4, 4, rng=0), Opaque())
-        replica = compile_model(model, (2, 4), replicas=2)
+        replica = compile_model(model, (2, 4)).replicate()
         assert not replica.replay_safe()
 
     def test_armed_activation_fault_disables_replay(self):
@@ -136,7 +135,7 @@ class TestReplaySafety:
 
         model = nn.Sequential(nn.Linear(4, 4, rng=0), nn.ReLU(), nn.Linear(4, 2, rng=1))
         injector = ActivationFaultInjector(model)
-        replica = compile_model(model, (2, 4), replicas=2)
+        replica = compile_model(model, (2, 4)).replicate()
         assert replica.replay_safe()
         with injector.active(ActivationFaultModel.at_rate(1e-3), seed=0):
             assert not replica.replay_safe()
@@ -144,13 +143,8 @@ class TestReplaySafety:
 
 
 class TestGuards:
-    def test_zero_replicas_rejected(self):
-        plan = compile_model(_lenet(), (2, 3, 16, 16))
-        with pytest.raises(ConfigurationError):
-            plan.replicate(0)
-
     def test_replica_plan_refuses_pickling(self):
-        replica = compile_model(_lenet(), (2, 3, 16, 16), replicas=2)
+        replica = compile_model(_lenet(), (2, 3, 16, 16)).replicate()
         with pytest.raises(TypeError, match="cannot be pickled"):
             pickle.dumps(replica)
 
@@ -177,7 +171,7 @@ class TestSurgeryInvalidation:
         injector = FaultInjector(model)
         x = np.random.default_rng(0).standard_normal((3, 4)).astype(np.float32)
         plan = compile_model(model, x.shape)
-        replica = plan.replicate(2)
+        replica = plan.replicate()
         replica.prepare(0, x)
         model.set_submodule("1", nn.Identity())  # surgery: step indices shift
         sites = _sites_in_layer(injector, len(injector.parameter_words) - 1)

@@ -145,8 +145,8 @@ class TestEndpoints:
         assert content_type.startswith("text/plain; version=0.0.4")
         assert "# TYPE repro_http_requests_total counter" in text
         assert 'repro_http_requests_total{endpoint="/v1/predict",status="200"}' in text
-        assert "# TYPE repro_http_request_latency_ms histogram" in text
-        assert "repro_http_request_latency_ms_count" in text
+        assert "# TYPE repro_serve_latency_ms histogram" in text
+        assert 'repro_serve_latency_ms_count{endpoint="/v1/predict"}' in text
         # Peak RSS is read at scrape time: a live, positive byte count.
         assert "# TYPE repro_process_peak_rss_bytes gauge" in text
         (rss_line,) = [

@@ -1,7 +1,7 @@
 """ServerMetrics: histogram semantics and counter aggregation."""
 
 from repro.serve import Histogram, ServerMetrics
-from repro.serve.metrics import ChaosBatchReport
+from repro.serve.metrics import LATENCY_BUCKETS_MS, ChaosBatchReport
 
 
 class TestHistogram:
@@ -41,6 +41,25 @@ class TestServerMetrics:
         assert predict["count"] == 2
         assert predict["by_status"] == {"200": 1, "400": 1}
         assert snapshot["latency_ms"]["count"] == 3
+
+    def test_latency_snapshot_merges_the_per_endpoint_series(self):
+        """``latency_ms`` is the per-endpoint family summed over endpoints:
+        the same count, sum, mean and buckets as one histogram fed every
+        request, and no second unlabelled family is exported."""
+        metrics = ServerMetrics()
+        reference = Histogram(LATENCY_BUCKETS_MS)
+        for endpoint, seconds in (
+            ("/predict", 0.002),
+            ("/predict", 0.030),
+            ("/healthz", 0.0005),
+            ("/models", 3.0),
+        ):
+            metrics.observe_request(endpoint, 200, seconds)
+            reference.observe(seconds * 1000.0)
+        assert metrics.snapshot()["latency_ms"] == reference.snapshot()
+        text = metrics.render_prometheus()
+        assert "repro_http_request_latency_ms" not in text
+        assert 'repro_serve_latency_ms_count{endpoint="/models"} 1' in text
 
     def test_batch_and_chaos_sections(self):
         metrics = ServerMetrics()

@@ -1,11 +1,12 @@
-"""Durability contract under replica batching: same store bytes.
+"""Durability contract under replica lanes: same store bytes.
 
-``replicas`` is scheduling, not identity — a journal written by a
-replica-batched campaign must match the per-trial journal record for
-record (the trailing ``"sec"`` wall-time field is the one sanctioned
-difference), resumes may switch the knob freely mid-campaign, segment
-writers at different widths fold to the straight journal, and the
-rendered atlas is byte-identical.
+A campaign over ``Evaluator.bind`` evaluates each trial as a replica
+lane; one over a closure without the lane hook injects and runs the
+full forward per trial.  Which path evaluated a trial is not identity:
+their journals must match record for record (the trailing ``"sec"``
+wall-time field is the one sanctioned difference), a resume may switch
+paths mid-campaign, segment writers on different paths fold to the
+straight journal, and the rendered atlas is byte-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ RATES = (1e-6, 5e-6)
 SPEC = BitFlipFaultModel.at_rate(5e-6)
 
 
-def make_campaign(replicas="off", trials=8):
+def make_campaign(lanes=True, trials=8):
     model = quantize_module(
         build_model("lenet", num_classes=10, scale=0.5, image_size=16, seed=0)
     )
@@ -39,13 +40,8 @@ def make_campaign(replicas="off", trials=8):
     evaluator = Evaluator(
         DataLoader(dataset, batch_size=64, transform=Normalize(SYNTH_MEAN, SYNTH_STD)),
     )
-    return FaultCampaign(
-        FaultInjector(model),
-        evaluator.bind(model),
-        trials=trials,
-        seed=11,
-        replicas=replicas,
-    )
+    evaluate = evaluator.bind(model) if lanes else lambda: evaluator.accuracy(model)
+    return FaultCampaign(FaultInjector(model), evaluate, trials=trials, seed=11)
 
 
 def _journal(store_dir):
@@ -65,9 +61,9 @@ def _atlas_bytes(path):
     return exact_json_dumps(atlas, indent=2, sort_keys=True)
 
 
-def _run_store(tmp_path, name, replicas, interrupt_at=None):
+def _run_store(tmp_path, name, lanes, interrupt_at=None):
     store_dir = tmp_path / name
-    campaign = make_campaign(replicas=replicas)
+    campaign = make_campaign(lanes=lanes)
     with CampaignStore.for_campaign(store_dir, campaign) as store:
         if interrupt_at is not None:
             store.max_new_records = interrupt_at
@@ -80,17 +76,15 @@ def _run_store(tmp_path, name, replicas, interrupt_at=None):
 
 class TestReplicaStoreIdentity:
     def test_journal_and_atlas_bytes_match_per_trial_path(self, tmp_path):
-        off = _run_store(tmp_path, "off", "off")
-        on = _run_store(tmp_path, "on", 3)
-        assert _journal(off) == _journal(on)
-        assert _atlas_bytes(off) == _atlas_bytes(on)
+        per_trial = _run_store(tmp_path, "per-trial", lanes=False)
+        on = _run_store(tmp_path, "lanes", lanes=True)
+        assert _journal(per_trial) == _journal(on)
+        assert _atlas_bytes(per_trial) == _atlas_bytes(on)
 
     def test_interrupted_replica_run_resumes_to_identical_store(self, tmp_path):
-        reference = _run_store(tmp_path, "straight", "off")
-        resumed_dir = _run_store(tmp_path, "resumed", 4, interrupt_at=5)
-        # Resume with the opposite knob: off-written prefix + replica
-        # completion must still byte-match (scheduling never journals).
-        campaign = make_campaign(replicas=4)
+        reference = _run_store(tmp_path, "straight", lanes=False)
+        resumed_dir = _run_store(tmp_path, "resumed", lanes=True, interrupt_at=5)
+        campaign = make_campaign(lanes=True)
         with CampaignStore.for_campaign(resumed_dir, campaign) as store:
             campaign.run_sweep(RATES, tag="r", store=store)
             assert store.appended == len(RATES) * 8 - 5
@@ -98,28 +92,30 @@ class TestReplicaStoreIdentity:
         assert _atlas_bytes(reference) == _atlas_bytes(resumed_dir)
 
     def test_cross_width_resume_is_not_an_identity_mismatch(self, tmp_path):
-        """A store written with replicas off re-opens under auto."""
-        store_dir = _run_store(tmp_path, "cross", "off", interrupt_at=3)
-        campaign = make_campaign(replicas="auto")
+        """A store written per trial (no lanes) re-opens under the lane
+        path."""
+        store_dir = _run_store(tmp_path, "cross", lanes=False, interrupt_at=3)
+        campaign = make_campaign(lanes=True)
         with CampaignStore.for_campaign(store_dir, campaign) as store:
             resumed = campaign.run_sweep(RATES, tag="r", store=store)
-        reference = make_campaign(replicas="off").run_sweep(RATES, tag="r")
+        reference = make_campaign(lanes=False).run_sweep(RATES, tag="r")
         for rate in RATES:
             np.testing.assert_array_equal(
                 reference[rate].accuracies, resumed[rate].accuracies
             )
 
     def test_segment_fold_is_width_agnostic(self, tmp_path):
-        """Two segment writers at different replica widths, each taking
-        interleaved trials, fold to the straight per-trial journal."""
-        straight = _run_store(tmp_path, "straight", "off")
+        """Two segment writers, one through the lanes and one per trial,
+        each taking interleaved trials, fold to the straight per-trial
+        journal."""
+        straight = _run_store(tmp_path, "straight", lanes=False)
         folded = tmp_path / "folded"
         models = [BitFlipFaultModel.at_rate(rate) for rate in RATES]
         campaign = make_campaign()
         with CampaignStore.for_campaign(folded, campaign) as store:
             keys = store.register_configs(models, tag="r")
-        for index, (segment, width) in enumerate((("alpha", 3), ("beta", 4))):
-            campaign = make_campaign(replicas=width)
+        for index, (segment, lanes) in enumerate((("alpha", True), ("beta", False))):
+            campaign = make_campaign(lanes=lanes)
             with CampaignStore.open(folded, segment=segment) as store:
                 store.attach(campaign)
                 for key, model in zip(keys, models):
@@ -140,13 +136,22 @@ class TestReplicaStoreIdentity:
             reference.close()
         assert _atlas_bytes(folded) == _atlas_bytes(straight)
 
-    def test_replica_groups_respect_the_journal_budget(self, tmp_path):
-        """A group wider than the remaining budget must not evaluate
-        (or journal) past it: pending work is truncated before grouping."""
+    def test_replica_groups_respect_the_journal_budget(self, tmp_path, monkeypatch):
+        """A run must not sample, evaluate or journal past the remaining
+        budget: it raises before the first trial it could not journal."""
+        evaluated = []
+        lane_accuracies = Evaluator.lane_accuracies
+
+        def counted(self, model, injector, site_sets):
+            evaluated.extend(site_sets)
+            return lane_accuracies(self, model, injector, site_sets)
+
+        monkeypatch.setattr(Evaluator, "lane_accuracies", counted)
         store_dir = tmp_path / "budget"
-        campaign = make_campaign(replicas=8)
+        campaign = make_campaign(lanes=True)
         with CampaignStore.for_campaign(store_dir, campaign) as store:
             store.max_new_records = 3
             with pytest.raises(CampaignInterrupted):
                 campaign.run(SPEC, tag="b", store=store)
             assert store.appended == 3
+        assert len(evaluated) == 3
