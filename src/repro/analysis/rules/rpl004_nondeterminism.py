@@ -12,9 +12,8 @@ local wall-clock read decides protocol state).  That only holds if
 nothing on the journaled path consults ambient state:
 
 - ``time.time()``/``time.time_ns()`` — wall clock.  Durations belong in
-  ``time.perf_counter()`` feeding non-identity fields
-  (``TrialOutcome.seconds`` is ``compare=False``); timestamps must be
-  passed in by the caller.
+  side-band spans (``repro.obs``), never in journaled records;
+  timestamps must be passed in by the caller.
 - the stdlib ``random`` module — process-global, seed-shared state.
   All randomness flows through explicitly seeded ``np.random.Generator``
   streams (``repro.utils.rng``).
@@ -107,8 +106,8 @@ class NondeterminismRule(Rule):
                 ctx,
                 node,
                 f"`{name}()` reads the wall clock on a journaled path; "
-                "durations use time.perf_counter() into non-identity "
-                "fields, timestamps are passed in by the caller",
+                "durations go to side-band spans, timestamps are "
+                "passed in by the caller",
             )
         elif name.split(".")[0] == "random" and "." in name:
             yield self.finding(

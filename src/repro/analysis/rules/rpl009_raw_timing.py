@@ -10,10 +10,9 @@ an RPL004 wall-clock violation.
 
 New timing therefore goes through ``repro.obs.span``, a profiler hook,
 or ``utils.timing``; the handful of legitimate pre-existing callers
-(serve queue deadlines, campaign trial seconds, training wall-time
-reporting) are grandfathered in the lint baseline, and a deliberate
-new site carries an inline ``# repro-lint: disable=RPL009`` with a
-justifying comment.
+(serve queue deadlines, training wall-time reporting) are grandfathered
+in the lint baseline, and a deliberate new site carries an inline
+``# repro-lint: disable=RPL009`` with a justifying comment.
 """
 
 from __future__ import annotations

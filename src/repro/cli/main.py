@@ -315,8 +315,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Campaign commands (durable stores: run / status / report / serve-store
-# / watch)
+# Campaign commands (durable stores: run / report / serve-store / watch)
 # ----------------------------------------------------------------------
 #: The run recipe a store's meta records.  A rerun or a joining worker
 #: is checked against it: evaluator sizes shape the accuracy stream too.
@@ -520,62 +519,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         return _drive_campaign_store(
             campaign, store, [float(r) for r in meta["rates"]], args.limit
         )
-
-
-def _print_campaign_status(status: dict) -> None:
-    from repro.eval.reporting import format_table
-
-    rows = []
-    for config in status["configs"]:
-        mean = config["mean_accuracy"]
-        converged = config["converged_at"]
-        rows.append(
-            [
-                config["spec"] if not config["tag"] else
-                f"{config['tag']}: {config['spec']}",
-                f"{config['journaled']}/{config['expected']}",
-                f"yes (at {converged})" if converged is not None else "no",
-                f"{mean:.2%}" if mean is not None else "-",
-            ]
-        )
-    print(
-        format_table(
-            ["config", "trials", "converged", "mean accuracy"],
-            rows,
-            title=(
-                f"{status['path']} (seed {status['seed']}, "
-                f"{status['trials']} trials/config)"
-            ),
-        )
-    )
-    mean_seconds = status["mean_trial_seconds"]
-    remaining = status["expected"] - status["journaled"]
-    if status["complete"]:
-        print(f"complete: {status['journaled']}/{status['expected']} trials")
-    elif mean_seconds:
-        print(
-            f"{status['journaled']}/{status['expected']} trials "
-            f"({mean_seconds:.2f}s/trial, ~{remaining * mean_seconds:.0f}s "
-            "remaining)"
-        )
-    else:
-        print(f"{status['journaled']}/{status['expected']} trials")
-
-
-def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from repro.store import CampaignStore
-
-    with CampaignStore.open(args.store) as store:
-        status = store.status()
-    if args.format == "json":
-        from repro.store.encoding import exact_json_dumps
-
-        # The exact-float encoder: accuracies in the JSON view
-        # round-trip to the journaled bits.
-        print(exact_json_dumps(status, indent=2, sort_keys=True))
-        return 0
-    _print_campaign_status(status)
-    return 0
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
@@ -1208,21 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_campaign_run, preset=None)
 
     c = campaign_sub.add_parser(
-        "status", help="journal progress of a campaign store"
-    )
-    c.add_argument("--store", required=True)
-    c.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help=(
-            "table (human) or json (the store's status dict through the "
-            "exact-float encoder, for scripts)"
-        ),
-    )
-    c.set_defaults(func=_cmd_campaign_status)
-
-    c = campaign_sub.add_parser(
         "report",
         help=(
             "render results + the layer/bit vulnerability atlas "
@@ -1319,8 +1247,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = campaign_sub.add_parser(
         "watch",
         help=(
-            "live control-plane view of a shared store: convergence, "
-            "per-worker liveness, in-flight claims, steal counts"
+            "progress of a store: trials, convergence, per-worker "
+            "liveness, in-flight claims, steal counts (--once: one "
+            "snapshot)"
         ),
     )
     c.add_argument("--store", required=True)
@@ -1340,7 +1269,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--once",
         action="store_true",
-        help="print one snapshot and exit",
+        help="print one snapshot and exit (1 if the store does not exist)",
     )
     c.add_argument(
         "--http",

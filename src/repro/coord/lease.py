@@ -15,12 +15,13 @@ long as it participates in a campaign:
   worker's ranges immediately instead of waiting out the expiry.
 
 **Staleness is judged against the filesystem's clock, not the local
-wall clock**: :func:`fs_now` touches a probe file next to the leases and
-reads back its mtime.  Lease age is then ``fs_now - lease mtime`` — two
-timestamps issued by the same filesystem — so workers on hosts with
-skewed clocks still agree on who is stale, and the coordination layer
-stays free of wall-clock reads on journaled paths (RPL004; lease files
-are side-band and never feed artifact bytes).
+wall clock**: :func:`fs_now` creates a probe file next to the leases,
+reads back its mtime and removes it.  Lease age is then
+``fs_now - lease mtime`` — two timestamps issued by the same
+filesystem — so workers on hosts with skewed clocks still agree on who
+is stale, and the coordination layer stays free of wall-clock reads on
+journaled paths (RPL004; lease files are side-band and never feed
+artifact bytes).
 
 Leases are *advisory*: they gate nothing by themselves.  Mutual
 exclusion over trial ranges comes from the claim files
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import threading
 
 from dataclasses import dataclass
@@ -108,18 +110,21 @@ def ensure_coord_dirs(store_path: str | os.PathLike[str]) -> str:
 def fs_now(store_path: str | os.PathLike[str]) -> float:
     """The *filesystem's* idea of now, in seconds since the epoch.
 
-    Touches a per-process probe file under the coord root and reads its
-    mtime back.  Every freshness comparison in this module is between
-    two timestamps the same filesystem issued, so multi-host workers on
-    a shared mount agree on staleness regardless of local clock skew —
-    and no wall clock is ever read.
+    Creates a uniquely named probe file under the coord root, reads its
+    mtime back and removes it, so no probe outlives the call (and
+    concurrent callers in one process never share one).  Every
+    freshness comparison in this module is between two timestamps the
+    same filesystem issued, so multi-host workers on a shared mount
+    agree on staleness regardless of local clock skew — and no wall
+    clock is ever read.
     """
     root = ensure_coord_dirs(store_path)
-    probe = os.path.join(root, f".clock-{os.getpid()}")
-    with open(probe, "wb"):
-        pass
-    os.utime(probe)
-    return float(os.stat(probe).st_mtime)
+    handle, probe = tempfile.mkstemp(prefix=".clock-", dir=root)
+    try:
+        return float(os.fstat(handle).st_mtime)
+    finally:
+        os.close(handle)
+        os.unlink(probe)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,8 @@ def render_watch(status: dict[str, Any], rate: float | None = None) -> str:
     for entry in configs:
         mean = entry.get("mean_accuracy")
         shown = f"mean={mean:.4f}" if mean is not None else "mean=-"
+        if entry["converged_at"] is not None:
+            shown += f", converged at {entry['converged_at']}"
         lines.append(
             f"  config {entry['key']}: {entry['journaled']}/"
             f"{entry['expected']} {shown}"

@@ -45,7 +45,7 @@ class ExperimentContext:
     model_name: str
     dataset_name: str
     preset: Preset
-    train_loader: DataLoader
+    train_set: SyntheticImageDataset
     evaluator: Evaluator
     base_state: dict[str, np.ndarray]
     reference_accuracy: float
@@ -58,6 +58,20 @@ class ExperimentContext:
     @property
     def num_classes(self) -> int:
         return DATASETS[self.dataset_name]
+
+    def stage_loader(self, stage: str) -> DataLoader:
+        """A fresh shuffled loader over the training set for one stage.
+
+        Every stage (profiling, protection, each FitAct post-training)
+        draws its shuffle from (preset seed, dataset, stage) alone, so
+        its result depends neither on whether the base weights came
+        from the cache nor on which stages ran before it.
+        """
+        return _shuffled_loader(
+            self.train_set,
+            self.preset,
+            derive_seed(self.preset.seed, "loader", self.dataset_name, stage),
+        )
 
     def fresh_model(self) -> Module:
         """A new model instance loaded with the trained base weights."""
@@ -75,7 +89,9 @@ class ExperimentContext:
         """The (lazily computed, shared) activation range profile."""
         if self.profile is None:
             model = self.fresh_model()
-            self.profile = profile_activations(model, self.train_loader)
+            self.profile = profile_activations(
+                model, self.stage_loader("profile")
+            )
         return self.profile
 
     def protected_model(
@@ -99,7 +115,10 @@ class ExperimentContext:
         if method != "none":
             config = ProtectionConfig(method=method, **overrides)
             protect_model(
-                model, self.train_loader, config, profile=self.activation_profile()
+                model,
+                self.stage_loader("protect"),
+                config,
+                profile=self.activation_profile(),
             )
         if method == "fitact":
             cache_key = repr(sorted(overrides.items())) + repr(post_config)
@@ -116,7 +135,7 @@ class ExperimentContext:
                     delta=preset.delta,
                 )
                 report = BoundPostTrainer(model, post).run(
-                    self.train_loader,
+                    self.stage_loader("post-train"),
                     _loader_view(self.evaluator),
                     reference_accuracy=self.reference_accuracy,
                 )
@@ -147,6 +166,18 @@ class _EvaluatorLoader:
 
 def _loader_view(evaluator: Evaluator) -> DataLoader:
     return _EvaluatorLoader(evaluator)  # type: ignore[return-value]
+
+
+def _shuffled_loader(
+    train_set: SyntheticImageDataset, preset: Preset, seed: int
+) -> DataLoader:
+    return DataLoader(
+        train_set,
+        batch_size=preset.batch_size,
+        shuffle=True,
+        transform=Normalize(SYNTH_MEAN, SYNTH_STD),
+        rng=seed,
+    )
 
 
 def prepare_context(
@@ -181,16 +212,12 @@ def prepare_context(
         seed=data_seed,
         split="test",
     )
-    normalize = Normalize(SYNTH_MEAN, SYNTH_STD)
-    train_loader = DataLoader(
-        train_set,
-        batch_size=preset.batch_size,
-        shuffle=True,
-        transform=normalize,
-        rng=derive_seed(preset.seed, "loader", dataset_name),
-    )
     evaluator = Evaluator(
-        DataLoader(test_set, batch_size=max(preset.batch_size, 128), transform=normalize),
+        DataLoader(
+            test_set,
+            batch_size=max(preset.batch_size, 128),
+            transform=Normalize(SYNTH_MEAN, SYNTH_STD),
+        ),
         max_batches=preset.eval_batches,
     )
 
@@ -215,7 +242,7 @@ def prepare_context(
             model_name=model_name,
             dataset_name=dataset_name,
             preset=preset,
-            train_loader=train_loader,
+            train_set=train_set,
             evaluator=evaluator,
             base_state=state,
             reference_accuracy=float(meta["reference_accuracy"]),
@@ -235,6 +262,11 @@ def prepare_context(
     has_batch_norm = model_name.startswith(("vgg", "resnet", "mobilenet"))
     learning_rate = 0.1 if has_batch_norm else 0.05
     momentum = 0.9 if has_batch_norm else 0.95
+    # Training keeps the shuffle seed it has always used, so cached base
+    # weights stay valid.
+    train_loader = _shuffled_loader(
+        train_set, preset, derive_seed(preset.seed, "loader", dataset_name)
+    )
     report = Trainer(
         model,
         TrainingConfig(
@@ -263,7 +295,7 @@ def prepare_context(
         model_name=model_name,
         dataset_name=dataset_name,
         preset=preset,
-        train_loader=train_loader,
+        train_set=train_set,
         evaluator=evaluator,
         base_state=state,
         reference_accuracy=reference_accuracy,

@@ -17,8 +17,7 @@ ranges, one serial run — yields bit-identical per-trial results.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.fault.sites import FaultSites
@@ -51,17 +50,15 @@ class TrialWork:
 class TrialOutcome:
     """Result of one trial: accuracy under fault and the realised flips.
 
-    ``seconds`` is the trial's wall-clock (inject + evaluate + restore),
-    excluded from equality — campaign results are identified by their
-    accuracy/flip streams, never by timing, so replayed and re-executed
-    outcomes compare equal.  Stores journal it for throughput/ETA
-    reporting (``repro campaign status``).
+    Carries no timing: an outcome is a pure function of the trial's
+    seed, so replayed and re-executed outcomes compare (and journal)
+    equal.  Each trial is timed side-band by its ``campaign.trial``
+    span; ``repro campaign watch`` derives rate and ETA from its polls.
     """
 
     index: int
     accuracy: float
     flips: int
-    seconds: float = field(default=0.0, compare=False)
 
 
 class TrialRunner:
@@ -93,7 +90,6 @@ class TrialRunner:
 
     def __call__(self, work: TrialWork) -> TrialOutcome:
         with span("campaign.trial", trial=work.index):
-            started = time.perf_counter()
             if self.lanes:
                 (accuracy,) = self.evaluate.lane_accuracies(
                     self.injector, [work.sites]
@@ -102,10 +98,6 @@ class TrialRunner:
             else:
                 with self.injector.inject(work.sites) as count:
                     accuracy = self.evaluate()
-            seconds = time.perf_counter() - started
         return TrialOutcome(
-            index=work.index,
-            accuracy=float(accuracy),
-            flips=int(count),
-            seconds=seconds,
+            index=work.index, accuracy=float(accuracy), flips=int(count)
         )

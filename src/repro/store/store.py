@@ -39,11 +39,11 @@ append to their own ``trials.<segment>.jsonl`` instead, so N workers
 share one store directory without ever sharing a file descriptor.
 Loading folds the shared journal plus every segment together: a
 (config, trial) pair journaled twice must hold *equal* records (trial
-seeds are schedule-independent, so honest re-execution is byte-equal
-modulo timing) and is deduplicated; unequal copies are a corruption
-error.  Worker names live only in file names, never in record bytes —
-artifacts derived from a multi-writer store are byte-identical to a
-single-writer run's.
+seeds are schedule-independent, so honest re-execution is byte-equal)
+and is deduplicated; unequal copies are a corruption error.  Worker
+names live only in file names, never in record bytes — artifacts
+derived from a multi-writer store are byte-identical to a single-writer
+run's.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import json
 import os
 import threading
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, BinaryIO, Protocol
 
 import numpy as np
@@ -137,25 +137,19 @@ class TrialRecord:
     from the concrete sites each trial actually flipped; they are the
     raw material of the vulnerability atlas (:mod:`repro.store.atlas`).
 
-    ``seconds`` is wall-clock, not identity (mirrors
-    :class:`~repro.fault.parallel.TrialOutcome`): two hosts that
-    deterministically re-ran the same trial journal equal records, so
-    the segment fold deduplicates them instead of reporting a bogus
-    conflict.
+    A record is a pure function of the trial's seed: two hosts that
+    re-ran the same trial journal byte-identical lines, so the segment
+    fold deduplicates them instead of reporting a conflict.
     """
 
     index: int
     accuracy: float
     flips: int
     sites: tuple[tuple[int, int], ...]
-    seconds: float = field(default=0.0, compare=False)
 
     def outcome(self) -> TrialOutcome:
         return TrialOutcome(
-            index=self.index,
-            accuracy=self.accuracy,
-            flips=self.flips,
-            seconds=self.seconds,
+            index=self.index, accuracy=self.accuracy, flips=self.flips
         )
 
 
@@ -533,6 +527,8 @@ class CampaignStore:
                     offset += 1
                     continue
                 try:
+                    # Other keys are read past: older builds also
+                    # journaled each trial's wall clock (`sec`).
                     raw = json.loads(line)
                     record = TrialRecord(
                         index=int(raw["t"]),
@@ -541,7 +537,6 @@ class CampaignStore:
                         sites=tuple(
                             (int(layer), int(bit)) for layer, bit in raw["s"]
                         ),
-                        seconds=float(raw.get("sec", 0.0)),
                     )
                     key = str(raw["c"])
                 except (ValueError, KeyError, TypeError) as error:
@@ -613,7 +608,6 @@ class CampaignStore:
                 "a": record.accuracy,
                 "f": record.flips,
                 "s": [[layer, bit] for layer, bit in record.sites],
-                "sec": record.seconds,
             }
         )
         payload = line.encode("utf-8") + b"\n"
@@ -782,7 +776,6 @@ class CampaignStore:
             accuracy=float(outcome.accuracy),
             flips=int(outcome.flips),
             sites=tuple((int(layer), int(bit)) for layer, bit in sites),
-            seconds=float(outcome.seconds),
         )
         self._append(key, record)
         per_config[record.index] = record
@@ -832,11 +825,10 @@ class CampaignStore:
         )
 
     def status(self) -> dict[str, object]:
-        """JSON-ready progress summary (``repro campaign status``)."""
+        """JSON-ready progress summary (the head of ``repro campaign watch``)."""
         configs: list[dict[str, object]] = []
         total_done = 0
         total_expected = 0
-        seconds = 0.0
         for entry in self._configs:
             key = str(entry["key"])
             records = self._records.get(key, {})
@@ -844,7 +836,6 @@ class CampaignStore:
             done = sum(1 for t in expected if t in records)
             total_done += done
             total_expected += len(expected)
-            seconds += sum(r.seconds for r in records.values())
             configs.append(
                 {
                     "key": key,
@@ -864,7 +855,6 @@ class CampaignStore:
                     ),
                 }
             )
-        journaled_total = sum(len(r) for r in self._records.values())
         return {
             "path": self.path,
             "seed": self.seed,
@@ -873,8 +863,4 @@ class CampaignStore:
             "journaled": total_done,
             "expected": total_expected,
             "complete": total_done >= total_expected,
-            "trial_seconds": seconds,
-            "mean_trial_seconds": (
-                seconds / journaled_total if journaled_total else None
-            ),
         }

@@ -1,4 +1,4 @@
-"""The ``repro campaign`` command group: run (and resume) / status / report."""
+"""The ``repro campaign`` command group: run (and resume) / watch / report."""
 
 import json
 import os
@@ -79,10 +79,10 @@ class TestRoundTrip:
         assert "rate 1.0e-05" in out
         assert "store complete" in out
 
-        assert main(["campaign", "status", "--store", str(store)]) == 0
+        assert main(["campaign", "watch", "--store", str(store), "--once"]) == 0
         out = capsys.readouterr().out
-        assert "3/3" in out
-        assert "complete: 6/6 trials" in out
+        assert "6/6 trials (complete)" in out
+        assert ": 3/3 mean=" in out
 
         assert main(["campaign", "report", "--store", str(store)]) == 0
         out = capsys.readouterr().out
@@ -204,10 +204,39 @@ class TestOldStores:
                 straight / artifact
             ).read_bytes()
 
+    def test_journal_with_wall_clock_field_resumes_byte_identically(
+        self, checkpoint, tmp_path, capsys
+    ):
+        """Journal lines from builds that recorded each trial's wall
+        clock (a trailing ``"sec"``) replay and resume like new ones."""
+        straight = tmp_path / "straight"
+        assert _run(checkpoint, straight) == 0
+        assert main(["campaign", "report", "--store", str(straight)]) == 0
+
+        old = tmp_path / "old"
+        assert _run(checkpoint, old, "--limit", "3") == 0
+        journal = old / "trials.jsonl"
+        lines = journal.read_text().splitlines()
+        assert len(lines) == 3
+        journal.write_text(
+            "".join(f'{line[:-1]},"sec":0.{i + 1}}}\n' for i, line in enumerate(lines))
+        )
+        assert main(["campaign", "run", "--store", str(old)]) == 0
+        assert "3/6 trials journaled" in capsys.readouterr().out
+        assert main(["campaign", "report", "--store", str(old)]) == 0
+        capsys.readouterr()
+        for artifact in ("report.md", "atlas.json"):
+            assert (old / artifact).read_bytes() == (
+                straight / artifact
+            ).read_bytes()
+        resumed = (old / "trials.jsonl").read_text().splitlines()
+        assert resumed[3:] == (straight / "trials.jsonl").read_text().splitlines()[3:]
+
 
 class TestErrors:
     def test_status_on_missing_store(self, tmp_path, capsys):
-        assert main(["campaign", "status", "--store", str(tmp_path / "no")]) == 1
+        argv = ["campaign", "watch", "--store", str(tmp_path / "no"), "--once"]
+        assert main(argv) == 1
         assert "not a campaign store" in capsys.readouterr().err
 
     def test_resume_on_missing_store(self, tmp_path, capsys):
@@ -330,13 +359,7 @@ class TestReplicasCLI:
         assert main(["campaign", "report", "--store", str(per_trial)]) == 0
         capsys.readouterr()
 
-        strip = lambda line: {  # noqa: E731 — "sec" is wall-clock, not identity
-            k: v for k, v in json.loads(line).items() if k != "sec"
-        }
-        lane_journal = (lanes / "trials.jsonl").read_text().splitlines()
-        trial_journal = (per_trial / "trials.jsonl").read_text().splitlines()
-        assert [strip(l) for l in lane_journal] == [strip(l) for l in trial_journal]
-        for artifact in ("report.md", "atlas.json"):
+        for artifact in ("trials.jsonl", "report.md", "atlas.json"):
             assert (lanes / artifact).read_bytes() == (
                 per_trial / artifact
             ).read_bytes()

@@ -161,7 +161,7 @@ class TestGlobalFlags:
 class TestStatusViews:
     def test_json_format_round_trips(self, store, capsys):
         code = main(
-            ["campaign", "status", "--store", store, "--format", "json"]
+            ["campaign", "watch", "--store", store, "--once", "--format", "json"]
         )
         assert code == 0
         status = json.loads(capsys.readouterr().out)

@@ -16,6 +16,7 @@ from repro.coord import (
 from repro.coord.scheduler import RangeScheduler
 from repro.coord.watch import RateMeter
 from repro.obs.metrics import default_registry
+from repro.store import CampaignStore
 
 from tests.coord.conftest import RATES, TRIALS
 from tests.coord.test_worker import run_worker
@@ -64,6 +65,14 @@ class TestCoordStatus:
         assert row["live"]
         assert status["workers_live"] == 1
 
+    def test_polls_leave_no_clock_probe_behind(self, store_path):
+        """Reading the filesystem clock must not litter the store."""
+        run_worker(store_path, "alpha")
+        coord_status(store_path)
+        coord_status(store_path)
+        assert list(store_path.rglob(".clock-*")) == []
+        assert (store_path / "coord" / "leases").is_dir()
+
 
 class TestGauges:
     def test_update_gauges_feeds_worker_series(self, store_path):
@@ -104,6 +113,14 @@ class TestRendering:
         assert f"~{len(RATES) * TRIALS / 4.0:.0f}s remaining" in head
         assert "remaining" not in render_watch(status, rate=0.0)
         assert "remaining" not in render_watch(status)
+
+    def test_render_shows_where_a_config_converged(self, store_path):
+        with CampaignStore.open(store_path) as store:
+            key = store.config_keys()[0]
+            store.mark_converged(key, 3)
+        text = render_watch(coord_status(store_path))
+        assert f"config {key}: 0/3 mean=-, converged at 3" in text
+        assert text.count("converged at") == 1
 
     def test_render_notes_single_writer_stores(self, store_path):
         text = render_watch(coord_status(store_path))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.post_training import PostTrainingConfig
 from repro.eval.experiments import (
     SMOKE,
     StateCache,
@@ -66,6 +67,48 @@ class TestContext:
         _, second = context.protected_model("fitact")
         assert "post_seconds" in first
         assert second["post_seconds"] == first["post_seconds"]
+
+
+#: Small enough that training the base from scratch is cheap.
+STAGE_PRESET = SMOKE.with_overrides(
+    image_size=16, train_samples=128, test_samples=64, train_epochs=2,
+    post_epochs=2,
+)
+
+
+def _state_bytes(model):
+    return {name: value.tobytes() for name, value in model.state_dict().items()}
+
+
+def _fitact_bytes(context, zeta):
+    post = PostTrainingConfig(epochs=2, lr=0.005, zeta=zeta, delta=0.01)
+    model, _ = context.protected_model("fitact", quantize=False, post_config=post)
+    return _state_bytes(model)
+
+
+class TestStageIndependence:
+    """A protected model is a function of the recipe alone: neither a
+    cache hit on the base weights nor the stages run before it may move
+    its post-training shuffle."""
+
+    def test_cold_and_warm_cache_post_train_identically(self, tmp_path):
+        cache = StateCache(tmp_path / "cache")
+        cold = prepare_context("lenet", "synth10", STAGE_PRESET, cache=cache)
+        warm = prepare_context("lenet", "synth10", STAGE_PRESET, cache=cache)
+        assert warm.training_seconds == cold.training_seconds  # a cache hit
+        cold_model, _ = cold.protected_model("fitact", quantize=False)
+        warm_model, _ = warm.protected_model("fitact", quantize=False)
+        assert _state_bytes(cold_model) == _state_bytes(warm_model)
+
+    def test_fitact_variants_do_not_depend_on_run_order(self, tmp_path):
+        cache = StateCache(tmp_path / "cache")
+        prepare_context("lenet", "synth10", STAGE_PRESET, cache=cache)
+        forward = prepare_context("lenet", "synth10", STAGE_PRESET, cache=cache)
+        backward = prepare_context("lenet", "synth10", STAGE_PRESET, cache=cache)
+        zetas = (0.05, 0.5)
+        first = {zeta: _fitact_bytes(forward, zeta) for zeta in zetas}
+        second = {zeta: _fitact_bytes(backward, zeta) for zeta in reversed(zetas)}
+        assert first == second
 
 
 class TestFigureRunners:

@@ -108,16 +108,16 @@ class TestFolding:
             CampaignStore.open(tmp_path)
 
     def test_wall_clock_field_never_makes_a_conflict(self, tmp_path):
-        """``sec`` is non-identity: re-evaluated trials differ only there."""
+        """A legacy record carrying the trial's wall clock (``sec``, as
+        older builds journaled it) folds with the same trial journaled
+        without it: the field is read past, never compared."""
         campaign = make_campaign()
         key = _make_store(tmp_path, campaign)
         _journal_into(tmp_path, campaign, "alpha", range(0, 2), key)
-        raw = json.loads(
-            (tmp_path / "trials.alpha.jsonl").read_text().splitlines()[1]
-        )
-        raw["sec"] = raw["sec"] + 42.0
+        line = (tmp_path / "trials.alpha.jsonl").read_text().splitlines()[1]
+        assert "sec" not in json.loads(line)
         with open(tmp_path / "trials.beta.jsonl", "w", encoding="utf-8") as f:
-            f.write(json.dumps(raw) + "\n")
+            f.write(line[:-1] + ',"sec":42.5}\n')
         with CampaignStore.open(tmp_path) as store:
             assert sorted(store.records(key)) == [0, 1]
 

@@ -76,7 +76,7 @@ class TestCreateOpen:
         store = CampaignStore.for_campaign(tmp_path / "s", campaign)
         key = store.open_config(SPEC, tag="t")
         accuracy = 1.0 / 3.0  # not exactly representable in decimal
-        store.record(key, TrialOutcome(0, accuracy, 2, seconds=0.5), [(0, 3)])
+        store.record(key, TrialOutcome(0, accuracy, 2), [(0, 3)])
         store.close()
         reopened = CampaignStore.open(tmp_path / "s")
         outcome = reopened.journaled(key)[0]
@@ -84,7 +84,6 @@ class TestCreateOpen:
         assert outcome.flips == 2
         record = reopened.records(key)[0]
         assert record.sites == ((0, 3),)
-        assert record.seconds == 0.5
 
     def test_for_campaign_rejects_mismatched_identity(self, tmp_path):
         CampaignStore.for_campaign(tmp_path / "s", make_campaign(seed=0)).close()
@@ -180,12 +179,11 @@ class TestCompleteness:
     def test_status_counts(self, tmp_path):
         store = CampaignStore.for_campaign(tmp_path / "s", make_campaign(trials=2))
         key = store.open_config(SPEC, tag="x")
-        store.record(key, TrialOutcome(0, 0.5, 1, seconds=2.0), [])
+        store.record(key, TrialOutcome(0, 0.5, 1), [])
         status = store.status()
         assert status["journaled"] == 1
         assert status["expected"] == 2
         assert not status["complete"]
-        assert status["mean_trial_seconds"] == 2.0
         (config,) = status["configs"]
         assert config["tag"] == "x"
         assert config["journaled"] == 1
