@@ -142,11 +142,8 @@ def leaky_relu(a: Any, negative_slope: float = 0.01) -> Tensor:
 
 
 def sigmoid(a: Any) -> Tensor:
-    """Numerically stable logistic sigmoid.
-
-    FitReLU (paper Eq. 6) is built from this primitive, so its stability
-    for large ``|x|`` matters: faulty activations can reach ~1e4.
-    """
+    """Numerically stable logistic sigmoid (``exp`` never overflows, so
+    faulty activations of ~1e4 are safe)."""
     return _Sigmoid.apply(as_tensor(a))
 
 

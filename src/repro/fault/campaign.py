@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.autograd.ops_conv import NUMERICS
+from repro.autograd.ops_conv import NUMERICS as CONV_NUMERICS
+from repro.core.fitrelu import NUMERICS as FITRELU_NUMERICS
 from repro.errors import CampaignInterrupted, ConfigurationError
 from repro.fault.fault_model import BitFlipFaultModel, FaultModel
 from repro.fault.injector import FaultInjector
@@ -244,9 +245,10 @@ class FaultCampaign:
         the paper's protection schemes are compared on equal footing.
     """
 
-    #: The convolution arithmetic the trials' forwards run
-    #: (:data:`repro.autograd.ops_conv.NUMERICS`); stores record it.
-    numerics = NUMERICS
+    #: The arithmetic the trials' forwards run: the convolutions
+    #: (:data:`repro.autograd.ops_conv.NUMERICS`) and FitReLU
+    #: (:data:`repro.core.fitrelu.NUMERICS`).  Stores record it.
+    numerics = f"{CONV_NUMERICS}+{FITRELU_NUMERICS}"
 
     def __init__(
         self,

@@ -3,7 +3,10 @@
 Each kernel wraps one (or a fused group of) :class:`~repro.nn.Module`
 layers and evaluates the *identical* float32 arithmetic the module's
 autograd forward performs — same primitive calls, same operand order —
-without constructing a single ``Tensor`` or ``Function``.  Bit-for-bit
+without constructing a single ``Tensor`` or ``Function``.  FitReLU goes
+one step further: module and kernels call one shared numpy function,
+:func:`repro.core.fitrelu.fitrelu_into`, so there is no second copy of
+its arithmetic to keep in step.  Bit-for-bit
 equality with the eval-mode module forward is a hard contract, verified
 for every registry model by ``tests/runtime/test_bit_exact.py``; it is
 what lets fault campaigns switch the compiled path on and off without
@@ -20,7 +23,9 @@ Two rules keep fault-injection semantics intact:
   reshaped running mean and the precomputed ``(var + eps) ** -0.5``).
   :meth:`Kernel.refresh` recomputes them from the live module; the
   owning :class:`~repro.runtime.plan.InferencePlan` calls it whenever a
-  parameter mutation is signalled or detected.
+  parameter mutation is signalled or detected.  FitReLU's gate slope is
+  not cached: it is recomputed from the live bounds once per ``run``
+  (not once per block of images).
 
 Intermediate buffers are allocated lazily and reused across calls,
 which removes the per-pass allocation churn that dominates the module
@@ -63,7 +68,7 @@ from repro.autograd.ops_nn import sigmoid_into
 from repro.autograd.tensor import Tensor
 from repro.core.bounded_relu import BoundedReLU
 from repro.core.bounded_tanh import BoundedTanh
-from repro.core.fitrelu import FitReLU
+from repro.core.fitrelu import FitReLU, fitrelu_into, gate_slope
 from repro.errors import ConfigurationError
 from repro.nn.activations import Identity, LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
 from repro.nn.conv import Conv2d
@@ -91,6 +96,7 @@ __all__ = [
     "MaxPoolKernel",
     "ResidualKernel",
     "ScratchArena",
+    "activation_constants",
     "apply_activation",
     "walk_kernels",
 ]
@@ -105,8 +111,8 @@ __all__ = [
 CONV_BLOCK_BYTES = 2 << 20
 
 #: Epilogue bytes per output element: the float32 output plus the
-#: widest activation scratch (FitReLU's two float planes and a mask).
-_EPILOGUE_BYTES = 4 + 4 + 4 + 1
+#: activation scratch (FitReLU's one float plane; a ReLU or bound mask).
+_EPILOGUE_BYTES = 4 + 4 + 1
 
 #: Activation modules the kernels can evaluate inline (as fused
 #: epilogues or standalone steps) with bit-exact module semantics.
@@ -207,15 +213,36 @@ class _Buffers:
         return sizes
 
 
+def activation_constants(module: Module | None) -> np.ndarray | None:
+    """Per-run constants of ``module``'s activation, or ``None``.
+
+    Only FitReLU has any: its gate slope
+    (:func:`repro.core.fitrelu.gate_slope`), read from the live bounds.
+    A kernel that evaluates its activation block by block computes it
+    once per ``run`` and hands it to every :func:`apply_activation`
+    call of that run.
+    """
+    if isinstance(module, FitReLU):
+        return gate_slope(module.bound.data, module.k, module.slope_mode)
+    return None
+
+
 def apply_activation(
-    module: Module, src: np.ndarray, out: np.ndarray, scratch: ScratchArena
+    module: Module,
+    src: np.ndarray,
+    out: np.ndarray,
+    scratch: ScratchArena,
+    constants: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate ``module``'s activation on ``src``, writing into ``out``.
 
     ``out`` may alias ``src`` (the fused-epilogue case); every branch
-    reads any pre-activation-dependent masks before overwriting.  The
-    arithmetic mirrors each module's forward exactly — same primitive
-    ops in the same order — so results are bit-identical to the
+    reads any pre-activation-dependent masks before overwriting.
+    FitReLU runs :func:`repro.core.fitrelu.fitrelu_into`, the very
+    function its module forward calls, with ``constants`` from
+    :func:`activation_constants` (computed here when not given).  The
+    other branches mirror their module's forward — same primitive ops
+    in the same order.  Either way results are bit-identical to the
     autograd path.
     """
     if isinstance(module, Identity):
@@ -246,22 +273,9 @@ def apply_activation(
         np.tanh(out, out=out)
         return np.multiply(bound, out, out=out)
     if isinstance(module, FitReLU):
-        bound = module.bound.data
-        if module.slope_mode == "relative":
-            scale = (module.k / np.maximum(np.abs(bound), 1e-6)).astype(np.float32)
-        else:
-            scale = np.float32(module.k)
-        z = scratch.get("act_z", src.shape)
-        np.subtract(bound, src, out=z)
-        np.multiply(z, scale, out=z)
-        gate = scratch.get("act_gate", src.shape)
-        mask = scratch.get("act_mask", src.shape, dtype=np.bool_)
-        # z is disposable and gate is fresh: the sigmoid runs in the
-        # buffers the branch already owns.
-        sigmoid_into(z, gate, e=gate, d=z, mask=mask)
-        np.multiply(src, gate, out=out)
-        np.greater(out, 0, out=mask)
-        return np.multiply(out, mask, out=out)
+        a = constants if constants is not None else activation_constants(module)
+        plane = scratch.get("act_gate", src.shape)
+        return fitrelu_into(src, module.bound.data, a, out, plane)
     if isinstance(module, LeakyReLU):
         mask = src > 0
         out[...] = np.where(mask, src, module.negative_slope * src)
@@ -459,6 +473,7 @@ class ConvKernel(Kernel):
         if isinstance(self.act, Softmax) and self.act.axis % x.ndim == 0:
             block = n  # a softmax across the batch needs every image at once
         self.tier, self.block = "im2col", block
+        constants = activation_constants(self.act)
         padded = None
         if ph or pw:
             # Borders are zero-filled once; each block writes only the
@@ -469,14 +484,22 @@ class ConvKernel(Kernel):
         for b0 in range(0, n, block):
             b1 = min(n, b0 + block)
             self._run_kmajor(
-                x[b0:b1], out[b0:b1], None if padded is None else padded[: b1 - b0]
+                x[b0:b1],
+                out[b0:b1],
+                None if padded is None else padded[: b1 - b0],
+                constants,
             )
         return out
 
     def _run_kmajor(
-        self, x: np.ndarray, out: np.ndarray, padded: np.ndarray | None
+        self,
+        x: np.ndarray,
+        out: np.ndarray,
+        padded: np.ndarray | None,
+        constants: np.ndarray | None,
     ) -> None:
-        """Gather, GEMM and epilogue of one block of images into ``out``."""
+        """Gather, GEMM and epilogue of one block of images into ``out``;
+        ``constants`` are the run's :func:`activation_constants`."""
         conv = self.conv
         prof = self.prof
         m, c = x.shape[:2]
@@ -501,7 +524,7 @@ class ConvKernel(Kernel):
             prof.phase(self, "gemm", started, prof.now())
         self._epilogue(rows, (-1, 1))
         if self.act is not None:
-            apply_activation(self.act, out, out, self.bufs.scratch)
+            apply_activation(self.act, out, out, self.bufs.scratch, constants)
 
     def _run_nhwc(self, x: np.ndarray, out: np.ndarray) -> None:
         """The channels-last layout over the whole batch into ``out``."""

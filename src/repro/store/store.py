@@ -5,7 +5,7 @@ fault-injection record:
 
 - ``manifest.json`` — the campaign's *identity* (seed, trial count, a
   fingerprint of the injector's fault space, the parameter-name table,
-  the convolution numerics)
+  the convolution and FitReLU numerics)
   plus one entry per fault configuration and
   free-form run metadata.  Rewritten atomically (temp file + rename) on
   every update.
@@ -248,9 +248,10 @@ class CampaignStore:
         manifests keep their config hash and older workers can still
         join new stores; :meth:`open` refuses a non-null one.
 
-        ``numerics`` names the convolution arithmetic the trials ran
-        under (``FaultCampaign.numerics``); :meth:`attach` refuses a
-        store that records another value or none.
+        ``numerics`` names the arithmetic the trials ran under, the
+        convolutions' and FitReLU's (``FaultCampaign.numerics``);
+        :meth:`attach` refuses a store that records another value or
+        none.
         """
         injector = campaign.injector
         fingerprint = getattr(injector, "fingerprint", None)
@@ -397,8 +398,9 @@ class CampaignStore:
             )
             raise StoreError(
                 f"store {self.path!r} has {recorded}, but this build's "
-                f"convolutions compute {identity['numerics']!r}: its trials "
-                "came from other arithmetic and must not mix with new ones. "
+                f"convolutions and FitReLU compute {identity['numerics']!r}: "
+                "its trials came from other arithmetic and must not mix "
+                "with new ones. "
                 "Start a fresh store (a new --store directory)"
             )
         if theirs != identity:

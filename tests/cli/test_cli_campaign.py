@@ -233,6 +233,34 @@ class TestOldStores:
         assert resumed[3:] == (straight / "trials.jsonl").read_text().splitlines()[3:]
 
 
+    def test_store_from_the_sigmoid_fitrelu_is_refused_but_readable(
+        self, checkpoint, tmp_path, capsys
+    ):
+        """A store recording the numerics tag of the sigmoid-form FitReLU
+        (the conv tag alone) cannot grow, but still reports and watches."""
+        from repro.autograd.ops_conv import NUMERICS
+        from repro.store.store import _identity_hash
+
+        store = tmp_path / "old"
+        assert _run(checkpoint, store, "--limit", "2") == 0
+        manifest_path = store / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["identity"]["numerics"] == f"{NUMERICS}+fitrelu-tanh"
+        manifest["identity"]["numerics"] = NUMERICS
+        manifest["config_hash"] = _identity_hash(manifest["identity"])
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+
+        assert main(["campaign", "run", "--store", str(store)]) == 1
+        err = capsys.readouterr().err
+        assert f"'numerics' = '{NUMERICS}'" in err
+        assert "fresh store" in err
+        assert main(["campaign", "report", "--store", str(store)]) == 0
+        assert (store / "report.md").exists()
+        assert main(["campaign", "watch", "--store", str(store), "--once"]) == 0
+        assert "2/6" in capsys.readouterr().out
+
+
 class TestErrors:
     def test_status_on_missing_store(self, tmp_path, capsys):
         argv = ["campaign", "watch", "--store", str(tmp_path / "no"), "--once"]

@@ -8,6 +8,7 @@ import pytest
 
 from repro import nn
 from repro.autograd.ops_conv import NUMERICS
+from repro.core.fitrelu import NUMERICS as FITRELU_NUMERICS
 from repro.errors import ConfigurationError
 from repro.fault import BitFlipFaultModel, FaultCampaign, FaultInjector, TrialOutcome
 from repro.quant import quantize_module
@@ -251,9 +252,20 @@ class TestOldStores:
         assert NUMERICS in str(raised.value)
         assert "fresh store" in str(raised.value)
 
+    def test_store_from_the_sigmoid_fitrelu_is_refused(self, tmp_path):
+        """Stores written while FitReLU ran its sigmoid form record the
+        conv tag alone: same conv arithmetic, other FitReLU bits."""
+        CampaignStore.for_campaign(tmp_path / "s", make_campaign()).close()
+        self._rewrite_identity(tmp_path / "s", numerics=NUMERICS)
+        with pytest.raises(StoreError, match=f"'numerics' = '{NUMERICS}'") as raised:
+            CampaignStore.for_campaign(tmp_path / "s", make_campaign())
+        assert f"compute '{FaultCampaign.numerics}'" in str(raised.value)
+        assert "fresh store" in str(raised.value)
+
     def test_fresh_store_records_numerics_and_resumes(self, tmp_path):
         store = CampaignStore.for_campaign(tmp_path / "s", make_campaign())
-        assert store.identity["numerics"] == NUMERICS
+        assert store.identity["numerics"] == FaultCampaign.numerics
+        assert FaultCampaign.numerics == f"{NUMERICS}+{FITRELU_NUMERICS}"
         key = store.open_config(SPEC)
         store.record(key, TrialOutcome(0, 0.5, 1), [])
         store.close()
