@@ -10,9 +10,13 @@ operand — or ``out=`` target — is a subscript expression
 *slice* of the tensor the serial path would multiply whole, which is
 precisely the shape change the replica path must never introduce.
 
-Lanes that need partial work re-run whole plan *suffixes*
+Lanes that need partial work re-run plan *suffixes*
 (:meth:`ReplicaPlan.lane_forward <repro.runtime.replica.ReplicaPlan>`)
-instead of splitting any single call.  Unlike RPL003 (which bans raw
+instead of splitting any single call: a step runs on a subset of the
+images only when its GEMM has one fixed shape per image (a K-major
+conv's stacked matmul) or it has no GEMM, and a step whose GEMM spans
+the batch always gets the whole batch, with the clean activation
+filling the images the fault did not reach.  Unlike RPL003 (which bans raw
 GEMMs outside the approved ``runtime/kernels.py``), this rule also
 covers the approved module: the contract binds the kernels themselves.
 """
@@ -38,7 +42,8 @@ class ReplicaRowSplitRule(Rule):
     rule_id = "RPL010"
     summary = (
         "subscripted operand into a runtime/ GEMM (a row-split of the "
-        "shared-weight BLAS call; replica lanes re-run suffixes instead)"
+        "shared-weight BLAS call; replica lanes re-run suffixes with "
+        "serial GEMM shapes instead)"
     )
 
     def applies(self, ctx: FileContext) -> bool:
@@ -70,8 +75,9 @@ class ReplicaRowSplitRule(Rule):
                         f"subscripted operand into `{name}`: slicing a GEMM "
                         "operand (or its out= target) row-splits the BLAS "
                         "call, which is not float32-bit-exact across shapes; "
-                        "replica lanes must re-run whole plan suffixes with "
-                        "serial shapes instead",
+                        "replica lanes must re-run plan suffixes with serial "
+                        "GEMM shapes (whole batches, or one fixed shape per "
+                        "image) instead",
                     )
             elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
                 for operand in (node.left, node.right):
@@ -82,6 +88,7 @@ class ReplicaRowSplitRule(Rule):
                             "subscripted operand into `@`: slicing a GEMM "
                             "operand row-splits the BLAS call, which is not "
                             "float32-bit-exact across shapes; replica lanes "
-                            "must re-run whole plan suffixes with serial "
-                            "shapes instead",
+                            "must re-run plan suffixes with serial GEMM shapes "
+                            "(whole batches, or one fixed shape per image) "
+                            "instead",
                         )

@@ -301,16 +301,20 @@ class FaultInjector:
         if len(sites) == 0:
             return 0
         try:
-            order = np.argsort(positions)
-            positions = positions[order]
-            bits = bits[order]
             owner = np.searchsorted(self._offsets, positions, side="right") - 1
             for index in np.unique(owner):
                 mask = owner == index
                 local = positions[mask] - self._offsets[index]
-                faulty = flip_bits(self._words[index], local, bits[mask], self.fmt)
-                param = self._params[index]
-                param.data = decode(faulty, self.fmt).reshape(param.shape)
+                # Only the touched words are flipped and decoded; decode
+                # is elementwise, so patching them into a copy of the
+                # clean array equals decoding every word.
+                touched, slot = np.unique(local, return_inverse=True)
+                faulty = flip_bits(
+                    self._words[index].reshape(-1)[touched], slot, bits[mask], self.fmt
+                )
+                data = self._clean[index].copy()
+                data.reshape(-1)[touched] = decode(faulty, self.fmt)
+                self._params[index].data = data
         except BaseException:
             self.restore()
             raise

@@ -13,10 +13,14 @@ blocks):
   a pointwise K-major conv has none;
 - ``gemm``    — the BLAS call itself (the stacked per-image GEMM of
   the K-major layout, one position-major GEMM of the channels-last);
-- ``epilogue``— everything else, *derived* as
-  ``total - gather - gemm - children``: bias add, BatchNorm vectors,
-  the channels-last→NCHW transpose, and the fused activation (for a
-  residual step: the add + activation around its child kernels).
+- ``epilogue``— the rest of a GEMM kernel's time (one that records a
+  gather or GEMM phase), *derived* as ``total - gather - gemm -
+  children``: bias add, BatchNorm vectors, the channels-last→NCHW
+  transpose, and the fused activation;
+- ``other``   — the whole time of a kernel without gather/GEMM phases,
+  less its children: pooling, flatten, standalone BatchNorm and
+  activations, and a residual step's add + activation around its
+  child kernels.
 
 The profiler is opt-in (``plan.profile()`` for a one-shot report,
 ``compile_model(profile=True)`` for a persistent attachment); detached
@@ -166,9 +170,10 @@ class KernelProfiler:
     def rows(self) -> list[dict[str, object]]:
         """Per-kernel averages (ms per forward), in execution order.
 
-        ``epilogue_ms`` is derived: the step total minus its own
-        gather/GEMM phases minus nested child totals, floored at zero
-        (clock noise can make the difference marginally negative).
+        The step total less its own gather/GEMM phases and nested child
+        totals, floored at zero (clock noise can make the difference
+        marginally negative), is ``epilogue_ms`` for a kernel that
+        recorded a gather or GEMM phase and ``other_ms`` for any other.
         """
         forwards = max(self.forwards, 1)
         rows: list[dict[str, object]] = []
@@ -179,7 +184,8 @@ class KernelProfiler:
             children = sum(
                 self._totals[child] for child in self._children[label]
             )
-            epilogue = max(0.0, total - gather - gemm - children)
+            rest = max(0.0, total - gather - gemm - children)
+            gemm_kernel = "gather" in self._phases[label] or "gemm" in self._phases[label]
             rows.append(
                 {
                     "step": label,
@@ -188,7 +194,8 @@ class KernelProfiler:
                     "total_ms": total / forwards * 1e3,
                     "gather_ms": gather / forwards * 1e3,
                     "gemm_ms": gemm / forwards * 1e3,
-                    "epilogue_ms": epilogue / forwards * 1e3,
+                    "epilogue_ms": (rest if gemm_kernel else 0.0) / forwards * 1e3,
+                    "other_ms": (0.0 if gemm_kernel else rest) / forwards * 1e3,
                 }
             )
         return rows
@@ -228,7 +235,7 @@ class PlanProfile:
 
     def table(self) -> str:
         """The per-layer text table ``repro profile`` prints."""
-        headers = ("step", "kernel", "total ms", "gather", "gemm", "epilogue")
+        headers = ("step", "kernel", "total ms", "gather", "gemm", "epilogue", "other")
         body: list[tuple[str, ...]] = []
         for row in self.rows:
             body.append(
@@ -239,6 +246,7 @@ class PlanProfile:
                     f"{float(row['gather_ms']):.3f}",
                     f"{float(row['gemm_ms']):.3f}",
                     f"{float(row['epilogue_ms']):.3f}",
+                    f"{float(row['other_ms']):.3f}",
                 )
             )
         widths = [

@@ -38,7 +38,8 @@ path.  They come in two lifetimes:
   :class:`ScratchArena`: one grow-only buffer per name, as large as the
   largest single need, not one copy per kernel and batch size.
 - **``out`` and ``padded`` are per kernel** (:class:`_Buffers`, keyed by
-  shape).  A step's ``out`` is the next step's input (a residual
+  per-image shape and grown only along the batch axis).  A step's
+  ``out`` is the next step's input (a residual
   shortcut's lives across a whole branch), and ``padded`` relies on
   fill borders that are written once and never again.
 
@@ -98,6 +99,7 @@ __all__ = [
     "ScratchArena",
     "activation_constants",
     "apply_activation",
+    "runs_per_image",
     "walk_kernels",
 ]
 
@@ -170,15 +172,19 @@ class ScratchArena:
 
 
 class _Buffers:
-    """A kernel's own arrays, reused by ``(name, shape)``, plus its scratch.
+    """A kernel's own batch-first arrays, reused by name and per-image
+    shape, plus its scratch.
 
     Only ``out`` and ``padded`` live here, per kernel: the output feeds
     later steps, and ``padded`` keeps fill borders that are never
-    rewritten.  Distinct batch sizes (a serve lane's variable
-    micro-batches, an evaluator's ragged final batch) keep distinct
-    arrays, so switching between them never reallocates.  Everything
-    else is scratch, drawn from the plan's :class:`ScratchArena`
-    (``scratch``; a kernel outside a plan gets a private one).
+    rewritten.  Each ``(name, shape[1:], dtype)`` holds one array that
+    grows only along the batch axis; a smaller batch (a serve lane's
+    micro-batch, an evaluator's ragged final batch, a replica lane's
+    image subset) gets its leading rows, which are contiguous.  So any
+    mix of batch sizes costs one array per kernel and name, as large as
+    the largest batch.  Everything else is scratch, drawn from the
+    plan's :class:`ScratchArena` (``scratch``; a kernel outside a plan
+    gets a private one).
     """
 
     __slots__ = ("_store", "scratch")
@@ -194,19 +200,19 @@ class _Buffers:
         dtype: type = np.float32,
         fill: float | None = None,
     ) -> np.ndarray:
-        key = (name, shape, np.dtype(dtype))
+        key = (name, shape[1:], np.dtype(dtype))
         buf = self._store.get(key)
-        if buf is None:
+        if buf is None or buf.shape[0] < shape[0]:
             buf = np.empty(shape, dtype=dtype)
             if fill is not None:
                 # One-time fill: callers rely on never-rewritten regions
                 # (padding borders) keeping this value across reuses.
                 buf.fill(fill)
             self._store[key] = buf
-        return buf
+        return buf[: shape[0]]
 
     def sizes(self) -> dict[str, int]:
-        """Bytes held per buffer name (all shapes summed)."""
+        """Bytes held per buffer name (all per-image shapes summed)."""
         sizes: dict[str, int] = {}
         for (name, _shape, _dtype), buf in self._store.items():
             sizes[name] = sizes.get(name, 0) + buf.nbytes
@@ -324,13 +330,26 @@ class Kernel:
         """The modules whose live state this step reads at run time.
 
         :class:`~repro.runtime.replica.ReplicaPlan` builds its
-        parameter → earliest-reading-step map from this: a fault in one
-        of these modules' parameters can change this step's output but
-        no earlier step's.  Kernels with nested branches report their
+        parameter → reading-steps map from this: a fault in one of
+        these modules' parameters can change this step's output but no
+        earlier step's.  Kernels with nested branches report their
         children's sources as their own (the whole block is one step of
         the owning plan).
         """
         return ()
+
+    def per_image(self) -> bool:
+        """Whether the latest ``run`` computed each image from that image
+        alone, with arithmetic that does not depend on the batch.
+
+        Then running any subset of the images gives the same bits as the
+        matching rows of a whole-batch run, which is what lets replica
+        lanes re-run only the images a fault reached.  False — the safe
+        answer — for steps whose GEMM spans the whole batch (channels-last
+        convs, Linear), for batch-axis reductions and for kernels that
+        do not say.
+        """
+        return False
 
     def describe(self) -> str:
         return type(self).__name__
@@ -347,6 +366,20 @@ def walk_kernels(steps: Iterable[Kernel]) -> Iterator[Kernel]:
         children = getattr(step, "child_kernels", None)
         for _branch, sub_steps in children() if children is not None else ():
             yield from walk_kernels(sub_steps)
+
+
+def runs_per_image(step: Kernel) -> bool:
+    """``step``'s :meth:`Kernel.per_image`; False for a step from
+    ``register_block_compiler`` that does not define it."""
+    per_image = getattr(step, "per_image", None)
+    return per_image is not None and bool(per_image())
+
+
+def _per_image_activation(module: Module | None) -> bool:
+    """Whether ``module`` (an inline activation or None) is elementwise
+    or reduces within one image; only Softmax may reduce across the
+    batch, so it is never treated as per-image."""
+    return not isinstance(module, Softmax)
 
 
 class _BNFold:
@@ -444,6 +477,11 @@ class ConvKernel(Kernel):
         if self.act is not None:
             modules += (self.act,)
         return modules
+
+    def per_image(self) -> bool:
+        # K-major runs one fixed-shape GEMM per image; channels-last
+        # runs one GEMM over every image's positions.
+        return self.tier == "im2col" and _per_image_activation(self.act)
 
     def block_images(self, channels: int, area: int) -> int:
         """Images per K-major block for ``channels`` inputs and ``area``
@@ -645,6 +683,9 @@ class BatchNormKernel(Kernel):
     def source_modules(self) -> "tuple[Module, ...]":
         return (self.fold.bn,)
 
+    def per_image(self) -> bool:
+        return True
+
     def run(self, x: np.ndarray) -> np.ndarray:
         bn = self.fold.bn
         stat_shape = [1] * x.ndim
@@ -676,6 +717,9 @@ class MaxPoolKernel(Kernel):
         self.stride = as_pair(stride, "stride")
         self.padding = as_pair(pool.padding, "padding")
         self.bufs = _Buffers()
+
+    def per_image(self) -> bool:
+        return True
 
     def run(self, x: np.ndarray) -> np.ndarray:
         kh, kw = self.kernel
@@ -717,6 +761,9 @@ class AvgPoolKernel(Kernel):
         self.padding = as_pair(pool.padding, "padding")
         self.bufs = _Buffers()
 
+    def per_image(self) -> bool:
+        return True
+
     def run(self, x: np.ndarray) -> np.ndarray:
         kh, kw = self.kernel
         sh, sw = self.stride
@@ -745,6 +792,9 @@ class GlobalAvgPoolKernel(Kernel):
         del pool
         self.bufs = _Buffers()
 
+    def per_image(self) -> bool:
+        return True
+
     def run(self, x: np.ndarray) -> np.ndarray:
         out = self.bufs.get("out", x.shape[:2])
         return np.mean(x, axis=(2, 3), out=out)
@@ -755,6 +805,9 @@ class FlattenKernel(Kernel):
 
     def __init__(self, start_dim: int) -> None:
         self.start_dim = int(start_dim)
+
+    def per_image(self) -> bool:
+        return self.start_dim > 0  # the batch axis stays first
 
     def run(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[: self.start_dim] + (-1,))
@@ -769,6 +822,9 @@ class ActivationKernel(Kernel):
 
     def source_modules(self) -> "tuple[Module, ...]":
         return (self.module,)
+
+    def per_image(self) -> bool:
+        return _per_image_activation(self.module)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         if isinstance(self.module, Identity):
@@ -815,6 +871,13 @@ class ResidualKernel(Kernel):
         if self.act is not None:
             modules += (self.act,)
         return modules
+
+    def per_image(self) -> bool:
+        return _per_image_activation(self.act) and all(
+            runs_per_image(step)
+            for _branch, steps in self.child_kernels()
+            for step in steps
+        )
 
     def _run_branch(self, steps: list[Kernel], x: np.ndarray) -> np.ndarray:
         prof = self.prof

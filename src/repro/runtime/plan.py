@@ -53,7 +53,7 @@ from repro.runtime.compiler import compile_module
 from repro.runtime.kernels import Kernel, ScratchArena, walk_kernels
 
 if TYPE_CHECKING:
-    from repro.runtime.replica import ReplicaPlan
+    from repro.runtime.replica import Lane, ReplicaPlan
 
 __all__ = [
     "InferencePlan",
@@ -292,6 +292,8 @@ class InferencePlan:
         inputs: np.ndarray | Tensor,
         start: int = 0,
         taps: tuple[int, ...] = (),
+        *,
+        lane: "Lane | None" = None,
     ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """Run the step suffix ``start..end``, snapshotting at ``taps``.
 
@@ -309,6 +311,13 @@ class InferencePlan:
         the shapes (and therefore the BLAS micro-kernels) are exactly
         those of the full pass.  This is what
         :class:`~repro.runtime.replica.ReplicaPlan` builds on.
+
+        ``lane`` (a replica lane's walk, see
+        :class:`~repro.runtime.replica.Lane`) is consulted before every
+        step: it may narrow the batch to the images whose activation
+        differs from the clean pass, widen it back, or move on to a
+        later step; ``lane.finish`` turns the last activation into the
+        whole batch's logits.
         """
         x = inputs.data if isinstance(inputs, Tensor) else inputs
         x = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
@@ -317,23 +326,32 @@ class InferencePlan:
         with self._lock, span("runtime.forward", steps=len(self.steps) - start):
             if self._dirty or (self._structure, self._signature) != self._signatures():
                 self.refresh()
-            if not 0 <= start <= len(self.steps):
+            steps = self.steps
+            if not 0 <= start <= len(steps):
                 raise ConfigurationError(
-                    f"start step {start} outside plan of {len(self.steps)} steps"
+                    f"start step {start} outside plan of {len(steps)} steps"
                 )
             prof = self._profiler
             if prof is not None:
                 prof.begin_forward()
-            for index in range(start, len(self.steps)):
+            index = start
+            while index < len(steps):
+                if lane is not None:
+                    index, x = lane.enter(index, x)
+                    if index == len(steps):
+                        break
                 if index > start and index in wanted:
                     snapshots[index] = np.array(x, dtype=np.float32, copy=True)
-                step = self.steps[index]
+                step = steps[index]
                 if prof is None:
                     x = step.run(x)
                 else:
                     started = prof.now()
                     x = step.run(x)
                     prof.step(step, started, prof.now())
+                index += 1
+            if lane is not None:
+                x = lane.finish(x)
             # The final buffer is reused by the next call: hand the
             # caller an owned copy (logits are small).
             return np.array(x, dtype=np.float32, copy=True), snapshots

@@ -1,21 +1,39 @@
-"""Replica-batched fault evaluation: share the clean prefix, re-run the rest.
+"""Replica-batched fault evaluation: share the clean pass, re-run what a fault reached.
 
 A campaign trial flips bits in *parameters* and asks for the faulted
 model's accuracy.  Run per-trial, every trial pays a full compiled
 forward per batch even though most of that forward is identical to the
 clean pass: a fault in layer L cannot change any activation computed
-before the first kernel step that reads L's parameters.
+before the first kernel step that reads L's parameters, and past that
+step it often changes only some images, or none.
 
 :class:`ReplicaPlan` exploits exactly that.  One clean forward per
 batch is executed with *taps* — owned snapshots of the activation
 entering every step at which some parameter is first read — and cached.
-Each faulted replica ("lane") then re-runs only the plan suffix from
-its divergence step, seeded with the cached clean activation.  For
-single-bit faults on deep models the expected suffix is a small
-fraction of the full forward, which is where the replica-batched
-campaign speedup comes from; dense many-layer faults degrade gracefully
-toward one full forward per lane (never worse than the per-trial path,
-up to snapshot bookkeeping).
+Each faulted replica ("lane") then walks the plan suffix from its
+divergence step, seeded with the cached clean activation, keeping only
+the images whose activation still differs from the clean pass
+(:class:`Lane`):
+
+- at every tapped step the lane compares its activation with the clean
+  snapshot bit for bit and drops the images that match;
+- per-image steps (:meth:`Kernel.per_image
+  <repro.runtime.kernels.Kernel.per_image>`: K-major convs, pooling,
+  flatten, BatchNorm, elementwise activations, residual blocks made of
+  those) run on the remaining images only;
+- before a step that needs the whole batch — one whose GEMM spans it
+  (channels-last conv, Linear) or one reading a faulted parameter —
+  the remaining images are scattered into a copy of that step's clean
+  snapshot;
+- when no image differs, the lane takes the clean logits if no later
+  step reads a faulted parameter, and otherwise resumes at the
+  snapshot of the next step that does.
+
+For sparse faults the work left is a fraction of the full forward,
+which is where the replica-batched campaign speedup comes from; dense
+many-layer faults degrade gracefully toward one full forward per lane
+(never worse than the per-trial path, up to the comparisons and
+snapshot bookkeeping).
 
 Why lanes are *virtual*, not a physical batch dimension
 -------------------------------------------------------
@@ -27,10 +45,12 @@ changing a BLAS call's shape changes its K-accumulation order
 (shape-selected micro-kernels), so an R-fold batch GEMM is not
 float32-bit-identical to R serial GEMMs.  The share-until-diverge
 scheme sidesteps both: every GEMM a lane executes has *exactly* the
-serial shapes and operands, so lane results equal the per-trial path
-bit for bit on any BLAS backend, by construction — the never-row-split
-rule of ``runtime/kernels.py`` extended to replicas (lint rule RPL010,
-``docs/INVARIANTS.md``).
+serial shapes and operands — a whole-batch GEMM always sees the whole
+batch, and a per-image step's GEMM has one fixed shape per image, so
+running it on fewer images changes no image's bits — and lane results
+equal the per-trial path bit for bit on any BLAS backend, by
+construction: the never-row-split rule of ``runtime/kernels.py``
+extended to replicas (lint rule RPL010, ``docs/INVARIANTS.md``).
 
 Replay safety
 -------------
@@ -47,6 +67,7 @@ per-trial path otherwise.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
@@ -55,13 +76,18 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.obs.profile import KernelProfiler, PlanProfile
-from repro.runtime.kernels import FallbackKernel, FaultStepKernel, walk_kernels
+from repro.runtime.kernels import (
+    FallbackKernel,
+    FaultStepKernel,
+    runs_per_image,
+    walk_kernels,
+)
 
 if TYPE_CHECKING:
     from repro.nn.parameter import Parameter
     from repro.runtime.plan import InferencePlan
 
-__all__ = ["DEFAULT_SNAPSHOT_BUDGET", "ReplicaPlan", "fault_parameters"]
+__all__ = ["DEFAULT_SNAPSHOT_BUDGET", "Lane", "ReplicaPlan", "fault_parameters"]
 
 #: Byte budget for cached clean-activation snapshots (per ReplicaPlan).
 #: Evicted batches only cost a clean re-run / full-forward fallback,
@@ -85,6 +111,98 @@ def fault_parameters(
         return None
     indices = sorted({index for index, _bit in metadata(sites)})
     return tuple(parameters[index] for index in indices)
+
+
+def _dirty_rows(x: np.ndarray, clean: np.ndarray) -> np.ndarray:
+    """Per image, whether ``x`` differs from ``clean`` in any bit."""
+    rows = len(x)
+    return (
+        x.reshape(rows, -1).view(np.uint32) != clean.reshape(rows, -1).view(np.uint32)
+    ).any(axis=1)
+
+
+class Lane:
+    """One lane's walk over the plan suffix (see the module docstring).
+
+    :meth:`InferencePlan.forward_from
+    <repro.runtime.plan.InferencePlan.forward_from>` calls :meth:`enter`
+    before each step and :meth:`finish` after the last; the lane keeps
+    ``rows``, the batch positions of the images its activation holds
+    (``None``: every image).  ``snapshots`` are the clean activations
+    entering the tapped steps, ``logits`` the clean pass's output,
+    ``faulted`` the steps reading a faulted parameter and ``per_image``
+    each step's :meth:`Kernel.per_image
+    <repro.runtime.kernels.Kernel.per_image>` in the clean pass.
+    """
+
+    def __init__(
+        self,
+        start: int,
+        faulted: "set[int]",
+        per_image: tuple[bool, ...],
+        snapshots: dict[int, np.ndarray],
+        logits: np.ndarray,
+    ) -> None:
+        steps = len(per_image)
+        self.start = start
+        self.snapshots = snapshots
+        self.logits = logits
+        self.rows: np.ndarray | None = None
+        self._end = steps
+        self._tapped = sorted(snapshots)
+        self._needs_batch = [
+            index in faulted or not per_image[index] for index in range(steps)
+        ]
+        # _narrow[i]: the first step at or after i that needs the whole
+        # batch has a clean snapshot to scatter into (after the last
+        # one, the clean logits take the rows), so the lane may drop
+        # images at i.  _next_faulted[i]: the first faulted step >= i.
+        self._narrow = [False] * steps
+        self._next_faulted: list[int | None] = [None] * steps
+        narrow, faulted_at = True, None
+        for index in reversed(range(steps)):
+            if self._needs_batch[index]:
+                narrow = index in snapshots
+            if index in faulted:
+                faulted_at = index
+            self._narrow[index] = narrow
+            self._next_faulted[index] = faulted_at
+
+    def enter(self, index: int, x: np.ndarray) -> tuple[int, np.ndarray]:
+        """The step to run next and its input, given the activation
+        ``x`` entering step ``index``."""
+        clean = self.snapshots.get(index)
+        if clean is None or index == self.start:
+            return index, x
+        rows = self.rows
+        dirty = _dirty_rows(x, clean if rows is None else clean[rows])
+        if not dirty.any():
+            # Every image is back on the clean pass: resume at the last
+            # snapshot before the next step reading a faulted parameter.
+            self.rows = None
+            target = self._next_faulted[index]
+            if target is None:
+                return self._end, self.logits
+            resume = self._tapped[bisect.bisect_right(self._tapped, target) - 1]
+            return resume, self.snapshots[resume]
+        if self._needs_batch[index]:
+            if rows is not None:
+                full = clean.copy()
+                full[rows] = x
+                x, self.rows = full, None
+            return index, x
+        if self._narrow[index] and not dirty.all():
+            self.rows = np.flatnonzero(dirty) if rows is None else rows[dirty]
+            x = x[dirty]
+        return index, x
+
+    def finish(self, x: np.ndarray) -> np.ndarray:
+        """The whole batch's logits from the last step's output."""
+        if self.rows is None:
+            return x
+        logits = self.logits.copy()
+        logits[self.rows] = x
+        return logits
 
 
 class ReplicaPlan:
@@ -123,8 +241,11 @@ class ReplicaPlan:
         #: (structure, state) signatures of the clean model the cache
         #: was built against; None until the first prepare().
         self._generation: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-        self._starts: dict[int, int] = {}
+        self._readers: dict[int, tuple[int, ...]] = {}
         self._taps: tuple[int, ...] = ()
+        #: Per-image input shape -> each step's per_image() in the clean
+        #: pass at that shape (a conv's layout follows its map size).
+        self._per_image: dict[tuple[int, ...], tuple[bool, ...]] = {}
         self._logits: "OrderedDict[Any, np.ndarray]" = OrderedDict()
         self._snapshots: "OrderedDict[Any, dict[int, np.ndarray]]" = OrderedDict()
         self._snapshot_bytes = 0
@@ -140,26 +261,36 @@ class ReplicaPlan:
     # Divergence map
     # ------------------------------------------------------------------
     def _rebuild_map(self) -> None:
-        """Map each parameter to the earliest plan step reading it."""
-        starts: dict[int, int] = {}
+        """Map each parameter to every plan step reading it, in order."""
+        readers: dict[int, list[int]] = {}
         for index, step in enumerate(self.plan.steps):
             for module in step.source_modules():
                 for param in module.parameters():
-                    starts.setdefault(id(param), index)
-        self._starts = starts
-        self._taps = tuple(sorted({s for s in starts.values() if s > 0}))
+                    steps = readers.setdefault(id(param), [])
+                    if not steps or steps[-1] != index:
+                        steps.append(index)
+        self._readers = {key: tuple(steps) for key, steps in readers.items()}
+        self._taps = tuple(sorted({s[0] for s in readers.values() if s[0] > 0}))
+        self._per_image = {}
+
+    def _faulted_steps(
+        self, params: "Iterable[Parameter] | None"
+    ) -> "set[int] | None":
+        """Every step reading one of ``params`` (None: unknown)."""
+        if params is None:
+            return None
+        faulted: set[int] = set()
+        for param in params:
+            readers = self._readers.get(id(param))
+            if readers is None:
+                return None
+            faulted.update(readers)
+        return faulted or None
 
     def lane_start(self, params: "Iterable[Parameter] | None") -> int:
         """Earliest step a fault in ``params`` can affect (0 = unknown)."""
-        if params is None:
-            return 0
-        start: int | None = None
-        for param in params:
-            step = self._starts.get(id(param), 0)
-            start = step if start is None else min(start, step)
-            if start == 0:
-                break
-        return 0 if start is None else start
+        faulted = self._faulted_steps(params)
+        return 0 if faulted is None else min(faulted)
 
     def replay_safe(self) -> bool:
         """Whether every current step is pure (suffix replay is exact).
@@ -238,6 +369,10 @@ class ReplicaPlan:
             logits, snaps = self.plan.forward_from(inputs, 0, taps=self._taps)
             self._logits[key] = logits
             self._store_snapshots(key, snaps)
+            self._per_image.setdefault(
+                tuple(inputs.shape[1:]),
+                tuple(runs_per_image(step) for step in self.plan.steps),
+            )
             return logits
 
     def lane_forward(
@@ -248,34 +383,42 @@ class ReplicaPlan:
     ) -> np.ndarray:
         """One lane's logits for batch ``key`` under the applied fault.
 
-        Runs the plan suffix from the fault's divergence step, seeded
-        with the cached clean activation; without a usable snapshot
+        Walks the plan suffix from the fault's divergence step, seeded
+        with the cached clean activation, over only the images the
+        fault reached (:class:`Lane`); without a usable clean pass
         (evicted, unmapped parameter, structure changed) it degrades to
-        a full forward — bit-identical either way, since steps before
-        the divergence point read no faulted state.
+        a full forward — bit-identical either way, since the images and
+        steps it skips read no faulted state and match the clean pass.
         """
         with self._lock, self.plan._lock:
-            start = 0
-            snapshot: np.ndarray | None = None
+            lane = None
             if self._generation is not None:
                 structure, _state = self.plan._signatures()
                 if structure != self._generation[0]:
                     # Surgery since prepare(): step indices moved.
                     self.invalidate()
                 else:
-                    start = self.lane_start(params)
-                    if start > 0:
-                        batch = self._snapshots.get(key)
-                        if batch is not None:
-                            self._snapshots.move_to_end(key)
-                            snapshot = batch.get(start)
-            if snapshot is None:
-                start = 0
-                x = inputs
-            else:
-                x = snapshot
-            logits, _ = self.plan.forward_from(x, start)
+                    lane = self._lane(key, inputs, params)
+            if lane is None:
+                logits, _ = self.plan.forward_from(inputs)
+                return logits
+            x = inputs if lane.start == 0 else lane.snapshots[lane.start]
+            logits, _ = self.plan.forward_from(x, lane.start, lane=lane)
             return logits
+
+    def _lane(
+        self, key: Any, inputs: np.ndarray, params: "Iterable[Parameter] | None"
+    ) -> Lane | None:
+        """The walk for one lane of batch ``key``, or None when the
+        clean pass it needs is not cached."""
+        faulted = self._faulted_steps(params)
+        snapshots = self._snapshots.get(key)
+        logits = self._logits.get(key)
+        per_image = self._per_image.get(tuple(inputs.shape[1:]))
+        if faulted is None or snapshots is None or logits is None or per_image is None:
+            return None
+        self._snapshots.move_to_end(key)
+        return Lane(min(faulted), faulted, per_image, snapshots, logits)
 
     # ------------------------------------------------------------------
     # Profiling

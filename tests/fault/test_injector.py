@@ -7,6 +7,8 @@ from repro import nn
 from repro.errors import ConfigurationError
 from repro.fault import BitFlipFaultModel, FaultInjector, FaultSites
 from repro.quant import quantize_module
+from repro.quant.fixed_point import decode, flip_bits
+from repro.quant.formats import FORMATS
 
 
 def _model(seed=0):
@@ -215,3 +217,78 @@ class TestInjector:
                 (after[name] != before[name]).sum() for name in before
             )
             assert total_changed == 1
+
+
+class TestApplyTouchesOnlyFlippedWords:
+    """``apply`` flips and decodes only the touched words and patches them
+    into a copy of the clean array; the result must equal flipping and
+    decoding every word of each touched parameter."""
+
+    @staticmethod
+    def _reference(injector, sites):
+        """Whole-array ``flip_bits`` + ``decode`` per touched parameter."""
+        expected = {}
+        owner = np.searchsorted(injector._offsets, sites.word_positions, side="right") - 1
+        for index in np.unique(owner):
+            mask = owner == index
+            local = sites.word_positions[mask] - injector._offsets[index]
+            words = flip_bits(injector._words[index], local, sites.bit_positions[mask], injector.fmt)
+            param = injector.parameters[index]
+            expected[index] = decode(words, injector.fmt).reshape(param.shape)
+        return expected
+
+    @pytest.mark.parametrize("spec", sorted(FORMATS))
+    def test_apply_equals_whole_array_flip_and_decode(self, spec):
+        fmt = FORMATS[spec]
+        model = quantize_module(
+            nn.Sequential(nn.Linear(6, 10, rng=0), nn.ReLU(), nn.Linear(10, 3, rng=1)), fmt
+        )
+        injector = FaultInjector(model, fmt)
+        last = injector.total_words - 1
+        top = fmt.total_bits - 1
+        # Several bits in one word (7), a (word, bit) pair given twice
+        # (word 20, bit 0: the two flips cancel), the sign bit, and
+        # words in both parameters' first and last positions.
+        sites = FaultSites(
+            np.array([7, 7, 7, 20, 20, 20, 0, 59, 60, last, last]),
+            np.array([0, 3, top, 0, 0, 1, top, 1, 2, 0, top]),
+        )
+        expected = self._reference(injector, sites)
+        clean = [param.data for param in injector.parameters]
+        with injector.inject(sites):
+            for index, param in enumerate(injector.parameters):
+                if index in expected:
+                    assert param.data.tobytes() == expected[index].tobytes()
+                    assert param.data.dtype == np.float32
+                    assert param.data.shape == expected[index].shape
+                    assert param.data.flags.writeable and param.data is not clean[index]
+                else:
+                    assert param.data is clean[index]
+        # restore rebinds the canonical clean objects.
+        for param, canonical in zip(injector.parameters, injector._clean):
+            assert param.data is canonical
+        assert injector.canonical_clean()
+
+    def test_random_sites_match_the_whole_array_reference(self):
+        model = _model()
+        injector = FaultInjector(model)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            count = int(rng.integers(1, 40))
+            sites = FaultSites(
+                rng.integers(0, injector.total_words, count),
+                rng.integers(0, injector.fmt.total_bits, count),
+            )
+            expected = self._reference(injector, sites)
+            with injector.inject(sites):
+                for index, want in expected.items():
+                    assert injector.parameters[index].data.tobytes() == want.tobytes()
+
+    def test_cancelling_pair_leaves_clean_values(self):
+        model = _model()
+        injector = FaultInjector(model)
+        before = _snapshot(model)
+        sites = FaultSites(np.array([5, 5]), np.array([9, 9]))
+        with injector.inject(sites):
+            for name, param in model.named_parameters():
+                assert param.data.tobytes() == before[name].tobytes()

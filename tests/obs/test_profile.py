@@ -24,6 +24,7 @@ ROW_KEYS = {
     "gather_ms",
     "gemm_ms",
     "epilogue_ms",
+    "other_ms",
 }
 
 
@@ -41,13 +42,29 @@ class TestPlanProfile:
         for row in profile.rows:
             assert set(row) == ROW_KEYS
             assert row["calls"] >= 1
-            for key in ("total_ms", "gather_ms", "gemm_ms", "epilogue_ms"):
+            for key in ("total_ms", "gather_ms", "gemm_ms", "epilogue_ms", "other_ms"):
                 assert float(row[key]) >= 0.0
         # The models are conv/linear stacks: some kernel must have hit
         # an instrumented GEMM, and the derived epilogue must be fed by
         # a real total.
         assert any(float(row["gemm_ms"]) > 0.0 for row in profile.rows)
         assert profile.total_ms > 0.0
+
+    def test_epilogue_counts_gemm_kernels_only(self):
+        """Pooling, flatten and standalone steps have no gather or GEMM:
+        their time is ``other``, never a GEMM epilogue."""
+        profile = _plan("vgg16").profile(repeats=1, warmup=0)
+        gemm_rows = [r for r in profile.rows if r["kernel"].startswith(("conv", "linear"))]
+        other_rows = [r for r in profile.rows if r not in gemm_rows]
+        assert gemm_rows and other_rows
+        assert any(str(r["kernel"]) == "MaxPoolKernel" for r in other_rows)
+        for row in gemm_rows:
+            assert row["other_ms"] == 0.0
+        for row in other_rows:
+            assert row["epilogue_ms"] == 0.0
+            assert row["gather_ms"] == row["gemm_ms"] == 0.0
+            assert row["other_ms"] == pytest.approx(row["total_ms"])
+        assert "other" in profile.table().splitlines()[0]
 
     def test_residual_children_get_nested_labels(self):
         profile = _plan("resnet18").profile(repeats=1, warmup=0)
@@ -63,7 +80,9 @@ class TestPlanProfile:
             for r in profile.rows
             if str(r["step"]).startswith(f"{parent}.")
         )
-        assert parent_row["epilogue_ms"] <= parent_row["total_ms"]
+        # The add + activation around the children is not a GEMM epilogue.
+        assert parent_row["epilogue_ms"] == 0.0
+        assert parent_row["other_ms"] <= parent_row["total_ms"]
         assert child_total <= float(parent_row["total_ms"]) + 1.0
 
     def test_profile_validates_arguments(self):

@@ -26,7 +26,7 @@ from repro.eval.evaluator import Evaluator
 from repro.fault.campaign import FaultCampaign
 from repro.fault.fault_model import BitFlipFaultModel
 from repro.fault.injector import FaultInjector
-from repro.models.registry import build_model
+from repro.models.registry import MODEL_NAMES, build_model
 from repro.quant import quantize_module
 from repro.runtime import compile_model
 from repro.runtime import kernels as kernels_module
@@ -59,7 +59,8 @@ def _conv_kernels(plan):
 # Tier dispatch (decided per call from the output map's area)
 # ----------------------------------------------------------------------
 def _out_area(kernel):
-    ((_, _, oh, ow),) = [shape for name, shape, _ in kernel.bufs._store if name == "out"]
+    # Kernel buffers are keyed by per-image shape: (channels, oh, ow).
+    ((_, oh, ow),) = [shape for name, shape, _ in kernel.bufs._store if name == "out"]
     return oh * ow
 
 
@@ -409,3 +410,129 @@ def test_evaluator_survives_pickle():
     clone = pickle.loads(pickle.dumps(evaluator))
     assert clone.total_samples == 64
     assert clone._plan is None
+
+
+# ----------------------------------------------------------------------
+# Per-image steps: an image subset gives the whole batch's rows
+# ----------------------------------------------------------------------
+# Replica lanes run a step that says per_image() on only the images a
+# fault reached; that is exact only if those images' bits do not depend
+# on the rest of the batch.
+_SUBSETS = ([0], [5], [1, 4, 6], [0, 1, 2, 3, 4, 5, 7])
+
+
+def _with_fitrelu(model):
+    """Every ReLU swapped for a FitReLU, the protected models' epilogue."""
+    from repro.core.fitrelu import FitReLU
+
+    for path, module in list(model.named_modules()):
+        if path and type(module) is nn.ReLU:
+            model.set_submodule(path, FitReLU(0.8))
+    return model
+
+
+def _pooling_model():
+    """Standalone BatchNorm, padded max/avg pools, elementwise
+    activations and a global pool: the per-image steps no registry
+    model compiles."""
+    return nn.Sequential(
+        nn.Conv2d(3, 8, 3, padding=1, rng=0),
+        nn.MaxPool2d(3, stride=2, padding=1),
+        nn.BatchNorm2d(8),
+        nn.AvgPool2d(3, stride=1, padding=1),
+        nn.AvgPool2d(2),
+        nn.Tanh(),
+        nn.LeakyReLU(0.1),
+        nn.Sigmoid(),
+        nn.GlobalAvgPool2d(),
+        nn.Linear(8, 10, rng=1),
+    )
+
+
+def _assert_per_image_steps_exact(plan, x):
+    """Each top-level step that says per_image() after a whole-batch run
+    gives, on every subset, the bytes of the matching whole-batch rows.
+    Returns the per-image steps' descriptions."""
+    checked = []
+    for step in plan.steps:
+        full = step.run(x).copy()
+        if step.per_image():
+            for rows in _SUBSETS:
+                part = step.run(np.ascontiguousarray(x[rows]))
+                assert part.tobytes() == full[rows].tobytes(), (step.describe(), rows)
+            checked.append(step.describe())
+        x = full
+    return checked
+
+
+@pytest.mark.parametrize("fitrelu", [False, True], ids=["relu", "fitrelu"])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_per_image_steps_are_exact_on_image_subsets(name, fitrelu):
+    model = build_model(name, num_classes=10, scale=0.125, image_size=32, seed=0)
+    if fitrelu:
+        model = _with_fitrelu(model)
+    x = np.random.default_rng(40).standard_normal((8, 3, 32, 32)).astype(np.float32)
+    plan = compile_model(model, x.shape)
+    checked = _assert_per_image_steps_exact(plan, x)
+    # Every model has K-major convs and a per-image step after them.
+    assert any("im2col" in step for step in checked), checked
+
+
+def test_per_image_pooling_and_standalone_steps_are_exact():
+    model = _pooling_model()
+    x = np.random.default_rng(41).standard_normal((8, 3, 16, 16)).astype(np.float32)
+    plan = compile_model(model, x.shape)
+    checked = _assert_per_image_steps_exact(plan, x)
+    kinds = {type(step).__name__ for step in plan.steps if step.per_image()}
+    assert {
+        "MaxPoolKernel",
+        "BatchNormKernel",
+        "AvgPoolKernel",
+        "ActivationKernel",
+        "GlobalAvgPoolKernel",
+    } <= kinds, checked
+
+
+@pytest.mark.parametrize("case", sorted(_KMAJOR_CASES))
+def test_per_image_blocked_fitrelu_convs_are_exact(monkeypatch, case):
+    """Neuron-wise FitReLU epilogues over blocks of a few images."""
+    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", _SMALL_BLOCK_BYTES)
+    x = np.random.default_rng(42).standard_normal((8, 8, 16, 16)).astype(np.float32)
+    plan = compile_model(_fitrelu_conv_model(case), x.shape)
+    assert len(_assert_per_image_steps_exact(plan, x)) == 2  # conv, flatten
+
+
+def test_whole_batch_steps_do_not_claim_per_image():
+    """Channels-last convs, Linear and a batch-axis softmax span the
+    batch; a kernel that has not run does not know its layout."""
+    from repro.runtime.kernels import ActivationKernel, LinearKernel
+
+    assert not ConvKernel(nn.Conv2d(3, 4, 3, rng=0)).per_image()
+    plan = compile_model(build_model("vgg16", num_classes=10, scale=0.125, image_size=32, seed=0), (2, 3, 32, 32))
+    for step in plan.steps:
+        if isinstance(step, ConvKernel):
+            assert step.per_image() == (step.tier == "im2col")
+        if isinstance(step, LinearKernel):
+            assert not step.per_image()
+    assert not ActivationKernel(nn.Softmax(axis=1)).per_image()
+    softmax_conv = compile_model(
+        nn.Sequential(nn.Conv2d(3, 4, 3, padding=1, rng=0), nn.Softmax(axis=0)), (2, 3, 8, 8)
+    )
+    assert not softmax_conv.steps[0].per_image()
+
+
+def test_kernel_buffers_grow_only_along_the_batch_axis():
+    """Smaller batches reuse the leading rows of each kernel's arrays:
+    any mix of batch sizes holds one array per kernel and name."""
+    model = build_model("vgg16", num_classes=10, scale=0.125, image_size=32, seed=0)
+    x = np.random.default_rng(43).standard_normal((16, 3, 32, 32)).astype(np.float32)
+    plan = compile_model(model, (8, 3, 32, 32))
+    at_8 = plan.memory()["kernels"]
+    for batch in (1, 3, 7, 8, 5):
+        assert plan(x[:batch]).tobytes() == _module_logits(model, x[:batch]).tobytes()
+    assert plan.memory()["kernels"] == at_8
+    plan(x)
+    at_16 = plan.memory()["kernels"]
+    assert at_16["out"] == 2 * at_8["out"]
+    assert plan(x[:3]).tobytes() == _module_logits(model, x[:3]).tobytes()
+    assert plan.memory()["kernels"] == at_16
