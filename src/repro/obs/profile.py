@@ -179,13 +179,14 @@ class KernelProfiler:
         rows: list[dict[str, object]] = []
         for label in self._order:
             total = self._totals[label]
-            gather = self._phases[label].get("gather", 0.0)
-            gemm = self._phases[label].get("gemm", 0.0)
+            phases = self._phases[label]
+            gather = phases.get("gather", 0.0)
+            gemm = phases.get("gemm", 0.0)
             children = sum(
                 self._totals[child] for child in self._children[label]
             )
             rest = max(0.0, total - gather - gemm - children)
-            gemm_kernel = "gather" in self._phases[label] or "gemm" in self._phases[label]
+            gemm_kernel = "gather" in phases or "gemm" in phases
             rows.append(
                 {
                     "step": label,
