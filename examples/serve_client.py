@@ -64,7 +64,7 @@ def main() -> int:
     health = client.wait_ready()
     print(
         f"server ready: {list(health.models)} "
-        f"(chaos ber: {health.chaos_ber}, workers: {health.workers})"
+        f"(chaos ber: {health.chaos_ber}, admission: {health.admission})"
     )
 
     listing = client.models()

@@ -7,7 +7,6 @@ from repro.analysis.rules import (  # noqa: F401
     rpl004_nondeterminism,
     rpl005_json_exact,
     rpl006_layering,
-    rpl007_pickle_safety,
     rpl008_restore_leak,
     rpl009_raw_timing,
     rpl010_replica_row_split,

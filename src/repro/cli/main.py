@@ -273,7 +273,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServeConfig(
             max_batch=args.max_batch,
             max_latency_ms=args.max_latency_ms,
-            batch_workers=args.batch_workers,
             chaos=chaos,
             max_pending=args.max_pending,
             model_pending=args.model_pending,
@@ -440,33 +439,87 @@ def _requested_run_meta(args: argparse.Namespace) -> dict[str, object]:
     return _flagged_run_meta(args)
 
 
-def _verify_run_recipe(store, requested: dict[str, object]) -> dict[str, object]:
-    """Match a request against an existing store's recorded recipe.
+def _open_store(store_path: str, requested: dict[str, object]):
+    """Open an existing store whose recorded recipe matches a request.
 
     Re-running against an existing store is a resume (and joining one as
     a coordinated worker is an admission): every recipe field the
     request names must equal the store's, or the journal would silently
-    mix trials from two different campaigns.  Returns the stored meta
-    (which keeps the recorded clean_accuracy baseline); the caller
-    closes the store on error.
+    mix trials from two different campaigns.  Returns ``(store,
+    run_meta)``: the open store and its meta, which keeps the recorded
+    clean_accuracy baseline.
     """
     from repro.errors import ConfigurationError
+    from repro.store import CampaignStore
 
+    store = CampaignStore.open(store_path)
     stored = store.meta
-    _require_run_recipe(store.path, stored)
-    mismatched = [
-        field
-        for field in _RECIPE_FIELDS
-        if field in requested and requested[field] != stored.get(field)
-    ]
-    if mismatched:
-        raise ConfigurationError(
-            f"store {store.path!r} was created with different settings "
-            f"(mismatched: {', '.join(mismatched)}); resume it with "
-            f"'repro campaign run --store {store.path}' alone, pass "
-            "matching arguments, or pick a fresh --store"
-        )
-    return dict(stored)
+    try:
+        _require_run_recipe(store.path, stored)
+        mismatched = [
+            field
+            for field in _RECIPE_FIELDS
+            if field in requested and requested[field] != stored.get(field)
+        ]
+        if mismatched:
+            raise ConfigurationError(
+                f"store {store.path!r} was created with different settings "
+                f"(mismatched: {', '.join(mismatched)}); resume it with "
+                f"'repro campaign run --store {store.path}' alone, pass "
+                "matching arguments, or pick a fresh --store"
+            )
+    except ConfigurationError:
+        store.close()
+        raise
+    return store, dict(stored)
+
+
+def _create_or_join_store(store_path: str, requested: dict[str, object]):
+    """Open the store a request names, creating it if none exists yet.
+
+    The one create-or-join path of ``campaign run`` and ``serve-store``.
+    A new store records the clean accuracy every report measures SDC
+    against and is created with the whole sweep registered, in one
+    exclusive write (:meth:`CampaignStore.create`).  An existing store,
+    or one a racing peer created first, is joined: its recorded recipe
+    must match the request (:func:`_open_store`), and its baseline is
+    read back instead of re-measured.  Returns ``(campaign, store,
+    created)``, the store open and verified against the campaign.
+    """
+    from repro.fault.fault_model import BitFlipFaultModel
+    from repro.store import CampaignStore, StoreError
+
+    campaign = None
+    if not CampaignStore.exists(store_path):
+        campaign, evaluator, model, checkpoint_meta = _campaign_for_meta(requested)
+        run_meta = dict(requested)
+        for field in ("model", "dataset", "method"):
+            if field in checkpoint_meta:
+                run_meta[field] = checkpoint_meta[field]
+        run_meta["clean_accuracy"] = evaluator.accuracy(model)
+        try:
+            store = CampaignStore.create(
+                store_path,
+                CampaignStore.campaign_identity(campaign),
+                meta=run_meta,
+                configs=[
+                    BitFlipFaultModel.at_rate(float(rate))
+                    for rate in run_meta["rates"]
+                ],
+            )
+        except StoreError:
+            pass  # a peer created it first: join below
+        else:
+            return campaign, store, True
+    store, run_meta = _open_store(store_path, requested)
+    try:
+        if campaign is None:
+            campaign = _campaign_for_meta(run_meta)[0]
+        store.attach(campaign)  # identity check, no second journal parse
+    except BaseException:
+        store.close()
+        raise
+    return campaign, store, False
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -475,18 +528,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
     _check_limit(args.limit)
     if CampaignStore.exists(args.store):
-        store = CampaignStore.open(args.store)
-        try:
-            run_meta = _verify_run_recipe(store, _flagged_run_meta(args))
-        except ConfigurationError:
-            store.close()
-            raise
-        status = store.status()
-        print(
-            f"resuming {store.path}: {status['journaled']}/"
-            f"{status['expected']} trials journaled"
-        )
-        campaign, _, _, _ = _campaign_for_meta(run_meta)
+        requested = _flagged_run_meta(args)
     else:
         if args.checkpoint is None or args.rates is None:
             raise ConfigurationError(
@@ -495,21 +537,15 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             )
         if args.preset is None:
             args.preset = "quick"
-        store = None
-        run_meta = _requested_run_meta(args)
-        campaign, evaluator, model, checkpoint_meta = _campaign_for_meta(run_meta)
-        for field in ("model", "dataset", "method"):
-            if field in checkpoint_meta:
-                run_meta[field] = checkpoint_meta[field]
-        # The fault-free baseline every report measures SDC against;
-        # resumed runs read it back from the store instead of
-        # re-measuring.
-        run_meta["clean_accuracy"] = evaluator.accuracy(model)
-    if store is None:
-        store = CampaignStore.for_campaign(args.store, campaign, meta=run_meta)
-    else:
-        store.attach(campaign)  # identity check, no second journal parse
+        requested = _requested_run_meta(args)
+    campaign, store, created = _create_or_join_store(args.store, requested)
     with store:
+        if not created:
+            status = store.status()
+            print(
+                f"resuming {store.path}: {status['journaled']}/"
+                f"{status['expected']} trials journaled"
+            )
         meta = store.meta
         print(
             f"campaign store {store.path}: "
@@ -612,57 +648,30 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 def _cmd_campaign_serve_store(args: argparse.Namespace) -> int:
     """Join a shared store as a coordinated lease-holding worker.
 
-    Create-or-join: the first worker to arrive creates the store and
-    registers the full sweep (the manifest is written exactly once);
-    every later worker validates its recipe against the stored one and
-    is admitted as a journal-segment writer.  Racing creators are
-    benign — identical recipes produce identical manifests, and the
-    loser of the create race falls through to the join path.
+    Create-or-join (:func:`_create_or_join_store`): the first worker to
+    arrive creates the store with the full sweep registered (the
+    manifest is written exactly once); every later worker, including
+    the loser of a creation race, validates its recipe against the
+    stored one and is admitted as a journal-segment writer.
     """
     import signal
 
     from repro.coord import DEFAULT_CHUNK, DEFAULT_EXPIRY_S, CampaignWorker
-    from repro.errors import ConfigurationError
     from repro.fault.fault_model import BitFlipFaultModel
-    from repro.store import CampaignStore, StoreError
 
     _check_limit(args.limit)
-    run_meta = _requested_run_meta(args)
-    campaign = None
-    if not CampaignStore.exists(args.store):
-        campaign, evaluator, model, checkpoint_meta = _campaign_for_meta(run_meta)
-        for field in ("model", "dataset", "method"):
-            if field in checkpoint_meta:
-                run_meta[field] = checkpoint_meta[field]
-        run_meta["clean_accuracy"] = evaluator.accuracy(model)
-        try:
-            store = CampaignStore.for_campaign(
-                args.store, campaign, meta=run_meta
-            )
-        except StoreError:
-            # Lost the create race to a peer worker with (necessarily,
-            # per the recipe check below) the same recipe: join instead.
-            campaign = None
-        else:
-            with store:
-                store.register_configs(
-                    [BitFlipFaultModel.at_rate(r) for r in args.rates]
-                )
-            print(
-                f"created campaign store {args.store} "
-                f"({len(args.rates)} configs x {run_meta['trials']} trials, "
-                f"clean {float(run_meta['clean_accuracy']):.2%})",
-                flush=True,
-            )
-    if campaign is None:
-        store = CampaignStore.open(args.store)
-        try:
-            run_meta = _verify_run_recipe(store, run_meta)
-        except ConfigurationError:
-            store.close()
-            raise
-        store.close()
-        campaign, _, _, _ = _campaign_for_meta(run_meta)
+    campaign, store, created = _create_or_join_store(
+        args.store, _requested_run_meta(args)
+    )
+    with store:
+        run_meta = store.meta
+    if created:
+        print(
+            f"created campaign store {args.store} "
+            f"({len(run_meta['rates'])} configs x {run_meta['trials']} trials, "
+            f"clean {float(run_meta['clean_accuracy']):.2%})",
+            flush=True,
+        )
     fault_models = [
         BitFlipFaultModel.at_rate(float(r)) for r in run_meta["rates"]
     ]
@@ -1019,12 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how long an open batch waits for more requests (default: 5)",
     )
     p.add_argument(
-        "--batch-workers",
-        type=int,
-        default=1,
-        help="batch-execution threads per model (default: 1)",
-    )
-    p.add_argument(
         "--registry-capacity",
         type=int,
         default=4,
@@ -1337,11 +1340,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="check the repo's correctness invariants (rules RPL001-RPL010)",
+        help="check the repo's correctness invariants (rules RPL001-RPL010, "
+        "RPL007 retired)",
         description=(
             "AST-based invariant linter: plan-invalidation, thread-safe "
             "eval mode, bit-exact GEMM routing, journal determinism, "
-            "exact-float JSON, import layering, pickle safety, fault "
+            "exact-float JSON, import layering, fault "
             "restoration, funneled timing, replica-lane GEMM shapes.  "
             "Exit codes: 0 clean, 1 "
             "findings, 2 unparsable files or bad usage.  See "

@@ -220,9 +220,6 @@ class WorkerLease:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
-    def __getstate__(self) -> None:
-        raise TypeError("WorkerLease holds a heartbeat thread; not picklable")
-
     @property
     def steals(self) -> int:
         return self._steals

@@ -82,7 +82,7 @@ class CampaignWorker:
         which trials it evaluates.
     store_path:
         The shared store directory (already created, all configurations
-        registered — see :meth:`CampaignStore.register_configs`).
+        registered — see :meth:`CampaignStore.create`).
     fault_models:
         The configurations this worker evaluates, in sweep order.
     worker_id:
@@ -128,9 +128,6 @@ class CampaignWorker:
         self.journaled = 0
         self.claims_run = 0
 
-    def __getstate__(self) -> None:
-        raise TypeError("CampaignWorker is process-local; not picklable")
-
     def request_stop(self) -> None:
         """Ask the run loop to wind down at the next safe point.
 
@@ -158,7 +155,7 @@ class CampaignWorker:
                         f"config {key!r} is not registered in "
                         f"{self.store_path!r}; the store creator must "
                         "register the full sweep up front "
-                        "(CampaignStore.register_configs) — joining "
+                        "(CampaignStore.create) — joining "
                         "workers never write the manifest"
                     )
                 if store.converged_at(key) is not None:

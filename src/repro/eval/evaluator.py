@@ -47,13 +47,11 @@ def forward_logits(model: Module, inputs: np.ndarray | Tensor) -> np.ndarray:
 
 
 class BoundAccuracy:
-    """Picklable zero-argument accuracy closure over (evaluator, model).
+    """Zero-argument accuracy closure over (evaluator, model).
 
-    Fault campaigns ship their evaluation callable to worker processes;
-    a lambda cannot cross a ``spawn`` boundary, this object can — and
-    pickling it alongside the campaign's injector preserves the shared
-    model reference, so workers evaluate the same instance they inject
-    faults into.
+    Unlike a lambda, it also carries the replica-lane hook
+    :meth:`lane_accuracies`, through which campaigns evaluate their
+    trials on the same model instance their injector faults.
     """
 
     __slots__ = ("evaluator", "model")
@@ -107,18 +105,6 @@ class Evaluator:
         # included, alive for the evaluator's whole life.
         self._plan: "tuple[Module, InferencePlan] | None" = None
         self._replica: "tuple[Module, ReplicaPlan] | None" = None
-
-    # ------------------------------------------------------------------
-    # Pickling (worker-pool transport)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict[str, object]:
-        """Compiled plans hold model references and large reused buffers;
-        workers recompile lazily on first use instead of unpickling them
-        (which would silently duplicate the campaign's model)."""
-        state = self.__dict__.copy()
-        state["_plan"] = None
-        state["_replica"] = None
-        return state
 
     def _plan_for(self, model: Module) -> "InferencePlan":
         entry = self._plan
@@ -223,11 +209,8 @@ class Evaluator:
         return accuracies
 
     def bind(self, model: Module) -> BoundAccuracy:
-        """Zero-argument closure for :class:`repro.fault.FaultCampaign`.
-
-        Returns a picklable callable, so the campaign can fan trials out
-        to worker processes under any multiprocessing start method.
-        """
+        """Zero-argument closure for :class:`repro.fault.FaultCampaign`,
+        with the replica-lane hook campaigns run their trials through."""
         return BoundAccuracy(self, model)
 
     def __len__(self) -> int:

@@ -440,8 +440,7 @@ class FaultCampaign:
             # Register the whole sweep in the manifest before any trial
             # runs: a campaign killed between rates then shows the later
             # configurations as missing work, not as a complete store.
-            for fault_model in fault_models:
-                store.open_config(fault_model, tag=tag)
+            store.register_configs(fault_models, tag=tag)
         for rate, fault_model in zip(rates, fault_models):
             sweep.results[rate] = self.run(
                 fault_model, tag=tag, early_stop=early_stop, store=store

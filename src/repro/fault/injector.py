@@ -102,33 +102,6 @@ class FaultInjector:
         clean.flags.writeable = False
         return clean
 
-    # ------------------------------------------------------------------
-    # Pickling (worker-pool transport)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict[str, object]:
-        """Snapshot for worker transport: encoded words only.
-
-        The decoded clean copies are redundant with ``_words`` (decode
-        is deterministic), so dropping them roughly halves the payload a
-        spawn-based pool must pickle per worker.  An injector with
-        faults applied has no well-defined remote state — refuse.
-        """
-        if self._active:
-            raise ConfigurationError(
-                "cannot pickle an injector while faults are injected; "
-                "restore first"
-            )
-        state = self.__dict__.copy()
-        state["_clean"] = None
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._clean = [
-            self._clean_array(words, param)
-            for words, param in zip(self._words, self._params)
-        ]
-
     @property
     def total_words(self) -> int:
         """Number of parameter words in the full fault space."""

@@ -66,8 +66,7 @@ class TrialRunner:
 
     Bundles the injector and the evaluation callable — the read-only
     campaign state — into one object that serves trials for every fault
-    configuration the campaign runs.  It pickles as one payload, and
-    pickle preserves the injector-module/evaluator-model aliasing.
+    configuration the campaign runs.
 
     When ``evaluate`` exposes the lane hook
     ``lane_accuracies(injector, site_sets)``

@@ -219,22 +219,6 @@ class Module:
         object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
-    # Pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict[str, Any]:
-        """Drop compiled-plan weakrefs: they are process-local state.
-
-        Weak references cannot pickle, and a transported model has no
-        live plans anyway — consumers (e.g. a campaign worker's
-        ``Evaluator``) recompile lazily after transport.  Without this,
-        compiling a plan would make the model unpicklable and break
-        spawn-based campaign pools.
-        """
-        state = self.__dict__.copy()
-        state.pop("_runtime_plans", None)
-        return state
-
-    # ------------------------------------------------------------------
     # Forward
     # ------------------------------------------------------------------
     def forward(self, *args: Any, **kwargs: Any) -> Tensor:

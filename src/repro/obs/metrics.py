@@ -335,13 +335,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._families: dict[str, _Family] = {}
 
-    def __getstate__(self) -> dict[str, object]:
-        """Registries hold a lock; refuse to pickle (RPL007)."""
-        raise TypeError(
-            "MetricsRegistry holds a lock and cannot be pickled; export "
-            "snapshot() or render_prometheus() instead"
-        )
-
     def _register(self, family: _Family) -> _Family:
         if not _NAME_RE.match(family.name):
             raise ValueError(f"invalid metric name {family.name!r}")

@@ -63,22 +63,12 @@ class SpanRecord(NamedTuple):
 
 
 class _TraceState:
-    """Process-local tracer state behind one lock.
-
-    Holds a lock and a live buffer; never pickled (module-private, and
-    every public holder of obs state refuses pickling per RPL007).
-    """
+    """Process-local tracer state: a lock and a live ring buffer."""
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.enabled = False
         self.events: deque[SpanRecord] = deque(maxlen=DEFAULT_CAPACITY)
-
-    def __getstate__(self) -> dict[str, object]:
-        raise TypeError(
-            "tracer state holds a lock and a live ring buffer and cannot "
-            "be pickled; export_chrome_trace() instead"
-        )
 
 
 _STATE = _TraceState()

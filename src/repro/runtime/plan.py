@@ -98,21 +98,6 @@ class InferencePlan:
         self._wire_kernels()
         register_runtime_plan(model, self)
 
-    def __getstate__(self) -> dict[str, object]:
-        """Plans are process-local and refuse to pickle (RPL007).
-
-        A plan holds a lock, folded kernel constants, and identity
-        fingerprints (``id()`` values) that are meaningless in another
-        process.  Everything that pickles a plan's *owner* already drops
-        the plans (``Module.__getstate__``, ``Evaluator.__getstate__``)
-        and recompiles on the other side; reaching this method means a
-        plan leaked into a pickled closure by mistake.
-        """
-        raise TypeError(
-            "InferencePlan is process-local and cannot be pickled; "
-            "pickle the model and recompile with compile_model() instead"
-        )
-
     # ------------------------------------------------------------------
     # Folded-constant lifecycle
     # ------------------------------------------------------------------

@@ -250,13 +250,6 @@ class ReplicaPlan:
         self._snapshots: "OrderedDict[Any, dict[int, np.ndarray]]" = OrderedDict()
         self._snapshot_bytes = 0
 
-    def __getstate__(self) -> dict[str, object]:
-        """Process-local (lock + plan + id()-keyed caches); see RPL007."""
-        raise TypeError(
-            "ReplicaPlan is process-local and cannot be pickled; pickle "
-            "the model and rebuild with compile_model(...).replicate()"
-        )
-
     # ------------------------------------------------------------------
     # Divergence map
     # ------------------------------------------------------------------

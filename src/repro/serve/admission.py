@@ -108,13 +108,6 @@ class AdmissionController:
         self.admitted = 0
         self.shed = 0
 
-    def __getstate__(self) -> dict[str, object]:
-        """Controllers hold a lock; refuse to pickle (RPL007)."""
-        raise TypeError(
-            "AdmissionController holds a lock and live pending counts "
-            "and cannot be pickled; build one per process"
-        )
-
     def _retry_after(self) -> float:
         """Backoff hint in seconds, scaled to queue saturation.
 

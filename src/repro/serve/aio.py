@@ -82,13 +82,6 @@ class AsyncReproServer:
         self._startup = threading.Event()
         self._startup_error: BaseException | None = None
 
-    def __getstate__(self) -> dict[str, object]:
-        """Servers own a loop thread and sockets; refuse to pickle (RPL007)."""
-        raise TypeError(
-            "AsyncReproServer owns an event loop and listening socket "
-            "and cannot be pickled; start a fresh server per process"
-        )
-
     # ------------------------------------------------------------------
     # Addresses
     # ------------------------------------------------------------------

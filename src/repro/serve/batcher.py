@@ -3,8 +3,8 @@
 Single-sample forward passes waste almost all their time in per-call
 overhead (python dispatch, im2col setup, BLAS fixed costs); a batch of
 32 costs barely more than a batch of 1.  :class:`MicroBatcher` exploits
-that: concurrent ``submit`` calls enqueue their arrays, worker threads
-drain the queue into one concatenated batch — closing it when either
+that: concurrent ``submit`` calls enqueue their arrays, one worker thread
+drains the queue into one concatenated batch — closing it when either
 ``max_batch`` samples are pending or ``max_latency`` elapsed since the
 batch opened — run the model once, and scatter the results back to the
 callers' futures.
@@ -54,9 +54,6 @@ class MicroBatcher:
     max_latency:
         Seconds to hold an open batch waiting for more requests.  ``0``
         disables waiting (each batch is whatever was already queued).
-    workers:
-        Worker threads running batches (>= 1).  More than one only helps
-        when ``run_batch`` releases the GIL or serves multiple models.
     on_batch:
         Optional ``(size, seconds)`` observer (metrics hook), called
         before the batch's futures resolve.
@@ -67,17 +64,14 @@ class MicroBatcher:
         run_batch: Callable[[np.ndarray], np.ndarray],
         max_batch: int = 32,
         max_latency: float = 0.005,
-        workers: int = 1,
         on_batch: Callable[[int, float], None] | None = None,
     ) -> None:
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        if max_latency < 0:
+        if not max_latency >= 0:  # NaN too: it would kill the worker
             raise ConfigurationError(
                 f"max_latency must be >= 0, got {max_latency}"
             )
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self._run_batch = run_batch
         self.max_batch = int(max_batch)
         self.max_latency = float(max_latency)
@@ -85,21 +79,10 @@ class MicroBatcher:
         self._queue: queue.Queue = queue.Queue()
         self._closed = False
         self._close_lock = threading.Lock()
-        self._threads = [
-            threading.Thread(
-                target=self._worker, name=f"repro-batcher-{i}", daemon=True
-            )
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def __getstate__(self) -> dict[str, object]:
-        """Batchers own live worker threads and refuse to pickle (RPL007)."""
-        raise TypeError(
-            "MicroBatcher owns worker threads and cannot be pickled; "
-            "construct a fresh batcher in the target process"
+        self._thread = threading.Thread(
+            target=self._worker, name="repro-batcher", daemon=True
         )
+        self._thread.start()
 
     # ------------------------------------------------------------------
     # Client side
@@ -149,7 +132,7 @@ class MicroBatcher:
             except queue.Empty:
                 break
             if item is _STOP:
-                # Preserve the shutdown signal for the next worker.
+                # Close this batch; the worker loop stops on the signal.
                 self._queue.put(_STOP)
                 break
             if count + item.inputs.shape[0] > self.max_batch:
@@ -197,7 +180,6 @@ class MicroBatcher:
         while True:
             item = self._queue.get()
             if item is _STOP:
-                self._queue.put(_STOP)  # release sibling workers too
                 return
             self._run(self._collect(item))
 
@@ -205,16 +187,15 @@ class MicroBatcher:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self, timeout: float = 10.0) -> None:
-        """Stop accepting work, finish queued batches, join the workers."""
+        """Stop accepting work, finish queued batches, join the worker."""
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
             self._queue.put(_STOP)
-        for thread in self._threads:
-            thread.join(timeout=timeout)
+        self._thread.join(timeout=timeout)
         # A request re-queued by _collect (overflow) can land behind the
-        # stop sentinel and outlive every worker; fail it rather than
+        # stop sentinel and outlive the worker; fail it rather than
         # leaving its caller blocked on the future.
         while True:
             try:

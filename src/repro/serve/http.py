@@ -50,15 +50,14 @@ _logger = get_logger("serve.http")
 class ServeConfig:
     """Server-wide serving knobs (see ``repro serve --help``).
 
-    ``batch_workers`` is the number of batch-execution threads per
-    model lane.  ``max_pending``/``model_pending`` bound the admission
+    Each model lane runs its batches on one thread.
+    ``max_pending``/``model_pending`` bound the admission
     queue; ``slo_p99_ms`` arms the latency-SLO tracker surfaced in
     ``/v1/healthz``; ``drain_timeout_s`` bounds the shutdown drain.
     """
 
     max_batch: int = 32
     max_latency_ms: float = 5.0
-    batch_workers: int = 1
     request_timeout: float = 60.0
     chaos: ChaosConfig | None = None
     max_pending: int = 256
@@ -95,7 +94,6 @@ class _Lane:
             run_batch,
             max_batch=config.max_batch,
             max_latency=config.max_latency_ms / 1000.0,
-            workers=config.batch_workers,
             on_batch=lambda size, _seconds: metrics.observe_batch(size),
         )
 
@@ -130,13 +128,6 @@ class ServeApp:
         self._lanes_lock = threading.Lock()
         self._lane_builds: dict[str, threading.Lock] = {}
         self._preloaded: list[str] = []
-
-    def __getstate__(self) -> dict[str, object]:
-        """Apps hold locks and live batcher lanes; refuse to pickle (RPL007)."""
-        raise TypeError(
-            "ServeApp holds locks and live batcher lanes and cannot be "
-            "pickled; build a fresh app per process"
-        )
 
     # ------------------------------------------------------------------
     # Lanes
@@ -340,7 +331,6 @@ class ServeApp:
             ],
             "chaos_ber": self.config.chaos.ber if self.config.chaos else None,
             "admission": self.admission.report(),
-            "workers": {"mode": "thread", "count": self.config.batch_workers},
             "slo": self.slo.report() if self.slo is not None else None,
         }
 

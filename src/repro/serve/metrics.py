@@ -129,13 +129,6 @@ class ServerMetrics:
             for field in _CHAOS_FIELDS
         }
 
-    def __getstate__(self) -> dict[str, object]:
-        """Metrics hold a lock; refuse to pickle (RPL007)."""
-        raise TypeError(
-            "ServerMetrics holds a lock and cannot be pickled; export "
-            "snapshot() instead"
-        )
-
     def observe_request(self, endpoint: str, status: int, seconds: float) -> None:
         self._requests.inc(endpoint=endpoint, status=int(status))
         self.serve_latency.observe(seconds * 1000.0, endpoint=endpoint)

@@ -239,9 +239,9 @@ class HealthReport:
     """``GET /v1/healthz`` response.
 
     Extends the PR-2 liveness shape with the PR-9 production surface:
-    admission-queue state, the batch-thread count per lane, and the
-    latency-SLO report when the server runs with a p99 target.
-    The ``runtime`` key older servers sent is ignored.
+    admission-queue state and the latency-SLO report when the server
+    runs with a p99 target.  The ``runtime`` and ``workers`` keys older
+    servers sent are ignored.
     """
 
     status: str
@@ -252,7 +252,6 @@ class HealthReport:
     preload_rotated: tuple[str, ...]
     chaos_ber: float | None
     admission: dict[str, Any] | None = None
-    workers: dict[str, Any] | None = None
     slo: dict[str, Any] | None = None
 
     @classmethod
@@ -266,7 +265,6 @@ class HealthReport:
             preload_rotated=tuple(payload.get("preload_rotated", ())),
             chaos_ber=payload.get("chaos_ber"),
             admission=payload.get("admission"),
-            workers=payload.get("workers"),
             slo=payload.get("slo"),
         )
 
@@ -280,7 +278,6 @@ class HealthReport:
             "preload_rotated": list(self.preload_rotated),
             "chaos_ber": self.chaos_ber,
             "admission": self.admission,
-            "workers": self.workers,
             "slo": self.slo,
         }
 

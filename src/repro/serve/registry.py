@@ -104,14 +104,6 @@ class ServedModel:
             "clean_accuracy": self.meta.get("clean_accuracy"),
         }
 
-    def __getstate__(self) -> dict[str, object]:
-        """Served entries hold a lock and a compiled plan (RPL007)."""
-        raise TypeError(
-            "ServedModel holds an inference lock and a process-local "
-            "compiled plan and cannot be pickled; ship the checkpoint "
-            "path and reload in the target process"
-        )
-
 
 class ModelRegistry:
     """Name → checkpoint map with lazy loading and LRU eviction.
@@ -137,14 +129,6 @@ class ModelRegistry:
         self.hits = 0
         self.loads = 0
         self.evictions = 0
-
-    def __getstate__(self) -> dict[str, object]:
-        """Registries hold locks and compiled plans; refuse to pickle (RPL007)."""
-        raise TypeError(
-            "ModelRegistry holds locks and process-local compiled plans "
-            "and cannot be pickled; register the same checkpoint paths "
-            "in the target process"
-        )
 
     # ------------------------------------------------------------------
     # Registration

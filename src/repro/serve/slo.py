@@ -53,13 +53,6 @@ class SloTracker:
         self._lock = threading.Lock()
         self._violations = 0
 
-    def __getstate__(self) -> dict[str, object]:
-        """Trackers hold a lock; refuse to pickle (RPL007)."""
-        raise TypeError(
-            "SloTracker holds a lock and cannot be pickled; export "
-            "report() instead"
-        )
-
     def observe(self, latency_ms: float) -> None:
         """Count one request against the target (its latency is already
         in the histogram)."""

@@ -284,8 +284,16 @@ class CampaignStore:
         path: str | os.PathLike[str],
         identity: Mapping[str, object],
         meta: Mapping[str, object] | None = None,
+        configs: Iterable[Describable] = (),
     ) -> "CampaignStore":
-        """Initialise a fresh store directory (fails if one exists)."""
+        """Initialise a fresh store directory with ``configs`` registered.
+
+        Creation is exclusive: the manifest appears complete, sweep
+        included, in one atomic step, and only if no manifest exists.
+        Of two processes creating one store at once (``serve-store``
+        workers starting together) exactly one succeeds; the other gets
+        :class:`StoreError` and can join the winner's store.
+        """
         path = os.fspath(path)
         if cls.exists(path):
             raise StoreError(f"{path!r} already holds a campaign store")
@@ -299,11 +307,12 @@ class CampaignStore:
             "meta": dict(meta or {}),
         }
         store = cls(path, manifest, {}, journal_end=0)
+        store._add_configs(configs, "")
         # Touch the journal so a crash before the first trial still
         # leaves a well-formed (empty) store behind.
         with open(store._journal_path, "ab"):
             pass
-        store._write_manifest()
+        store._write_manifest(exclusive=True)
         return store
 
     @staticmethod
@@ -474,12 +483,14 @@ class CampaignStore:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _write_manifest(self) -> None:
+    def _write_manifest(self, exclusive: bool = False) -> None:
         """Atomic rewrite: temp file in the same directory, then rename.
 
-        The temp name is per process and thread: writers that create one
-        store at the same moment (``serve-store`` workers starting
-        together) must not rename each other's file away.
+        ``exclusive`` (store creation) hard-links the temp file into
+        place instead, which fails if a manifest already exists, so a
+        racing creator can never replace the winner's manifest.  The
+        temp name is per process and thread: writers that create one
+        store at the same moment must not move each other's file away.
         """
         tmp = f"{self._manifest_path}.{os.getpid()}.{threading.get_ident()}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -487,7 +498,17 @@ class CampaignStore:
             handle.write("\n")
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, self._manifest_path)
+        if not exclusive:
+            os.replace(tmp, self._manifest_path)
+            return
+        try:
+            os.link(tmp, self._manifest_path)
+        except FileExistsError:
+            raise StoreError(
+                f"{self.path!r} already holds a campaign store"
+            ) from None
+        finally:
+            os.unlink(tmp)
 
     @staticmethod
     def _journal_file_names(path: str) -> list[str]:
@@ -633,31 +654,30 @@ class CampaignStore:
     # ------------------------------------------------------------------
     def open_config(self, fault_model: Describable, tag: str = "") -> str:
         """Register one fault configuration (idempotent); returns its key."""
-        spec = fault_model.describe()
-        key = _config_key(tag, spec)
-        for entry in self._configs:
-            if entry["key"] == key:
-                return key
-        self._configs.append(
-            {"key": key, "tag": tag, "spec": spec, "converged_at": None}
-        )
-        self._write_manifest()
-        return key
+        return self.register_configs([fault_model], tag)[0]
 
     def register_configs(
         self, fault_models: Iterable[Describable], tag: str = ""
     ) -> list[str]:
         """Register a batch of configurations with one manifest write.
 
-        Idempotent, like :meth:`open_config`.  The coordination layer
-        (:mod:`repro.coord`) relies on this to keep the manifest
-        single-writer: the store *creator* registers the whole sweep up
-        front, joining workers only ever read it — no worker races
-        another's atomic manifest rewrite.
+        Idempotent: known configurations keep their entry.  The
+        coordination layer (:mod:`repro.coord`) keeps the manifest
+        single-writer by creating the store with the whole sweep
+        registered (:meth:`create`); joining workers only read it.
         """
+        known = len(self._configs)
+        keys = self._add_configs(fault_models, tag)
+        if len(self._configs) > known:
+            self._write_manifest()
+        return keys
+
+    def _add_configs(
+        self, fault_models: Iterable[Describable], tag: str
+    ) -> list[str]:
+        """Append unknown configurations to the in-memory manifest."""
         keys: list[str] = []
         registered = {str(entry["key"]) for entry in self._configs}
-        added = False
         for fault_model in fault_models:
             spec = fault_model.describe()
             key = _config_key(tag, spec)
@@ -668,9 +688,6 @@ class CampaignStore:
                 {"key": key, "tag": tag, "spec": spec, "converged_at": None}
             )
             registered.add(key)
-            added = True
-        if added:
-            self._write_manifest()
         return keys
 
     @classmethod

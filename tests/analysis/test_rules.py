@@ -349,69 +349,6 @@ class TestRPL006:
 
 
 # ----------------------------------------------------------------------
-# RPL007 — unpicklable state without __getstate__
-# ----------------------------------------------------------------------
-class TestRPL007:
-    def test_flags_lock_without_getstate(self):
-        src = """
-            import threading
-
-            class Cache:
-                def __init__(self):
-                    self._lock = threading.Lock()
-        """
-        assert rules_in(src, "src/repro/serve/foo.py") == ["RPL007"]
-
-    def test_flags_thread_and_executor(self):
-        src = """
-            import threading
-            from concurrent.futures import ThreadPoolExecutor
-
-            class Worker:
-                def __init__(self):
-                    self._thread = threading.Thread(target=self.run)
-
-            class Pool:
-                def __init__(self):
-                    self._pool = ThreadPoolExecutor(2)
-        """
-        assert rules_in(src, "src/repro/serve/foo.py") == ["RPL007", "RPL007"]
-
-    def test_getstate_silences(self):
-        src = """
-            import threading
-
-            class Cache:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def __getstate__(self):
-                    state = dict(self.__dict__)
-                    del state["_lock"]
-                    return state
-        """
-        assert rules_in(src, "src/repro/serve/foo.py") == []
-
-    def test_flags_compiled_plan_member(self):
-        src = """
-            from repro.runtime import compile_model
-
-            class Holder:
-                def __init__(self, model, shape):
-                    self.plan = compile_model(model, shape)
-        """
-        assert rules_in(src, "src/repro/serve/foo.py") == ["RPL007"]
-
-    def test_lock_outside_class_not_flagged(self):
-        src = """
-            import threading
-
-            _lock = threading.Lock()
-        """
-        assert rules_in(src, "src/repro/serve/foo.py") == []
-
-
-# ----------------------------------------------------------------------
 # RPL008 — except block leaking injected faults
 # ----------------------------------------------------------------------
 class TestRPL008:

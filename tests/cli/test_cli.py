@@ -233,7 +233,7 @@ class TestServeParser:
         assert args.port == 8080
         assert args.max_batch == 32
         assert args.max_latency_ms == 5.0
-        assert args.batch_workers == 1
+        assert not hasattr(args, "batch_workers")
         assert args.registry_capacity == 4
         assert args.chaos_ber is None
         assert args.chaos_seed == 0

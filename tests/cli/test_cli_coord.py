@@ -198,9 +198,10 @@ class TestServeStore:
         self, checkpoint, tmp_path, monkeypatch, capsys
     ):
         """Both workers find no store and create it together.  Each
-        worker's first manifest rename waits until both have written
-        their temp file, so the race happens every run: one writer's
-        rename must not take the other's temp file away."""
+        worker's manifest link waits until both have written their temp
+        file, so the race happens every run: exactly one creates the
+        store with the sweep, the other joins it, and no temp file is
+        left behind."""
         import signal
         import threading
 
@@ -210,16 +211,16 @@ class TestServeStore:
         store = tmp_path / "store"
         manifest = os.fspath(store / "manifest.json")
         barrier = threading.Barrier(2, timeout=120)
-        replace = os.replace
+        link = os.link
         waited = set()
 
-        def racing_replace(src, dst, *args, **kwargs):
+        def racing_link(src, dst, *args, **kwargs):
             if os.fspath(dst) == manifest and threading.get_ident() not in waited:
                 waited.add(threading.get_ident())
                 barrier.wait()
-            return replace(src, dst, *args, **kwargs)
+            return link(src, dst, *args, **kwargs)
 
-        monkeypatch.setattr(os, "replace", racing_replace)
+        monkeypatch.setattr(os, "link", racing_link)
         results = {}
 
         def work(worker_id):
@@ -239,10 +240,10 @@ class TestServeStore:
         for thread in threads:
             thread.join()
         assert results == {"alpha": 0, "beta": 0}
-        assert capsys.readouterr().out.count("created campaign store") == 2
+        assert capsys.readouterr().out.count("created campaign store") == 1
         assert not list(store.glob("*.tmp"))
 
-        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "link", link)
         straight = tmp_path / "straight"
         assert _serve(checkpoint, straight, "--worker-id", "solo") == 0
         for path in (straight, store):

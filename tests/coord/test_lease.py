@@ -121,7 +121,8 @@ class TestStaleness:
 
 
 def test_lease_is_not_picklable(tmp_path):
-    with pytest.raises(TypeError, match="not picklable"):
+    """The lease's lock makes a stray pickle fail loudly."""
+    with pytest.raises(TypeError, match="pickle"):
         pickle.dumps(WorkerLease(tmp_path, "alpha"))
 
 

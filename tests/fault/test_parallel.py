@@ -1,6 +1,4 @@
-"""The campaign engine: schedule-independent seeds, early stop, transport."""
-
-import pickle
+"""The campaign engine: schedule-independent seeds and early stop."""
 
 import numpy as np
 import pytest
@@ -14,8 +12,6 @@ from repro.fault import (
     FaultCampaign,
     FaultInjector,
     TrialOutcome,
-    TrialRunner,
-    TrialWork,
 )
 from repro.quant import quantize_module
 
@@ -27,10 +23,10 @@ def _model():
 
 
 class _ParamHealth:
-    """Picklable accuracy proxy: fraction of parameter values in range.
+    """Accuracy proxy: fraction of parameter values in range.
 
     Deterministic in the injected fault pattern, so campaigns built on
-    it are bit-reproducible, and picklable where a lambda is not.
+    it are bit-reproducible.
     """
 
     def __init__(self, model):
@@ -111,36 +107,3 @@ class TestAggregator:
     def test_empty_aggregator_has_no_result(self):
         with pytest.raises(ConfigurationError):
             CampaignAggregator().result(BitFlipFaultModel.exact(1))
-
-
-class TestWorkerTransport:
-    def test_trial_runner_pickle_roundtrip(self):
-        """One pickle payload, shared model reference intact."""
-        model = _model()
-        injector = FaultInjector(model)
-        runner = TrialRunner(injector, _ParamHealth(model))
-        clone = pickle.loads(pickle.dumps(runner))
-        assert clone.evaluate.model is clone.injector.module
-        work = TrialWork(
-            index=0, sites=injector.sample(BitFlipFaultModel.exact(5), rng=42)
-        )
-        assert runner(work) == clone(work)
-
-    def test_active_injector_refuses_pickle(self):
-        injector = FaultInjector(_model())
-        injector.apply(injector.sample(BitFlipFaultModel.exact(1), rng=0))
-        with pytest.raises(ConfigurationError):
-            pickle.dumps(injector)
-        injector.restore()
-        pickle.dumps(injector)
-
-    def test_injector_pickle_rebuilds_clean_state(self):
-        injector = FaultInjector(_model())
-        clone = pickle.loads(pickle.dumps(injector))
-        assert clone.total_words == injector.total_words
-        for mine, theirs in zip(injector._clean, clone._clean):
-            np.testing.assert_array_equal(mine, theirs)
-        # The rebuilt injector is fully operational.
-        sites = clone.sample(BitFlipFaultModel.exact(2), rng=1)
-        with clone.inject(sites) as count:
-            assert count == 2

@@ -399,19 +399,6 @@ def test_campaign_sdc_stream_identical_with_small_blocks(monkeypatch):
     np.testing.assert_array_equal(module_result.flip_counts, blocked_result.flip_counts)
 
 
-def test_evaluator_survives_pickle():
-    import pickle
-
-    dataset = SyntheticImageDataset(
-        num_classes=10, num_samples=64, image_size=16, seed=0, split="test"
-    )
-    evaluator = Evaluator(DataLoader(dataset, batch_size=32))
-    evaluator.accuracy(build_model("lenet", num_classes=10, scale=0.5, image_size=16))
-    clone = pickle.loads(pickle.dumps(evaluator))
-    assert clone.total_samples == 64
-    assert clone._plan is None
-
-
 # ----------------------------------------------------------------------
 # Per-image steps: an image subset gives the whole batch's rows
 # ----------------------------------------------------------------------

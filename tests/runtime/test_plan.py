@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import math
-import pickle
 import threading
 import weakref
 
@@ -368,15 +367,6 @@ def test_evaluator_runtime_accuracy_matches_module_path():
     assert Evaluator(loader).accuracy(model) == evaluate_accuracy(model, loader)
 
 
-def test_evaluator_pickles_without_plans():
-    model = _lenet()
-    evaluator = Evaluator(_loader())
-    before = evaluator.accuracy(model)  # compiles and caches a plan
-    clone = pickle.loads(pickle.dumps(evaluator))
-    assert clone._plan is None and clone._replica is None
-    assert clone.accuracy(_lenet()) == before
-
-
 def test_evaluator_does_not_pin_dropped_models():
     """A long-lived evaluator (one per experiment context) keeps no
     model its caller has dropped, and with it no plan or buffers."""
@@ -395,23 +385,3 @@ def test_evaluator_does_not_pin_dropped_models():
     gc.collect()
     assert [ref() is None for ref in refs[:-1]] == [True, True]
     assert len(set(accuracies)) == 1  # same weights, same accuracy
-
-
-def test_model_with_compiled_plan_still_pickles():
-    """Plan registration must not poison model transport (spawn pools).
-
-    Compiling a plan attaches weakrefs to the model; pickling — what a
-    spawn-based campaign pool does with the injector/evaluator payload —
-    must still work, shipping the model without its process-local plans.
-    """
-    rng = np.random.default_rng(10)
-    model = _lenet()
-    x = _batch(rng, 2)
-    plan = compile_model(model, x.shape)
-    reference = plan(x)
-    clone = pickle.loads(pickle.dumps(model))
-    assert "_runtime_plans" not in clone.__dict__
-    np.testing.assert_array_equal(forward_logits(clone, x), reference)
-    np.testing.assert_array_equal(compile_model(clone, x.shape)(x), reference)
-    # The original's plans keep working after the round trip.
-    np.testing.assert_array_equal(plan(x), reference)

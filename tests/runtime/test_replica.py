@@ -390,7 +390,9 @@ class TestReplaySafety:
 class TestGuards:
     def test_replica_plan_refuses_pickling(self):
         replica = compile_model(_lenet(), (2, 3, 16, 16)).replicate()
-        with pytest.raises(TypeError, match="cannot be pickled"):
+        # Process-local (lock, plan, id()-keyed caches): Python's own
+        # refusal of the lock makes a stray pickle fail loudly.
+        with pytest.raises(TypeError, match="pickle"):
             pickle.dumps(replica)
 
     def test_fault_parameters_without_hooks_is_none(self):

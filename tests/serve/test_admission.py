@@ -115,7 +115,7 @@ class TestAdmissionController:
             AdmissionController(max_pending=4, model_pending=8)
 
     def test_refuses_to_pickle(self):
-        with pytest.raises(TypeError, match="cannot be pickled"):
+        with pytest.raises(TypeError, match="pickle"):
             pickle.dumps(AdmissionController())
 
 

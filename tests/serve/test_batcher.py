@@ -89,7 +89,8 @@ class TestErrors:
                 batcher.submit(np.zeros((0, 2)))
 
     @pytest.mark.parametrize(
-        "kwargs", [{"max_batch": 0}, {"max_latency": -1.0}, {"workers": 0}]
+        "kwargs",
+        [{"max_batch": 0}, {"max_latency": -1.0}, {"max_latency": float("nan")}],
     )
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

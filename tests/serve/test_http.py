@@ -92,7 +92,6 @@ class TestEndpoints:
         assert health.chaos_ber is None
         assert health.admission is not None
         assert health.admission["pending"] == 0
-        assert health.workers == {"mode": "thread", "count": 1}
         assert health.slo is None  # no --slo-p99-ms configured
 
     def test_models_before_and_after_load(self, client, sample_batch):

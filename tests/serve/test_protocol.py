@@ -102,14 +102,14 @@ class TestModelAndHealthMessages:
             preload_rotated=(),
             chaos_ber=1e-5,
             admission={"pending": 0},
-            workers={"mode": "thread", "count": 1},
             slo=None,
         )
         assert HealthReport.from_payload(report.to_payload()) == report
 
     def test_runtime_key_from_older_servers_is_ignored(self):
-        """Older servers sent ``runtime``; every server now runs plans."""
-        health = {"status": "ok", "runtime": True}
+        """Older servers sent ``runtime`` (every server now runs plans)
+        and ``workers`` (every lane now runs one batch thread)."""
+        health = {"status": "ok", "runtime": True, "workers": {"count": 2}}
         assert HealthReport.from_payload(health).status == "ok"
         info = {"name": "a", "runtime": False}
         assert ModelInfo.from_payload(info).name == "a"

@@ -27,7 +27,7 @@ def _model():
 
 
 class _ParamHealth:
-    """Picklable accuracy proxy (deterministic in the fault pattern)."""
+    """Accuracy proxy (deterministic in the fault pattern)."""
 
     def __init__(self, model):
         self.model = model
@@ -85,6 +85,22 @@ class TestCreateOpen:
         assert outcome.flips == 2
         record = reopened.records(key)[0]
         assert record.sites == ((0, 3),)
+
+    def test_racing_creators_keep_the_first_sweep(self, tmp_path, monkeypatch):
+        """Both creators pass the existence check; only the first
+        manifest lands, and the second creator is told to join."""
+        monkeypatch.setattr(CampaignStore, "exists", classmethod(lambda cls, p: False))
+        identity = CampaignStore.campaign_identity(make_campaign())
+        first = CampaignStore.create(tmp_path / "s", identity, configs=[SPEC])
+        first.close()
+        with pytest.raises(StoreError, match="already holds"):
+            CampaignStore.create(tmp_path / "s", identity, meta={"loser": True})
+        monkeypatch.undo()
+        with CampaignStore.open(tmp_path / "s") as store:
+            assert store.config_keys() == first.config_keys()
+            assert len(store.config_keys()) == 1
+            assert "loser" not in store.meta
+        assert sorted(os.listdir(tmp_path / "s")) == ["manifest.json", "trials.jsonl"]
 
     def test_for_campaign_rejects_mismatched_identity(self, tmp_path):
         CampaignStore.for_campaign(tmp_path / "s", make_campaign(seed=0)).close()
