@@ -1,10 +1,10 @@
 """Benchmark-suite fixtures.
 
 Every paper artefact (figure/table) has one bench that regenerates it at
-the QUICK preset and saves the text rendering under
-``benchmarks/outputs/`` — those files are the source of EXPERIMENTS.md.
-Trained models are cached on disk (``.cache/repro-experiments``), so the
-first invocation trains the scaled zoo and later runs are much faster.
+the QUICK preset and saves the text rendering as
+``benchmarks/outputs/<id>.txt``.  Trained models are cached on disk
+(``.cache/repro-experiments``), so the first invocation trains the
+scaled zoo and later runs are much faster.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ OUTPUTS = Path(__file__).parent / "outputs"
 
 @pytest.fixture(scope="session")
 def save_output():
-    """Persist an experiment's text rendering for EXPERIMENTS.md."""
+    """Persist an experiment's text rendering as ``outputs/<id>.txt``."""
 
     def _save(artefact_id: str, text: str) -> None:
         OUTPUTS.mkdir(exist_ok=True)
@@ -26,12 +26,3 @@ def save_output():
         path.write_text(text + "\n", encoding="utf-8")
 
     return _save
-
-
-def run_once(benchmark, fn):
-    """Run a heavy experiment exactly once under the benchmark timer.
-
-    The default pytest-benchmark calibration would re-run multi-minute
-    experiments dozens of times; pedantic mode pins it to a single round.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -3,15 +3,13 @@
 Each bench varies one axis the paper holds fixed — fault location
 (activations), memory protection (SEC-DED ECC), fault spatial structure
 (bursts, stuck-at), and word format — with the rest of the Fig. 5/6
-setup unchanged.  Outputs land in ``benchmarks/outputs/`` and are the
-source of the EXPERIMENTS.md extension section.
+setup unchanged.  Outputs land in ``benchmarks/outputs/<id>.txt``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.eval.experiments import (
     QUICK,
     prepare_context,
@@ -32,15 +30,11 @@ def context():
     return prepare_context("vgg16", "synth10", QUICK)
 
 
-@pytest.mark.benchmark(group="extensions")
-def test_ext_activation_faults(benchmark, save_output, context):
+def test_ext_activation_faults(save_output, context):
     """EXT-A: under transient activation faults every bounding scheme
     must beat unprotected at high upset counts; bounds still work when
     the corruption strikes feature maps."""
-    result = run_once(
-        benchmark,
-        lambda: run_activation_fault_comparison(preset=QUICK, context=context),
-    )
+    result = run_activation_fault_comparison(preset=QUICK, context=context)
     save_output("ext_activation", result.to_text())
     data = result.data
     # At the heaviest upset count, bounded schemes beat unprotected.
@@ -49,13 +43,10 @@ def test_ext_activation_faults(benchmark, save_output, context):
     assert data["clipact"][heavy] >= data["none"][heavy] - 0.05
 
 
-@pytest.mark.benchmark(group="extensions")
-def test_ext_ecc_composition(benchmark, save_output, context):
+def test_ext_ecc_composition(save_output, context):
     """EXT-E: ECC corrects sparse flips at ~22% memory; at dense rates
     multi-bit words escape and activation bounds take over."""
-    result = run_once(
-        benchmark, lambda: run_ecc_comparison(preset=QUICK, context=context)
-    )
+    result = run_ecc_comparison(preset=QUICK, context=context)
     save_output("ext_ecc", result.to_text())
     data = result.data
     rates = [k for k in data["none"] if k not in ("clean", "memory_mb")]
@@ -66,13 +57,10 @@ def test_ext_ecc_composition(benchmark, save_output, context):
     assert data["none+ecc"]["memory_mb"] > data["none"]["memory_mb"] * 1.2
 
 
-@pytest.mark.benchmark(group="extensions")
-def test_ext_fault_models(benchmark, save_output, context):
+def test_ext_fault_models(save_output, context):
     """EXT-F: at a matched flip budget, FitAct's protection generalises
     from the paper's iid flips to bursts and stuck-at cells."""
-    result = run_once(
-        benchmark, lambda: run_fault_model_comparison(preset=QUICK, context=context)
-    )
+    result = run_fault_model_comparison(preset=QUICK, context=context)
     save_output("ext_faultmodels", result.to_text())
     data = result.data
     for label, row in data.items():
@@ -81,13 +69,12 @@ def test_ext_fault_models(benchmark, save_output, context):
     assert data["stuck-at-0"]["mean_flips"] < data["iid flips"]["mean_flips"]
 
 
-@pytest.mark.benchmark(group="extensions")
-def test_ext_mobilenet_panel(benchmark, save_output):
+def test_ext_mobilenet_panel(save_output):
     """EXT-M: the paper's comparison on the architecture its motivation
     actually targets.  Channel-wise FitAct restores the ordering;
     neuron-wise initialisation over-fits depthwise feature maps (the
     recorded negative finding)."""
-    result = run_once(benchmark, lambda: run_mobilenet_panel(preset=QUICK))
+    result = run_mobilenet_panel(preset=QUICK)
     save_output("ext_mobilenet", result.to_text())
     data = result.data
     rates = sorted((k for k in data if k != "clean"), key=float)
@@ -106,13 +93,10 @@ def test_ext_mobilenet_panel(benchmark, save_output):
             assert 0.0 <= value <= 1.0
 
 
-@pytest.mark.benchmark(group="extensions")
-def test_ext_layer_vulnerability(benchmark, save_output, context):
+def test_ext_layer_vulnerability(save_output, context):
     """EXT-L: equal flip budgets confined per layer — early conv groups
     are the most vulnerable unprotected, and FitAct closes the gap."""
-    result = run_once(
-        benchmark, lambda: run_layer_vulnerability(preset=QUICK, context=context)
-    )
+    result = run_layer_vulnerability(preset=QUICK, context=context)
     save_output("ext_layers", result.to_text())
     data = result.data
     for row in data.values():
@@ -122,14 +106,11 @@ def test_ext_layer_vulnerability(benchmark, save_output, context):
     assert min(row["none"] for row in data.values()) < 0.5
 
 
-@pytest.mark.benchmark(group="extensions")
-def test_ablation_hard_deploy(benchmark, save_output, context):
+def test_ablation_hard_deploy(save_output, context):
     """ABL-H: the tuned bounds deploy as the hard piecewise form with
     matching accuracy; the timings in ``result.data`` bound the gate
     cost (the saved artefact carries no wall clock)."""
-    result = run_once(
-        benchmark, lambda: run_hard_deploy_ablation(preset=QUICK, context=context)
-    )
+    result = run_hard_deploy_ablation(preset=QUICK, context=context)
     save_output("ablation_harddeploy", result.to_text())
     smooth = result.data["smooth (FitReLU)"]
     hard = result.data["hard (FitReLU-Naive)"]
@@ -143,13 +124,10 @@ def test_ablation_hard_deploy(benchmark, save_output, context):
     assert hard["seconds"] < plain_seconds * 3
 
 
-@pytest.mark.benchmark(group="extensions")
-def test_ablation_word_format(benchmark, save_output, context):
+def test_ablation_word_format(save_output, context):
     """ABL-W: narrower words expose fewer, lower-magnitude bits; Q15.16
     pays for its range with fault vulnerability that FitAct recovers."""
-    result = run_once(
-        benchmark, lambda: run_format_ablation(preset=QUICK, context=context)
-    )
+    result = run_format_ablation(preset=QUICK, context=context)
     save_output("ablation_format", result.to_text())
     data = result.data
     # Expected flips scale linearly with word width.

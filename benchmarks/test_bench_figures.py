@@ -1,7 +1,8 @@
 """Benches regenerating the paper's figures (DESIGN.md §5 index).
 
-Run with ``pytest benchmarks/ --benchmark-only``.  Each bench executes
-the experiment once at the QUICK preset, saves the text artefact, and
+Run with ``pytest benchmarks/test_bench_figures.py``.  Each bench runs
+the experiment once at the QUICK preset, saves the text artefact
+(``benchmarks/outputs/<id>.txt``), and
 asserts the paper's qualitative *shape* (who wins, where the knees are).
 Assertions are tolerant: QUICK uses few trials by design.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.eval.experiments import (
     QUICK,
     run_fig1,
@@ -22,11 +22,10 @@ from repro.eval.experiments import (
 )
 
 
-@pytest.mark.benchmark(group="figures")
-def test_fig1_bound_sweep(benchmark, save_output):
+def test_fig1_bound_sweep(save_output):
     """FIG1: resilience rises as the global bound shrinks, then clean
     accuracy collapses below the knee."""
-    result = run_once(benchmark, lambda: run_fig1(preset=QUICK))
+    result = run_fig1(preset=QUICK)
     save_output("fig1", result.to_text())
     accuracy = np.asarray(result.fault_accuracy)
     clean = np.asarray(result.clean_accuracy)
@@ -37,20 +36,18 @@ def test_fig1_bound_sweep(benchmark, save_output):
     assert clean[0] <= clean[-1] + 1e-9
 
 
-@pytest.mark.benchmark(group="figures")
-def test_fig2_activation_distribution(benchmark, save_output):
+def test_fig2_activation_distribution(save_output):
     """FIG2: per-neuron activation maxima vary wildly (max >> median)."""
-    result = run_once(benchmark, lambda: run_fig2(preset=QUICK))
+    result = run_fig2(preset=QUICK)
     save_output("fig2", result.to_text())
     assert result.maxima.size > 100
     assert result.dispersion_ratio > 1.5
 
 
-@pytest.mark.benchmark(group="figures")
-def test_fig3_activation_shapes(benchmark, save_output):
+def test_fig3_activation_shapes(save_output):
     """FIG3: bounded activations squash the tail; FitReLU is the smooth
     variant of FitReLU-Naive."""
-    result = run_once(benchmark, run_fig3)
+    result = run_fig3()
     save_output("fig3", result.to_text())
     assert result.tail_value("ReLU") == pytest.approx(result.grid[-1])
     assert result.tail_value("GBReLU") == 0.0
@@ -65,11 +62,10 @@ def test_fig3_activation_shapes(benchmark, save_output):
     )
 
 
-@pytest.mark.benchmark(group="campaigns")
-def test_fig5_accuracy_distribution(benchmark, save_output):
+def test_fig5_accuracy_distribution(save_output):
     """FIG5: distribution boxes — FitAct stays high where Unprotected and
     Ranger have collapsed."""
-    result = run_once(benchmark, lambda: run_fig5(preset=QUICK))
+    result = run_fig5(preset=QUICK)
     save_output("fig5", result.to_text())
     sweep = result.sweep
     top_rate = sweep.rates[-1]
@@ -86,11 +82,10 @@ def test_fig5_accuracy_distribution(benchmark, save_output):
         ), method
 
 
-@pytest.mark.benchmark(group="campaigns")
-def test_fig6_average_accuracy(benchmark, save_output):
+def test_fig6_average_accuracy(save_output):
     """FIG6: the full model × dataset grid; protections beat unprotected
     everywhere, FitAct leads at the top rates on average."""
-    result = run_once(benchmark, lambda: run_fig6(preset=QUICK))
+    result = run_fig6(preset=QUICK)
     save_output("fig6", result.to_text())
     top_margin = []
     for (model_name, dataset_name), sweep in result.panels.items():
@@ -109,5 +104,6 @@ def test_fig6_average_accuracy(benchmark, save_output):
     # matches Clip-Act.  At QUICK width-scales FitAct's λ words inflate
     # its own fault space by up to ~3× (ResNet50: 185k bound words vs
     # 96k weights — the paper's models sit near 8%), so it faces
-    # proportionally more flips at equal rates; see EXPERIMENTS.md.
+    # proportionally more flips at equal rates; see the per-method mean
+    # flips in benchmarks/outputs/fig6.txt.
     assert float(np.mean(top_margin)) > -0.15

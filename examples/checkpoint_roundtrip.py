@@ -110,9 +110,10 @@ def main() -> None:
 
     print(
         "\nThe CLI wraps this same flow:\n"
-        "  python -m repro protect  --model lenet --method fitact "
+        "  python -m repro protect --model lenet --method fitact "
         "--preset smoke --out ckpt.npz\n"
-        "  python -m repro evaluate --checkpoint ckpt.npz --rates 1e-6 1e-5"
+        "  python -m repro campaign run --checkpoint ckpt.npz --store runs/ckpt "
+        "--rates 1e-6 1e-5 --preset smoke"
     )
 
 

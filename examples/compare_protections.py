@@ -59,13 +59,15 @@ def main() -> None:
             x_label="fault rate",
             title=(
                 f"Mean accuracy under faults — {args.model}/{args.dataset} "
-                f"({sweep.sweeps[args.methods[0]][sweep.rates[0]].trials} trials; "
-                "E[flips]: "
-                + ", ".join(f"{sweep.expected_flips[r]:.1f}" for r in sweep.rates)
-                + ")"
+                f"({sweep.sweeps[args.methods[0]][sweep.rates[0]].trials} trials)"
             ),
         )
     )
+    print("\nmean flips per rate: " + "; ".join(
+        f"{METHOD_LABELS.get(m, m)} "
+        + ", ".join(f"{f:.1f}" for f in sweep.mean_flips(m))
+        for m in args.methods
+    ))
     print("\nclean accuracy per scheme: " + ", ".join(
         f"{METHOD_LABELS.get(m, m)} {percent(sweep.clean_accuracy[m])}"
         for m in args.methods

@@ -7,7 +7,7 @@ Commands
 ``info``               one model's layer tree, sites, and memory
 ``train``              train (or load cached) base weights
 ``protect``            apply a protection scheme and save a checkpoint
-``evaluate``           clean + under-fault accuracy of a checkpoint
+``evaluate``           clean accuracy of a checkpoint
 ``experiment``         regenerate a paper artefact by id
 """
 

@@ -209,8 +209,6 @@ def _checkpoint_format(meta: dict[str, object]):
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.core.checkpoint import load_protected_auto
-    from repro.fault.campaign import FaultCampaign
-    from repro.fault.injector import FaultInjector
 
     preset = _preset_from_args(args)
     model, meta = load_protected_auto(args.checkpoint)
@@ -222,23 +220,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         f"({meta['method']})"
     )
     print(f"clean accuracy: {clean:.2%}")
-    if not args.rates:
-        return 0
-    from repro.fault.fault_model import BitFlipFaultModel
-
-    campaign = FaultCampaign(
-        FaultInjector(model, fmt=_checkpoint_format(meta)),
-        evaluator.bind(model),
-        trials=preset.trials,
-        seed=preset.seed,
-    )
-    for rate in args.rates:
-        result = campaign.run(BitFlipFaultModel.at_rate(rate))
-        print(
-            f"rate {rate:.1e}: mean {result.mean:.2%}  median "
-            f"{result.median:.2%}  min {result.min:.2%}  "
-            f"({result.trials} trials, mean {result.flip_counts.mean():.1f} flips)"
-        )
     return 0
 
 
@@ -976,22 +957,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="Q15.16",
         help=(
             "fixed-point quantisation format, e.g. Q15.16 or Q7.8; "
-            "recorded in the checkpoint manifest so 'evaluate' injects "
+            "recorded in the checkpoint manifest so campaigns inject "
             "faults into the matching bit-space (default: Q15.16)"
         ),
     )
     _add_preset_arguments(p)
     p.set_defaults(func=_cmd_protect)
 
-    p = sub.add_parser("evaluate", help="evaluate a protected checkpoint")
+    p = sub.add_parser("evaluate", help="clean accuracy of a protected checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument(
-        "--rates",
-        type=float,
-        nargs="*",
-        default=(),
-        help="fault rates for an under-fault campaign (e.g. 1e-6 3e-6)",
-    )
     _add_preset_arguments(p)
     p.set_defaults(func=_cmd_evaluate)
 

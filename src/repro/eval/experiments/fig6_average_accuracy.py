@@ -43,7 +43,11 @@ class Fig6Result:
             series = {
                 METHOD_LABELS[m]: sweep.mean_accuracy(m) for m in self.methods
             }
-            flips = [f"{sweep.expected_flips[r]:.1f}" for r in sweep.rates]
+            flips = "; ".join(
+                f"{METHOD_LABELS[m]} "
+                + ", ".join(f"{f:.1f}" for f in sweep.mean_flips(m))
+                for m in self.methods
+            )
             title = (
                 f"\n{model_name} / {dataset_name} "
                 f"(clean: "
@@ -51,7 +55,7 @@ class Fig6Result:
                     f"{METHOD_LABELS[m]} {percent(sweep.clean_accuracy[m])}"
                     for m in self.methods
                 )
-                + f"; E[flips] per rate: {', '.join(flips)})"
+                + f"; mean flips per rate: {flips})"
             )
             blocks.append(
                 format_curves(

@@ -8,7 +8,7 @@ three tiers trade fidelity for wall-clock:
 - ``SMOKE`` — seconds; CI-sized sanity runs (LeNet-class models).
 - ``QUICK`` — minutes; the default for ``pytest benchmarks/``: the real
   model zoo at reduced width/resolution.  This is the tier whose outputs
-  EXPERIMENTS.md records.
+  ``benchmarks/outputs/<id>.txt`` records.
 - ``FULL`` — hours; closest to paper shape (width ×0.25, 32×32, more
   data/trials).  Run explicitly via the example scripts.
 
@@ -17,8 +17,8 @@ scales with model size; our scaled models have ~10–100× fewer parameter
 bits than the paper's, so the paper's rates yield sub-single flips at the
 low end.  Each preset therefore multiplies the paper's rate grid by
 ``rate_scale``, keeping the grid's relative spacing (1, 10, 30, 100,
-300); experiment outputs always report the actual rates and the expected
-flip counts so runs at any scale can be compared.
+300); experiment outputs always report the actual rates and the mean
+realised flip counts so runs at any scale can be compared.
 """
 
 from __future__ import annotations

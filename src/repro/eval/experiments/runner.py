@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.eval.experiments.context import ExperimentContext
 from repro.fault.campaign import FaultCampaign, SweepResult
 from repro.fault.injector import FaultInjector
@@ -31,12 +29,17 @@ class MethodSweep:
     rates: tuple[float, ...]
     clean_accuracy: dict[str, float] = field(default_factory=dict)
     sweeps: dict[str, SweepResult] = field(default_factory=dict)
-    expected_flips: dict[float, float] = field(default_factory=dict)
     reference_accuracy: float = 0.0
 
     def mean_accuracy(self, method: str) -> list[float]:
         """Mean accuracy per rate for one method (a Fig. 6 line)."""
         return self.sweeps[method].mean_curve()
+
+    def mean_flips(self, method: str) -> list[float]:
+        """Mean realised flips per rate for one method: each method
+        faces its own fault space (FitAct adds its bound words)."""
+        sweep = self.sweeps[method]
+        return [float(sweep[rate].flip_counts.mean()) for rate in self.rates]
 
 
 def run_method_sweep(
@@ -68,12 +71,8 @@ def run_method_sweep(
             method, protection_overrides=overrides.get(method)
         )
         result.clean_accuracy[method] = info["clean_accuracy"]
-        injector = FaultInjector(model)
-        if not result.expected_flips:
-            for rate in rates:
-                result.expected_flips[rate] = rate * injector.total_bits
         campaign = FaultCampaign(
-            injector,
+            FaultInjector(model),
             context.evaluator.bind(model),
             trials=trials,
             seed=derive_seed(preset.seed, "campaign", tag, context.model_name,

@@ -14,8 +14,7 @@ backoff instead of pattern-matching error strings.
 ``run_load`` drives ``POST /v1/predict`` from many threads at once —
 enough concurrency for the micro-batcher to actually form batches — and
 reports achieved throughput with sheds counted separately from hard
-errors; it backs ``benchmarks/test_bench_serve.py`` and
-``examples/serve_client.py``.
+errors; it backs ``examples/serve_client.py``.
 """
 
 from __future__ import annotations

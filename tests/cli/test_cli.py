@@ -125,22 +125,14 @@ class TestPipeline:
         assert "clipact" in out
         assert checkpoint.exists()
 
-        assert (
-            main(
-                [
-                    "evaluate",
-                    "--checkpoint",
-                    str(checkpoint),
-                    "--rates",
-                    "1e-5",
-                    *TINY,
-                ]
-            )
-            == 0
-        )
+        assert main(["evaluate", "--checkpoint", str(checkpoint), *TINY]) == 0
         out = capsys.readouterr().out
         assert "clean accuracy" in out
-        assert "rate 1.0e-05" in out
+        assert "rate " not in out
+        # Campaigns run only through `campaign run`.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evaluate", "--checkpoint", str(checkpoint), "--rates", "1e-5"])
+        assert excinfo.value.code == 2
 
     def test_second_train_hits_cache(self, isolated_cache, capsys):
         assert main(["train", "--model", "lenet", *TINY]) == 0
@@ -153,10 +145,11 @@ class TestPipeline:
     def test_protect_records_format_and_evaluate_uses_it(
         self, isolated_cache, tmp_path, capsys
     ):
-        """Regression: evaluate used to hard-code Q15.16, so faults for a
+        """Regression: campaigns used to hard-code Q15.16, so faults for a
         Q7.8 checkpoint landed in the wrong bit-space."""
         from repro.core.checkpoint import load_protected
         from repro.models.registry import build_model
+        from repro.store import CampaignStore
 
         checkpoint = tmp_path / "q78.npz"
         assert (
@@ -186,14 +179,13 @@ class TestPipeline:
         _, meta = load_protected(checkpoint, builder)
         assert meta["format"] == "Q7.8"
 
-        assert (
-            main(
-                ["evaluate", "--checkpoint", str(checkpoint), "--rates", "1e-4", *TINY]
-            )
-            == 0
-        )
+        store = tmp_path / "q78-store"
+        argv = ["campaign", "run", "--checkpoint", str(checkpoint), "--store"]
+        assert main([*argv, str(store), "--rates", "1e-4", *TINY]) == 0
         captured = capsys.readouterr()
         assert "rate 1.0e-04" in captured.out
+        with CampaignStore.open(store) as opened:
+            assert opened.identity["word_bits"] == 16  # Q7.8 words
         # The manifest carries a format, so no fallback warning appears.
         assert "assuming Q15.16" not in captured.err
 

@@ -329,9 +329,6 @@ class TestErrors:
         assert _run(checkpoint, tmp_path / "s", "--trials", "0") == 1
         assert "error: trials must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
-        argv = ["evaluate", "--checkpoint", checkpoint, "--rates", "1e-5"]
-        assert main([*argv, *TINY, "--trials", "0"]) == 1
-        assert "error: trials must be >= 1" in capsys.readouterr().err
 
     def test_bad_limit(self, checkpoint, tmp_path, capsys):
         """Rejected before the model loads or the store is created."""

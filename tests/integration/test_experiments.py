@@ -147,7 +147,21 @@ class TestFigureRunners:
             "clipact", result.sweep.rates[0]
         )
         assert box["min"] <= box["median"] <= box["max"]
-        assert "Clip-Act" in result.to_text()
+        text = result.to_text()
+        assert "Clip-Act" in text
+        # Each block's flips column is that method's own mean realised
+        # flips, not the first method's fault space.
+        none_block = text.split("Unprotected (clean")[1]
+        assert "mean flips" in none_block
+        flips = [
+            line.split("|")[1].strip()
+            for line in none_block.splitlines()
+            if line[:1].isdigit()
+        ]
+        assert flips == [
+            f"{result.sweep.sweeps['none'][rate].flip_counts.mean():.1f}"
+            for rate in result.sweep.rates
+        ]
 
     def test_granularity_ablation(self, context):
         result = run_granularity_ablation(

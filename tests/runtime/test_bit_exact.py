@@ -76,11 +76,17 @@ def _run_checking_scratch_aliasing(plan, x):
 # ----------------------------------------------------------------------
 # Every registry architecture
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", MODEL_NAMES)
-def test_registry_model_bit_exact(name):
+@pytest.mark.parametrize(
+    "name,n",
+    # resnet18 at batch 128: its K-major convs split the batch into
+    # default-sized image blocks, the last one ragged.
+    [*((name, 3) for name in MODEL_NAMES), ("resnet18", 128)],
+    ids=[*MODEL_NAMES, "resnet18-b128"],
+)
+def test_registry_model_bit_exact(name, n):
     rng = np.random.default_rng(7)
     model = build_model(name, num_classes=10, scale=0.125, image_size=32, seed=0)
-    x = _random_batch(rng, 3, 32)
+    x = _random_batch(rng, n, 32)
     reference = _module_logits(model, x)
     plan = compile_model(model, x.shape)
     np.testing.assert_array_equal(_run_checking_scratch_aliasing(plan, x), reference)

@@ -18,6 +18,8 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.core.fitrelu import FitReLU
+from repro.core.surgery import find_activation_sites
 from repro.core.training import evaluate_accuracy
 from repro.data.loader import DataLoader
 from repro.data.synthetic import SYNTH_MEAN, SYNTH_STD, SyntheticImageDataset
@@ -36,9 +38,14 @@ FAULTS = ActivationFaultModel.exact(3)
 
 
 def _build(name: str, size: int = 16):
+    """A registry model; ``<name>+fitact`` swaps in FitReLU at every site."""
+    base, _, protection = name.partition("+")
     model = build_model(
-        name, num_classes=10, scale=0.125, image_size=size, seed=0
+        base, num_classes=10, scale=0.125, image_size=size, seed=0
     )
+    if protection == "fitact":
+        for path in find_activation_sites(model):
+            model.set_submodule(path, FitReLU(np.float32(1.5)))
     model.eval()
     return model
 
@@ -50,13 +57,23 @@ def _batch(size: int = 16, n: int = 4):
 
 
 @pytest.mark.parametrize(
-    "name,size",
-    [("lenet", 16), ("resnet18", 16), ("vgg11", 32), ("mobilenet", 32)],
+    "name,size,n",
+    [
+        ("lenet", 16, 4),
+        ("resnet18", 16, 4),
+        ("vgg11", 32, 4),
+        ("mobilenet", 32, 4),
+        # The protected-campaign deployment shape at an eval batch.
+        ("lenet+fitact", 16, 128),
+    ],
+    ids=[
+        "lenet-16", "resnet18-16", "vgg11-32", "mobilenet-32", "lenet+fitact-b128"
+    ],
 )
-def test_instrumented_model_compiles_natively_and_matches(name, size):
+def test_instrumented_model_compiles_natively_and_matches(name, size, n):
     """Clean pass-through, armed equality, counters, disarm restore."""
     model = _build(name, size)
-    x = _batch(size)
+    x = _batch(size, n)
     clean = forward_logits(model, x)
     injector = ActivationFaultInjector(model)
     plan = compile_model(model, x.shape)  # crashed for resnet18 before
