@@ -11,21 +11,30 @@ out one of two ways, picked from the output map's size
   ``matmul`` of the weight against it, with batch dims ``(N, G)``, which
   writes NCHW directly.  Every image and group multiplies a GEMM of the
   same fixed shape, so an image's output does not depend on its batch.
+  That lets a conv that keeps no column matrix (a frozen weight, or
+  ``no_grad``) gather and multiply one block of images at a time, as
+  many as fit :data:`CONV_BLOCK_BYTES` (:func:`conv_block_images`), with
+  the same bytes as one whole-batch pass.
 - **Channels-last** (smaller maps).  The input is copied into a padded
   NHWC buffer, slabs are gathered in ``(kh, kw, c)`` column order into
   ``(N * OH * OW, kh * kw * C)``, and one position-major GEMM multiplies
-  them against the weight permuted to match.
+  them against the weight permuted to match.  It always runs over the
+  whole batch: split, the position-major GEMM would round differently.
 
-The compiled runtime's convolution kernel calls the same two functions,
-so both paths hand BLAS the same operands.
+The compiled runtime's convolution kernel calls the same two functions
+and the same block rule, so both paths hand BLAS the same operands.
 
 The backward computes only the gradients its inputs need
 (``Function.needs_input_grad``): the weight gradient reads the saved
 column matrix, which a frozen weight's forward never keeps.  The K-major
-input gradient is ``Wᵀ @ grad`` per image, scattered back plane by plane
-by :func:`_scatter_windows`, which the pooling backwards share.  The
-channels-last one comes out as one NHWC slab per kernel offset, which
-:func:`_col2im_nhwc` scatter-adds into a padded NHWC buffer.
+input gradient is ``Wᵀ @ grad`` one block of images at a time into block
+scratch, which :func:`scatter_add_windows` adds into the unpadded input
+gradient kernel offset by kernel offset; the pooling backwards share
+that scatter.  The channels-last one comes out as one NHWC slab per
+kernel offset, which :func:`_col2im_nhwc` scatter-adds into a padded
+NHWC buffer.  Max pooling runs :func:`max_pool_into`, the compiled
+runtime's own function, and records the first-max index only when a
+gradient is needed.
 """
 
 from __future__ import annotations
@@ -40,12 +49,16 @@ from repro.autograd.tensor import Tensor, as_tensor
 from repro.errors import ShapeError
 
 __all__ = [
+    "CONV_BLOCK_BYTES",
     "as_pair",
     "avg_pool2d",
     "conv2d",
+    "conv_block_images",
     "conv_gemm",
     "im2col",
     "max_pool2d",
+    "max_pool_into",
+    "scatter_add_windows",
     "use_kmajor",
 ]
 
@@ -62,6 +75,21 @@ KMAJOR_MIN_AREA = 64
 #: never mixes trials computed two ways.  Change it with any change that
 #: moves a conv's output bits.
 NUMERICS = f"conv-kmajor-nhwc/area-{KMAJOR_MIN_AREA}"
+
+#: Bytes one block of images may touch in a K-major conv: its column
+#: block plus its output block and the activation scratch the compiled
+#: runtime's epilogue runs over it.  The compiled ``ConvKernel`` runs
+#: gather, GEMM and epilogue one block at a time, so all three stay in
+#: cache and the column scratch does not grow with the batch; a frozen
+#: conv's autograd forward and every K-major input gradient block the
+#: same way.  Forward speed against one whole-batch block, VGG16
+#: perfbench fixture at batch 128 on a 2-core host: 256 KiB 0.85x,
+#: 512 KiB 1.05x, 1 MiB 1.17x, 2 MiB 1.28x, 4-8 MiB 1.22x.
+CONV_BLOCK_BYTES = 2 << 20
+
+#: Epilogue bytes per output element: the float32 output plus the
+#: activation scratch (FitReLU's one float plane; a ReLU or bound mask).
+_EPILOGUE_BYTES = 4 + 4 + 1
 
 
 def as_pair(value: IntPair, name: str) -> tuple[int, int]:
@@ -112,6 +140,25 @@ def is_pointwise(
 ) -> bool:
     """A 1x1, stride-1, unpadded conv: its K-major columns are its input."""
     return kernel == (1, 1) and stride == (1, 1) and padding == (0, 0)
+
+
+def conv_block_images(
+    channels: int,
+    area: int,
+    out_channels: int,
+    kernel: tuple[int, int],
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+) -> int:
+    """Images per K-major block for a conv with ``channels`` inputs and
+    ``area`` output positions: as many as fit :data:`CONV_BLOCK_BYTES`,
+    at least one.  The GEMM has one fixed shape per image, so any block
+    size gives the same bytes."""
+    rows = 0
+    if not is_pointwise(kernel, stride, padding):
+        rows = channels * kernel[0] * kernel[1]
+    per_image = area * (4 * rows + _EPILOGUE_BYTES * out_channels)
+    return max(1, CONV_BLOCK_BYTES // per_image)
 
 
 def im2col(
@@ -207,7 +254,7 @@ def _col2im_nhwc(
     ``windows`` has shape (N, OH, OW, kh, kw, C).  Each kernel offset is
     added separately, in (i, j) order, into a padded NHWC buffer —
     overlapping windows (stride < kernel) accumulate in the same order
-    as :func:`_scatter_windows` — and the interior is transposed to
+    as :func:`scatter_add_windows` — and the interior is transposed to
     NCHW once at the end.
     """
     n, c, h, w = in_shape
@@ -225,33 +272,108 @@ def _col2im_nhwc(
     )
 
 
-def _scatter_windows(
-    grad_windows: np.ndarray,
-    in_shape: tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    sh: int,
-    sw: int,
-    ph: int,
-    pw: int,
-) -> np.ndarray:
-    """col2im in NCHW: scatter-add window gradients plane by plane.
+def _interior(
+    size: int, out_size: int, offset: int, stride: int, pad: int
+) -> slice | None:
+    """The output positions whose window, at kernel ``offset``, lands
+    inside the unpadded input; ``None`` when none does."""
+    first = max(0, -(-(pad - offset) // stride))
+    stop = min(out_size, (size - 1 + pad - offset) // stride + 1)
+    if first >= stop:
+        return None
+    return slice(first, stop)
 
-    ``grad_windows`` has shape (N, C, kh, kw, OH, OW).  Overlapping windows
-    (stride < kernel) accumulate correctly because each kernel offset is
-    added separately.
+
+def scatter_add_windows(
+    grad_x: np.ndarray,
+    windows: np.ndarray,
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+) -> np.ndarray:
+    """col2im in NCHW: add window gradients into ``grad_x`` in place.
+
+    ``windows`` has shape (N, C, kh, kw, OH, OW) (a broadcast view is
+    fine) and ``grad_x`` (N, C, H, W), the unpadded input gradient.
+    Each kernel offset ``(i, j)`` is added separately, in (i, j) order,
+    so overlapping windows (stride < kernel) accumulate in a fixed order;
+    each offset's window range is clipped to the interior, so what would
+    land in the padding is never computed.  From a zero ``grad_x`` this
+    gives the bytes of scattering into a zero padded buffer and slicing
+    its interior.
     """
-    n, c, h, w = in_shape
-    oh, ow = grad_windows.shape[-2:]
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=grad_windows.dtype)
+    _, _, h, w = grad_x.shape
+    _, _, kh, kw, oh, ow = windows.shape
+    sh, sw = stride
+    ph, pw = padding
     for i in range(kh):
+        rows = _interior(h, oh, i, sh, ph)
+        if rows is None:
+            continue
+        y0 = i + sh * rows.start - ph
         for j in range(kw):
-            padded[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += grad_windows[
-                :, :, i, j
+            cols = _interior(w, ow, j, sw, pw)
+            if cols is None:
+                continue
+            x0 = j + sw * cols.start - pw
+            dst = grad_x[
+                :,
+                :,
+                y0 : y0 + sh * (rows.stop - rows.start - 1) + 1 : sh,
+                x0 : x0 + sw * (cols.stop - cols.start - 1) + 1 : sw,
             ]
-    if ph == 0 and pw == 0:
-        return padded
-    return padded[:, :, ph : ph + h, pw : pw + w]
+            np.add(dst, windows[:, :, i, j, rows, cols], out=dst)
+    return grad_x
+
+
+def max_pool_into(
+    padded: np.ndarray,
+    kernel: tuple[int, int],
+    stride: tuple[int, int],
+    out: np.ndarray,
+    index: np.ndarray | None = None,
+) -> np.ndarray:
+    """Max pooling of the padded NCHW ``padded`` into ``out`` (N, C, OH, OW).
+
+    One elementwise ``np.maximum`` per kernel offset, in (i, j) order —
+    an order of magnitude faster than a reduction over a window view,
+    and exact: max selects an element (NaN if the window holds one; of a
+    tie between ``+0.0`` and ``-0.0`` either may come out).  The autograd
+    op and the compiled runtime's max-pool step both call this function.
+
+    ``index`` (same shape as ``out``, an unsigned dtype holding
+    ``kh * kw - 1``), when given, receives the offset ``i * kw + j`` that
+    ``argmax`` over each window picks: the first element equal to the
+    maximum, or the first NaN.
+    """
+    kh, kw = kernel
+    sh, sw = stride
+    oh, ow = out.shape[-2:]
+
+    def window(offset: int) -> np.ndarray:
+        i, j = divmod(offset, kw)
+        return padded[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+
+    np.copyto(out, window(0))
+    for offset in range(1, kh * kw):
+        np.maximum(out, window(offset), out=out)
+    if index is None:
+        return out
+    # Last offset first, so the first hit wins.  Some offset always hits
+    # (the maximum is an element), so the last is the default; ``index``
+    # only ever falls, and falls to ``offset`` by ``hit * (index - offset)``
+    # rather than by a masked copy, which branches per element.
+    nan = bool(np.isnan(out).any())
+    hit = np.empty(out.shape, dtype=np.bool_)
+    fall = np.empty(out.shape, dtype=index.dtype)
+    index.fill(kh * kw - 1)
+    for offset in range(kh * kw - 2, -1, -1):
+        np.equal(window(offset), out, out=hit)
+        if nan:  # a NaN maximum is the window's first NaN
+            hit |= np.isnan(window(offset))
+        np.subtract(index, offset, out=fall)
+        np.multiply(fall, hit, out=fall)
+        np.subtract(index, fall, out=index)
+    return out
 
 
 class _Conv2d(Function):
@@ -288,29 +410,56 @@ class _Conv2d(Function):
             raise ShapeError(
                 f"out-channels {weight.shape[0]} not divisible by groups {groups}"
             )
-        n = x.shape[0]
+        n, c, h, w = x.shape
         out_channels, _, kh, kw = weight.shape
-        oh = _out_size(x.shape[2], kh, stride[0], padding[0])
-        ow = _out_size(x.shape[3], kw, stride[1], padding[1])
+        oh = _out_size(h, kh, stride[0], padding[0])
+        ow = _out_size(w, kw, stride[1], padding[1])
         kmajor = use_kmajor(oh * ow, groups)
+        need_x, need_weight = self.needs_input_grad[:2]
 
-        cols = im2col(x, (kh, kw), stride, padding, kmajor)
-        out = conv_gemm(weight, cols, groups)
+        block = None
         if kmajor:
-            if bias is not None:
-                out += bias.reshape(-1, 1)
+            # The weight gradient reads the whole batch's columns; with
+            # none to keep, one block of images at a time.
+            block = n
+            if not need_weight:
+                rule = conv_block_images(
+                    c, oh * ow, out_channels, (kh, kw), stride, padding
+                )
+                block = min(n, rule)
+            out = np.empty(
+                (n, out_channels, oh * ow), dtype=np.result_type(weight, x)
+            )
+            cols_buf = padded = None
+            if not is_pointwise((kh, kw), stride, padding):
+                cols_buf = np.empty((block, c * kh * kw, oh * ow), dtype=x.dtype)
+                if padding != (0, 0):
+                    ph, pw = padding
+                    padded = np.zeros((block, c, h + 2 * ph, w + 2 * pw), x.dtype)
+            for b0 in range(0, n, block):
+                m = min(n, b0 + block) - b0
+                cols = im2col(
+                    x[b0 : b0 + m], (kh, kw), stride, padding, kmajor,
+                    out=None if cols_buf is None else cols_buf[:m],
+                    padded=None if padded is None else padded[:m],
+                )
+                rows = conv_gemm(weight, cols, groups, out=out[b0 : b0 + m])
+                if bias is not None:
+                    rows += bias.reshape(-1, 1)
             out = out.reshape(n, out_channels, oh, ow)
         else:
+            cols = im2col(x, (kh, kw), stride, padding, kmajor)
+            out = conv_gemm(weight, cols, groups)
             if bias is not None:
                 out += bias
             out = np.ascontiguousarray(
                 out.reshape(n, oh, ow, out_channels).transpose(0, 3, 1, 2)
             )
 
-        need_x, need_weight = self.needs_input_grad[:2]
         self.has_bias = bias is not None
         self.stride, self.padding = stride, padding
         self.groups, self.kmajor = groups, kmajor
+        self.block = block  # images per K-major forward block, else None
         self.in_shape = x.shape
         self.weight_shape = weight.shape
         # The column matrix only feeds the weight gradient and the
@@ -345,19 +494,25 @@ class _Conv2d(Function):
                 cols.transpose(1, 2, 0, 3).reshape(groups, kg, -1).transpose(0, 2, 1),
             ).reshape(self.weight_shape)
         if need_x:
-            # Wᵀ @ grad per image, then back plane by plane.
-            weight = self.weight.reshape(groups, og, kg)
-            grad_cols = np.matmul(weight.transpose(0, 2, 1), grad)
-            grad_x = np.ascontiguousarray(
-                _scatter_windows(
-                    grad_cols.reshape(n, -1, kh, kw, oh, ow),
-                    self.in_shape,
-                    kh,
-                    kw,
-                    *self.stride,
-                    *self.padding,
-                )
+            # Wᵀ @ grad one block of images at a time, each block's
+            # window gradients added straight into the unpadded grad_x.
+            weight_t = self.weight.reshape(groups, og, kg).transpose(0, 2, 1)
+            grad_x = np.zeros(self.in_shape, dtype=np.result_type(weight_t, grad))
+            c = self.in_shape[1]
+            rule = conv_block_images(
+                c, oh * ow, out_channels, (kh, kw), self.stride, self.padding
             )
+            block = min(n, rule)
+            scratch = np.empty((block, groups, kg, oh * ow), dtype=grad_x.dtype)
+            for b0 in range(0, n, block):
+                m = min(n, b0 + block) - b0
+                windows = np.matmul(weight_t, grad[b0 : b0 + m], out=scratch[:m])
+                scatter_add_windows(
+                    grad_x[b0 : b0 + m],
+                    windows.reshape(m, c, kh, kw, oh, ow),
+                    self.stride,
+                    self.padding,
+                )
         if self.has_bias and self.needs_input_grad[2]:
             grad_bias = grad_out.sum(axis=(0, 2, 3))
         return grad_x, grad_weight, grad_bias
@@ -388,6 +543,10 @@ class _Conv2d(Function):
 
 
 class _MaxPool2d(Function):
+    """Max pooling by :func:`max_pool_into`; when the input needs a
+    gradient the forward also records each window's first-max offset,
+    and the backward routes ``grad_out`` to it."""
+
     def forward(
         self,
         x: np.ndarray,
@@ -398,33 +557,41 @@ class _MaxPool2d(Function):
         if x.ndim != 4:
             raise ShapeError(f"max_pool2d expects NCHW input, got {x.ndim}-D")
         kh, kw = kernel
-        sh, sw = stride
-        ph, pw = padding
         n, c, h, w = x.shape
-        oh = _out_size(h, kh, sh, ph)
-        ow = _out_size(w, kw, sw, pw)
-        padded = _pad_spatial(x, ph, pw, fill=-np.inf)
-        windows = _strided_windows(padded, kh, kw, sh, sw)
-        flat = np.ascontiguousarray(windows).reshape(n, c, oh, ow, kh * kw)
-        argmax = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-
+        oh = _out_size(h, kh, stride[0], padding[0])
+        ow = _out_size(w, kw, stride[1], padding[1])
+        out = np.empty((n, c, oh, ow), dtype=x.dtype)
+        index = None
+        if self.needs_input_grad[0]:
+            index = np.empty(out.shape, dtype=np.min_scalar_type(kh * kw - 1))
+        max_pool_into(
+            _pad_spatial(x, *padding, fill=-np.inf), kernel, stride, out, index
+        )
         self.kernel, self.stride, self.padding = kernel, stride, padding
         self.in_shape = x.shape
-        self.save_for_backward(argmax)
+        self.index = index
         return out
 
     def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray]:
-        (argmax,) = self.saved
         kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
         n, c, oh, ow = grad_out.shape
-        flat = np.zeros((n, c, oh, ow, kh * kw), dtype=grad_out.dtype)
-        np.put_along_axis(flat, argmax[..., None], grad_out[..., None], axis=-1)
-        grad_windows = flat.reshape(n, c, oh, ow, kh, kw).transpose(0, 1, 4, 5, 2, 3)
-        grad_x = _scatter_windows(
-            np.ascontiguousarray(grad_windows), self.in_shape, kh, kw, sh, sw, ph, pw
+        # Window gradients: grad_out at each window's first-max offset,
+        # +0.0 elsewhere.  Selected by bit mask (all ones where routed),
+        # so NaN, inf and -0.0 gradients keep their bits and no element
+        # branches.
+        bits = np.dtype(f"u{grad_out.dtype.itemsize}")
+        routed = np.multiply(
+            self.index[:, :, None] == np.arange(kh * kw).reshape(-1, 1, 1),
+            np.iinfo(bits).max,
+            dtype=bits,
+        )
+        np.bitwise_and(routed, grad_out.view(bits)[:, :, None], out=routed)
+        grad_x = np.zeros(self.in_shape, dtype=grad_out.dtype)
+        scatter_add_windows(
+            grad_x,
+            routed.view(grad_out.dtype).reshape(n, c, kh, kw, oh, ow),
+            self.stride,
+            self.padding,
         )
         return (grad_x,)
 
@@ -455,16 +622,11 @@ class _AvgPool2d(Function):
 
     def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray]:
         kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
         n, c, oh, ow = grad_out.shape
         share = grad_out / float(kh * kw)
-        grad_windows = np.broadcast_to(
-            share[:, :, None, None, :, :], (n, c, kh, kw, oh, ow)
-        )
-        grad_x = _scatter_windows(
-            np.ascontiguousarray(grad_windows), self.in_shape, kh, kw, sh, sw, ph, pw
-        )
+        grad_x = np.zeros(self.in_shape, dtype=share.dtype)
+        windows = np.broadcast_to(share[:, :, None, None], (n, c, kh, kw, oh, ow))
+        scatter_add_windows(grad_x, windows, self.stride, self.padding)
         return (grad_x,)
 
 

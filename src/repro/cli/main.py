@@ -966,7 +966,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="clean accuracy of a protected checkpoint")
     p.add_argument("--checkpoint", required=True)
-    _add_preset_arguments(p)
+    # Only the test set is drawn here: the image size comes from the
+    # checkpoint, and nothing trains or injects faults.
+    p.add_argument(
+        "--preset",
+        default="quick",
+        help="experiment size preset: smoke | quick | full (default: quick)",
+    )
+    p.add_argument("--test-samples", type=int, help="override test set size")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser(

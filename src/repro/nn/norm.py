@@ -1,21 +1,102 @@
 """Batch normalisation layers.
 
-Implemented with composed autograd primitives (mean/var/rsqrt), so the
-backward pass is derived automatically and verified by gradcheck in
-``tests/nn/test_norm.py``.  Running statistics live in *buffers*: they are
-saved with the model but are outside the paper's parameter fault space.
+Training mode is composed from autograd primitives (mean/var/rsqrt), so
+its backward pass is derived automatically and verified by gradcheck in
+``tests/nn/test_norm.py``.  Eval mode normalises with the running
+statistics in one fused op: :func:`batchnorm_into`'s four elementwise
+passes forward, over the constants :func:`batchnorm_constants`
+computes, and the composed form's gradients back — ``(g·w)·inv_std``
+for the input, the normalised input's reductions for the affine
+parameters, computed only when asked for (FitAct's bound post-training
+freezes them).  The compiled runtime's folded BatchNorm calls the same
+two functions, so module and plan agree bit for bit by construction.
+Running statistics live in *buffers*: they are saved with the model but
+are outside the paper's parameter fault space.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.autograd.function import Function, unbroadcast
 from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 
-__all__ = ["BatchNorm1d", "BatchNorm2d"]
+__all__ = ["BatchNorm1d", "BatchNorm2d", "batchnorm_constants", "batchnorm_into"]
+
+
+def batchnorm_constants(bn: "_BatchNormBase") -> tuple[np.ndarray, np.ndarray]:
+    """Flat eval-mode ``(mean, inv_std)`` of ``bn``: a copy of the
+    running mean and ``(running_var + eps) ** -0.5``, the composed
+    form's expression (float32 array + float32 scalar, then a
+    python-float exponent)."""
+    mean = np.array(bn.running_mean, dtype=np.float32).reshape(-1)
+    inv_std = (
+        np.asarray(bn.running_var, dtype=np.float32).reshape(-1) + np.float32(bn.eps)
+    ) ** -0.5
+    return mean, inv_std
+
+
+def batchnorm_into(
+    x: np.ndarray,
+    mean: np.ndarray,
+    inv_std: np.ndarray,
+    weight: np.ndarray | None,
+    bias: np.ndarray | None,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Eval-mode BatchNorm of ``x`` into ``out`` (which may alias ``x``):
+    ``((x - mean) * inv_std) * weight + bias``, one pass per operation.
+    The per-channel operands are already shaped to broadcast against
+    ``x``; ``weight`` and ``bias`` are ``None`` without affine."""
+    np.subtract(x, mean, out=out)
+    np.multiply(out, inv_std, out=out)
+    if weight is not None:
+        np.multiply(out, weight, out=out)
+        np.add(out, bias, out=out)
+    return out
+
+
+class _EvalBatchNorm(Function):
+    """Eval-mode BatchNorm over stat-shaped ``mean`` and ``inv_std``, with
+    the gradients of the composed form ``((x - mean) * inv_std) * w + b``
+    (the same products and reductions, so the same bytes)."""
+
+    def forward(
+        self,
+        x: np.ndarray,
+        weight: np.ndarray | None,
+        bias: np.ndarray | None,
+        mean: np.ndarray,
+        inv_std: np.ndarray,
+    ) -> np.ndarray:
+        operands = [x, mean, inv_std]
+        if weight is not None:
+            weight, bias = weight.reshape(mean.shape), bias.reshape(mean.shape)
+            operands += [weight, bias]
+        self.mean, self.inv_std, self.weight = mean, inv_std, weight
+        # The weight gradient reads the normalised input, recomputed from x.
+        self.x = x if weight is not None and self.needs_input_grad[1] else None
+        out = np.empty(x.shape, dtype=np.result_type(*operands))
+        return batchnorm_into(x, mean, inv_std, weight, bias, out)
+
+    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        if self.weight is None:
+            return (grad_out * self.inv_std,)
+        need_x, need_weight, need_bias = self.needs_input_grad
+        grad_x = grad_weight = grad_bias = None
+        if need_x:
+            grad_x = (grad_out * self.weight) * self.inv_std
+        if need_weight:
+            normalised = np.empty(grad_out.shape, np.result_type(self.x, self.inv_std))
+            batchnorm_into(self.x, self.mean, self.inv_std, None, None, normalised)
+            grad_weight = unbroadcast(grad_out * normalised, self.mean.shape)
+            grad_weight = grad_weight.reshape(-1)
+        if need_bias:
+            grad_bias = unbroadcast(grad_out, self.mean.shape).reshape(-1)
+        return grad_x, grad_weight, grad_bias
 
 
 class _BatchNormBase(Module):
@@ -55,17 +136,20 @@ class _BatchNormBase(Module):
     def forward(self, x: Tensor) -> Tensor:
         self._check_input(x)
         stat_shape = self._stat_shape(x.ndim)
-        if self.training:
-            mean = x.mean(axis=self._reduce_axes, keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=self._reduce_axes, keepdims=True)
-            self._update_running_stats(mean.data, var.data, x)
-        else:
-            mean = Tensor(self.running_mean.reshape(stat_shape))
-            centered = x - mean
-            var = Tensor(self.running_var.reshape(stat_shape))
-        inv_std = (var + self.eps) ** -0.5
-        out = centered * inv_std
+        if not self.training:
+            mean, inv_std = batchnorm_constants(self)
+            return _EvalBatchNorm.apply(
+                x,
+                self.weight,
+                self.bias,
+                mean.reshape(stat_shape),
+                inv_std.reshape(stat_shape),
+            )
+        mean = x.mean(axis=self._reduce_axes, keepdims=True)
+        centered = x - mean
+        var = (centered * centered).mean(axis=self._reduce_axes, keepdims=True)
+        self._update_running_stats(mean.data, var.data, x)
+        out = centered * (var + self.eps) ** -0.5
         if self.affine:
             out = out * self.weight.reshape(stat_shape) + self.bias.reshape(stat_shape)
         return out

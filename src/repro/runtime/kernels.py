@@ -3,10 +3,15 @@
 Each kernel wraps one (or a fused group of) :class:`~repro.nn.Module`
 layers and evaluates the *identical* float32 arithmetic the module's
 autograd forward performs — same primitive calls, same operand order —
-without constructing a single ``Tensor`` or ``Function``.  FitReLU goes
-one step further: module and kernels call one shared numpy function,
-:func:`repro.core.fitrelu.fitrelu_into`, so there is no second copy of
-its arithmetic to keep in step.  Bit-for-bit
+without constructing a single ``Tensor`` or ``Function``.  Where it can,
+module and kernels call one shared numpy function, so there is no second
+copy of the arithmetic to keep in step: FitReLU's
+:func:`repro.core.fitrelu.fitrelu_into`, eval-mode BatchNorm's
+:func:`repro.nn.norm.batchnorm_into` (over the constants of
+:func:`repro.nn.norm.batchnorm_constants`), max pooling's
+:func:`repro.autograd.ops_conv.max_pool_into`, and the convolution's
+gather, GEMM and image-block rule
+(:func:`repro.autograd.ops_conv.conv_block_images`).  Bit-for-bit
 equality with the eval-mode module forward is a hard contract, verified
 for every registry model by ``tests/runtime/test_bit_exact.py``; it is
 what lets fault campaigns switch the compiled path on and off without
@@ -60,9 +65,11 @@ from repro.autograd.grad_mode import no_grad
 from repro.autograd.ops_conv import (
     _out_size,
     as_pair,
+    conv_block_images,
     conv_gemm,
     im2col,
     is_pointwise,
+    max_pool_into,
     use_kmajor,
 )
 from repro.autograd.ops_nn import sigmoid_into
@@ -75,7 +82,7 @@ from repro.nn.activations import Identity, LeakyReLU, ReLU, Sigmoid, Softmax, Ta
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Module, eval_mode, is_warmup
-from repro.nn.norm import _BatchNormBase
+from repro.nn.norm import _BatchNormBase, batchnorm_constants, batchnorm_into
 from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 
 if TYPE_CHECKING:
@@ -83,7 +90,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ACTIVATION_TYPES",
-    "CONV_BLOCK_BYTES",
     "ActivationKernel",
     "AvgPoolKernel",
     "BatchNormKernel",
@@ -102,19 +108,6 @@ __all__ = [
     "runs_per_image",
     "walk_kernels",
 ]
-
-#: Bytes one block of images may touch in a K-major conv: its column
-#: block plus its output block and the activation scratch the epilogue
-#: runs over it.  ``ConvKernel`` runs gather, GEMM and epilogue one block
-#: at a time, so all three stay in cache and the column scratch no
-#: longer grows with the batch.  Forward speed against one whole-batch
-#: block, VGG16 perfbench fixture at batch 128 on a 2-core host: 256 KiB
-#: 0.85x, 512 KiB 1.05x, 1 MiB 1.17x, 2 MiB 1.28x, 4-8 MiB 1.22x.
-CONV_BLOCK_BYTES = 2 << 20
-
-#: Epilogue bytes per output element: the float32 output plus the
-#: activation scratch (FitReLU's one float plane; a ReLU or bound mask).
-_EPILOGUE_BYTES = 4 + 4 + 1
 
 #: Activation modules the kernels can evaluate inline (as fused
 #: epilogues or standalone steps) with bit-exact module semantics.
@@ -397,29 +390,32 @@ class _BNFold:
         self.refresh()
 
     def refresh(self) -> None:
-        bn = self.bn
         # Snapshots, not views: both constants change only via refresh(),
         # which is the whole point of the fold/refresh contract.
-        self.mean = np.array(bn.running_mean, dtype=np.float32).reshape(-1)
-        # Same expression as the module's (var + eps) ** -0.5: float32
-        # array + float32 scalar, then a python-float exponent.
-        self.inv_std = (
-            np.asarray(bn.running_var, dtype=np.float32).reshape(-1)
-            + np.float32(bn.eps)
-        ) ** -0.5
+        self.mean, self.inv_std = batchnorm_constants(self.bn)
 
-    def apply(self, rows: np.ndarray, shape: tuple[int, ...]) -> None:
-        """Normalise a GEMM output in place (the epilogue).
+    def apply(
+        self, x: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Normalise ``x`` into ``out`` (in place by default: the epilogue)
+        with :func:`repro.nn.norm.batchnorm_into`, the module's function.
 
         ``shape`` reshapes the per-channel vectors to broadcast over
-        ``rows``: ``(-1,)`` for channels-last ``(positions, channels)``
+        ``x``: ``(-1,)`` for channels-last ``(positions, channels)``
         rows, ``(-1, 1)`` for NCHW ``(N, channels, positions)``.
         """
-        np.subtract(rows, self.mean.reshape(shape), out=rows)
-        np.multiply(rows, self.inv_std.reshape(shape), out=rows)
-        if self.bn.affine:
-            np.multiply(rows, self.bn.weight.data.reshape(shape), out=rows)
-            np.add(rows, self.bn.bias.data.reshape(shape), out=rows)
+        bn = self.bn
+        weight = bias = None
+        if bn.affine:
+            weight, bias = bn.weight.data.reshape(shape), bn.bias.data.reshape(shape)
+        return batchnorm_into(
+            x,
+            self.mean.reshape(shape),
+            self.inv_std.reshape(shape),
+            weight,
+            bias,
+            x if out is None else out,
+        )
 
 
 class ConvKernel(Kernel):
@@ -436,8 +432,9 @@ class ConvKernel(Kernel):
     ``im2col``
         K-major (maps of at least ``KMAJOR_MIN_AREA`` positions, and
         every grouped conv), one block of ``block`` images at a time
-        (:data:`CONV_BLOCK_BYTES`): ``kh * kw`` plane copies into the
-        block's ``(B, C * kh * kw, OH * OW)`` columns, none for a
+        (:data:`repro.autograd.ops_conv.CONV_BLOCK_BYTES`, the rule a
+        frozen conv's autograd forward uses): ``kh * kw`` plane copies
+        into the block's ``(B, C * kh * kw, OH * OW)`` columns, none for a
         pointwise conv, then one stacked GEMM straight into the block's
         rows of the NCHW output, then bias, BatchNorm and the activation
         over those rows while they are still in cache.  The GEMM has one
@@ -485,14 +482,13 @@ class ConvKernel(Kernel):
 
     def block_images(self, channels: int, area: int) -> int:
         """Images per K-major block for ``channels`` inputs and ``area``
-        output positions: as many as fit :data:`CONV_BLOCK_BYTES`, at
-        least one."""
+        output positions (:func:`repro.autograd.ops_conv.conv_block_images`,
+        the autograd op's rule)."""
         conv = self.conv
-        rows = 0
-        if not is_pointwise(conv.kernel_size, conv.stride, conv.padding):
-            rows = channels * conv.kernel_size[0] * conv.kernel_size[1]
-        per_image = area * (4 * rows + _EPILOGUE_BYTES * conv.out_channels)
-        return max(1, CONV_BLOCK_BYTES // per_image)
+        return conv_block_images(
+            channels, area, conv.out_channels, conv.kernel_size, conv.stride,
+            conv.padding,
+        )
 
     def run(self, x: np.ndarray) -> np.ndarray:
         conv = self.conv
@@ -687,29 +683,14 @@ class BatchNormKernel(Kernel):
         return True
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        bn = self.fold.bn
-        stat_shape = [1] * x.ndim
-        stat_shape[1] = bn.num_features
-        shape = tuple(stat_shape)
-        out = self.bufs.get("out", x.shape)
-        np.subtract(x, self.fold.mean.reshape(shape), out=out)
-        np.multiply(out, self.fold.inv_std.reshape(shape), out=out)
-        if bn.affine:
-            np.multiply(out, bn.weight.data.reshape(shape), out=out)
-            np.add(out, bn.bias.data.reshape(shape), out=out)
-        return out
+        shape = (-1,) + (1,) * (x.ndim - 2)
+        return self.fold.apply(x, shape, out=self.bufs.get("out", x.shape))
 
 
 class MaxPoolKernel(Kernel):
-    """Max pooling.
-
-    Max selects an element exactly (no rounding), so any evaluation
-    order is bit-identical to the module's argmax/take formulation —
-    which frees the kernel to use the fastest strategy per geometry:
-    non-overlapping unpadded windows (the zoo's only configuration)
-    reduce over a pure reshape view; everything else copies the window
-    view contiguous once and reduces that.
-    """
+    """Max pooling by :func:`repro.autograd.ops_conv.max_pool_into`, the
+    function the module's forward calls (without the first-max index,
+    which only a gradient reads)."""
 
     def __init__(self, pool: MaxPool2d) -> None:
         self.kernel = as_pair(pool.kernel_size, "kernel")
@@ -736,19 +717,7 @@ class MaxPoolKernel(Kernel):
         else:
             padded = x
         out = self.bufs.get("out", (n, c, oh, ow))
-        # One vectorised elementwise max per kernel offset — an order of
-        # magnitude faster than a windowed reduction, and exact: max
-        # selects an element, whatever the evaluation order.
-        first = True
-        for i in range(kh):
-            for j in range(kw):
-                window = padded[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
-                if first:
-                    np.copyto(out, window)
-                    first = False
-                else:
-                    np.maximum(out, window, out=out)
-        return out
+        return max_pool_into(padded, self.kernel, self.stride, out)
 
 
 class AvgPoolKernel(Kernel):

@@ -1,10 +1,13 @@
-"""The shared im2col gather and both col2im scatters are byte-identical
-to direct reference formulations.
+"""The shared im2col gather, both col2im scatters, the blocked frozen
+conv and the pooling ops are byte-identical to direct reference
+formulations.
 
 The column reference is the position-major
 ``ascontiguousarray(windows.transpose(...))`` matrix; each layout is a
 fixed permutation of it.  The input-gradient reference is the NCHW
-window-gradient scatter.  Comparisons use ``tobytes()``, so a single
+window-gradient scatter into a zero padded buffer, over the whole
+batch's GEMM.  Max pooling's reference is the window ``argmax`` and
+``take_along_axis``.  Comparisons use ``tobytes()``, so a single
 differently-rounded element fails.
 """
 
@@ -13,15 +16,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.autograd import no_grad, ops_conv
 from repro.autograd.ops_conv import (
     KMAJOR_MIN_AREA,
     _out_size,
     _pad_spatial,
-    _scatter_windows,
     _strided_windows,
+    avg_pool2d,
     conv2d,
+    conv_block_images,
     conv_gemm,
     im2col,
+    is_pointwise,
+    max_pool2d,
     use_kmajor,
 )
 from repro.autograd.tensor import Tensor
@@ -56,8 +63,25 @@ def _reference_cols(padded, kernel, stride, kmajor):
     )
 
 
+def _reference_scatter(grad_windows, in_shape, stride, padding):
+    """col2im in NCHW: each kernel offset of the (N, C, kh, kw, OH, OW)
+    window gradients added, in (i, j) order, into a zero padded buffer,
+    whose interior is the input gradient."""
+    n, c, h, w = in_shape
+    _, _, kh, kw, oh, ow = grad_windows.shape
+    sh, sw = stride
+    ph, pw = padding
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=grad_windows.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            padded[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += grad_windows[
+                :, :, i, j
+            ]
+    return np.ascontiguousarray(padded[:, :, ph : ph + h, pw : pw + w])
+
+
 def _reference_input_grad(grad_out, weight, in_shape, stride, padding, groups=1):
-    """The NCHW ``_scatter_windows`` input gradient, from the op's GEMM."""
+    """The NCHW scatter input gradient, from the op's whole-batch GEMM."""
     n, out_channels, oh, ow = grad_out.shape
     _, cg, kh, kw = weight.shape
     c = in_shape[1]
@@ -74,9 +98,7 @@ def _reference_input_grad(grad_out, weight, in_shape, stride, padding, groups=1)
         grad_windows = (grad_mat @ w_perm).reshape(n, oh, ow, kh, kw, c).transpose(
             0, 5, 3, 4, 1, 2
         )
-    return _scatter_windows(
-        np.ascontiguousarray(grad_windows), in_shape, kh, kw, *stride, *padding
-    )
+    return _reference_scatter(grad_windows, in_shape, stride, padding)
 
 
 def _geometry_input(rng, geometry, dtype, batch=3):
@@ -235,3 +257,246 @@ def test_conv_forward_and_weight_grad_match_transpose_im2col(groups):
         expected_grad = (grad_mat.T @ cols).reshape(6, 3, 3, 4).transpose(0, 3, 1, 2)
     assert out.data.tobytes() == expected_out.tobytes()
     assert wt.grad.tobytes() == np.ascontiguousarray(expected_grad).tobytes()
+
+
+# ----------------------------------------------------------------------
+# A conv that keeps no column matrix runs its K-major forward, and every
+# K-major input gradient, one block of images at a time
+# ----------------------------------------------------------------------
+def _force_op_blocks(
+    monkeypatch, images, c, area, out_channels, kernel, stride, padding
+):
+    """Size ``ops_conv.CONV_BLOCK_BYTES`` so the conv takes ``images``
+    images per block."""
+    rows = 0 if is_pointwise(kernel, stride, padding) else c * kernel[0] * kernel[1]
+    per_image = area * (4 * rows + ops_conv._EPILOGUE_BYTES * out_channels)
+    monkeypatch.setattr(ops_conv, "CONV_BLOCK_BYTES", images * per_image)
+    assert conv_block_images(c, area, out_channels, kernel, stride, padding) == images
+
+
+def _reference_forward(x, weight, bias, stride, padding, groups=1):
+    """Whole-batch reference columns, the op's GEMM and the bias."""
+    n = x.shape[0]
+    _, _, kh, kw = weight.shape
+    oh = _out_size(x.shape[2], kh, stride[0], padding[0])
+    ow = _out_size(x.shape[3], kw, stride[1], padding[1])
+    kmajor = use_kmajor(oh * ow, groups)
+    cols = _reference_cols(_pad_spatial(x, *padding), (kh, kw), stride, kmajor)
+    out = conv_gemm(weight, cols, groups)
+    if kmajor:
+        out += bias.reshape(-1, 1)
+        return out.reshape(n, -1, oh, ow)
+    out += bias
+    return np.ascontiguousarray(out.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2))
+
+
+def _frozen_conv_case(
+    monkeypatch, rng, x, weight, bias, stride, padding, groups, images
+):
+    """Forward and input gradient of ``x`` through a frozen-weight conv in
+    blocks of ``images``, against the whole-batch references."""
+    n, c = x.shape[:2]
+    out_channels, _, kh, kw = weight.shape
+    oh = _out_size(x.shape[2], kh, stride[0], padding[0])
+    ow = _out_size(x.shape[3], kw, stride[1], padding[1])
+    _force_op_blocks(
+        monkeypatch, images, c, oh * ow, out_channels, (kh, kw), stride, padding
+    )
+    xt = Tensor(x, requires_grad=True)
+    out = conv2d(xt, Tensor(weight), Tensor(bias), stride, padding, groups)
+    kmajor = use_kmajor(oh * ow, groups)
+    assert out._fn.block == (min(images, n) if kmajor else None)
+    expected = _reference_forward(x, weight, bias, stride, padding, groups)
+    assert out.dtype == expected.dtype
+    assert out.data.tobytes() == expected.tobytes()
+    # The trainable weight keeps the whole batch's columns, in one block.
+    trainable = conv2d(
+        Tensor(x), Tensor(weight, requires_grad=True), Tensor(bias), stride, padding,
+        groups,
+    )
+    assert trainable._fn.block == (n if kmajor else None)
+    assert trainable.data.tobytes() == expected.tobytes()
+
+    grad_out = rng.standard_normal(out.shape).astype(x.dtype)
+    out.backward(grad_out)
+    expected_grad = _reference_input_grad(
+        grad_out, weight, x.shape, stride, padding, groups
+    )
+    assert xt.grad.dtype == expected_grad.dtype
+    assert xt.grad.tobytes() == np.ascontiguousarray(expected_grad).tobytes()
+
+
+@pytest.mark.parametrize("images", [1, 2])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_frozen_conv_blocks_match_whole_batch(monkeypatch, geometry, dtype, images):
+    """Blocks of 1 and of 2 images over a batch of 5 (ragged), both
+    layouts: forward and input gradient byte-equal to the whole batch."""
+    c, h, w, kernel, stride, padding = geometry
+    rng = np.random.default_rng(11)
+    x, _, _ = _geometry_input(rng, geometry, dtype, batch=5)
+    weight = rng.standard_normal((4, c, *kernel)).astype(dtype)
+    bias = rng.standard_normal(4).astype(dtype)
+    _frozen_conv_case(monkeypatch, rng, x, weight, bias, stride, padding, 1, images)
+
+
+@pytest.mark.parametrize(
+    "c,out_channels,groups,kernel,stride,padding",
+    [
+        (4, 8, 2, (3, 3), (1, 1), (1, 1)),  # grouped, 7x7: K-major anyway
+        (6, 6, 6, (3, 3), (2, 2), (1, 1)),  # depthwise, stride 2
+        (6, 6, 6, (3, 3), (1, 1), (1, 1)),  # depthwise
+        (5, 7, 1, (1, 1), (1, 1), (0, 0)),  # pointwise: the columns are x
+        (6, 4, 2, (1, 1), (1, 1), (0, 0)),  # grouped pointwise
+        (5, 7, 1, (1, 1), (2, 2), (0, 0)),  # 1x1 stride 2 (a downsample)
+    ],
+    ids=["grouped", "depthwise-s2", "depthwise", "pointwise", "grouped-pointwise",
+         "downsample"],
+)
+@pytest.mark.parametrize("images", [1, 3])
+def test_frozen_grouped_and_pointwise_blocks(
+    monkeypatch, c, out_channels, groups, kernel, stride, padding, images
+):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((5, c, 15, 15)).astype(np.float32)
+    weight = rng.standard_normal((out_channels, c // groups, *kernel))
+    weight = weight.astype(np.float32)
+    bias = rng.standard_normal(out_channels).astype(np.float32)
+    _frozen_conv_case(
+        monkeypatch, rng, x, weight, bias, stride, padding, groups, images
+    )
+
+
+def test_frozen_conv_under_no_grad_blocks_too(monkeypatch):
+    """``no_grad`` keeps no columns either: the default block rule splits
+    a batch of 40 16x16 images into ragged blocks."""
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((40, 8, 16, 16)).astype(np.float32)
+    weight = rng.standard_normal((16, 8, 3, 3)).astype(np.float32)
+    block = conv_block_images(8, 256, 16, (3, 3), (1, 1), (1, 1))
+    assert 1 < block < 40 and 40 % block
+    fn = ops_conv._Conv2d()
+    fn.needs_input_grad = (False, False)
+    out = fn.forward(x, weight, None, (1, 1), (1, 1))
+    assert fn.block == block and fn.cols is None
+    expected = _reference_forward(x, weight, np.zeros(16, np.float32), (1, 1), (1, 1))
+    assert out.tobytes() == expected.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Pooling: max pooling against argmax / take_along_axis, average pooling
+# against the padded scatter
+# ----------------------------------------------------------------------
+POOLS = [
+    ((2, 2), (2, 2), (0, 0)),  # the zoo's pool: non-overlapping
+    ((3, 3), (2, 2), (1, 1)),  # overlapping and padded
+    ((3, 2), (1, 1), (0, 1)),  # overlapping, stride 1
+    ((2, 2), (1, 1), (1, 1)),  # padded, stride 1
+]
+
+
+def _reference_max_pool(x, kernel, stride, padding):
+    """The window argmax and the element it picks."""
+    kh, kw = kernel
+    windows = _strided_windows(_pad_spatial(x, *padding, fill=-np.inf), kh, kw, *stride)
+    n, c, oh, ow = windows.shape[:4]
+    flat = np.ascontiguousarray(windows).reshape(n, c, oh, ow, kh * kw)
+    argmax = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0], argmax
+
+
+def _reference_max_pool_grad(grad_out, argmax, in_shape, kernel, stride, padding):
+    """``grad_out`` put at each window's argmax, then the padded scatter."""
+    kh, kw = kernel
+    n, c, oh, ow = grad_out.shape
+    flat = np.zeros((n, c, oh, ow, kh * kw), dtype=grad_out.dtype)
+    np.put_along_axis(flat, argmax[..., None], grad_out[..., None], axis=-1)
+    windows = flat.reshape(n, c, oh, ow, kh, kw).transpose(0, 1, 4, 5, 2, 3)
+    return _reference_scatter(windows, in_shape, stride, padding)
+
+
+def _pool_input(rng, dtype, shape=(3, 4, 9, 8)):
+    """Small integers (many ties) with NaN, ±inf and signed zeros."""
+    x = rng.integers(-2, 3, size=shape).astype(dtype)
+    flat = x.reshape(-1)
+    picks = rng.permutation(flat.size)
+    flat[picks[:4]] = np.nan
+    flat[picks[4:10]] = np.inf
+    flat[picks[10:16]] = -np.inf
+    flat[picks[16 : flat.size // 4]] = -0.0
+    return x
+
+
+# inf and -inf gradients meeting in overlapping windows sum to NaN.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("pool", POOLS)
+def test_max_pool_matches_argmax_reference(pool, dtype):
+    """Ties, NaN and ±inf inputs; NaN, ±inf and -0.0 gradients."""
+    kernel, stride, padding = pool
+    rng = np.random.default_rng(14)
+    x = _pool_input(rng, dtype)
+    xt = Tensor(x, requires_grad=True)
+    out = max_pool2d(xt, kernel, stride, padding)
+    expected, argmax = _reference_max_pool(x, kernel, stride, padding)
+    # The maximum itself is exact; only a tie of +0.0 and -0.0 may pick
+    # either zero, so the values compare equal, NaN for NaN.
+    np.testing.assert_array_equal(out.data, expected)
+    assert out._fn.index.tobytes() == argmax.astype(out._fn.index.dtype).tobytes()
+
+    grad_out = rng.standard_normal(out.shape).astype(dtype)
+    grad_out.reshape(-1)[:: 7] = -0.0
+    grad_out.reshape(-1)[3 :: 11] = np.nan
+    grad_out.reshape(-1)[5 :: 13] = np.inf
+    grad_out.reshape(-1)[6 :: 17] = -np.inf
+    out.backward(grad_out)
+    expected_grad = _reference_max_pool_grad(
+        grad_out, argmax, x.shape, kernel, stride, padding
+    )
+    assert xt.grad.dtype == expected_grad.dtype
+    assert xt.grad.tobytes() == expected_grad.tobytes()
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_max_pool_without_signed_zero_ties_matches_bytes(pool):
+    kernel, stride, padding = pool
+    x = np.random.default_rng(15).standard_normal((2, 3, 9, 10)).astype(np.float32)
+    out = max_pool2d(Tensor(x, requires_grad=True), kernel, stride, padding)
+    expected, _ = _reference_max_pool(x, kernel, stride, padding)
+    assert out.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_max_pool_forward_is_the_runtime_kernel(pool):
+    """Without a gradient no index is kept, and the op's forward is the
+    compiled max-pool step's, byte for byte."""
+    from repro.nn import MaxPool2d
+    from repro.runtime.kernels import MaxPoolKernel
+
+    kernel, stride, padding = pool
+    x = _pool_input(np.random.default_rng(16), np.float32)
+    with no_grad():
+        out = max_pool2d(Tensor(x, requires_grad=True), kernel, stride, padding)
+    step = MaxPoolKernel(MaxPool2d(kernel, stride, padding))
+    assert out.data.tobytes() == step.run(x).tobytes()
+    fn = ops_conv._MaxPool2d()
+    fn.needs_input_grad = (False,)
+    fn.forward(x, kernel, stride, padding)
+    assert fn.index is None
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("pool", POOLS)
+def test_avg_pool_grad_matches_padded_scatter(pool, dtype):
+    kernel, stride, padding = pool
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((3, 4, 9, 8)).astype(dtype)
+    xt = Tensor(x, requires_grad=True)
+    out = avg_pool2d(xt, kernel, stride, padding)
+    grad_out = rng.standard_normal(out.shape).astype(dtype)
+    out.backward(grad_out)
+    share = grad_out / float(kernel[0] * kernel[1])
+    n, c, oh, ow = share.shape
+    windows = np.broadcast_to(share[:, :, None, None], (n, c, *kernel, oh, ow))
+    expected = _reference_scatter(windows, x.shape, stride, padding)
+    assert xt.grad.tobytes() == expected.tobytes()

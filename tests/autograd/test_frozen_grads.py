@@ -1,10 +1,12 @@
 """Ops compute only the gradients their inputs need.
 
 ``Function.apply`` records ``needs_input_grad`` before the forward; the
-built-in ops return ``None`` for inputs that need no gradient and a
-frozen-weight convolution keeps no column matrix.  None of this may
-change a gradient that *is* needed: FitAct's bound gradients must be
-bitwise equal with the weights frozen or trainable.
+built-in ops return ``None`` for inputs that need no gradient, a
+frozen-weight convolution keeps no column matrix (and so runs its
+K-major forward in blocks of images), and eval-mode BatchNorm computes
+no affine gradient for frozen parameters.  None of this may change a
+gradient that *is* needed: FitAct's bound gradients must be bitwise
+equal with the weights frozen or trainable, on every registry model.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.autograd.ops_conv import conv2d
 from repro.core import ProtectionConfig, protect_model
 from repro.core.fitrelu import FitReLU
 from repro.data import ArrayDataset, DataLoader
-from repro.models.registry import build_model
+from repro.models.registry import MODEL_NAMES, build_model
 from repro.nn.loss import CrossEntropyLoss
 
 
@@ -50,9 +52,17 @@ def _bound_grads(model, x, y, frozen):
 
 
 @pytest.mark.parametrize(
-    "name,image_size,scale", [("lenet", 16, 1.0), ("vgg16", 32, 0.0625)]
+    "name,image_size,scale",
+    [
+        ("lenet", 16, 1.0),
+        ("vgg16", 32, 0.0625),
+        *((name, 32, 0.0625) for name in MODEL_NAMES if name not in ("lenet", "vgg16")),
+    ],
 )
 def test_bound_grads_bitwise_equal_frozen_or_trainable(name, image_size, scale):
+    """Frozen weights take the blocked conv forward; trainable ones the
+    whole-batch forward, which keeps its columns for the weight
+    gradient."""
     model, x, y = _fitact_model(name, image_size, scale)
     trainable, weights_trained = _bound_grads(model, x, y, frozen=False)
     frozen, weights_frozen = _bound_grads(model, x, y, frozen=True)

@@ -125,14 +125,28 @@ class TestPipeline:
         assert "clipact" in out
         assert checkpoint.exists()
 
-        assert main(["evaluate", "--checkpoint", str(checkpoint), *TINY]) == 0
+        evaluate = [
+            "evaluate", "--checkpoint", str(checkpoint), "--preset", "smoke",
+            "--test-samples", "100",
+        ]
+        assert main(evaluate) == 0
         out = capsys.readouterr().out
         assert "clean accuracy" in out
         assert "rate " not in out
-        # Campaigns run only through `campaign run`.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["evaluate", "--checkpoint", str(checkpoint), "--rates", "1e-5"])
-        assert excinfo.value.code == 2
+        # Campaigns run only through `campaign run`, and evaluate takes
+        # no flag it would ignore: nothing trains, the image size is the
+        # checkpoint's.
+        for extra in (
+            ["--rates", "1e-5"],
+            ["--trials", "0"],
+            ["--epochs", "99"],
+            ["--post-epochs", "1"],
+            ["--train-samples", "250"],
+            ["--image-size", "32"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*evaluate, *extra])
+            assert excinfo.value.code == 2, extra
 
     def test_second_train_hits_cache(self, isolated_cache, capsys):
         assert main(["train", "--model", "lenet", *TINY]) == 0

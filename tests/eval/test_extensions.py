@@ -150,6 +150,39 @@ class TestMobilenetPanel:
             assert 0.0 <= result.data[rate]["none"] <= 1.0
         assert "EXT-M" in result.to_text()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_flips_column_is_each_schemes_own(self, isolated_cache, monkeypatch):
+        """Each scheme's mean realised flips, in scheme order (the column
+        once printed the first scheme's expected flips for every one)."""
+        from repro.eval.experiments import extensions, run_mobilenet_panel
+        from repro.fault.campaign import FaultCampaign
+
+        realised: dict[str, list[float]] = {}
+        run = FaultCampaign.run
+
+        def recording_run(self, fault_model, tag="", **kwargs):
+            result = run(self, fault_model, tag=tag, **kwargs)
+            realised.setdefault(tag, []).append(float(result.flip_counts.mean()))
+            return result
+
+        monkeypatch.setattr(extensions.FaultCampaign, "run", recording_run)
+        preset = PRESET.with_overrides(
+            image_size=32, model_scale=0.125, train_epochs=1, post_epochs=1,
+            trials=2, train_samples=64, test_samples=32,
+        )
+        result = run_mobilenet_panel(
+            preset=preset,
+            schemes=(("fitact", "fitact", None), ("none", "none", None)),
+            trials=2,
+        )
+        assert result.headers[:2] == ["fault rate", "mean flips per scheme"]
+        fitact, none = realised["ext-m:fitact"], realised["ext-m:none"]
+        assert len(fitact) == len(none) == len(result.rows) == len(preset.rates)
+        for row, own_fitact, own_none in zip(result.rows, fitact, none):
+            assert row[1] == f"{own_fitact:.1f} / {own_none:.1f}"
+        # FitAct's bound words enlarge its fault space.
+        assert sum(fitact) > sum(none)
+
 
 class TestLayerVulnerability:
     def test_groups_cover_depth(self, context):

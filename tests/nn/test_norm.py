@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import Tensor, gradcheck
+from repro.autograd import Tensor, gradcheck, no_grad
 from repro.errors import ShapeError
 
 
@@ -95,3 +95,102 @@ class TestBatchNorm1d:
         bn = nn.BatchNorm1d(3)
         state = bn.state_dict()
         assert "running_mean" in state and "weight" in state
+
+
+def _composed_eval(bn, x):
+    """Eval-mode BatchNorm from the composed autograd ops."""
+    shape = bn._stat_shape(x.ndim)
+    centered = x - Tensor(bn.running_mean.reshape(shape))
+    out = centered * (Tensor(bn.running_var.reshape(shape)) + bn.eps) ** -0.5
+    if bn.affine:
+        out = out * bn.weight.reshape(shape) + bn.bias.reshape(shape)
+    return out
+
+
+def _trained_bn(cls, shape, affine, seed):
+    bn = cls(shape[1], affine=affine)
+    rng = np.random.default_rng(seed)
+    bn(_x(shape, seed=seed))  # running statistics off their defaults
+    if affine:
+        bn.weight.data[:] = rng.standard_normal(shape[1]).astype(np.float32)
+        bn.bias.data[:] = rng.standard_normal(shape[1]).astype(np.float32)
+    bn.eval()
+    return bn
+
+
+class TestFusedEvalBatchNorm:
+    """Eval mode is one fused op whose forward and gradients are
+    byte-equal to the composed ops."""
+
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "trainable"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("affine", [True, False])
+    @pytest.mark.parametrize(
+        "cls,shape", [(nn.BatchNorm2d, (4, 3, 5, 6)), (nn.BatchNorm1d, (7, 5))]
+    )
+    def test_matches_composed_ops(self, cls, shape, affine, dtype, frozen):
+        bn = _trained_bn(cls, shape, affine, seed=1)
+        for param in bn.parameters():
+            param.requires_grad = not frozen
+        rng = np.random.default_rng(2)
+        data = (rng.standard_normal(shape) * 3.0).astype(dtype)
+        data.reshape(-1)[::5] = -0.0
+        grad = rng.standard_normal(shape).astype(dtype)
+        grad.reshape(-1)[::3] = -0.0
+
+        def run(forward):
+            x = Tensor(data, requires_grad=True)
+            out = forward(x)
+            out.backward(grad)
+            grads = [x.grad] + [p.grad for p in bn.parameters()]
+            for param in bn.parameters():
+                param.grad = None
+            return out, grads
+
+        out, grads = run(bn)
+        assert type(out._fn).__name__ == "_EvalBatchNorm"
+        reference, reference_grads = run(lambda x: _composed_eval(bn, x))
+        assert out.dtype == reference.dtype
+        assert out.data.tobytes() == reference.data.tobytes()
+        assert len(grads) == (3 if affine else 1)
+        for got, expected in zip(grads, reference_grads):
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
+
+    def test_is_the_runtime_fold(self):
+        """The compiled BatchNorm step calls the same function."""
+        from repro.runtime.kernels import BatchNormKernel
+
+        bn = _trained_bn(nn.BatchNorm2d, (4, 3, 5, 6), True, seed=3)
+        x = _x((4, 3, 5, 6), seed=4).data
+        with no_grad():
+            module_out = bn(Tensor(x)).data
+        assert BatchNormKernel(bn).run(x).tobytes() == module_out.tobytes()
+
+    def test_frozen_affine_keeps_no_input(self):
+        bn = _trained_bn(nn.BatchNorm2d, (4, 3, 5, 6), True, seed=5)
+        for param in bn.parameters():
+            param.requires_grad = False
+        out = bn(Tensor(_x((4, 3, 5, 6), seed=6).data, requires_grad=True))
+        assert out._fn.needs_input_grad == (True, False, False)
+        assert out._fn.x is None
+
+    def test_gradcheck_eval_mode(self):
+        from repro.nn.norm import _EvalBatchNorm, batchnorm_constants
+
+        bn = _trained_bn(nn.BatchNorm2d, (4, 2, 3, 3), True, seed=9)
+        mean, inv_std = batchnorm_constants(bn)
+        rng = np.random.default_rng(10)
+        gradcheck(
+            lambda x, w, b: _EvalBatchNorm.apply(
+                x, w, b, mean.reshape(1, 2, 1, 1), inv_std.reshape(1, 2, 1, 1)
+            ),
+            [rng.standard_normal((4, 2, 3, 3)), rng.standard_normal(2),
+             rng.standard_normal(2)],
+        )
+        # The module: frozen affine parameters, input gradient only.
+        for param in bn.parameters():
+            param.requires_grad = False
+        gradcheck(bn, [rng.standard_normal((4, 2, 3, 3))])

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.autograd import ops_conv
 from repro.autograd.grad_mode import no_grad
 from repro.autograd.tensor import Tensor
 from repro.core.fitrelu import FitReLU
@@ -22,7 +23,6 @@ from repro.fault.injector import FaultInjector
 from repro.fault.sites import FaultSites
 from repro.quant import quantize_module
 from repro.runtime import compile_model
-from repro.runtime import kernels as kernels_module
 from repro.runtime.kernels import (
     ActivationKernel,
     ConvKernel,
@@ -100,7 +100,7 @@ def _plan(plan, x):
 @pytest.mark.parametrize("site", sorted(_SITES))
 def test_plan_equals_module_bitwise(monkeypatch, site, granularity, mode):
     # Small K-major blocks, so the fused epilogue runs several times a run.
-    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", 64 << 10)
+    monkeypatch.setattr(ops_conv, "CONV_BLOCK_BYTES", 64 << 10)
     model = _model(site, granularity, mode)
     x = _inputs()
     plan = compile_model(model, x.shape)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.autograd import ops_conv
 from repro.autograd.grad_mode import no_grad
 from repro.autograd.ops_conv import KMAJOR_MIN_AREA, conv_gemm, im2col
 from repro.autograd.tensor import Tensor
@@ -29,7 +30,6 @@ from repro.fault.injector import FaultInjector
 from repro.models.registry import MODEL_NAMES, build_model
 from repro.quant import quantize_module
 from repro.runtime import compile_model
-from repro.runtime import kernels as kernels_module
 from repro.runtime.kernels import ConvKernel
 
 
@@ -263,7 +263,7 @@ def _fitrelu_conv_model(case):
 def test_blocked_conv_bit_exact_at_block_boundaries(monkeypatch, case):
     """Batches of 1, block-1, block, block+1 and 2*block+3 images match
     the module forward byte for byte, clean and under injected faults."""
-    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", _SMALL_BLOCK_BYTES)
+    monkeypatch.setattr(ops_conv, "CONV_BLOCK_BYTES", _SMALL_BLOCK_BYTES)
     model = _fitrelu_conv_model(case)
     x = np.random.default_rng(31).standard_normal((64, 8, 16, 16)).astype(np.float32)
     plan = compile_model(model, (1, 8, 16, 16))
@@ -290,7 +290,7 @@ def test_blocked_conv_bit_exact_at_block_boundaries(monkeypatch, case):
 def test_blocked_resnet18_bit_exact_across_batches(monkeypatch):
     """ResNet-18 at batches 7 and 37 with its K-major convs split into
     blocks (a ragged last block included) equals the module forward."""
-    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", _SMALL_BLOCK_BYTES)
+    monkeypatch.setattr(ops_conv, "CONV_BLOCK_BYTES", _SMALL_BLOCK_BYTES)
     rng = np.random.default_rng(20)
     model = build_model("resnet18", num_classes=10, scale=0.125, image_size=32, seed=0)
     plan = compile_model(model, (7, 3, 32, 32))
@@ -303,7 +303,7 @@ def test_blocked_resnet18_bit_exact_across_batches(monkeypatch):
 
 
 def test_blocked_pointwise_and_grouped_bit_exact(monkeypatch):
-    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", 0)  # one image each
+    monkeypatch.setattr(ops_conv, "CONV_BLOCK_BYTES", 0)  # one image each
     rng = np.random.default_rng(21)
     model = nn.Sequential(
         nn.Conv2d(8, 16, 1, rng=0),                # pointwise K-major
@@ -323,7 +323,7 @@ def test_blocked_pointwise_and_grouped_bit_exact(monkeypatch):
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_softmax_epilogue_across_the_batch_is_one_block(monkeypatch, axis):
-    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", 0)  # one image each
+    monkeypatch.setattr(ops_conv, "CONV_BLOCK_BYTES", 0)  # one image each
     model = nn.Sequential(nn.Conv2d(3, 4, 3, padding=1, rng=0), nn.Softmax(axis=axis))
     x = np.random.default_rng(33).standard_normal((5, 3, 8, 8)).astype(np.float32)
     plan = compile_model(model, x.shape)
@@ -350,7 +350,7 @@ def test_kmajor_cols_scratch_does_not_grow_with_the_batch():
 def test_profiled_forward_takes_the_blocked_path(monkeypatch):
     """Profiling times every block (gather and GEMM accumulate across
     them) without changing a byte of the output."""
-    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", _SMALL_BLOCK_BYTES)
+    monkeypatch.setattr(ops_conv, "CONV_BLOCK_BYTES", _SMALL_BLOCK_BYTES)
     model = _fitrelu_conv_model("padded")
     x = np.random.default_rng(32).standard_normal((11, 8, 16, 16)).astype(np.float32)
     plan = compile_model(model, x.shape)
@@ -392,7 +392,7 @@ def _campaign_result(module_oracle: bool = False):
 def test_campaign_sdc_stream_identical_with_small_blocks(monkeypatch):
     """Accuracy/flip streams are bit-identical between the module path
     and plans whose K-major convs run in blocks of a few images."""
-    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", 64 << 10)
+    monkeypatch.setattr(ops_conv, "CONV_BLOCK_BYTES", 64 << 10)
     module_result = _campaign_result(module_oracle=True)
     blocked_result = _campaign_result()
     np.testing.assert_array_equal(module_result.accuracies, blocked_result.accuracies)
@@ -483,7 +483,7 @@ def test_per_image_pooling_and_standalone_steps_are_exact():
 @pytest.mark.parametrize("case", sorted(_KMAJOR_CASES))
 def test_per_image_blocked_fitrelu_convs_are_exact(monkeypatch, case):
     """Neuron-wise FitReLU epilogues over blocks of a few images."""
-    monkeypatch.setattr(kernels_module, "CONV_BLOCK_BYTES", _SMALL_BLOCK_BYTES)
+    monkeypatch.setattr(ops_conv, "CONV_BLOCK_BYTES", _SMALL_BLOCK_BYTES)
     x = np.random.default_rng(42).standard_normal((8, 8, 16, 16)).astype(np.float32)
     plan = compile_model(_fitrelu_conv_model(case), x.shape)
     assert len(_assert_per_image_steps_exact(plan, x)) == 2  # conv, flatten
