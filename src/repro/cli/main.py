@@ -295,26 +295,39 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Campaign commands (durable stores: run / report / serve-store / watch)
+# Campaign commands (durable stores: run / report / watch)
 # ----------------------------------------------------------------------
 #: The run recipe a store's meta records.  A rerun or a joining worker
 #: is checked against it: evaluator sizes shape the accuracy stream too.
 _RECIPE_FIELDS = ("checkpoint", "rates", "preset", "trials", "seed", "test_samples")
 
 
-def _check_limit(limit: int | None) -> None:
-    """Reject a non-positive ``--limit`` before any side effect."""
+def _worker_options(args: argparse.Namespace) -> dict[str, object]:
+    """The :class:`~repro.coord.CampaignWorker` knobs the flags set,
+    checked before any side effect."""
+    from repro.coord import DEFAULT_CHUNK, DEFAULT_EXPIRY_S
+    from repro.coord.worker import check_worker_options
     from repro.errors import ConfigurationError
 
-    if limit is not None and limit < 1:
-        raise ConfigurationError(f"--limit must be >= 1, got {limit}")
+    if args.limit is not None and args.limit < 1:
+        raise ConfigurationError(f"--limit must be >= 1, got {args.limit}")
+    chunk = args.chunk if args.chunk is not None else DEFAULT_CHUNK
+    expiry_s = args.expiry if args.expiry is not None else DEFAULT_EXPIRY_S
+    check_worker_options(chunk, expiry_s, args.poll)
+    return {
+        "worker_id": args.worker_id,
+        "chunk": chunk,
+        "expiry_s": expiry_s,
+        "poll_s": args.poll,
+        "max_trials": args.limit,
+    }
 
 
 def _campaign_for_meta(run_meta: dict[str, object]):
     """Rebuild the (campaign, evaluator) pair a store's meta describes.
 
-    The deterministic reconstruction ``campaign run`` and
-    ``serve-store`` share: checkpoint → model (``load_protected_auto``),
+    The deterministic reconstruction every ``campaign run`` on a store
+    repeats: checkpoint → model (``load_protected_auto``),
     preset sizes → evaluator test set, manifest format → injector.
     Stores from older builds may also record ``replicas`` (a retired
     lane-group width), ``workers`` (a retired process-pool knob) or
@@ -342,30 +355,28 @@ def _campaign_for_meta(run_meta: dict[str, object]):
     return campaign, evaluator, model, meta
 
 
-def _drive_campaign_store(campaign, store, rates, limit: int | None) -> int:
-    """Run the sweep against its store, handling budget interruption."""
-    from repro.store import CampaignInterrupted
+def _drain(campaign, store_path: str, fault_models, options: dict[str, object]):
+    """Drain the store as one lease-holding worker; returns its report."""
+    import signal
 
-    store.max_new_records = limit
+    from repro.coord import CampaignWorker
+
+    worker = CampaignWorker(campaign, store_path, fault_models, **options)
+    print(
+        f"worker {worker.worker_id} joining {store_path} "
+        f"(chunk {worker.chunk}, lease expiry {worker.expiry_s:g}s)",
+        flush=True,
+    )
+    # SIGTERM drains gracefully: finish the in-flight trial, hand the
+    # rest of the range back, release the lease.  (SIGKILL is the crash
+    # path the lease protocol itself covers.)
+    previous = signal.signal(
+        signal.SIGTERM, lambda signum, frame: worker.request_stop()
+    )
     try:
-        sweep = campaign.run_sweep(rates, store=store)
-    except CampaignInterrupted:
-        status = store.status()
-        print(
-            f"interrupted after {store.appended} new trials "
-            f"({status['journaled']}/{status['expected']} journaled)"
-        )
-        print(f"resume with: repro campaign run --store {store.path}")
-        return 0
-    for rate in rates:
-        result = sweep[rate]
-        print(
-            f"rate {rate:.1e}: mean {result.mean:.2%}  median "
-            f"{result.median:.2%}  min {result.min:.2%}  "
-            f"({result.trials} trials, mean {result.flip_counts.mean():.1f} flips)"
-        )
-    print(f"store complete: {store.path} ({store.appended} new trials journaled)")
-    return 0
+        return worker.run()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def _require_run_recipe(store_path: str, run_meta: dict[str, object]) -> None:
@@ -385,9 +396,9 @@ def _flagged_run_meta(args: argparse.Namespace) -> dict[str, object]:
     """The run-recipe fields the command line sets.
 
     A ``--preset`` stands for its whole recipe (seed and sizes, with any
-    ``--trials``/``--test-samples`` override).  Without one — only
-    ``campaign run`` on an existing store — just the flags given are
-    included, and the rest are read back from the store.
+    ``--trials``/``--test-samples`` override).  Without one — a rerun on
+    an existing store — just the flags given are included, and the rest
+    are read back from the store.
     """
     flagged: dict[str, object] = {}
     if args.checkpoint is not None:
@@ -408,16 +419,6 @@ def _flagged_run_meta(args: argparse.Namespace) -> dict[str, object]:
         if args.test_samples is not None:
             flagged["test_samples"] = args.test_samples
     return flagged
-
-
-def _requested_run_meta(args: argparse.Namespace) -> dict[str, object]:
-    """The full run recipe a ``campaign run``/``serve-store`` request
-    implies (all recipe flags set)."""
-    from repro.errors import ConfigurationError
-
-    if not args.rates:
-        raise ConfigurationError("--rates needs at least one fault rate")
-    return _flagged_run_meta(args)
 
 
 def _open_store(store_path: str, requested: dict[str, object]):
@@ -458,7 +459,6 @@ def _open_store(store_path: str, requested: dict[str, object]):
 def _create_or_join_store(store_path: str, requested: dict[str, object]):
     """Open the store a request names, creating it if none exists yet.
 
-    The one create-or-join path of ``campaign run`` and ``serve-store``.
     A new store records the clean accuracy every report measures SDC
     against and is created with the whole sweep registered, in one
     exclusive write (:meth:`CampaignStore.create`).  An existing store,
@@ -504,13 +504,18 @@ def _create_or_join_store(store_path: str, requested: dict[str, object]):
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
-    from repro.store import CampaignStore
+    """Create-or-join a store, then drain it as one coordinated worker.
 
-    _check_limit(args.limit)
-    if CampaignStore.exists(args.store):
-        requested = _flagged_run_meta(args)
-    else:
+    The first run on a store creates it with the full sweep registered
+    (the manifest is written exactly once); a rerun resumes, and runs
+    started together split the remaining trial ranges between them.
+    """
+    from repro.errors import ConfigurationError
+    from repro.fault.fault_model import BitFlipFaultModel
+    from repro.store import CampaignStore, config_key
+
+    options = _worker_options(args)
+    if not CampaignStore.exists(args.store):
         if args.checkpoint is None or args.rates is None:
             raise ConfigurationError(
                 f"{args.store!r} holds no campaign store yet; creating one "
@@ -518,24 +523,56 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             )
         if args.preset is None:
             args.preset = "quick"
-        requested = _requested_run_meta(args)
-    campaign, store, created = _create_or_join_store(args.store, requested)
+    campaign, store, created = _create_or_join_store(
+        args.store, _flagged_run_meta(args)
+    )
     with store:
-        if not created:
+        status = store.status()
+        meta = store.meta
+    if created:
+        print(
+            f"created campaign store {store.path} "
+            f"({len(meta['rates'])} configs x {store.trials} trials)"
+        )
+    else:
+        print(
+            f"resuming {store.path}: {status['journaled']}/"
+            f"{status['expected']} trials journaled"
+        )
+    print(
+        f"campaign store {store.path}: "
+        f"{meta.get('checkpoint')} ({store.trials} trials/config, "
+        f"seed {store.seed}, clean {float(meta['clean_accuracy']):.2%})",
+        flush=True,
+    )
+    rates = [float(rate) for rate in meta["rates"]]
+    fault_models = [BitFlipFaultModel.at_rate(rate) for rate in rates]
+    report = _drain(campaign, args.store, fault_models, options)
+    summary = (
+        f"worker {report['worker']}: {report['trials']} trials across "
+        f"{report['claims']} claims, {report['steals']} steals"
+    )
+    with CampaignStore.open(args.store) as store:
+        if not report["complete"]:
             status = store.status()
             print(
-                f"resuming {store.path}: {status['journaled']}/"
-                f"{status['expected']} trials journaled"
+                f"interrupted after {report['trials']} new trials "
+                f"({status['journaled']}/{status['expected']} journaled); "
+                f"{summary}"
             )
-        meta = store.meta
-        print(
-            f"campaign store {store.path}: "
-            f"{meta.get('checkpoint')} ({store.trials} trials/config, "
-            f"seed {store.seed}, clean {float(meta['clean_accuracy']):.2%})"
-        )
-        return _drive_campaign_store(
-            campaign, store, [float(r) for r in meta["rates"]], args.limit
-        )
+            print(f"resume with: repro campaign run --store {store.path}")
+            return 0
+        for rate, fault_model in zip(rates, fault_models):
+            result = store.result(config_key("", fault_model.describe()))
+            print(
+                f"rate {rate:.1e}: mean {result.mean:.2%}  median "
+                f"{result.median:.2%}  min {result.min:.2%}  "
+                f"({result.trials} trials, mean "
+                f"{result.flip_counts.mean():.1f} flips)"
+            )
+    print(summary)
+    print(f"store complete: {store.path} ({report['trials']} new trials journaled)")
+    return 0
 
 
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
@@ -623,75 +660,6 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
         handle.write("\n")
     print(text)
     print(f"wrote {report_path} and {atlas_path}")
-    return 0
-
-
-def _cmd_campaign_serve_store(args: argparse.Namespace) -> int:
-    """Join a shared store as a coordinated lease-holding worker.
-
-    Create-or-join (:func:`_create_or_join_store`): the first worker to
-    arrive creates the store with the full sweep registered (the
-    manifest is written exactly once); every later worker, including
-    the loser of a creation race, validates its recipe against the
-    stored one and is admitted as a journal-segment writer.
-    """
-    import signal
-
-    from repro.coord import DEFAULT_CHUNK, DEFAULT_EXPIRY_S, CampaignWorker
-    from repro.fault.fault_model import BitFlipFaultModel
-
-    _check_limit(args.limit)
-    campaign, store, created = _create_or_join_store(
-        args.store, _requested_run_meta(args)
-    )
-    with store:
-        run_meta = store.meta
-    if created:
-        print(
-            f"created campaign store {args.store} "
-            f"({len(run_meta['rates'])} configs x {run_meta['trials']} trials, "
-            f"clean {float(run_meta['clean_accuracy']):.2%})",
-            flush=True,
-        )
-    fault_models = [
-        BitFlipFaultModel.at_rate(float(r)) for r in run_meta["rates"]
-    ]
-    worker = CampaignWorker(
-        campaign,
-        args.store,
-        fault_models,
-        worker_id=args.worker_id,
-        chunk=args.chunk if args.chunk is not None else DEFAULT_CHUNK,
-        expiry_s=args.expiry if args.expiry is not None else DEFAULT_EXPIRY_S,
-        poll_s=args.poll,
-        max_trials=args.limit,
-    )
-    # SIGTERM drains gracefully: finish the in-flight trial, hand
-    # the rest of the range back, release the lease.  (SIGKILL is
-    # the crash path the lease protocol itself covers.)
-    previous = signal.signal(
-        signal.SIGTERM, lambda signum, frame: worker.request_stop()
-    )
-    try:
-        print(
-            f"worker {worker.worker_id} joining {args.store} "
-            f"(chunk {worker.chunk}, lease expiry {worker.expiry_s:g}s)",
-            flush=True,
-        )
-        report = worker.run()
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-    summary = (
-        f"worker {report['worker']}: {report['trials']} trials across "
-        f"{report['claims']} claims, {report['steals']} steals"
-    )
-    if report["complete"]:
-        print(f"store complete; {summary}")
-    else:
-        print(
-            f"stopped with work left; {summary} — rerun serve-store "
-            "(or let peers finish) to drain the remainder"
-        )
     return 0
 
 
@@ -1089,14 +1057,18 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help=(
             "run a fault-rate sweep, journaling every trial to a store "
-            "(pointing at an existing store resumes it)"
+            "(pointing at an existing store resumes it; concurrent runs "
+            "share the work)"
         ),
         description=(
-            "Run a fault-rate sweep as the store's single writer.  On an "
-            "existing store this resumes: the recipe is read from the "
-            "store, so --checkpoint and --rates may be omitted; recipe "
-            "flags that are passed must match it, and --limit only "
-            "changes how much of it this invocation runs."
+            "Drain a fault-rate sweep's store as one lease-holding "
+            "worker (lease + work-stealing trial ranges; the first run "
+            "creates the store and registers the sweep).  On an existing "
+            "store this resumes: the recipe is read from the store, so "
+            "--checkpoint and --rates may be omitted; recipe flags that "
+            "are passed must match it, and --limit only changes how much "
+            "of it this invocation runs.  Runs started together on one "
+            "store split the remaining trials between them."
         ),
     )
     c.add_argument(
@@ -1107,7 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--store",
         required=True,
-        help="campaign store directory (created if absent, else resumed)",
+        help="campaign store directory (created if absent, else resumed or joined)",
     )
     c.add_argument(
         "--rates",
@@ -1118,6 +1090,42 @@ def build_parser() -> argparse.ArgumentParser:
             "fault rates of the sweep (e.g. 1e-6 3e-6 1e-5); required to "
             "create a store"
         ),
+    )
+    c.add_argument(
+        "--worker-id",
+        default=None,
+        help=(
+            "unique worker id — names the lease and this worker's journal "
+            "segment (default: per-process unique; multi-host fleets "
+            "should pass hostname-derived ids)"
+        ),
+    )
+    c.add_argument(
+        "--chunk",
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "trials per claimed range (default: 8) — smaller chunks "
+            "rebalance stragglers faster, larger ones amortise claim I/O"
+        ),
+    )
+    c.add_argument(
+        "--expiry",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help=(
+            "lease expiry (default: 30) — peers may steal this worker's "
+            "ranges after this long without a heartbeat"
+        ),
+    )
+    c.add_argument(
+        "--poll",
+        type=float,
+        default=0.5,
+        metavar="SECONDS",
+        help="idle re-scan interval while peers hold all remaining work",
     )
     c.add_argument(
         "--limit",
@@ -1160,73 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact directory (default: the store itself)",
     )
     c.set_defaults(func=_cmd_campaign_report)
-
-    c = campaign_sub.add_parser(
-        "serve-store",
-        help=(
-            "join a shared store as a coordinated worker (lease + "
-            "work-stealing; the first worker creates the store and "
-            "registers the sweep)"
-        ),
-    )
-    c.add_argument("--checkpoint", required=True, help="protected checkpoint (.npz)")
-    c.add_argument(
-        "--store",
-        required=True,
-        help="shared campaign store directory (created by the first worker)",
-    )
-    c.add_argument(
-        "--rates",
-        type=float,
-        nargs="+",
-        required=True,
-        help="fault rates of the sweep (must match the store's recipe)",
-    )
-    c.add_argument(
-        "--worker-id",
-        default=None,
-        help=(
-            "unique worker id — names the lease and this worker's journal "
-            "segment (default: per-process unique; multi-host fleets "
-            "should pass hostname-derived ids)"
-        ),
-    )
-    c.add_argument(
-        "--chunk",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help=(
-            "trials per claimed range (default: 8) — smaller chunks "
-            "rebalance stragglers faster, larger ones amortise claim I/O"
-        ),
-    )
-    c.add_argument(
-        "--expiry",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "lease expiry (default: 30) — peers may steal this worker's "
-            "ranges after this long without a heartbeat"
-        ),
-    )
-    c.add_argument(
-        "--poll",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="idle re-scan interval while peers hold all remaining work",
-    )
-    c.add_argument(
-        "--limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="journal at most N fresh trials, then hand back the rest",
-    )
-    _add_preset_arguments(c)
-    c.set_defaults(func=_cmd_campaign_serve_store)
 
     c = campaign_sub.add_parser(
         "watch",

@@ -9,7 +9,7 @@ into a *service* a fleet can drain together:
 - :mod:`~repro.coord.scheduler` — work-stealing dynamic trial ranges
   with fencing tokens;
 - :mod:`~repro.coord.worker` — the join/claim/evaluate/journal loop
-  behind ``repro campaign serve-store``;
+  behind ``repro campaign run``;
 - :mod:`~repro.coord.watch` — live status views (terminal, JSON,
   ``GET /v1/campaign``) and the ``repro_campaign_worker_*`` gauges.
 

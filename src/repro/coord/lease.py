@@ -32,6 +32,7 @@ wrongly-presumed-dead worker harmless.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import threading
@@ -205,8 +206,10 @@ class WorkerLease:
         worker: str,
         expiry_s: float = DEFAULT_EXPIRY_S,
     ) -> None:
-        if expiry_s <= 0.0:
-            raise CoordError(f"lease expiry must be > 0, got {expiry_s}")
+        if not (math.isfinite(expiry_s) and expiry_s > 0.0):
+            # A NaN expiry would make the lease never live (peers steal
+            # at once) and the heartbeat spin without waiting.
+            raise CoordError(f"lease expiry must be finite and > 0, got {expiry_s}")
         self.store_path = os.fspath(store_path)
         self.worker = validated_worker_id(worker)
         self.expiry_s = float(expiry_s)

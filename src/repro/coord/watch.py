@@ -75,8 +75,9 @@ def coord_status(store_path: str | os.PathLike[str]) -> dict[str, Any]:
 
     Opens the store read-only (which also audits the folded journals —
     a conflicting duplicate record surfaces here, not silently), then
-    overlays lease and claim state.  Works on plain single-writer
-    stores too: the coord sections are just empty.
+    overlays lease and claim state.  Works on stores no worker has
+    joined yet (or an older build's single writer filled): the coord
+    sections are just empty.
     """
     store_path = os.fspath(store_path)
     with CampaignStore.open(store_path) as store:
@@ -172,7 +173,7 @@ def render_watch(status: dict[str, Any], rate: float | None = None) -> str:
         )
     workers = status.get("workers", [])
     if not workers:
-        lines.append("  workers: none (single-writer store)")
+        lines.append("  workers: none yet")
     for row in workers:
         if row["released"]:
             liveness = "released"

@@ -25,8 +25,12 @@ A :class:`CampaignWorker` wires the pieces together over one shared
    journaled (or the worker's ``max_trials`` budget is spent), release
    the lease and close the segment.
 
-Determinism: trial seeds depend only on (campaign seed, tag, config
-spec, trial index), so whichever worker evaluates a trial journals the
+``repro campaign run`` is this loop behind a command line: one
+invocation on a store is one worker, a rerun resumes, and N concurrent
+invocations split the remaining trial ranges between them.
+
+Determinism: trial seeds depend only on (campaign seed, config spec,
+trial index), so whichever worker evaluates a trial journals the
 same record — steals, crashes, and re-runs cost duplicate *work* at
 worst, never divergent *data*, and the drained store's artifacts are
 byte-identical to a single-worker run's.
@@ -35,6 +39,7 @@ byte-identical to a single-worker run's.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from typing import TYPE_CHECKING
@@ -47,6 +52,7 @@ from repro.coord.lease import (
     validated_worker_id,
 )
 from repro.coord.scheduler import ClaimHandle, RangeScheduler
+from repro.obs.trace import span
 from repro.store import CampaignStore, config_key
 from repro.utils.logging import get_logger
 
@@ -54,7 +60,7 @@ if TYPE_CHECKING:
     from repro.fault.campaign import FaultCampaign
     from repro.store.store import Describable
 
-__all__ = ["CampaignWorker", "DEFAULT_CHUNK"]
+__all__ = ["CampaignWorker", "DEFAULT_CHUNK", "check_worker_options"]
 
 _logger = get_logger("coord.worker")
 
@@ -64,6 +70,21 @@ _logger = get_logger("coord.worker")
 DEFAULT_CHUNK = 8
 
 _WORKER_SEQ = itertools.count()
+
+
+def check_worker_options(chunk: int, expiry_s: float, poll_s: float) -> None:
+    """Refuse knobs a worker would misbehave under.
+
+    A NaN expiry is never live, so peers would steal the worker's ranges
+    at once while its heartbeat spins without waiting; a NaN or negative
+    poll interval busy-spins the idle loop.
+    """
+    if chunk < 1:
+        raise CoordError(f"chunk must be >= 1, got {chunk}")
+    if not (math.isfinite(expiry_s) and expiry_s > 0.0):
+        raise CoordError(f"expiry must be finite and > 0, got {expiry_s}")
+    if not (math.isfinite(poll_s) and poll_s >= 0.0):
+        raise CoordError(f"poll must be finite and >= 0, got {poll_s}")
 
 
 def default_worker_id() -> str:
@@ -78,8 +99,8 @@ class CampaignWorker:
     ----------
     campaign:
         The locally-built :class:`~repro.fault.campaign.FaultCampaign`
-        (model, injector, evaluator, executor); the scheduler decides
-        which trials it evaluates.
+        (model, injector, evaluator); the scheduler decides which
+        trials it evaluates.
     store_path:
         The shared store directory (already created, all configurations
         registered — see :meth:`CampaignStore.create`).
@@ -90,16 +111,21 @@ class CampaignWorker:
         per-process unique, so multi-host fleets should pass their own
         (hostname-derived) ids.
     chunk:
-        Trials per claimed range.
+        Trials per claimed range (>= 1).
     expiry_s:
-        Lease expiry; peers may steal this worker's ranges after this
-        long without a heartbeat.
+        Lease expiry, finite and > 0; peers may steal this worker's
+        ranges after this long without a heartbeat.
     poll_s:
-        Idle re-scan interval while peers hold all remaining work.
+        Idle re-scan interval while peers hold all remaining work,
+        finite and >= 0.
     max_trials:
         Stop after journaling this many fresh trials (None = run to
-        completion) — the time-boxed-increment knob, like
+        completion) — the time-boxed-increment knob behind
         ``campaign run --limit``.
+
+    A configuration that an older build's in-store ``EarlyStop``
+    marked converged (``converged_at`` in the manifest) counts as done:
+    its journaled trials are the whole result, and none is added.
     """
 
     def __init__(
@@ -107,7 +133,6 @@ class CampaignWorker:
         campaign: "FaultCampaign",
         store_path: str | os.PathLike[str],
         fault_models: "list[Describable]",
-        tag: str = "",
         worker_id: str | None = None,
         chunk: int = DEFAULT_CHUNK,
         expiry_s: float = DEFAULT_EXPIRY_S,
@@ -117,8 +142,8 @@ class CampaignWorker:
         self.campaign = campaign
         self.store_path = os.fspath(store_path)
         self.fault_models = list(fault_models)
-        self.tag = tag
         self.worker_id = validated_worker_id(worker_id or default_worker_id())
+        check_worker_options(chunk, expiry_s, poll_s)
         self.chunk = int(chunk)
         self.expiry_s = float(expiry_s)
         self.poll_s = float(poll_s)
@@ -149,7 +174,7 @@ class CampaignWorker:
             keys: dict[str, "Describable"] = {}
             registered = store.config_keys()
             for fault_model in self.fault_models:
-                key = config_key(self.tag, fault_model.describe())
+                key = config_key("", fault_model.describe())
                 if key not in registered:
                     raise CoordError(
                         f"config {key!r} is not registered in "
@@ -159,10 +184,7 @@ class CampaignWorker:
                         "workers never write the manifest"
                     )
                 if store.converged_at(key) is not None:
-                    raise CoordError(
-                        f"config {key!r} is marked EarlyStop-converged; "
-                        "coordinated draining runs fixed trial spaces only"
-                    )
+                    continue  # closed by an older build's EarlyStop: done
                 keys[key] = fault_model
         except BaseException:
             store.close()
@@ -265,34 +287,45 @@ class CampaignWorker:
             return
         self.claims_run += 1
         finished = 0
-        outcomes = self.campaign.iter_range(
-            fault_model, missing, tag=self.tag
-        )
+        lost = False
+        outcomes = self.campaign.iter_range(fault_model, missing)
         try:
-            for outcome, sites in outcomes:
-                if self._stop.is_set():
-                    break
-                if not handle.verify():
-                    # Fenced out: a thief owns this range now.  Its
-                    # records will be equal to ours by determinism, but
-                    # the protocol is strict — never append under a
-                    # lost claim.
-                    _logger.warning(
-                        "worker %s lost claim [%d, %d) of %r mid-range; "
-                        "abandoning without journaling",
-                        self.worker_id,
-                        claim.start,
-                        claim.stop,
-                        claim.config,
-                    )
-                    return
-                store.record(claim.config, outcome, sites)
-                self.journaled += 1
-                finished += 1
-                lease.note_trials(1)
+            with span(
+                "campaign.config",
+                config=claim.config,
+                start=claim.start,
+                trials=len(missing),
+            ):
+                for outcome, sites in outcomes:
+                    if self._stop.is_set():
+                        break
+                    if not handle.verify():
+                        # Fenced out: a thief owns this range now.  Its
+                        # records will be equal to ours by determinism,
+                        # but the protocol is strict — never append
+                        # under a lost claim.
+                        _logger.warning(
+                            "worker %s lost claim [%d, %d) of %r mid-range; "
+                            "abandoning without journaling",
+                            self.worker_id,
+                            claim.start,
+                            claim.stop,
+                            claim.config,
+                        )
+                        lost = True
+                        break
+                    store.record(claim.config, outcome, sites)
+                    finished += 1
         finally:
             outcomes.close()
+            self.journaled += finished
+            # One lease rewrite per claim, not per trial: the tally is a
+            # watch display, and every rewrite is an fsync.
+            if finished:
+                lease.note_trials(finished)
         # Drained ranges drop their claim file; an interrupted range
         # (stop request) hands its remainder back the same way, so a
-        # peer — or our own resume — picks it up immediately.
-        handle.release()
+        # peer — or our own resume — picks it up immediately.  A range
+        # lost to a thief is the thief's to release.
+        if not lost:
+            handle.release()

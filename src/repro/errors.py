@@ -7,7 +7,6 @@ one ``except ReproError`` while tests can assert on precise subclasses.
 from __future__ import annotations
 
 __all__ = [
-    "CampaignInterrupted",
     "ConfigurationError",
     "GraphError",
     "ReproError",
@@ -18,19 +17,6 @@ __all__ = [
 
 class ReproError(Exception):
     """Base class for all errors raised by :mod:`repro`."""
-
-
-class CampaignInterrupted(ReproError):
-    """A journaled campaign's new-trial budget ran out (``max_new_records``).
-
-    Raised *before* the over-budget trial is journaled, so the store is
-    left in a clean resumable state: re-running the same campaign with
-    the same store picks up exactly where this run stopped.  Lives here
-    (not in :mod:`repro.store`) because both the store layer and the
-    lower fault layer raise it — the campaign loop checks the budget
-    before dispatching work — and the fault layer must not import the
-    store layer (RPL006).
-    """
 
 
 class ShapeError(ReproError, ValueError):

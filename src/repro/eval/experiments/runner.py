@@ -52,8 +52,12 @@ def run_method_sweep(
 ) -> MethodSweep:
     """Protect with each method and run the fault-rate sweep.
 
-    All methods share the campaign seed, so they face statistically
-    identical fault streams.  ``protection_overrides`` maps method name to
+    All methods share the campaign seed and fault rates, so they face
+    fault streams of the same distribution, but not the same fault
+    sites: each method's trials run under its own tag
+    (``<tag>:<method>``) and over its own fault space (FitAct's bound
+    words outnumber Clip-Act's), so trial t of two methods is not a
+    paired comparison.  ``protection_overrides`` maps method name to
     extra :class:`ProtectionConfig` fields (ablations use this).
     """
     preset = context.preset

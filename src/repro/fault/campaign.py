@@ -7,12 +7,12 @@ raw material of the paper's Fig. 5 (distribution) and Fig. 6 (means).
 
 Trials run in-process, one at a time (:mod:`repro.fault.parallel`);
 over an evaluator's lane hook each trial is one replica lane sharing
-the model's cached clean forward.  A campaign scales out across processes
-only as N ``repro campaign serve-store`` workers sharing one durable
-store (:mod:`repro.coord`), each evaluating the trial ranges it claims
-through :meth:`FaultCampaign.iter_range`.  Per-trial seeds are derived
-from the campaign seed and the trial index alone, so every schedule
-produces bit-identical results.
+the model's cached clean forward.  A campaign is journaled and scales
+out across processes only as ``repro campaign run`` workers sharing one
+durable store (:mod:`repro.coord`), each evaluating the trial ranges it
+claims through :meth:`FaultCampaign.iter_range`.  Per-trial seeds are
+derived from the campaign seed, tag, fault spec and trial index alone,
+so every schedule produces bit-identical results.
 """
 
 from __future__ import annotations
@@ -20,22 +20,18 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.autograd.ops_conv import NUMERICS as CONV_NUMERICS
 from repro.core.fitrelu import NUMERICS as FITRELU_NUMERICS
-from repro.errors import CampaignInterrupted, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.fault.fault_model import BitFlipFaultModel, FaultModel
 from repro.fault.injector import FaultInjector
 from repro.fault.parallel import TrialOutcome, TrialRunner, TrialWork
 from repro.obs.trace import span
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
-
-if TYPE_CHECKING:
-    from repro.store import CampaignStore
 
 __all__ = [
     "CampaignAggregator",
@@ -240,9 +236,12 @@ class FaultCampaign:
     trials:
         Number of independent trials per fault configuration.
     seed:
-        Base seed; trial t of configuration c derives its own stream, so
-        two campaigns with the same seed see identical fault patterns —
-        the paper's protection schemes are compared on equal footing.
+        Base seed; trial t derives its own stream from (seed, tag, the
+        fault model's spec, t), so two campaigns with the same seed, tag
+        and spec over the same fault space see identical fault sites.
+        Campaigns over different fault spaces (a FitAct model has more
+        bound words than its Clip-Act twin) or under different tags
+        draw independent sites: they are not paired trial by trial.
     """
 
     #: The arithmetic the trials' forwards run: the convolutions
@@ -294,9 +293,9 @@ class FaultCampaign:
     ) -> TrialWork:
         """Sample trial ``trial``'s fault sites, just before it runs.
 
-        Each trial's seed is independent, so a resume's missing tail, a
-        coord worker's claimed range or an EarlyStop-converged
-        configuration samples only the trials it evaluates.
+        Each trial's seed is independent, so a worker's claimed range
+        or an EarlyStop-converged configuration samples only the trials
+        it evaluates.
         """
         return TrialWork(
             index=trial, sites=self.injector.sample(fault_model, rng=seeds[trial])
@@ -314,7 +313,7 @@ class FaultCampaign:
         worker that claimed a dynamic trial range evaluates just that
         range.  Yields ``(outcome, sites)`` pairs in ascending trial
         order — ``sites`` being the journal-ready applied-site metadata
-        :meth:`run` records — with duplicates collapsed.  Trial seeds
+        a worker records — with duplicates collapsed.  Trial seeds
         depend only on the trial index, never on scheduling, so any
         partition of the trial space (claimed or stolen ranges, a serial
         run) produces bit-identical per-trial results.  Evaluation is
@@ -337,85 +336,32 @@ class FaultCampaign:
         fault_model: FaultModel,
         tag: str = "",
         early_stop: EarlyStop | None = None,
-        store: "CampaignStore | None" = None,
     ) -> CampaignResult:
-        """Run all trials for one fault configuration.
+        """Run all trials for one fault configuration, in memory.
 
         With ``early_stop``, trials are consumed in index order and the
         campaign stops as soon as the accuracy CI converges, sampling and
         evaluating no trial past that point; the decision stream is
         order-deterministic, so every run stops after the same trial
-        with identical results.
-
-        With ``store``, every fresh outcome is journaled to disk as it
-        completes, and trials
-        the store already holds are *replayed* from the journal instead
-        of re-evaluated — an interrupted run resumed against its
-        store is bit-identical to an uninterrupted run, because trial
-        seeds are schedule-independent and journaled floats round-trip
-        exactly.  A configuration the store marks as EarlyStop-converged
-        is never re-opened: its journaled trials are replayed and the
-        same converged result returned without any evaluation.
+        with identical results.  Journaled, resumable campaigns run
+        through :class:`repro.coord.CampaignWorker` instead.
         """
         with span("campaign.config", tag=tag, trials=self.trials):
-            return self._run(fault_model, tag, early_stop, store)
-
-    def _run(
-        self,
-        fault_model: FaultModel,
-        tag: str,
-        early_stop: EarlyStop | None,
-        store: "CampaignStore | None",
-    ) -> CampaignResult:
-        plan = list(range(self.trials))
-        key: str | None = None
-        journal: dict[int, TrialOutcome] = {}
-        if store is not None:
-            key = store.open_config(fault_model, tag=tag)
-            journal = store.journaled(key)
-            converged_at = store.converged_at(key)
-            if converged_at is not None:
-                plan = [trial for trial in plan if trial < converged_at]
-                absent = [trial for trial in plan if trial not in journal]
-                if absent:
-                    raise ConfigurationError(
-                        f"store marks config {key!r} converged after "
-                        f"{converged_at} trials but its journal is missing "
-                        f"{len(absent)} of them"
+            seeds = self.trial_seeds(fault_model, tag)
+            aggregator = CampaignAggregator()
+            for trial in range(self.trials):
+                aggregator.add(self._runner(self._work(fault_model, seeds, trial)))
+                if early_stop is not None and aggregator.converged(early_stop):
+                    _logger.info(
+                        "campaign %s converged after %d/%d trials "
+                        "(CI half-width <= %g)",
+                        tag,
+                        aggregator.trials,
+                        self.trials,
+                        early_stop.ci_halfwidth,
                     )
-        # Don't evaluate what the budget forbids journaling: raise
-        # *before* the first un-journalable evaluation, not after it.
-        budget = store.remaining_budget() if store is not None else None
-        seeds = self.trial_seeds(fault_model, tag)
-        aggregator = CampaignAggregator()
-        fresh = 0
-        for trial in plan:
-            outcome = journal.get(trial)
-            if outcome is None:
-                if budget is not None and fresh >= budget:
-                    raise CampaignInterrupted(
-                        f"store reached its new-trial budget before "
-                        f"trial {trial}; resume to continue"
-                    )
-                work = self._work(fault_model, seeds, trial)
-                outcome = self._runner(work)
-                fresh += 1
-                if store is not None and key is not None:
-                    store.record(key, outcome, self._site_metadata(work.sites))
-            aggregator.add(outcome)
-            if early_stop is not None and aggregator.converged(early_stop):
-                if store is not None and key is not None:
-                    store.mark_converged(key, aggregator.trials)
-                _logger.info(
-                    "campaign %s converged after %d/%d trials "
-                    "(CI half-width <= %g)",
-                    tag,
-                    aggregator.trials,
-                    self.trials,
-                    early_stop.ci_halfwidth,
-                )
-                break
-        result = aggregator.result(fault_model)
+                    break
+            result = aggregator.result(fault_model)
         _logger.info("campaign %s %s", tag, result.summary())
         return result
 
@@ -426,7 +372,6 @@ class FaultCampaign:
         allowed_bits: tuple[int, ...] | None = None,
         param_filter: Callable[[str], bool] | None = None,
         early_stop: EarlyStop | None = None,
-        store: "CampaignStore | None" = None,
     ) -> SweepResult:
         """Run a campaign at each fault rate (a full Fig. 5/6 panel)."""
         sweep = SweepResult(rates=tuple(rates))
@@ -436,13 +381,8 @@ class FaultCampaign:
             )
             for rate in rates
         ]
-        if store is not None:
-            # Register the whole sweep in the manifest before any trial
-            # runs: a campaign killed between rates then shows the later
-            # configurations as missing work, not as a complete store.
-            store.register_configs(fault_models, tag=tag)
         for rate, fault_model in zip(rates, fault_models):
             sweep.results[rate] = self.run(
-                fault_model, tag=tag, early_stop=early_stop, store=store
+                fault_model, tag=tag, early_stop=early_stop
             )
         return sweep

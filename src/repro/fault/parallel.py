@@ -8,8 +8,8 @@ holds the unit :class:`~repro.fault.campaign.FaultCampaign` schedules —
 :class:`TrialRunner` that turns it into a :class:`TrialOutcome` record.
 
 A campaign runs its trials in-process; it scales out across processes
-only as N ``repro campaign serve-store`` workers sharing one durable
-store (:mod:`repro.coord`).  Determinism holds by construction: fault
+only as N ``repro campaign run`` workers sharing one durable store
+(:mod:`repro.coord`).  Determinism holds by construction: fault
 sites are sampled from seeds derived per trial index, never from the
 schedule, so any partition of the trial space — claimed or stolen
 ranges, one serial run — yields bit-identical per-trial results.
@@ -39,7 +39,7 @@ class TrialWork:
 
     ``sites`` are sampled from the trial's derived seed, so the fault
     pattern of trial ``index`` is independent of how trials are
-    scheduled over ``serve-store`` workers claiming and stealing ranges.
+    scheduled over ``campaign run`` workers claiming and stealing ranges.
     """
 
     index: int

@@ -10,7 +10,6 @@ per-bit sensitivity maps.  See :mod:`repro.store.store` for the format.
 
 from repro.store.atlas import build_atlas
 from repro.store.store import (
-    CampaignInterrupted,
     CampaignStore,
     JournalProgress,
     StoredFaultModel,
@@ -20,7 +19,6 @@ from repro.store.store import (
 )
 
 __all__ = [
-    "CampaignInterrupted",
     "CampaignStore",
     "JournalProgress",
     "StoreError",

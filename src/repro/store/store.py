@@ -7,42 +7,43 @@ fault-injection record:
   fingerprint of the injector's fault space, the parameter-name table,
   the convolution and FitReLU numerics)
   plus one entry per fault configuration and
-  free-form run metadata.  Rewritten atomically (temp file + rename) on
-  every update.
-- ``trials.jsonl`` — the append-only trial journal: one JSON line per
-  completed trial with its exact accuracy, realised flip count, and the
-  applied fault sites as ``(layer, bit)`` pairs.  Each line is flushed
-  as it is written, so a crash at trial 4,900/5,000 loses at most the
-  in-flight trial; a torn trailing line (the crash landed mid-write) is
-  detected, ignored on load, and truncated before the next append.
+  free-form run metadata.  Written once, atomically, when the store is
+  created with its whole sweep registered.
+- ``trials.<segment>.jsonl`` — append-only trial journals, one per
+  writer: one JSON line per completed trial with its exact accuracy,
+  realised flip count, and the applied fault sites as ``(layer, bit)``
+  pairs.  Each line is flushed as it is written, so a crash at trial
+  4,900/5,000 loses at most the in-flight trial; a torn trailing line
+  (the crash landed mid-write) is detected, ignored on load, and
+  truncated before the writer's next append.
 
 Because campaign trial seeds are schedule-independent (see
 :mod:`repro.fault.parallel`), a store makes campaigns:
 
 - **durable** — every completed trial survives the process;
-- **resumable** — :meth:`repro.fault.FaultCampaign.run` with ``store=``
-  replays journaled trials and evaluates only the missing ones, so an
+- **resumable** — a worker (:class:`repro.coord.CampaignWorker`)
+  evaluates only the trials no journal holds yet, so an
   interrupted-then-resumed campaign is bit-identical to an
   uninterrupted run;
 - **multi-writer** — coordinated workers each journal to their own
   segment of one store, and loading folds the segments back into the
-  single-writer run's records.
+  straight run's records.
 
 Floats round-trip exactly through JSON (``repr`` shortest-round-trip),
-so replayed accuracies are the bit-identical float64s the evaluator
+so folded accuracies are the bit-identical float64s the evaluator
 produced.
 
-Each journal *file* has one writer.  ``trials.jsonl`` belongs to the
-classic single-writer path (``campaign run``); coordinated
-workers (:mod:`repro.coord`) open the store with a ``segment`` name and
-append to their own ``trials.<segment>.jsonl`` instead, so N workers
-share one store directory without ever sharing a file descriptor.
-Loading folds the shared journal plus every segment together: a
-(config, trial) pair journaled twice must hold *equal* records (trial
+Each journal *file* has one writer: a worker opens the store with a
+``segment`` name and appends to its own ``trials.<segment>.jsonl``, so
+N workers share one store directory without ever sharing a file
+descriptor.  A store opened without a segment is read-only.  Loading
+folds every segment together, plus the shared ``trials.jsonl`` that
+older builds' single writer appended to, so their stores still resume:
+a (config, trial) pair journaled twice must hold *equal* records (trial
 seeds are schedule-independent, so honest re-execution is byte-equal)
 and is deduplicated; unequal copies are a corruption error.  Worker
 names live only in file names, never in record bytes — artifacts
-derived from a multi-writer store are byte-identical to a single-writer
+derived from a multi-writer store are byte-identical to a one-worker
 run's.
 """
 
@@ -58,7 +59,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Protocol
 
 import numpy as np
 
-from repro.errors import CampaignInterrupted, ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.fault.parallel import TrialOutcome
 from repro.obs.metrics import default_registry
 from repro.store.encoding import exact_json_dump, exact_json_dumps
@@ -68,7 +69,6 @@ if TYPE_CHECKING:
     from repro.fault.campaign import CampaignResult, FaultCampaign
 
 __all__ = [
-    "CampaignInterrupted",
     "CampaignStore",
     "JournalProgress",
     "StoreError",
@@ -87,6 +87,8 @@ _TRIALS_JOURNALED = default_registry().counter(
 )
 
 _MANIFEST = "manifest.json"
+#: The shared journal older builds' single writer appended to; read
+#: (folded with the segments) but never written.
 _JOURNAL = "trials.jsonl"
 _SEGMENT_PREFIX = "trials."
 _SEGMENT_SUFFIX = ".jsonl"
@@ -147,11 +149,6 @@ class TrialRecord:
     flips: int
     sites: tuple[tuple[int, int], ...]
 
-    def outcome(self) -> TrialOutcome:
-        return TrialOutcome(
-            index=self.index, accuracy=self.accuracy, flips=self.flips
-        )
-
 
 def config_key(tag: str, spec: str) -> str:
     """The journal key of one (tag, fault-spec) configuration.
@@ -171,8 +168,8 @@ class JournalProgress:
 
     ``indices`` maps config key to the set of journaled trial indices
     (union over all writers); ``segments`` maps writer name to its
-    parsed record count, with ``""`` standing for the shared
-    single-writer journal.  Produced by
+    parsed record count, with ``""`` standing for an older build's
+    shared ``trials.jsonl``.  Produced by
     :meth:`CampaignStore.scan_progress` without building records, so
     coordination loops can poll it while other workers append.
     """
@@ -204,9 +201,9 @@ def _mismatched_fields(
 class CampaignStore:
     """One campaign's on-disk journal; see the module docstring.
 
-    Construct through :meth:`create`, :meth:`open`, or (the usual entry
-    point) :meth:`for_campaign`, which creates a fresh store or reopens
-    an existing one and verifies it belongs to the given campaign.
+    Construct through :meth:`create` (a fresh store, whole sweep
+    registered) or :meth:`open`; :meth:`attach` verifies an open store
+    belongs to a given campaign.
     """
 
     def __init__(
@@ -223,11 +220,6 @@ class CampaignStore:
         self._journal_end = journal_end
         self._segment = segment
         self._writer: BinaryIO | None = None
-        self.appended = 0
-        #: Journal at most this many new trials, then raise
-        #: :class:`CampaignInterrupted` (None = unlimited).  Powers
-        #: time-boxed incremental runs (``repro campaign run --limit``).
-        self.max_new_records: int | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -290,9 +282,12 @@ class CampaignStore:
 
         Creation is exclusive: the manifest appears complete, sweep
         included, in one atomic step, and only if no manifest exists.
-        Of two processes creating one store at once (``serve-store``
+        Of two processes creating one store at once (``campaign run``
         workers starting together) exactly one succeeds; the other gets
-        :class:`StoreError` and can join the winner's store.
+        :class:`StoreError` and can join the winner's store.  The
+        manifest is never rewritten afterwards, and the returned store
+        is read-only: workers journal through :meth:`open` with a
+        segment.
         """
         path = os.fspath(path)
         if cls.exists(path):
@@ -307,12 +302,8 @@ class CampaignStore:
             "meta": dict(meta or {}),
         }
         store = cls(path, manifest, {}, journal_end=0)
-        store._add_configs(configs, "")
-        # Touch the journal so a crash before the first trial still
-        # leaves a well-formed (empty) store behind.
-        with open(store._journal_path, "ab"):
-            pass
-        store._write_manifest(exclusive=True)
+        store._add_configs(configs)
+        store._write_manifest()
         return store
 
     @staticmethod
@@ -332,11 +323,11 @@ class CampaignStore:
     ) -> "CampaignStore":
         """Load an existing store, tolerating a torn trailing record.
 
-        With ``segment``, this instance's appends go to the private
-        journal file ``trials.<segment>.jsonl`` instead of the shared
-        ``trials.jsonl`` — the multi-writer mode :mod:`repro.coord`
-        workers use.  Reading always folds every journal file together
-        regardless of ``segment``.
+        With ``segment``, this instance may append to the private
+        journal file ``trials.<segment>.jsonl`` — the mode
+        :mod:`repro.coord` workers use; without one it is read-only.
+        Reading always folds every journal file together regardless of
+        ``segment``.
         """
         path = os.fspath(path)
         segment = cls._validated_segment(segment)
@@ -364,31 +355,11 @@ class CampaignStore:
             raise StoreError(
                 f"{path!r} holds one shard of a statically sharded campaign, "
                 "which this build no longer reads; re-run the campaign into "
-                "a fresh store with 'repro campaign run' or 'repro campaign "
-                "serve-store'"
+                "a fresh store with 'repro campaign run'"
             )
         store = cls(path, manifest, {}, journal_end=0, segment=segment)
         store._load_journal()
         return store
-
-    @classmethod
-    def for_campaign(
-        cls,
-        path: str | os.PathLike[str],
-        campaign: "FaultCampaign",
-        meta: Mapping[str, object] | None = None,
-    ) -> "CampaignStore":
-        """Create the campaign's store, or reopen and verify an existing one.
-
-        An existing store must have been written by a campaign with the
-        same seed, trial count, and fault-space fingerprint — resuming
-        against the wrong model or settings is an error, not a silent
-        mix of incompatible trials.  ``meta`` is only
-        applied on creation; an existing store keeps its own.
-        """
-        if cls.exists(path):
-            return cls.open(path).attach(campaign)
-        return cls.create(path, cls.campaign_identity(campaign), meta=meta)
 
     def attach(self, campaign: "FaultCampaign") -> "CampaignStore":
         """Verify this (already-open) store belongs to ``campaign``.
@@ -427,16 +398,15 @@ class CampaignStore:
         return os.path.join(self.path, _MANIFEST)
 
     @property
-    def _journal_path(self) -> str:
+    def _journal_name(self) -> str | None:
+        """This writer's journal file name (None = read-only)."""
         if self._segment is None:
-            return os.path.join(self.path, _JOURNAL)
-        return os.path.join(
-            self.path, _SEGMENT_PREFIX + self._segment + _SEGMENT_SUFFIX
-        )
+            return None
+        return _SEGMENT_PREFIX + self._segment + _SEGMENT_SUFFIX
 
     @property
     def segment(self) -> str | None:
-        """This writer's segment name (None = the shared journal)."""
+        """This writer's segment name (None = read-only)."""
         return self._segment
 
     @property
@@ -483,14 +453,14 @@ class CampaignStore:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _write_manifest(self, exclusive: bool = False) -> None:
-        """Atomic rewrite: temp file in the same directory, then rename.
+    def _write_manifest(self) -> None:
+        """Exclusive, atomic write: temp file in the same directory,
+        hard-linked into place.
 
-        ``exclusive`` (store creation) hard-links the temp file into
-        place instead, which fails if a manifest already exists, so a
-        racing creator can never replace the winner's manifest.  The
-        temp name is per process and thread: writers that create one
-        store at the same moment must not move each other's file away.
+        The link fails if a manifest already exists, so a racing
+        creator can never replace the winner's manifest.  The temp name
+        is per process and thread: writers that create one store at the
+        same moment must not move each other's file away.
         """
         tmp = f"{self._manifest_path}.{os.getpid()}.{threading.get_ident()}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -498,9 +468,6 @@ class CampaignStore:
             handle.write("\n")
             handle.flush()
             os.fsync(handle.fileno())
-        if not exclusive:
-            os.replace(tmp, self._manifest_path)
-            return
         try:
             os.link(tmp, self._manifest_path)
         except FileExistsError:
@@ -512,7 +479,8 @@ class CampaignStore:
 
     @staticmethod
     def _journal_file_names(path: str) -> list[str]:
-        """All journal files in load order: shared first, then segments.
+        """All journal files in load order: an older build's shared
+        journal first, then segments.
 
         Sorted segment names make the fold order deterministic, so two
         hosts opening the same directory agree on which copy of a
@@ -530,7 +498,7 @@ class CampaignStore:
         return names
 
     def _load_journal(self) -> None:
-        own = os.path.basename(self._journal_path)
+        own = self._journal_name
         self._journal_end = 0
         known = set(self.config_keys())
         origins: dict[tuple[str, int], str] = {}
@@ -615,12 +583,19 @@ class CampaignStore:
     def _append(self, key: str, record: TrialRecord) -> None:
         writer = self._writer
         if writer is None:
+            if self._journal_name is None:
+                raise StoreError(
+                    f"store {self.path!r} was opened read-only; journal "
+                    "through a segment writer (CampaignStore.open(path, "
+                    "segment=...))"
+                )
+            path = os.path.join(self.path, self._journal_name)
             # A fresh segment writer's file doesn't exist yet.
-            with open(self._journal_path, "ab"):
+            with open(path, "ab"):
                 pass
             # Reclaim any torn tail before the first append of this
             # session, so the journal stays a clean sequence of lines.
-            writer = open(self._journal_path, "r+b")
+            writer = open(path, "r+b")
             writer.seek(self._journal_end)
             writer.truncate()
             self._writer = writer
@@ -650,45 +625,24 @@ class CampaignStore:
         self.close()
 
     # ------------------------------------------------------------------
-    # The campaign-facing journal surface
+    # The journal surface
     # ------------------------------------------------------------------
-    def open_config(self, fault_model: Describable, tag: str = "") -> str:
-        """Register one fault configuration (idempotent); returns its key."""
-        return self.register_configs([fault_model], tag)[0]
+    def _add_configs(self, fault_models: Iterable[Describable]) -> None:
+        """Append unknown configurations to the in-memory manifest.
 
-    def register_configs(
-        self, fault_models: Iterable[Describable], tag: str = ""
-    ) -> list[str]:
-        """Register a batch of configurations with one manifest write.
-
-        Idempotent: known configurations keep their entry.  The
-        coordination layer (:mod:`repro.coord`) keeps the manifest
-        single-writer by creating the store with the whole sweep
-        registered (:meth:`create`); joining workers only read it.
+        Stores register untagged configs; older builds' stores may
+        carry tagged ones, which read and report the same way.
         """
-        known = len(self._configs)
-        keys = self._add_configs(fault_models, tag)
-        if len(self._configs) > known:
-            self._write_manifest()
-        return keys
-
-    def _add_configs(
-        self, fault_models: Iterable[Describable], tag: str
-    ) -> list[str]:
-        """Append unknown configurations to the in-memory manifest."""
-        keys: list[str] = []
         registered = {str(entry["key"]) for entry in self._configs}
         for fault_model in fault_models:
             spec = fault_model.describe()
-            key = _config_key(tag, spec)
-            keys.append(key)
+            key = _config_key("", spec)
             if key in registered:
                 continue
             self._configs.append(
-                {"key": key, "tag": tag, "spec": spec, "converged_at": None}
+                {"key": key, "tag": "", "spec": spec, "converged_at": None}
             )
             registered.add(key)
-        return keys
 
     @classmethod
     def scan_progress(cls, path: str | os.PathLike[str]) -> JournalProgress:
@@ -732,13 +686,6 @@ class CampaignStore:
             segments[writer] = count
         return JournalProgress(indices=indices, segments=segments)
 
-    def journaled(self, key: str) -> dict[int, TrialOutcome]:
-        """Already-recorded outcomes of one config, by trial index."""
-        return {
-            index: record.outcome()
-            for index, record in self._records.get(key, {}).items()
-        }
-
     def records(self, key: str) -> dict[int, TrialRecord]:
         """Full journal records (with sites) of one config.
 
@@ -750,27 +697,10 @@ class CampaignStore:
         return dict(sorted(self._records.get(key, {}).items()))
 
     def converged_at(self, key: str) -> int | None:
+        """The trial count after which an older build's in-store
+        ``EarlyStop`` closed this config (None = runs every trial)."""
         value = self.config_entry(key).get("converged_at")
         return None if value is None else int(value)
-
-    def mark_converged(self, key: str, trials: int) -> None:
-        """Record an ``EarlyStop`` decision: the config is done after
-        ``trials`` trials, and resumes must not re-open it."""
-        entry = self.config_entry(key)
-        if entry.get("converged_at") is not None:
-            return
-        entry["converged_at"] = int(trials)
-        self._write_manifest()
-
-    def remaining_budget(self) -> int | None:
-        """New records this session may still journal (None = no limit).
-
-        Campaigns consult this before sampling work, so no trial the
-        budget forbids journaling is sampled or evaluated.
-        """
-        if self.max_new_records is None:
-            return None
-        return max(0, self.max_new_records - self.appended)
 
     def record(
         self,
@@ -778,12 +708,7 @@ class CampaignStore:
         outcome: TrialOutcome,
         sites: Iterable[tuple[int, int]],
     ) -> None:
-        """Journal one fresh trial outcome (budget-checked, flushed)."""
-        if self.max_new_records is not None and self.appended >= self.max_new_records:
-            raise CampaignInterrupted(
-                f"store {self.path!r} reached its new-trial budget "
-                f"({self.max_new_records}); resume to continue"
-            )
+        """Journal one fresh trial outcome to this writer's segment (flushed)."""
         self.config_entry(key)  # raises on unknown config
         per_config = self._records.setdefault(key, {})
         if outcome.index in per_config:
@@ -798,7 +723,6 @@ class CampaignStore:
         )
         self._append(key, record)
         per_config[record.index] = record
-        self.appended += 1
         # Side-band progress signal for the process registry; never
         # touches the journal bytes.
         _TRIALS_JOURNALED.inc(1)

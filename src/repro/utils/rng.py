@@ -3,8 +3,11 @@
 Every stochastic component in the library (data synthesis, weight init,
 fault-site sampling, augmentation) takes an explicit seed or
 ``numpy.random.Generator``.  These helpers centralise how seeds are derived
-so that campaigns are reproducible bit-for-bit, which matters when
-comparing protection schemes under identical fault patterns.
+so that campaigns are reproducible bit-for-bit: a fault campaign's
+trial seeds derive from (seed, tag, fault spec, trial), so rerunning a
+campaign, or splitting its trials across workers, reproduces its fault
+sites exactly.  Campaigns under other tags or over other fault spaces
+(two protection schemes, say) draw independent sites.
 """
 
 from __future__ import annotations

@@ -2,10 +2,14 @@
 
 import json
 import os
+import shutil
+import signal
+import threading
 
 import pytest
 
 from repro.cli import main
+from tests.conftest import journal_lines
 
 TINY = [
     "--preset",
@@ -138,38 +142,21 @@ class TestRoundTrip:
 
 
 class TestSegmentFold:
-    def test_run_then_serve_store_folds_to_the_straight_report(
+    def test_two_runs_fold_to_the_straight_report(
         self, checkpoint, tmp_path, capsys
     ):
-        """A store started by ``campaign run`` and finished by a
-        ``serve-store`` worker's segment reports like a straight run."""
+        """A store started by one ``campaign run`` and finished by
+        another's segment reports like a straight run."""
         straight = tmp_path / "straight"
         assert _run(checkpoint, straight) == 0
         assert main(["campaign", "report", "--store", str(straight)]) == 0
 
         mixed = tmp_path / "mixed"
         assert _run(checkpoint, mixed, "--limit", "2") == 0
-        code = main(
-            [
-                "campaign",
-                "serve-store",
-                "--checkpoint",
-                checkpoint,
-                "--store",
-                str(mixed),
-                "--rates",
-                "1e-5",
-                "3e-5",
-                *TINY,
-                "--trials",
-                "3",
-                "--worker-id",
-                "peer",
-            ]
-        )
-        assert code == 0
+        assert _run(checkpoint, mixed, "--worker-id", "peer") == 0
         assert "store complete" in capsys.readouterr().out
         assert (mixed / "trials.peer.jsonl").read_text().count("\n") == 4
+        assert journal_lines(mixed) == journal_lines(straight)
 
         assert main(["campaign", "report", "--store", str(mixed)]) == 0
         capsys.readouterr()
@@ -177,6 +164,50 @@ class TestSegmentFold:
             assert (mixed / artifact).read_bytes() == (
                 straight / artifact
             ).read_bytes()
+
+    def test_concurrent_runs_split_the_work(
+        self, checkpoint, tmp_path, monkeypatch, capsys
+    ):
+        """Two runs started together on one store drain it between them:
+        every trial is evaluated once, by one of the two workers."""
+        # Each run installs a SIGTERM handler, which only the main
+        # thread may do; these runs are threads.
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        store = tmp_path / "store"
+        results = {}
+
+        def work(worker_id):
+            try:
+                results[worker_id] = _run(
+                    checkpoint, store, "--worker-id", worker_id, "--chunk", "1",
+                    "--poll", "0.01",
+                )
+            except BaseException as error:  # reported by the assert below
+                results[worker_id] = repr(error)
+
+        threads = [
+            threading.Thread(target=work, args=(worker_id,))
+            for worker_id in ("alpha", "beta")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == {"alpha": 0, "beta": 0}
+        assert capsys.readouterr().out.count("store complete") == 2
+
+        assert main(["campaign", "watch", "--store", str(store), "--once",
+                     "--format", "json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["complete"] is True
+        assert status["claims"] == []
+        trials = {row["worker"]: row["trials"] for row in status["workers"]}
+        assert set(trials) == {"alpha", "beta"}
+        assert sum(trials.values()) == status["expected"] == 6
+
+        straight = tmp_path / "straight"
+        assert _run(checkpoint, straight) == 0
+        assert journal_lines(store) == journal_lines(straight)
 
 
 class TestOldStores:
@@ -204,6 +235,42 @@ class TestOldStores:
                 straight / artifact
             ).read_bytes()
 
+    def _parent_layout(self, checkpoint, store, limit, rewrite=lambda line: line):
+        """A partial store as the parent build's single writer left it:
+        records in the shared ``trials.jsonl``, no ``coord/`` directory."""
+        assert _run(checkpoint, store, "--limit", limit, "--worker-id", "w") == 0
+        segment = store / "trials.w.jsonl"
+        lines = segment.read_text().splitlines()
+        (store / "trials.jsonl").write_text(
+            "".join(rewrite(line) + "\n" for line in lines)
+        )
+        segment.unlink()
+        shutil.rmtree(store / "coord")
+        return lines
+
+    def test_parent_layout_store_resumes_byte_identically(
+        self, checkpoint, tmp_path, capsys
+    ):
+        straight = tmp_path / "straight"
+        assert _run(checkpoint, straight) == 0
+        assert main(["campaign", "report", "--store", str(straight)]) == 0
+
+        old = tmp_path / "old"
+        self._parent_layout(checkpoint, old, "2")
+        capsys.readouterr()
+        assert main(["campaign", "run", "--store", str(old)]) == 0
+        out = capsys.readouterr().out
+        assert "2/6 trials journaled" in out
+        assert "store complete" in out
+        assert "(4 new trials journaled)" in out
+        assert main(["campaign", "report", "--store", str(old)]) == 0
+        capsys.readouterr()
+        for artifact in ("report.md", "atlas.json"):
+            assert (old / artifact).read_bytes() == (
+                straight / artifact
+            ).read_bytes()
+        assert journal_lines(old) == journal_lines(straight)
+
     def test_journal_with_wall_clock_field_resumes_byte_identically(
         self, checkpoint, tmp_path, capsys
     ):
@@ -214,13 +281,10 @@ class TestOldStores:
         assert main(["campaign", "report", "--store", str(straight)]) == 0
 
         old = tmp_path / "old"
-        assert _run(checkpoint, old, "--limit", "3") == 0
-        journal = old / "trials.jsonl"
-        lines = journal.read_text().splitlines()
-        assert len(lines) == 3
-        journal.write_text(
-            "".join(f'{line[:-1]},"sec":0.{i + 1}}}\n' for i, line in enumerate(lines))
+        lines = self._parent_layout(
+            checkpoint, old, "3", rewrite=lambda line: line[:-1] + ',"sec":0.5}'
         )
+        assert len(lines) == 3
         assert main(["campaign", "run", "--store", str(old)]) == 0
         assert "3/6 trials journaled" in capsys.readouterr().out
         assert main(["campaign", "report", "--store", str(old)]) == 0
@@ -229,8 +293,15 @@ class TestOldStores:
             assert (old / artifact).read_bytes() == (
                 straight / artifact
             ).read_bytes()
-        resumed = (old / "trials.jsonl").read_text().splitlines()
-        assert resumed[3:] == (straight / "trials.jsonl").read_text().splitlines()[3:]
+        resumed = [
+            line
+            for line in journal_lines(old)
+            if b'"sec"' not in line
+        ]
+        assert len(resumed) == 3
+        assert set(resumed) | {line.encode() for line in lines} == set(
+            journal_lines(straight)
+        )
 
 
     def test_store_from_the_sigmoid_fitrelu_is_refused_but_readable(
@@ -336,25 +407,34 @@ class TestErrors:
         assert "--limit" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
-    @pytest.mark.parametrize("limit", ["0", "-1"])
-    def test_bad_serve_store_limit(self, checkpoint, tmp_path, capsys, limit):
-        code = main(
-            [
-                "campaign",
-                "serve-store",
-                "--checkpoint",
-                checkpoint,
-                "--store",
-                str(tmp_path / "s"),
-                "--rates",
-                "1e-5",
-                *TINY,
-                "--limit",
-                limit,
-            ]
-        )
-        assert code == 1
-        assert "--limit" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--limit", "-1"),
+            ("--chunk", "0"),
+            ("--chunk", "-3"),
+            ("--expiry", "0"),
+            ("--expiry", "-1"),
+            ("--expiry", "nan"),
+            ("--expiry", "inf"),
+            ("--poll", "-0.5"),
+            ("--poll", "nan"),
+        ],
+    )
+    def test_bad_worker_flag(self, checkpoint, tmp_path, capsys, flag, value):
+        """Refused before the store is created or its clean accuracy
+        measured: a NaN expiry would let peers steal at once and spin
+        the heartbeat, a NaN or negative poll would busy-spin."""
+        assert _run(checkpoint, tmp_path / "s", flag, value) == 1
+        assert f"{flag.lstrip('-')} must be" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "manifest.json").exists()
+
+    def test_serve_store_is_gone(self, checkpoint, tmp_path):
+        """``campaign run`` is the one way to drain a store."""
+        with pytest.raises(SystemExit) as raised:
+            main(["campaign", "serve-store", "--checkpoint", checkpoint,
+                  "--store", str(tmp_path / "s"), "--rates", "1e-5"])
+        assert raised.value.code == 2
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("interval", ["0", "-2"])
@@ -384,7 +464,8 @@ class TestReplicasCLI:
         assert main(["campaign", "report", "--store", str(per_trial)]) == 0
         capsys.readouterr()
 
-        for artifact in ("trials.jsonl", "report.md", "atlas.json"):
+        assert journal_lines(lanes) == journal_lines(per_trial)
+        for artifact in ("report.md", "atlas.json"):
             assert (lanes / artifact).read_bytes() == (
                 per_trial / artifact
             ).read_bytes()
@@ -404,10 +485,9 @@ class TestReplicasCLI:
         with pytest.raises(SystemExit):
             _run(checkpoint, "ignored", "--replicas", "many")
 
-    @pytest.mark.parametrize("command", ["run", "serve-store"])
-    def test_campaign_commands_take_no_replicas_flag(self, command, capsys):
+    def test_campaign_run_takes_no_replicas_flag(self, capsys):
         with pytest.raises(SystemExit):
-            main(["campaign", command, "--help"])
+            main(["campaign", "run", "--help"])
         assert "--replicas" not in capsys.readouterr().out
 
 

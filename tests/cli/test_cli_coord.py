@@ -1,4 +1,4 @@
-"""``repro campaign serve-store`` / ``watch``: the control-plane CLI.
+"""``repro campaign run`` as a coordinated worker, and ``watch``.
 
 The heavyweight acceptance (SIGKILL + steal + byte-identity) lives in
 tests/coord/test_takeover.py against library-level workers; this module
@@ -60,11 +60,11 @@ def checkpoint(tmp_path_factory):
             os.environ["REPRO_CACHE_DIR"] = cache_before
 
 
-def _serve(checkpoint, store, *extra):
+def _worker_run(checkpoint, store, *extra):
     return main(
         [
             "campaign",
-            "serve-store",
+            "run",
             "--checkpoint",
             checkpoint,
             "--store",
@@ -82,12 +82,12 @@ def _serve(checkpoint, store, *extra):
     )
 
 
-class TestServeStore:
+class TestWorkerRun:
     def test_first_worker_creates_drains_and_matches_plain_run(
         self, checkpoint, tmp_path, capsys
     ):
         coord = tmp_path / "coord"
-        assert _serve(checkpoint, coord, "--worker-id", "alpha") == 0
+        assert _worker_run(checkpoint, coord, "--worker-id", "alpha") == 0
         out = capsys.readouterr().out
         assert "created campaign store" in out
         assert "worker alpha joining" in out
@@ -127,8 +127,8 @@ class TestServeStore:
         self, checkpoint, tmp_path, capsys
     ):
         store = tmp_path / "store"
-        assert _serve(checkpoint, store, "--worker-id", "alpha") == 0
-        assert _serve(checkpoint, store, "--worker-id", "beta") == 0
+        assert _worker_run(checkpoint, store, "--worker-id", "alpha") == 0
+        assert _worker_run(checkpoint, store, "--worker-id", "beta") == 0
         out = capsys.readouterr().out
         assert "worker beta: 0 trials" in out
 
@@ -136,10 +136,11 @@ class TestServeStore:
         self, checkpoint, tmp_path, capsys
     ):
         store = tmp_path / "store"
-        assert _serve(checkpoint, store, "--worker-id", "a", "--limit", "2") == 0
+        assert _worker_run(checkpoint, store, "--worker-id", "a", "--limit", "2") == 0
         out = capsys.readouterr().out
-        assert "stopped with work left" in out
-        assert _serve(checkpoint, store, "--worker-id", "b") == 0
+        assert "interrupted after 2 new trials" in out
+        assert "worker a: 2 trials across 1 claims" in out
+        assert _worker_run(checkpoint, store, "--worker-id", "b") == 0
         out = capsys.readouterr().out
         assert "store complete" in out
 
@@ -149,15 +150,15 @@ class TestServeStore:
         """The retired ``runtime``, ``workers`` and ``replicas`` recipe
         keys are ignored on join."""
         straight = tmp_path / "straight"
-        assert _serve(checkpoint, straight, "--worker-id", "solo") == 0
+        assert _worker_run(checkpoint, straight, "--worker-id", "solo") == 0
 
         store = tmp_path / "store"
-        assert _serve(checkpoint, store, "--worker-id", "a", "--limit", "2") == 0
+        assert _worker_run(checkpoint, store, "--worker-id", "a", "--limit", "2") == 0
         manifest_path = store / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["meta"].update(runtime=True, workers=2, replicas="auto")
         manifest_path.write_text(json.dumps(manifest, indent=2))
-        assert _serve(checkpoint, store, "--worker-id", "b") == 0
+        assert _worker_run(checkpoint, store, "--worker-id", "b") == 0
         assert "store complete" in capsys.readouterr().out
 
         for path in (straight, store):
@@ -172,12 +173,12 @@ class TestServeStore:
         self, checkpoint, tmp_path, capsys
     ):
         store = tmp_path / "store"
-        assert _serve(checkpoint, store, "--worker-id", "alpha") == 0
+        assert _worker_run(checkpoint, store, "--worker-id", "alpha") == 0
         capsys.readouterr()
         code = main(
             [
                 "campaign",
-                "serve-store",
+                "run",
                 "--checkpoint",
                 checkpoint,
                 "--store",
@@ -205,7 +206,7 @@ class TestServeStore:
         import signal
         import threading
 
-        # serve-store sets a SIGTERM handler, which only the main
+        # campaign run sets a SIGTERM handler, which only the main
         # thread may do; these workers are threads.
         monkeypatch.setattr(signal, "signal", lambda *args: None)
         store = tmp_path / "store"
@@ -225,7 +226,7 @@ class TestServeStore:
 
         def work(worker_id):
             try:
-                results[worker_id] = _serve(
+                results[worker_id] = _worker_run(
                     checkpoint, store, "--worker-id", worker_id
                 )
             except BaseException as error:  # reported by the assert below
@@ -245,7 +246,7 @@ class TestServeStore:
 
         monkeypatch.setattr(os, "link", link)
         straight = tmp_path / "straight"
-        assert _serve(checkpoint, straight, "--worker-id", "solo") == 0
+        assert _worker_run(checkpoint, straight, "--worker-id", "solo") == 0
         for path in (straight, store):
             assert main(["campaign", "report", "--store", str(path)]) == 0
         for artifact in ("report.md", "atlas.json"):
@@ -257,7 +258,7 @@ class TestServeStore:
 class TestWatch:
     def test_once_renders_workers_and_configs(self, checkpoint, tmp_path, capsys):
         store = tmp_path / "store"
-        assert _serve(checkpoint, store, "--worker-id", "alpha") == 0
+        assert _worker_run(checkpoint, store, "--worker-id", "alpha") == 0
         capsys.readouterr()
         assert main(["campaign", "watch", "--store", str(store), "--once"]) == 0
         out = capsys.readouterr().out
@@ -266,7 +267,7 @@ class TestWatch:
 
     def test_json_format_round_trips(self, checkpoint, tmp_path, capsys):
         store = tmp_path / "store"
-        assert _serve(checkpoint, store, "--worker-id", "alpha") == 0
+        assert _worker_run(checkpoint, store, "--worker-id", "alpha") == 0
         capsys.readouterr()
         code = main(
             [

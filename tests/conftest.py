@@ -22,6 +22,7 @@ from repro.data.loader import DataLoader
 from repro.data.synthetic import SYNTH_MEAN, SYNTH_STD, SyntheticImageDataset
 from repro.data.transforms import Normalize
 from repro.models.registry import build_model
+from repro.store import CampaignStore
 
 IMAGE_SIZE = 16
 NUM_CLASSES = 10
@@ -142,3 +143,44 @@ def trained_model(trained_state):
     )
     model.load_state_dict(trained_state["state"])
     return model
+
+
+# ----------------------------------------------------------------------
+# Campaign stores (every writer is a leased worker's journal segment)
+# ----------------------------------------------------------------------
+def create_store(path, campaign, fault_models=(), meta=None):
+    """Create ``campaign``'s store with ``fault_models`` registered,
+    unless ``path`` already holds one."""
+    if not CampaignStore.exists(path):
+        identity = CampaignStore.campaign_identity(campaign)
+        CampaignStore.create(path, identity, meta=meta, configs=fault_models).close()
+
+
+def open_writer(path, campaign, fault_models=(), meta=None, segment="w"):
+    """Create the store (when absent) and open it as the verified
+    journal-segment writer ``segment``."""
+    create_store(path, campaign, fault_models, meta=meta)
+    return CampaignStore.open(path, segment=segment).attach(campaign)
+
+
+def drain_store(path, campaign, fault_models, meta=None, **worker_options):
+    """Create the store (when absent) with the sweep registered, then
+    drain it with one :class:`~repro.coord.CampaignWorker`; returns the
+    worker's report."""
+    from repro.coord import CampaignWorker
+
+    create_store(path, campaign, fault_models, meta=meta)
+    return CampaignWorker(campaign, path, fault_models, **worker_options).run()
+
+
+def journal_lines(path):
+    """The store's journal: sorted, de-duplicated, complete record lines
+    of every ``trials*.jsonl`` (segments and an older build's shared
+    journal), as bytes — equal for any two drains of one recipe."""
+    from pathlib import Path
+
+    lines = set()
+    for journal in Path(path).glob("trials*.jsonl"):
+        lines.update(journal.read_bytes().split(b"\n")[:-1])
+    lines.discard(b"")
+    return sorted(lines)

@@ -14,7 +14,8 @@ import pytest
 from repro import nn
 from repro.fault import BitFlipFaultModel, FaultCampaign, FaultInjector
 from repro.quant import quantize_module
-from repro.store import CampaignStore
+from repro.store import TrialRecord, config_key
+from tests.conftest import create_store
 
 RATES = (1e-3, 5e-3)
 TRIALS = 8
@@ -55,8 +56,23 @@ def fault_models(rates=RATES):
 
 def make_store(path, campaign=None, rates=RATES):
     """Create a coordinated store: manifest + the full sweep registered."""
-    with CampaignStore.for_campaign(path, campaign or make_campaign()) as store:
-        return store.register_configs(fault_models(rates))
+    create_store(path, campaign or make_campaign(), fault_models(rates))
+    return [config_key("", model.describe()) for model in fault_models(rates)]
+
+
+def serial_records(rates=RATES):
+    """The serial ground truth: every trial of every config, evaluated
+    in index order through one plain campaign, as journal records."""
+    campaign = make_campaign()
+    records = {}
+    for model in fault_models(rates):
+        records[config_key("", model.describe())] = {
+            outcome.index: TrialRecord(
+                outcome.index, outcome.accuracy, outcome.flips, tuple(sites)
+            )
+            for outcome, sites in campaign.iter_range(model, range(TRIALS))
+        }
+    return records
 
 
 @pytest.fixture

@@ -115,9 +115,12 @@ class TestStaleness:
         assert read_lease(path, fs_now(tmp_path)) is None
         assert list_leases(tmp_path) == {}
 
-    def test_bad_expiry_rejected(self, tmp_path):
+    @pytest.mark.parametrize("expiry", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_expiry_rejected(self, tmp_path, expiry):
+        """A NaN expiry would never be live and spin the heartbeat."""
         with pytest.raises(CoordError, match="expiry"):
-            WorkerLease(tmp_path, "alpha", expiry_s=0.0)
+            WorkerLease(tmp_path, "alpha", expiry_s=expiry)
+        assert not (tmp_path / "coord").exists()
 
 
 def test_lease_is_not_picklable(tmp_path):

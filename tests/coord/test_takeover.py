@@ -24,6 +24,7 @@ from repro.coord import CampaignWorker, list_claims, list_leases
 from repro.coord.lease import lease_dir
 from repro.store import CampaignStore
 
+from tests.conftest import drain_store
 from tests.coord.conftest import (
     RATES,
     TRIALS,
@@ -142,12 +143,9 @@ def test_sigkilled_worker_is_taken_over_bit_identically(tmp_path, capsys):
     assert progress.segments["victim"] >= journaled_by_victim
     assert progress.segments["rescuer"] >= 1
 
-    # Byte-identity vs a serial run that never crashed.
+    # Byte-identity vs a one-worker drain that never crashed.
     serial_dir = tmp_path / "serial"
-    campaign = make_campaign()
-    with CampaignStore.for_campaign(serial_dir, campaign) as store:
-        for fault_model in fault_models(RATES):
-            campaign.run(fault_model, store=store)
+    drain_store(serial_dir, make_campaign(), fault_models(RATES))
     coord_report = _report_bytes(store_dir, tmp_path / "coord-out")
     serial_report = _report_bytes(serial_dir, tmp_path / "serial-out")
     capsys.readouterr()  # swallow the CLI report dumps

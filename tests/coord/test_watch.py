@@ -16,7 +16,6 @@ from repro.coord import (
 from repro.coord.scheduler import RangeScheduler
 from repro.coord.watch import RateMeter
 from repro.obs.metrics import default_registry
-from repro.store import CampaignStore
 
 from tests.coord.conftest import RATES, TRIALS
 from tests.coord.test_worker import run_worker
@@ -115,16 +114,19 @@ class TestRendering:
         assert "remaining" not in render_watch(status)
 
     def test_render_shows_where_a_config_converged(self, store_path):
-        with CampaignStore.open(store_path) as store:
-            key = store.config_keys()[0]
-            store.mark_converged(key, 3)
+        """Older builds' in-store EarlyStop marked configs converged."""
+        manifest_path = store_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        key = manifest["configs"][0]["key"]
+        manifest["configs"][0]["converged_at"] = 3
+        manifest_path.write_text(json.dumps(manifest))
         text = render_watch(coord_status(store_path))
         assert f"config {key}: 0/3 mean=-, converged at 3" in text
         assert text.count("converged at") == 1
 
-    def test_render_notes_single_writer_stores(self, store_path):
+    def test_render_notes_stores_no_worker_joined(self, store_path):
         text = render_watch(coord_status(store_path))
-        assert "workers: none (single-writer store)" in text
+        assert "workers: none yet" in text
 
     def test_rate_meter_needs_two_polls(self):
         meter = RateMeter()

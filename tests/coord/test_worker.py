@@ -14,6 +14,7 @@ from tests.coord.conftest import (
     fault_models,
     make_campaign,
     make_store,
+    serial_records,
 )
 
 
@@ -27,16 +28,6 @@ def run_worker(store_path, worker_id, **kwargs):
         **kwargs,
     )
     return worker.run()
-
-
-def reference_records(tmp_path):
-    """The serial ground truth: one plain campaign.run per config."""
-    ref_dir = tmp_path / "reference"
-    campaign = make_campaign()
-    with CampaignStore.for_campaign(ref_dir, campaign) as store:
-        for fault_model in fault_models():
-            campaign.run(fault_model, store=store)
-    return open_records(ref_dir)
 
 
 def open_records(store_path):
@@ -57,7 +48,7 @@ class TestSingleWorker:
 
     def test_records_equal_serial_run(self, tmp_path, store_path):
         run_worker(store_path, "alpha")
-        assert open_records(store_path) == reference_records(tmp_path)
+        assert open_records(store_path) == serial_records()
 
     def test_budget_stops_then_resume_completes(self, tmp_path, store_path):
         first = run_worker(store_path, "alpha", max_trials=5)
@@ -66,7 +57,7 @@ class TestSingleWorker:
         second = run_worker(store_path, "alpha2")
         assert second["complete"]
         assert second["trials"] == len(RATES) * TRIALS - 5
-        assert open_records(store_path) == reference_records(tmp_path)
+        assert open_records(store_path) == serial_records()
 
     def test_complete_store_is_a_cheap_noop(self, store_path):
         run_worker(store_path, "alpha")
@@ -97,7 +88,7 @@ class TestTwoWorkers:
         # Benign races around claim hand-off may duplicate a trial; the
         # fold dedups equal records, so the journals never under-cover.
         assert total >= len(RATES) * TRIALS
-        assert open_records(store_path) == reference_records(tmp_path)
+        assert open_records(store_path) == serial_records()
 
 
 class TestAdmission:
@@ -120,6 +111,45 @@ class TestAdmission:
             CampaignWorker(
                 make_campaign(), store_path, fault_models(), worker_id="a/b"
             )
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("chunk", 0, "chunk"),
+            ("expiry_s", 0.0, "expiry"),
+            ("expiry_s", -1.0, "expiry"),
+            ("expiry_s", float("nan"), "expiry"),
+            ("expiry_s", float("inf"), "expiry"),
+            ("poll_s", -0.5, "poll"),
+            ("poll_s", float("nan"), "poll"),
+        ],
+    )
+    def test_bad_knobs_rejected_up_front(self, store_path, option, value, message):
+        with pytest.raises(CoordError, match=message):
+            CampaignWorker(
+                make_campaign(), store_path, fault_models(), **{option: value}
+            )
+        assert not (store_path / "coord").exists()
+
+
+class TestLeaseTally:
+    def test_trials_are_tallied_once_per_claim(self, store_path, monkeypatch):
+        """Each tally is an fsync'd lease rewrite: one per claim, and the
+        lease's count still matches the worker's segment."""
+        from repro.coord import WorkerLease, list_leases
+
+        tallies = []
+        note_trials = WorkerLease.note_trials
+
+        def counted(self, count):
+            tallies.append(count)
+            note_trials(self, count)
+
+        monkeypatch.setattr(WorkerLease, "note_trials", counted)
+        report = run_worker(store_path, "alpha", chunk=3)
+        assert len(tallies) == report["claims"] < report["trials"]
+        assert sum(tallies) == report["trials"] == len(RATES) * TRIALS
+        assert list_leases(store_path)["alpha"].trials == report["trials"]
 
 
 class TestStopRequest:

@@ -14,7 +14,7 @@ from repro.models.registry import MODEL_NAMES, build_model
 from repro.obs import KernelProfiler, configure_tracing, reset_tracing
 from repro.quant.model import quantize_module
 from repro.runtime.plan import compile_model
-from repro.store import CampaignStore
+from tests.conftest import drain_store, journal_lines
 
 ROW_KEYS = {
     "step",
@@ -173,10 +173,8 @@ def _journal_bytes(tmp_path, name):
     campaign = FaultCampaign(
         FaultInjector(model), _ParamHealth(model), trials=4, seed=7
     )
-    store_dir = str(tmp_path / name)
-    with CampaignStore.for_campaign(store_dir, campaign) as store:
-        campaign.run(BitFlipFaultModel.at_rate(5e-3), store=store)
-    return (tmp_path / name / "trials.jsonl").read_bytes()
+    drain_store(tmp_path / name, campaign, [BitFlipFaultModel.at_rate(5e-3)])
+    return journal_lines(tmp_path / name)
 
 
 class TestSideBand:

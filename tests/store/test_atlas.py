@@ -11,6 +11,7 @@ from repro.eval.reporting import format_atlas
 from repro.fault import BitFlipFaultModel, FaultCampaign, FaultInjector, TrialOutcome
 from repro.quant import quantize_module
 from repro.store import CampaignStore, build_atlas
+from tests.conftest import drain_store, open_writer
 
 SPEC = BitFlipFaultModel.exact(2)
 
@@ -40,8 +41,8 @@ def handmade_store(tmp_path):
     - t2: hits layer 2 bit 3, accuracy 1.00 (not an SDC)
     - t3: no flips (Binomial drew zero), accuracy 1.00
     """
-    store = CampaignStore.for_campaign(tmp_path / "s", make_campaign())
-    key = store.open_config(SPEC, tag="a")
+    store = open_writer(tmp_path / "s", make_campaign(), [SPEC])
+    (key,) = store.config_keys()
     store.record(key, TrialOutcome(0, 0.90, 2), [(0, 3), (0, 17)])
     store.record(key, TrialOutcome(1, 0.50, 2), [(0, 31), (2, 31)])
     store.record(key, TrialOutcome(2, 1.00, 1), [(2, 3)])
@@ -93,10 +94,10 @@ class TestBuildAtlas:
         assert row["trials"] == 2  # t0, t1
 
     def test_baseline_from_meta(self, tmp_path):
-        store = CampaignStore.for_campaign(
-            tmp_path / "s", make_campaign(), meta={"clean_accuracy": 1.0}
+        store = open_writer(
+            tmp_path / "s", make_campaign(), [SPEC], meta={"clean_accuracy": 1.0}
         )
-        key = store.open_config(SPEC)
+        (key,) = store.config_keys()
         store.record(key, TrialOutcome(0, 0.5, 1), [(0, 31)])
         atlas = build_atlas(store)
         assert atlas["baseline"] == 1.0
@@ -104,7 +105,7 @@ class TestBuildAtlas:
         store.close()
 
     def test_missing_baseline_is_an_error(self, tmp_path):
-        store = CampaignStore.for_campaign(tmp_path / "s", make_campaign())
+        store = open_writer(tmp_path / "s", make_campaign())
         with pytest.raises(ConfigurationError, match="baseline"):
             build_atlas(store)
         store.close()
@@ -129,7 +130,7 @@ class TestFormatAtlas:
         assert text.index("0.weight") < text.index("2.weight")
 
     def test_empty_journal_renders_placeholders(self, tmp_path):
-        store = CampaignStore.for_campaign(
+        store = open_writer(
             tmp_path / "s", make_campaign(), meta={"clean_accuracy": 1.0}
         )
         text = format_atlas(build_atlas(store))
@@ -151,8 +152,8 @@ class TestOrderIndependence:
         values = {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.30000000000000004}
         stores = {}
         for name, order in (("straight", [0, 1, 2, 3]), ("shuffled", [0, 2, 1, 3])):
-            store = CampaignStore.for_campaign(tmp_path / name, make_campaign())
-            key = store.open_config(SPEC)
+            store = open_writer(tmp_path / name, make_campaign(), [SPEC])
+            (key,) = store.config_keys()
             for trial in order:
                 store.record(
                     key, TrialOutcome(trial, values[trial], 1), [(0, 5)]
@@ -182,10 +183,13 @@ class TestRealCampaignAtlas:
         campaign = FaultCampaign(
             FaultInjector(model), health, trials=10, seed=7
         )
-        with CampaignStore.for_campaign(
-            tmp_path / "s", campaign, meta={"clean_accuracy": 1.0}
-        ) as store:
-            campaign.run(BitFlipFaultModel.at_rate(5e-3), tag="real", store=store)
+        drain_store(
+            tmp_path / "s",
+            campaign,
+            [BitFlipFaultModel.at_rate(5e-3)],
+            meta={"clean_accuracy": 1.0},
+        )
+        with CampaignStore.open(tmp_path / "s") as store:
             atlas = build_atlas(store)
             journal_flips = sum(
                 len(record.sites)
@@ -228,8 +232,8 @@ class TestDensityNormalisation:
     def test_store_without_geometry_omits_densities(self, tmp_path):
         """Pre-PR-8 stores (no layer_words in identity) stay readable."""
         store_dir = tmp_path / "old"
-        store = CampaignStore.for_campaign(store_dir, make_campaign())
-        key = store.open_config(SPEC, tag="a")
+        store = open_writer(store_dir, make_campaign(), [SPEC])
+        (key,) = store.config_keys()
         store.record(key, TrialOutcome(0, 0.5, 1), [(0, 31)])
         store.close()
         manifest_path = store_dir / "manifest.json"

@@ -11,7 +11,6 @@ straight journal, and the rendered atlas is byte-identical.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.data.loader import DataLoader
 from repro.data.synthetic import SYNTH_MEAN, SYNTH_STD, SyntheticImageDataset
@@ -20,10 +19,12 @@ from repro.eval.evaluator import Evaluator
 from repro.fault import BitFlipFaultModel, FaultCampaign, FaultInjector
 from repro.models.registry import build_model
 from repro.quant import quantize_module
-from repro.store import CampaignInterrupted, CampaignStore, build_atlas
+from repro.store import CampaignStore, build_atlas, config_key
 from repro.store.encoding import exact_json_dumps
+from tests.conftest import drain_store, journal_lines, open_writer
 
 RATES = (1e-6, 5e-6)
+MODELS = [BitFlipFaultModel.at_rate(rate) for rate in RATES]
 SPEC = BitFlipFaultModel.at_rate(5e-6)
 
 
@@ -41,10 +42,6 @@ def make_campaign(lanes=True, trials=8):
     return FaultCampaign(FaultInjector(model), evaluate, trials=trials, seed=11)
 
 
-def _journal(store_dir):
-    return (store_dir / "trials.jsonl").read_bytes()
-
-
 def _atlas_bytes(path):
     store = CampaignStore.open(path)
     try:
@@ -56,14 +53,9 @@ def _atlas_bytes(path):
 
 def _run_store(tmp_path, name, lanes, interrupt_at=None):
     store_dir = tmp_path / name
-    campaign = make_campaign(lanes=lanes)
-    with CampaignStore.for_campaign(store_dir, campaign) as store:
-        if interrupt_at is not None:
-            store.max_new_records = interrupt_at
-            with pytest.raises(CampaignInterrupted):
-                campaign.run_sweep(RATES, tag="r", store=store)
-            return store_dir
-        campaign.run_sweep(RATES, tag="r", store=store)
+    drain_store(
+        store_dir, make_campaign(lanes=lanes), MODELS, max_trials=interrupt_at
+    )
     return store_dir
 
 
@@ -71,31 +63,29 @@ class TestReplicaStoreIdentity:
     def test_journal_and_atlas_bytes_match_per_trial_path(self, tmp_path):
         per_trial = _run_store(tmp_path, "per-trial", lanes=False)
         on = _run_store(tmp_path, "lanes", lanes=True)
-        assert _journal(per_trial) == _journal(on)
+        assert journal_lines(per_trial) == journal_lines(on)
         assert _atlas_bytes(per_trial) == _atlas_bytes(on)
 
     def test_interrupted_replica_run_resumes_to_identical_store(self, tmp_path):
         reference = _run_store(tmp_path, "straight", lanes=False)
         resumed_dir = _run_store(tmp_path, "resumed", lanes=True, interrupt_at=5)
-        campaign = make_campaign(lanes=True)
-        with CampaignStore.for_campaign(resumed_dir, campaign) as store:
-            campaign.run_sweep(RATES, tag="r", store=store)
-            assert store.appended == len(RATES) * 8 - 5
-        assert _journal(reference) == _journal(resumed_dir)
+        report = drain_store(resumed_dir, make_campaign(lanes=True), MODELS)
+        assert report["trials"] == len(RATES) * 8 - 5
+        assert journal_lines(reference) == journal_lines(resumed_dir)
         assert _atlas_bytes(reference) == _atlas_bytes(resumed_dir)
 
     def test_cross_width_resume_is_not_an_identity_mismatch(self, tmp_path):
         """A store written per trial (no lanes) re-opens under the lane
         path."""
         store_dir = _run_store(tmp_path, "cross", lanes=False, interrupt_at=3)
-        campaign = make_campaign(lanes=True)
-        with CampaignStore.for_campaign(store_dir, campaign) as store:
-            resumed = campaign.run_sweep(RATES, tag="r", store=store)
-        reference = make_campaign(lanes=False).run_sweep(RATES, tag="r")
-        for rate in RATES:
-            np.testing.assert_array_equal(
-                reference[rate].accuracies, resumed[rate].accuracies
-            )
+        drain_store(store_dir, make_campaign(lanes=True), MODELS)
+        reference = make_campaign(lanes=False).run_sweep(RATES)
+        with CampaignStore.open(store_dir) as store:
+            for rate, model in zip(RATES, MODELS):
+                resumed = store.result(config_key("", model.describe()))
+                np.testing.assert_array_equal(
+                    reference[rate].accuracies, resumed.accuracies
+                )
 
     def test_segment_fold_is_width_agnostic(self, tmp_path):
         """Two segment writers, one through the lanes and one per trial,
@@ -103,19 +93,13 @@ class TestReplicaStoreIdentity:
         journal."""
         straight = _run_store(tmp_path, "straight", lanes=False)
         folded = tmp_path / "folded"
-        models = [BitFlipFaultModel.at_rate(rate) for rate in RATES]
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(folded, campaign) as store:
-            keys = store.register_configs(models, tag="r")
+        keys = [config_key("", model.describe()) for model in MODELS]
         for index, (segment, lanes) in enumerate((("alpha", True), ("beta", False))):
             campaign = make_campaign(lanes=lanes)
-            with CampaignStore.open(folded, segment=segment) as store:
-                store.attach(campaign)
-                for key, model in zip(keys, models):
+            with open_writer(folded, campaign, MODELS, segment=segment) as store:
+                for key, model in zip(keys, MODELS):
                     trials = range(index, campaign.trials, 2)
-                    for outcome, sites in campaign.iter_range(
-                        model, trials, tag="r"
-                    ):
+                    for outcome, sites in campaign.iter_range(model, trials):
                         store.record(key, outcome, sites)
 
         reference = CampaignStore.open(straight)
@@ -130,8 +114,8 @@ class TestReplicaStoreIdentity:
         assert _atlas_bytes(folded) == _atlas_bytes(straight)
 
     def test_replica_groups_respect_the_journal_budget(self, tmp_path, monkeypatch):
-        """A run must not sample, evaluate or journal past the remaining
-        budget: it raises before the first trial it could not journal."""
+        """A worker must not sample, evaluate or journal past its trial
+        budget: it truncates its claim to what it may still journal."""
         evaluated = []
         lane_accuracies = Evaluator.lane_accuracies
 
@@ -141,10 +125,8 @@ class TestReplicaStoreIdentity:
 
         monkeypatch.setattr(Evaluator, "lane_accuracies", counted)
         store_dir = tmp_path / "budget"
-        campaign = make_campaign(lanes=True)
-        with CampaignStore.for_campaign(store_dir, campaign) as store:
-            store.max_new_records = 3
-            with pytest.raises(CampaignInterrupted):
-                campaign.run(SPEC, tag="b", store=store)
-            assert store.appended == 3
+        report = drain_store(
+            store_dir, make_campaign(lanes=True), [SPEC], max_trials=3
+        )
+        assert report["trials"] == 3
         assert len(evaluated) == 3

@@ -1,26 +1,25 @@
 """The acceptance contract: interrupted + resumed == uninterrupted.
 
 Trial seeds are schedule-independent and journaled floats round-trip
-exactly, so a campaign resumed from its store must reproduce the
-uninterrupted run bit for bit — per-trial accuracies, flip counts, and
-the EarlyStop decision stream; likewise trials journaled by several
-segment writers must fold to the straight run.
+exactly, so a store drained by a worker that stopped at its trial
+budget and another that resumed must reproduce the uninterrupted
+in-memory run bit for bit — per-trial accuracies and flip counts;
+likewise trials journaled by several segment writers must fold to the
+straight run.
 """
 
+import json
+
 import numpy as np
-import pytest
 
 from repro import nn
-from repro.fault import (
-    BitFlipFaultModel,
-    EarlyStop,
-    FaultCampaign,
-    FaultInjector,
-)
+from repro.fault import BitFlipFaultModel, FaultCampaign, FaultInjector
 from repro.quant import quantize_module
-from repro.store import CampaignInterrupted, CampaignStore
+from repro.store import CampaignStore, config_key
+from tests.conftest import drain_store, journal_lines, open_writer
 
 RATES = (1e-3, 5e-3)
+MODELS = [BitFlipFaultModel.at_rate(rate) for rate in RATES]
 SPEC = BitFlipFaultModel.at_rate(5e-3)
 
 
@@ -43,7 +42,7 @@ class _ParamHealth:
 
 
 class _CountingHealth(_ParamHealth):
-    """Counts evaluations — proves replay never re-runs trials."""
+    """Counts evaluations — proves a resume never re-runs trials."""
 
     def __init__(self, model):
         super().__init__(model)
@@ -65,168 +64,143 @@ def make_campaign(trials=8, seed=11, counting=False):
     )
 
 
-def _journal(store_dir):
-    return (store_dir / "trials.jsonl").read_bytes()
+def _results(store_dir):
+    with CampaignStore.open(store_dir) as store:
+        return {
+            rate: store.result(config_key("", model.describe()))
+            for rate, model in zip(RATES, MODELS)
+        }
 
 
 class TestResumeDeterminism:
     def test_interrupted_then_resumed_is_bit_identical(self, tmp_path):
         """The tentpole acceptance: same accuracies, same SDC stream."""
-        reference = make_campaign().run_sweep(RATES, tag="r")
+        reference = make_campaign().run_sweep(RATES)
 
         store_dir = tmp_path / "store"
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(store_dir, campaign) as store:
-            store.max_new_records = 5  # dies mid-way through rate 1
-            with pytest.raises(CampaignInterrupted):
-                campaign.run_sweep(RATES, tag="r", store=store)
+        first = drain_store(
+            store_dir, make_campaign(), MODELS, max_trials=5
+        )  # stops mid-way through rate 1
+        assert first["stopped"] and not first["complete"]
+        resumed = drain_store(store_dir, make_campaign(), MODELS)
+        # Only the missing trials were executed and journaled.
+        assert resumed["complete"]
+        assert resumed["trials"] == len(RATES) * 8 - 5
 
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(store_dir, campaign) as store:
-            resumed = campaign.run_sweep(RATES, tag="r", store=store)
-            # Only the missing trials were executed and journaled.
-            assert store.appended == len(RATES) * 8 - 5
-
+        results = _results(store_dir)
         for rate in RATES:
             np.testing.assert_array_equal(
-                reference[rate].accuracies, resumed[rate].accuracies
+                reference[rate].accuracies, results[rate].accuracies
             )
             np.testing.assert_array_equal(
-                reference[rate].flip_counts, resumed[rate].flip_counts
+                reference[rate].flip_counts, results[rate].flip_counts
             )
 
     def test_resumed_store_equals_straight_store_byte_for_byte(self, tmp_path):
         """Journals (outcomes *and* site records) are identical too."""
         straight_dir = tmp_path / "straight"
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(straight_dir, campaign) as store:
-            campaign.run_sweep(RATES, tag="r", store=store)
+        drain_store(straight_dir, make_campaign(), MODELS)
 
         resumed_dir = tmp_path / "resumed"
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(resumed_dir, campaign) as store:
-            store.max_new_records = 7
-            with pytest.raises(CampaignInterrupted):
-                campaign.run_sweep(RATES, tag="r", store=store)
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(resumed_dir, campaign) as store:
-            campaign.run_sweep(RATES, tag="r", store=store)
+        drain_store(resumed_dir, make_campaign(), MODELS, max_trials=7)
+        drain_store(resumed_dir, make_campaign(), MODELS)
 
-        assert _journal(straight_dir) == _journal(resumed_dir)
+        assert journal_lines(straight_dir) == journal_lines(resumed_dir)
 
-    def test_replay_runs_no_evaluations(self, tmp_path):
+    def test_resume_of_a_complete_store_runs_no_evaluations(self, tmp_path):
         store_dir = tmp_path / "store"
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(store_dir, campaign) as store:
-            reference = campaign.run(SPEC, tag="t", store=store)
+        drain_store(store_dir, make_campaign(), MODELS)
 
-        replayer = make_campaign(counting=True)
-        with CampaignStore.for_campaign(store_dir, replayer) as store:
-            replayed = replayer.run(SPEC, tag="t", store=store)
-        assert replayer.evaluate.calls == 0
-        np.testing.assert_array_equal(reference.accuracies, replayed.accuracies)
+        resumer = make_campaign(counting=True)
+        report = drain_store(store_dir, resumer, MODELS)
+        assert report["complete"] and report["trials"] == 0
+        assert resumer.evaluate.calls == 0
 
 
 def test_two_segment_fold_equals_straight_run(tmp_path):
     """Two writers journal interleaved trial slices into their own
     segments of one store; the fold equals the straight run."""
-    reference = make_campaign().run_sweep(RATES, tag="s")
+    reference = make_campaign().run_sweep(RATES)
 
-    models = [BitFlipFaultModel.at_rate(rate) for rate in RATES]
-    campaign = make_campaign()
-    with CampaignStore.for_campaign(tmp_path, campaign) as store:
-        keys = store.register_configs(models, tag="s")
     for index, segment in enumerate(("alpha", "beta")):
         campaign = make_campaign()
-        with CampaignStore.open(tmp_path, segment=segment) as store:
-            store.attach(campaign)
-            for key, model in zip(keys, models):
+        with open_writer(tmp_path, campaign, MODELS, segment=segment) as store:
+            for model in MODELS:
+                key = config_key("", model.describe())
                 trials = range(index, campaign.trials, 2)
-                for outcome, sites in campaign.iter_range(model, trials, tag="s"):
+                for outcome, sites in campaign.iter_range(model, trials):
                     store.record(key, outcome, sites)
 
-    with CampaignStore.open(tmp_path) as folded:
-        for rate, key in zip(RATES, keys):
-            result = folded.result(key)
-            np.testing.assert_array_equal(
-                reference[rate].accuracies, result.accuracies
-            )
-            np.testing.assert_array_equal(
-                reference[rate].flip_counts, result.flip_counts
-            )
+    results = _results(tmp_path)
+    for rate in RATES:
+        np.testing.assert_array_equal(reference[rate].accuracies, results[rate].accuracies)
+        np.testing.assert_array_equal(
+            reference[rate].flip_counts, results[rate].flip_counts
+        )
 
 
 class TestBudget:
     def test_budget_never_evaluates_over_limit_trials(self, tmp_path):
-        """--limit N means exactly N evaluations, not N+1: the campaign
-        truncates dispatched work to the remaining budget and raises
-        before the first un-journalable evaluation."""
+        """--limit N means exactly N evaluations, not N+1: the worker
+        truncates its claim to the remaining budget."""
         campaign = make_campaign(counting=True)
-        with CampaignStore.for_campaign(tmp_path / "s", campaign) as store:
-            store.max_new_records = 2
-            with pytest.raises(CampaignInterrupted):
-                campaign.run(SPEC, tag="b", store=store)
+        report = drain_store(tmp_path / "s", campaign, [SPEC], max_trials=2)
         assert campaign.evaluate.calls == 2
-        assert store.appended == 2
+        assert report["trials"] == 2
 
-    def test_sweep_killed_between_rates_is_not_reported_complete(
+    def test_sweep_stopped_between_rates_is_not_reported_complete(
         self, tmp_path
     ):
-        """run_sweep registers every rate's config up front, so a store
-        interrupted after rate 1 still shows rate 2 as missing work."""
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(tmp_path / "s", campaign) as store:
-            store.max_new_records = 8  # exactly rate 1's trials
-            with pytest.raises(CampaignInterrupted):
-                campaign.run_sweep(RATES, tag="k", store=store)
+        """The store is created with every rate's config registered, so
+        a drain stopped after rate 1 still shows rate 2 as missing
+        work."""
+        drain_store(
+            tmp_path / "s", make_campaign(), MODELS, max_trials=8
+        )  # exactly rate 1's trials
+        with CampaignStore.open(tmp_path / "s") as store:
             status = store.status()
-            assert len(status["configs"]) == len(RATES)
-            assert status["journaled"] == 8
-            assert status["expected"] == 8 * len(RATES)
-            assert not status["complete"]
+        assert len(status["configs"]) == len(RATES)
+        assert status["journaled"] == 8
+        assert status["expected"] == 8 * len(RATES)
+        assert not status["complete"]
 
 
-class TestEarlyStopConvergence:
-    STOP = EarlyStop(ci_halfwidth=1.0, min_trials=2)
+class TestConvergedConfigs:
+    """Stores whose manifest marks a config ``converged_at`` (an older
+    build's in-store EarlyStop) open, report and count it as done."""
 
-    def test_convergence_is_recorded_in_the_manifest(self, tmp_path):
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(tmp_path / "s", campaign) as store:
-            result = campaign.run(SPEC, tag="es", store=store, early_stop=self.STOP)
-            (key,) = store.config_keys()
-            assert store.converged_at(key) == result.trials == 2
+    def _converge(self, store_dir, key, trials):
+        manifest_path = store_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["configs"]:
+            if entry["key"] == key:
+                entry["converged_at"] = trials
+        manifest_path.write_text(json.dumps(manifest))
 
-    def test_resume_does_not_reopen_a_converged_config(self, tmp_path):
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(tmp_path / "s", campaign) as store:
-            reference = campaign.run(
-                SPEC, tag="es", store=store, early_stop=self.STOP
-            )
-        # Resume-by-rerun *without* early_stop: the manifest's converged
-        # marker still short-circuits — no evaluation happens at all.
-        resumer = make_campaign(counting=True)
-        with CampaignStore.for_campaign(tmp_path / "s", resumer) as store:
-            replayed = resumer.run(SPEC, tag="es", store=store)
-        assert resumer.evaluate.calls == 0
-        assert replayed.trials == reference.trials
-        np.testing.assert_array_equal(reference.accuracies, replayed.accuracies)
-
-    def test_convergence_reached_during_replay_is_marked(self, tmp_path):
-        """Crash after journaling but before convergence: the resumed run
-        makes the same EarlyStop decision at the same trial."""
-        reference = make_campaign().run(SPEC, tag="es", early_stop=self.STOP)
-
+    def test_worker_treats_a_converged_config_as_done(self, tmp_path):
         store_dir = tmp_path / "s"
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(store_dir, campaign) as store:
-            store.max_new_records = 1  # crash before min_trials
-            with pytest.raises(CampaignInterrupted):
-                campaign.run(SPEC, tag="es", store=store, early_stop=self.STOP)
-            assert store.converged_at(store.config_keys()[0]) is None
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(store_dir, campaign) as store:
-            resumed = campaign.run(
-                SPEC, tag="es", store=store, early_stop=self.STOP
-            )
-            assert store.converged_at(store.config_keys()[0]) == reference.trials
-        np.testing.assert_array_equal(reference.accuracies, resumed.accuracies)
+        drain_store(store_dir, make_campaign(), [SPEC], max_trials=2)
+        key = config_key("", SPEC.describe())
+        self._converge(store_dir, key, 2)
+
+        resumer = make_campaign(counting=True)
+        report = drain_store(store_dir, resumer, [SPEC])
+        assert report["complete"] and report["trials"] == 0
+        assert resumer.evaluate.calls == 0
+        reference = make_campaign().run(SPEC)
+        with CampaignStore.open(store_dir) as store:
+            assert store.converged_at(key) == 2
+            assert store.complete(key)
+            assert store.status()["complete"]
+            result = store.result(key)
+        np.testing.assert_array_equal(reference.accuracies[:2], result.accuracies)
+
+    def test_only_the_unconverged_configs_are_drained(self, tmp_path):
+        store_dir = tmp_path / "s"
+        drain_store(store_dir, make_campaign(), MODELS, max_trials=3)
+        self._converge(store_dir, config_key("", MODELS[0].describe()), 3)
+        report = drain_store(store_dir, make_campaign(), MODELS)
+        assert report["complete"]
+        assert report["trials"] == 8  # rate 2's trials; rate 1 stays at 3
+        with CampaignStore.open(store_dir) as store:
+            assert store.status()["expected"] == 3 + 8

@@ -1,11 +1,10 @@
 """Per-worker journal segments: fold, dedup, conflict audit, scanning.
 
-PR 10's coordination layer gives every joining worker its own append
-file (``trials.<worker>.jsonl``) so the shared journal keeps the PR 5
-single-writer crash-safety argument *per file*.  Loading a store folds
-the main journal plus every segment; equal records journaled twice
-across files (the benign steal race) dedup, unequal ones are corruption
-and must refuse to load.
+Every writer has its own append file (``trials.<worker>.jsonl``), so
+the single-writer crash-safety argument holds *per file*.  Loading a
+store folds every segment plus an older build's shared ``trials.jsonl``;
+equal records journaled twice across files (the benign steal race)
+dedup, unequal ones are corruption and must refuse to load.
 """
 
 import json
@@ -13,6 +12,7 @@ import json
 import pytest
 
 from repro.store import CampaignStore, StoreError
+from tests.conftest import create_store, drain_store, open_writer
 from tests.store.test_resume import RATES, make_campaign
 
 
@@ -23,16 +23,15 @@ def _fault_model(rate=None):
 
 
 def _make_store(path, campaign):
-    with CampaignStore.for_campaign(path, campaign) as store:
-        return store.register_configs([_fault_model()])[0]
+    create_store(path, campaign, [_fault_model()])
+    with CampaignStore.open(path) as store:
+        return store.config_keys()[0]
 
 
-def _journal_into(path, campaign, segment, indices, key, seed_campaign=None):
+def _journal_into(path, campaign, segment, indices, key):
     """Evaluate ``indices`` and journal them via one segment writer."""
-    source = seed_campaign or campaign
-    with CampaignStore.open(path, segment=segment) as store:
-        store.attach(campaign)
-        for outcome, sites in source.iter_range(_fault_model(), list(indices)):
+    with open_writer(path, campaign, segment=segment) as store:
+        for outcome, sites in campaign.iter_range(_fault_model(), list(indices)):
             store.record(key, outcome, sites)
 
 
@@ -42,8 +41,8 @@ class TestSegmentWriters:
         key = _make_store(tmp_path, campaign)
         _journal_into(tmp_path, campaign, "alpha", range(3), key)
         assert len((tmp_path / "trials.alpha.jsonl").read_text().splitlines()) == 3
-        # The creation-time main journal stays untouched.
-        assert (tmp_path / "trials.jsonl").read_bytes() == b""
+        # No shared journal is ever written.
+        assert not (tmp_path / "trials.jsonl").exists()
 
     def test_invalid_segment_name_rejected(self, tmp_path):
         _make_store(tmp_path, make_campaign())
@@ -60,11 +59,9 @@ class TestSegmentWriters:
 
 
 class TestFolding:
-    def test_fold_equals_single_writer_run(self, tmp_path):
+    def test_fold_equals_one_worker_run(self, tmp_path):
         straight_dir = tmp_path / "straight"
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(straight_dir, campaign) as store:
-            campaign.run(_fault_model(), store=store)
+        drain_store(straight_dir, make_campaign(), [_fault_model()])
         reference = CampaignStore.open(straight_dir)
         try:
             key = reference.config_keys()[0]
@@ -151,15 +148,15 @@ class TestScanProgress:
         _journal_into(tmp_path, campaign, "beta", range(5, 7), key)
         progress = CampaignStore.scan_progress(tmp_path)
         assert progress.journaled(key) == set(range(7))
-        assert progress.segments == {"": 0, "alpha": 5, "beta": 2}
+        assert progress.segments == {"alpha": 5, "beta": 2}
         assert progress.journaled("no-such-config") == set()
 
-    def test_main_journal_counts_under_empty_writer_name(self, tmp_path):
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(tmp_path, campaign) as store:
-            campaign.run(_fault_model(), store=store)
+    def test_shared_journal_counts_under_empty_writer_name(self, tmp_path):
+        """An older build's single writer appended to ``trials.jsonl``."""
+        drain_store(tmp_path, make_campaign(), [_fault_model()], worker_id="w")
+        (tmp_path / "trials.w.jsonl").rename(tmp_path / "trials.jsonl")
         progress = CampaignStore.scan_progress(tmp_path)
-        assert progress.segments[""] == 8
+        assert progress.segments == {"": 8}
 
     def test_skips_unparseable_lines_without_failing(self, tmp_path):
         campaign = make_campaign()
@@ -168,26 +165,9 @@ class TestScanProgress:
         with open(tmp_path / "trials.beta.jsonl", "w", encoding="utf-8") as f:
             f.write("garbage\n")
         progress = CampaignStore.scan_progress(tmp_path)
-        assert progress.segments == {"": 0, "alpha": 2, "beta": 0}
+        assert progress.segments == {"alpha": 2, "beta": 0}
         assert progress.journaled(key) == {0, 1}
 
     def test_non_store_directory_rejected(self, tmp_path):
         with pytest.raises(StoreError, match="not a campaign store"):
             CampaignStore.scan_progress(tmp_path / "nope")
-
-
-class TestRegisterConfigs:
-    def test_batch_registration_is_one_manifest_write_and_idempotent(
-        self, tmp_path
-    ):
-        from repro.fault import BitFlipFaultModel
-
-        models = [BitFlipFaultModel.at_rate(rate) for rate in RATES]
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(tmp_path, campaign) as store:
-            keys = store.register_configs(models)
-            assert keys == store.config_keys()
-            assert store.register_configs(models) == keys  # idempotent
-        campaign = make_campaign()
-        with CampaignStore.for_campaign(tmp_path, campaign) as store:
-            assert store.config_keys() == keys  # persisted
