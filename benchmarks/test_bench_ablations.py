@@ -1,4 +1,4 @@
-"""Design-choice ablation benches (DESIGN.md §5: ABL-G/K/Z/B)."""
+"""Design-choice ablation benches (ABL-G/K/Z/B; ``repro list-experiments``)."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Beyond-paper extension benches (DESIGN.md §5: EXT-A/E/F, ABL-W).
+"""Beyond-paper extension benches: EXT-A/E/F and ABL-W.
 
 Each bench varies one axis the paper holds fixed — fault location
 (activations), memory protection (SEC-DED ECC), fault spatial structure

@@ -1,4 +1,4 @@
-"""Benches regenerating the paper's figures (DESIGN.md §5 index).
+"""Benches regenerating the paper's figures (``repro list-experiments``).
 
 Run with ``pytest benchmarks/test_bench_figures.py``.  Each bench runs
 the experiment once at the QUICK preset, saves the text artefact

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate any paper artefact by id (the DESIGN.md §5 index).
+"""Regenerate any paper artefact by id (``repro list-experiments``).
 
 Run:  python examples/run_experiment.py fig5
       python examples/run_experiment.py table1 --preset quick

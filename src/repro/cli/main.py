@@ -664,30 +664,35 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_watch(args: argparse.Namespace) -> int:
-    """Live control-plane view: convergence, worker liveness, claims."""
+    """Live control-plane view: convergence, worker liveness, claims.
+
+    One store stays open for the whole watch; each poll (the terminal
+    loop's and the ``--http`` endpoint's alike) refreshes it.
+    """
+    import math
     import time
 
-    from repro.coord import WatchApp, coord_status, render_watch, update_gauges
+    from repro.coord import WatchApp, render_watch
     from repro.coord.watch import RateMeter
     from repro.errors import ConfigurationError
     from repro.store.encoding import exact_json_dumps
 
-    if not args.interval > 0:
-        raise ConfigurationError(f"--interval must be > 0, got {args.interval}")
-    server = None
-    if args.http is not None:
-        from repro.serve.aio import AsyncReproServer
-
-        server = AsyncReproServer(
-            WatchApp(args.store), host=args.host, port=args.http
+    if not (math.isfinite(args.interval) and args.interval > 0):
+        raise ConfigurationError(
+            f"--interval must be finite and > 0, got {args.interval}"
         )
-        server.start()
-        print(f"watch endpoint: {server.url}/v1/campaign", flush=True)
+    app = WatchApp(args.store)
+    server = None
     meter = RateMeter()
     try:
+        if args.http is not None:
+            from repro.serve.aio import AsyncReproServer
+
+            server = AsyncReproServer(app, host=args.host, port=args.http)
+            server.start()
+            print(f"watch endpoint: {server.url}/v1/campaign", flush=True)
         while True:
-            status = coord_status(args.store)
-            update_gauges(status)
+            status = app.campaign_status()
             rate = meter.update(int(status["journaled"]))
             if args.format == "json":
                 print(exact_json_dumps(status, sort_keys=True), flush=True)
@@ -704,6 +709,7 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
     finally:
         if server is not None:
             server.stop()
+        app.close()
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -1125,7 +1131,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         metavar="SECONDS",
-        help="idle re-scan interval while peers hold all remaining work",
+        help=(
+            "idle wait between store refreshes while peers hold all "
+            "remaining work"
+        ),
     )
     c.add_argument(
         "--limit",

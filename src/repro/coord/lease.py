@@ -5,7 +5,8 @@ holds one lease file under ``<store>/coord/leases/<worker>.json`` for as
 long as it participates in a campaign:
 
 - the file carries the worker's id, a **monotonic beat counter**, its
-  expiry window, and progress tallies (trials journaled, ranges stolen);
+  expiry window, and a tally of the ranges it stole (trial counts come
+  from the journal segments themselves);
 - a daemon heartbeat thread atomically rewrites it (temp file +
   ``os.replace``) every quarter-expiry, so the file's mtime advances
   while the worker lives and freezes the moment it dies — SIGKILL
@@ -136,7 +137,6 @@ class LeaseInfo:
     beat: int
     expiry_s: float
     steals: int
-    trials: int
     released: bool
     age_s: float
 
@@ -150,7 +150,8 @@ def read_lease(path: str, now: float) -> LeaseInfo | None:
     """Parse one lease file (None if missing or unreadable).
 
     Lease files are written via atomic replace, so an unreadable one is
-    a deleted or foreign file, not a torn write.
+    a deleted or foreign file, not a torn write.  Keys this build does
+    not read (older builds' ``trials`` tally) are ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -164,7 +165,6 @@ def read_lease(path: str, now: float) -> LeaseInfo | None:
             beat=int(raw["beat"]),
             expiry_s=float(raw["expiry_s"]),
             steals=int(raw["steals"]),
-            trials=int(raw["trials"]),
             released=bool(raw["released"]),
             age_s=max(0.0, now - stamp),
         )
@@ -216,7 +216,6 @@ class WorkerLease:
         self.path = os.path.join(lease_dir(store_path), worker + _SUFFIX)
         self._beat = 0
         self._steals = 0
-        self._trials = 0
         self._released = False
         self._held = False
         self._lock = threading.Lock()
@@ -226,10 +225,6 @@ class WorkerLease:
     @property
     def steals(self) -> int:
         return self._steals
-
-    @property
-    def trials(self) -> int:
-        return self._trials
 
     def acquire(self) -> "WorkerLease":
         ensure_coord_dirs(self.store_path)
@@ -263,7 +258,6 @@ class WorkerLease:
             "beat": self._beat,
             "expiry_s": self.expiry_s,
             "steals": self._steals,
-            "trials": self._trials,
             "released": self._released,
         }
 
@@ -295,12 +289,6 @@ class WorkerLease:
         """Tally a stolen range (surfaces in ``campaign watch``)."""
         with self._lock:
             self._steals += 1
-            self._write()
-
-    def note_trials(self, count: int) -> None:
-        """Tally journaled trials (surfaces in ``campaign watch``)."""
-        with self._lock:
-            self._trials += int(count)
             self._write()
 
     def release(self) -> None:

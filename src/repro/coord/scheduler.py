@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Set
 from dataclasses import dataclass, replace
 
 from repro.coord.lease import (
@@ -173,9 +173,9 @@ class RangeScheduler:
     """Hands one worker dynamic trial ranges over a shared store.
 
     Stateless between calls by design: every :meth:`next_claim` decision
-    is made against a fresh journal scan and lease listing passed in by
-    the worker loop, so schedulers on different hosts need no channel
-    beyond the store directory itself.
+    is made against the journaled indices of a freshly refreshed store
+    and a lease listing passed in by the worker loop, so schedulers on
+    different hosts need no channel beyond the store directory itself.
     """
 
     def __init__(
@@ -259,7 +259,7 @@ class RangeScheduler:
 
     def next_claim(
         self,
-        journaled: dict[str, set[int]],
+        journaled: Mapping[str, Set[int]],
         leases: dict[str, LeaseInfo],
         on_steal: Callable[[], None] | None = None,
     ) -> ClaimHandle | None:
@@ -268,11 +268,12 @@ class RangeScheduler:
         Walks configs in manifest order and ranges in trial order.  For
         each incomplete range: unclaimed → claim it; claimed by a live
         worker → skip; claimed by a stale/released worker → steal it
-        (``on_steal`` fires once per steal, feeding the lease tally).
+        (``on_steal`` fires once per steal, feeding the lease's steal
+        tally).
         Fully-journaled ranges get their leftover claim files collected.
         Returns None when nothing is claimable right now — the caller
         distinguishes "campaign complete" from "peers hold everything"
-        via the journal scan it already has.
+        via the store it just refreshed.
         """
         for config in self.configs:
             done = journaled.get(config, set())

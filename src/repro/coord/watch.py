@@ -5,7 +5,8 @@ payload — the store's own progress summary (config table, convergence),
 the lease directory (per-worker liveness, beats, steal tallies), and
 the claim directory (which ranges are in flight where) — plus
 per-segment journal counts attributing trials to the worker that
-evaluated them.
+evaluated them.  Each front holds one open store and refreshes it per
+poll, so a poll folds only the journal lines appended since the last.
 
 The payload feeds three fronts, all read-only and artifact-neutral:
 
@@ -21,6 +22,7 @@ The payload feeds three fronts, all read-only and artifact-neutral:
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -50,9 +52,9 @@ _STATUS_EXPECTED = default_registry().gauge(
     labelnames=("store",),
 )
 #: Per-worker progress gauges, labelled (store, worker).  `live` is
-#: 0/1; `trials` counts the worker's journaled records (segment line
-#: count — ground truth, not the lease's self-reported tally); `steals`
-#: counts ranges the worker reclaimed from stale peers.
+#: 0/1; `trials` counts the records of the worker's journal segment
+#: (leases carry no trial count); `steals` counts ranges the worker
+#: reclaimed from stale peers.
 _WORKER_LIVE = default_registry().gauge(
     "repro_campaign_worker_live",
     "Worker lease liveness (1 = heartbeat fresh, 0 = stale or released).",
@@ -70,20 +72,19 @@ _WORKER_STEALS = default_registry().gauge(
 )
 
 
-def coord_status(store_path: str | os.PathLike[str]) -> dict[str, Any]:
+def coord_status(store: CampaignStore) -> dict[str, Any]:
     """One poll of a coordinated store: progress + workers + claims.
 
-    Opens the store read-only (which also audits the folded journals —
-    a conflicting duplicate record surfaces here, not silently), then
-    overlays lease and claim state.  Works on stores no worker has
-    joined yet (or an older build's single writer filled): the coord
-    sections are just empty.
+    Refreshes ``store`` (which also audits the newly appended journal
+    lines — a conflicting duplicate record surfaces here, not
+    silently), then overlays lease and claim state.  Works on stores no
+    worker has joined yet (or an older build's single writer filled):
+    the coord sections are just empty.
     """
-    store_path = os.fspath(store_path)
-    with CampaignStore.open(store_path) as store:
-        status: dict[str, Any] = store.status()
-    progress = CampaignStore.scan_progress(store_path)
-    leases = list_leases(store_path)
+    store.refresh()
+    status: dict[str, Any] = store.status()
+    counts = store.writer_counts()
+    leases = list_leases(store.path)
     workers: list[dict[str, Any]] = []
     for name in sorted(leases):
         info = leases[name]
@@ -96,7 +97,7 @@ def coord_status(store_path: str | os.PathLike[str]) -> dict[str, Any]:
                 "age_s": info.age_s,
                 "expiry_s": info.expiry_s,
                 "steals": info.steals,
-                "trials": progress.segments.get(name, 0),
+                "trials": counts.get(name, 0),
             }
         )
     claims = [
@@ -107,7 +108,7 @@ def coord_status(store_path: str | os.PathLike[str]) -> dict[str, Any]:
             "worker": handle.claim.worker,
             "fence": handle.claim.fence,
         }
-        for handle in list_claims(store_path)
+        for handle in list_claims(store.path)
     ]
     status["workers"] = workers
     status["claims"] = claims
@@ -208,29 +209,36 @@ class WatchApp:
     ``close()`` — plus the ``campaign_status()`` hook behind
     ``GET /v1/campaign``.  Predict/models routes 404 here: this app
     serves *status*, not inference.
+
+    The app opens the store once and every poll refreshes it; a lock
+    serialises polls, which the server runs on executor threads.
     """
 
     def __init__(self, store_path: str | os.PathLike[str]) -> None:
         from repro.serve.routes import Router
 
-        self.store_path = os.fspath(store_path)
+        self.store = CampaignStore.open(store_path)
+        self._lock = threading.Lock()
         self.config = _WatchConfig()
         self.metrics = default_registry()
         self.router = Router(self)
 
     def campaign_status(self) -> dict[str, Any]:
-        status = coord_status(self.store_path)
+        with self._lock:
+            status = coord_status(self.store)
         update_gauges(status)
         return status
 
     def health(self) -> dict[str, Any]:
-        """Cheap liveness view (no full journal parse)."""
-        progress = CampaignStore.scan_progress(self.store_path)
-        leases = list_leases(self.store_path)
+        """Cheap liveness view (journaled records, leases; no claims)."""
+        with self._lock:
+            self.store.refresh()
+            journaled = sum(self.store.writer_counts().values())
+        leases = list_leases(self.store.path)
         return {
             "status": "ok",
-            "store": self.store_path,
-            "journaled": sum(progress.segments.values()),
+            "store": self.store.path,
+            "journaled": journaled,
             "workers_live": sum(1 for info in leases.values() if info.live),
             "workers": len(leases),
         }
@@ -239,4 +247,4 @@ class WatchApp:
         """No SLO tracker on the watch front; latency is uninteresting."""
 
     def close(self) -> None:
-        """Nothing to release; present for the server's shutdown path."""
+        self.store.close()

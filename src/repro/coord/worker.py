@@ -14,10 +14,11 @@ A :class:`CampaignWorker` wires the pieces together over one shared
 2. **Lease** — acquire a heartbeat lease
    (:class:`~repro.coord.lease.WorkerLease`) so peers can tell this
    worker's claims from a corpse's.
-3. **Claim & evaluate** — loop: scan journal progress, list leases,
-   ask the :class:`~repro.coord.scheduler.RangeScheduler` for the next
-   range (claiming free ones, stealing from the stale), evaluate it
-   through :meth:`FaultCampaign.iter_range
+3. **Claim & evaluate** — loop: refresh the open store (folding only
+   the journal lines peers appended since the last refresh), list
+   leases, ask the :class:`~repro.coord.scheduler.RangeScheduler` for
+   the next range (claiming free ones, stealing from the stale),
+   evaluate it through :meth:`FaultCampaign.iter_range
    <repro.fault.campaign.FaultCampaign.iter_range>`, and journal each
    outcome — re-verifying the claim's fencing token before every
    append, so a range lost mid-flight is abandoned without a write.
@@ -116,7 +117,7 @@ class CampaignWorker:
         Lease expiry, finite and > 0; peers may steal this worker's
         ranges after this long without a heartbeat.
     poll_s:
-        Idle re-scan interval while peers hold all remaining work,
+        Idle re-poll interval while peers hold all remaining work,
         finite and >= 0.
     max_trials:
         Stop after journaling this many fresh trials (None = run to
@@ -217,25 +218,25 @@ class CampaignWorker:
                     if self._budget_left() == 0:
                         stopped = True
                         break
-                    progress = CampaignStore.scan_progress(self.store_path)
-                    if self._complete(progress.indices, ordered_keys):
+                    store.refresh()
+                    if all(map(store.complete, ordered_keys)):
                         break
                     handle = scheduler.next_claim(
-                        progress.indices,
+                        {key: store.journaled(key) for key in ordered_keys},
                         list_leases(self.store_path),
                         on_steal=lease.note_steal,
                     )
                     if handle is None:
                         # Peers hold every remaining range; idle-wait a
-                        # beat and re-scan (their journals keep moving).
+                        # beat and refresh (their journals keep moving).
                         self._stop.wait(self.poll_s)
                         continue
-                    self._run_claim(store, lease, handle, by_key)
+                    self._run_claim(store, handle, by_key)
                 stopped = stopped or self._stop.is_set()
         finally:
             lease.release()
-        progress = CampaignStore.scan_progress(self.store_path)
-        complete = self._complete(progress.indices, ordered_keys)
+        store.refresh()
+        complete = all(map(store.complete, ordered_keys))
         _logger.info(
             "worker %s done: %d trials, %d claims, %d steals (%s)",
             self.worker_id,
@@ -258,26 +259,20 @@ class CampaignWorker:
             return None
         return max(0, int(self.max_trials) - self.journaled)
 
-    def _complete(
-        self, journaled: dict[str, set[int]], keys: list[str]
-    ) -> bool:
-        trials = self.campaign.trials
-        return all(len(journaled.get(key, set())) >= trials for key in keys)
-
     def _run_claim(
         self,
         store: CampaignStore,
-        lease: WorkerLease,
         handle: ClaimHandle,
         by_key: dict[str, "Describable"],
     ) -> None:
         """Evaluate one claimed range, fencing-checked per append."""
         claim = handle.claim
         fault_model = by_key[claim.config]
-        # Re-scan now that the claim is ours: records may have landed
-        # (the previous owner's last flush, say) since the loop's scan.
-        progress = CampaignStore.scan_progress(self.store_path)
-        done = progress.journaled(claim.config)
+        # Refresh now that the claim is ours: records may have landed
+        # (the previous owner's last flush, say) since the loop's
+        # refresh.  Never mid-claim, so record() meets no folded trial.
+        store.refresh()
+        done = store.journaled(claim.config)
         missing = [t for t in claim.indices() if t not in done]
         budget = self._budget_left()
         if budget is not None:
@@ -286,7 +281,6 @@ class CampaignWorker:
             handle.release()
             return
         self.claims_run += 1
-        finished = 0
         lost = False
         outcomes = self.campaign.iter_range(fault_model, missing)
         try:
@@ -315,14 +309,9 @@ class CampaignWorker:
                         lost = True
                         break
                     store.record(claim.config, outcome, sites)
-                    finished += 1
+                    self.journaled += 1
         finally:
             outcomes.close()
-            self.journaled += finished
-            # One lease rewrite per claim, not per trial: the tally is a
-            # watch display, and every rewrite is an fsync.
-            if finished:
-                lease.note_trials(finished)
         # Drained ranges drop their claim file; an interrupted range
         # (stop request) hands its remainder back the same way, so a
         # peer — or our own resume — picks it up immediately.  A range

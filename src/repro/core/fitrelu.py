@@ -17,8 +17,8 @@ reversed, i.e. Eq. 6 with a negative k::
 which passes x for x ≪ λᵢ, descends smoothly through λᵢ (ξ(λᵢ) = λᵢ/2),
 and squashes x ≫ λᵢ to ~0 like Clip-Act — but per neuron and, crucially,
 with well-defined gradients ∂ξ/∂λᵢ everywhere, making the bounds
-learnable by gradient descent.  We implement this reconciled form; the
-sign convention is recorded here and in DESIGN.md.
+learnable by gradient descent.  We implement this reconciled form; this
+docstring is the record of the sign convention.
 
 Slope scaling
 -------------

@@ -1,8 +1,8 @@
 """Datasets, loaders and transforms.
 
-The SynthCIFAR datasets stand in for CIFAR-10/100 (offline substitution —
-see DESIGN.md): deterministic, class-conditional procedural images that a
-small CNN learns to high accuracy.
+The SynthCIFAR datasets stand in for CIFAR-10/100, which an offline
+build cannot download: deterministic, class-conditional procedural
+images that a small CNN learns to high accuracy.
 """
 
 from repro.data.dataset import ArrayDataset, Dataset, Subset

@@ -2,7 +2,7 @@
 
 The paper evaluates on CIFAR-10/100, which cannot be downloaded in this
 offline environment, so we synthesise datasets with the properties the
-FitAct evaluation actually relies on (see DESIGN.md substitution #1):
+FitAct evaluation actually relies on:
 
 1. a small CNN reaches high clean accuracy (class structure is learnable);
 2. post-ReLU per-neuron activation maxima spread widely (Fig. 2's premise);

@@ -1,4 +1,6 @@
-"""Per-figure/table experiment runners (see DESIGN.md §5 for the index).
+"""Per-figure/table experiment runners, indexed by ``EXPERIMENTS``.
+
+``repro list-experiments`` prints the registry's ids and descriptions.
 
 Each module regenerates one paper artefact:
 

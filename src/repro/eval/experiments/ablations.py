@@ -1,4 +1,4 @@
-"""Design-choice ablations (DESIGN.md §5: ABL-G / ABL-K / ABL-Z / ABL-B).
+"""Design-choice ablations: ABL-G / ABL-K / ABL-Z / ABL-B.
 
 The paper fixes several knobs without sweeping them — bound granularity
 (neuron-wise), the FitReLU slope k ("empirically computed"), and the

@@ -1,8 +1,8 @@
 """Experiment size presets.
 
 The paper's experiments run full-width models on a TITAN V; the numpy
-substrate runs the same topologies scaled down (DESIGN.md substitution
-#2).  A preset fixes every size knob so benches are reproducible and the
+substrate runs the same topologies scaled down to fit a CPU budget.  A
+preset fixes every size knob so benches are reproducible and the
 three tiers trade fidelity for wall-clock:
 
 - ``SMOKE`` — seconds; CI-sized sanity runs (LeNet-class models).

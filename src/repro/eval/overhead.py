@@ -2,9 +2,9 @@
 
 Compares inference latency and parameter memory of a protected model
 against the identical weights with plain ReLU activations.  Absolute
-numbers are host-specific (DESIGN.md substitution #3); the reproduction
-target is the *overhead ratio*: the paper reports < 12% runtime and < 6%
-memory for FitAct.
+numbers are host-specific (a numpy CPU substrate, not the paper's GPU);
+the reproduction target is the *overhead ratio*: the paper reports
+< 12% runtime and < 6% memory for FitAct.
 """
 
 from __future__ import annotations

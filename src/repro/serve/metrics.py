@@ -25,7 +25,7 @@ import resource
 import sys
 from dataclasses import dataclass
 
-from repro.obs.metrics import Histogram, MetricsRegistry, bucket_label
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 __all__ = [
     "BATCH_SIZE_BUCKETS",
@@ -43,9 +43,6 @@ LATENCY_BUCKETS_MS: tuple[float, ...] = (
 
 BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, math.inf)
 """Upper bounds of the batch-size distribution buckets."""
-
-#: Back-compat alias (the label helper moved to ``repro.obs.metrics``).
-_bucket_label = bucket_label
 
 #: The per-model chaos counters, in their (stable) snapshot order.
 _CHAOS_FIELDS = (

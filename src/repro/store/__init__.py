@@ -11,7 +11,6 @@ per-bit sensitivity maps.  See :mod:`repro.store.store` for the format.
 from repro.store.atlas import build_atlas
 from repro.store.store import (
     CampaignStore,
-    JournalProgress,
     StoredFaultModel,
     StoreError,
     TrialRecord,
@@ -20,7 +19,6 @@ from repro.store.store import (
 
 __all__ = [
     "CampaignStore",
-    "JournalProgress",
     "StoreError",
     "StoredFaultModel",
     "TrialRecord",

@@ -14,7 +14,7 @@ fault-injection record:
   realised flip count, and the applied fault sites as ``(layer, bit)``
   pairs.  Each line is flushed as it is written, so a crash at trial
   4,900/5,000 loses at most the in-flight trial; a torn trailing line
-  (the crash landed mid-write) is detected, ignored on load, and
+  (the crash landed mid-write) is detected, left unfolded, and
   truncated before the writer's next append.
 
 Because campaign trial seeds are schedule-independent (see
@@ -45,6 +45,13 @@ and is deduplicated; unequal copies are a corruption error.  Worker
 names live only in file names, never in record bytes — artifacts
 derived from a multi-writer store are byte-identical to a one-worker
 run's.
+
+The store is the only reader of journals.  It remembers, per journal
+file, the byte offset just past the last complete line it folded, and
+:meth:`CampaignStore.refresh` folds only the bytes appended since —
+with every check :meth:`CampaignStore.open` applies — so workers and
+watch views keep one store open and refresh it instead of re-reading
+every journal on each poll.
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ import hashlib
 import json
 import os
 import threading
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Set
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, BinaryIO, Protocol
 
 import numpy as np
@@ -70,7 +77,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CampaignStore",
-    "JournalProgress",
     "StoreError",
     "StoredFaultModel",
     "TrialRecord",
@@ -159,26 +165,16 @@ def config_key(tag: str, spec: str) -> str:
     return f"{tag}::{spec}"
 
 
-_config_key = config_key
+@dataclass
+class _Journal:
+    """How far one journal file has been folded."""
 
-
-@dataclass(frozen=True)
-class JournalProgress:
-    """A cheap scan of every journal file's (config, trial) coverage.
-
-    ``indices`` maps config key to the set of journaled trial indices
-    (union over all writers); ``segments`` maps writer name to its
-    parsed record count, with ``""`` standing for an older build's
-    shared ``trials.jsonl``.  Produced by
-    :meth:`CampaignStore.scan_progress` without building records, so
-    coordination loops can poll it while other workers append.
-    """
-
-    indices: dict[str, set[int]]
-    segments: dict[str, int]
-
-    def journaled(self, key: str) -> set[int]:
-        return self.indices.get(key, set())
+    #: Byte offset just past the last complete line folded.
+    offset: int = 0
+    #: Lines folded, blank ones included (for error messages).
+    lines: int = 0
+    #: The (config, trial) pairs this file holds.
+    pairs: set[tuple[str, int]] = field(default_factory=set)
 
 
 def _identity_hash(identity: Mapping[str, object]) -> str:
@@ -207,17 +203,13 @@ class CampaignStore:
     """
 
     def __init__(
-        self,
-        path: str,
-        manifest: dict[str, Any],
-        records: dict[str, dict[int, TrialRecord]],
-        journal_end: int,
-        segment: str | None = None,
+        self, path: str, manifest: dict[str, Any], segment: str | None = None
     ) -> None:
         self.path = path
         self._manifest = manifest
-        self._records = records
-        self._journal_end = journal_end
+        self._records: dict[str, dict[int, TrialRecord]] = {}
+        #: Fold state per journal file name, in fold order.
+        self._journals: dict[str, _Journal] = {}
         self._segment = segment
         self._writer: BinaryIO | None = None
 
@@ -301,7 +293,7 @@ class CampaignStore:
             "configs": [],
             "meta": dict(meta or {}),
         }
-        store = cls(path, manifest, {}, journal_end=0)
+        store = cls(path, manifest)
         store._add_configs(configs)
         store._write_manifest()
         return store
@@ -321,7 +313,7 @@ class CampaignStore:
     def open(
         cls, path: str | os.PathLike[str], segment: str | None = None
     ) -> "CampaignStore":
-        """Load an existing store, tolerating a torn trailing record.
+        """Read the manifest, then fold every journal (:meth:`refresh`).
 
         With ``segment``, this instance may append to the private
         journal file ``trials.<segment>.jsonl`` — the mode
@@ -357,8 +349,8 @@ class CampaignStore:
                 "which this build no longer reads; re-run the campaign into "
                 "a fresh store with 'repro campaign run'"
             )
-        store = cls(path, manifest, {}, journal_end=0, segment=segment)
-        store._load_journal()
+        store = cls(path, manifest, segment=segment)
+        store.refresh()
         return store
 
     def attach(self, campaign: "FaultCampaign") -> "CampaignStore":
@@ -479,7 +471,7 @@ class CampaignStore:
 
     @staticmethod
     def _journal_file_names(path: str) -> list[str]:
-        """All journal files in load order: an older build's shared
+        """All journal files in fold order: an older build's shared
         journal first, then segments.
 
         Sorted segment names make the fold order deterministic, so two
@@ -487,116 +479,115 @@ class CampaignStore:
         duplicated record is "first" (they are equal anyway — the order
         only matters for error attribution).
         """
-        names = [_JOURNAL]
-        for name in sorted(os.listdir(path)):
-            if (
-                name != _JOURNAL
-                and name.startswith(_SEGMENT_PREFIX)
-                and name.endswith(_SEGMENT_SUFFIX)
-            ):
-                names.append(name)
-        return names
+        names = sorted(os.listdir(path))
+        segments = [
+            name
+            for name in names
+            if name != _JOURNAL
+            and name.startswith(_SEGMENT_PREFIX)
+            and name.endswith(_SEGMENT_SUFFIX)
+        ]
+        return ([_JOURNAL] if _JOURNAL in names else []) + segments
 
-    def _load_journal(self) -> None:
-        own = self._journal_name
-        self._journal_end = 0
+    def refresh(self) -> None:
+        """Fold the journal lines appended since the last fold.
+
+        Reads each journal file only past the offset it was folded to,
+        so a poll of an unchanged store decodes nothing.  A file's
+        unterminated last line (a peer's append in flight, or a crashed
+        writer's torn tail) waits for a later refresh.  Raises
+        :class:`StoreError` on a corrupt line, an unknown config, a
+        trial one file journals twice, or a trial two files journal
+        unequally; equal copies across files are deduplicated.
+        """
         known = set(self.config_keys())
-        origins: dict[tuple[str, int], str] = {}
         for name in self._journal_file_names(self.path):
+            journal = self._journals.setdefault(name, _Journal())
             file_path = os.path.join(self.path, name)
-            try:
-                with open(file_path, "rb") as handle:
-                    data = handle.read()
-            except FileNotFoundError:
-                continue
-            offset = 0
-            lines = data.split(b"\n")
-            body, tail = lines[:-1], lines[-1]
-            local: set[tuple[str, int]] = set()
-            for number, line in enumerate(body, start=1):
-                if not line:
-                    offset += 1
-                    continue
-                try:
-                    # Other keys are read past: older builds also
-                    # journaled each trial's wall clock (`sec`).
-                    raw = json.loads(line)
-                    record = TrialRecord(
-                        index=int(raw["t"]),
-                        accuracy=float(raw["a"]),
-                        flips=int(raw["f"]),
-                        sites=tuple(
-                            (int(layer), int(bit)) for layer, bit in raw["s"]
-                        ),
-                    )
-                    key = str(raw["c"])
-                except (ValueError, KeyError, TypeError) as error:
-                    raise StoreError(
-                        f"{file_path!r}: corrupt record on line "
-                        f"{number}: {error}"
-                    )
-                if key not in known:
-                    raise StoreError(
-                        f"{file_path!r}: line {number} references "
-                        f"config {key!r} absent from the manifest"
-                    )
-                if (key, record.index) in local:
-                    # One writer journaling a trial twice is corruption;
-                    # only *cross-file* duplicates can be honest re-runs.
-                    raise StoreError(
-                        f"{file_path!r}: duplicate record for "
-                        f"config {key!r} trial {record.index}"
-                    )
-                local.add((key, record.index))
-                per_config = self._records.setdefault(key, {})
-                prior = per_config.get(record.index)
-                if prior is None:
-                    per_config[record.index] = record
-                    origins[(key, record.index)] = name
-                elif prior != record:
-                    raise StoreError(
-                        f"{file_path!r}: config {key!r} trial "
-                        f"{record.index} conflicts with the copy in "
-                        f"{origins[(key, record.index)]!r} "
-                        f"({prior.accuracy!r} vs {record.accuracy!r})"
-                    )
-                offset += len(line) + 1
-            if tail and name == own:
-                _logger.warning(
-                    "%s: ignoring torn trailing record (%d bytes) — the "
-                    "previous run crashed mid-write; it will be truncated "
-                    "on the next append",
-                    file_path,
-                    len(tail),
-                )
-            elif tail:
-                # Another writer's tail may simply be an append in
-                # flight; its owner truncates real torn tails itself.
-                _logger.debug(
-                    "%s: ignoring %d trailing bytes (torn or in-flight)",
-                    file_path,
-                    len(tail),
-                )
-            if name == own:
-                self._journal_end = offset
+            with open(file_path, "rb") as handle:
+                handle.seek(journal.offset)
+                data = handle.read()
+            for line in data.split(b"\n")[:-1]:
+                if line:
+                    self._fold(file_path, journal, line, known)
+                journal.lines += 1
+                journal.offset += len(line) + 1
+
+    def _fold(
+        self, file_path: str, journal: _Journal, line: bytes, known: set[str]
+    ) -> None:
+        number = journal.lines + 1
+        try:
+            # Other keys are read past: older builds also journaled
+            # each trial's wall clock (`sec`).
+            raw = json.loads(line)
+            record = TrialRecord(
+                index=int(raw["t"]),
+                accuracy=float(raw["a"]),
+                flips=int(raw["f"]),
+                sites=tuple((int(layer), int(bit)) for layer, bit in raw["s"]),
+            )
+            key = str(raw["c"])
+        except (ValueError, KeyError, TypeError) as error:
+            raise StoreError(
+                f"{file_path!r}: corrupt record on line {number}: {error}"
+            )
+        if key not in known:
+            raise StoreError(
+                f"{file_path!r}: line {number} references config {key!r} "
+                "absent from the manifest"
+            )
+        pair = (key, record.index)
+        if pair in journal.pairs:
+            # One writer journaling a trial twice is corruption; only
+            # *cross-file* duplicates can be honest re-runs.
+            raise StoreError(
+                f"{file_path!r}: duplicate record for config {key!r} "
+                f"trial {record.index}"
+            )
+        per_config = self._records.setdefault(key, {})
+        prior = per_config.get(record.index)
+        if prior is not None and prior != record:
+            origin = next(
+                other
+                for other, folded in self._journals.items()
+                if pair in folded.pairs
+            )
+            raise StoreError(
+                f"{file_path!r}: config {key!r} trial {record.index} "
+                f"conflicts with the copy in {origin!r} "
+                f"({prior.accuracy!r} vs {record.accuracy!r})"
+            )
+        per_config[record.index] = record
+        journal.pairs.add(pair)
 
     def _append(self, key: str, record: TrialRecord) -> None:
+        own = self._journal_name
+        if own is None:
+            raise StoreError(
+                f"store {self.path!r} was opened read-only; journal "
+                "through a segment writer (CampaignStore.open(path, "
+                "segment=...))"
+            )
+        journal = self._journals.setdefault(own, _Journal())
         writer = self._writer
         if writer is None:
-            if self._journal_name is None:
-                raise StoreError(
-                    f"store {self.path!r} was opened read-only; journal "
-                    "through a segment writer (CampaignStore.open(path, "
-                    "segment=...))"
-                )
-            path = os.path.join(self.path, self._journal_name)
+            path = os.path.join(self.path, own)
             # A fresh segment writer's file doesn't exist yet.
             with open(path, "ab"):
                 pass
             # Reclaim any torn tail before the first append of this
             # session, so the journal stays a clean sequence of lines.
             writer = open(path, "r+b")
-            writer.seek(self._journal_end)
+            torn = os.fstat(writer.fileno()).st_size - journal.offset
+            if torn:
+                _logger.warning(
+                    "%s: truncating a torn trailing record (%d bytes) — "
+                    "the previous run crashed mid-write",
+                    path,
+                    torn,
+                )
+            writer.seek(journal.offset)
             writer.truncate()
             self._writer = writer
         line = exact_json_dumps(
@@ -611,7 +602,9 @@ class CampaignStore:
         payload = line.encode("utf-8") + b"\n"
         writer.write(payload)
         writer.flush()
-        self._journal_end += len(payload)
+        journal.lines += 1
+        journal.offset += len(payload)
+        journal.pairs.add((key, record.index))
 
     def close(self) -> None:
         if self._writer is not None:
@@ -636,7 +629,7 @@ class CampaignStore:
         registered = {str(entry["key"]) for entry in self._configs}
         for fault_model in fault_models:
             spec = fault_model.describe()
-            key = _config_key("", spec)
+            key = config_key("", spec)
             if key in registered:
                 continue
             self._configs.append(
@@ -644,47 +637,22 @@ class CampaignStore:
             )
             registered.add(key)
 
-    @classmethod
-    def scan_progress(cls, path: str | os.PathLike[str]) -> JournalProgress:
-        """Scan (config, trial) coverage across every journal file.
+    def writer_counts(self) -> dict[str, int]:
+        """Records folded per writer (journal file), peers included.
 
-        Reads only keys and indices — no records, no conflict checking
-        (:meth:`open` stays the authority on corruption) — and tolerates
-        each file's unterminated last line, so a coordination loop can
-        poll progress cheaply while other workers are mid-append.
+        Keys are segment names, with ``""`` standing for an older
+        build's shared ``trials.jsonl``; a trial two writers journaled
+        counts for each.
         """
-        path = os.fspath(path)
-        if not cls.exists(path):
-            raise StoreError(f"{path!r} is not a campaign store (no {_MANIFEST})")
-        indices: dict[str, set[int]] = {}
-        segments: dict[str, int] = {}
-        for name in cls._journal_file_names(path):
-            file_path = os.path.join(path, name)
-            try:
-                with open(file_path, "rb") as handle:
-                    data = handle.read()
-            except FileNotFoundError:
-                continue
-            writer = ""
-            if name != _JOURNAL:
-                writer = name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
-            count = 0
-            for line in data.split(b"\n")[:-1]:
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                    key = str(raw["c"])
-                    index = int(raw["t"])
-                except (ValueError, KeyError, TypeError):
-                    # A torn line mid-file would be real corruption, but
-                    # this scanner is a progress probe: leave diagnosis
-                    # to open() and just don't count the line.
-                    continue
-                indices.setdefault(key, set()).add(index)
-                count += 1
-            segments[writer] = count
-        return JournalProgress(indices=indices, segments=segments)
+        counts: dict[str, int] = {}
+        for name, journal in self._journals.items():
+            writer = name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
+            counts["" if name == _JOURNAL else writer] = len(journal.pairs)
+        return counts
+
+    def journaled(self, key: str) -> Set[int]:
+        """Trial indices of one config folded so far (a live view)."""
+        return self._records.get(key, {}).keys()
 
     def records(self, key: str) -> dict[int, TrialRecord]:
         """Full journal records (with sites) of one config.

@@ -443,6 +443,22 @@ class TestErrors:
         assert main(argv) == 1
         assert "--interval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("interval", ["inf", "nan"])
+    def test_non_finite_watch_interval_refused_before_any_poll(
+        self, tmp_path, capsys, interval
+    ):
+        """An infinite sleep overflows the platform's time_t after the
+        first poll; refuse it before polling or binding --http."""
+        from tests.coord.conftest import make_store
+
+        make_store(tmp_path / "s")
+        argv = ["campaign", "watch", "--store", str(tmp_path / "s"),
+                "--interval", interval, "--http", "0"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "--interval must be finite and > 0" in err
+        assert out == ""
+
 
 class TestReplicasCLI:
     def test_replica_batched_artifacts_byte_identical_to_off(

@@ -184,3 +184,25 @@ def journal_lines(path):
         lines.update(journal.read_bytes().split(b"\n")[:-1])
     lines.discard(b"")
     return sorted(lines)
+
+
+@pytest.fixture
+def record_decodes(monkeypatch):
+    """Journal record lines the store decodes while the test runs.
+
+    Wraps the store module's JSON decoder and keeps every decoded value
+    that is a trial record (manifest, lease and claim reads pass by).
+    """
+    import repro.store.store as store_module
+
+    decoded = []
+    loads = store_module.json.loads
+
+    def counting(text, *args, **kwargs):
+        value = loads(text, *args, **kwargs)
+        if isinstance(value, dict) and {"c", "t"} <= value.keys():
+            decoded.append(value)
+        return value
+
+    monkeypatch.setattr(store_module.json, "loads", counting)
+    return decoded

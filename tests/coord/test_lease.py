@@ -1,11 +1,18 @@
 """Lease-file protocol: heartbeat liveness judged by the filesystem clock."""
 
+import json
 import os
 import pickle
 
 import pytest
 
-from repro.coord import CoordError, WorkerLease, fs_now, list_leases
+from repro.coord import (
+    CoordError,
+    RangeScheduler,
+    WorkerLease,
+    fs_now,
+    list_leases,
+)
 from repro.coord.lease import (
     ensure_coord_dirs,
     lease_dir,
@@ -59,10 +66,8 @@ class TestLeaseLifecycle:
     def test_progress_tallies_surface_in_the_file(self, tmp_path):
         with WorkerLease(tmp_path, "alpha") as lease:
             lease.note_steal()
-            lease.note_trials(3)
-            lease.note_trials(2)
             info = list_leases(tmp_path)["alpha"]
-            assert (info.steals, info.trials) == (1, 5)
+            assert info.steals == 1
 
     def test_duplicate_live_id_refused(self, tmp_path):
         with WorkerLease(tmp_path, "alpha"):
@@ -121,6 +126,47 @@ class TestStaleness:
         with pytest.raises(CoordError, match="expiry"):
             WorkerLease(tmp_path, "alpha", expiry_s=expiry)
         assert not (tmp_path / "coord").exists()
+
+
+class TestLeaseFormat:
+    """Leases carry no trial tally; the journals count trials."""
+
+    def test_lease_without_trials_is_live_and_keeps_its_claims(self, tmp_path):
+        def claims(worker):
+            return RangeScheduler(
+                tmp_path, worker, trials=8, chunk=3, configs=["::rate=1e-03"]
+            )
+
+        with WorkerLease(tmp_path, "alpha"):
+            with open(os.path.join(lease_dir(tmp_path), "alpha.json")) as f:
+                assert "trials" not in json.load(f)
+            owned = claims("alpha").next_claim({}, {})
+            steals = []
+            peer = claims("beta").next_claim(
+                {}, list_leases(tmp_path), on_steal=lambda: steals.append(1)
+            )
+            assert list_leases(tmp_path)["alpha"].live
+        assert (owned.claim.start, peer.claim.start) == (0, 3)
+        assert steals == []
+        assert owned.verify()
+
+    def test_older_lease_with_a_trial_tally_still_reads(self, tmp_path):
+        ensure_coord_dirs(tmp_path)
+        path = os.path.join(lease_dir(tmp_path), "alpha.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(
+                {
+                    "worker": "alpha",
+                    "beat": 4,
+                    "expiry_s": 30.0,
+                    "steals": 1,
+                    "trials": 12,
+                    "released": False,
+                },
+                handle,
+            )
+        info = list_leases(tmp_path)["alpha"]
+        assert (info.beat, info.steals, info.live) == (4, 1, True)
 
 
 def test_lease_is_not_picklable(tmp_path):

@@ -55,19 +55,22 @@ def _wait_for_progress(store_dir, child, minimum=1, timeout_s=60.0):
     holds a claim with work left — so the kill orphans a range a peer
     must steal (not one that is about to be garbage-collected)."""
     deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if child.poll() is not None:
-            _, err = child.communicate()
-            pytest.fail(f"victim exited early ({child.returncode}): {err.decode()}")
-        progress = CampaignStore.scan_progress(store_dir)
-        if progress.segments.get("victim", 0) >= minimum and any(
-            handle.claim.worker == "victim"
-            and set(handle.claim.indices())
-            - progress.journaled(handle.claim.config)
-            for handle in list_claims(store_dir)
-        ):
-            return
-        time.sleep(0.05)
+    with CampaignStore.open(store_dir) as store:
+        while time.monotonic() < deadline:
+            if child.poll() is not None:
+                _, err = child.communicate()
+                pytest.fail(
+                    f"victim exited early ({child.returncode}): {err.decode()}"
+                )
+            store.refresh()
+            if store.writer_counts().get("victim", 0) >= minimum and any(
+                handle.claim.worker == "victim"
+                and set(handle.claim.indices())
+                - store.journaled(handle.claim.config)
+                for handle in list_claims(store_dir)
+            ):
+                return
+            time.sleep(0.05)
     pytest.fail("victim made no journal progress in time")
 
 
@@ -110,9 +113,8 @@ def test_sigkilled_worker_is_taken_over_bit_identically(tmp_path, capsys):
         if child.poll() is None:
             child.kill()
             child.wait()
-    journaled_by_victim = CampaignStore.scan_progress(store_dir).segments[
-        "victim"
-    ]
+    with CampaignStore.open(store_dir) as store:
+        journaled_by_victim = store.writer_counts()["victim"]
     assert journaled_by_victim >= 1
 
     # The victim's lease froze at death; a fresh corpse still reads as
@@ -135,13 +137,12 @@ def test_sigkilled_worker_is_taken_over_bit_identically(tmp_path, capsys):
 
     # No lost trials, no divergent duplicates: the fold covers every
     # index exactly, and opening the store audits for conflicts.
-    progress = CampaignStore.scan_progress(store_dir)
     with CampaignStore.open(store_dir) as store:
-        keys = store.config_keys()
-        for key in keys:
+        for key in store.config_keys():
             assert sorted(store.records(key)) == list(range(TRIALS))
-    assert progress.segments["victim"] >= journaled_by_victim
-    assert progress.segments["rescuer"] >= 1
+        counts = store.writer_counts()
+    assert counts["victim"] >= journaled_by_victim
+    assert counts["rescuer"] >= 1
 
     # Byte-identity vs a one-worker drain that never crashed.
     serial_dir = tmp_path / "serial"

@@ -16,6 +16,7 @@ from repro.coord import (
 from repro.coord.scheduler import RangeScheduler
 from repro.coord.watch import RateMeter
 from repro.obs.metrics import default_registry
+from repro.store import CampaignStore
 
 from tests.coord.conftest import RATES, TRIALS
 from tests.coord.test_worker import run_worker
@@ -28,9 +29,15 @@ def _clean_registry():
     default_registry().reset()
 
 
+def poll(store_path):
+    """One ``coord_status`` poll through a freshly opened store."""
+    with CampaignStore.open(store_path) as store:
+        return coord_status(store)
+
+
 class TestCoordStatus:
     def test_plain_store_has_empty_coord_sections(self, store_path):
-        status = coord_status(store_path)
+        status = poll(store_path)
         assert status["workers"] == []
         assert status["claims"] == []
         assert status["workers_live"] == 0
@@ -38,7 +45,7 @@ class TestCoordStatus:
 
     def test_drained_store_reports_workers_and_totals(self, store_path):
         run_worker(store_path, "alpha")
-        status = coord_status(store_path)
+        status = poll(store_path)
         assert status["complete"]
         (row,) = status["workers"]
         assert row["worker"] == "alpha"
@@ -56,7 +63,7 @@ class TestCoordStatus:
                 configs=["::rate=1e-03"],
             )
             scheduler.next_claim({}, {})
-            status = coord_status(store_path)
+            status = poll(store_path)
         (claim,) = status["claims"]
         assert claim["worker"] == "alpha"
         assert (claim["start"], claim["stop"], claim["fence"]) == (0, 3, 1)
@@ -67,16 +74,38 @@ class TestCoordStatus:
     def test_polls_leave_no_clock_probe_behind(self, store_path):
         """Reading the filesystem clock must not litter the store."""
         run_worker(store_path, "alpha")
-        coord_status(store_path)
-        coord_status(store_path)
+        poll(store_path)
+        poll(store_path)
         assert list(store_path.rglob(".clock-*")) == []
         assert (store_path / "coord" / "leases").is_dir()
+
+
+    def test_repeated_polls_of_an_unchanged_store_decode_nothing(
+        self, store_path, record_decodes
+    ):
+        run_worker(store_path, "alpha")
+        record_decodes.clear()
+        with CampaignStore.open(store_path) as store:
+            assert len(record_decodes) == len(RATES) * TRIALS  # open folds once
+            first = coord_status(store)
+            second = coord_status(store)
+        assert len(record_decodes) == len(RATES) * TRIALS
+        assert second["journaled"] == first["journaled"] == len(RATES) * TRIALS
+        assert second["workers"][0]["trials"] == len(RATES) * TRIALS
+
+    def test_polls_fold_lines_appended_after_open(self, store_path):
+        with CampaignStore.open(store_path) as store:
+            assert coord_status(store)["journaled"] == 0
+            run_worker(store_path, "alpha", max_trials=5)
+            status = coord_status(store)
+        assert status["journaled"] == 5
+        assert status["workers"][0]["trials"] == 5
 
 
 class TestGauges:
     def test_update_gauges_feeds_worker_series(self, store_path):
         run_worker(store_path, "alpha")
-        update_gauges(coord_status(store_path))
+        update_gauges(poll(store_path))
         snapshot = default_registry().snapshot()
         trials = snapshot["repro_campaign_worker_trials"]["series"]
         (series,) = trials
@@ -87,7 +116,7 @@ class TestGauges:
 
     def test_update_gauges_feeds_store_series(self, store_path):
         run_worker(store_path, "alpha")
-        update_gauges(coord_status(store_path))
+        update_gauges(poll(store_path))
         snapshot = default_registry().snapshot()
         for name in ("journaled", "expected"):
             (series,) = snapshot[f"repro_campaign_status_{name}"]["series"]
@@ -98,14 +127,14 @@ class TestGauges:
 class TestRendering:
     def test_render_covers_configs_workers_claims(self, store_path):
         run_worker(store_path, "alpha")
-        text = render_watch(coord_status(store_path), rate=2.5)
+        text = render_watch(poll(store_path), rate=2.5)
         assert "(complete)" in text
         assert "2.5 trials/s" in text
         assert "config ::rate=0.001" in text
         assert "worker alpha: released" in text
 
     def test_render_head_shows_convergence_and_eta(self, store_path):
-        status = coord_status(store_path)
+        status = poll(store_path)
         head = render_watch(status, rate=4.0).splitlines()[0]
         assert f"0/{len(RATES) * TRIALS} trials (running)" in head
         assert f"converged 0/{len(RATES)} configs" in head
@@ -120,12 +149,12 @@ class TestRendering:
         key = manifest["configs"][0]["key"]
         manifest["configs"][0]["converged_at"] = 3
         manifest_path.write_text(json.dumps(manifest))
-        text = render_watch(coord_status(store_path))
+        text = render_watch(poll(store_path))
         assert f"config {key}: 0/3 mean=-, converged at 3" in text
         assert text.count("converged at") == 1
 
     def test_render_notes_stores_no_worker_joined(self, store_path):
-        text = render_watch(coord_status(store_path))
+        text = render_watch(poll(store_path))
         assert "workers: none yet" in text
 
     def test_rate_meter_needs_two_polls(self):

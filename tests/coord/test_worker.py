@@ -8,6 +8,7 @@ import pytest
 from repro.coord import CampaignWorker, CoordError, list_claims
 from repro.store import CampaignStore, StoreError, config_key
 
+from tests.conftest import open_writer
 from tests.coord.conftest import (
     RATES,
     TRIALS,
@@ -132,24 +133,25 @@ class TestAdmission:
         assert not (store_path / "coord").exists()
 
 
-class TestLeaseTally:
-    def test_trials_are_tallied_once_per_claim(self, store_path, monkeypatch):
-        """Each tally is an fsync'd lease rewrite: one per claim, and the
-        lease's count still matches the worker's segment."""
-        from repro.coord import WorkerLease, list_leases
-
-        tallies = []
-        note_trials = WorkerLease.note_trials
-
-        def counted(self, count):
-            tallies.append(count)
-            note_trials(self, count)
-
-        monkeypatch.setattr(WorkerLease, "note_trials", counted)
-        report = run_worker(store_path, "alpha", chunk=3)
-        assert len(tallies) == report["claims"] < report["trials"]
-        assert sum(tallies) == report["trials"] == len(RATES) * TRIALS
-        assert list_leases(store_path)["alpha"].trials == report["trials"]
+class TestDecodeCount:
+    def test_drain_decodes_each_peer_record_once(self, store_path, record_decodes):
+        """The worker folds peers' lines once, at open, and never re-reads
+        them (nor its own appends) on later refreshes."""
+        campaign = make_campaign()
+        (model,) = fault_models(RATES[:1])
+        key = config_key("", model.describe())
+        prejournaled = 5
+        with open_writer(store_path, campaign, segment="alpha") as store:
+            for outcome, sites in campaign.iter_range(model, range(prejournaled)):
+                store.record(key, outcome, sites)
+        worker = CampaignWorker(
+            campaign, store_path, fault_models(), worker_id="beta", chunk=1
+        )
+        record_decodes.clear()
+        report = worker.run()
+        assert report["complete"]
+        assert report["trials"] == len(RATES) * TRIALS - prejournaled
+        assert len(record_decodes) <= prejournaled
 
 
 class TestStopRequest:
@@ -170,11 +172,12 @@ class TestStopRequest:
     def test_segments_attribute_trials_to_workers(self, store_path):
         run_worker(store_path, "alpha", max_trials=5)
         run_worker(store_path, "beta")
-        progress = CampaignStore.scan_progress(store_path)
-        assert progress.segments["alpha"] == 5
-        assert progress.segments["beta"] == len(RATES) * TRIALS - 5
-        key = config_key("", fault_models()[0].describe())
-        assert progress.journaled(key) == set(range(TRIALS))
+        with CampaignStore.open(store_path) as store:
+            counts = store.writer_counts()
+            key = config_key("", fault_models()[0].describe())
+            assert set(store.journaled(key)) == set(range(TRIALS))
+        assert counts["alpha"] == 5
+        assert counts["beta"] == len(RATES) * TRIALS - 5
 
 
 def test_worker_is_not_picklable(store_path):

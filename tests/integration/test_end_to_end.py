@@ -56,7 +56,7 @@ def protected_zoo(request):
             "clean": evaluate_accuracy(model, test_loader),
         }
     # Campaign at a rate that flips ~30 bits in this model — squarely in
-    # the band where protection separates (validated in DESIGN.md §5).
+    # the band where protection separates.
     for method, entry in zoo.items():
         injector = FaultInjector(entry["model"])
         rate = 30 / injector.total_bits

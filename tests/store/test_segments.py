@@ -1,4 +1,4 @@
-"""Per-worker journal segments: fold, dedup, conflict audit, scanning.
+"""Per-worker journal segments: fold, dedup, conflict audit, refresh.
 
 Every writer has its own append file (``trials.<worker>.jsonl``), so
 the single-writer crash-safety argument holds *per file*.  Loading a
@@ -140,34 +140,132 @@ class TestFolding:
             assert sorted(store.records(key)) == [0, 1, 2]
 
 
-class TestScanProgress:
-    def test_counts_indices_and_attributes_writers(self, tmp_path):
+class TestWriterCounts:
+    def test_counts_records_per_writer(self, tmp_path):
         campaign = make_campaign()
         key = _make_store(tmp_path, campaign)
         _journal_into(tmp_path, campaign, "alpha", range(0, 5), key)
         _journal_into(tmp_path, campaign, "beta", range(5, 7), key)
-        progress = CampaignStore.scan_progress(tmp_path)
-        assert progress.journaled(key) == set(range(7))
-        assert progress.segments == {"alpha": 5, "beta": 2}
-        assert progress.journaled("no-such-config") == set()
+        with CampaignStore.open(tmp_path) as store:
+            assert set(store.journaled(key)) == set(range(7))
+            assert store.writer_counts() == {"alpha": 5, "beta": 2}
+            assert set(store.journaled("no-such-config")) == set()
 
     def test_shared_journal_counts_under_empty_writer_name(self, tmp_path):
         """An older build's single writer appended to ``trials.jsonl``."""
         drain_store(tmp_path, make_campaign(), [_fault_model()], worker_id="w")
         (tmp_path / "trials.w.jsonl").rename(tmp_path / "trials.jsonl")
-        progress = CampaignStore.scan_progress(tmp_path)
-        assert progress.segments == {"": 8}
+        with CampaignStore.open(tmp_path) as store:
+            assert store.writer_counts() == {"": 8}
 
-    def test_skips_unparseable_lines_without_failing(self, tmp_path):
+    def test_equal_copies_count_for_each_writer(self, tmp_path):
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(0, 2), key)
+        line = (tmp_path / "trials.alpha.jsonl").read_text().splitlines()[1]
+        with open(tmp_path / "trials.beta.jsonl", "w", encoding="utf-8") as f:
+            f.write(line + "\n")
+        with CampaignStore.open(tmp_path) as store:
+            assert store.writer_counts() == {"alpha": 2, "beta": 1}
+            assert set(store.journaled(key)) == {0, 1}
+
+    def test_unparseable_line_is_refused(self, tmp_path):
+        """A complete garbage line is corruption: the store refuses it
+        (an unterminated one is only a tail in flight, see TestRefresh)."""
         campaign = make_campaign()
         key = _make_store(tmp_path, campaign)
         _journal_into(tmp_path, campaign, "alpha", range(0, 2), key)
         with open(tmp_path / "trials.beta.jsonl", "w", encoding="utf-8") as f:
             f.write("garbage\n")
-        progress = CampaignStore.scan_progress(tmp_path)
-        assert progress.segments == {"alpha": 2, "beta": 0}
-        assert progress.journaled(key) == {0, 1}
+        with pytest.raises(StoreError, match="corrupt record on line 1"):
+            CampaignStore.open(tmp_path)
 
-    def test_non_store_directory_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="not a campaign store"):
-            CampaignStore.scan_progress(tmp_path / "nope")
+class TestRefresh:
+    """An open store folds what peers append after it was opened."""
+
+    def test_picks_up_a_peer_line_appended_after_open(self, tmp_path):
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(0, 2), key)
+        with CampaignStore.open(tmp_path) as store:
+            _journal_into(tmp_path, campaign, "beta", range(2, 5), key)
+            assert sorted(store.records(key)) == [0, 1]
+            store.refresh()
+            assert sorted(store.records(key)) == list(range(5))
+            assert store.writer_counts() == {"alpha": 2, "beta": 3}
+
+    def test_picks_up_a_torn_peer_tail_once_completed(self, tmp_path):
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(0, 3), key)
+        lines = (tmp_path / "trials.alpha.jsonl").read_text().splitlines()
+        segment = tmp_path / "trials.beta.jsonl"
+        segment.write_text(lines[0] + "\n" + lines[1][:7])  # mid-append
+        with CampaignStore.open(tmp_path) as store:
+            assert store.writer_counts()["beta"] == 1
+            store.refresh()  # still unterminated: waits
+            assert store.writer_counts()["beta"] == 1
+            with open(segment, "a", encoding="utf-8") as f:
+                f.write(lines[1][7:] + "\n")
+            store.refresh()
+            assert store.writer_counts()["beta"] == 2
+            assert sorted(store.records(key)) == [0, 1, 2]
+
+    def test_raises_on_a_conflicting_peer_copy(self, tmp_path):
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(0, 2), key)
+        raw = json.loads(
+            (tmp_path / "trials.alpha.jsonl").read_text().splitlines()[1]
+        )
+        raw["a"] = 0.12345
+        with CampaignStore.open(tmp_path) as store:
+            with open(tmp_path / "trials.beta.jsonl", "w", encoding="utf-8") as f:
+                f.write(json.dumps(raw) + "\n")
+            with pytest.raises(StoreError, match="conflicts with the copy in"):
+                store.refresh()
+
+    def test_raises_on_a_complete_garbage_line(self, tmp_path):
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(0, 2), key)
+        with CampaignStore.open(tmp_path) as store:
+            with open(tmp_path / "trials.beta.jsonl", "w", encoding="utf-8") as f:
+                f.write("garbage")
+            store.refresh()  # unterminated: could be an append in flight
+            with open(tmp_path / "trials.beta.jsonl", "a", encoding="utf-8") as f:
+                f.write("\n")
+            with pytest.raises(StoreError, match="corrupt record"):
+                store.refresh()
+
+    def test_raises_on_a_duplicate_within_one_file(self, tmp_path):
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", [0], key)
+        segment = tmp_path / "trials.alpha.jsonl"
+        with CampaignStore.open(tmp_path) as store:
+            with open(segment, "a", encoding="utf-8") as f:
+                f.write(segment.read_text())
+            with pytest.raises(StoreError, match="duplicate"):
+                store.refresh()
+
+    def test_unchanged_store_decodes_nothing(self, tmp_path, record_decodes):
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        _journal_into(tmp_path, campaign, "alpha", range(0, 4), key)
+        record_decodes.clear()
+        with CampaignStore.open(tmp_path) as store:
+            assert len(record_decodes) == 4
+            store.refresh()
+            store.refresh()
+        assert len(record_decodes) == 4
+
+    def test_own_appends_advance_without_a_reread(self, tmp_path, record_decodes):
+        campaign = make_campaign()
+        key = _make_store(tmp_path, campaign)
+        with open_writer(tmp_path, campaign, segment="alpha") as store:
+            for outcome, sites in campaign.iter_range(_fault_model(), range(3)):
+                store.record(key, outcome, sites)
+                store.refresh()
+            assert store.writer_counts() == {"alpha": 3}
+        assert record_decodes == []
