@@ -6,6 +6,16 @@ array — or ``None`` — per tensor input, in positional order).
 :meth:`Function.apply` handles unwrapping tensors, recording which inputs
 need a gradient, running the forward, and linking the result into the
 autograd graph when recording is enabled.
+
+The graph is made of Functions, not of the tensors between them: each
+recorded Function's ``parents`` holds, per tensor input, the Function
+that produced it, the input itself when it is a leaf that requires grad
+(a parameter), or ``None`` when no gradient flows to it.  An
+intermediate activation therefore lives only as long as a saved array or
+the caller holds it.  :meth:`~repro.autograd.tensor.Tensor.backward`
+consumes the graph: once a Function's backward has run,
+:meth:`Function.release` drops its parents and everything it saved, and
+a later backward through it raises :class:`~repro.errors.GraphError`.
 """
 
 from __future__ import annotations
@@ -66,10 +76,19 @@ class Function:
     that need none are discarded.
     """
 
+    #: True once :meth:`release` has run; a consumed Function holds nothing.
+    consumed = False
+
     def __init__(self) -> None:
-        self.parents: tuple["Tensor", ...] = ()
+        self.parents: tuple["Function | Tensor | None", ...] = ()
         self.saved: tuple[np.ndarray, ...] = ()
         self.needs_input_grad: tuple[bool, ...] = ()
+
+    def release(self) -> None:
+        """Drop the parents, the saved arrays and every attribute the
+        forward stashed for backward; the Function is then consumed."""
+        vars(self).clear()
+        self.consumed = True
 
     def save_for_backward(self, *arrays: np.ndarray) -> None:
         self.saved = arrays
@@ -96,7 +115,10 @@ class Function:
         needs_grad = any(fn.needs_input_grad)
         out = Tensor(out_data, requires_grad=needs_grad)
         if needs_grad:
-            fn.parents = tuple(tensor_inputs)
+            fn.parents = tuple(
+                (t if t._fn is None else t._fn) if t.requires_grad else None
+                for t in tensor_inputs
+            )
             out._fn = fn
         return out
 

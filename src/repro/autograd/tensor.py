@@ -1,11 +1,21 @@
 """The :class:`Tensor` — a numpy array with reverse-mode autodiff.
 
-Tensors form a DAG through the :class:`~repro.autograd.function.Function`
-objects that produced them; calling :meth:`Tensor.backward` on a scalar
-output walks the DAG in reverse topological order and accumulates
-gradients into the ``.grad`` of every *leaf* tensor that requires them
-(mirroring PyTorch's convention that intermediate gradients are not
-retained).
+A tensor produced by a differentiable op points (``_fn``) at the
+:class:`~repro.autograd.function.Function` that produced it, and the
+graph is made of those Functions: each links to the Functions that
+produced its inputs, and to the leaf tensors (parameters) that require
+a gradient.  Intermediate tensors are not part of the graph, so an
+activation that no backward reads dies as soon as the forward moves
+past it.
+
+Calling :meth:`Tensor.backward` on a scalar output walks the graph in
+reverse topological order and accumulates gradients into the ``.grad``
+of every *leaf* tensor that requires them (mirroring PyTorch's
+convention that intermediate gradients are not retained).  Backward
+consumes the graph as it goes: each Function is released once its own
+backward has run, so activations die during backward and nothing of the
+step outlives it.  A second backward through a consumed graph raises
+:class:`~repro.errors.GraphError`.
 """
 
 from __future__ import annotations
@@ -154,25 +164,29 @@ class Tensor:
                     f"gradient shape {grad.shape} does not match tensor shape {self.shape}"
                 )
 
-        topo = self._topological_order()
-        pending: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        root: "Tensor | Function" = self if self._fn is None else self._fn
+        order = _topological_order(root)
+        pending: dict[int, np.ndarray] = {id(root): grad}
+        while order:
+            node = order.pop()
             node_grad = pending.pop(id(node), None)
-            if node_grad is None:
-                continue
-            if node._fn is None:
-                if node.requires_grad:
+            if isinstance(node, Tensor):
+                if node_grad is not None and node.requires_grad:
                     node.grad = node_grad if node.grad is None else node.grad + node_grad
                 continue
-            parent_grads = node._fn.backward(node_grad)
-            parents = node._fn.parents
+            if node_grad is None:
+                node.release()
+                continue
+            parents = node.parents
+            parent_grads = node.backward(node_grad)
+            node.release()
             if len(parent_grads) != len(parents):
                 raise GraphError(
-                    f"{type(node._fn).__name__}.backward returned "
+                    f"{type(node).__name__}.backward returned "
                     f"{len(parent_grads)} gradients for {len(parents)} inputs"
                 )
             for parent, parent_grad in zip(parents, parent_grads):
-                if parent_grad is None or not parent.requires_grad:
+                if parent is None or parent_grad is None:
                     continue
                 parent_grad = np.asarray(parent_grad)
                 key = id(parent)
@@ -180,26 +194,6 @@ class Tensor:
                     pending[key] = pending[key] + parent_grad
                 else:
                     pending[key] = parent_grad
-
-    def _topological_order(self) -> list["Tensor"]:
-        """Iterative post-order DFS over the graph rooted at ``self``."""
-        order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            if node._fn is not None:
-                for parent in node._fn.parents:
-                    if id(parent) not in visited:
-                        stack.append((parent, False))
-        return order
 
     # ------------------------------------------------------------------
     # Arithmetic operators (implemented in ops modules, bound lazily below)
@@ -344,6 +338,37 @@ class Tensor:
         from repro.autograd import ops_nn
 
         return ops_nn.relu(self)
+
+
+def _topological_order(root: "Tensor | Function") -> list["Tensor | Function"]:
+    """Iterative post-order DFS over the graph rooted at ``root``.
+
+    Raises :class:`GraphError` on reaching a Function an earlier
+    backward consumed, before any gradient is computed.
+    """
+    order: list[Tensor | Function] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor | Function, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        if isinstance(node, Tensor):
+            continue
+        if node.consumed:
+            raise GraphError(
+                f"backward() through a consumed {type(node).__name__}: an "
+                f"earlier backward() already ran through this graph and freed it"
+            )
+        for parent in node.parents:
+            if parent is not None and id(parent) not in visited:
+                stack.append((parent, False))
+    return order
 
 
 def _raw(value: ArrayLike) -> np.ndarray | float:

@@ -306,7 +306,8 @@ def _worker_options(args: argparse.Namespace) -> dict[str, object]:
     """The :class:`~repro.coord.CampaignWorker` knobs the flags set,
     checked before any side effect."""
     from repro.coord import DEFAULT_CHUNK, DEFAULT_EXPIRY_S
-    from repro.coord.worker import check_worker_options
+    from repro.coord.lease import validated_worker_id
+    from repro.coord.worker import check_worker_options, default_worker_id
     from repro.errors import ConfigurationError
 
     if args.limit is not None and args.limit < 1:
@@ -315,7 +316,9 @@ def _worker_options(args: argparse.Namespace) -> dict[str, object]:
     expiry_s = args.expiry if args.expiry is not None else DEFAULT_EXPIRY_S
     check_worker_options(chunk, expiry_s, args.poll)
     return {
-        "worker_id": args.worker_id,
+        # Resolved here: it also names the journal segment the store is
+        # opened as, before the worker exists.
+        "worker_id": validated_worker_id(args.worker_id or default_worker_id()),
         "chunk": chunk,
         "expiry_s": expiry_s,
         "poll_s": args.poll,
@@ -355,15 +358,16 @@ def _campaign_for_meta(run_meta: dict[str, object]):
     return campaign, evaluator, model, meta
 
 
-def _drain(campaign, store_path: str, fault_models, options: dict[str, object]):
-    """Drain the store as one lease-holding worker; returns its report."""
+def _drain(campaign, store, fault_models, options: dict[str, object]):
+    """Drain ``store`` (open as the worker's segment) as one
+    lease-holding worker; returns its report."""
     import signal
 
     from repro.coord import CampaignWorker
 
-    worker = CampaignWorker(campaign, store_path, fault_models, **options)
+    worker = CampaignWorker(campaign, store.path, fault_models, **options)
     print(
-        f"worker {worker.worker_id} joining {store_path} "
+        f"worker {worker.worker_id} joining {store.path} "
         f"(chunk {worker.chunk}, lease expiry {worker.expiry_s:g}s)",
         flush=True,
     )
@@ -374,7 +378,7 @@ def _drain(campaign, store_path: str, fault_models, options: dict[str, object]):
         signal.SIGTERM, lambda signum, frame: worker.request_stop()
     )
     try:
-        return worker.run()
+        return worker.run(store)
     finally:
         signal.signal(signal.SIGTERM, previous)
 
@@ -421,20 +425,20 @@ def _flagged_run_meta(args: argparse.Namespace) -> dict[str, object]:
     return flagged
 
 
-def _open_store(store_path: str, requested: dict[str, object]):
+def _open_store(store_path: str, requested: dict[str, object], segment: str):
     """Open an existing store whose recorded recipe matches a request.
 
     Re-running against an existing store is a resume (and joining one as
     a coordinated worker is an admission): every recipe field the
     request names must equal the store's, or the journal would silently
     mix trials from two different campaigns.  Returns ``(store,
-    run_meta)``: the open store and its meta, which keeps the recorded
-    clean_accuracy baseline.
+    run_meta)``: the store open as journal ``segment``, and its meta,
+    which keeps the recorded clean_accuracy baseline.
     """
     from repro.errors import ConfigurationError
     from repro.store import CampaignStore
 
-    store = CampaignStore.open(store_path)
+    store = CampaignStore.open(store_path, segment=segment)
     stored = store.meta
     try:
         _require_run_recipe(store.path, stored)
@@ -456,7 +460,9 @@ def _open_store(store_path: str, requested: dict[str, object]):
     return store, dict(stored)
 
 
-def _create_or_join_store(store_path: str, requested: dict[str, object]):
+def _create_or_join_store(
+    store_path: str, requested: dict[str, object], segment: str
+):
     """Open the store a request names, creating it if none exists yet.
 
     A new store records the clean accuracy every report measures SDC
@@ -465,7 +471,9 @@ def _create_or_join_store(store_path: str, requested: dict[str, object]):
     or one a racing peer created first, is joined: its recorded recipe
     must match the request (:func:`_open_store`), and its baseline is
     read back instead of re-measured.  Returns ``(campaign, store,
-    created)``, the store open and verified against the campaign.
+    created)``, the store open as journal ``segment`` and verified
+    against the campaign: the one open of the store a ``campaign run``
+    makes, so its journal is folded once.
     """
     from repro.fault.fault_model import BitFlipFaultModel
     from repro.store import CampaignStore, StoreError
@@ -487,12 +495,13 @@ def _create_or_join_store(store_path: str, requested: dict[str, object]):
                     BitFlipFaultModel.at_rate(float(rate))
                     for rate in run_meta["rates"]
                 ],
+                segment=segment,
             )
         except StoreError:
             pass  # a peer created it first: join below
         else:
             return campaign, store, True
-    store, run_meta = _open_store(store_path, requested)
+    store, run_meta = _open_store(store_path, requested, segment)
     try:
         if campaign is None:
             campaign = _campaign_for_meta(run_meta)[0]
@@ -524,11 +533,10 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         if args.preset is None:
             args.preset = "quick"
     campaign, store, created = _create_or_join_store(
-        args.store, _flagged_run_meta(args)
+        args.store, _flagged_run_meta(args), str(options["worker_id"])
     )
-    with store:
-        status = store.status()
-        meta = store.meta
+    status = store.status()
+    meta = store.meta
     if created:
         print(
             f"created campaign store {store.path} "
@@ -547,29 +555,30 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     )
     rates = [float(rate) for rate in meta["rates"]]
     fault_models = [BitFlipFaultModel.at_rate(rate) for rate in rates]
-    report = _drain(campaign, args.store, fault_models, options)
+    # The worker drains the store this run opened and closes it for
+    # writing; its final refresh has folded every peer's records.
+    report = _drain(campaign, store, fault_models, options)
     summary = (
         f"worker {report['worker']}: {report['trials']} trials across "
         f"{report['claims']} claims, {report['steals']} steals"
     )
-    with CampaignStore.open(args.store) as store:
-        if not report["complete"]:
-            status = store.status()
-            print(
-                f"interrupted after {report['trials']} new trials "
-                f"({status['journaled']}/{status['expected']} journaled); "
-                f"{summary}"
-            )
-            print(f"resume with: repro campaign run --store {store.path}")
-            return 0
-        for rate, fault_model in zip(rates, fault_models):
-            result = store.result(config_key("", fault_model.describe()))
-            print(
-                f"rate {rate:.1e}: mean {result.mean:.2%}  median "
-                f"{result.median:.2%}  min {result.min:.2%}  "
-                f"({result.trials} trials, mean "
-                f"{result.flip_counts.mean():.1f} flips)"
-            )
+    if not report["complete"]:
+        status = store.status()
+        print(
+            f"interrupted after {report['trials']} new trials "
+            f"({status['journaled']}/{status['expected']} journaled); "
+            f"{summary}"
+        )
+        print(f"resume with: repro campaign run --store {store.path}")
+        return 0
+    for rate, fault_model in zip(rates, fault_models):
+        result = store.result(config_key("", fault_model.describe()))
+        print(
+            f"rate {rate:.1e}: mean {result.mean:.2%}  median "
+            f"{result.median:.2%}  min {result.min:.2%}  "
+            f"({result.trials} trials, mean "
+            f"{result.flip_counts.mean():.1f} flips)"
+        )
     print(summary)
     print(f"store complete: {store.path} ({report['trials']} new trials journaled)")
     return 0

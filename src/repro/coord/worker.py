@@ -167,9 +167,18 @@ class CampaignWorker:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def _admit(self) -> tuple[CampaignStore, dict[str, "Describable"]]:
-        """Open a segment writer and verify store/campaign compatibility."""
-        store = CampaignStore.open(self.store_path, segment=self.worker_id)
+    def _admit(
+        self, store: CampaignStore | None
+    ) -> tuple[CampaignStore, dict[str, "Describable"]]:
+        """Open a segment writer (unless given one) and verify
+        store/campaign compatibility."""
+        if store is None:
+            store = CampaignStore.open(self.store_path, segment=self.worker_id)
+        elif store.segment != self.worker_id:
+            raise CoordError(
+                f"worker {self.worker_id!r} was given a store open as "
+                f"segment {store.segment!r}; it journals only to its own"
+            )
         try:
             store.attach(self.campaign)
             keys: dict[str, "Describable"] = {}
@@ -195,9 +204,16 @@ class CampaignWorker:
     # ------------------------------------------------------------------
     # The drain loop
     # ------------------------------------------------------------------
-    def run(self) -> dict[str, object]:
-        """Drain the store; returns a summary of this worker's part."""
-        store, by_key = self._admit()
+    def run(self, store: CampaignStore | None = None) -> dict[str, object]:
+        """Drain the store; returns a summary of this worker's part.
+
+        ``store`` is this worker's segment writer on ``store_path``
+        (segment ``worker_id``), for a caller that already opened it;
+        by default the worker opens its own.  Either way it is closed
+        for writing on return and stays readable through
+        :meth:`CampaignStore.refresh`.
+        """
+        store, by_key = self._admit(store)
         ordered_keys = [
             key for key in store.config_keys() if key in by_key
         ]

@@ -202,9 +202,11 @@ class BoundPostTrainer:
         ``repro.eval`` has been imported), the probe materialises the
         batches once and runs them through a forward-only compiled plan
         — bit-identical accuracies (plans are bit-exact with the
-        eval-mode forward, and kernels read activation bounds live, so
-        every Adam step and bound projection is visible without
-        recompilation) at compiled-forward cost.
+        eval-mode forward, and kernels read activation bounds live) at
+        compiled-forward cost.  The plan is compiled for each call and
+        released when it returns, not kept across epochs: compiling
+        costs a few milliseconds per epoch, while a kept plan's buffers
+        would stay alive under every training step in between.
         """
         if _CLEAN_ACCURACY_FACTORY is not None:
             return _CLEAN_ACCURACY_FACTORY(self.model, eval_loader)

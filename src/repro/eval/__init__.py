@@ -20,7 +20,18 @@ from repro.core import post_training as _post_training
 
 
 def _compiled_clean_accuracy(model, eval_loader):
-    return Evaluator(eval_loader).bind(model)
+    evaluator = Evaluator(eval_loader)
+
+    def probe() -> float:
+        # Post-training probes once per epoch; a plan kept between probes
+        # would pin its buffers under every training step, and compiling
+        # one costs a few milliseconds.
+        try:
+            return evaluator.accuracy(model)
+        finally:
+            evaluator.release()
+
+    return probe
 
 
 # Dependency inversion across the layer DAG: core's bound post-training

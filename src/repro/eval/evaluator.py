@@ -113,13 +113,18 @@ class Evaluator:
 
             # Release the previous model before the new plan's warm-up
             # allocates its buffers.
-            self._plan = self._replica = None
+            self.release()
             # No warm-up pass: the first evaluation allocates the plan's
             # buffers itself, and a warm-up would cost one more full
             # forward per evaluated model.
             plan = compile_model(model, self._batches[0][0].shape, warm=False)
             entry = self._plan = (model, plan)
         return entry[1]
+
+    def release(self) -> None:
+        """Drop the cached plan and replica with their buffers; the next
+        evaluation compiles afresh."""
+        self._plan = self._replica = None
 
     def _replica_for(self, model: Module) -> "ReplicaPlan":
         entry = self._replica

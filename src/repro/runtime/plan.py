@@ -38,7 +38,6 @@ also what lets every kernel of the plan share one
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import TYPE_CHECKING
 
@@ -57,17 +56,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "InferencePlan",
-    "available_workers",
     "compile_model",
 ]
-
-
-def available_workers() -> int:
-    """Usable CPU count (CPU affinity aware), minimum 1."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # platforms without sched_getaffinity
-        return max(1, os.cpu_count() or 1)
 
 
 class InferencePlan:

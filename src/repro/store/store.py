@@ -269,6 +269,7 @@ class CampaignStore:
         identity: Mapping[str, object],
         meta: Mapping[str, object] | None = None,
         configs: Iterable[Describable] = (),
+        segment: str | None = None,
     ) -> "CampaignStore":
         """Initialise a fresh store directory with ``configs`` registered.
 
@@ -277,11 +278,12 @@ class CampaignStore:
         Of two processes creating one store at once (``campaign run``
         workers starting together) exactly one succeeds; the other gets
         :class:`StoreError` and can join the winner's store.  The
-        manifest is never rewritten afterwards, and the returned store
-        is read-only: workers journal through :meth:`open` with a
-        segment.
+        manifest is never rewritten afterwards.  The returned store is
+        read-only unless ``segment`` names its journal segment, as in
+        :meth:`open`.
         """
         path = os.fspath(path)
+        segment = cls._validated_segment(segment)
         if cls.exists(path):
             raise StoreError(f"{path!r} already holds a campaign store")
         os.makedirs(path, exist_ok=True)
@@ -293,7 +295,7 @@ class CampaignStore:
             "configs": [],
             "meta": dict(meta or {}),
         }
-        store = cls(path, manifest)
+        store = cls(path, manifest, segment=segment)
         store._add_configs(configs)
         store._write_manifest()
         return store

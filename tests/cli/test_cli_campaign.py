@@ -140,6 +140,19 @@ class TestRoundTrip:
         out = capsys.readouterr().out
         assert "0 new trials journaled" in out
 
+    def test_rerun_decodes_each_record_once(
+        self, checkpoint, tmp_path, record_decodes
+    ):
+        """One open of the store per invocation: the recipe check, the
+        drain and the closing ``rate`` lines share one fold."""
+        store = tmp_path / "store"
+        assert _run(checkpoint, store) == 0
+        records = len(journal_lines(store))
+        assert records == 6
+        record_decodes.clear()
+        assert _run(checkpoint, store) == 0
+        assert len(record_decodes) == records
+
 
 class TestSegmentFold:
     def test_two_runs_fold_to_the_straight_report(
@@ -427,6 +440,15 @@ class TestErrors:
         the heartbeat, a NaN or negative poll would busy-spin."""
         assert _run(checkpoint, tmp_path / "s", flag, value) == 1
         assert f"{flag.lstrip('-')} must be" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "manifest.json").exists()
+
+    def test_bad_worker_id_refused_before_the_store_is_created(
+        self, checkpoint, tmp_path, capsys
+    ):
+        """The id names the journal segment the store is opened as, so
+        it is checked before the store is created."""
+        assert _run(checkpoint, tmp_path / "s", "--worker-id", "a.b") == 1
+        assert "invalid worker id" in capsys.readouterr().err
         assert not (tmp_path / "s" / "manifest.json").exists()
 
     def test_serve_store_is_gone(self, checkpoint, tmp_path):
