@@ -19,7 +19,7 @@ Entry points: the ``repro lint`` CLI subcommand, or programmatically::
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.engine import LintError, LintResult, lint_paths, lint_text
 from repro.analysis.findings import Finding
-from repro.analysis.registry import Rule, all_rules, get_rule
+from repro.analysis.registry import Rule, all_rules
 from repro.analysis.reporters import render_json, render_text
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "LintResult",
     "Rule",
     "all_rules",
-    "get_rule",
     "lint_paths",
     "lint_text",
     "render_json",

@@ -9,7 +9,7 @@ from typing import ClassVar, TypeVar
 from repro.analysis.findings import FileContext, Finding
 from repro.errors import ConfigurationError
 
-__all__ = ["Rule", "all_rules", "get_rule", "register"]
+__all__ = ["Rule", "all_rules", "register"]
 
 
 class Rule:
@@ -65,11 +65,3 @@ def all_rules() -> list[Rule]:
     """Every registered rule, in rule-id order."""
     _load()
     return [_RULES[rule_id] for rule_id in sorted(_RULES)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    _load()
-    try:
-        return _RULES[rule_id]
-    except KeyError:
-        raise ConfigurationError(f"unknown rule {rule_id!r}") from None

@@ -124,7 +124,7 @@ class CampaignWorker:
         completion) — the time-boxed-increment knob behind
         ``campaign run --limit``.
 
-    A configuration that an older build's in-store ``EarlyStop``
+    A configuration that an older build's in-store early stop
     marked converged (``converged_at`` in the manifest) counts as done:
     its journaled trials are the whole result, and none is added.
     """
@@ -194,7 +194,7 @@ class CampaignWorker:
                         "workers never write the manifest"
                     )
                 if store.converged_at(key) is not None:
-                    continue  # closed by an older build's EarlyStop: done
+                    continue  # closed by an older build's early stop: done
                 keys[key] = fault_model
         except BaseException:
             store.close()

@@ -80,8 +80,6 @@ class PostTrainingConfig:
     bound_floor:
         Bounds are projected to at least this value after every step;
         a bound at 0 would permanently kill its neuron.
-    max_batches:
-        Optional cap on batches per epoch (for quick runs/tests).
     """
 
     epochs: int = 8
@@ -89,7 +87,6 @@ class PostTrainingConfig:
     zeta: float = 0.05
     delta: float = 0.01
     bound_floor: float = 1e-3
-    max_batches: int | None = None
 
 
 @dataclass
@@ -258,12 +255,7 @@ class BoundPostTrainer:
             for epoch in range(config.epochs):
                 epochs_run = epoch + 1
                 losses = []
-                for batch_index, (inputs, targets) in enumerate(train_loader):
-                    if (
-                        config.max_batches is not None
-                        and batch_index >= config.max_batches
-                    ):
-                        break
+                for inputs, targets in train_loader:
                     optimizer.zero_grad()
                     logits = self.model(inputs)
                     task_loss = self.loss_fn(logits, targets)

@@ -117,7 +117,6 @@ class ActivationProfile:
 def profile_activations(
     model: Module,
     loader: DataLoader,
-    max_batches: int | None = None,
     target_type: type[Module] = ReLU,
 ) -> ActivationProfile:
     """Collect per-neuron activation maxima at every ``target_type`` site.
@@ -143,9 +142,7 @@ def profile_activations(
     model.eval()
     try:
         with no_grad():
-            for index, (inputs, _) in enumerate(loader):
-                if max_batches is not None and index >= max_batches:
-                    break
+            for inputs, _ in loader:
                 model(inputs)
     finally:
         for path, original in originals.items():

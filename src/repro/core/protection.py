@@ -49,23 +49,18 @@ class ProtectionConfig:
     slope_mode:
         FitReLU slope scaling: ``"relative"`` (k/λ per neuron, default) or
         ``"absolute"`` (Eq. 6's fixed k).
-    bound_scale:
-        Multiplier on the profiled bounds (1.0 = the observed maxima;
-        swept by the Fig. 1 experiment).
     bound_floor:
         Minimum initial bound (keeps dead neurons alive).
-    profile_batches:
-        Batches of the training loader used for range profiling
-        (None = all).
+
+    Profiling reads the whole loader, and the bounds start at the
+    profiled maxima.
     """
 
     method: str = "fitact"
     granularity: str | None = None
     k: float = DEFAULT_SLOPE
     slope_mode: str = "relative"
-    bound_scale: float = 1.0
     bound_floor: float = 1e-3
-    profile_batches: int | None = None
 
     def __post_init__(self) -> None:
         if self.method not in PROTECTION_METHODS:
@@ -120,13 +115,8 @@ def protect_model(
     if config.method == "none":
         return ProtectionReport(method="none", granularity="-")
     if profile is None:
-        profile = profile_activations(model, loader, max_batches=config.profile_batches)
-    factory = make_factory(
-        config.method,
-        k=config.k,
-        bound_scale=config.bound_scale,
-        slope_mode=config.slope_mode,
-    )
+        profile = profile_activations(model, loader)
+    factory = make_factory(config.method, k=config.k, slope_mode=config.slope_mode)
     replaced = replace_activations(
         model,
         factory,

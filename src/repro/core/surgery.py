@@ -111,8 +111,8 @@ def make_factory(
 ) -> ActivationFactory:
     """Build an activation factory for a protection method.
 
-    ``bound_scale`` multiplies the profiled bounds — the knob the Fig. 1
-    sweep turns (global bound value vs resilience).
+    ``bound_scale`` multiplies the profiled bounds; :func:`protect_model`
+    keeps them as profiled (1.0).
     """
     if bound_scale <= 0:
         raise ConfigurationError(f"bound_scale must be positive, got {bound_scale}")

@@ -26,9 +26,7 @@ __all__ = ["Trainer", "TrainingConfig", "TrainingReport", "evaluate_accuracy"]
 _logger = get_logger("core.training")
 
 
-def evaluate_accuracy(
-    model: Module, loader: DataLoader, max_batches: int | None = None
-) -> float:
+def evaluate_accuracy(model: Module, loader: DataLoader) -> float:
     """Top-1 accuracy of ``model`` over ``loader`` (eval mode, no grads).
 
     Eval semantics come from the thread-local override, so the shared
@@ -39,9 +37,7 @@ def evaluate_accuracy(
     correct = 0
     total = 0
     with eval_mode(), no_grad():
-        for index, (inputs, targets) in enumerate(loader):
-            if max_batches is not None and index >= max_batches:
-                break
+        for inputs, targets in loader:
             logits = model(inputs)
             predictions = logits.data.argmax(axis=1)
             correct += int((predictions == targets).sum())
@@ -51,12 +47,14 @@ def evaluate_accuracy(
     return correct / total
 
 
-def _clip_grad_norm(parameters, max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most ``max_norm``.
+# Global-norm gradient clip: guards SGD-with-momentum against the loss
+# spikes that otherwise blow up small un-normalised networks at
+# aggressive learning rates.
+_GRAD_CLIP = 10.0
 
-    Guards SGD-with-momentum against the loss spikes that otherwise blow
-    up small un-normalised networks at aggressive learning rates.
-    """
+
+def _clip_grad_norm(parameters, max_norm: float) -> float:
+    """Scale gradients so their global L2 norm is at most ``max_norm``."""
     total = 0.0
     grads = [p.grad for p in parameters if p.grad is not None]
     for grad in grads:
@@ -71,15 +69,16 @@ def _clip_grad_norm(parameters, max_norm: float) -> float:
 
 @dataclass
 class TrainingConfig:
-    """Hyper-parameters for conventional accuracy training."""
+    """Hyper-parameters for conventional accuracy training.
+
+    The learning rate follows a cosine decay over ``epochs``, and the
+    global gradient norm is clipped at 10 after every backward.
+    """
 
     epochs: int = 10
     lr: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    cosine_schedule: bool = True
-    grad_clip: float = 10.0  # global-norm clip (divergence guard); 0 disables
-    log_every: int = 0  # batches between log lines; 0 silences
 
 
 @dataclass
@@ -123,33 +122,21 @@ class Trainer:
             momentum=config.momentum,
             weight_decay=config.weight_decay,
         )
-        scheduler = (
-            CosineAnnealingLR(optimizer, t_max=config.epochs)
-            if config.cosine_schedule
-            else None
-        )
+        scheduler = CosineAnnealingLR(optimizer, t_max=config.epochs)
         history: list[dict[str, float]] = []
         start = time.perf_counter()
         epoch_loss = float("nan")
         for epoch in range(config.epochs):
             self.model.train()
             losses = []
-            for batch_index, (inputs, targets) in enumerate(train_loader):
+            for inputs, targets in train_loader:
                 optimizer.zero_grad()
                 logits = self.model(inputs)
                 loss = self.loss_fn(logits, targets)
                 loss.backward()
-                if config.grad_clip:
-                    _clip_grad_norm(optimizer.parameters, config.grad_clip)
+                _clip_grad_norm(optimizer.parameters, _GRAD_CLIP)
                 optimizer.step()
                 losses.append(loss.item())
-                if config.log_every and (batch_index + 1) % config.log_every == 0:
-                    _logger.info(
-                        "epoch %d batch %d loss %.4f",
-                        epoch,
-                        batch_index + 1,
-                        losses[-1],
-                    )
             epoch_loss = float(np.mean(losses)) if losses else float("nan")
             entry = {"epoch": float(epoch), "loss": epoch_loss, "lr": optimizer.lr}
             if eval_loader is not None:
@@ -161,8 +148,7 @@ class Trainer:
                 epoch_loss,
                 f" acc {entry['accuracy']:.2%}" if "accuracy" in entry else "",
             )
-            if scheduler is not None:
-                scheduler.step()
+            scheduler.step()
         duration = time.perf_counter() - start
         final_accuracy = history[-1].get("accuracy") if history else None
         return TrainingReport(

@@ -13,8 +13,6 @@ from repro.data.synthetic import (
     SYNTH_STD,
     ClassRecipe,
     SyntheticImageDataset,
-    synth_cifar10,
-    synth_cifar100,
 )
 from repro.data.transforms import Compose, Normalize, RandomCrop, RandomHorizontalFlip
 
@@ -33,6 +31,4 @@ __all__ = [
     "SyntheticImageDataset",
     "random_split",
     "stratified_split",
-    "synth_cifar10",
-    "synth_cifar100",
 ]

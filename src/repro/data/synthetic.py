@@ -31,8 +31,6 @@ __all__ = [
     "SYNTH_STD",
     "ClassRecipe",
     "SyntheticImageDataset",
-    "synth_cifar10",
-    "synth_cifar100",
 ]
 
 _SHAPE_FAMILIES = ("disk", "square", "cross", "ring", "stripes")
@@ -223,34 +221,3 @@ class SyntheticImageDataset(ArrayDataset):
         images[flips] = images[flips, :, :, ::-1]
         images += rng.normal(0.0, self.noise, size=images.shape).astype(np.float32)
         return np.clip(images, 0.0, 1.0).astype(np.float32)
-
-
-def synth_cifar10(
-    split: str = "train", num_samples: int | None = None, seed: int = 0
-) -> SyntheticImageDataset:
-    """SynthCIFAR-10: the CIFAR-10 stand-in (10 classes, 32×32×3).
-
-    Defaults to 2000 train / 500 test samples — enough for the scaled
-    experiments; pass ``num_samples`` for larger runs.
-    """
-    if num_samples is None:
-        num_samples = 2000 if split == "train" else 500
-    return SyntheticImageDataset(
-        num_classes=10, num_samples=num_samples, seed=seed, split=split
-    )
-
-
-def synth_cifar100(
-    split: str = "train", num_samples: int | None = None, seed: int = 0
-) -> SyntheticImageDataset:
-    """SynthCIFAR-100: the CIFAR-100 stand-in (100 classes).
-
-    Classes share shape families (only 5 exist), so discrimination relies
-    on finer palette/texture differences — measurably harder than the
-    10-class variant, mirroring CIFAR-100 vs CIFAR-10.
-    """
-    if num_samples is None:
-        num_samples = 4000 if split == "train" else 1000
-    return SyntheticImageDataset(
-        num_classes=100, num_samples=num_samples, seed=seed, split=split
-    )

@@ -16,6 +16,7 @@ callers that hold no plan.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -90,11 +91,10 @@ class Evaluator:
         loader: DataLoader,
         max_batches: int | None = None,
     ) -> None:
-        self._batches: list[tuple[Tensor, np.ndarray]] = []
-        for index, (inputs, targets) in enumerate(loader):
-            if max_batches is not None and index >= max_batches:
-                break
-            self._batches.append((inputs, targets))
+        # islice stops drawing at the cap: no batch past it is loaded.
+        self._batches: list[tuple[Tensor, np.ndarray]] = list(
+            itertools.islice(loader, max_batches)
+        )
         if not self._batches:
             raise ConfigurationError("evaluation loader produced no batches")
         self.total_samples = sum(len(t) for _, t in self._batches)

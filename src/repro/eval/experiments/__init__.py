@@ -68,7 +68,7 @@ EXPERIMENTS = {
     "ext-layers": run_layer_vulnerability,
     "ext-mobilenet": run_mobilenet_panel,
 }
-"""Registry of all experiment entry points (used by examples/run_experiment.py)."""
+"""Registry of all experiment entry points (``repro experiment --id``)."""
 
 __all__ = [
     "DATASETS",

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from repro.core.post_training import PostTrainingConfig
 from repro.eval.experiments.context import ExperimentContext, prepare_context
 from repro.eval.experiments.presets import Preset, QUICK
-from repro.eval.experiments.runner import run_method_sweep
 from repro.eval.reporting import format_table, percent
 from repro.fault.campaign import FaultCampaign
 from repro.fault.injector import FaultInjector

@@ -10,7 +10,8 @@ three tiers trade fidelity for wall-clock:
   model zoo at reduced width/resolution.  This is the tier whose outputs
   ``benchmarks/outputs/<id>.txt`` records.
 - ``FULL`` — hours; closest to paper shape (width ×0.25, 32×32, more
-  data/trials).  Run explicitly via the example scripts.
+  data/trials).  Run explicitly via
+  ``repro experiment --id <id> --preset full``.
 
 Fault-rate mapping: at a fixed per-bit rate the expected flip count
 scales with model size; our scaled models have ~10–100× fewer parameter

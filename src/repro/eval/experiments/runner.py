@@ -45,25 +45,19 @@ class MethodSweep:
 def run_method_sweep(
     context: ExperimentContext,
     methods: tuple[str, ...] = ("fitact", "clipact", "ranger", "none"),
-    rates: tuple[float, ...] | None = None,
-    trials: int | None = None,
-    protection_overrides: dict[str, dict[str, object]] | None = None,
     tag: str = "",
 ) -> MethodSweep:
     """Protect with each method and run the fault-rate sweep.
 
-    All methods share the campaign seed and fault rates, so they face
-    fault streams of the same distribution, but not the same fault
-    sites: each method's trials run under its own tag
-    (``<tag>:<method>``) and over its own fault space (FitAct's bound
-    words outnumber Clip-Act's), so trial t of two methods is not a
-    paired comparison.  ``protection_overrides`` maps method name to
-    extra :class:`ProtectionConfig` fields (ablations use this).
+    Every method runs the preset's fault rates and trials.  All methods
+    share the campaign seed and fault rates, so they face fault streams
+    of the same distribution, but not the same fault sites: each
+    method's trials run under its own tag (``<tag>:<method>``) and over
+    its own fault space (FitAct's bound words outnumber Clip-Act's), so
+    trial t of two methods is not a paired comparison.
     """
     preset = context.preset
-    rates = rates if rates is not None else preset.rates
-    trials = trials if trials is not None else preset.trials
-    overrides = protection_overrides or {}
+    rates = preset.rates
     result = MethodSweep(
         model_name=context.model_name,
         dataset_name=context.dataset_name,
@@ -71,14 +65,12 @@ def run_method_sweep(
         reference_accuracy=context.reference_accuracy,
     )
     for method in methods:
-        model, info = context.protected_model(
-            method, protection_overrides=overrides.get(method)
-        )
+        model, info = context.protected_model(method)
         result.clean_accuracy[method] = info["clean_accuracy"]
         campaign = FaultCampaign(
             FaultInjector(model),
             context.evaluator.bind(model),
-            trials=trials,
+            trials=preset.trials,
             seed=derive_seed(preset.seed, "campaign", tag, context.model_name,
                              context.dataset_name),
         )

@@ -6,7 +6,6 @@ downstream users who want to *plot* the reproduction need the numbers.
 `result_to_dict` converts any experiment result into plain
 JSON-serialisable data (floats, strings, lists — numpy scalars and
 arrays are unwrapped), and `save_json` / `save_csv` write it out.
-`examples/run_experiment.py --json/--csv` exposes both.
 """
 
 from __future__ import annotations

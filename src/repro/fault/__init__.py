@@ -4,7 +4,9 @@ The offline equivalent of the paper's PyTorch fault-injection tool:
 fault models (uniform bit-flips, stuck-at cells, multi-bit bursts,
 whole-word replacement), uniform site sampling, an exact-restore
 injector, transient activation faults, a SEC-DED ECC memory model,
-campaign runners, and vulnerability statistics.
+the campaign (one trial loop, run in memory by the experiments or
+over a durable store by ``repro campaign run`` workers), and
+vulnerability statistics.
 """
 
 from repro.fault.activation import (
@@ -14,13 +16,7 @@ from repro.fault.activation import (
     ActivationFaultModel,
 )
 from repro.fault.burst import BurstFaultModel, expand_bursts
-from repro.fault.campaign import (
-    CampaignAggregator,
-    CampaignResult,
-    EarlyStop,
-    FaultCampaign,
-    SweepResult,
-)
+from repro.fault.campaign import CampaignResult, FaultCampaign, SweepResult
 from repro.fault.ecc import (
     ECCOutcome,
     ECCProtectedInjector,
@@ -57,11 +53,9 @@ __all__ = [
     "ActivationFaultModel",
     "BitFlipFaultModel",
     "BurstFaultModel",
-    "CampaignAggregator",
     "CampaignResult",
     "ECCOutcome",
     "ECCProtectedInjector",
-    "EarlyStop",
     "FaultCampaign",
     "FaultInjector",
     "FaultModel",

@@ -7,12 +7,15 @@ raw material of the paper's Fig. 5 (distribution) and Fig. 6 (means).
 
 Trials run in-process, one at a time (:mod:`repro.fault.parallel`);
 over an evaluator's lane hook each trial is one replica lane sharing
-the model's cached clean forward.  A campaign is journaled and scales
-out across processes only as ``repro campaign run`` workers sharing one
-durable store (:mod:`repro.coord`), each evaluating the trial ranges it
-claims through :meth:`FaultCampaign.iter_range`.  Per-trial seeds are
-derived from the campaign seed, tag, fault spec and trial index alone,
-so every schedule produces bit-identical results.
+the model's cached clean forward.  There is one trial loop: the
+in-memory :meth:`FaultCampaign.run` (the figure and ablation
+experiments) drives every trial of a configuration through it, and a
+journaled campaign scales out across processes only as ``repro
+campaign run`` workers sharing one durable store (:mod:`repro.coord`),
+each evaluating the trial ranges it claims through
+:meth:`FaultCampaign.iter_range`.  Per-trial seeds are derived from the
+campaign seed, tag, fault spec and trial index alone, so every schedule
+produces bit-identical results.
 """
 
 from __future__ import annotations
@@ -29,14 +32,13 @@ from repro.errors import ConfigurationError
 from repro.fault.fault_model import BitFlipFaultModel, FaultModel
 from repro.fault.injector import FaultInjector
 from repro.fault.parallel import TrialOutcome, TrialRunner, TrialWork
+from repro.fault.sites import FaultSites
 from repro.obs.trace import span
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
 
 __all__ = [
-    "CampaignAggregator",
     "CampaignResult",
-    "EarlyStop",
     "FaultCampaign",
     "SweepResult",
 ]
@@ -134,91 +136,6 @@ class SweepResult:
         return True
 
 
-@dataclass(frozen=True)
-class EarlyStop:
-    """Stop a campaign once its mean-accuracy CI is tight enough.
-
-    After each trial (in trial-index order — identical on every
-    schedule), the Student-t confidence interval of the running mean is
-    checked; the campaign stops when its half-width drops to
-    ``ci_halfwidth`` or below, but never before ``min_trials``.
-    """
-
-    ci_halfwidth: float
-    confidence: float = 0.95
-    min_trials: int = 8
-
-    def __post_init__(self) -> None:
-        if self.ci_halfwidth <= 0.0:
-            raise ConfigurationError(
-                f"ci_halfwidth must be > 0, got {self.ci_halfwidth}"
-            )
-        if not 0.0 < self.confidence < 1.0:
-            raise ConfigurationError(
-                f"confidence must be in (0, 1), got {self.confidence}"
-            )
-        if self.min_trials < 2:
-            raise ConfigurationError(
-                f"min_trials must be >= 2, got {self.min_trials}"
-            )
-
-
-class CampaignAggregator:
-    """Streaming accumulator of trial outcomes.
-
-    Consumes :class:`~repro.fault.parallel.TrialOutcome`s as they arrive
-    (in trial-index order), keeps running statistics for convergence
-    checks, and materialises the final :class:`CampaignResult` arrays.
-    """
-
-    def __init__(self) -> None:
-        self._accuracies: list[float] = []
-        self._flips: list[int] = []
-
-    def add(self, outcome: TrialOutcome) -> None:
-        if outcome.index != len(self._accuracies):
-            raise ConfigurationError(
-                f"out-of-order trial outcome: expected index "
-                f"{len(self._accuracies)}, got {outcome.index}"
-            )
-        self._accuracies.append(outcome.accuracy)
-        self._flips.append(outcome.flips)
-
-    @property
-    def trials(self) -> int:
-        return len(self._accuracies)
-
-    @property
-    def mean(self) -> float:
-        if not self._accuracies:
-            raise ConfigurationError("no trial outcomes aggregated yet")
-        return float(np.mean(self._accuracies))
-
-    def ci_halfwidth(self, confidence: float = 0.95) -> float:
-        """Half-width of the running mean's Student-t CI (inf below n=2)."""
-        if self.trials < 2:
-            return math.inf
-        from repro.fault.statistics import mean_confidence_interval
-
-        low, high = mean_confidence_interval(self._accuracies, confidence)
-        return (high - low) / 2.0
-
-    def converged(self, early_stop: EarlyStop) -> bool:
-        return (
-            self.trials >= early_stop.min_trials
-            and self.ci_halfwidth(early_stop.confidence) <= early_stop.ci_halfwidth
-        )
-
-    def result(self, fault_model: FaultModel) -> CampaignResult:
-        if not self._accuracies:
-            raise ConfigurationError("campaign produced no trial outcomes")
-        return CampaignResult(
-            fault_model,
-            np.asarray(self._accuracies, dtype=np.float64),
-            np.asarray(self._flips, dtype=np.int64),
-        )
-
-
 class FaultCampaign:
     """Run repeated fault-injection trials against a fixed model.
 
@@ -288,18 +205,22 @@ class FaultCampaign:
             return []
         return metadata(sites)
 
-    def _work(
-        self, fault_model: FaultModel, seeds: Sequence[int], trial: int
-    ) -> TrialWork:
-        """Sample trial ``trial``'s fault sites, just before it runs.
-
-        Each trial's seed is independent, so a worker's claimed range
-        or an EarlyStop-converged configuration samples only the trials
-        it evaluates.
-        """
-        return TrialWork(
-            index=trial, sites=self.injector.sample(fault_model, rng=seeds[trial])
-        )
+    def _trials(
+        self, fault_model: FaultModel, indices: Sequence[int], tag: str
+    ) -> Iterator[tuple[TrialOutcome, FaultSites]]:
+        """The one trial loop: sample each trial's sites just before it
+        runs, then evaluate it; yields ``(outcome, sites)`` in ascending
+        trial order with duplicates collapsed."""
+        plan = sorted({int(trial) for trial in indices})
+        if plan and not 0 <= plan[0] <= plan[-1] < self.trials:
+            raise ConfigurationError(
+                f"trial indices must lie in [0, {self.trials}), "
+                f"got {plan[0]}..{plan[-1]}"
+            )
+        seeds = self.trial_seeds(fault_model, tag)
+        for trial in plan:
+            sites = self.injector.sample(fault_model, rng=seeds[trial])
+            yield self._runner(TrialWork(index=trial, sites=sites)), sites
 
     def iter_range(
         self,
@@ -318,71 +239,35 @@ class FaultCampaign:
         partition of the trial space (claimed or stolen ranges, a serial
         run) produces bit-identical per-trial results.  Evaluation is
         lazy: a caller that stops iterating (a lost fence check, a worker
-        shutting down) evaluates nothing further.
+        shutting down) samples and evaluates nothing further.
         """
-        plan = sorted({int(trial) for trial in indices})
-        if plan and not 0 <= plan[0] <= plan[-1] < self.trials:
-            raise ConfigurationError(
-                f"trial indices must lie in [0, {self.trials}), "
-                f"got {plan[0]}..{plan[-1]}"
-            )
-        seeds = self.trial_seeds(fault_model, tag)
-        for trial in plan:
-            work = self._work(fault_model, seeds, trial)
-            yield self._runner(work), self._site_metadata(work.sites)
+        for outcome, sites in self._trials(fault_model, indices, tag):
+            yield outcome, self._site_metadata(sites)
 
-    def run(
-        self,
-        fault_model: FaultModel,
-        tag: str = "",
-        early_stop: EarlyStop | None = None,
-    ) -> CampaignResult:
+    def run(self, fault_model: FaultModel, tag: str = "") -> CampaignResult:
         """Run all trials for one fault configuration, in memory.
 
-        With ``early_stop``, trials are consumed in index order and the
-        campaign stops as soon as the accuracy CI converges, sampling and
-        evaluating no trial past that point; the decision stream is
-        order-deterministic, so every run stops after the same trial
-        with identical results.  Journaled, resumable campaigns run
+        The same trial loop as :meth:`iter_range` over every index, so
+        its accuracies and flips are those a store's workers journal for
+        the same seed, tag and spec.  Journaled, resumable campaigns run
         through :class:`repro.coord.CampaignWorker` instead.
         """
         with span("campaign.config", tag=tag, trials=self.trials):
-            seeds = self.trial_seeds(fault_model, tag)
-            aggregator = CampaignAggregator()
-            for trial in range(self.trials):
-                aggregator.add(self._runner(self._work(fault_model, seeds, trial)))
-                if early_stop is not None and aggregator.converged(early_stop):
-                    _logger.info(
-                        "campaign %s converged after %d/%d trials "
-                        "(CI half-width <= %g)",
-                        tag,
-                        aggregator.trials,
-                        self.trials,
-                        early_stop.ci_halfwidth,
-                    )
-                    break
-            result = aggregator.result(fault_model)
+            outcomes = [
+                outcome
+                for outcome, _ in self._trials(fault_model, range(self.trials), tag)
+            ]
+            result = CampaignResult(
+                fault_model,
+                np.asarray([o.accuracy for o in outcomes], dtype=np.float64),
+                np.asarray([o.flips for o in outcomes], dtype=np.int64),
+            )
         _logger.info("campaign %s %s", tag, result.summary())
         return result
 
-    def run_sweep(
-        self,
-        rates: Sequence[float],
-        tag: str = "",
-        allowed_bits: tuple[int, ...] | None = None,
-        param_filter: Callable[[str], bool] | None = None,
-        early_stop: EarlyStop | None = None,
-    ) -> SweepResult:
+    def run_sweep(self, rates: Sequence[float], tag: str = "") -> SweepResult:
         """Run a campaign at each fault rate (a full Fig. 5/6 panel)."""
         sweep = SweepResult(rates=tuple(rates))
-        fault_models = [
-            BitFlipFaultModel.at_rate(
-                rate, allowed_bits=allowed_bits, param_filter=param_filter
-            )
-            for rate in rates
-        ]
-        for rate, fault_model in zip(rates, fault_models):
-            sweep.results[rate] = self.run(
-                fault_model, tag=tag, early_stop=early_stop
-            )
+        for rate in rates:
+            sweep.results[rate] = self.run(BitFlipFaultModel.at_rate(rate), tag=tag)
         return sweep

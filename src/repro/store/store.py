@@ -668,7 +668,7 @@ class CampaignStore:
 
     def converged_at(self, key: str) -> int | None:
         """The trial count after which an older build's in-store
-        ``EarlyStop`` closed this config (None = runs every trial)."""
+        early stop closed this config (None = runs every trial)."""
         value = self.config_entry(key).get("converged_at")
         return None if value is None else int(value)
 

@@ -7,6 +7,7 @@ assert dead must be freed by reference counting alone, the moment the
 last reader lets go.
 """
 
+import itertools
 import weakref
 
 import numpy as np
@@ -34,7 +35,8 @@ def _protected_lenet(loader):
     model = build_model(
         "lenet", num_classes=NUM_CLASSES, scale=1.0, image_size=IMAGE_SIZE, seed=0
     )
-    protect_model(model, loader, ProtectionConfig(method="fitact", profile_batches=2))
+    batches = list(itertools.islice(loader, 2))
+    protect_model(model, batches, ProtectionConfig(method="fitact"))
     return model
 
 
@@ -163,12 +165,12 @@ def test_no_compiled_plan_alive_between_post_training_epochs(loader, test_loader
         """The training loader, noting live plans before each step."""
 
         def __iter__(self):
-            for batch in loader:
+            for batch in itertools.islice(loader, 2):
                 plans = model.__dict__.get("_runtime_plans", [])
                 plans_alive.append(sum(ref() is not None for ref in plans))
                 yield batch
 
-    config = PostTrainingConfig(epochs=2, max_batches=2)
+    config = PostTrainingConfig(epochs=2)
     report = BoundPostTrainer(model, config).run(Watched(), test_loader)
     assert report.epochs_run == 2
     assert plans_alive and not any(plans_alive)

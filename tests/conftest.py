@@ -12,6 +12,7 @@ touches a module.
 
 from __future__ import annotations
 
+import itertools
 import zlib
 
 import numpy as np
@@ -121,6 +122,13 @@ def train_loader(train_dataset, normalize) -> DataLoader:
 @pytest.fixture(scope="session")
 def test_loader(test_dataset, normalize) -> DataLoader:
     return DataLoader(test_dataset, batch_size=128, transform=normalize)
+
+
+@pytest.fixture(scope="session")
+def first_test_batch(test_loader) -> list:
+    """The test loader's first batch as a one-batch loader, for quick
+    evaluations inside fault campaigns."""
+    return list(itertools.islice(test_loader, 1))
 
 
 @pytest.fixture(scope="session")

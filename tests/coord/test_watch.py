@@ -143,7 +143,7 @@ class TestRendering:
         assert "remaining" not in render_watch(status)
 
     def test_render_shows_where_a_config_converged(self, store_path):
-        """Older builds' in-store EarlyStop marked configs converged."""
+        """Older builds' in-store early stop marked configs converged."""
         manifest_path = store_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         key = manifest["configs"][0]["key"]

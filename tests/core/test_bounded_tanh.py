@@ -1,5 +1,7 @@
 """BoundedTanh: the Tanh-swap baseline (Hong et al. [17])."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,17 +143,20 @@ class TestTrainableTanhPostTraining:
         from repro.core.surgery import find_activation_sites
         from repro.core.profiler import profile_activations
 
-        profile = profile_activations(trained_model, train_loader, max_batches=2)
+        profile = profile_activations(
+            trained_model, list(itertools.islice(train_loader, 2))
+        )
         for path in find_activation_sites(trained_model):
             bound = float(profile.bounds(path, granularity="layer").max())
             trained_model.set_submodule(path, BoundedTanh(bound, trainable=True))
 
         trainer = BoundPostTrainer(
             trained_model,
-            PostTrainingConfig(epochs=1, lr=0.01, zeta=0.1, delta=0.5, max_batches=3),
+            PostTrainingConfig(epochs=1, lr=0.01, zeta=0.1, delta=0.5),
         )
         before = [b.data.copy() for b in trainer.bound_parameters]
-        report = trainer.run(train_loader, test_loader, reference_accuracy=1.0)
+        batches = list(itertools.islice(train_loader, 3))
+        report = trainer.run(batches, test_loader, reference_accuracy=1.0)
         assert report.epochs_run == 1
         changed = any(
             not np.array_equal(b.data, prev)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.synthetic import (
-    ClassRecipe,
-    SyntheticImageDataset,
-    synth_cifar10,
-    synth_cifar100,
-)
+from repro.data.synthetic import ClassRecipe, SyntheticImageDataset
 from repro.errors import ConfigurationError
 
 
@@ -93,10 +88,12 @@ class TestClassStructure:
         assert accuracy > 0.6, f"centroid accuracy only {accuracy:.1%}"
 
     def test_100_class_variant(self):
-        ds = synth_cifar100(split="test", num_samples=200, seed=0)
+        ds = SyntheticImageDataset(
+            num_classes=100, num_samples=200, seed=0, split="test"
+        )
         assert ds.num_classes == 100
 
     def test_10_class_variant_defaults(self):
-        ds = synth_cifar10(split="test", num_samples=100)
+        ds = SyntheticImageDataset(num_samples=100, split="test")
         assert ds.num_classes == 10
         assert len(ds) == 100

@@ -40,6 +40,20 @@ class TestEvaluator:
         evaluator = Evaluator(_loader(40), max_batches=1)
         assert len(evaluator) == 16
 
+    def test_max_batches_stops_drawing_at_the_cap(self):
+        loader = _loader(80)
+        drawn = []
+
+        class Counting:
+            def __iter__(self):
+                for batch in loader:
+                    drawn.append(batch)
+                    yield batch
+
+        evaluator = Evaluator(Counting(), max_batches=2)
+        assert len(drawn) == 2
+        assert len(evaluator) == 32
+
     def test_bind_closure(self):
         evaluator = Evaluator(_loader())
         model = _model()

@@ -171,14 +171,14 @@ class TestActivationFaultCampaign:
         assert result.trials == 3
         assert np.all(result.flip_counts == 4)
 
-    def test_high_rate_hurts_accuracy(self, trained_model, test_loader):
+    def test_high_rate_hurts_accuracy(self, trained_model, first_test_batch):
         from repro.core.training import evaluate_accuracy
 
-        clean = evaluate_accuracy(trained_model, test_loader, max_batches=1)
+        clean = evaluate_accuracy(trained_model, first_test_batch)
         injector = ActivationFaultInjector(trained_model)
         campaign = ActivationFaultCampaign(
             injector,
-            lambda: evaluate_accuracy(trained_model, test_loader, max_batches=1),
+            lambda: evaluate_accuracy(trained_model, first_test_batch),
             trials=2,
             seed=0,
         )

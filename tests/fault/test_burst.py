@@ -114,14 +114,14 @@ class TestBurstFaultModel:
         np.testing.assert_array_equal(a.word_positions, b.word_positions)
         np.testing.assert_array_equal(a.bit_positions, b.bit_positions)
 
-    def test_campaign_accepts_burst_model(self, trained_model, test_loader):
+    def test_campaign_accepts_burst_model(self, trained_model, first_test_batch):
         from repro.core.training import evaluate_accuracy
 
         quantize_module(trained_model)
         injector = FaultInjector(trained_model)
         campaign = FaultCampaign(
             injector,
-            lambda: evaluate_accuracy(trained_model, test_loader, max_batches=1),
+            lambda: evaluate_accuracy(trained_model, first_test_batch),
             trials=2,
             seed=0,
         )

@@ -143,14 +143,14 @@ class TestInjectorSurface:
         injector, model = _ecc()
         assert injector.total_bits == model.num_parameters() * 39
 
-    def test_campaign_compatible(self, trained_model, test_loader):
+    def test_campaign_compatible(self, trained_model, first_test_batch):
         from repro.core.training import evaluate_accuracy
 
         quantize_module(trained_model)
         ecc = ECCProtectedInjector(FaultInjector(trained_model))
         campaign = FaultCampaign(
             ecc,
-            lambda: evaluate_accuracy(trained_model, test_loader, max_batches=1),
+            lambda: evaluate_accuracy(trained_model, first_test_batch),
             trials=2,
             seed=0,
         )

@@ -1,18 +1,10 @@
-"""The campaign engine: schedule-independent seeds and early stop."""
+"""The campaign engine: schedule-independent seeds and one trial loop."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.errors import ConfigurationError
-from repro.fault import (
-    BitFlipFaultModel,
-    CampaignAggregator,
-    EarlyStop,
-    FaultCampaign,
-    FaultInjector,
-    TrialOutcome,
-)
+from repro.fault import BitFlipFaultModel, FaultCampaign, FaultInjector
 from repro.quant import quantize_module
 
 
@@ -56,54 +48,22 @@ class TestParallelDeterminism:
         assert len(set(a)) == len(a)
 
 
-class TestEarlyStop:
-    def test_stops_at_min_trials_when_converged(self):
-        campaign = _campaign(trials=20)
-        result = campaign.run(
-            BitFlipFaultModel.exact(1),
-            early_stop=EarlyStop(ci_halfwidth=1.0, min_trials=3),
+class TestOneTrialLoop:
+    @pytest.mark.parametrize(
+        "spec", [BitFlipFaultModel.exact(3), BitFlipFaultModel.at_rate(5e-3)]
+    )
+    def test_run_returns_what_iter_range_yields(self, spec):
+        result = _campaign(trials=6, seed=3).run(spec, tag="t")
+        outcomes = [
+            outcome
+            for outcome, _ in _campaign(trials=6, seed=3).iter_range(
+                spec, range(6), "t"
+            )
+        ]
+        assert [o.index for o in outcomes] == list(range(6))
+        assert result.accuracies.dtype == np.float64
+        assert result.flip_counts.dtype == np.int64
+        np.testing.assert_array_equal(
+            result.accuracies, [o.accuracy for o in outcomes]
         )
-        assert result.trials == 3
-
-    def test_tight_tolerance_runs_everything(self):
-        result = _campaign(trials=5).run(
-            BitFlipFaultModel.at_rate(5e-3),
-            early_stop=EarlyStop(ci_halfwidth=1e-12, min_trials=2),
-        )
-        # Noisy accuracies under a microscopic tolerance: no early exit
-        # unless the CI degenerates (all-equal accuracies).
-        assert result.trials == 5 or result.std == 0.0
-
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EarlyStop(ci_halfwidth=0.0)
-        with pytest.raises(ConfigurationError):
-            EarlyStop(ci_halfwidth=0.1, confidence=1.5)
-        with pytest.raises(ConfigurationError):
-            EarlyStop(ci_halfwidth=0.1, min_trials=1)
-
-
-class TestAggregator:
-    def test_accumulates_in_order(self):
-        agg = CampaignAggregator()
-        agg.add(TrialOutcome(0, 0.9, 3))
-        agg.add(TrialOutcome(1, 0.7, 2))
-        assert agg.trials == 2
-        assert agg.mean == pytest.approx(0.8)
-        result = agg.result(BitFlipFaultModel.exact(1))
-        np.testing.assert_array_equal(result.accuracies, [0.9, 0.7])
-        np.testing.assert_array_equal(result.flip_counts, [3, 2])
-
-    def test_out_of_order_outcome_rejected(self):
-        agg = CampaignAggregator()
-        with pytest.raises(ConfigurationError):
-            agg.add(TrialOutcome(3, 0.9, 1))
-
-    def test_halfwidth_infinite_below_two_trials(self):
-        agg = CampaignAggregator()
-        agg.add(TrialOutcome(0, 0.9, 1))
-        assert agg.ci_halfwidth() == float("inf")
-
-    def test_empty_aggregator_has_no_result(self):
-        with pytest.raises(ConfigurationError):
-            CampaignAggregator().result(BitFlipFaultModel.exact(1))
+        np.testing.assert_array_equal(result.flip_counts, [o.flips for o in outcomes])

@@ -25,7 +25,6 @@ from repro.fault import (
     BitFlipFaultModel,
     BurstFaultModel,
     ECCProtectedInjector,
-    EarlyStop,
     FaultCampaign,
     FaultInjector,
     StuckAtFaultModel,
@@ -149,11 +148,9 @@ class TestLazySampling:
         monkeypatch.setattr(Evaluator, "lane_accuracies", counted_lanes)
         return counts
 
-    def test_early_stop_samples_and_evaluates_only_what_it_needs(self, counted):
-        campaign = _campaign("lenet", trials=64)
-        result = campaign.run(
-            SPEC, early_stop=EarlyStop(ci_halfwidth=1.0, min_trials=9)
-        )
+    def test_run_samples_and_evaluates_each_trial_once(self, counted):
+        campaign = _campaign("lenet", trials=9)
+        result = campaign.run(SPEC)
         assert result.trials == 9
         assert counted == {"sample": 9, "lanes": 9}
 

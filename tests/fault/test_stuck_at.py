@@ -161,14 +161,14 @@ class TestStuckAtFaultModel:
         ).masking_rate(injector, rng=0)
         assert masked0 == pytest.approx(1.0)
 
-    def test_campaign_accepts_stuck_model(self, trained_model, test_loader):
+    def test_campaign_accepts_stuck_model(self, trained_model, first_test_batch):
         from repro.core.training import evaluate_accuracy
 
         quantize_module(trained_model)
         injector = FaultInjector(trained_model)
         campaign = FaultCampaign(
             injector,
-            lambda: evaluate_accuracy(trained_model, test_loader, max_batches=1),
+            lambda: evaluate_accuracy(trained_model, first_test_batch),
             trials=2,
             seed=0,
         )

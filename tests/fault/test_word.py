@@ -112,14 +112,14 @@ class TestWordFaultModel:
         mean_per_word = float(np.mean(counts)) / 8
         assert 12 < mean_per_word < 20  # E = 16 for 32-bit words
 
-    def test_campaign_compatible(self, trained_model, test_loader):
+    def test_campaign_compatible(self, trained_model, first_test_batch):
         from repro.core.training import evaluate_accuracy
 
         quantize_module(trained_model)
         injector = FaultInjector(trained_model)
         campaign = FaultCampaign(
             injector,
-            lambda: evaluate_accuracy(trained_model, test_loader, max_batches=1),
+            lambda: evaluate_accuracy(trained_model, first_test_batch),
             trials=2,
             seed=0,
         )

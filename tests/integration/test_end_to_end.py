@@ -18,6 +18,7 @@ from repro.core import (
     profile_activations,
     protect_model,
 )
+from repro.data.loader import DataLoader
 from repro.fault import BitFlipFaultModel, FaultCampaign, FaultInjector
 from repro.models import build_model
 from repro.quant import quantize_module
@@ -26,8 +27,19 @@ from tests.conftest import IMAGE_SIZE, NUM_CLASSES
 
 @pytest.fixture(scope="module")
 def protected_zoo(request):
-    """Train once, protect with every scheme, campaign at a fixed rate."""
-    train_loader = request.getfixturevalue("train_loader")
+    """Train once, protect with every scheme, campaign at a fixed rate.
+
+    Profiling and post-training draw from a private loader: the
+    session's shuffled one would hand the zoo whatever order earlier
+    tests left it in.
+    """
+    train_loader = DataLoader(
+        request.getfixturevalue("train_dataset"),
+        batch_size=64,
+        shuffle=True,
+        rng=0,
+        transform=request.getfixturevalue("normalize"),
+    )
     test_loader = request.getfixturevalue("test_loader")
     trained = request.getfixturevalue("trained_state")
 

@@ -167,7 +167,7 @@ class TestBudget:
 
 class TestConvergedConfigs:
     """Stores whose manifest marks a config ``converged_at`` (an older
-    build's in-store EarlyStop) open, report and count it as done."""
+    build's in-store early stop) open, report and count it as done."""
 
     def _converge(self, store_dir, key, trials):
         manifest_path = store_dir / "manifest.json"
