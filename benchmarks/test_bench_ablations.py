@@ -14,7 +14,7 @@ from repro.eval.experiments import (
 def test_granularity(save_output):
     """ABL-G: finer bounds cost more words; neuron-wise leads at the top
     rate (the paper's core design argument)."""
-    result = run_granularity_ablation(preset=QUICK, rate_index=4)
+    result = run_granularity_ablation(preset=QUICK)
     save_output("ablation_granularity", result.to_text())
     data = result.data
     assert data["neuron"]["words"] > data["channel"]["words"] > data["layer"]["words"]
@@ -24,7 +24,7 @@ def test_granularity(save_output):
 def test_slope(save_output):
     """ABL-K: small absolute k distorts clean accuracy; relative-k is
     robust across the sweep."""
-    result = run_slope_ablation(preset=QUICK, slopes=(5.0, 40.0, 100.0))
+    result = run_slope_ablation(preset=QUICK)
     save_output("ablation_slope", result.to_text())
     # A too-shallow slope (k=5: the descent band spans ~80% of each
     # bound) distorts clean accuracy; the default k=40 must beat it.
@@ -37,7 +37,7 @@ def test_slope(save_output):
 def test_zeta(save_output):
     """ABL-Z: the Eq. 10 ζ trade — aggressive shrink buys no resilience on
     the scaled substrate (recorded as a reproduction finding)."""
-    result = run_zeta_ablation(preset=QUICK, zetas=(0.0, 0.05, 1.0))
+    result = run_zeta_ablation(preset=QUICK)
     save_output("ablation_zeta", result.to_text())
     # The δ constraint keeps every configuration's clean accuracy usable.
     for entry in result.data.values():
@@ -47,7 +47,7 @@ def test_zeta(save_output):
 def test_bit_position(save_output):
     """ABL-B: fraction-bit flips are harmless; high integer bits are
     catastrophic unprotected and largely recovered by FitAct."""
-    result = run_bit_position_ablation(preset=QUICK, bits=(0, 8, 16, 24, 30, 31))
+    result = run_bit_position_ablation(preset=QUICK)
     save_output("ablation_bits", result.to_text())
     none_low = result.data["0"]["none"]
     none_high = result.data["30"]["none"]

@@ -1,15 +1,9 @@
-"""Evaluation harness: metrics, fast evaluators, overhead measurement,
-text reporting, machine-readable export, and the per-figure experiment
+"""Evaluation harness: fast evaluators, overhead measurement, text
+reporting, machine-readable export, and the per-figure experiment
 runners."""
 
 from repro.eval.evaluator import BoundAccuracy, Evaluator, forward_logits
 from repro.eval.export import result_to_dict, save_csv, save_json
-from repro.eval.metrics import (
-    class_accuracy,
-    confusion_matrix,
-    top1_accuracy,
-    topk_accuracy,
-)
 from repro.eval.overhead import (
     OverheadReport,
     measure_inference_seconds,
@@ -45,8 +39,6 @@ __all__ = [
     "BoundAccuracy",
     "Evaluator",
     "OverheadReport",
-    "class_accuracy",
-    "confusion_matrix",
     "format_curves",
     "format_table",
     "forward_logits",
@@ -57,6 +49,4 @@ __all__ = [
     "save_csv",
     "save_json",
     "text_histogram",
-    "top1_accuracy",
-    "topk_accuracy",
 ]

@@ -4,17 +4,24 @@
 
 Each module regenerates one paper artefact:
 
-================  ===========================================
-FIG1              ``fig1_bound_sweep.run_fig1``
-FIG2              ``fig2_activation_distribution.run_fig2``
-FIG3              ``fig3_activation_shapes.run_fig3``
-FIG5              ``fig5_accuracy_distribution.run_fig5``
-FIG6              ``fig6_average_accuracy.run_fig6``
-TAB1              ``table1_overhead.run_table1``
-§VI-C1            ``posttraining_overhead.run_posttraining_overhead``
-ABL-G/K/Z/B       ``ablations.run_*``
-EXT-A/E/F, ABL-W  ``extensions.run_*`` (beyond-paper experiments)
-================  ===========================================
+======================  ===========================================
+FIG1                    ``fig1_bound_sweep.run_fig1``
+FIG2                    ``fig2_activation_distribution.run_fig2``
+FIG3                    ``fig3_activation_shapes.run_fig3``
+FIG5                    ``fig5_accuracy_distribution.run_fig5``
+FIG6                    ``fig6_average_accuracy.run_fig6``
+TAB1                    ``table1_overhead.run_table1``
+§VI-C1                  ``posttraining_overhead.run_posttraining_overhead``
+ABL-G/K/Z/B             ``ablations.run_*``
+EXT-A/E/F/L/M, ABL-H/W  ``extensions.run_*`` (beyond-paper experiments)
+======================  ===========================================
+
+Each id has one definition.  A runner takes only the preset and,
+optionally, the prepared context it measures (``contexts`` for the
+runners that loop over panels); every grid, rate index and method list
+is a module constant, set to what ``benchmarks/outputs/<id>.txt`` was
+generated with.  ``repro experiment --id <id> --preset quick`` prints
+that file.
 """
 
 from repro.eval.experiments.ablations import (

@@ -28,6 +28,29 @@ __all__ = [
     "run_zeta_ablation",
 ]
 
+#: The trained base an ablation protects when it is handed no context.
+MODEL_NAME = "vgg16"
+DATASET_NAME = "synth10"
+
+#: ABL-G: bound granularities, swept at the top fault rate.
+GRANULARITIES = ("neuron", "channel", "layer")
+GRANULARITY_RATE_INDEX = 4
+
+#: ABL-K: FitReLU slope coefficients and scaling modes.
+SLOPES = (5.0, 40.0, 100.0)
+SLOPE_MODES = ("relative", "absolute")
+
+#: ABL-Z: Eq. 10 regulariser strengths (0.05 is the presets' ζ).
+ZETAS = (0.0, 0.05, 1.0)
+
+#: ABL-K and ABL-Z run at ``preset.rates[RATE_INDEX]``.
+RATE_INDEX = 3
+
+#: ABL-B: Q15.16 bit positions, flip count and methods.
+BITS = (0, 8, 16, 24, 30, 31)
+FLIPS_PER_TRIAL = 16
+BIT_METHODS = ("none", "fitact")
+
 
 @dataclass
 class AblationResult:
@@ -40,6 +63,11 @@ class AblationResult:
 
     def to_text(self) -> str:
         return format_table(self.headers, self.rows, title=self.title)
+
+
+def panel_label(context: ExperimentContext) -> str:
+    """``model/dataset`` of the context a table was measured on."""
+    return f"{context.model_name}/{context.dataset_name}"
 
 
 def _resilience(
@@ -69,12 +97,7 @@ def _resilience(
 
 
 def run_granularity_ablation(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    granularities: tuple[str, ...] = ("neuron", "channel", "layer"),
-    rate_index: int = 3,
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> AblationResult:
     """ABL-G: FitAct bound granularity — the paper's core design choice.
 
@@ -82,16 +105,16 @@ def run_granularity_ablation(
     layer-global bound (the Clip-Act regime), at the cost of more bound
     words.
     """
-    context = context or prepare_context(model_name, dataset_name, preset)
-    rate = preset.rates[rate_index]
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
+    rate = preset.rates[GRANULARITY_RATE_INDEX]
     result = AblationResult(
         title=(
-            f"ABL-G  Bound granularity — {model_name}/{dataset_name}, "
+            f"ABL-G  Bound granularity — {panel_label(context)}, "
             f"fault rate {rate:.1e}"
         ),
         headers=["granularity", "bound words", "clean acc", "acc under fault"],
     )
-    for granularity in granularities:
+    for granularity in GRANULARITIES:
         clean, faulty, words = _resilience(
             context,
             "fitact",
@@ -109,30 +132,24 @@ def run_granularity_ablation(
 
 
 def run_slope_ablation(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    slopes: tuple[float, ...] = (5.0, 10.0, 40.0, 100.0),
-    slope_modes: tuple[str, ...] = ("relative", "absolute"),
-    rate_index: int = 3,
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> AblationResult:
     """ABL-K: FitReLU slope coefficient and scaling mode.
 
     Quantifies the Eq. 6 "empirically computed" k: absolute small k
     distorts clean accuracy; relative k is robust across layers.
     """
-    context = context or prepare_context(model_name, dataset_name, preset)
-    rate = preset.rates[rate_index]
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
+    rate = preset.rates[RATE_INDEX]
     result = AblationResult(
         title=(
-            f"ABL-K  FitReLU slope — {model_name}/{dataset_name}, "
+            f"ABL-K  FitReLU slope — {panel_label(context)}, "
             f"fault rate {rate:.1e}"
         ),
         headers=["slope mode", "k", "clean acc", "acc under fault"],
     )
-    for mode in slope_modes:
-        for k in slopes:
+    for mode in SLOPE_MODES:
+        for k in SLOPES:
             clean, faulty, _ = _resilience(
                 context,
                 "fitact",
@@ -146,12 +163,7 @@ def run_slope_ablation(
 
 
 def run_zeta_ablation(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    zetas: tuple[float, ...] = (0.0, 0.1, 1.0, 10.0),
-    rate_index: int = 3,
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> AblationResult:
     """ABL-Z: the Eq. 10 regulariser strength ζ.
 
@@ -159,16 +171,16 @@ def run_zeta_ablation(
     trades clean accuracy for resilience until the δ constraint rolls the
     run back.
     """
-    context = context or prepare_context(model_name, dataset_name, preset)
-    rate = preset.rates[rate_index]
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
+    rate = preset.rates[RATE_INDEX]
     result = AblationResult(
         title=(
-            f"ABL-Z  Bound regulariser ζ — {model_name}/{dataset_name}, "
+            f"ABL-Z  Bound regulariser ζ — {panel_label(context)}, "
             f"fault rate {rate:.1e}"
         ),
         headers=["zeta", "clean acc", "acc under fault"],
     )
-    for zeta in zetas:
+    for zeta in ZETAS:
         post = PostTrainingConfig(
             epochs=preset.post_epochs,
             lr=preset.post_lr,
@@ -184,13 +196,7 @@ def run_zeta_ablation(
 
 
 def run_bit_position_ablation(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    bits: tuple[int, ...] = (0, 8, 15, 16, 20, 24, 28, 30, 31),
-    flips_per_trial: int = 16,
-    methods: tuple[str, ...] = ("none", "fitact"),
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> AblationResult:
     """ABL-B: per-bit-position vulnerability of Q15.16 parameter words.
 
@@ -199,16 +205,16 @@ def run_bit_position_ablation(
     bits catastrophic for the unprotected model and largely recovered by
     FitAct — the mechanism behind the whole paper.
     """
-    context = context or prepare_context(model_name, dataset_name, preset)
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
     result = AblationResult(
         title=(
-            f"ABL-B  Bit-position vulnerability — {model_name}/{dataset_name}, "
-            f"{flips_per_trial} flips/trial"
+            f"ABL-B  Bit-position vulnerability — {panel_label(context)}, "
+            f"{FLIPS_PER_TRIAL} flips/trial"
         ),
-        headers=["bit", *[f"{m} acc" for m in methods]],
+        headers=["bit", *[f"{m} acc" for m in BIT_METHODS]],
     )
     per_method: dict[str, dict[int, float]] = {}
-    for method in methods:
+    for method in BIT_METHODS:
         model, _ = context.protected_model(method)
         campaign = FaultCampaign(
             FaultInjector(model),
@@ -217,12 +223,12 @@ def run_bit_position_ablation(
             seed=derive_seed(preset.seed, "bitpos", method),
         )
         vulnerability = bit_position_vulnerability(
-            campaign, list(bits), flips_per_trial=flips_per_trial
+            campaign, list(BITS), flips_per_trial=FLIPS_PER_TRIAL
         )
         per_method[method] = {bit: res.mean for bit, res in vulnerability.items()}
-    for bit in bits:
+    for bit in BITS:
         result.rows.append(
-            [str(bit), *[percent(per_method[m][bit]) for m in methods]]
+            [str(bit), *[percent(per_method[m][bit]) for m in BIT_METHODS]]
         )
-        result.data[str(bit)] = {m: per_method[m][bit] for m in methods}
+        result.data[str(bit)] = {m: per_method[m][bit] for m in BIT_METHODS}
     return result

@@ -1,4 +1,4 @@
-"""Extension experiments beyond the paper's evaluation (EXT-A/E/F, ABL-W).
+"""Extension experiments beyond the paper's evaluation.
 
 The paper fixes one fault model (uniform transient bit-flips in
 parameter memory) and one word format (Q15.16), and compares three
@@ -13,6 +13,12 @@ holding the rest of the setup identical to Figs. 5/6:
 - **EXT-F** — spatially correlated (burst) and permanent (stuck-at)
   faults at a matched expected flip count: does the iid assumption
   flatter any scheme?
+- **EXT-L** — layer vulnerability: an equal flip budget confined to one
+  parameter group at a time.
+- **EXT-M** — the Fig. 6 protocol on MobileNetV1, the architecture edge
+  devices run.
+- **ABL-H** — the post-trained bounds deployed as the hard piecewise
+  FitReLU-Naive instead of the smooth FitReLU.
 - **ABL-W** — word-format ablation: how much of the vulnerability is
   Q15.16's 15 high-order integer bits, and what does narrowing the
   word change?
@@ -20,7 +26,7 @@ holding the rest of the setup identical to Figs. 5/6:
 
 from __future__ import annotations
 
-from repro.eval.experiments.ablations import AblationResult
+from repro.eval.experiments.ablations import AblationResult, panel_label
 from repro.eval.experiments.context import ExperimentContext, prepare_context
 from repro.eval.experiments.presets import Preset, QUICK
 from repro.eval.reporting import percent
@@ -51,15 +57,46 @@ __all__ = [
     "run_mobilenet_panel",
 ]
 
+#: The trained base a single-model extension protects when it is handed
+#: no context (EXT-M always builds MobileNetV1).
+MODEL_NAME = "vgg16"
+DATASET_NAME = "synth10"
+
+#: EXT-F, EXT-L and ABL-W compare the unprotected model with FitAct.
+METHODS = ("none", "fitact")
+
+#: EXT-A: every activation scheme, under ``n`` upsets per layer per pass.
+ACTIVATION_METHODS = ("none", "ranger", "clipact", "fitact")
+FLIPS_PER_LAYER = (1, 4, 16, 64)
+
+#: EXT-E: the schemes composed with SEC-DED, and its double-error policy.
+ECC_METHODS = ("none", "clipact", "fitact")
+DOUBLE_POLICY = "pass"
+
+#: EXT-E and ABL-H run at these ``preset.rates`` indices; EXT-F and
+#: ABL-W at ``RATE_INDEX``.
+RATE_INDICES = (2, 4)
+RATE_INDEX = 3
+
+#: EXT-M: ``(label, method, protection_overrides)`` per scheme.
+MOBILENET_SCHEMES: tuple[tuple[str, str, dict[str, object] | None], ...] = (
+    ("fitact", "fitact", None),
+    ("fitact-ch", "fitact", {"granularity": "channel"}),
+    ("clipact", "clipact", None),
+    ("ranger", "ranger", None),
+    ("none", "none", None),
+)
+
+#: EXT-L: flips confined to each of at most ``MAX_GROUPS`` groups.
+FLIPS_PER_GROUP = 16
+MAX_GROUPS = 8
+
+#: ABL-W: word formats.
+FORMATS = ("q3.4", "q7.8", "q15.16")
+
 
 def run_activation_fault_comparison(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    methods: tuple[str, ...] = ("none", "ranger", "clipact", "fitact"),
-    flips_per_layer: tuple[int, ...] = (1, 4, 16, 64),
-    trials: int | None = None,
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> AblationResult:
     """EXT-A: protection schemes under transient activation faults.
 
@@ -69,27 +106,26 @@ def run_activation_fault_comparison(
     next layer's bound is the only defence — the paper's propagation
     argument, tested on Ranger's native fault model.
     """
-    context = context or prepare_context(model_name, dataset_name, preset)
-    trials = trials if trials is not None else preset.trials
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
     result = AblationResult(
         title=(
-            f"EXT-A  Transient activation faults — {model_name}/{dataset_name}, "
-            f"flips per layer per pass {list(flips_per_layer)}"
+            f"EXT-A  Transient activation faults — {panel_label(context)}, "
+            f"flips per layer per pass {list(FLIPS_PER_LAYER)}"
         ),
-        headers=["method", "clean acc", *[f"n={n}" for n in flips_per_layer]],
+        headers=["method", "clean acc", *[f"n={n}" for n in FLIPS_PER_LAYER]],
     )
-    for method in methods:
+    for method in ACTIVATION_METHODS:
         model, info = context.protected_model(method)
         injector = ActivationFaultInjector(model)
         campaign = ActivationFaultCampaign(
             injector,
             context.evaluator.bind(model),
-            trials=trials,
-            seed=derive_seed(preset.seed, "ext-a", model_name, method),
+            trials=preset.trials,
+            seed=derive_seed(preset.seed, "ext-a", context.model_name, method),
         )
         row: dict[str, float] = {"clean": info["clean_accuracy"]}
         cells = [method, percent(info["clean_accuracy"])]
-        for n in flips_per_layer:
+        for n in FLIPS_PER_LAYER:
             mean = campaign.run(ActivationFaultModel.exact(n), tag=method).mean
             row[f"n={n}"] = mean
             cells.append(percent(mean))
@@ -99,14 +135,7 @@ def run_activation_fault_comparison(
 
 
 def run_ecc_comparison(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    methods: tuple[str, ...] = ("none", "clipact", "fitact"),
-    rate_indices: tuple[int, ...] = (2, 4),
-    double_policy: str = "pass",
-    trials: int | None = None,
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> AblationResult:
     """EXT-E: SEC-DED ECC versus (and composed with) activation bounding.
 
@@ -115,14 +144,13 @@ def run_ecc_comparison(
     and degrades gracefully when multi-bit words slip through.  The
     composition shows whether the two defences are complementary.
     """
-    context = context or prepare_context(model_name, dataset_name, preset)
-    trials = trials if trials is not None else preset.trials
-    rates = [preset.rates[i] for i in rate_indices]
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
+    rates = [preset.rates[i] for i in RATE_INDICES]
     code = SECDEDCode(32)
     result = AblationResult(
         title=(
-            f"EXT-E  SEC-DED ECC composition — {model_name}/{dataset_name}, "
-            f"double-error policy {double_policy!r}"
+            f"EXT-E  SEC-DED ECC composition — {panel_label(context)}, "
+            f"double-error policy {DOUBLE_POLICY!r}"
         ),
         headers=[
             "scheme",
@@ -131,12 +159,12 @@ def run_ecc_comparison(
             *[f"rate {rate:.1e}" for rate in rates],
         ],
     )
-    for method in methods:
+    for method in ECC_METHODS:
         for use_ecc in (False, True):
             model, info = context.protected_model(method)
             plain = FaultInjector(model)
             injector = (
-                ECCProtectedInjector(plain, code=code, double_policy=double_policy)
+                ECCProtectedInjector(plain, code=code, double_policy=DOUBLE_POLICY)
                 if use_ecc
                 else plain
             )
@@ -152,8 +180,8 @@ def run_ecc_comparison(
             campaign = FaultCampaign(
                 injector,
                 context.evaluator.bind(model),
-                trials=trials,
-                seed=derive_seed(preset.seed, "ext-e", model_name, method),
+                trials=preset.trials,
+                seed=derive_seed(preset.seed, "ext-e", context.model_name, method),
             )
             for rate in rates:
                 mean = campaign.run(
@@ -171,13 +199,7 @@ def run_ecc_comparison(
 
 
 def run_fault_model_comparison(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    methods: tuple[str, ...] = ("none", "fitact"),
-    rate_index: int = 3,
-    trials: int | None = None,
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> AblationResult:
     """EXT-F: iid vs burst vs stuck-at faults at matched damage budgets.
 
@@ -186,9 +208,8 @@ def run_fault_model_comparison(
     adjacent runs, stuck-at models make ``n`` cells permanent (of which
     the data-dependent fraction is active).
     """
-    context = context or prepare_context(model_name, dataset_name, preset)
-    trials = trials if trials is not None else preset.trials
-    rate = preset.rates[rate_index]
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
+    rate = preset.rates[RATE_INDEX]
 
     # Budget from the unprotected model's fault space (method-independent).
     probe_model, _ = context.protected_model("none")
@@ -206,20 +227,20 @@ def run_fault_model_comparison(
     }
     result = AblationResult(
         title=(
-            f"EXT-F  Fault-model comparison — {model_name}/{dataset_name}, "
+            f"EXT-F  Fault-model comparison — {panel_label(context)}, "
             f"budget {budget} flips (rate {rate:.1e})"
         ),
-        headers=["fault model", *methods, "mean flips"],
+        headers=["fault model", *METHODS, "mean flips"],
     )
-    per_method: dict[str, dict[str, float]] = {m: {} for m in methods}
+    per_method: dict[str, dict[str, float]] = {m: {} for m in METHODS}
     mean_flips: dict[str, float] = {}
-    for method in methods:
+    for method in METHODS:
         model, _ = context.protected_model(method)
         campaign = FaultCampaign(
             FaultInjector(model),
             context.evaluator.bind(model),
-            trials=trials,
-            seed=derive_seed(preset.seed, "ext-f", model_name, method),
+            trials=preset.trials,
+            seed=derive_seed(preset.seed, "ext-f", context.model_name, method),
         )
         for label, fault_model in fault_models.items():
             run = campaign.run(fault_model, tag=f"{method}:{label}")
@@ -229,29 +250,19 @@ def run_fault_model_comparison(
         result.rows.append(
             [
                 label,
-                *[percent(per_method[m][label]) for m in methods],
+                *[percent(per_method[m][label]) for m in METHODS],
                 f"{mean_flips[label]:.1f}",
             ]
         )
         result.data[label] = {
-            **{m: per_method[m][label] for m in methods},
+            **{m: per_method[m][label] for m in METHODS},
             "mean_flips": mean_flips[label],
         }
     return result
 
 
 def run_mobilenet_panel(
-    preset: Preset = QUICK,
-    dataset_name: str = "synth10",
-    schemes: tuple[tuple[str, str, dict[str, object] | None], ...] = (
-        ("fitact", "fitact", None),
-        ("fitact-ch", "fitact", {"granularity": "channel"}),
-        ("clipact", "clipact", None),
-        ("ranger", "ranger", None),
-        ("none", "none", None),
-    ),
-    trials: int | None = None,
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> AblationResult:
     """EXT-M: the Fig. 6 protocol on MobileNetV1.
 
@@ -266,18 +277,15 @@ def run_mobilenet_panel(
     2. *Channel-wise* FitAct (``fitact-ch``) is robust: the per-channel
        max is a stable envelope, restoring the paper's ordering on this
        architecture.
-
-    ``schemes`` entries are ``(label, method, protection_overrides)``.
     """
-    context = context or prepare_context("mobilenet", dataset_name, preset)
-    trials = trials if trials is not None else preset.trials
+    context = context or prepare_context("mobilenet", DATASET_NAME, preset)
     rates = preset.rates
 
-    labels = [label for label, _, _ in schemes]
+    labels = [label for label, _, _ in MOBILENET_SCHEMES]
     clean: dict[str, float] = {}
     sweeps: dict[str, list[float]] = {}
     flips: dict[str, list[float]] = {}
-    for label, method, overrides in schemes:
+    for label, method, overrides in MOBILENET_SCHEMES:
         model, info = context.protected_model(
             method, protection_overrides=overrides
         )
@@ -285,8 +293,8 @@ def run_mobilenet_panel(
         campaign = FaultCampaign(
             FaultInjector(model),
             context.evaluator.bind(model),
-            trials=trials,
-            seed=derive_seed(preset.seed, "ext-m", dataset_name),
+            trials=preset.trials,
+            seed=derive_seed(preset.seed, "ext-m", context.dataset_name),
         )
         runs = [
             campaign.run(BitFlipFaultModel.at_rate(rate), tag=f"ext-m:{label}")
@@ -298,7 +306,7 @@ def run_mobilenet_panel(
         flips[label] = [float(run.flip_counts.mean()) for run in runs]
     result = AblationResult(
         title=(
-            f"EXT-M  MobileNetV1 method sweep — {dataset_name}, clean per "
+            f"EXT-M  MobileNetV1 method sweep — {context.dataset_name}, clean per "
             "scheme " + ", ".join(f"{k} {percent(v)}" for k, v in clean.items())
         ),
         headers=["fault rate", "mean flips per scheme", *labels],
@@ -317,14 +325,7 @@ def run_mobilenet_panel(
 
 
 def run_layer_vulnerability(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    methods: tuple[str, ...] = ("none", "fitact"),
-    flips_per_trial: int = 16,
-    max_groups: int = 8,
-    trials: int | None = None,
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> AblationResult:
     """EXT-L: which layers need the protection most.
 
@@ -334,8 +335,7 @@ def run_layer_vulnerability(
     logits — so vulnerability falls with depth, and per-neuron bounds
     matter most where the fan-out is largest.
     """
-    context = context or prepare_context(model_name, dataset_name, preset)
-    trials = trials if trials is not None else preset.trials
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
 
     # One group per weight-owning module, evenly subsampled through depth.
     probe_model, _ = context.protected_model("none")
@@ -345,52 +345,47 @@ def run_layer_vulnerability(
             prefix = name[: -len("weight")]
             if prefix not in owners:
                 owners.append(prefix)
-    if len(owners) > max_groups:
+    if len(owners) > MAX_GROUPS:
         picks = [
-            owners[round(i * (len(owners) - 1) / (max_groups - 1))]
-            for i in range(max_groups)
+            owners[round(i * (len(owners) - 1) / (MAX_GROUPS - 1))]
+            for i in range(MAX_GROUPS)
         ]
         owners = list(dict.fromkeys(picks))
 
     result = AblationResult(
         title=(
-            f"EXT-L  Layer vulnerability — {model_name}/{dataset_name}, "
-            f"{flips_per_trial} flips confined per group"
+            f"EXT-L  Layer vulnerability — {panel_label(context)}, "
+            f"{FLIPS_PER_GROUP} flips confined per group"
         ),
-        headers=["parameter group", *methods],
+        headers=["parameter group", *METHODS],
     )
     per_method: dict[str, dict[str, float]] = {}
-    for method in methods:
+    for method in METHODS:
         model, _ = context.protected_model(method)
         campaign = FaultCampaign(
             FaultInjector(model),
             context.evaluator.bind(model),
-            trials=trials,
-            seed=derive_seed(preset.seed, "ext-l", model_name, method),
+            trials=preset.trials,
+            seed=derive_seed(preset.seed, "ext-l", context.model_name, method),
         )
         vulnerability = parameter_group_vulnerability(
-            campaign, owners, flips_per_trial=flips_per_trial
+            campaign, owners, flips_per_trial=FLIPS_PER_GROUP
         )
         per_method[method] = {
             prefix: run.mean for prefix, run in vulnerability.items()
         }
     for prefix in owners:
         result.rows.append(
-            [prefix.rstrip("."), *[percent(per_method[m][prefix]) for m in methods]]
+            [prefix.rstrip("."), *[percent(per_method[m][prefix]) for m in METHODS]]
         )
         result.data[prefix.rstrip(".")] = {
-            m: per_method[m][prefix] for m in methods
+            m: per_method[m][prefix] for m in METHODS
         }
     return result
 
 
 def run_hard_deploy_ablation(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    rate_indices: tuple[int, ...] = (2, 4),
-    trials: int | None = None,
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> AblationResult:
     """ABL-H: deploy post-trained bounds as the hard piecewise form.
 
@@ -410,9 +405,8 @@ def run_hard_deploy_ablation(
     from repro.core.surgery import bound_modules
     from repro.eval.overhead import measure_inference_seconds
 
-    context = context or prepare_context(model_name, dataset_name, preset)
-    trials = trials if trials is not None else preset.trials
-    rates = [preset.rates[i] for i in rate_indices]
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
+    rates = [preset.rates[i] for i in RATE_INDICES]
 
     import numpy as np
 
@@ -431,8 +425,8 @@ def run_hard_deploy_ablation(
     )
     result = AblationResult(
         title=(
-            f"ABL-H  Deployment form of tuned bounds — {model_name}/"
-            f"{dataset_name} (smooth Eq. 6 vs hard Eq. 5)"
+            f"ABL-H  Deployment form of tuned bounds — {panel_label(context)} "
+            "(smooth Eq. 6 vs hard Eq. 5)"
         ),
         headers=[
             "deployment",
@@ -454,8 +448,8 @@ def run_hard_deploy_ablation(
         campaign = FaultCampaign(
             FaultInjector(model),
             context.evaluator.bind(model),
-            trials=trials,
-            seed=derive_seed(preset.seed, "abl-h", model_name),
+            trials=preset.trials,
+            seed=derive_seed(preset.seed, "abl-h", context.model_name),
         )
         for rate in rates:
             mean = campaign.run(BitFlipFaultModel.at_rate(rate), tag=label).mean
@@ -478,14 +472,7 @@ def run_hard_deploy_ablation(
 
 
 def run_format_ablation(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    formats: tuple[str, ...] = ("q3.4", "q7.8", "q15.16"),
-    methods: tuple[str, ...] = ("none", "fitact"),
-    rate_index: int = 3,
-    trials: int | None = None,
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> AblationResult:
     """ABL-W: word-format ablation at a fixed per-bit fault rate.
 
@@ -494,19 +481,18 @@ def run_format_ablation(
     Q3.4's worst flip adds 4.0, Q15.16's adds 16384.  Expected flips per
     trial scale with the format width and are reported per row.
     """
-    context = context or prepare_context(model_name, dataset_name, preset)
-    trials = trials if trials is not None else preset.trials
-    rate = preset.rates[rate_index]
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
+    rate = preset.rates[RATE_INDEX]
     result = AblationResult(
         title=(
-            f"ABL-W  Word-format ablation — {model_name}/{dataset_name}, "
+            f"ABL-W  Word-format ablation — {panel_label(context)}, "
             f"per-bit rate {rate:.1e}"
         ),
         headers=["format", "method", "clean acc", "acc under fault", "E[flips]"],
     )
-    for fmt_name in formats:
+    for fmt_name in FORMATS:
         fmt = parse_format(fmt_name)
-        for method in methods:
+        for method in METHODS:
             model, _ = context.protected_model(method, quantize=False)
             quantize_module(model, fmt)
             clean = context.evaluator.accuracy(model)
@@ -515,9 +501,9 @@ def run_format_ablation(
             campaign = FaultCampaign(
                 injector,
                 context.evaluator.bind(model),
-                trials=trials,
+                trials=preset.trials,
                 seed=derive_seed(
-                    preset.seed, "abl-w", model_name, method, str(fmt)
+                    preset.seed, "abl-w", context.model_name, method, str(fmt)
                 ),
             )
             faulty = campaign.run(

@@ -27,7 +27,14 @@ from repro.utils.rng import derive_seed
 
 __all__ = ["Fig1Result", "run_fig1"]
 
-DEFAULT_FRACTIONS = (0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0)
+MODEL_NAME = "vgg16"
+DATASET_NAME = "synth10"
+
+#: Swept bounds as multiples of the profiled layer maximum.
+FRACTIONS = (0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.0)
+
+#: Index of the swept activation site: the second layer's activation.
+SITE_INDEX = 1
 
 
 @dataclass
@@ -76,40 +83,32 @@ def _first_conv_paths(context: ExperimentContext, count: int = 2) -> list[str]:
 
 
 def run_fig1(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
-    fault_rate: float | None = None,
-    trials: int | None = None,
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> Fig1Result:
     """Regenerate Fig. 1: sweep the layer-2 GBReLU bound under faults.
 
-    ``fractions`` are multiples of the profiled layer maximum; the paper
+    ``FRACTIONS`` are multiples of the profiled layer maximum; the paper
     sweeps absolute λ from ~0.25 to 4, which brackets its layer max the
     same way.
     """
-    context = context or prepare_context(model_name, dataset_name, preset)
-    trials = trials if trials is not None else preset.trials
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
 
     profile = context.activation_profile()
-    site = profile.sites[1]  # the second layer's activation
+    site = profile.sites[SITE_INDEX]
     layer_max = profile.layer_bound(site)
     conv_paths = _first_conv_paths(context)
     prefixes = tuple(f"{p}." for p in conv_paths)
 
-    if fault_rate is None:
-        # The paper's 1e-5 over full-width conv1+conv2 yields ~10 expected
-        # flips; scale the rate so the restricted fault space of the
-        # width-scaled model sees the same flip count.
-        probe = context.fresh_model()
-        restricted_words = sum(
-            param.size
-            for name, param in probe.named_parameters()
-            if name.startswith(prefixes)
-        )
-        fault_rate = 10.0 / (restricted_words * 32)
+    # The paper's 1e-5 over full-width conv1+conv2 yields ~10 expected
+    # flips; scale the rate so the restricted fault space of the
+    # width-scaled model sees the same flip count.
+    probe = context.fresh_model()
+    restricted_words = sum(
+        param.size
+        for name, param in probe.named_parameters()
+        if name.startswith(prefixes)
+    )
+    fault_rate = 10.0 / (restricted_words * 32)
 
     def param_filter(name: str) -> bool:
         return name.startswith(prefixes)
@@ -123,7 +122,7 @@ def run_fig1(
         layer_max=layer_max,
     )
     fault_model = BitFlipFaultModel.at_rate(fault_rate, param_filter=param_filter)
-    for fraction in fractions:
+    for fraction in FRACTIONS:
         bound = float(layer_max * fraction)
         model = context.fresh_model()
         model.set_submodule(site, GBReLU(bound, mode="zero"))
@@ -133,7 +132,7 @@ def run_fig1(
         campaign = FaultCampaign(
             FaultInjector(model),
             context.evaluator.bind(model),
-            trials=trials,
+            trials=preset.trials,
             seed=derive_seed(preset.seed, "fig1", context.model_name),
         )
         result.fault_accuracy.append(campaign.run(fault_model, tag="fig1").mean)

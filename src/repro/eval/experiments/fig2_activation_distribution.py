@@ -18,6 +18,12 @@ from repro.eval.reporting import format_table, text_histogram
 
 __all__ = ["Fig2Result", "run_fig2"]
 
+MODEL_NAME = "vgg16"
+DATASET_NAME = "synth10"
+
+#: Index of the histogrammed activation site: the second layer's.
+SITE_INDEX = 1
+
 
 @dataclass
 class Fig2Result:
@@ -61,16 +67,12 @@ class Fig2Result:
 
 
 def run_fig2(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    site_index: int = 1,
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> Fig2Result:
-    """Regenerate Fig. 2 for the given activation site (default: layer 2)."""
-    context = context or prepare_context(model_name, dataset_name, preset)
+    """Regenerate Fig. 2 for the second layer's activation site."""
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
     profile = context.activation_profile()
-    site = profile.sites[site_index]
+    site = profile.sites[SITE_INDEX]
     return Fig2Result(
         model_name=context.model_name,
         dataset_name=context.dataset_name,

@@ -21,6 +21,15 @@ from repro.nn.activations import ReLU
 
 __all__ = ["Fig3Result", "run_fig3"]
 
+#: The plotted bound λ and FitReLU slope k.
+BOUND = 4.0
+K = 40.0
+
+#: The sampled input grid.
+GRID_MIN = -5.0
+GRID_MAX = 10.0
+POINTS = 301
+
 
 @dataclass
 class Fig3Result:
@@ -66,23 +75,17 @@ class Fig3Result:
         return f"{table}\n{diagnostics}"
 
 
-def run_fig3(
-    bound: float = 4.0,
-    k: float = 40.0,
-    grid_min: float = -5.0,
-    grid_max: float = 10.0,
-    points: int = 301,
-) -> Fig3Result:
+def run_fig3() -> Fig3Result:
     """Regenerate Fig. 3: sample all four activation functions."""
-    grid = np.linspace(grid_min, grid_max, points).astype(np.float32)
+    grid = np.linspace(GRID_MIN, GRID_MAX, POINTS).astype(np.float32)
     x = Tensor(grid)
     functions = {
         "ReLU": ReLU(),
-        "GBReLU": GBReLU(bound, mode="zero"),
-        "FitReLU-Naive": FitReLUNaive(np.asarray([bound], dtype=np.float32)),
-        "FitReLU": FitReLU(np.asarray([bound], dtype=np.float32), k=k),
+        "GBReLU": GBReLU(BOUND, mode="zero"),
+        "FitReLU-Naive": FitReLUNaive(np.asarray([BOUND], dtype=np.float32)),
+        "FitReLU": FitReLU(np.asarray([BOUND], dtype=np.float32), k=K),
     }
-    result = Fig3Result(grid=grid, bound=bound, k=k)
+    result = Fig3Result(grid=grid, bound=BOUND, k=K)
     with no_grad():
         for name, module in functions.items():
             result.curves[name] = module(x).data.copy()

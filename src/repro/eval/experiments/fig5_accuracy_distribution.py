@@ -14,10 +14,13 @@ from dataclasses import dataclass
 
 from repro.eval.experiments.context import ExperimentContext, prepare_context
 from repro.eval.experiments.presets import Preset, QUICK
-from repro.eval.experiments.runner import MethodSweep, run_method_sweep
+from repro.eval.experiments.runner import METHODS, MethodSweep, run_method_sweep
 from repro.eval.reporting import format_table, percent
 
 __all__ = ["Fig5Result", "run_fig5"]
+
+MODEL_NAME = "vgg16"
+DATASET_NAME = "synth10"
 
 METHOD_LABELS = {
     "fitact": "FitAct",
@@ -32,7 +35,6 @@ class Fig5Result:
     """Box statistics per (method, rate)."""
 
     sweep: MethodSweep
-    methods: tuple[str, ...] = ("fitact", "clipact", "ranger", "none")
 
     def box(self, method: str, rate: float) -> dict[str, float]:
         return self.sweep.sweeps[method][rate].box_stats()
@@ -41,10 +43,10 @@ class Fig5Result:
         blocks = [
             f"FIG5  Accuracy distribution under faults — "
             f"{self.sweep.model_name}/{self.sweep.dataset_name} "
-            f"({self.sweep.sweeps[self.methods[0]][self.sweep.rates[0]].trials} "
+            f"({self.sweep.sweeps[METHODS[0]][self.sweep.rates[0]].trials} "
             f"trials per cell)"
         ]
-        for method in self.methods:
+        for method in METHODS:
             rows = []
             flips = self.sweep.mean_flips(method)
             for rate, rate_flips in zip(self.sweep.rates, flips):
@@ -74,13 +76,8 @@ class Fig5Result:
 
 
 def run_fig5(
-    preset: Preset = QUICK,
-    model_name: str = "vgg16",
-    dataset_name: str = "synth10",
-    methods: tuple[str, ...] = ("fitact", "clipact", "ranger", "none"),
-    context: ExperimentContext | None = None,
+    preset: Preset = QUICK, context: ExperimentContext | None = None
 ) -> Fig5Result:
     """Regenerate Fig. 5 (VGG16 on the CIFAR-10 stand-in by default)."""
-    context = context or prepare_context(model_name, dataset_name, preset)
-    sweep = run_method_sweep(context, methods=methods, tag="fig5")
-    return Fig5Result(sweep=sweep, methods=methods)
+    context = context or prepare_context(MODEL_NAME, DATASET_NAME, preset)
+    return Fig5Result(sweep=run_method_sweep(context, tag="fig5"))

@@ -8,13 +8,18 @@ reproduction target.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.eval.experiments.context import prepare_context
+from repro.eval.experiments.context import ExperimentContext, prepare_context
 from repro.eval.experiments.presets import Preset, QUICK
 from repro.eval.reporting import format_table
 
 __all__ = ["PostTrainingOverheadResult", "run_posttraining_overhead"]
+
+#: The paper's three models, trained on the CIFAR-10 stand-in.
+MODELS = ("resnet50", "vgg16", "alexnet")
+DATASET_NAME = "synth10"
 
 
 @dataclass
@@ -62,14 +67,20 @@ class PostTrainingOverheadResult:
 
 
 def run_posttraining_overhead(
-    preset: Preset = QUICK,
-    models: tuple[str, ...] = ("resnet50", "vgg16", "alexnet"),
-    dataset_name: str = "synth10",
+    preset: Preset = QUICK, contexts: Iterable[ExperimentContext] | None = None
 ) -> PostTrainingOverheadResult:
-    """Regenerate the §VI-C1 comparison for each paper model."""
+    """Regenerate the §VI-C1 comparison for each paper model.
+
+    ``contexts`` defaults to ``MODELS`` on ``DATASET_NAME``, each
+    prepared only when its row is measured.
+    """
+    if contexts is None:
+        contexts = (
+            prepare_context(model_name, DATASET_NAME, preset)
+            for model_name in MODELS
+        )
     result = PostTrainingOverheadResult()
-    for model_name in models:
-        context = prepare_context(model_name, dataset_name, preset)
+    for context in contexts:
         _, info = context.protected_model("fitact")
         train_seconds = context.training_seconds
         post_seconds = float(info.get("post_seconds", 0.0))
@@ -77,7 +88,7 @@ def run_posttraining_overhead(
         post_per_epoch = post_seconds / max(preset.post_epochs, 1)
         result.rows.append(
             {
-                "model": model_name,
+                "model": context.model_name,
                 "train_seconds": train_seconds,
                 "post_seconds": post_seconds,
                 "ratio": post_seconds / train_seconds if train_seconds else 0.0,

@@ -15,9 +15,12 @@ from repro.fault.injector import FaultInjector
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
 
-__all__ = ["MethodSweep", "run_method_sweep"]
+__all__ = ["METHODS", "MethodSweep", "run_method_sweep"]
 
 _logger = get_logger("eval.runner")
+
+#: The paper's four schemes, in the order Figs. 5/6 plot them.
+METHODS = ("fitact", "clipact", "ranger", "none")
 
 
 @dataclass
@@ -42,12 +45,8 @@ class MethodSweep:
         return [float(sweep[rate].flip_counts.mean()) for rate in self.rates]
 
 
-def run_method_sweep(
-    context: ExperimentContext,
-    methods: tuple[str, ...] = ("fitact", "clipact", "ranger", "none"),
-    tag: str = "",
-) -> MethodSweep:
-    """Protect with each method and run the fault-rate sweep.
+def run_method_sweep(context: ExperimentContext, tag: str = "") -> MethodSweep:
+    """Protect with each of ``METHODS`` and run the fault-rate sweep.
 
     Every method runs the preset's fault rates and trials.  All methods
     share the campaign seed and fault rates, so they face fault streams
@@ -64,7 +63,7 @@ def run_method_sweep(
         rates=tuple(rates),
         reference_accuracy=context.reference_accuracy,
     )
-    for method in methods:
+    for method in METHODS:
         model, info = context.protected_model(method)
         result.clean_accuracy[method] = info["clean_accuracy"]
         campaign = FaultCampaign(

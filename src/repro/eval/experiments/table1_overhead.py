@@ -9,17 +9,26 @@ reproduction target.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.eval.experiments.context import prepare_context
+from repro.eval.experiments.context import ExperimentContext, prepare_context
 from repro.eval.experiments.presets import Preset, QUICK
 from repro.eval.overhead import OverheadReport, measure_overhead
 from repro.eval.reporting import format_table
 
 __all__ = ["Table1Result", "run_table1"]
+
+#: The paper's model/dataset grid, run dataset by dataset.
+MODELS = ("resnet50", "vgg16", "alexnet")
+DATASETS = ("synth10", "synth100")
+
+#: Images per timed inference batch, and timed batches per model.
+BATCH_SIZE = 64
+REPEATS = 10
 
 
 @dataclass
@@ -57,31 +66,35 @@ class Table1Result:
 
 
 def run_table1(
-    preset: Preset = QUICK,
-    models: tuple[str, ...] = ("resnet50", "vgg16", "alexnet"),
-    datasets: tuple[str, ...] = ("synth10", "synth100"),
-    batch_size: int = 64,
-    repeats: int = 10,
+    preset: Preset = QUICK, contexts: Iterable[ExperimentContext] | None = None
 ) -> Table1Result:
-    """Regenerate Table I over the model/dataset grid."""
+    """Regenerate Table I over the model/dataset grid.
+
+    ``contexts`` defaults to ``MODELS`` × ``DATASETS``, each prepared
+    only when its row is measured.
+    """
+    if contexts is None:
+        contexts = (
+            prepare_context(model_name, dataset_name, preset)
+            for dataset_name in DATASETS
+            for model_name in MODELS
+        )
     result = Table1Result()
     rng = np.random.default_rng(preset.seed)
-    for dataset_name in datasets:
-        for model_name in models:
-            context = prepare_context(model_name, dataset_name, preset)
-            baseline = context.fresh_model()
-            protected, _ = context.protected_model("fitact")
-            inputs = Tensor(
-                rng.standard_normal(
-                    (batch_size, 3, preset.image_size, preset.image_size)
-                ).astype(np.float32)
-            )
-            report = measure_overhead(
-                baseline,
-                protected,
-                inputs,
-                label=f"{dataset_name}/{model_name}",
-                repeats=repeats,
-            )
-            result.rows.append(report)
+    for context in contexts:
+        baseline = context.fresh_model()
+        protected, _ = context.protected_model("fitact")
+        inputs = Tensor(
+            rng.standard_normal(
+                (BATCH_SIZE, 3, preset.image_size, preset.image_size)
+            ).astype(np.float32)
+        )
+        report = measure_overhead(
+            baseline,
+            protected,
+            inputs,
+            label=f"{context.dataset_name}/{context.model_name}",
+            repeats=REPEATS,
+        )
+        result.rows.append(report)
     return result

@@ -548,7 +548,7 @@ class TestRPL010:
             def mix(a, b, i):
                 return np.dot(a[i], b)
         """
-        assert "RPL010" not in rules_in(src, "src/repro/eval/metrics.py")
+        assert "RPL010" not in rules_in(src, "src/repro/eval/reporting.py")
 
     def test_subscript_in_non_gemm_call_is_clean(self):
         src = """

@@ -76,14 +76,15 @@ class TestSaveJson:
 
     def test_real_experiment_result(self, tmp_path):
         from repro.eval.experiments import run_fig3
+        from repro.eval.experiments.fig3_activation_shapes import POINTS
 
         path = tmp_path / "fig3.json"
-        save_json(path, run_fig3(points=21))
+        save_json(path, run_fig3())
         with open(path, encoding="utf-8") as handle:
             restored = json.load(handle)
         assert restored["result_type"] == "Fig3Result"
         json_grid = restored["grid"]
-        assert len(json_grid) == 21
+        assert len(json_grid) == POINTS
 
 
 class TestSaveCsv:
@@ -100,4 +101,4 @@ class TestSaveCsv:
         from repro.eval.experiments import run_fig3
 
         with pytest.raises(ConfigurationError, match="save_json"):
-            save_csv(tmp_path / "x.csv", run_fig3(points=11))
+            save_csv(tmp_path / "x.csv", run_fig3())

@@ -1,14 +1,22 @@
-"""Extension experiments (EXT-A/E/F, ABL-W) at smoke scale."""
+"""Extension experiments (EXT-A/E/F/L/M, ABL-H/W) at smoke scale.
+
+Every runner runs its full grid on a LeNet context; ``PRESET.trials``
+alone keeps that cheap.
+"""
 
 import pytest
 
 from repro.eval.experiments import (
     SMOKE,
+    extensions,
     prepare_context,
     run_activation_fault_comparison,
     run_ecc_comparison,
     run_fault_model_comparison,
     run_format_ablation,
+    run_hard_deploy_ablation,
+    run_layer_vulnerability,
+    run_mobilenet_panel,
 )
 
 PRESET = SMOKE.with_overrides(
@@ -36,46 +44,63 @@ def context(isolated_cache):
     return prepare_context("lenet", "synth10", PRESET)
 
 
+@pytest.fixture(scope="module")
+def results(context):
+    """Each runner's result on the LeNet context, computed once."""
+    cache = {}
+
+    def run(runner):
+        if runner not in cache:
+            cache[runner] = runner(preset=PRESET, context=context)
+        return cache[runner]
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        run_activation_fault_comparison,
+        run_ecc_comparison,
+        run_fault_model_comparison,
+        run_layer_vulnerability,
+        run_hard_deploy_ablation,
+        run_format_ablation,
+    ],
+    ids=lambda runner: runner.__name__,
+)
+def test_title_names_the_context_model(results, runner):
+    """Titles name the model the table was measured on, not a default."""
+    result = results(runner)
+    assert "lenet/synth10" in result.title
+    assert "vgg16" not in result.to_text()
+
+
 class TestActivationFaultComparison:
-    def test_result_structure(self, context):
-        result = run_activation_fault_comparison(
-            preset=PRESET,
-            model_name="lenet",
-            methods=("none", "clipact"),
-            flips_per_layer=(1, 8),
-            trials=2,
-            context=context,
-        )
-        assert set(result.data) == {"none", "clipact"}
+    def test_result_structure(self, results):
+        result = results(run_activation_fault_comparison)
+        assert set(result.data) == set(extensions.ACTIVATION_METHODS)
+        columns = {"clean", *(f"n={n}" for n in extensions.FLIPS_PER_LAYER)}
         for row in result.data.values():
-            assert set(row) == {"clean", "n=1", "n=8"}
+            assert set(row) == columns
             assert all(0.0 <= v <= 1.0 for v in row.values())
         assert "EXT-A" in result.to_text()
 
-    def test_rows_match_methods(self, context):
-        result = run_activation_fault_comparison(
-            preset=PRESET,
-            model_name="lenet",
-            methods=("none",),
-            flips_per_layer=(4,),
-            trials=2,
-            context=context,
+    def test_rows_match_methods(self, results):
+        result = results(run_activation_fault_comparison)
+        assert [row[0] for row in result.rows] == list(
+            extensions.ACTIVATION_METHODS
         )
-        assert len(result.rows) == 1
-        assert result.rows[0][0] == "none"
 
 
 class TestECCComparison:
-    def test_memory_and_structure(self, context):
-        result = run_ecc_comparison(
-            preset=PRESET,
-            model_name="lenet",
-            methods=("none", "fitact"),
-            rate_indices=(2,),
-            trials=2,
-            context=context,
-        )
-        assert set(result.data) == {"none", "none+ecc", "fitact", "fitact+ecc"}
+    def test_memory_and_structure(self, results):
+        result = results(run_ecc_comparison)
+        assert set(result.data) == {
+            label
+            for method in extensions.ECC_METHODS
+            for label in (method, f"{method}+ecc")
+        }
         # SEC-DED parity storage: 39/32 of the plain footprint.
         plain = result.data["none"]["memory_mb"]
         ecc = result.data["none+ecc"]["memory_mb"]
@@ -84,30 +109,12 @@ class TestECCComparison:
         # FitAct carries λ words on top.
         assert result.data["fitact"]["memory_mb"] > plain
         assert "corrected_words" in result.data["none+ecc"]
-
-    def test_zero_policy_accepted(self, context):
-        result = run_ecc_comparison(
-            preset=PRESET,
-            model_name="lenet",
-            methods=("none",),
-            rate_indices=(0,),
-            double_policy="zero",
-            trials=1,
-            context=context,
-        )
-        assert "'zero'" in result.title
+        assert "'pass'" in result.title
 
 
 class TestFaultModelComparison:
-    def test_budget_and_flip_accounting(self, context):
-        result = run_fault_model_comparison(
-            preset=PRESET,
-            model_name="lenet",
-            methods=("none", "fitact"),
-            rate_index=4,
-            trials=2,
-            context=context,
-        )
+    def test_budget_and_flip_accounting(self, results):
+        result = results(run_fault_model_comparison)
         labels = {
             "iid flips", "burst L=4", "burst L=8", "stuck-at-0", "stuck-at-1",
             "word random", "word zero",
@@ -132,29 +139,23 @@ class TestMobilenetPanel:
     # campaign forward passes; inf/NaN logits are part of the physics.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_structure_at_smoke_scale(self, isolated_cache):
-        from repro.eval.experiments import run_mobilenet_panel
-
         preset = PRESET.with_overrides(
             image_size=32, model_scale=0.125, train_epochs=4, post_epochs=1,
             trials=1, train_samples=200, test_samples=80,
         )
-        result = run_mobilenet_panel(
-            preset=preset,
-            schemes=(("none", "none", None), ("clipact", "clipact", None)),
-            trials=1,
-        )
+        result = run_mobilenet_panel(preset=preset)
         rates = [k for k in result.data if k != "clean"]
         assert len(rates) == len(preset.rates)
-        assert set(result.data["clean"]) == {"none", "clipact"}
+        labels = [label for label, _, _ in extensions.MOBILENET_SCHEMES]
+        assert list(result.data["clean"]) == labels
         for rate in rates:
-            assert 0.0 <= result.data[rate]["none"] <= 1.0
+            assert all(0.0 <= result.data[rate][label] <= 1.0 for label in labels)
         assert "EXT-M" in result.to_text()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_flips_column_is_each_schemes_own(self, isolated_cache, monkeypatch):
         """Each scheme's mean realised flips, in scheme order (the column
         once printed the first scheme's expected flips for every one)."""
-        from repro.eval.experiments import extensions, run_mobilenet_panel
         from repro.fault.campaign import FaultCampaign
 
         realised: dict[str, list[float]] = {}
@@ -170,50 +171,33 @@ class TestMobilenetPanel:
             image_size=32, model_scale=0.125, train_epochs=1, post_epochs=1,
             trials=2, train_samples=64, test_samples=32,
         )
-        result = run_mobilenet_panel(
-            preset=preset,
-            schemes=(("fitact", "fitact", None), ("none", "none", None)),
-            trials=2,
-        )
+        result = run_mobilenet_panel(preset=preset)
         assert result.headers[:2] == ["fault rate", "mean flips per scheme"]
-        fitact, none = realised["ext-m:fitact"], realised["ext-m:none"]
-        assert len(fitact) == len(none) == len(result.rows) == len(preset.rates)
-        for row, own_fitact, own_none in zip(result.rows, fitact, none):
-            assert row[1] == f"{own_fitact:.1f} / {own_none:.1f}"
+        own = [
+            realised[f"ext-m:{label}"]
+            for label, _, _ in extensions.MOBILENET_SCHEMES
+        ]
+        assert all(len(flips) == len(preset.rates) for flips in own)
+        assert len(result.rows) == len(preset.rates)
+        for index, row in enumerate(result.rows):
+            assert row[1] == " / ".join(f"{flips[index]:.1f}" for flips in own)
         # FitAct's bound words enlarge its fault space.
-        assert sum(fitact) > sum(none)
+        assert sum(realised["ext-m:fitact"]) > sum(realised["ext-m:none"])
 
 
 class TestLayerVulnerability:
-    def test_groups_cover_depth(self, context):
-        from repro.eval.experiments import run_layer_vulnerability
-
-        result = run_layer_vulnerability(
-            preset=PRESET,
-            model_name="lenet",
-            methods=("none",),
-            flips_per_trial=4,
-            max_groups=3,
-            trials=2,
-            context=context,
-        )
-        assert 1 <= len(result.data) <= 3
+    def test_groups_cover_depth(self, results):
+        result = results(run_layer_vulnerability)
+        assert 1 <= len(result.data) <= extensions.MAX_GROUPS
         for row in result.data.values():
-            assert 0.0 <= row["none"] <= 1.0
+            assert set(row) == set(extensions.METHODS)
+            assert all(0.0 <= value <= 1.0 for value in row.values())
         assert "EXT-L" in result.to_text()
 
 
 class TestHardDeployAblation:
-    def test_variants_and_reference(self, context):
-        from repro.eval.experiments import run_hard_deploy_ablation
-
-        result = run_hard_deploy_ablation(
-            preset=PRESET,
-            model_name="lenet",
-            rate_indices=(2,),
-            trials=2,
-            context=context,
-        )
+    def test_variants_and_reference(self, results):
+        result = results(run_hard_deploy_ablation)
         assert set(result.data) == {
             "smooth (FitReLU)",
             "hard (FitReLU-Naive)",
@@ -229,17 +213,13 @@ class TestHardDeployAblation:
 
 
 class TestFormatAblation:
-    def test_width_scaling_and_quantisation_loss(self, context):
-        result = run_format_ablation(
-            preset=PRESET,
-            model_name="lenet",
-            formats=("q7.8", "q15.16"),
-            methods=("none",),
-            rate_index=3,
-            trials=2,
-            context=context,
-        )
-        assert set(result.data) == {"q7.8:none", "q15.16:none"}
+    def test_width_scaling_and_quantisation_loss(self, results):
+        result = results(run_format_ablation)
+        assert set(result.data) == {
+            f"{fmt}:{method}"
+            for fmt in extensions.FORMATS
+            for method in extensions.METHODS
+        }
         narrow = result.data["q7.8:none"]
         wide = result.data["q15.16:none"]
         # Expected flips scale with word width at a fixed per-bit rate.
@@ -249,14 +229,8 @@ class TestFormatAblation:
         # 16-bit quantisation of a small trained LeNet stays usable.
         assert narrow["clean"] > 0.4
 
-    def test_custom_format_spec(self, context):
-        result = run_format_ablation(
-            preset=PRESET,
-            model_name="lenet",
-            formats=("q5.10",),
-            methods=("none",),
-            rate_index=0,
-            trials=1,
-            context=context,
-        )
-        assert "Q5.10" in result.to_text()
+    def test_custom_format_spec(self, results):
+        """Each ``qI.F`` spec is parsed and rendered in canonical form."""
+        text = results(run_format_ablation).to_text()
+        for name in ("Q3.4", "Q7.8", "Q15.16"):
+            assert f"\n{name} " in text

@@ -1,58 +1,15 @@
-"""Metrics, reporting helpers, and the overhead report."""
+"""Reporting helpers and the overhead report."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError
 from repro.eval import (
     OverheadReport,
-    class_accuracy,
-    confusion_matrix,
     format_curves,
     format_table,
     percent,
     text_histogram,
-    top1_accuracy,
-    topk_accuracy,
 )
-
-
-class TestMetrics:
-    def test_top1(self):
-        logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
-        targets = np.array([0, 1, 1])
-        assert top1_accuracy(logits, targets) == pytest.approx(2 / 3)
-
-    def test_topk(self):
-        logits = np.array([[3.0, 2.0, 1.0, 0.0]] * 2)
-        targets = np.array([1, 3])
-        assert topk_accuracy(logits, targets, k=2) == pytest.approx(0.5)
-        assert topk_accuracy(logits, targets, k=4) == 1.0
-
-    def test_topk_bounds(self):
-        with pytest.raises(ShapeError):
-            topk_accuracy(np.zeros((2, 3)), np.zeros(2, dtype=int), k=4)
-
-    def test_confusion_matrix(self):
-        logits = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        targets = np.array([0, 1, 1])
-        matrix = confusion_matrix(logits, targets)
-        assert matrix.tolist() == [[1, 0], [1, 1]]
-
-    def test_class_accuracy_nan_for_missing(self):
-        logits = np.array([[1.0, 0.0]])
-        targets = np.array([0])
-        acc = class_accuracy(logits, targets)
-        assert acc[0] == 1.0
-        assert np.isnan(acc[1])
-
-    def test_empty_targets_raise(self):
-        with pytest.raises(ShapeError):
-            top1_accuracy(np.zeros((0, 2)), np.zeros(0, dtype=int))
-
-    def test_non_2d_logits_raise(self):
-        with pytest.raises(ShapeError):
-            top1_accuracy(np.zeros(4), np.zeros(4, dtype=int))
 
 
 class TestReporting:

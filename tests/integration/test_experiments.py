@@ -1,21 +1,35 @@
-"""Experiment runners produce well-formed results at smoke scale."""
+"""Experiment runners produce well-formed results at smoke scale.
+
+Every runner runs its full grid on a LeNet context; ``PRESET.trials``
+alone keeps that cheap.
+"""
+
+import inspect
 
 import numpy as np
 import pytest
 
 from repro.core.post_training import PostTrainingConfig
 from repro.eval.experiments import (
+    EXPERIMENTS,
     SMOKE,
     StateCache,
+    ablations,
+    fig1_bound_sweep,
+    fig3_activation_shapes,
     prepare_context,
+    run_bit_position_ablation,
     run_fig1,
     run_fig2,
     run_fig3,
     run_fig5,
     run_granularity_ablation,
     run_posttraining_overhead,
+    run_slope_ablation,
     run_table1,
+    run_zeta_ablation,
 )
+from repro.eval.experiments.runner import METHODS
 
 PRESET = SMOKE.with_overrides(
     image_size=16, train_samples=300, test_samples=120, train_epochs=10,
@@ -111,38 +125,42 @@ class TestStageIndependence:
         assert first == second
 
 
+def test_runners_take_only_a_preset_and_contexts():
+    """An experiment id has one definition: nothing but the preset and
+    the prepared context(s) may vary a runner's output."""
+    for exp_id, runner in EXPERIMENTS.items():
+        parameters = set(inspect.signature(runner).parameters)
+        assert parameters <= {"preset", "context", "contexts"}, exp_id
+
+
 class TestFigureRunners:
     def test_fig1(self, context):
-        result = run_fig1(
-            preset=PRESET, context=context, fractions=(0.25, 1.0, 2.0), trials=2
-        )
-        assert len(result.bounds) == 3
+        result = run_fig1(preset=PRESET, context=context)
+        assert len(result.bounds) == len(fig1_bound_sweep.FRACTIONS)
         assert result.baseline_accuracy > 0.5
         text = result.to_text()
         assert "FIG1" in text and "global bound" in text
         assert result.best_bound() in result.bounds
 
     def test_fig2(self, context):
-        result = run_fig2(preset=PRESET, context=context, site_index=0)
+        result = run_fig2(preset=PRESET, context=context)
         assert result.maxima.size > 0
         assert result.dispersion_ratio >= 1.0
         assert "FIG2" in result.to_text()
 
     def test_fig3(self):
-        result = run_fig3(bound=2.0, k=40.0, points=101)
-        assert result.peak("ReLU") == pytest.approx(10.0)
+        result = run_fig3()
+        assert result.grid.size == fig3_activation_shapes.POINTS
+        assert result.peak("ReLU") == pytest.approx(fig3_activation_shapes.GRID_MAX)
         assert result.tail_value("GBReLU") == 0.0
         assert result.tail_value("FitReLU-Naive") == 0.0
         assert result.tail_value("FitReLU") < 0.05
-        assert result.peak("FitReLU") <= 2.0 + 1e-5
+        assert result.peak("FitReLU") <= fig3_activation_shapes.BOUND + 1e-5
         assert "FIG3" in result.to_text()
 
     def test_fig5(self, context):
-        result = run_fig5(
-            preset=PRESET,
-            context=context,
-            methods=("clipact", "none"),
-        )
+        result = run_fig5(preset=PRESET, context=context)
+        assert list(result.sweep.sweeps) == list(METHODS)
         box = result.box(
             "clipact", result.sweep.rates[0]
         )
@@ -163,31 +181,53 @@ class TestFigureRunners:
             for rate in result.sweep.rates
         ]
 
-    def test_granularity_ablation(self, context):
-        result = run_granularity_ablation(
-            preset=PRESET, context=context, granularities=("neuron", "layer")
-        )
-        assert len(result.rows) == 2
+    def test_granularity_ablation(self, ablation_results):
+        result = ablation_results(run_granularity_ablation)
+        assert len(result.rows) == len(ablations.GRANULARITIES)
         words = {row[0]: int(row[1]) for row in result.rows}
-        assert words["neuron"] > words["layer"]
+        assert words["neuron"] > words["channel"] > words["layer"]
         assert "ABL-G" in result.to_text()
 
 
+@pytest.fixture(scope="module")
+def ablation_results(context):
+    """Each ablation's result on the LeNet context, computed once."""
+    cache = {}
+
+    def run(runner):
+        if runner not in cache:
+            cache[runner] = runner(preset=PRESET, context=context)
+        return cache[runner]
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        run_granularity_ablation,
+        run_slope_ablation,
+        run_zeta_ablation,
+        run_bit_position_ablation,
+    ],
+    ids=lambda runner: runner.__name__,
+)
+def test_ablation_title_names_the_context_model(ablation_results, runner):
+    """Titles name the model the table was measured on, not a default."""
+    result = ablation_results(runner)
+    assert "lenet/synth10" in result.title
+    assert "vgg16" not in result.to_text()
+
+
 class TestOverheadRunners:
-    def test_table1_single_model(self, context, tmp_path_factory):
-        result = run_table1(
-            preset=PRESET,
-            models=("lenet",),
-            datasets=("synth10",),
-            batch_size=16,
-            repeats=2,
-        )
-        assert len(result.rows) == 1
+    def test_table1_single_model(self, context):
+        result = run_table1(preset=PRESET, contexts=[context])
+        assert [row.label for row in result.rows] == ["synth10/lenet"]
         assert result.rows[0].memory_overhead > 0
         assert "TAB1" in result.to_text()
 
     def test_posttraining_overhead(self, context):
-        result = run_posttraining_overhead(preset=PRESET, models=("lenet",))
-        assert len(result.rows) == 1
+        result = run_posttraining_overhead(preset=PRESET, contexts=[context])
+        assert [row["model"] for row in result.rows] == ["lenet"]
         assert result.max_ratio() > 0
         assert "§VI-C1" in result.to_text()
