@@ -7,9 +7,13 @@ out one of two ways, picked from the output map's size
 - **K-major, per image** (maps of at least ``KMAJOR_MIN_AREA``
   positions, and every grouped conv).  :func:`im2col` copies ``kh * kw``
   planes into ``(N, C * kh * kw, OH * OW)``; a 1x1 stride-1 unpadded
-  conv reads its input as is.  :func:`conv_gemm` then runs one stacked
-  ``matmul`` of the weight against it, with batch dims ``(N, G)``, which
-  writes NCHW directly.  Every image and group multiplies a GEMM of the
+  conv reads its input as is.  A stride-1 "same" conv (``2 * p == k -
+  1``, :func:`is_same`: every 3x3 padding-1 conv of the zoo) copies
+  each plane as one flat shift of the input, ``H * W`` floats long, and
+  zeroes what fell off the map; other convs copy strided windows, ``OW``
+  floats at a time, out of a zero-bordered copy.  :func:`conv_gemm`
+  then runs one stacked ``matmul`` of the weight against it, with batch
+  dims ``(N, G)``, which writes NCHW directly.  Every image and group multiplies a GEMM of the
   same fixed shape, so an image's output does not depend on its batch.
   That lets a conv that keeps no column matrix (a frozen weight, or
   ``no_grad``) gather and multiply one block of images at a time, as
@@ -28,17 +32,22 @@ The backward computes only the gradients its inputs need
 (``Function.needs_input_grad``): the weight gradient reads the saved
 column matrix, which a frozen weight's forward never keeps.  The K-major
 input gradient is ``Wᵀ @ grad`` one block of images at a time into block
-scratch, which :func:`scatter_add_windows` adds into the unpadded input
-gradient kernel offset by kernel offset; the pooling backwards share
-that scatter.  The channels-last one comes out as one NHWC slab per
-kernel offset, which :func:`_col2im_nhwc` scatter-adds into a padded
-NHWC buffer.  Max pooling runs :func:`max_pool_into`, the compiled
-runtime's own function, and records the first-max index only when a
-gradient is needed.
+scratch, which is added into the unpadded input gradient kernel offset
+by kernel offset: for a same conv as one flat shifted add per offset
+(:func:`shift_add_windows`), otherwise by :func:`scatter_add_windows`,
+whose strided adds the overlapping or padded pooling backwards share.
+The channels-last one comes out as one NHWC slab per kernel offset,
+which :func:`_col2im_nhwc` scatter-adds into a padded NHWC buffer.  Max
+pooling runs :func:`max_pool_into`, the compiled runtime's own function,
+and records the first-max index only when a gradient is needed; a pool
+whose windows tile the input (stride equal to the kernel, no padding)
+writes each input position's gradient once.  Every route gives the
+bytes of the strided one.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -56,9 +65,11 @@ __all__ = [
     "conv_block_images",
     "conv_gemm",
     "im2col",
+    "is_same",
     "max_pool2d",
     "max_pool_into",
     "scatter_add_windows",
+    "shift_add_windows",
     "use_kmajor",
 ]
 
@@ -142,6 +153,41 @@ def is_pointwise(
     return kernel == (1, 1) and stride == (1, 1) and padding == (0, 0)
 
 
+def is_same(
+    kernel: tuple[int, int], stride: tuple[int, int], padding: tuple[int, int]
+) -> bool:
+    """A stride-1 conv whose padding keeps the map size (``2 * p == k - 1``
+    on both axes): its K-major gather and input-gradient scatter run by
+    flat shifts (:func:`im2col`, :func:`shift_add_windows`)."""
+    return stride == (1, 1) and all(
+        2 * p == k - 1 for k, p in zip(kernel, padding)
+    )
+
+
+def _wrapped(size: int, shift: int) -> slice:
+    """The positions ``p`` of an axis of ``size`` whose source ``p + shift``
+    falls outside ``[0, size)``."""
+    if shift > 0:
+        return slice(max(0, size - shift), size)
+    return slice(0, min(size, -shift))
+
+
+def _zero_off_map(planes: np.ndarray, padding: tuple[int, int]) -> None:
+    """Zero, in the (N, C, kh, kw, H, W) ``planes`` of a same conv, every
+    position whose window element lies off the map: the rows that fell
+    off the top or bottom and the columns whose flat shift wraps into the
+    neighbouring row.  One strided assignment per off-centre kernel row
+    and column, across all offsets."""
+    _, _, kh, kw, h, w = planes.shape
+    ph, pw = padding
+    for i in range(kh):
+        if i != ph:
+            planes[:, :, i, :, _wrapped(h, i - ph)] = 0
+    for j in range(kw):
+        if j != pw:
+            planes[:, :, :, j, :, _wrapped(w, j - pw)] = 0
+
+
 def conv_block_images(
     channels: int,
     area: int,
@@ -178,10 +224,17 @@ def im2col(
     same values, one row per output position, columns in ``(ki, kj, c)``
     order.  A pointwise conv's K-major columns are ``x`` itself.
 
-    A padded conv reads a zero-bordered copy of ``x`` (NCHW for K-major,
-    NHWC for channels-last); ``padded`` supplies that buffer with zero
-    borders (only the interior is written), by default one is allocated.
-    Each kernel offset is one strided copy, so the bytes are exact.
+    A K-major same conv (:func:`is_same`) gathers by flat shifts and
+    reads no padded buffer: kernel offset ``(i, j)`` is one copy of the
+    flattened input shifted by ``(i - ph) * W + (j - pw)`` into its
+    plane, ``H * W`` floats long rather than ``OW``, after which the
+    rows that fell off the map and the columns that wrapped into the
+    neighbouring row are zeroed, ``(kh - 1) + (kw - 1)`` strided
+    assignments across all offsets.  Any other padded conv reads a
+    zero-bordered copy of ``x`` (NCHW for K-major, NHWC for
+    channels-last); ``padded`` supplies that buffer with zero borders
+    (only the interior is written), by default one is allocated.  Each
+    kernel offset is one copy either way, so the bytes are exact.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -197,6 +250,8 @@ def im2col(
         shape, pad_shape = (n * oh * ow, kh * kw * c), (n, h + 2 * ph, w + 2 * pw, c)
     if out is None:
         out = np.empty(shape, dtype=x.dtype)
+    if kmajor and is_same(kernel, stride, padding):
+        return _shift_gather(x, kernel, padding, out)
     # Both layouts seen as (N, C, kh, kw, OH, OW) and both sources as
     # NCHW: the copies below then serve either one.
     if kmajor:
@@ -215,6 +270,32 @@ def im2col(
                 planes[:, :, i, j],
                 src[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw],
             )
+    return out
+
+
+def _shift_gather(
+    x: np.ndarray,
+    kernel: tuple[int, int],
+    padding: tuple[int, int],
+    out: np.ndarray,
+) -> np.ndarray:
+    """:func:`im2col`'s K-major columns of a same conv, by flat shifts."""
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    area = h * w
+    src = x.reshape(n, c, area)
+    planes = out.reshape(n, c, kh, kw, area)
+    for i in range(kh):
+        for j in range(kw):
+            shift = (i - padding[0]) * w + (j - padding[1])
+            lo, hi = max(0, -shift), min(area, area - shift)
+            if lo < hi:
+                np.copyto(
+                    planes[:, :, i, j, lo:hi], src[:, :, lo + shift : hi + shift]
+                )
+    # The copies wrote every position whose source is on the map, and
+    # the wrapped columns; the rest lies in rows off the map.
+    _zero_off_map(out.reshape(n, c, kh, kw, h, w), padding)
     return out
 
 
@@ -299,7 +380,8 @@ def scatter_add_windows(
     each offset's window range is clipped to the interior, so what would
     land in the padding is never computed.  From a zero ``grad_x`` this
     gives the bytes of scattering into a zero padded buffer and slicing
-    its interior.
+    its interior.  Each add runs over rows only ``OW`` long; a same
+    conv's input gradient takes :func:`shift_add_windows` instead.
     """
     _, _, h, w = grad_x.shape
     _, _, kh, kw, oh, ow = windows.shape
@@ -323,6 +405,35 @@ def scatter_add_windows(
             ]
             np.add(dst, windows[:, :, i, j, rows, cols], out=dst)
     return grad_x
+
+
+def shift_add_windows(
+    flat: np.ndarray, windows: np.ndarray, padding: tuple[int, int]
+) -> np.ndarray:
+    """:func:`scatter_add_windows` for a same conv (:func:`is_same`), by
+    flat shifts: each kernel offset's window gradients are one add,
+    ``N * C * H * W`` floats long, into the flattened input gradient.
+
+    ``flat`` is that gradient with ``ph * W + pw`` (the largest shift)
+    extra floats on each side, so every shifted add stays in bounds.
+    ``windows`` (N, C, kh, kw, H, W) must be writable: its off-map
+    positions are zeroed first, so the adds carry only ``+0.0`` where a
+    shift wraps into a neighbouring row, channel or image (or the
+    margins).  Added into a gradient that started at ``+0.0`` and so
+    never holds ``-0.0``, a ``+0.0`` is an exact no-op, which makes the
+    bytes :func:`scatter_add_windows`' over zero.  Adds run in (i, j)
+    order.
+    """
+    n, c, kh, kw, h, w = windows.shape
+    _zero_off_map(windows, padding)
+    margin, size = padding[0] * w + padding[1], n * c * h * w
+    planes = windows.reshape(n, c, kh, kw, h * w)
+    for i in range(kh):
+        for j in range(kw):
+            start = margin + (i - padding[0]) * w + (j - padding[1])
+            target = flat[start : start + size].reshape(n, c, h * w)
+            np.add(target, planes[:, :, i, j], out=target)
+    return flat
 
 
 def max_pool_into(
@@ -433,7 +544,7 @@ class _Conv2d(Function):
             cols_buf = padded = None
             if not is_pointwise((kh, kw), stride, padding):
                 cols_buf = np.empty((block, c * kh * kw, oh * ow), dtype=x.dtype)
-                if padding != (0, 0):
+                if padding != (0, 0) and not is_same((kh, kw), stride, padding):
                     ph, pw = padding
                     padded = np.zeros((block, c, h + 2 * ph, w + 2 * pw), x.dtype)
             for b0 in range(0, n, block):
@@ -497,22 +608,36 @@ class _Conv2d(Function):
             # Wᵀ @ grad one block of images at a time, each block's
             # window gradients added straight into the unpadded grad_x.
             weight_t = self.weight.reshape(groups, og, kg).transpose(0, 2, 1)
-            grad_x = np.zeros(self.in_shape, dtype=np.result_type(weight_t, grad))
             c = self.in_shape[1]
             rule = conv_block_images(
                 c, oh * ow, out_channels, (kh, kw), self.stride, self.padding
             )
             block = min(n, rule)
+            # A same conv's shifted adds run over grad_x flattened, with
+            # room for the largest shift on each side.
+            same = is_same((kh, kw), self.stride, self.padding)
+            margin = self.padding[0] * ow + self.padding[1] if same else 0
+            image = math.prod(self.in_shape[1:])
+            flat = np.zeros(
+                n * image + 2 * margin, dtype=np.result_type(weight_t, grad)
+            )
+            grad_x = flat[margin : margin + n * image].reshape(self.in_shape)
             scratch = np.empty((block, groups, kg, oh * ow), dtype=grad_x.dtype)
             for b0 in range(0, n, block):
                 m = min(n, b0 + block) - b0
-                windows = np.matmul(weight_t, grad[b0 : b0 + m], out=scratch[:m])
-                scatter_add_windows(
-                    grad_x[b0 : b0 + m],
-                    windows.reshape(m, c, kh, kw, oh, ow),
-                    self.stride,
-                    self.padding,
-                )
+                windows = np.matmul(
+                    weight_t, grad[b0 : b0 + m], out=scratch[:m]
+                ).reshape(m, c, kh, kw, oh, ow)
+                if same:
+                    shift_add_windows(
+                        flat[b0 * image : (b0 + m) * image + 2 * margin],
+                        windows,
+                        self.padding,
+                    )
+                else:
+                    scatter_add_windows(
+                        grad_x[b0 : b0 + m], windows, self.stride, self.padding
+                    )
         if self.has_bias and self.needs_input_grad[2]:
             grad_bias = grad_out.sum(axis=(0, 2, 3))
         return grad_x, grad_weight, grad_bias
@@ -586,13 +711,20 @@ class _MaxPool2d(Function):
             dtype=bits,
         )
         np.bitwise_and(routed, grad_out.view(bits)[:, :, None], out=routed)
-        grad_x = np.zeros(self.in_shape, dtype=grad_out.dtype)
-        scatter_add_windows(
-            grad_x,
-            routed.view(grad_out.dtype).reshape(n, c, kh, kw, oh, ow),
-            self.stride,
-            self.padding,
-        )
+        windows = routed.view(grad_out.dtype).reshape(n, c, kh, kw, oh, ow)
+        if self.stride != self.kernel or self.padding != (0, 0):
+            grad_x = np.zeros(self.in_shape, dtype=grad_out.dtype)
+            scatter_add_windows(grad_x, windows, self.stride, self.padding)
+            return (grad_x,)
+        # Windows tile the input without overlap: each covered position
+        # is written once.  Adding +0.0 gives the bytes of adding into
+        # zeros (-0.0 comes out +0.0, NaN keeps its bits); positions past
+        # the last whole window get no gradient.
+        grad_x = np.empty(self.in_shape, dtype=grad_out.dtype)
+        grad_x[:, :, oh * kh :] = 0
+        grad_x[:, :, :, ow * kw :] = 0
+        tiles = grad_x[:, :, : oh * kh, : ow * kw].reshape(n, c, oh, kh, ow, kw)
+        np.add(windows, 0.0, out=tiles.transpose(0, 1, 3, 5, 2, 4))
         return (grad_x,)
 
 

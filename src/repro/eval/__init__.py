@@ -1,9 +1,7 @@
 """Evaluation harness: fast evaluators, overhead measurement, text
-reporting, machine-readable export, and the per-figure experiment
-runners."""
+reporting, and the per-figure experiment runners."""
 
 from repro.eval.evaluator import BoundAccuracy, Evaluator, forward_logits
-from repro.eval.export import result_to_dict, save_csv, save_json
 from repro.eval.overhead import (
     OverheadReport,
     measure_inference_seconds,
@@ -45,8 +43,5 @@ __all__ = [
     "measure_inference_seconds",
     "measure_overhead",
     "percent",
-    "result_to_dict",
-    "save_csv",
-    "save_json",
     "text_histogram",
 ]

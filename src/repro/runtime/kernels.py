@@ -69,6 +69,7 @@ from repro.autograd.ops_conv import (
     conv_gemm,
     im2col,
     is_pointwise,
+    is_same,
     max_pool_into,
     use_kmajor,
 )
@@ -170,10 +171,12 @@ class _Buffers:
 
     Only ``out`` and ``padded`` live here, per kernel: the output feeds
     later steps, and ``padded`` keeps fill borders that are never
-    rewritten.  Each ``(name, shape[1:], dtype)`` holds one array that
-    grows only along the batch axis; a smaller batch (a serve lane's
-    micro-batch, an evaluator's ragged final batch, a replica lane's
-    image subset) gets its leading rows, which are contiguous.  So any
+    rewritten.  A K-major same conv (stride 1, ``2 * p == k - 1``)
+    gathers by flat shifts and holds no ``padded``.  Each ``(name,
+    shape[1:], dtype)`` holds one array that grows only along the batch
+    axis; a smaller batch (a serve lane's micro-batch, an evaluator's
+    ragged final batch, a replica lane's image subset) gets its leading
+    rows, which are contiguous.  So any
     mix of batch sizes costs one array per kernel and name, as large as
     the largest batch.  Everything else is scratch, drawn from the
     plan's :class:`ScratchArena` (``scratch``; a kernel outside a plan
@@ -434,8 +437,10 @@ class ConvKernel(Kernel):
         every grouped conv), one block of ``block`` images at a time
         (:data:`repro.autograd.ops_conv.CONV_BLOCK_BYTES`, the rule a
         frozen conv's autograd forward uses): ``kh * kw`` plane copies
-        into the block's ``(B, C * kh * kw, OH * OW)`` columns, none for a
-        pointwise conv, then one stacked GEMM straight into the block's
+        into the block's ``(B, C * kh * kw, OH * OW)`` columns (flat
+        shifts of the input for a same conv, strided copies out of a
+        zero-bordered ``padded`` block for other padded ones), none for
+        a pointwise conv, then one stacked GEMM straight into the block's
         rows of the NCHW output, then bias, BatchNorm and the activation
         over those rows while they are still in cache.  The GEMM has one
         fixed shape per image, so an image's output does not depend on
@@ -509,9 +514,10 @@ class ConvKernel(Kernel):
         self.tier, self.block = "im2col", block
         constants = activation_constants(self.act)
         padded = None
-        if ph or pw:
+        if (ph or pw) and not is_same(conv.kernel_size, conv.stride, conv.padding):
             # Borders are zero-filled once; each block writes only the
-            # interior of its first images.
+            # interior of its first images.  A same conv gathers by
+            # flat shifts and needs none.
             padded = self.bufs.get(
                 "padded", (block, c, h + 2 * ph, w + 2 * pw), fill=0.0
             )

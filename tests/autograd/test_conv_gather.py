@@ -28,7 +28,10 @@ from repro.autograd.ops_conv import (
     conv_gemm,
     im2col,
     is_pointwise,
+    is_same,
     max_pool2d,
+    scatter_add_windows,
+    shift_add_windows,
     use_kmajor,
 )
 from repro.autograd.tensor import Tensor
@@ -45,6 +48,11 @@ GEOMETRIES = [
     (3, 16, 16, (3, 3), (2, 2), (1, 1)),  # stride 2: 64 positions
     (4, 12, 12, (2, 3), (2, 2), (0, 1)),  # stride 2, mixed padding: 36
     (2, 33, 31, (3, 3), (2, 1), (2, 0)),  # uneven stride and padding
+    # Same convs (stride 1, 2p == k - 1): K-major ones gather and
+    # scatter by flat shifts.
+    (3, 12, 12, (5, 5), (1, 1), (2, 2)),  # 5x5, padding 2
+    (4, 10, 9, (1, 3), (1, 1), (0, 1)),  # 1x3, padding (0, 1)
+    (4, 9, 10, (3, 1), (1, 1), (1, 0)),  # 3x1, padding (1, 0)
 ]
 DTYPES = [np.float32, np.float64]
 
@@ -119,6 +127,20 @@ def test_geometries_cover_both_gather_routes():
     assert KMAJOR_MIN_AREA in areas
 
 
+def test_geometries_cover_both_kmajor_routes():
+    """K-major geometries both gather by flat shifts (same convs) and by
+    strided copies, padded and not."""
+    shift, strided = [], []
+    for c, h, w, kernel, stride, padding in GEOMETRIES:
+        oh = _out_size(h, kernel[0], stride[0], padding[0])
+        ow = _out_size(w, kernel[1], stride[1], padding[1])
+        if use_kmajor(oh * ow, 1):
+            (shift if is_same(kernel, stride, padding) else strided).append(padding)
+    assert len(shift) >= 3 and (1, 1) in shift
+    assert (0, 0) in strided and any(p != (0, 0) for p in strided)
+    assert is_same((1, 1), (1, 1), (0, 0)) and not is_same((3, 3), (2, 2), (1, 1))
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_im2col_matches_position_major_transpose(geometry, dtype):
@@ -160,18 +182,20 @@ def _force_block(monkeypatch, images):
 
 
 def test_im2col_blocks_span_ragged_batches(monkeypatch):
-    """K-major blocks of 3, 3 and 1 images fill every output row, and
-    the padding copy holds one block."""
+    """K-major blocks of 3, 3 and 1 images fill every output row; the
+    padding copy holds one block, and a same conv (padding 1) has none."""
     _force_block(monkeypatch, 3)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((7, 3, 12, 12)).astype(np.float32)
-    conv = Conv2d(3, 4, 3, padding=1, bias=False, rng=0)
-    step = ConvKernel(conv)
-    out = step.run(x)
-    assert (step.tier, step.block) == ("im2col", 3)
-    assert step.bufs.sizes()["padded"] == 3 * 3 * 14 * 14 * 4
-    expected = _reference_conv(x, conv.weight.data, (3, 3), (1, 1), (1, 1))
-    assert out.tobytes() == expected.tobytes()
+    for padding, padded in [(1, None), (2, 3 * 3 * 16 * 16 * 4)]:
+        conv = Conv2d(3, 4, 3, padding=padding, bias=False, rng=0)
+        step = ConvKernel(conv)
+        out = step.run(x)
+        assert (step.tier, step.block) == ("im2col", 3)
+        assert step.bufs.sizes().get("padded") == padded
+        pad = (padding, padding)
+        expected = _reference_conv(x, conv.weight.data, (3, 3), (1, 1), pad)
+        assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("images", [1, 2])
@@ -384,6 +408,148 @@ def test_frozen_conv_under_no_grad_blocks_too(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# Same convs gather and scatter by flat shifts: the strided route (the
+# shift route switched off) and the references give the same bytes
+# ----------------------------------------------------------------------
+with np.errstate(invalid="ignore"):
+    #: The NaN the arithmetic itself makes (``inf - inf``, negative on
+    #: x86).  Where two NaNs of different sign meet in one sum, numpy's
+    #: strided and contiguous add loops keep different ones (the strided
+    #: scatter and the padded one already disagree there), so the inputs
+    #: carry only this NaN and every NaN in a result has its bits.
+    DEFAULT_NAN = np.float64(np.inf) - np.float64(np.inf)
+
+
+def _specials(rng, shape, dtype):
+    """Normal values with NaN, ±inf and -0.0 scattered through them."""
+    a = rng.standard_normal(shape).astype(dtype)
+    flat = a.reshape(-1)
+    picks = rng.permutation(flat.size)
+    k = max(1, flat.size // 40)
+    flat[picks[:k]] = DEFAULT_NAN
+    flat[picks[k : 2 * k]] = np.inf
+    flat[picks[2 * k : 3 * k]] = -np.inf
+    flat[picks[3 * k : 6 * k]] = -0.0
+    return a
+
+
+def _conv_grads(x, weight, grad_out, padding, groups, frozen):
+    """Forward bytes, input gradient and (unless ``frozen``) weight gradient."""
+    xt = Tensor(x, requires_grad=True)
+    wt = Tensor(weight, requires_grad=not frozen)
+    out = conv2d(xt, wt, stride=1, padding=padding, groups=groups)
+    out.backward(grad_out)
+    return out.data, xt.grad, None if frozen else wt.grad
+
+
+def _assert_shift_matches_strided(monkeypatch, x, weight, grad_out, padding,
+                                  groups=1, frozen=False):
+    shifted = _conv_grads(x, weight, grad_out, padding, groups, frozen)
+    with monkeypatch.context() as patch:
+        patch.setattr(ops_conv, "is_same", lambda *args: False)
+        strided = _conv_grads(x, weight, grad_out, padding, groups, frozen)
+    for a, b in zip(shifted, strided):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    expected_grad = _reference_input_grad(
+        grad_out, weight, x.shape, (1, 1), padding, groups
+    )
+    assert shifted[1].tobytes() == expected_grad.tobytes()
+
+
+SAME = [
+    (3, 12, 12, (3, 3), (1, 1)),
+    (3, 12, 12, (5, 5), (2, 2)),
+    (4, 10, 9, (1, 3), (0, 1)),
+    (4, 9, 10, (3, 1), (1, 0)),
+]
+
+
+# inf and -inf products meeting in one sum make NaN.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("same", SAME)
+def test_shift_route_keeps_special_value_bytes(monkeypatch, same, dtype, batch, frozen):
+    """NaN, ±inf and -0.0 in the input, the weight and the output
+    gradient: forward, input and weight gradients byte-equal with the
+    strided route, the input gradient also with the padded scatter."""
+    c, h, w, kernel, padding = same
+    assert is_same(kernel, (1, 1), padding) and use_kmajor(h * w, 1)
+    rng = np.random.default_rng(40)
+    x = _specials(rng, (batch, c, h, w), dtype)
+    weight = _specials(rng, (5, c, *kernel), dtype)
+    grad_out = _specials(rng, (batch, 5, h, w), dtype)
+    if frozen:  # several image blocks, the last ragged
+        _force_op_blocks(monkeypatch, 2, c, h * w, 5, kernel, (1, 1), padding)
+    _assert_shift_matches_strided(monkeypatch, x, weight, grad_out, padding,
+                                  frozen=frozen)
+    cols = im2col(x, kernel, (1, 1), padding, kmajor=True)
+    expected = _reference_cols(_pad_spatial(x, *padding), kernel, (1, 1), True)
+    assert cols.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_shift_route_mixed_nans_agree_but_for_which_nan(monkeypatch, dtype):
+    """Where a positive NaN and the default (negative) one meet in one
+    sum, IEEE 754 leaves open which comes out, and numpy's add loops
+    pick by position: the routes then agree on every non-NaN byte and on
+    where the NaNs are, not on their sign."""
+    rng = np.random.default_rng(43)
+    x = _specials(rng, (3, 3, 12, 12), dtype)
+    x.reshape(-1)[::37] = np.nan
+    weight = _specials(rng, (5, 3, 3, 3), dtype)
+    grad_out = _specials(rng, (3, 5, 12, 12), dtype)
+    grad_out.reshape(-1)[5::41] = np.nan
+    shifted = _conv_grads(x, weight, grad_out, (1, 1), 1, False)
+    with monkeypatch.context() as patch:
+        patch.setattr(ops_conv, "is_same", lambda *args: False)
+        strided = _conv_grads(x, weight, grad_out, (1, 1), 1, False)
+    for a, b in zip(shifted, strided):
+        nan = np.isnan(a)
+        assert nan.any() and (nan == np.isnan(b)).all()
+        assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_depthwise_same_conv_on_maps_smaller_than_its_padding(monkeypatch, side):
+    """A depthwise 3x3 on a 1x1 or 2x2 map (K-major as every grouped
+    conv): most shifts fall wholly off the map."""
+    rng = np.random.default_rng(41)
+    x = _specials(rng, (3, 4, side, side), np.float32)
+    weight = rng.standard_normal((4, 1, 3, 3)).astype(np.float32)
+    grad_out = rng.standard_normal((3, 4, side, side)).astype(np.float32)
+    _assert_shift_matches_strided(monkeypatch, x, weight, grad_out, (1, 1), groups=4)
+    cols = im2col(x, (3, 3), (1, 1), (1, 1), kmajor=True)
+    expected = _reference_cols(_pad_spatial(x, 1, 1), (3, 3), (1, 1), True)
+    assert cols.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("same", SAME)
+def test_shift_add_windows_matches_strided_scatter(same, dtype):
+    """Window gradients holding NaN, ±inf and -0.0 (everywhere, the
+    off-map positions included): one shifted add per offset over the
+    margined buffer gives the strided scatter's bytes, and the margins
+    carry only +0.0."""
+    c, h, w, kernel, padding = same
+    rng = np.random.default_rng(42)
+    windows = _specials(rng, (2, c, *kernel, h, w), dtype)
+    expected = np.zeros((2, c, h, w), dtype)
+    scatter_add_windows(expected, windows.copy(), (1, 1), padding)
+    margin = padding[0] * w + padding[1]
+    flat = np.zeros(expected.size + 2 * margin, dtype)
+    shift_add_windows(flat, windows, padding)
+    assert flat[margin : margin + expected.size].tobytes() == expected.tobytes()
+    edges = np.concatenate([flat[:margin], flat[margin + expected.size :]])
+    assert edges.tobytes() == np.zeros(2 * margin, dtype).tobytes()
+
+
+# ----------------------------------------------------------------------
 # Pooling: max pooling against argmax / take_along_axis, average pooling
 # against the padded scatter
 # ----------------------------------------------------------------------
@@ -455,6 +621,58 @@ def test_max_pool_matches_argmax_reference(pool, dtype):
     )
     assert xt.grad.dtype == expected_grad.dtype
     assert xt.grad.tobytes() == expected_grad.tobytes()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize(
+    "kernel,shape",
+    [
+        ((2, 2), (3, 4, 8, 8)),  # the zoo's pool, every row covered
+        ((2, 2), (3, 4, 9, 7)),  # odd sizes: a trailing row and column
+        ((2, 3), (2, 3, 7, 11)),  # rectangular windows, both ragged
+        ((3, 3), (2, 2, 9, 9)),
+    ],
+)
+def test_non_overlapping_max_pool_backward_writes_once(monkeypatch, kernel, shape, dtype):
+    """``stride == kernel`` and no padding: the backward writes each input
+    position once, with the routed scatter's bytes (first-max ties,
+    -0.0 gradients as +0.0, NaN kept), and zeros past the last window."""
+    rng = np.random.default_rng(18)
+    x = _pool_input(rng, dtype, shape)
+    xt = Tensor(x, requires_grad=True)
+    out = max_pool2d(xt, kernel)
+    expected_out, argmax = _reference_max_pool(x, kernel, kernel, (0, 0))
+    np.testing.assert_array_equal(out.data, expected_out)
+    grad_out = rng.standard_normal(out.shape).astype(dtype)
+    grad_out.reshape(-1)[::5] = -0.0
+    grad_out.reshape(-1)[2::9] = np.nan
+    grad_out.reshape(-1)[4::11] = -np.nan
+    grad_out.reshape(-1)[6::13] = -np.inf
+
+    def no_scatter(*args):
+        raise AssertionError("a non-overlapping pool scattered")
+
+    monkeypatch.setattr(ops_conv, "scatter_add_windows", no_scatter)
+    out.backward(grad_out)
+    monkeypatch.undo()
+    expected = _reference_max_pool_grad(grad_out, argmax, x.shape, kernel, kernel, (0, 0))
+    assert xt.grad.dtype == expected.dtype
+    assert xt.grad.tobytes() == expected.tobytes()
+    # The routed scatter the overlapping pools keep, over zeros.
+    kh, kw = kernel
+    n, c, oh, ow = grad_out.shape
+    flat = np.zeros((n, c, oh, ow, kh * kw), dtype)
+    np.put_along_axis(flat, argmax[..., None], grad_out[..., None], axis=-1)
+    routed = np.zeros(x.shape, dtype)
+    scatter_add_windows(
+        routed, flat.reshape(n, c, oh, ow, kh, kw).transpose(0, 1, 4, 5, 2, 3),
+        kernel, (0, 0),
+    )
+    assert xt.grad.tobytes() == routed.tobytes()
+    # -0.0 gradients came out +0.0; both NaN signs came through.
+    assert not (np.signbit(xt.grad) & (xt.grad == 0)).any()
+    assert np.signbit(xt.grad[np.isnan(xt.grad)]).any()
+    assert not np.signbit(xt.grad[np.isnan(xt.grad)]).all()
 
 
 @pytest.mark.parametrize("pool", POOLS)
